@@ -1,8 +1,6 @@
 // Shared example command-line handling.
 //
-// Every example accepts the same experiment flags — previously each one
-// re-implemented the strcmp loop (and most silently ignored flags the
-// others supported):
+// One parser for the experiment flags every example draws from:
 //
 //   --json FILE     write the telemetry snapshot series as JSON
 //   --faults SPEC   install a fault plane (src/fault/fault.hpp language)
@@ -11,7 +9,9 @@
 //   --stream FILE   stream telemetry snapshots + RTT windows to FILE
 //                   (stdout stays byte-identical to an unstreamed run)
 //
-// Everything else stays positional and is interpreted per example.
+// An example supports exactly the flags its usage text names; any other
+// one is rejected rather than parsed and silently ignored. Everything else
+// stays positional and is interpreted per example.
 #pragma once
 
 #include <cstdint>
@@ -42,9 +42,10 @@ struct Cli {
   [[nodiscard]] std::string arg(std::size_t i, const std::string& dflt = "") const;
 };
 
-/// Parses the shared flags out of argv. On error (unknown flag value,
-/// malformed --faults spec) prints a message plus `usage` to stderr and
-/// returns nullopt; the caller should exit non-zero.
+/// Parses the shared flags out of argv. On error (a flag `usage` does not
+/// name, a missing flag value, a malformed --faults spec) prints a message
+/// plus `usage` to stderr and returns nullopt; the caller should exit
+/// non-zero.
 std::optional<Cli> parse_cli(int argc, char** argv, const char* usage);
 
 }  // namespace moongen::examples

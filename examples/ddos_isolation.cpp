@@ -27,8 +27,10 @@
 // `--faults SPEC` drives attacker flap dynamics and switch fault sites, e.g.
 //   --faults "stall@vswitch.stall:p=0.001;loss@vswitch.drop:p=0.01"
 // `--stream FILE` streams per-window RTT groups (per-tenant quantiles).
+// `--json FILE` writes the registry snapshot series the testbed samples
+// every 100 ms of virtual time from t=0, plus one final snapshot with the
+// end-of-run gauges (schema in DESIGN.md, "Telemetry"); stdout is unchanged.
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -40,7 +42,6 @@
 #include "telemetry/exporters.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/rtt_plane.hpp"
-#include "telemetry/sampler.hpp"
 #include "testbed/scenario.hpp"
 
 namespace mc = moongen::core;
@@ -159,6 +160,7 @@ int main(int argc, char** argv) {
                       .link(2, 3).with_seed(8).latency_ns(25'000)
                       .link(4, 5).with_seed(9).latency_ns(5'000)
                       .vswitch(1, {2, 4}, cfg);
+  if (cli->has_json()) scenario.sample_telemetry(100'000'000);
   if (cli->has_stream()) scenario.stream_telemetry(cli->stream_path, 100'000'000);
   auto tb = scenario.build();
   mt::MetricRegistry& registry = tb->registry();
@@ -209,16 +211,6 @@ int main(int argc, char** argv) {
   mh::HealthMonitor mon(*tb, hc);
   mon.start(end_ps);
 
-  mt::SamplerConfig sampler_cfg;
-  sampler_cfg.period_ns = 100'000'000;
-  mt::Sampler sampler(registry, [&tb] { return tb->now() / 1'000; }, sampler_cfg);
-  std::function<void()> sample_tick = [&] {
-    tb->publish_engine_telemetry();
-    sampler.poll();
-    if (tb->now() < end_ps) tb->schedule_global(tb->now() + 100 * ms::kPsPerMs, sample_tick);
-  };
-  if (cli->has_json()) tb->schedule_global(0, sample_tick);
-
   tb->run_until(end_ps);
 
   // --- report (virtual-time values only: identical across shard counts) -----
@@ -265,10 +257,10 @@ int main(int argc, char** argv) {
     std::printf("  %s: %s\n", v.checker.c_str(), v.detail.c_str());
 
   if (cli->has_json()) {
-    tb->publish_engine_telemetry();
     registry.shard(0).gauge("attacker.emitted_mbit").set(attacker_emitted_mbit);
-    sampler.sample_now();
-    if (mt::dump_json_series_to_file(cli->json_path, sampler.series()))
+    auto series = tb->series();
+    series.push_back(tb->snapshot());
+    if (mt::dump_json_series_to_file(cli->json_path, series))
       std::fprintf(stderr, "telemetry series written to %s\n", cli->json_path.c_str());
     else
       std::fprintf(stderr, "failed to write telemetry series to %s\n", cli->json_path.c_str());

@@ -38,7 +38,7 @@ namespace {
 
 constexpr const char* kUsage =
     "usage: inter_arrival_times [kpps] [mechanism: hw|crc|pktgen|zsend]\n"
-    "                           [--json FILE] [--seed N]\n";
+    "                           [--json FILE] [--faults SPEC] [--seed N]\n";
 
 }  // namespace
 

@@ -25,7 +25,8 @@ namespace mw = moongen::wire;
 
 namespace {
 
-constexpr const char* kUsage = "usage: l2_bursts [avg_kpps] [burst_size] [--seed N]\n";
+constexpr const char* kUsage =
+    "usage: l2_bursts [avg_kpps] [burst_size] [--faults SPEC] [--seed N]\n";
 
 }  // namespace
 

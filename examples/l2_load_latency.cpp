@@ -11,10 +11,11 @@
 // l2-poisson-load-latency.lua: the Poisson pattern requires the CRC-based
 // software rate control (Section 8.3).
 //
-// With `--json FILE` the telemetry registry (port TX/RX counters, load
-// generator valid/gap split, latency histogram) is sampled every 100 ms of
-// virtual time and the snapshot series is written as JSON (schema in
-// DESIGN.md, "Telemetry"); stdout is unchanged.
+// With `--json FILE` the testbed samples the telemetry registry (port
+// TX/RX counters, load generator valid/gap split, latency histogram) every
+// 100 ms of virtual time from t=0 (Scenario::sample_telemetry); the series
+// plus one final snapshot with the end-of-run gauges is written as JSON
+// (schema in DESIGN.md, "Telemetry"); stdout is unchanged.
 //
 // With `--faults SPEC` a deterministic fault plane is installed on the
 // testbed (frame loss/corruption/reordering, link flaps, DuT stalls, clock
@@ -25,7 +26,6 @@
 // DuT pair) run on parallel event engines bridged by the cables' latency
 // (DESIGN.md Section 10); the output is byte-identical to --shards 1.
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <string_view>
 
@@ -35,7 +35,6 @@
 #include "nic/chip.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/registry.hpp"
-#include "telemetry/sampler.hpp"
 #include "testbed/scenario.hpp"
 
 namespace mc = moongen::core;
@@ -82,6 +81,7 @@ int main(int argc, char** argv) {
                       .link(2, 3).with_seed(6)
                       .forwarder(1, 2)
                       .couple(0, 3);
+  if (cli->has_json()) scenario.sample_telemetry(100'000'000);
   if (cli->has_stream()) scenario.stream_telemetry(cli->stream_path, 100'000'000);
   auto tb = scenario.build();
   mt::MetricRegistry& registry = tb->registry();
@@ -119,21 +119,7 @@ int main(int argc, char** argv) {
   ts.bind_telemetry(registry, "timestamper");
   ts.start();
 
-  // Sample the registry every 100 ms of *virtual* time on the global
-  // timeline: the tick runs while every shard is quiesced at the sample
-  // instant, so the snapshot is a consistent cut across shards.
-  mt::SamplerConfig sampler_cfg;
-  sampler_cfg.period_ns = 100'000'000;
-  mt::Sampler sampler(registry, [&tb] { return tb->now() / 1'000; }, sampler_cfg);
-  const auto end_ps = static_cast<ms::SimTime>(seconds * 1e12);
-  std::function<void()> sample_tick = [&] {
-    tb->publish_engine_telemetry();  // engine deltas are flushed, not per-event
-    sampler.poll();
-    if (tb->now() < end_ps) tb->schedule_global(tb->now() + 100 * ms::kPsPerMs, sample_tick);
-  };
-  if (cli->has_json()) tb->schedule_global(0, sample_tick);
-
-  tb->run_until(end_ps);
+  tb->run_until(static_cast<ms::SimTime>(seconds * 1e12));
   ts.stop();
 
   auto& forwarder = tb->forwarder();
@@ -189,13 +175,13 @@ int main(int argc, char** argv) {
   }
 
   if (cli->has_json()) {
-    tb->publish_engine_telemetry();  // engine.events_executed / wheel / heap / rate
     registry.shard(0).gauge("load.forwarded_mpps")
         .set(static_cast<double>(forwarder.forwarded()) / seconds / 1e6);
     registry.shard(0).gauge("dut.interrupts").set(static_cast<double>(forwarder.interrupts()));
     registry.shard(0).gauge("dut.polls").set(static_cast<double>(forwarder.polls()));
-    sampler.sample_now();  // final snapshot incl. the end-of-run gauges
-    if (mt::dump_json_series_to_file(cli->json_path, sampler.series()))
+    auto series = tb->series();
+    series.push_back(tb->snapshot());  // final snapshot incl. the end-of-run gauges
+    if (mt::dump_json_series_to_file(cli->json_path, series))
       std::fprintf(stderr, "telemetry series written to %s\n", cli->json_path.c_str());
     else
       std::fprintf(stderr, "failed to write telemetry series to %s\n", cli->json_path.c_str());

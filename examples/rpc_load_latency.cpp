@@ -17,8 +17,13 @@
 //   compare - run both at the same offered load and print them side by
 //             side (the open-vs-closed experiment).
 //
-// With `--json FILE` the telemetry registry (client/server gauges, engine
-// counters) is sampled every 100 ms of virtual time; stdout is unchanged.
+// With `--json FILE` the testbed samples the telemetry registry
+// (client/server gauges, engine counters) every 100 ms of virtual time
+// from t=0 (Scenario::sample_telemetry); the series plus one final
+// snapshot is written as JSON, the closed-loop run's to FILE.closed.json.
+// With `--stream FILE` the same snapshots plus every closed RTT window are
+// streamed to FILE (FILE.closed.jsonl for the closed-loop run). stdout is
+// unchanged either way.
 // With `--faults SPEC` the fault plane also drives server stalls (sites
 // rpc.s0 / rpc.s1) next to the usual wire faults. With `--shards N` the
 // pairs run on parallel engines; output is byte-identical to --shards 1.
@@ -26,7 +31,6 @@
 // usage: rpc_load_latency [offered_krps] [seconds] [open|closed|compare]
 //                         [service_us] [workers]
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,7 +41,6 @@
 #include "rpc/server_model.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/registry.hpp"
-#include "telemetry/sampler.hpp"
 #include "testbed/scenario.hpp"
 
 namespace me = moongen::examples;
@@ -52,7 +55,8 @@ namespace {
 constexpr const char* kUsage =
     "usage: rpc_load_latency [offered_krps] [seconds] [open|closed|compare]\n"
     "                        [service_us] [workers]\n"
-    "                        [--json FILE] [--faults SPEC] [--seed N] [--shards N]\n";
+    "                        [--json FILE] [--faults SPEC] [--seed N] [--shards N]\n"
+    "                        [--stream FILE]\n";
 
 constexpr int kPairs = 2;
 
@@ -84,6 +88,11 @@ RunResult run_mode(const me::Cli& cli, const RunParams& p) {
   // to 4 spreads them across engines (cables provide the lookahead).
   mtb::Scenario s;
   s.seed(cli.seed).shards(cli.shards).faults(cli.faults);
+  if (cli.has_json()) s.sample_telemetry(100'000'000);
+  // The closed-loop run's files get a suffix, so compare mode keeps both.
+  const std::string json_path = p.closed ? cli.json_path + ".closed.json" : cli.json_path;
+  const std::string stream_path = p.closed ? cli.stream_path + ".closed.jsonl" : cli.stream_path;
+  if (cli.has_stream()) s.stream_telemetry(stream_path, 100'000'000);
   for (int i = 0; i < kPairs; ++i) {
     const int client = 2 * i;
     const int server = 2 * i + 1;
@@ -156,21 +165,6 @@ RunResult run_mode(const me::Cli& cli, const RunParams& p) {
     return *open_gens[static_cast<std::size_t>(i)];
   };
 
-  // Consistent-cut telemetry snapshots every 100 ms of virtual time.
-  mt::SamplerConfig sampler_cfg;
-  sampler_cfg.period_ns = 100'000'000;
-  mt::Sampler sampler(registry, [&tb] { return tb->now() / 1'000; }, sampler_cfg);
-  std::function<void()> sample_tick = [&] {
-    tb->publish_engine_telemetry();
-    for (int i = 0; i < kPairs; ++i) {
-      client_at(i).publish_telemetry();
-      servers[static_cast<std::size_t>(i)]->publish_telemetry();
-    }
-    sampler.poll();
-    if (tb->now() < end_ps) tb->schedule_global(tb->now() + 100 * ms::kPsPerMs, sample_tick);
-  };
-  if (cli.has_json()) tb->schedule_global(0, sample_tick);
-
   // Run past the stop to drain responses (and one timeout sweep) in flight.
   tb->run_until(end_ps + 60 * ms::kPsPerMs);
 
@@ -193,18 +187,17 @@ RunResult run_mode(const me::Cli& cli, const RunParams& p) {
   for (int i = 0; i < 2 * kPairs; ++i) out.link_resumes += tb->port(i).stats().link_up_events;
 
   if (cli.has_json()) {
-    tb->publish_engine_telemetry();
-    for (int i = 0; i < kPairs; ++i) {
-      client_at(i).publish_telemetry();
-      servers[static_cast<std::size_t>(i)]->publish_telemetry();
-    }
-    sampler.sample_now();
-    const std::string path =
-        p.closed ? cli.json_path + ".closed.json" : cli.json_path;
-    if (mt::dump_json_series_to_file(path, sampler.series()))
-      std::fprintf(stderr, "telemetry series written to %s\n", path.c_str());
+    auto series = tb->series();
+    series.push_back(tb->snapshot());
+    if (mt::dump_json_series_to_file(json_path, series))
+      std::fprintf(stderr, "telemetry series written to %s\n", json_path.c_str());
     else
-      std::fprintf(stderr, "failed to write telemetry series to %s\n", path.c_str());
+      std::fprintf(stderr, "failed to write telemetry series to %s\n", json_path.c_str());
+  }
+  if (tb->stream() != nullptr) {
+    std::fprintf(stderr, "telemetry streamed to %s (%llu ticks, %llu rtt windows)\n",
+                 stream_path.c_str(), static_cast<unsigned long long>(tb->stream()->ticks()),
+                 static_cast<unsigned long long>(tb->stream()->windows_streamed()));
   }
   return out;
 }

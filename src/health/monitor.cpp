@@ -141,8 +141,7 @@ void HealthMonitor::dump(std::ostream& os, const std::string& reason, bool quies
     recorder_->dump_json(os, reason, checkers_.violations(), heartbeats, nullptr);
     return;
   }
-  tb_.publish_engine_telemetry();
-  const telemetry::Snapshot snap = tb_.registry().snapshot(tb_.now() / 1000);
+  const telemetry::Snapshot snap = tb_.snapshot();
   recorder_->dump_json(os, reason, checkers_.violations(), heartbeats, &snap);
 }
 

@@ -98,12 +98,12 @@ class ClientBase {
   [[nodiscard]] std::size_t peak_inflight() const { return table_.peak(); }
   [[nodiscard]] LatencyRecorder& recorder() { return recorder_; }
 
-  /// Gauges under `<prefix>.*`; the hot path never touches the registry —
-  /// call publish_telemetry() at sampling instants.
+  /// Gauges under `<prefix>.*` (issued, matched, inflight, peak_inflight,
+  /// timed_out, send_drops), set wherever the counts above change, so any
+  /// quiesced snapshot reads them exact.
   void bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix);
   /// Convenience overload: binds into the registry's default tree (shard 0).
   void bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix);
-  void publish_telemetry();
 
  protected:
   struct Request {

@@ -79,12 +79,12 @@ class ServerModel {
   [[nodiscard]] std::size_t peak_queue_depth() const { return peak_queue_; }
   [[nodiscard]] int busy_workers() const { return busy_; }
 
-  /// Pushes the counters above into `<prefix>.*` gauges (call at sampling
-  /// instants; the hot path deliberately never touches the registry).
+  /// Gauges under `<prefix>.*` (received, completed, queue_depth,
+  /// queue_drops, stalls), set wherever those counts change, so any
+  /// quiesced snapshot reads them exact.
   void bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix);
   /// Convenience overload: binds into the registry's default tree (shard 0).
   void bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix);
-  void publish_telemetry();
 
  private:
   struct PendingRequest {

@@ -141,8 +141,8 @@ class EventQueue {
   /// Registers `<prefix>.events_executed`, `<prefix>.wheel_scheduled`,
   /// `<prefix>.heap_scheduled` (counters) and
   /// `<prefix>.events_per_wall_second` (gauge) in `registry`. Metrics are
-  /// NOT updated per event — call publish_telemetry() at sampling points /
-  /// end of run to flush the deltas.
+  /// NOT updated per event — publish_telemetry() flushes the deltas
+  /// (testbed::Testbed::snapshot does so for every shard engine).
   void bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix);
   /// Convenience overload: binds into the registry's default tree (shard 0).
   void bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix);

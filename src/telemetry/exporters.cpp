@@ -1,10 +1,8 @@
 #include "telemetry/exporters.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <memory>
 
 namespace moongen::telemetry {
 
@@ -63,22 +61,6 @@ void json_histogram(std::ostream& os, const LogLinearHistogram& h) {
   os << "]}";
 }
 
-std::string sanitize_prometheus(const std::string& prefix, const std::string& name) {
-  std::string out = prefix;
-  for (const char c : name) {
-    const bool ok = std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == ':';
-    out.push_back(ok ? c : '_');
-  }
-  return out;
-}
-
-void csv_row(std::ostream& os, std::uint64_t ts, const std::string& metric, const char* type,
-             const char* field, double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.12g", value);
-  os << ts << ',' << metric << ',' << type << ',' << field << ',' << buf << '\n';
-}
-
 }  // namespace
 
 void write_json(std::ostream& os, const Snapshot& snap) {
@@ -113,74 +95,6 @@ void write_json_series(std::ostream& os, const std::vector<Snapshot>& series) {
     write_json(os, series[i]);
   }
   os << "]}";
-}
-
-void write_csv(std::ostream& os, const Snapshot& snap, bool header) {
-  if (header) os << "timestamp_ns,metric,type,field,value\n";
-  for (const auto& c : snap.counters)
-    csv_row(os, snap.timestamp_ns, c.name, "counter", "value", static_cast<double>(c.value));
-  for (const auto& g : snap.gauges) csv_row(os, snap.timestamp_ns, g.name, "gauge", "value", g.value);
-  for (const auto& h : snap.histograms) {
-    csv_row(os, snap.timestamp_ns, h.name, "histogram", "count",
-            static_cast<double>(h.hist.total()));
-    csv_row(os, snap.timestamp_ns, h.name, "histogram", "min", static_cast<double>(h.hist.min()));
-    csv_row(os, snap.timestamp_ns, h.name, "histogram", "max", static_cast<double>(h.hist.max()));
-    csv_row(os, snap.timestamp_ns, h.name, "histogram", "mean", h.hist.mean());
-    for (std::size_t q = 0; q < std::size(kQuantiles); ++q)
-      csv_row(os, snap.timestamp_ns, h.name, "histogram", kQuantileKeys[q],
-              static_cast<double>(h.hist.percentile(kQuantiles[q])));
-  }
-}
-
-void write_csv_series(std::ostream& os, const std::vector<Snapshot>& series) {
-  for (std::size_t i = 0; i < series.size(); ++i) write_csv(os, series[i], i == 0);
-}
-
-void write_prometheus(std::ostream& os, const Snapshot& snap, const std::string& prefix) {
-  for (const auto& c : snap.counters) {
-    const auto name = sanitize_prometheus(prefix, c.name);
-    os << "# TYPE " << name << " counter\n" << name << ' ' << c.value << '\n';
-  }
-  for (const auto& g : snap.gauges) {
-    const auto name = sanitize_prometheus(prefix, g.name);
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.12g", g.value);
-    os << "# TYPE " << name << " gauge\n" << name << ' ' << buf << '\n';
-  }
-  for (const auto& h : snap.histograms) {
-    const auto name = sanitize_prometheus(prefix, h.name);
-    os << "# TYPE " << name << " summary\n";
-    for (std::size_t q = 0; q < std::size(kQuantiles); ++q) {
-      char qbuf[16];
-      std::snprintf(qbuf, sizeof(qbuf), "%g", kQuantiles[q] / 100.0);
-      os << name << "{quantile=\"" << qbuf << "\"} " << h.hist.percentile(kQuantiles[q]) << '\n';
-    }
-    char sum[32];
-    std::snprintf(sum, sizeof(sum), "%.12g", h.hist.sum());
-    os << name << "_sum " << sum << '\n';
-    os << name << "_count " << h.hist.total() << '\n';
-  }
-}
-
-void JsonExporter::write(std::ostream& os, const Snapshot& snapshot) {
-  write_json(os, snapshot);
-  os << '\n';
-}
-
-void CsvExporter::write(std::ostream& os, const Snapshot& snapshot) {
-  write_csv(os, snapshot, !header_written_);
-  header_written_ = true;
-}
-
-void PrometheusExporter::write(std::ostream& os, const Snapshot& snapshot) {
-  write_prometheus(os, snapshot, prefix_);
-}
-
-std::unique_ptr<Exporter> make_exporter(std::string_view format) {
-  if (format == "json") return std::make_unique<JsonExporter>();
-  if (format == "csv") return std::make_unique<CsvExporter>();
-  if (format == "prometheus" || format == "prom") return std::make_unique<PrometheusExporter>();
-  return nullptr;
 }
 
 bool dump_json_to_file(const std::string& path, const Snapshot& snap) {

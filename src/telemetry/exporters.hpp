@@ -1,74 +1,17 @@
-// Machine-readable views of registry snapshots.
-//
-// Three formats, matching how the bench/fig* suite and external tooling
-// consume measurements ("Tools for Network Traffic Generation" makes
-// cross-tool comparison depend on structured output):
-//  * JSON: full fidelity incl. histogram buckets — the `--json` path of the
-//    benches/examples; schema documented in DESIGN.md ("Telemetry").
-//  * CSV: flat `timestamp_ns,metric,type,field,value` rows for spreadsheets
-//    and quick plotting.
-//  * Prometheus text exposition: counters/gauges plus summary quantiles,
-//    for scraping a long-running generator.
+// Machine-readable views of registry snapshots: the JSON schema behind
+// every `--json` file and every `--stream` snapshot line (documented in
+// DESIGN.md, "Telemetry"), with full fidelity incl. histogram buckets.
+// One serializer for every path, so a metric renders identically no
+// matter which path exported it.
 #pragma once
 
-#include <memory>
 #include <ostream>
 #include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
 
 #include "telemetry/registry.hpp"
 
 namespace moongen::telemetry {
-
-/// One serialization format behind a uniform interface: `write` renders a
-/// single Snapshot to `os`, terminated by a newline, so a sequence of
-/// calls produces a valid stream (newline-delimited JSON, CSV rows under
-/// one header, repeated Prometheus expositions). The streaming telemetry
-/// shard and the end-of-run `--json` path both go through the same
-/// underlying serializers (write_json & friends below), so a metric
-/// renders identically no matter which path exported it.
-class Exporter {
- public:
-  virtual ~Exporter() = default;
-  virtual void write(std::ostream& os, const Snapshot& snapshot) = 0;
-  /// Format tag ("json", "csv", "prometheus") — stream headers, file names.
-  [[nodiscard]] virtual std::string_view format() const = 0;
-};
-
-/// Newline-delimited "moongen-telemetry-v1" objects.
-class JsonExporter final : public Exporter {
- public:
-  void write(std::ostream& os, const Snapshot& snapshot) override;
-  [[nodiscard]] std::string_view format() const override { return "json"; }
-};
-
-/// Flat CSV rows; the column header is emitted once, before the first
-/// snapshot, so a stream of writes forms one coherent CSV document.
-class CsvExporter final : public Exporter {
- public:
-  void write(std::ostream& os, const Snapshot& snapshot) override;
-  [[nodiscard]] std::string_view format() const override { return "csv"; }
-
- private:
-  bool header_written_ = false;
-};
-
-/// Prometheus text exposition (one full exposition per snapshot).
-class PrometheusExporter final : public Exporter {
- public:
-  explicit PrometheusExporter(std::string prefix = "moongen_") : prefix_(std::move(prefix)) {}
-  void write(std::ostream& os, const Snapshot& snapshot) override;
-  [[nodiscard]] std::string_view format() const override { return "prometheus"; }
-
- private:
-  std::string prefix_;
-};
-
-/// Exporter for `format` in {"json", "csv", "prometheus"/"prom"}; nullptr
-/// on an unknown format (callers report and fall back).
-std::unique_ptr<Exporter> make_exporter(std::string_view format);
 
 /// One snapshot as a JSON object (schema "moongen-telemetry-v1").
 void write_json(std::ostream& os, const Snapshot& snapshot);
@@ -76,17 +19,6 @@ void write_json(std::ostream& os, const Snapshot& snapshot);
 /// A snapshot series as {"schema": "moongen-telemetry-series-v1",
 /// "snapshots": [...]}.
 void write_json_series(std::ostream& os, const std::vector<Snapshot>& series);
-
-/// CSV rows for one snapshot; `header` prepends the column line.
-void write_csv(std::ostream& os, const Snapshot& snapshot, bool header = true);
-
-/// CSV rows for a series under a single header.
-void write_csv_series(std::ostream& os, const std::vector<Snapshot>& series);
-
-/// Prometheus text exposition format. Metric names are sanitized to
-/// [a-zA-Z0-9_:] and prefixed with `prefix`.
-void write_prometheus(std::ostream& os, const Snapshot& snapshot,
-                      const std::string& prefix = "moongen_");
 
 /// Convenience: open `path`, write one JSON snapshot, return false on I/O
 /// failure instead of throwing (benches report and move on).

@@ -1,15 +1,12 @@
-// Resolve-once metric handles: the redesigned hot-path telemetry API.
+// Resolve-once metric handles: the hot-path telemetry API.
 //
-// The original MetricRegistry hands out shared ShardedCounter references:
-// every update pays a thread->shard index lookup, and every instrument
-// carries shard_count() cache-line-padded atomics even when exactly one
-// thread ever writes it. This header replaces that with a per-shard
-// *metric tree* (MetricTree): each simulation shard owns one tree, a
-// component resolves its named slots exactly once at wiring time
-// (bind_telemetry), and a hot-path update through the returned handle is a
-// single relaxed add on a slot no other shard writes. Trees are merged
-// into one name-sorted Snapshot at quiesced window boundaries (the
-// ParallelRuntime barrier), where cross-shard sums are exact.
+// Each simulation shard owns one *metric tree* (MetricTree); a component
+// resolves its named slots exactly once at wiring time (bind_telemetry),
+// and a hot-path update through the returned handle is a single relaxed
+// add on a slot no other shard writes — no thread->shard lookup, no name
+// lookup. Trees are merged into one name-sorted Snapshot at quiesced
+// window boundaries (the ParallelRuntime barrier), where cross-shard sums
+// are exact.
 //
 // Contracts:
 //  * Registration (counter()/gauge()/histogram()) takes the tree mutex and
@@ -17,8 +14,7 @@
 //  * Counter/gauge slots are relaxed atomics: any thread may bump any
 //    handle without tearing, and sums are exact once writers quiesce.
 //  * A histogram slot is plain (recording is not atomic): it must have a
-//    single writer thread — the shard that bound it. That is the same
-//    discipline ShardedHistogram's per-thread shards encoded implicitly.
+//    single writer thread — the shard that bound it.
 //  * Handles are null-tolerant: a default-constructed handle is a no-op
 //    sink, so components can drop the `if (tm_ != nullptr)` dance.
 #pragma once

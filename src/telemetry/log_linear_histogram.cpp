@@ -5,8 +5,6 @@
 #include <iomanip>
 #include <stdexcept>
 
-#include "telemetry/sharded_counter.hpp"
-
 namespace moongen::telemetry {
 
 LogLinearHistogram::LogLinearHistogram(HistogramConfig config) : cfg_(config) {
@@ -91,27 +89,6 @@ void LogLinearHistogram::merge(const LogLinearHistogram& other) {
   sum_ += other.sum_;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
-}
-
-ShardedHistogram::ShardedHistogram(HistogramConfig config) : cfg_(config) {
-  shards_.reserve(shard_count());
-  for (std::size_t i = 0; i < shard_count(); ++i)
-    shards_.push_back(std::make_unique<Shard>(cfg_));
-}
-
-void ShardedHistogram::record(std::uint64_t value, std::uint64_t count) {
-  auto& shard = *shards_[shard_index_of_this_thread() % shards_.size()];
-  std::scoped_lock lock(shard.mutex);
-  shard.hist.record(value, count);
-}
-
-LogLinearHistogram ShardedHistogram::merged() const {
-  LogLinearHistogram out(cfg_);
-  for (const auto& shard : shards_) {
-    std::scoped_lock lock(shard->mutex);
-    out.merge(shard->hist);
-  }
-  return out;
 }
 
 }  // namespace moongen::telemetry

@@ -10,14 +10,12 @@
 // recorded value lands in a bucket no wider than value * 2^(1-sub_bucket_bits).
 //
 // Histograms with identical geometry merge losslessly, which is what makes
-// per-thread shards (ShardedHistogram) and cross-run aggregation work.
+// per-shard metric trees and cross-run aggregation work.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <ostream>
 #include <vector>
 
@@ -90,34 +88,6 @@ class LogLinearHistogram {
   double sum_ = 0.0;
   std::uint64_t min_ = UINT64_MAX;
   std::uint64_t max_ = 0;
-};
-
-/// Thread-safe front for LogLinearHistogram: one shard per recording thread
-/// (same thread->shard map as ShardedCounter), each guarded by its own
-/// mutex, so a `record` takes an uncontended lock on a shard no other
-/// thread writes. `merged()` folds all shards into one snapshot.
-class ShardedHistogram {
- public:
-  explicit ShardedHistogram(HistogramConfig config = {});
-  ShardedHistogram(const ShardedHistogram&) = delete;
-  ShardedHistogram& operator=(const ShardedHistogram&) = delete;
-
-  void record(std::uint64_t value, std::uint64_t count = 1);
-
-  [[nodiscard]] const HistogramConfig& config() const { return cfg_; }
-
-  /// Merge of all shards at the time of the call.
-  [[nodiscard]] LogLinearHistogram merged() const;
-
- private:
-  struct Shard {
-    mutable std::mutex mutex;
-    LogLinearHistogram hist;
-    explicit Shard(HistogramConfig cfg) : hist(cfg) {}
-  };
-
-  HistogramConfig cfg_;
-  std::vector<std::unique_ptr<Shard>> shards_;
 };
 
 }  // namespace moongen::telemetry

@@ -5,9 +5,9 @@
 // components resolve CounterHandle/GaugeHandle/HistogramHandle once at
 // wiring time from the tree of the simulation shard that owns them, and
 // hot-path updates are raw slot bumps with no name or shard lookup.
-// `snapshot()` merges every tree into one consistent, name-sorted view for
-// the Sampler and the exporters: counters sum across trees, histograms
-// merge losslessly (identical geometry enforced), gauges are
+// `snapshot()` merges every tree into one consistent, name-sorted view
+// (Testbed::snapshot, the JSON writers): counters sum across trees,
+// histograms merge losslessly (identical geometry enforced), gauges are
 // last-writer-wins in shard order.
 //
 // The name-keyed shared-instrument accessors (`counter()` / `gauge()` /

@@ -1,27 +1,24 @@
 #include "telemetry/stream.hpp"
 
 #include <stdexcept>
-#include <utility>
+
+#include "telemetry/exporters.hpp"
 
 namespace moongen::telemetry {
 
-TelemetryStream::TelemetryStream(MetricRegistry& registry, TelemetryStreamConfig cfg)
-    : registry_(registry), cfg_(std::move(cfg)) {
-  exporter_ = make_exporter(cfg_.format);
-  if (exporter_ == nullptr)
-    throw std::invalid_argument("TelemetryStream: unknown format '" + cfg_.format + "'");
-  out_.open(cfg_.path, std::ios::out | std::ios::trunc);
-  if (!out_.is_open())
-    throw std::runtime_error("TelemetryStream: cannot open '" + cfg_.path + "'");
+TelemetryStream::TelemetryStream(const std::string& path)
+    : out_(path, std::ios::out | std::ios::trunc) {
+  if (!out_.is_open()) throw std::runtime_error("TelemetryStream: cannot open '" + path + "'");
 }
 
-void TelemetryStream::tick(std::uint64_t now_ps) {
-  const Snapshot snap = registry_.snapshot((now_ps + 500) / 1000);
-  exporter_->write(out_, snap);
+void TelemetryStream::tick(const Snapshot& snapshot) {
+  write_json(out_, snapshot);
+  out_ << '\n';
   if (plane_ != nullptr) {
     // Closed windows are retained in a bounded deque; stream whatever is
-    // still held of the ones closed since the last tick. With any sane
-    // tick period (>= window period) nothing is ever evicted unseen.
+    // still held of the ones closed since the last tick. Scenario::build
+    // rejects tick periods longer than the retained span, so nothing is
+    // evicted unseen.
     const std::uint64_t closed = plane_->windows_closed();
     const auto& retained = plane_->windows();
     std::uint64_t first_retained = plane_->windows_evicted();

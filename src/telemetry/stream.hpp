@@ -2,11 +2,11 @@
 //
 // A week-long soak cannot wait for an end-of-run snapshot, and polling the
 // registry from another thread would race the shards. Instead the stream
-// is ticked at quiesced window boundaries (a ParallelRuntime window hook):
-// every tick appends one registry snapshot — stamped with virtual time —
-// to the output file in the chosen exporter format, followed by every RTT
-// window the plane closed since the previous tick as one JSON line each
-// (schema "moongen-rtt-window-v1").
+// is ticked at quiesced window boundaries (the Testbed's telemetry window
+// hook): every tick appends the snapshot taken there — stamped with
+// virtual time — to the output file as one JSON line (write_json), followed
+// by every RTT window the plane closed since the previous tick as one JSON
+// line each (schema "moongen-rtt-window-v1"). Nothing is retained.
 //
 // Everything goes to the file, never stdout: an instrumented run's stdout
 // stays byte-identical to an uninstrumented one, which is what the CI
@@ -15,50 +15,34 @@
 
 #include <cstdint>
 #include <fstream>
-#include <memory>
 #include <string>
 
-#include "telemetry/exporters.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/rtt_plane.hpp"
 
 namespace moongen::telemetry {
 
-struct TelemetryStreamConfig {
-  std::string path;
-  /// Tick period in picoseconds of virtual time (informational here; the
-  /// owner registers the window hook with this period).
-  std::uint64_t period_ps = 100'000'000'000ull;
-  /// "json", "csv" or "prometheus" (see make_exporter).
-  std::string format = "json";
-};
-
 class TelemetryStream {
  public:
-  /// Opens `cfg.path` for writing; throws std::runtime_error if the file
-  /// cannot be opened or std::invalid_argument on an unknown format.
-  TelemetryStream(MetricRegistry& registry, TelemetryStreamConfig cfg);
+  /// Opens `path` for writing; throws std::runtime_error if the file cannot
+  /// be opened.
+  explicit TelemetryStream(const std::string& path);
   TelemetryStream(const TelemetryStream&) = delete;
   TelemetryStream& operator=(const TelemetryStream&) = delete;
 
   /// Also stream the plane's closed windows (one JSON line per window).
   void attach_rtt(const RttPlane* plane) { plane_ = plane; }
 
-  /// Appends one snapshot (timestamped `now_ps`, converted to ns) plus any
-  /// newly closed RTT windows, then flushes. Must run at a quiesced
-  /// instant — wire it as a ParallelRuntime window hook.
-  void tick(std::uint64_t now_ps);
+  /// Appends `snapshot` plus any newly closed RTT windows, then flushes.
+  /// Must run at a quiesced instant.
+  void tick(const Snapshot& snapshot);
 
   [[nodiscard]] std::uint64_t ticks() const { return ticks_; }
   [[nodiscard]] std::uint64_t windows_streamed() const { return windows_streamed_; }
-  [[nodiscard]] const TelemetryStreamConfig& config() const { return cfg_; }
 
  private:
-  MetricRegistry& registry_;
-  TelemetryStreamConfig cfg_;
   const RttPlane* plane_ = nullptr;
   std::ofstream out_;
-  std::unique_ptr<Exporter> exporter_;
   std::uint64_t ticks_ = 0;
   std::uint64_t windows_streamed_ = 0;
 };

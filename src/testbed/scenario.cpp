@@ -86,15 +86,17 @@ Scenario& Scenario::rtt_window_ns(std::uint64_t ns) {
   return *this;
 }
 
-Scenario& Scenario::stream_telemetry(std::string path, std::uint64_t period_ns,
-                                     std::string format) {
+Scenario& Scenario::sample_telemetry(std::uint64_t period_ns) {
+  if (period_ns == 0) throw std::invalid_argument("Scenario::sample_telemetry: zero period");
+  sample_period_ns_ = period_ns;
+  return *this;
+}
+
+Scenario& Scenario::stream_telemetry(std::string path, std::uint64_t period_ns) {
   if (path.empty()) throw std::invalid_argument("Scenario::stream_telemetry: empty path");
   if (period_ns == 0) throw std::invalid_argument("Scenario::stream_telemetry: zero period");
-  telemetry::TelemetryStreamConfig cfg;
-  cfg.path = std::move(path);
-  cfg.period_ps = period_ns * 1'000;
-  cfg.format = std::move(format);
-  stream_ = std::move(cfg);
+  stream_path_ = std::move(path);
+  stream_period_ns_ = period_ns;
   return *this;
 }
 
@@ -247,7 +249,34 @@ std::size_t Scenario::device_index(int id, const char* what) const {
 
 // --- build ------------------------------------------------------------------
 
+std::uint64_t Scenario::telemetry_period_ps() const {
+  const std::uint64_t period_ns = sample_period_ns_ != 0 ? sample_period_ns_ : stream_period_ns_;
+  if (period_ns == 0) return 0;
+  if (sample_period_ns_ != 0 && !stream_path_.empty() && stream_period_ns_ != sample_period_ns_)
+    throw std::invalid_argument(
+        "Scenario: sample_telemetry and stream_telemetry declare different periods (" +
+        std::to_string(sample_period_ns_) + " vs " + std::to_string(stream_period_ns_) +
+        " ns); both ride one snapshot per tick");
+  if (period_ns > UINT64_MAX / 1'000)
+    throw std::invalid_argument("Scenario: telemetry period of " + std::to_string(period_ns) +
+                                " ns overflows picoseconds");
+  const std::uint64_t period_ps = period_ns * 1'000;
+  // The stream catches up on the RTT windows closed since its last tick
+  // from the plane's bounded deque; a longer tick would lose some unseen.
+  // (period_ps - 1) / max >= window  <=>  period_ps > max * window, with
+  // no overflow on the right-hand side.
+  const std::uint64_t max_windows = telemetry::RttPlaneConfig{}.max_windows;
+  if (!stream_path_.empty() && (period_ps - 1) / max_windows >= rtt_window_ps_)
+    throw std::invalid_argument(
+        "Scenario::stream_telemetry: period of " + std::to_string(period_ns) +
+        " ns exceeds the " + std::to_string(max_windows) + " RTT windows of " +
+        std::to_string(rtt_window_ps_ / 1'000) + " ns the plane retains between ticks");
+  return period_ps;
+}
+
 std::unique_ptr<Testbed> Scenario::build() {
+  const std::uint64_t snapshot_period_ps = telemetry_period_ps();
+
   // 1. Partition devices into coupling groups: devices joined by couple()
   // or forwarder() must share one event engine.
   UnionFind uf(devices_.size());
@@ -469,8 +498,8 @@ std::unique_ptr<Testbed> Scenario::build() {
     // simulation shard; every port stamps departures and accounts
     // receptions/drops, links account wire losses on the *source* port's
     // shard (on_frame runs there). Windows close via a runtime window
-    // hook — before any same-instant globals, so sampling ticks and the
-    // stream see freshly closed windows.
+    // hook — before the telemetry hook and any same-instant globals, so
+    // snapshots see freshly closed windows.
     telemetry::RttPlaneConfig rtt_cfg;
     rtt_cfg.flow_groups = rtt_groups_;
     rtt_cfg.window_ps = rtt_window_ps_;
@@ -492,20 +521,24 @@ std::unique_ptr<Testbed> Scenario::build() {
     tb->runtime_->add_window_hook(rtt_window_ps_,
                                   [plane](sim::SimTime t) { plane->close_window(t); });
 
-    // 10c. Streaming exporter: one snapshot (plus freshly closed RTT
-    // windows) per period, written to a file at quiesced instants —
-    // stdout stays byte-identical with streaming on or off.
-    if (stream_.has_value()) {
-      tb->stream_ = std::make_unique<telemetry::TelemetryStream>(*tb->registry_, *stream_);
-      tb->stream_->attach_rtt(plane);
-      telemetry::TelemetryStream* stream = tb->stream_.get();
-      auto* tb_raw = tb.get();
-      tb->runtime_->add_window_hook(stream_->period_ps, [stream, tb_raw](sim::SimTime t) {
-        // Engines batch their counters; flush so the streamed snapshot is
-        // exact at this quiesced instant.
-        tb_raw->publish_engine_telemetry();
-        stream->tick(t);
-      });
+    // 10c. Periodic snapshots: one window hook, one snapshot per tick,
+    // handed to the in-memory series and the file stream alike (stdout
+    // stays byte-identical with either on or off). Registered after the
+    // RTT hook, so a tick sees the window that closed at the same instant.
+    if (snapshot_period_ps != 0) {
+      if (!stream_path_.empty()) {
+        tb->stream_ = std::make_unique<telemetry::TelemetryStream>(stream_path_);
+        tb->stream_->attach_rtt(plane);
+      }
+      Testbed* raw = tb.get();
+      if (sample_period_ns_ != 0) {
+        tb->sampling_ = true;
+        // The series opens at the first run instant, after that instant's
+        // events, like every later tick.
+        tb->schedule_global(tb->now(), [raw] { raw->record(raw->snapshot()); });
+      }
+      tb->runtime_->add_window_hook(snapshot_period_ps,
+                                    [raw](sim::SimTime) { raw->telemetry_tick(); });
     }
   }
 

@@ -81,12 +81,17 @@ class Scenario {
   /// virtual time (default 100 ms). Windows close automatically during
   /// run_until at every multiple of this period.
   Scenario& rtt_window_ns(std::uint64_t ns);
+  /// Records one registry snapshot (Testbed::snapshot) per `period_ns` of
+  /// virtual time in memory — plus one at the first run instant — for
+  /// Testbed::series(), keeping the newest Testbed::kSeriesCapacity.
+  Scenario& sample_telemetry(std::uint64_t period_ns);
   /// Streams one registry snapshot per `period_ns` of virtual time to
-  /// `path` (format: "json", "csv" or "prometheus"), plus every RTT window
-  /// closed in between as a JSON line. stdout is untouched — an
-  /// instrumented run prints byte-identically to an uninstrumented one.
-  Scenario& stream_telemetry(std::string path, std::uint64_t period_ns,
-                             std::string format = "json");
+  /// `path` as a JSON line, plus every RTT window closed in between, and
+  /// retains nothing. stdout is untouched — an instrumented run prints
+  /// byte-identically to an uninstrumented one. Sampling and streaming
+  /// share one window hook and one snapshot per tick, so they must declare
+  /// the same period.
+  Scenario& stream_telemetry(std::string path, std::uint64_t period_ns);
 
   // --- simulated devices ---------------------------------------------------
 
@@ -154,8 +159,10 @@ class Scenario {
 
   /// Validates the declaration, partitions devices into shards and
   /// constructs the testbed. Throws std::invalid_argument on undeclared
-  /// ids, conflicting pins, or a cross-shard link with zero minimum
-  /// latency.
+  /// ids, conflicting pins, a cross-shard link with zero minimum latency,
+  /// or a telemetry period that overflows picoseconds, differs between
+  /// sample_telemetry and stream_telemetry, or outlasts the RTT windows
+  /// the plane retains for the stream.
   [[nodiscard]] std::unique_ptr<Testbed> build();
 
  private:
@@ -206,6 +213,9 @@ class Scenario {
   DeviceDecl& cur_device();
   LinkDecl& cur_link();
   [[nodiscard]] std::size_t device_index(int id, const char* what) const;
+  /// The validated snapshot period in ps, or 0 when neither sampling nor
+  /// streaming is declared.
+  [[nodiscard]] std::uint64_t telemetry_period_ps() const;
 
   std::uint64_t seed_ = 1;
   int shards_ = 1;
@@ -214,7 +224,9 @@ class Scenario {
   telemetry::MetricRegistry* external_registry_ = nullptr;
   std::uint32_t rtt_groups_ = 1;
   std::uint64_t rtt_window_ps_ = 100'000'000'000ull;  // 100 ms
-  std::optional<telemetry::TelemetryStreamConfig> stream_;
+  std::uint64_t sample_period_ns_ = 0;  // 0: not sampled
+  std::string stream_path_;             // empty: not streamed
+  std::uint64_t stream_period_ns_ = 0;
 
   std::vector<DeviceDecl> devices_;
   std::vector<LinkDecl> links_;

@@ -86,9 +86,23 @@ std::uint64_t Testbed::cross_shard_frames() const {
   return total;
 }
 
-void Testbed::publish_engine_telemetry() {
+telemetry::Snapshot Testbed::snapshot() {
+  // Engines batch their counters (a per-event registry bump would tax the
+  // hot path); flush so the snapshot is exact at this quiesced instant.
   for (std::size_t i = 0; i < runtime_->shard_count(); ++i)
     runtime_->shard(i).publish_telemetry();
+  return registry_->snapshot(now() / 1000);
+}
+
+void Testbed::record(telemetry::Snapshot snap) {
+  series_.push_back(std::move(snap));
+  if (series_.size() > kSeriesCapacity) series_.pop_front();
+}
+
+void Testbed::telemetry_tick() {
+  telemetry::Snapshot snap = snapshot();
+  if (stream_ != nullptr) stream_->tick(snap);
+  if (sampling_) record(std::move(snap));
 }
 
 telemetry::RttPlane& Testbed::rtt_plane() {

@@ -100,8 +100,7 @@ class Testbed {
 
   /// Schedules `fn` at absolute virtual time `t` on the global (cross-
   /// shard) timeline: it runs single-threaded while every shard is
-  /// quiesced at `t`, so it may touch any shard's components. This is
-  /// where telemetry sampling ticks belong.
+  /// quiesced at `t`, so it may touch any shard's components.
   void schedule_global(sim::SimTime t, std::function<void()> fn) {
     runtime_->schedule_global(t, std::move(fn));
   }
@@ -111,10 +110,23 @@ class Testbed {
 
   // --- telemetry -----------------------------------------------------------
 
+  /// Snapshots retained by Scenario::sample_telemetry; the oldest drop
+  /// beyond this many.
+  static constexpr std::size_t kSeriesCapacity = 512;
+
   [[nodiscard]] telemetry::MetricRegistry& registry() { return *registry_; }
-  /// Flushes every shard engine's batched counters into the registry; call
-  /// before sampling a snapshot (mirrors EventQueue::publish_telemetry).
-  void publish_engine_telemetry();
+  /// The registry's merged view at now(), exact for every component: the
+  /// engines' batched counters are flushed first. Call at a quiesced
+  /// instant (outside run_until, or from a global/window-hook callback).
+  /// The periodic telemetry tick, HealthMonitor::dump and the examples'
+  /// final `--json` snapshot all go through here.
+  [[nodiscard]] telemetry::Snapshot snapshot();
+  /// The series recorded by Scenario::sample_telemetry, oldest first: one
+  /// snapshot at the first run instant, then one per period. Empty when
+  /// no sampling was declared.
+  [[nodiscard]] std::vector<telemetry::Snapshot> series() const {
+    return {series_.begin(), series_.end()};
+  }
 
   /// The always-on RTT plane (present whenever telemetry is enabled).
   /// Windows close automatically at every rtt window boundary of run_until;
@@ -161,6 +173,12 @@ class Testbed {
   friend class Scenario;
   Testbed() = default;
 
+  /// Appends to the sampled series, dropping the oldest beyond capacity.
+  void record(telemetry::Snapshot snap);
+  /// The telemetry window hook: one snapshot, handed to the series and the
+  /// stream alike.
+  void telemetry_tick();
+
   struct DeviceEntry {
     std::string name;
     std::size_t shard = 0;
@@ -179,9 +197,11 @@ class Testbed {
   std::unique_ptr<telemetry::MetricRegistry> owned_registry_;
   telemetry::MetricRegistry* registry_ = nullptr;
   // Ports and links hold RttShard pointers into the plane, and the stream
-  // reads the registry and plane: both must outlive devices_/links_ below.
+  // reads the plane: both must outlive devices_/links_ below.
   std::unique_ptr<telemetry::RttPlane> rtt_plane_;
   std::unique_ptr<telemetry::TelemetryStream> stream_;
+  bool sampling_ = false;
+  std::deque<telemetry::Snapshot> series_;
   std::unique_ptr<sim::ParallelRuntime> runtime_;
   std::vector<std::unique_ptr<fault::FaultPlane>> planes_;  // one per shard
   std::deque<wire::FrameChannel> channels_;

@@ -10,8 +10,9 @@
 //    + discarded (+ in-flight) exactly, even when faults eat the probes;
 //  * handle-API parity: the legacy name-keyed shim and the per-shard tree
 //    handles feed the same shard-agnostic read APIs;
-//  * TelemetryStream writes snapshots + windows to its file and leaves the
-//    simulated run untouched.
+//  * TelemetryStream writes snapshots + windows to its file, leaves the
+//    simulated run untouched, and writes exactly the snapshots the sampled
+//    series records.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +28,7 @@
 #include "health/health.hpp"
 #include "nic/chip.hpp"
 #include "sim_testbed.hpp"
+#include "telemetry/exporters.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/rtt_plane.hpp"
 #include "telemetry/stream.hpp"
@@ -330,5 +332,35 @@ TEST(StreamTelemetry, StreamingDoesNotPerturbTheSimulatedRun) {
   }
   EXPECT_EQ(with_stream, without_stream);
   EXPECT_EQ(tx_with, tx_without);
+  std::remove(path.c_str());
+}
+
+TEST(StreamTelemetry, EachStreamedSnapshotEqualsTheMatchingSeriesEntry) {
+  // Sampling and streaming share one hook and one snapshot per tick: the
+  // file line and the in-memory entry are the same object serialized.
+  const std::string path = ::testing::TempDir() + "rtt_stream_series.jsonl";
+  std::vector<std::string> expected;
+  for (const int shards : {1, 2}) {
+    {
+      auto sc = l2_scenario(shards);
+      sc.sample_telemetry(100'000'000).stream_telemetry(path, 100'000'000);
+      auto tb = sc.build();
+      auto gen = start_load(*tb, 1.0);
+      tb->run_until(300 * ms::kPsPerMs);
+      const auto series = tb->series();
+      ASSERT_EQ(series.size(), 4u);  // t=0 plus three ticks
+      expected.clear();
+      for (std::size_t i = 1; i < series.size(); ++i) {
+        std::ostringstream os;
+        mt::write_json(os, series[i]);
+        expected.push_back(os.str());
+      }
+    }
+    std::ifstream in(path);
+    std::vector<std::string> streamed;
+    for (std::string line; std::getline(in, line);)
+      if (line.rfind("{\"schema\":\"moongen-telemetry-v1\"", 0) == 0) streamed.push_back(line);
+    EXPECT_EQ(streamed, expected) << shards << " shard(s)";
+  }
   std::remove(path.c_str());
 }

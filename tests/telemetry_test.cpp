@@ -1,5 +1,5 @@
-// Tests for the telemetry subsystem: sharded counters, log-linear
-// histograms, the metric registry, the sampler and the exporters.
+// Tests for the telemetry subsystem: log-linear histograms, the metric
+// registry and the JSON writers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,71 +14,10 @@
 #include "telemetry/exporters.hpp"
 #include "telemetry/log_linear_histogram.hpp"
 #include "telemetry/registry.hpp"
-#include "telemetry/sampler.hpp"
-#include "telemetry/sharded_counter.hpp"
 
 namespace mc = moongen::core;
 namespace mt = moongen::telemetry;
 namespace st = moongen::stats;
-
-namespace {
-
-struct FakeTime {
-  std::uint64_t now = 0;
-  st::TimeSource source() {
-    return [this] { return now; };
-  }
-};
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// ShardedCounter
-// ---------------------------------------------------------------------------
-
-TEST(ShardedCounter, SingleThreadedAddAndReset) {
-  mt::ShardedCounter c;
-  EXPECT_EQ(c.value(), 0u);
-  c.add();
-  c.add(41);
-  EXPECT_EQ(c.value(), 42u);
-  c.reset();
-  EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(ShardedCounter, ShardCountIsPowerOfTwo) {
-  const auto n = mt::shard_count();
-  EXPECT_GE(n, 1u);
-  EXPECT_LE(n, 64u);
-  EXPECT_EQ(n & (n - 1), 0u);
-  // The calling thread's index is stable across calls.
-  EXPECT_EQ(mt::shard_index_of_this_thread(), mt::shard_index_of_this_thread());
-}
-
-TEST(ShardedCounter, TaskSetHammerSumsExactly) {
-  // Acceptance: N TaskSet tasks hammer one counter; after wait() the sum
-  // over shards is exact.
-  mc::reset_run_state();
-  constexpr int kTasks = 8;
-  constexpr std::uint64_t kAddsPerTask = 200'000;
-  mt::ShardedCounter c;
-  mc::TaskSet tasks;
-  for (int i = 0; i < kTasks; ++i) {
-    tasks.launch("hammer", [&c] {
-      for (std::uint64_t n = 0; n < kAddsPerTask; ++n) c.add();
-    });
-  }
-  tasks.wait();
-  EXPECT_EQ(c.value(), kTasks * kAddsPerTask);
-}
-
-TEST(Gauge, LastWriterWins) {
-  mt::Gauge g;
-  EXPECT_EQ(g.value(), 0.0);
-  g.set(3.5);
-  g.set(-7.25);
-  EXPECT_EQ(g.value(), -7.25);
-}
 
 // ---------------------------------------------------------------------------
 // LogLinearHistogram
@@ -198,25 +137,6 @@ TEST(LogLinearHistogram, PrintMatchesStatsHistogramContract) {
   EXPECT_NE(os.str().find("overflow"), std::string::npos);
 }
 
-TEST(ShardedHistogram, ConcurrentRecordsMergeExactly) {
-  mc::reset_run_state();
-  constexpr int kTasks = 6;
-  constexpr std::uint64_t kPerTask = 50'000;
-  mt::ShardedHistogram h({.sub_bucket_bits = 5, .max_value = 1 << 20});
-  mc::TaskSet tasks;
-  for (int t = 0; t < kTasks; ++t) {
-    tasks.launch("hist", [&h, t] {
-      for (std::uint64_t i = 0; i < kPerTask; ++i) h.record(100 + (t * kPerTask + i) % 1000);
-    });
-  }
-  tasks.wait();
-  const auto merged = h.merged();
-  EXPECT_EQ(merged.total(), kTasks * kPerTask);
-  EXPECT_EQ(merged.overflow(), 0u);
-  EXPECT_GE(merged.min(), 100u);
-  EXPECT_LE(merged.max(), 1099u);
-}
-
 // ---------------------------------------------------------------------------
 // MetricRegistry
 // ---------------------------------------------------------------------------
@@ -291,52 +211,6 @@ TEST(TaskSetTelemetry, CountsLaunchesAndFinishes) {
 }
 
 // ---------------------------------------------------------------------------
-// Sampler (virtual time)
-// ---------------------------------------------------------------------------
-
-TEST(Sampler, PollHonoursPeriodAndCatchesUpOnce) {
-  FakeTime t;
-  mt::MetricRegistry reg;
-  auto c = reg.shard(0).counter("n");
-  mt::Sampler sampler(reg, t.source(), {.period_ns = 100, .capacity = 512});
-  EXPECT_TRUE(sampler.poll());  // due immediately at construction time
-  EXPECT_FALSE(sampler.poll());
-  t.now = 99;
-  EXPECT_FALSE(sampler.poll());
-  c.add(1);
-  t.now = 100;
-  EXPECT_TRUE(sampler.poll());
-  // A long gap yields a single catch-up snapshot, not a backfill.
-  t.now = 10'000;
-  EXPECT_TRUE(sampler.poll());
-  EXPECT_FALSE(sampler.poll());
-  EXPECT_EQ(sampler.size(), 3u);
-  const auto series = sampler.series();
-  ASSERT_EQ(series.size(), 3u);
-  EXPECT_EQ(series[0].timestamp_ns, 0u);
-  EXPECT_EQ(series[1].timestamp_ns, 100u);
-  EXPECT_EQ(series[2].timestamp_ns, 10'000u);
-  EXPECT_EQ(series[0].counters[0].value, 0u);
-  EXPECT_EQ(series[1].counters[0].value, 1u);
-}
-
-TEST(Sampler, RingDropsOldestBeyondCapacity) {
-  FakeTime t;
-  mt::MetricRegistry reg;
-  (void)reg.shard(0).counter("n");
-  mt::Sampler sampler(reg, t.source(), {.period_ns = 10, .capacity = 4});
-  for (int i = 0; i < 10; ++i) {
-    sampler.sample_now();
-    t.now += 10;
-  }
-  EXPECT_EQ(sampler.size(), 4u);
-  const auto series = sampler.series();
-  ASSERT_EQ(series.size(), 4u);
-  EXPECT_EQ(series.front().timestamp_ns, 60u);  // snapshots 0..5 dropped
-  EXPECT_EQ(series.back().timestamp_ns, 90u);
-}
-
-// ---------------------------------------------------------------------------
 // Exporters
 // ---------------------------------------------------------------------------
 
@@ -389,36 +263,6 @@ TEST(Exporters, JsonEscapesStrings) {
   mt::write_json(os, reg.snapshot());
   const auto s = os.str();
   EXPECT_NE(s.find("weird\\\"name\\\\with\\ncontrol"), std::string::npos);
-}
-
-TEST(Exporters, CsvEmitsHeaderAndTypedRows) {
-  std::ostringstream os;
-  mt::write_csv(os, example_snapshot());
-  const auto s = os.str();
-  EXPECT_NE(s.find("timestamp_ns,metric,type,field,value"), std::string::npos);
-  EXPECT_NE(s.find("42,port.tx_packets,counter,value,1000"), std::string::npos);
-  EXPECT_NE(s.find("load.offered_mpps,gauge,value,"), std::string::npos);
-  EXPECT_NE(s.find("lat.ns,histogram,p50,"), std::string::npos);
-  // Series: exactly one header line.
-  std::ostringstream os2;
-  mt::write_csv_series(os2, {example_snapshot(), example_snapshot()});
-  const auto s2 = os2.str();
-  const auto h1 = s2.find("timestamp_ns,metric");
-  ASSERT_NE(h1, std::string::npos);
-  EXPECT_EQ(s2.find("timestamp_ns,metric", h1 + 1), std::string::npos);
-}
-
-TEST(Exporters, PrometheusSanitizesNamesAndEmitsQuantiles) {
-  std::ostringstream os;
-  mt::write_prometheus(os, example_snapshot());
-  const auto s = os.str();
-  EXPECT_NE(s.find("moongen_port_tx_packets 1000"), std::string::npos);
-  EXPECT_NE(s.find("# TYPE moongen_port_tx_packets counter"), std::string::npos);
-  EXPECT_NE(s.find("moongen_load_offered_mpps"), std::string::npos);
-  EXPECT_NE(s.find("# TYPE moongen_lat_ns summary"), std::string::npos);
-  EXPECT_NE(s.find("quantile=\"0.5\""), std::string::npos);
-  EXPECT_NE(s.find("moongen_lat_ns_count 100"), std::string::npos);
-  EXPECT_NE(s.find("moongen_lat_ns_sum"), std::string::npos);
 }
 
 TEST(Exporters, DumpJsonToFileRejectsBadPath) {

@@ -7,19 +7,26 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/device.hpp"
 #include "core/rate_control.hpp"
 #include "core/task.hpp"
 #include "nic/chip.hpp"
+#include "rpc/latency_recorder.hpp"
+#include "rpc/open_loop.hpp"
+#include "rpc/server_model.hpp"
 #include "telemetry/registry.hpp"
 #include "testbed/scenario.hpp"
 
 namespace mc = moongen::core;
 namespace mn = moongen::nic;
+namespace mr = moongen::rpc;
 namespace ms = moongen::sim;
 namespace mt = moongen::telemetry;
 namespace mtb = moongen::testbed;
@@ -206,8 +213,7 @@ TEST(Testbed, RunForAdvancesVirtualTime) {
 TEST(Testbed, SequentialTelemetryKeepsLegacyEnginePrefix) {
   auto tb = fig10_scenario(1).build();
   tb->run_for(0.0001);
-  tb->publish_engine_telemetry();
-  const auto snap = tb->registry().snapshot();
+  const auto snap = tb->snapshot();
   EXPECT_TRUE(has_counter(snap, "engine.events_executed"));
   EXPECT_FALSE(has_counter(snap, "engine.shard0.events_executed"));
   EXPECT_TRUE(has_counter(snap, "port.gen_tx.tx_packets"));
@@ -216,8 +222,7 @@ TEST(Testbed, SequentialTelemetryKeepsLegacyEnginePrefix) {
 TEST(Testbed, ShardedTelemetryUsesPerShardPrefixes) {
   auto tb = fig10_scenario(2).build();
   tb->run_for(0.0001);
-  tb->publish_engine_telemetry();
-  const auto snap = tb->registry().snapshot();
+  const auto snap = tb->snapshot();
   EXPECT_TRUE(has_counter(snap, "engine.shard0.events_executed"));
   EXPECT_TRUE(has_counter(snap, "engine.shard1.events_executed"));
   EXPECT_FALSE(has_counter(snap, "engine.events_executed"));
@@ -229,8 +234,150 @@ TEST(Testbed, ExternalRegistryIsUsedWhenProvided) {
   s.telemetry(external);
   auto tb = s.build();
   EXPECT_EQ(&tb->registry(), &external);
-  tb->publish_engine_telemetry();
+  (void)tb->snapshot();
   EXPECT_GT(external.metric_count(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Periodic snapshots (Scenario::sample_telemetry, Testbed::snapshot)
+// ---------------------------------------------------------------------------
+
+TEST(Telemetry, SampledSeriesOpensAtZeroAndTicksEveryPeriod) {
+  mtb::Scenario s = fig10_scenario(2);
+  s.sample_telemetry(100'000'000);
+  auto tb = s.build();
+  tb->run_until(300 * ms::kPsPerMs);
+  std::vector<std::uint64_t> stamps;
+  for (const auto& snap : tb->series()) stamps.push_back(snap.timestamp_ns);
+  EXPECT_EQ(stamps, (std::vector<std::uint64_t>{0, 100'000'000, 200'000'000, 300'000'000}));
+}
+
+TEST(Telemetry, SampledSeriesKeepsTheNewestSnapshots) {
+  mtb::Scenario s = fig10_scenario(1);
+  s.sample_telemetry(1'000);  // 1 us: 1001 snapshots over 1 ms
+  auto tb = s.build();
+  tb->run_until(ms::kPsPerMs);
+  const auto series = tb->series();
+  ASSERT_EQ(series.size(), mtb::Testbed::kSeriesCapacity);
+  EXPECT_EQ(series.back().timestamp_ns, 1'000'000u);
+  EXPECT_EQ(series.front().timestamp_ns, 1'000'000u - (mtb::Testbed::kSeriesCapacity - 1) * 1'000);
+}
+
+TEST(Telemetry, SnapshotCountsEveryEngineEventWithoutAPublishCall) {
+  for (const int shards : {1, 2}) {
+    auto tb = fig10_scenario(shards).build();
+    mc::UdpTemplateOptions opts;
+    opts.frame_size = 96;
+    for (int i = 0; i < 50; ++i) tb->port("gen_tx").tx_queue(0).post(mc::make_udp_frame(opts));
+    tb->run_for(0.001);
+    std::uint64_t executed = 0;
+    for (std::size_t k = 0; k < tb->shard_count(); ++k)
+      executed += tb->runtime().shard(k).executed();
+    ASSERT_GT(executed, 0u);
+    std::uint64_t counted = 0;
+    for (const auto& c : tb->snapshot().counters)
+      if (c.name.starts_with("engine.") && c.name.ends_with(".events_executed")) counted += c.value;
+    EXPECT_EQ(counted, executed) << shards << " shard(s)";
+  }
+}
+
+TEST(Scenario, RejectsTelemetryPeriodOverflowingPicoseconds) {
+  mtb::Scenario s = fig10_scenario(1);
+  s.sample_telemetry(UINT64_MAX / 1'000 + 1);
+  EXPECT_THROW((void)s.build(), std::invalid_argument);
+}
+
+TEST(Scenario, RejectsStreamPeriodBeyondRetainedRttWindows) {
+  // 8192 retained windows of 1 us span 8.192 ms; a 10 ms tick would skip
+  // windows evicted before the stream saw them.
+  mtb::Scenario s = fig10_scenario(1);
+  s.rtt_window_ns(1'000).stream_telemetry(::testing::TempDir() + "never_opened.jsonl",
+                                          10'000'000);
+  EXPECT_THROW((void)s.build(), std::invalid_argument);
+}
+
+TEST(Scenario, RejectsDifferentSampleAndStreamPeriods) {
+  mtb::Scenario s = fig10_scenario(1);
+  s.sample_telemetry(100'000'000)
+      .stream_telemetry(::testing::TempDir() + "never_opened.jsonl", 50'000'000);
+  EXPECT_THROW((void)s.build(), std::invalid_argument);
+}
+
+// The RPC plane sets its gauges where the counts change, so the registry
+// agrees with the components' own books at every quiesced instant — no
+// publish step, at any shard count.
+TEST(Telemetry, RpcGaugesMatchTheirAccessorsAtEveryTick) {
+  for (const int shards : {1, 4}) {
+    mtb::Scenario s;
+    s.seed(1).shards(shards).faults("seed=3;loss@wire:p=0.01;stall@rpc:p=0.01,param=2e8");
+    for (int i = 0; i < 2; ++i) {
+      s.device(2 * i, mn::intel_x540()).name("client" + std::to_string(i)).rx_store(false)
+          .device(2 * i + 1, mn::intel_x540()).name("server" + std::to_string(i)).rx_store(false)
+          .link(2 * i, 2 * i + 1).duplex();
+    }
+    auto tb = s.build();
+    const ms::SimTime end_ps = 100 * ms::kPsPerMs;
+    std::vector<std::unique_ptr<mr::ServerModel>> servers;
+    std::vector<std::unique_ptr<mr::LatencyRecorder>> recorders;
+    std::vector<std::unique_ptr<mr::OpenLoopGenerator>> clients;
+    for (int i = 0; i < 2; ++i) {
+      mr::ServerConfig sc;
+      sc.service_mean_ps = 8.0 * 1e6;
+      sc.queue_capacity = 64;  // small enough to overflow under the stalls
+      sc.seed = 100 + static_cast<std::uint64_t>(i);
+      servers.push_back(
+          std::make_unique<mr::ServerModel>(tb->port("server" + std::to_string(i)), sc));
+      servers.back()->install_faults(*tb->fault_plane(tb->shard_of(2 * i + 1)),
+                                     "rpc.s" + std::to_string(i));
+      servers.back()->bind_telemetry(tb->registry(), "rpc.server" + std::to_string(i));
+      recorders.push_back(std::make_unique<mr::LatencyRecorder>());
+      mr::WorkloadConfig wc;
+      wc.offered_rps = 100'000;
+      wc.seed = 200 + static_cast<std::uint64_t>(i);
+      wc.seq_base = 1 + (static_cast<std::uint64_t>(i) << 32);
+      wc.timeout_ps = 5 * ms::kPsPerMs;
+      clients.push_back(std::make_unique<mr::OpenLoopGenerator>(
+          tb->port("client" + std::to_string(i)), *recorders.back(), wc));
+      clients.back()->start(0, end_ps);
+      clients.back()->bind_telemetry(tb->registry(), "rpc.client" + std::to_string(i));
+    }
+    int ticks = 0;
+    std::uint64_t timed_out = 0, stalls = 0, queue_drops = 0;
+    for (ms::SimTime t = 10 * ms::kPsPerMs; t <= end_ps + 10 * ms::kPsPerMs;
+         t += 10 * ms::kPsPerMs) {
+      tb->schedule_global(t, [&] {
+        ++ticks;
+        const auto& reg = tb->registry();
+        for (int i = 0; i < 2; ++i) {
+          const std::string c = "rpc.client" + std::to_string(i);
+          const auto& cl = *clients[static_cast<std::size_t>(i)];
+          EXPECT_EQ(reg.gauge_value(c + ".issued"), static_cast<double>(cl.issued()));
+          EXPECT_EQ(reg.gauge_value(c + ".matched"), static_cast<double>(cl.matched()));
+          EXPECT_EQ(reg.gauge_value(c + ".inflight"), static_cast<double>(cl.inflight()));
+          EXPECT_EQ(reg.gauge_value(c + ".peak_inflight"),
+                    static_cast<double>(cl.peak_inflight()));
+          EXPECT_EQ(reg.gauge_value(c + ".timed_out"), static_cast<double>(cl.timed_out()));
+          EXPECT_EQ(reg.gauge_value(c + ".send_drops"), static_cast<double>(cl.send_drops()));
+          const std::string v = "rpc.server" + std::to_string(i);
+          const auto& sv = *servers[static_cast<std::size_t>(i)];
+          EXPECT_EQ(reg.gauge_value(v + ".received"), static_cast<double>(sv.received()));
+          EXPECT_EQ(reg.gauge_value(v + ".completed"), static_cast<double>(sv.completed()));
+          EXPECT_EQ(reg.gauge_value(v + ".queue_depth"), static_cast<double>(sv.queue_depth()));
+          EXPECT_EQ(reg.gauge_value(v + ".queue_drops"), static_cast<double>(sv.queue_drops()));
+          EXPECT_EQ(reg.gauge_value(v + ".stalls"), static_cast<double>(sv.stalls()));
+          timed_out += cl.timed_out();
+          stalls += sv.stalls();
+          queue_drops += sv.queue_drops();
+        }
+      });
+    }
+    tb->run_until(end_ps + 10 * ms::kPsPerMs);
+    EXPECT_EQ(ticks, 11) << shards << " shard(s)";
+    // The faults must have moved the rarely-changing gauges too.
+    EXPECT_GT(timed_out, 0u);
+    EXPECT_GT(stalls, 0u);
+    EXPECT_GT(queue_drops, 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
