@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <random>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "baseline/static_generator.hpp"
@@ -350,12 +352,18 @@ INSTANTIATE_TEST_SUITE_P(Rates, CrcPacedRate, ::testing::Values(0.1, 0.5, 1.0, 2
 // Generic generator: fill/classify round trip over the protocol matrix
 // ---------------------------------------------------------------------------
 
+// gtest names each case after the raw bytes of its parameter, so the
+// struct spells out its padding: implicit padding would print whatever the
+// stack held and give the cases a different name on every build.
 struct ProtoMatrixParam {
   moongen::baseline::StaticGenConfig::L3 l3;
   moongen::baseline::StaticGenConfig::L4 l4;
   bool vlan;
+  std::uint8_t reserved[5] = {};
   std::size_t size;
 };
+static_assert(std::has_unique_object_representations_v<ProtoMatrixParam>,
+              "ProtoMatrixParam must have no implicit padding");
 
 class ProtoMatrix : public ::testing::TestWithParam<ProtoMatrixParam> {};
 
@@ -399,18 +407,30 @@ TEST_P(ProtoMatrix, CraftedPacketsClassifyBack) {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, ProtoMatrix,
     ::testing::Values(
-        ProtoMatrixParam{moongen::baseline::StaticGenConfig::L3::kIpv4,
-                         moongen::baseline::StaticGenConfig::L4::kUdp, false, 60},
-        ProtoMatrixParam{moongen::baseline::StaticGenConfig::L3::kIpv4,
-                         moongen::baseline::StaticGenConfig::L4::kTcp, false, 60},
-        ProtoMatrixParam{moongen::baseline::StaticGenConfig::L3::kIpv6,
-                         moongen::baseline::StaticGenConfig::L4::kUdp, false, 80},
-        ProtoMatrixParam{moongen::baseline::StaticGenConfig::L3::kIpv6,
-                         moongen::baseline::StaticGenConfig::L4::kTcp, false, 80},
-        ProtoMatrixParam{moongen::baseline::StaticGenConfig::L3::kIpv4,
-                         moongen::baseline::StaticGenConfig::L4::kUdp, true, 64},
-        ProtoMatrixParam{moongen::baseline::StaticGenConfig::L3::kIpv6,
-                         moongen::baseline::StaticGenConfig::L4::kTcp, true, 96}),
+        ProtoMatrixParam{.l3 = moongen::baseline::StaticGenConfig::L3::kIpv4,
+                         .l4 = moongen::baseline::StaticGenConfig::L4::kUdp,
+                         .vlan = false,
+                         .size = 60},
+        ProtoMatrixParam{.l3 = moongen::baseline::StaticGenConfig::L3::kIpv4,
+                         .l4 = moongen::baseline::StaticGenConfig::L4::kTcp,
+                         .vlan = false,
+                         .size = 60},
+        ProtoMatrixParam{.l3 = moongen::baseline::StaticGenConfig::L3::kIpv6,
+                         .l4 = moongen::baseline::StaticGenConfig::L4::kUdp,
+                         .vlan = false,
+                         .size = 80},
+        ProtoMatrixParam{.l3 = moongen::baseline::StaticGenConfig::L3::kIpv6,
+                         .l4 = moongen::baseline::StaticGenConfig::L4::kTcp,
+                         .vlan = false,
+                         .size = 80},
+        ProtoMatrixParam{.l3 = moongen::baseline::StaticGenConfig::L3::kIpv4,
+                         .l4 = moongen::baseline::StaticGenConfig::L4::kUdp,
+                         .vlan = true,
+                         .size = 64},
+        ProtoMatrixParam{.l3 = moongen::baseline::StaticGenConfig::L3::kIpv6,
+                         .l4 = moongen::baseline::StaticGenConfig::L4::kTcp,
+                         .vlan = true,
+                         .size = 96}),
     [](const auto& info) {
       std::string name =
           info.param.l3 == moongen::baseline::StaticGenConfig::L3::kIpv4 ? "v4" : "v6";

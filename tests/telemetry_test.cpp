@@ -1,5 +1,5 @@
 // Tests for the telemetry subsystem: log-linear histograms, the metric
-// registry and the JSON writers.
+// registry and its per-shard handles, and the JSON writers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -190,6 +190,66 @@ TEST(MetricRegistry, SnapshotIsNameSortedAndConsistent) {
   // The snapshot is a copy: later updates don't retro-change it.
   reg.shard(0).counter("a.count").add(100);
   EXPECT_EQ(snap.counters[0].value, 3u);
+}
+
+TEST(Gauge, LastWriterWins) {
+  mt::MetricRegistry reg;
+  auto g = reg.shard(0).gauge("g");
+  EXPECT_EQ(g.value(), 0.0);
+  g.set(3.5);
+  g.set(-7.25);
+  EXPECT_EQ(g.value(), -7.25);
+  EXPECT_EQ(reg.gauge_value("g"), -7.25);
+  // A default-constructed handle is a no-op sink.
+  mt::GaugeHandle sink;
+  sink.set(1.0);
+  EXPECT_EQ(sink.value(), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// One instrument sharded across per-shard trees
+// ---------------------------------------------------------------------------
+
+TEST(ShardedCounter, TaskSetHammerSumsExactly) {
+  // N TaskSet tasks each hammer the counter of their own shard tree; after
+  // wait() the registry's sum over trees is exact.
+  mc::reset_run_state();
+  constexpr int kTasks = 8;
+  constexpr std::uint64_t kAddsPerTask = 200'000;
+  mt::MetricRegistry reg;
+  std::vector<mt::CounterHandle> handles;
+  for (int i = 0; i < kTasks; ++i) handles.push_back(reg.shard(i).counter("hammer"));
+  mc::TaskSet tasks;
+  for (auto& c : handles) {
+    tasks.launch("hammer", [&c] {
+      for (std::uint64_t n = 0; n < kAddsPerTask; ++n) c.add();
+    });
+  }
+  tasks.wait();
+  EXPECT_EQ(reg.counter_value("hammer"), kTasks * kAddsPerTask);
+  EXPECT_EQ(reg.metric_count(), 1u);
+}
+
+TEST(ShardedHistogram, ConcurrentRecordsMergeExactly) {
+  mc::reset_run_state();
+  constexpr int kTasks = 6;
+  constexpr std::uint64_t kPerTask = 50'000;
+  mt::MetricRegistry reg;
+  std::vector<mt::HistogramHandle> handles;
+  for (int t = 0; t < kTasks; ++t)
+    handles.push_back(reg.shard(t).histogram("lat", {.sub_bucket_bits = 5, .max_value = 1 << 20}));
+  mc::TaskSet tasks;
+  for (int t = 0; t < kTasks; ++t) {
+    tasks.launch("hist", [&h = handles[t], t] {
+      for (std::uint64_t i = 0; i < kPerTask; ++i) h.record(100 + (t * kPerTask + i) % 1000);
+    });
+  }
+  tasks.wait();
+  const auto merged = reg.histogram_merged("lat");
+  EXPECT_EQ(merged.total(), kTasks * kPerTask);
+  EXPECT_EQ(merged.overflow(), 0u);
+  EXPECT_GE(merged.min(), 100u);
+  EXPECT_LE(merged.max(), 1099u);
 }
 
 // ---------------------------------------------------------------------------
