@@ -16,7 +16,7 @@
 // frame conservation, port accounting, RPC request conservation, mempool
 // conservation) every millisecond at quiesced window boundaries, the
 // flight recorder tracing every shard, a wall-clock watchdog over the
-// lookahead barrier, and a degradation governor that sheds open-loop load
+// shard synchronization, and a degradation governor that sheds open-loop load
 // under sustained allocation/overflow pressure and restores it with
 // hysteresis once the pressure clears.
 //
@@ -283,7 +283,7 @@ int main(int argc, char** argv) {
         [&gens](bool, double keep) {
           for (auto& g : gens) g->set_keep_fraction(keep);
         });
-    // A watchdog trip means the barrier is wedged: dump what the recorder
+    // A watchdog trip means the shards are wedged: dump what the recorder
     // has (lock-free path only) and hard-exit — nothing else will.
     mon->watchdog()->set_on_trip([&](const mh::Watchdog::StallReport& report) {
       std::ostringstream os;

@@ -1,9 +1,10 @@
 // Watchdog: wall-clock stall detection for the parallel runtime.
 //
-// The conservative-lookahead barrier in sim::ParallelRuntime is the one
-// place the simulation can genuinely deadlock: if a shard worker wedges (a
+// The conservative-lookahead synchronization in sim::ParallelRuntime (the
+// per-channel epoch waits and the segment-end barrier) is the one place
+// the simulation can genuinely deadlock: if a shard worker wedges (a
 // runaway event loop, an injected stall that never unwinds, a lost epoch
-// marker), every other shard parks at the barrier forever and the process
+// marker), every other shard soon waits on it forever and the process
 // just... sits. The watchdog gives that silence a voice: a monitor thread
 // samples each shard's heartbeat counter on a wall-clock cadence, and when
 // no shard has made progress for a configurable budget while the runtime

@@ -9,6 +9,36 @@
 
 namespace moongen::sim {
 
+namespace {
+
+/// Pause-hint iterations before a waiting shard starts yielding its core.
+constexpr unsigned kSpinsBeforeYield = 2048;
+
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__) || defined(__arm__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+
+/// Waits until `ready()`: `spins` pause hints, then yields. Returns false
+/// as soon as `failed` is set, so a shard never waits on a dead neighbour.
+template <typename Ready>
+bool await(Ready ready, const std::atomic<bool>& failed, unsigned spins) {
+  for (unsigned i = 0; !ready(); ++i) {
+    if (failed.load(std::memory_order_acquire)) return false;
+    if (i < spins) {
+      cpu_relax();
+    } else {
+      std::this_thread::yield();
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 ParallelRuntime::ParallelRuntime(std::size_t shards)
     : incoming_(shards == 0 ? 1 : shards), outgoing_(shards == 0 ? 1 : shards) {
   if (shards == 0) shards = 1;
@@ -34,6 +64,10 @@ void ParallelRuntime::add_channel(std::size_t from_shard, std::size_t to_shard,
   ch->lookahead_ps = lookahead_ps;
   ch->drain = std::move(drain);
   ch->flush = std::move(flush);
+  // A channel joins at the current window: its first epoch is the next one.
+  ch->epochs_flushed.store(windows_, std::memory_order_relaxed);
+  ch->epochs_drained.store(windows_, std::memory_order_relaxed);
+  ch->drained_seen = ch->flushed_seen = windows_;
   incoming_[to_shard].push_back(ch.get());
   outgoing_[from_shard].push_back(ch.get());
   if (lookahead_ps < window_ps_) window_ps_ = lookahead_ps;
@@ -57,9 +91,8 @@ void ParallelRuntime::add_window_hook(SimTime period_ps, std::function<void(SimT
   hooks_.push_back(std::move(hook));
 }
 
-SimTime ParallelRuntime::next_target(SimTime cur, SimTime end) const {
+SimTime ParallelRuntime::segment_end(SimTime end) const {
   SimTime next = end;
-  if (window_ps_ != UINT64_MAX && end - cur > window_ps_) next = cur + window_ps_;
   if (!globals_.empty() && globals_.begin()->first < next) next = globals_.begin()->first;
   for (const auto& hook : hooks_)
     if (hook.next_due < next) next = hook.next_due;
@@ -101,68 +134,99 @@ void ParallelRuntime::run_sequential(SimTime t) {
 
 void ParallelRuntime::run_parallel(SimTime t) {
   const std::size_t n = shards_.size();
-  SimTime next = next_target(now_, t);
+  SimTime seg_end = segment_end(t);
   bool done = false;
   std::atomic<bool> failed{false};
   std::mutex error_mutex;
   std::exception_ptr first_error;
+  auto record_error = [&] {
+    {
+      std::scoped_lock lock(error_mutex);
+      if (!first_error) first_error = std::current_exception();
+    }
+    failed.store(true, std::memory_order_release);
+  };
 
-  // Completion step: every shard is quiesced at `next` — advance global
-  // time, run due globals single-threaded, pick the next window boundary.
-  auto on_window = [&]() noexcept {
-    now_ = next;
-    ++windows_;
+  // Completion step: every shard is quiesced at the segment end — advance
+  // global time, run due globals single-threaded, pick the next segment.
+  auto on_segment = [&]() noexcept {
+    now_ = seg_end;
     if (!failed.load(std::memory_order_acquire)) {
       try {
         run_globals();
       } catch (...) {
-        std::scoped_lock lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        failed.store(true, std::memory_order_release);
+        record_error();
       }
     }
     if (now_ >= t || failed.load(std::memory_order_acquire)) {
       done = true;
       return;
     }
-    next = next_target(now_, t);
+    seg_end = segment_end(t);
   };
-  std::barrier sync(static_cast<std::ptrdiff_t>(n), on_window);
+  std::barrier sync(static_cast<std::ptrdiff_t>(n), on_segment);
 
+  // Read before any worker starts: the completion step and shard 0 write
+  // now_ and windows_ while the run is under way.
+  const SimTime start = now_;
+  const std::uint64_t first_window = windows_;
   std::vector<Work> work;
   work.reserve(n);
   for (std::size_t s = 0; s < n; ++s) {
-    work.emplace_back([this, s, &sync, &next, &done, &failed, &error_mutex, &first_error] {
+    work.emplace_back([this, s, start, first_window, &sync, &seg_end, &done, &failed,
+                       &record_error] {
       EventQueue& engine = *shards_[s];
+      SimTime cur = start;
+      std::uint64_t k = first_window;  // index of the window about to run
       try {
         for (;;) {
-          // Catch up on every published epoch: one from the previous
-          // window in steady state, possibly more right after a previous
-          // run_until left its final markers undrained.
-          for (Channel* ch : incoming_[s]) {
-            const std::uint64_t published = ch->epochs_flushed.load(std::memory_order_acquire);
-            while (ch->epochs_drained < published) {
-              ch->drain();
-              ++ch->epochs_drained;
+          const SimTime end = seg_end;
+          while (cur < end) {
+            // Window k needs every epoch through k-1 of each feeding shard
+            // (their frames can land in it) and none later.
+            for (Channel* ch : incoming_[s]) {
+              if (ch->flushed_seen < k &&
+                  !await([&] {
+                    ch->flushed_seen = ch->epochs_flushed.load(std::memory_order_acquire);
+                    return ch->flushed_seen >= k;
+                  }, failed, kSpinsBeforeYield)) {
+                sync.arrive_and_drop();
+                return;
+              }
+              std::uint64_t drained = ch->epochs_drained.load(std::memory_order_relaxed);
+              if (drained == k) continue;
+              for (; drained < k; ++drained) ch->drain();
+              ch->epochs_drained.store(drained, std::memory_order_release);
             }
+            // Lead bound: flushing epoch k must leave each consumer at most
+            // kMaxLeadWindows epochs behind. A held producer yields.
+            for (Channel* ch : outgoing_[s]) {
+              if (ch->drained_seen + kMaxLeadWindows > k) continue;
+              if (!await([&] {
+                    ch->drained_seen = ch->epochs_drained.load(std::memory_order_acquire);
+                    return ch->drained_seen + kMaxLeadWindows > k;
+                  }, failed, 0)) {
+                sync.arrive_and_drop();
+                return;
+              }
+            }
+            cur = window_end(cur, end);
+            engine.run_until(cur);
+            for (Channel* ch : outgoing_[s]) {
+              ch->flush();
+              ch->epochs_flushed.store(k + 1, std::memory_order_release);
+            }
+            ++k;
+            heartbeats_[s].count.fetch_add(1, std::memory_order_relaxed);
           }
-          engine.run_until(next);
-          for (Channel* ch : outgoing_[s]) {
-            ch->flush();
-            ch->epochs_flushed.fetch_add(1, std::memory_order_release);
-          }
-          heartbeats_[s].count.fetch_add(1, std::memory_order_relaxed);
+          if (s == 0) windows_ = k;
           sync.arrive_and_wait();
           if (done) return;
         }
       } catch (...) {
-        {
-          std::scoped_lock lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-        }
-        failed.store(true, std::memory_order_release);
+        record_error();
         // Leave the barrier so the surviving shards cannot wait for this
-        // thread; they stop at the next window boundary.
+        // thread; they stop at their next wait or segment end.
         sync.arrive_and_drop();
       }
     });

@@ -4,23 +4,38 @@
 // from one EventQueue, so multi-port scaling experiments (paper Figures
 // 3/4) serialize on one core. The ParallelRuntime splits a testbed into
 // shards — each shard owns one EventQueue plus the components pinned to it
-// — and advances all shards in lockstep windows:
+// — and advances them in windows of at most W virtual picoseconds:
 //
-//   window length W = min over cross-shard channels of their lookahead
-//   (the smallest possible latency of the wire they carry). A frame sent
-//   during window k arrives no earlier than k*W + L >= (k+1)*W, i.e. always
-//   in a later window — so draining incoming channels at the window
-//   boundary can never schedule into a shard's past. This is the classic
-//   null-message/conservative-lookahead argument with the link latency as
-//   the lookahead bound.
+//   W = min over cross-shard channels of their lookahead (the smallest
+//   possible latency of the wire they carry). A frame sent during window k
+//   arrives no earlier than the end of window k, so it is enough for the
+//   consumer to have drained it before window k+1. This is the classic
+//   Chandy–Misra–Bryant conservative argument with the link latency as the
+//   lookahead bound.
+//
+// Segments and windows. The global timeline (globals, window-hook due
+// times, the end of run_until) cuts a run into segments; a segment ends in
+// the one all-shard rendezvous, a std::barrier whose completion step runs
+// the due globals single-threaded. Inside a segment each shard walks the
+// same window boundaries, min(cur + W, segment end), on its own: there is
+// no per-window barrier.
+//
+// Per-channel epochs. Every window, a producer closes an epoch on each
+// outgoing channel (flush, then a release bump of the channel's epoch
+// count). Before window k a consumer waits until each incoming channel has
+// published epoch k-1 and drains exactly the epochs through k-1. A shard
+// thus waits only on the shards that feed it, and only when they are
+// behind. A producer runs at most kMaxLeadWindows ahead of what each of its
+// consumers has drained, which caps what a channel buffers. Every wait is
+// on a strictly less advanced shard, so the least advanced shard never
+// waits and the scheme cannot deadlock. A wait spins briefly, then yields,
+// and gives up when another shard has failed.
 //
 // Determinism contract (see DESIGN.md section 10):
-//  * channels are FIFO and drained in registration order, exactly one
-//    epoch per window — the interleaving of cross-shard deliveries into a
-//    shard's event order does not depend on thread scheduling;
-//  * producers close each window's epoch with a marker before the barrier,
-//    so a drain consumes a well-defined prefix of the channel, never a
-//    racy snapshot;
+//  * channels are FIFO and a consumer drains them in registration order,
+//    exactly through epoch k-1 before window k — the interleaving of
+//    cross-shard deliveries into a shard's event order is a function of
+//    the topology, never of thread scheduling;
 //  * global events (telemetry sampling ticks, experiment control) run in
 //    the barrier's completion step, single-threaded, while every shard is
 //    quiesced at the same virtual time.
@@ -28,7 +43,7 @@
 // The runtime does not create threads itself: the caller injects an
 // executor (testbed::Testbed supplies core::TaskSet pinned threads — the
 // sim layer cannot depend on core). Without channels the window is
-// unbounded and shards only meet at global events.
+// unbounded and shards only meet at segment ends.
 #pragma once
 
 #include <atomic>
@@ -56,6 +71,12 @@ class ParallelRuntime {
   ParallelRuntime(const ParallelRuntime&) = delete;
   ParallelRuntime& operator=(const ParallelRuntime&) = delete;
 
+  /// Windows a producer may run ahead of a consumer's drained epoch. A
+  /// segment (at most 1118 windows for a 1 ms health tick on the default
+  /// cable) never reaches it; it caps what a feed-forward run without
+  /// globals buffers in a channel.
+  static constexpr std::uint64_t kMaxLeadWindows = 4096;
+
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] EventQueue& shard(std::size_t i) { return *shards_.at(i); }
 
@@ -76,9 +97,9 @@ class ParallelRuntime {
 
   /// Registers a periodic hook on the global timeline: `fn(due)` runs
   /// single-threaded at every multiple of `period_ps` while all shards are
-  /// quiesced there (the barrier completion step in parallel runs), starting
+  /// quiesced there (the segment-end barrier in parallel runs), starting
   /// with the first multiple strictly after now(). Hook due times bound the
-  /// window target exactly like globals, so shards stop *at* the due time —
+  /// segment exactly like globals, so shards stop *at* the due time —
   /// a hook never observes a shard past its boundary. Hooks fire before any
   /// global events due at the same instant (window closers run before the
   /// sampling ticks that read them) and must be registered before run_until.
@@ -92,7 +113,8 @@ class ParallelRuntime {
 
   /// Advances every shard to `t`: all events with time <= t run, clocks end
   /// at t. With one shard this is inline and thread-free; with more, the
-  /// executor runs one worker per shard in barrier-synchronized windows.
+  /// executor runs one worker per shard, synchronized per channel epoch
+  /// within a segment and by a barrier at each segment end.
   void run_until(SimTime t);
 
   /// Global virtual time (the last window boundary reached).
@@ -101,7 +123,7 @@ class ParallelRuntime {
   /// Synchronization window length, or UINT64_MAX with no channels.
   [[nodiscard]] SimTime window_ps() const { return window_ps_; }
   [[nodiscard]] std::size_t channel_count() const { return channels_.size(); }
-  /// Barrier windows completed over the runtime's lifetime.
+  /// Lookahead windows completed over the runtime's lifetime.
   [[nodiscard]] std::uint64_t windows_run() const { return windows_; }
 
   // --- health-plane observability (watchdog support) ------------------------
@@ -126,12 +148,16 @@ class ParallelRuntime {
     SimTime lookahead_ps = 0;
     std::function<void()> drain;
     std::function<void()> flush;
-    /// Epochs published by the producer (release) vs. consumed (consumer-
-    /// owned). The pair lets a drain catch up exactly on the epochs whose
-    /// markers are guaranteed present — including leftovers from the final
-    /// window of a previous run_until call.
-    std::atomic<std::uint64_t> epochs_flushed{0};
-    std::uint64_t epochs_drained = 0;
+    /// Producer side: epochs closed (one per window, release), and the
+    /// consumer's drained count as last read, so the lead check loads the
+    /// consumer's line only when the cached value would hold it back.
+    alignas(64) std::atomic<std::uint64_t> epochs_flushed{0};
+    std::uint64_t drained_seen = 0;
+    /// Consumer side: epochs drained (release), and the producer's flushed
+    /// count as last read. Both counts equal windows_run() at every segment
+    /// end; the epoch of the last window stays queued until the next run.
+    alignas(64) std::atomic<std::uint64_t> epochs_drained{0};
+    std::uint64_t flushed_seen = 0;
   };
 
   void run_sequential(SimTime t);
@@ -139,8 +165,17 @@ class ParallelRuntime {
   /// Runs all due global events at now_ (including ones scheduled by the
   /// callbacks themselves for the current time).
   void run_globals();
+  /// End of the segment starting at now_: min(end, first global, first
+  /// hook due time).
+  [[nodiscard]] SimTime segment_end(SimTime end) const;
+  /// End of the window starting at `cur` in a segment ending at `seg_end`.
+  [[nodiscard]] SimTime window_end(SimTime cur, SimTime seg_end) const {
+    return window_ps_ != UINT64_MAX && seg_end - cur > window_ps_ ? cur + window_ps_ : seg_end;
+  }
   /// Next window boundary: min(cur + W, end, first global event).
-  [[nodiscard]] SimTime next_target(SimTime cur, SimTime end) const;
+  [[nodiscard]] SimTime next_target(SimTime cur, SimTime end) const {
+    return window_end(cur, segment_end(end));
+  }
   static void default_executor(std::vector<Work>& work);
 
   /// Cache-line-isolated so shard heartbeat stores never false-share.

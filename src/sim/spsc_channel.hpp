@@ -2,9 +2,10 @@
 // frame traffic (see DESIGN.md, "Parallel sharded runtime").
 //
 // Design constraints, in order:
-//  * the producer must NEVER block: a shard that fills a bounded ring while
-//    its consumer waits at the window barrier would deadlock the whole
-//    runtime, so the channel is unbounded — storage grows in chunks;
+//  * the producer must NEVER block mid-window: a shard that fills a bounded
+//    ring while its consumer waits for that shard's epoch would deadlock
+//    the whole runtime, so the channel is unbounded — storage grows in
+//    chunks (ParallelRuntime's lead bound caps the backlog between windows);
 //  * a push is one store into the current chunk plus one release store of
 //    the chunk's count; a pop is one acquire load plus a read. No CAS, no
 //    shared head/tail indices — the producer and consumer each own their

@@ -424,7 +424,8 @@ std::unique_ptr<Testbed> Scenario::build() {
             "onto one shard");
       tb->channels_.emplace_back();
       wire::Link* raw = entry.link.get();
-      raw->set_remote(&tb->channels_.back());
+      raw->set_remote(&tb->channels_.back(),
+                      std::to_string(l.from) + " -> " + std::to_string(l.to));
       tb->runtime_->add_channel(
           from_shard, to_shard, lookahead, [raw] { raw->drain_remote_epoch(); },
           [raw] { raw->flush_remote_epoch(); });

@@ -3,9 +3,11 @@
 
 #include <cstdint>
 #include <random>
+#include <string>
 
 #include "fault/fault.hpp"
 #include "nic/port.hpp"
+#include "proto/headers.hpp"
 #include "sim/spsc_channel.hpp"
 #include "wire/cable.hpp"
 
@@ -47,8 +49,11 @@ class Link : public nic::FrameSink {
   /// into `channel` with their computed arrival time instead. The flush and
   /// drain hooks below pair up through ParallelRuntime::add_channel; the
   /// producer side (this link's shard) calls flush, the destination shard
-  /// calls drain.
-  void set_remote(FrameChannel* channel) { remote_ = channel; }
+  /// calls drain. `ends` names the link in errors (e.g. "0 -> 1").
+  void set_remote(FrameChannel* channel, std::string ends) {
+    remote_ = channel;
+    remote_ends_ = std::move(ends);
+  }
   [[nodiscard]] bool remote() const { return remote_ != nullptr; }
   /// Producer side: closes the current window's epoch with a marker.
   void flush_remote_epoch();
@@ -62,6 +67,10 @@ class Link : public nic::FrameSink {
   /// link can have. Fault rules only ever add delay (reorder holds back,
   /// duplicates trail), so the cable bound holds with faults installed.
   [[nodiscard]] sim::SimTime min_latency_ps() const { return cable_.min_latency_ps(); }
+  /// Largest frame a cross-shard link carries, in wire bytes: the 1518 B
+  /// standard maximum plus preamble, SFD and inter-frame gap. on_frame
+  /// rejects a longer one in cross-shard mode.
+  static constexpr std::uint64_t kMaxFrameWireBytes = proto::kMaxFrameSize + proto::kWireOverhead;
   /// Usable lookahead for a cross-shard channel. The sender's MAC notifies
   /// the link at the *end* of serialization with the frame's true start
   /// time, so relative to the engine clock a frame's arrival can fall one
@@ -69,8 +78,6 @@ class Link : public nic::FrameSink {
   /// window must absorb that slack. Zero means this link cannot safely
   /// cross shards.
   [[nodiscard]] sim::SimTime lookahead_ps() const {
-    // 1518 B max standard frame + 8 B preamble + 12 B inter-frame gap.
-    constexpr std::uint64_t kMaxFrameWireBytes = 1538;
     const sim::SimTime slack = kMaxFrameWireBytes * from_.byte_time_ps();
     const sim::SimTime lat = min_latency_ps();
     return lat > slack ? lat - slack : 0;
@@ -125,6 +132,7 @@ class Link : public nic::FrameSink {
   std::uint64_t frames_ = 0;
   std::uint64_t delivered_ = 0;
   FrameChannel* remote_ = nullptr;
+  std::string remote_ends_;
   std::uint64_t remote_frames_ = 0;
 
   // Fault plane wiring (all disabled by default; on_frame's fast path is

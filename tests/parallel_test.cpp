@@ -4,9 +4,12 @@
 // from the sequential engine for a fixed seed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -116,6 +119,103 @@ TEST(ParallelRuntime, WorkerExceptionPropagates) {
   rt.add_channel(0, 1, 1'000, [] { throw std::runtime_error("drain boom"); }, [] {});
   rt.shard(0).schedule_at(500, [] {});
   EXPECT_THROW(rt.run_until(10'000), std::runtime_error);
+}
+
+// ---------------------------------------------------------------------------
+// Per-channel epoch protocol: lead bound, failure release, segment ends
+// ---------------------------------------------------------------------------
+
+namespace {
+
+using namespace std::chrono_literals;
+constexpr std::uint64_t kLead = ms::ParallelRuntime::kMaxLeadWindows;
+
+/// Sleeps until `flushed` reaches `target` (the producer is then held by
+/// the lead bound) or 10 s pass, then a little longer so a producer that
+/// ignored the bound would show it.
+void wait_for_flushes(const std::atomic<std::uint64_t>& flushed, std::uint64_t target) {
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (flushed.load() < target && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(1ms);
+  std::this_thread::sleep_for(20ms);
+}
+
+std::string message_of(ms::ParallelRuntime& rt, ms::SimTime t) {
+  try {
+    rt.run_until(t);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "no exception";
+}
+
+}  // namespace
+
+TEST(ParallelEpochs, SlowConsumerHoldsProducerAtLeadBound) {
+  ms::ParallelRuntime rt(2);
+  std::atomic<std::uint64_t> flushed{0};
+  std::atomic<std::uint64_t> drained{0};
+  std::uint64_t max_lead = 0;  // producer thread only
+  rt.add_channel(
+      0, 1, 1'000,
+      [&] {
+        if (drained.load() == 0) wait_for_flushes(flushed, kLead);
+        drained.fetch_add(1);
+      },
+      [&] {
+        const std::uint64_t f = flushed.fetch_add(1) + 1;
+        max_lead = std::max(max_lead, f - drained.load());
+      });
+  // One segment of 3 x kLead windows: no global or hook resets the lead.
+  rt.run_until(3 * kLead * 1'000);
+  EXPECT_EQ(max_lead, kLead);
+  EXPECT_EQ(flushed.load(), 3 * kLead);
+  EXPECT_EQ(drained.load(), 3 * kLead - 1);  // the last epoch waits for the next run
+  EXPECT_EQ(rt.windows_run(), 3 * kLead);
+}
+
+TEST(ParallelEpochs, ProducerFailureReleasesWaitingConsumer) {
+  ms::ParallelRuntime rt(2);
+  rt.add_channel(0, 1, 1'000, [] {}, [] {});
+  rt.shard(0).schedule_at(500, [] {
+    std::this_thread::sleep_for(50ms);  // the consumer now waits on epoch 0
+    throw std::runtime_error("producer boom");
+  });
+  EXPECT_EQ(message_of(rt, 1'000'000), "producer boom");
+  EXPECT_EQ(rt.heartbeat(0), 0u);  // the producer never closed window 0
+  EXPECT_EQ(rt.heartbeat(1), 1u);  // the consumer ran window 0, then waited
+}
+
+TEST(ParallelEpochs, ConsumerFailureReleasesHeldProducer) {
+  ms::ParallelRuntime rt(2);
+  std::atomic<std::uint64_t> flushed{0};
+  rt.add_channel(
+      0, 1, 1'000,
+      [&] {
+        wait_for_flushes(flushed, kLead);
+        throw std::runtime_error("consumer boom");
+      },
+      [&] { flushed.fetch_add(1); });
+  EXPECT_EQ(message_of(rt, 3 * kLead * 1'000), "consumer boom");
+  EXPECT_EQ(flushed.load(), kLead);
+  EXPECT_EQ(rt.heartbeat(0), kLead);
+}
+
+TEST(ParallelEpochs, MidRunGlobalSeesEveryShardAtItsTime) {
+  ms::ParallelRuntime rt(3);
+  rt.add_channel(0, 1, 1'000, [] {}, [] {});
+  rt.add_channel(1, 2, 1'000, [] {}, [] {});
+  for (std::size_t s = 0; s < 3; ++s) rt.shard(s).schedule_at(12'000 + 100 * s, [] {});
+  std::vector<ms::SimTime> seen;
+  rt.schedule_global(12'345, [&] {
+    for (std::size_t s = 0; s < 3; ++s) seen.push_back(rt.shard(s).now());
+    seen.push_back(rt.now());
+  });
+  rt.run_until(50'000);
+  EXPECT_EQ(seen, (std::vector<ms::SimTime>(4, 12'345)));
+  // 13 windows up to the global (the last one 345 ps long), 38 after it.
+  EXPECT_EQ(rt.windows_run(), 51u);
+  for (std::size_t s = 0; s < 3; ++s) EXPECT_EQ(rt.shard(s).now(), 50'000u);
 }
 
 // ---------------------------------------------------------------------------
@@ -272,6 +372,46 @@ TEST(ParallelLookahead, ZeroLatencyCrossShardLinkIsRejected) {
       .device(1, mn::intel_x540()).name("b")
       .link(0, 1).latency_ns(0);  // below one frame time: no usable lookahead
   EXPECT_THROW((void)s.build(), std::invalid_argument);
+}
+
+namespace {
+
+// A 9000 B hardware-paced frame over a default cable between two devices.
+void run_jumbo(int shards) {
+  auto tb = mtb::Scenario()
+                .seed(1)
+                .shards(shards)
+                .telemetry(false)
+                .device(0, mn::intel_x540()).name("a")
+                .device(1, mn::intel_x540()).name("b")
+                .link(0, 1)
+                .build();
+  mc::UdpTemplateOptions jumbo;
+  jumbo.frame_size = 8'996;  // buffer without FCS: a 9000 B frame
+  auto& queue = tb->port("a").tx_queue(0);
+  queue.set_rate_mpps(0.1, 100);
+  auto gen = mc::SimLoadGen::hardware_paced(queue, mc::make_udp_frame(jumbo));
+  tb->run_until(static_cast<ms::SimTime>(ms::kPsPerMs));
+}
+
+}  // namespace
+
+TEST(ParallelLookahead, OverlongFrameOnCrossShardLinkFailsFast) {
+  // One shard: no channel, no lookahead, the jumbo frame is just slow.
+  EXPECT_NO_THROW(run_jumbo(1));
+  // Two shards: the link's lookahead assumes at most 1538 wire bytes, so
+  // the first jumbo frame is refused with a message, not a mid-run
+  // lookahead violation.
+  try {
+    run_jumbo(2);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("0 -> 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("9000 B"), std::string::npos) << what;
+    EXPECT_NE(what.find("1538"), std::string::npos) << what;
+    EXPECT_NE(what.find("couple()"), std::string::npos) << what;
+  }
 }
 
 TEST(ParallelLookahead, CoupledZeroLatencyLinkIsFine) {

@@ -380,6 +380,76 @@ TEST(Telemetry, RpcGaugesMatchTheirAccessorsAtEveryTick) {
   }
 }
 
+// Cross-shard deliveries drain exactly through the previous window's epoch,
+// so each shard schedules every frame from the same engine time in every
+// run: the per-shard engine counters (wheel vs heap placement included)
+// repeat exactly, like stdout, whatever the thread timing.
+namespace {
+
+using EngineCounters = std::vector<std::pair<std::string, std::uint64_t>>;
+
+EngineCounters engine_counters(mtb::Testbed& tb) {
+  EngineCounters out;
+  for (const auto& c : tb.snapshot().counters)
+    if (c.name.rfind("engine.shard", 0) == 0) out.emplace_back(c.name, c.value);
+  return out;
+}
+
+EngineCounters fig10_engine_counters() {
+  auto tb = fig10_scenario(2).build();
+  mc::UdpTemplateOptions opts;
+  opts.frame_size = 96;
+  auto& queue = tb->port("gen_tx").tx_queue(0);
+  queue.set_rate_mpps(2.0, 100);
+  auto gen = mc::SimLoadGen::hardware_paced(queue, mc::make_udp_frame(opts));
+  tb->run_until(20 * ms::kPsPerMs);
+  return engine_counters(*tb);
+}
+
+EngineCounters rpc_engine_counters() {
+  mtb::Scenario s;
+  s.seed(1).shards(4);
+  for (int i = 0; i < 2; ++i) {
+    s.device(2 * i, mn::intel_x540()).name("client" + std::to_string(i)).rx_store(false)
+        .device(2 * i + 1, mn::intel_x540()).name("server" + std::to_string(i)).rx_store(false)
+        .link(2 * i, 2 * i + 1).duplex();
+  }
+  auto tb = s.build();
+  const ms::SimTime end_ps = 20 * ms::kPsPerMs;
+  std::vector<std::unique_ptr<mr::ServerModel>> servers;
+  std::vector<std::unique_ptr<mr::LatencyRecorder>> recorders;
+  std::vector<std::unique_ptr<mr::OpenLoopGenerator>> clients;
+  for (int i = 0; i < 2; ++i) {
+    mr::ServerConfig sc;
+    sc.service_mean_ps = 8.0 * 1e6;
+    sc.seed = 100 + static_cast<std::uint64_t>(i);
+    servers.push_back(
+        std::make_unique<mr::ServerModel>(tb->port("server" + std::to_string(i)), sc));
+    recorders.push_back(std::make_unique<mr::LatencyRecorder>());
+    mr::WorkloadConfig wc;
+    wc.offered_rps = 400'000;
+    wc.seed = 200 + static_cast<std::uint64_t>(i);
+    wc.seq_base = 1 + (static_cast<std::uint64_t>(i) << 32);
+    clients.push_back(std::make_unique<mr::OpenLoopGenerator>(
+        tb->port("client" + std::to_string(i)), *recorders.back(), wc));
+    clients.back()->start(0, end_ps);
+  }
+  tb->run_until(end_ps + 5 * ms::kPsPerMs);
+  return engine_counters(*tb);
+}
+
+}  // namespace
+
+TEST(Testbed, ShardedEngineCountersRepeatAcrossRuns) {
+  const EngineCounters fig10 = fig10_engine_counters();
+  ASSERT_EQ(fig10.size(), 6u);  // events_executed, wheel_ and heap_scheduled per shard
+  for (int run = 1; run < 3; ++run) EXPECT_EQ(fig10_engine_counters(), fig10) << "run " << run;
+
+  const EngineCounters rpc = rpc_engine_counters();
+  ASSERT_EQ(rpc.size(), 12u);
+  for (int run = 1; run < 3; ++run) EXPECT_EQ(rpc_engine_counters(), rpc) << "run " << run;
+}
+
 // ---------------------------------------------------------------------------
 // Fault plane integration
 // ---------------------------------------------------------------------------
