@@ -217,20 +217,12 @@ void VSwitch::poll() {
   });
 }
 
-void VSwitch::note_stamped_drop(const nic::Frame& frame) {
-  // A stamped frame dying inside the switch must be accounted to the RTT
-  // plane, or the plane's in-flight count would leak (its conservation
-  // checker audits exactly this).
-  if (rtt_ != nullptr && frame.tx_stamp_ps != 0) rtt_->note_dropped();
-}
-
 void VSwitch::ingest(nic::Frame frame) {
   ++received_;
   tm_received_.add(1);
   if (fp_drop_.installed() && fp_drop_.fire(events_.now()) != nullptr) {
     ++fault_drops_;
     tm_fault_drops_.add(1);
-    note_stamped_drop(frame);
     return;
   }
   const std::int32_t qi = match(frame);
@@ -285,7 +277,6 @@ void VSwitch::enqueue(std::size_t queue_idx, nic::Frame&& frame, bool is_flood) 
     tm_shaped_drops_.add(1);
     ++q.shaped_drops;
     q.tm_shaped_drops.add(1);
-    note_stamped_drop(frame);
     return;
   }
   if (q.ring.full()) {
@@ -293,7 +284,6 @@ void VSwitch::enqueue(std::size_t queue_idx, nic::Frame&& frame, bool is_flood) 
     tm_queue_drops_.add(1);
     ++q.queue_drops;
     q.tm_queue_drops.add(1);
-    note_stamped_drop(frame);
     return;
   }
   // Rewrite at enqueue time so the DRR deficits and the egress pacing see
@@ -358,7 +348,6 @@ void VSwitch::drain_vport(std::size_t vp_idx) {
   --vp.backlog[cls];
   --vp.backlog_total;
   const std::size_t wire = frame.wire_bytes();
-  const bool stamped = frame.tx_stamp_ps != 0;
   if (vp.tx->post(std::move(frame))) {
     ++emitted_;
     tm_emitted_.add(1);
@@ -367,9 +356,8 @@ void VSwitch::drain_vport(std::size_t vp_idx) {
     q.tm_emitted.add(1);
   } else {
     // TX ring full despite pacing (e.g. the link is flapped down): the
-    // frame is gone; both identities account it here.
+    // frame is gone; the conservation identity accounts it here.
     ++egress_ring_drops_;
-    if (rtt_ != nullptr && stamped) rtt_->note_dropped();
   }
   // Self-pace at the vport's wire rate: the TX ring stays shallow, so the
   // *next* priority decision is made when this frame has serialized

@@ -34,7 +34,6 @@
 #include "nic/port.hpp"
 #include "sim/event_queue.hpp"
 #include "telemetry/handles.hpp"
-#include "telemetry/rtt_plane.hpp"
 
 namespace moongen::dut {
 
@@ -184,10 +183,6 @@ class VSwitch {
   /// `<site>.stall` (service-loop freeze, like the forwarder's).
   void install_faults(fault::FaultPlane& plane, const std::string& site);
 
-  /// Stamp-conservation accounting: dropped stamped frames are reported to
-  /// `shard` so the RTT plane's in-flight count stays exact.
-  void attach_rtt(telemetry::RttShard* shard) { rtt_ = shard; }
-
   /// Resolve-once handles: global books under `<prefix>.*`, per-tenant
   /// books under `<prefix>.t<k>.*`.
   void bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix);
@@ -270,7 +265,6 @@ class VSwitch {
   /// Applies the queue's VLAN rewrite + flow label; COW-cached per source
   /// buffer.
   void rewrite_frame(QueueState& q, nic::Frame& frame);
-  void note_stamped_drop(const nic::Frame& frame);
 
   sim::EventQueue& events_;
   nic::Port& in_port_;
@@ -298,7 +292,6 @@ class VSwitch {
 
   fault::FaultPoint fp_drop_;
   fault::FaultPoint fp_stall_;
-  telemetry::RttShard* rtt_ = nullptr;
 
   std::uint64_t received_ = 0;
   std::uint64_t matched_ = 0;

@@ -498,7 +498,10 @@ std::unique_ptr<Testbed> Scenario::build() {
     // 10b. The always-on RTT plane: one single-writer shard slice per
     // simulation shard; every port stamps departures and accounts
     // receptions/drops, links account wire losses on the *source* port's
-    // shard (on_frame runs there). Windows close via a runtime window
+    // shard (on_frame runs there). DuTs keep no stamp books: their ingress
+    // port ends a stamp, and re-transmitting the frame starts a new one, so
+    // a frame a vswitch drops in between is already accounted for.
+    // Windows close via a runtime window
     // hook — before the telemetry hook and any same-instant globals, so
     // snapshots see freshly closed windows.
     telemetry::RttPlaneConfig rtt_cfg;
@@ -513,10 +516,6 @@ std::unique_ptr<Testbed> Scenario::build() {
     for (std::size_t li = 0; li < expanded.size(); ++li) {
       const std::size_t from_shard = shard_of[device_index(expanded[li].from, "link")];
       tb->links_[li].link->attach_rtt(&plane->shard(from_shard));
-    }
-    for (std::size_t vi = 0; vi < vswitches_.size(); ++vi) {
-      const std::size_t shard = shard_of[device_index(vswitches_[vi].in, "vswitch")];
-      tb->vswitches_[vi]->attach_rtt(&plane->shard(shard));
     }
     plane->bind_telemetry(tb->registry_->shard(0));
     tb->runtime_->add_window_hook(rtt_window_ps_,

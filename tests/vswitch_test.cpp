@@ -461,3 +461,39 @@ TEST(VSwitch, HealthCheckerPassesOnLiveTestbedAndSeesBooks) {
   }
   EXPECT_GT(tb->vswitch().matched(), 0u);
 }
+
+// The vswitch's ingress port already counts a stamped frame as seen, which
+// ends its stamp; a frame the switch then shapes away or loses to a fault
+// must not end it a second time. Pins the RTT plane's stamp conservation
+// (in-flight never negative) on a shaped, faulted Scenario testbed.
+TEST(VSwitch, RttStampsStayConservedThroughShapingAndDropFaults) {
+  md::VSwitchConfig cfg;
+  cfg.tenants = {tenant(10, 0), tenant(20, 0, 0, 100.0)};
+  auto tb = mtb::Scenario()
+                .seed(1)
+                .faults("seed=7;loss@vswitch.drop:p=0.01")
+                .device(0, mn::intel_x540()).name("gen").with_seed(1)
+                .device(1, mn::intel_x540()).name("vs_in").with_seed(2).rtt_record(false)
+                .device(2, mn::intel_x540()).name("vport").with_seed(3).rtt_record(false)
+                .device(3, mn::intel_x540()).name("sink").with_seed(4).rx_store(false)
+                .link(0, 1).with_seed(5)
+                .link(2, 3).with_seed(6)
+                .vswitch(1, {2}, cfg)
+                .couple(0, 3)
+                .build();
+  auto& q0 = tb->port("gen").tx_queue(0);
+  q0.set_rate_wire_mbit(100.0);
+  auto victim_gen = mc::SimLoadGen::hardware_paced(q0, tagged_frame(10));
+  auto& q1 = tb->port("gen").tx_queue(1);
+  q1.set_rate_wire_mbit(1'000.0);
+  auto attack_gen = mc::SimLoadGen::hardware_paced(q1, tagged_frame(20));
+  auto check = mh::make_rtt_checker(tb->rtt_plane());
+  for (int tick = 1; tick <= 20; ++tick) {
+    tb->run_until(static_cast<ms::SimTime>(tick) * ms::kPsPerMs);
+    const auto r = check(tb->now());
+    ASSERT_TRUE(r.ok) << "at " << tick << " ms: " << r.detail;
+  }
+  EXPECT_GT(tb->vswitch().shaped_drops(), 0u);
+  EXPECT_GT(tb->vswitch().fault_drops(), 0u);
+  EXPECT_GE(tb->rtt_plane().in_flight(), 0);
+}
