@@ -154,8 +154,9 @@ class ParallelRuntime {
     alignas(64) std::atomic<std::uint64_t> epochs_flushed{0};
     std::uint64_t drained_seen = 0;
     /// Consumer side: epochs drained (release), and the producer's flushed
-    /// count as last read. Both counts equal windows_run() at every segment
-    /// end; the epoch of the last window stays queued until the next run.
+    /// count as last read. At a segment end windows_run() epochs are
+    /// flushed and all but the last drained; the consumer drains that one
+    /// before its next window.
     alignas(64) std::atomic<std::uint64_t> epochs_drained{0};
     std::uint64_t flushed_seen = 0;
   };

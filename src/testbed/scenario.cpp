@@ -500,10 +500,9 @@ std::unique_ptr<Testbed> Scenario::build() {
     // receptions/drops, links account wire losses on the *source* port's
     // shard (on_frame runs there). DuTs keep no stamp books: their ingress
     // port ends a stamp, and re-transmitting the frame starts a new one, so
-    // a frame a vswitch drops in between is already accounted for.
-    // Windows close via a runtime window
-    // hook — before the telemetry hook and any same-instant globals, so
-    // snapshots see freshly closed windows.
+    // a frame a vswitch drops in between is already accounted for. Windows
+    // close via a runtime window hook — before the telemetry hook and any
+    // same-instant globals, so snapshots see freshly closed windows.
     telemetry::RttPlaneConfig rtt_cfg;
     rtt_cfg.flow_groups = rtt_groups_;
     rtt_cfg.window_ps = rtt_window_ps_;
