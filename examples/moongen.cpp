@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
     sc::ScriptRuntime runtime(buffer.str());
     runtime.run_master(std::move(args));
     runtime.wait();
-  } catch (const sc::ScriptError& e) {
+  } catch (const std::exception& e) {
     std::fprintf(stderr, "script error: %s\n", e.what());
     return 1;
   }

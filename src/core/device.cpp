@@ -25,10 +25,12 @@ std::uint64_t nanotime() {
 // Device / DeviceTable
 // ---------------------------------------------------------------------------
 
-Device::Device(int id, int rx_queues, int tx_queues) : id_(id), rx_pool_(4096) {
-  for (int i = 0; i < tx_queues; ++i)
+Device::Device(int id) : id_(id), rx_pool_(4096) {}
+
+void Device::add_queues(int rx_queues, int tx_queues) {
+  while (num_tx_queues() < tx_queues)
     tx_queues_.push_back(std::unique_ptr<TxQueue>(new TxQueue(*this)));
-  for (int i = 0; i < rx_queues; ++i)
+  while (num_rx_queues() < rx_queues)
     rx_queues_.push_back(std::unique_ptr<RxQueue>(new RxQueue(*this, 4096)));
 }
 
@@ -40,9 +42,10 @@ Device& DeviceTable::config(int id, int rx_queues, int tx_queues) {
   if (id < 0 || static_cast<std::size_t>(id) >= Device::kMaxDevices)
     throw std::out_of_range("Device id out of range");
   auto& slot = devices_[static_cast<std::size_t>(id)];
-  if (!slot || slot->num_rx_queues() < rx_queues || slot->num_tx_queues() < tx_queues) {
-    slot.reset(new Device(id, rx_queues, tx_queues));
-  }
+  if (!slot) slot.reset(new Device(id));
+  // Grow in place: script handles, queue references and connected peers
+  // keep pointing at this device.
+  slot->add_queues(rx_queues, tx_queues);
   return *slot;
 }
 

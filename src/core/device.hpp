@@ -161,8 +161,8 @@ class Device {
  public:
   static constexpr std::size_t kMaxDevices = 64;
 
-  /// Returns the device with the given id, (re)configured with the given
-  /// queue counts.
+  /// Returns the device with the given id, configured with at least the
+  /// given queue counts.
   ///
   /// \deprecated This is the process-global registry
   /// (DeviceTable::process_default()): two experiments in one process share
@@ -203,7 +203,10 @@ class Device {
   [[nodiscard]] membuf::Mempool& rx_pool() { return rx_pool_; }
 
  private:
-  explicit Device(int id, int rx_queues, int tx_queues);
+  explicit Device(int id);
+  /// Appends queues until there are at least the given counts; existing
+  /// queues (and references to them) are untouched.
+  void add_queues(int rx_queues, int tx_queues);
 
   int id_;
   std::vector<std::unique_ptr<TxQueue>> tx_queues_;
@@ -226,9 +229,10 @@ class DeviceTable {
   DeviceTable(const DeviceTable&) = delete;
   DeviceTable& operator=(const DeviceTable&) = delete;
 
-  /// Returns the device with the given id, (re)configured with at least the
-  /// given queue counts (mirrors `device.config{}` from Listing 1). Devices
-  /// live as long as the table.
+  /// Returns the device with the given id, configured with at least the
+  /// given queue counts (mirrors `device.config{}` from Listing 1). Asking
+  /// for more queues adds them to the same device. Devices live as long as
+  /// the table.
   Device& config(int id, int rx_queues = 1, int tx_queues = 1);
 
   /// The device if already configured, else nullptr.

@@ -35,6 +35,7 @@ struct QueueRef {
 };
 
 struct PacketRef {
+  explicit PacketRef(membuf::PktBuf* b) : buf(b) {}
   membuf::PktBuf* buf = nullptr;
   // Identity-stable child accessors. `buf` is fixed for the lifetime of a
   // PacketRef, so `buf:getUdpPacket()`, `.ip`, `.udp`, `.src` and `.dst`
@@ -82,61 +83,10 @@ MethodTable& udp_header_methods();
 MethodTable& addr_methods();
 MethodTable& counter_methods();
 
-// ---------------------------------------------------------------------------
-// Pooled allocation for per-access wrapper objects
-//
-// Scripts create a fresh wrapper every time they touch a packet field
-// (`buf:getUdpPacket().ip.src` allocates three), so on the per-packet hot
-// path the wrapper churn is pure malloc/free traffic. A per-thread freelist
-// recycles the fixed-size allocate_shared nodes instead. Blocks may migrate
-// between threads' freelists (allocated on one, released on another); they
-// are interchangeable, and spill/refill always goes through ::operator new.
-// ---------------------------------------------------------------------------
-
-template <typename T>
-struct PoolAlloc {
-  using value_type = T;
-  PoolAlloc() = default;
-  template <typename U>
-  PoolAlloc(const PoolAlloc<U>&) {}  // NOLINT(google-explicit-constructor)
-
-  static std::vector<void*>& freelist() {
-    static thread_local std::vector<void*> list;
-    return list;
-  }
-  T* allocate(std::size_t n) {
-    auto& list = freelist();
-    if (n == 1 && !list.empty()) {
-      void* p = list.back();
-      list.pop_back();
-      return static_cast<T*>(p);
-    }
-    return static_cast<T*>(::operator new(n * sizeof(T)));
-  }
-  void deallocate(T* p, std::size_t n) {
-    auto& list = freelist();
-    if (n == 1 && list.size() < 4096) {
-      list.push_back(p);
-      return;
-    }
-    ::operator delete(p);
-  }
-  template <typename U>
-  bool operator==(const PoolAlloc<U>&) const {
-    return true;
-  }
-};
-
-template <typename T, typename... Args>
-std::shared_ptr<T> pooled_shared(Args&&... args) {
-  return std::allocate_shared<T>(PoolAlloc<T>{}, std::forward<Args>(args)...);
-}
-
 template <typename T>
 Value wrap(const MethodTable& table, std::shared_ptr<T> handle) {
   T* ptr = handle.get();
-  return Value(
-      pooled_shared<UserData>(&table, std::shared_ptr<void>(std::move(handle)), ptr));
+  return Value(std::make_shared<UserData>(&table, std::shared_ptr<void>(std::move(handle)), ptr));
 }
 
 Value wrap_queue(core::Device* dev, core::TxQueue* tx, core::RxQueue* rx) {
@@ -146,7 +96,7 @@ Value wrap_queue(core::Device* dev, core::TxQueue* tx, core::RxQueue* rx) {
 
 /// Wraps a packet buffer as the script-visible `buf` object.
 Value wrap_packet(membuf::PktBuf* buf) {
-  auto ref = pooled_shared<PacketRef>(PacketRef{buf});
+  auto ref = std::make_shared<PacketRef>(buf);
   return wrap(buf_methods(), std::move(ref));
 }
 
@@ -154,11 +104,25 @@ Value wrap_packet(membuf::PktBuf* buf) {
 /// the userdata pointer targets the inner array, the handle owns the cache.
 Value wrap_buf_array(std::shared_ptr<BufArrayCache> cache) {
   membuf::BufArray* ptr = &cache->array;
-  return Value(pooled_shared<UserData>(&buf_array_methods(),
-                                       std::shared_ptr<void>(std::move(cache)), ptr));
+  return Value(std::make_shared<UserData>(&buf_array_methods(),
+                                         std::shared_ptr<void>(std::move(cache)), ptr));
 }
 
 std::vector<Value> no_values() { return {}; }
+
+/// `dev:getTxQueue(i)` / `dev:getRxQueue(i)` index, checked against the
+/// device's queue count so a bad index is a script error, not a C++ one.
+int queue_index(const std::vector<Value>& args, const core::Device& dev, bool tx,
+                const char* what) {
+  const double i = arg_number(args, 0, what);
+  const int count = tx ? dev.num_tx_queues() : dev.num_rx_queues();
+  if (!(i >= 0 && i < count)) {
+    throw ScriptError(std::string(what) + ": queue " + Value(i).to_display_string() +
+                      " out of range (device " + std::to_string(dev.id()) + " has " +
+                      std::to_string(count) + (tx ? " tx" : " rx") + " queues)");
+  }
+  return static_cast<int>(i);
+}
 
 proto::MacAddress mac_from_value(const Value& v, const char* what) {
   if (v.is_string()) {
@@ -194,12 +158,12 @@ MethodTable& device_methods() {
     t.type_name = "device";
     t.methods["getTxQueue"] = [](Interpreter&, UserData& self, std::vector<Value>& args) {
       auto* dev = self.as<core::Device>();
-      const int i = static_cast<int>(arg_number(args, 0, "getTxQueue"));
+      const int i = queue_index(args, *dev, true, "getTxQueue");
       return std::vector<Value>{wrap_queue(dev, &dev->get_tx_queue(i), nullptr)};
     };
     t.methods["getRxQueue"] = [](Interpreter&, UserData& self, std::vector<Value>& args) {
       auto* dev = self.as<core::Device>();
-      const int i = static_cast<int>(arg_number(args, 0, "getRxQueue"));
+      const int i = queue_index(args, *dev, false, "getRxQueue");
       return std::vector<Value>{wrap_queue(dev, nullptr, &dev->get_rx_queue(i))};
     };
     t.methods["connectTo"] = [](Interpreter&, UserData& self, std::vector<Value>& args) {
@@ -327,8 +291,7 @@ MethodTable& buf_methods() {
     const Method1 get_udp1 = [](Interpreter&, UserData& self, std::vector<Value>&) -> Value {
       auto* ref = self.as<PacketRef>();
       if (ref->udp_packet.is_nil()) {
-        ref->udp_packet =
-            wrap(udp_packet_methods(), pooled_shared<PacketRef>(PacketRef{ref->buf}));
+        ref->udp_packet = wrap(udp_packet_methods(), std::make_shared<PacketRef>(ref->buf));
       }
       return ref->udp_packet;
     };
@@ -401,7 +364,7 @@ MethodTable& ip_header_methods() {
         const bool dst = field == "dst";
         Value& slot = dst ? ref->dst_addr : ref->src_addr;
         if (slot.is_nil()) {
-          slot = wrap(addr_methods(), pooled_shared<AddrRef>(AddrRef{ref->buf, dst}));
+          slot = wrap(addr_methods(), std::make_shared<AddrRef>(AddrRef{ref->buf, dst}));
         }
         return slot;
       }
@@ -489,15 +452,13 @@ MethodTable& udp_packet_methods() {
       auto* ref = self.as<PacketRef>();
       if (field == "ip") {
         if (ref->ip_hdr.is_nil()) {
-          ref->ip_hdr =
-              wrap(ip_header_methods(), pooled_shared<PacketRef>(PacketRef{ref->buf}));
+          ref->ip_hdr = wrap(ip_header_methods(), std::make_shared<PacketRef>(ref->buf));
         }
         return ref->ip_hdr;
       }
       if (field == "udp") {
         if (ref->udp_hdr.is_nil()) {
-          ref->udp_hdr =
-              wrap(udp_header_methods(), pooled_shared<PacketRef>(PacketRef{ref->buf}));
+          ref->udp_hdr = wrap(udp_header_methods(), std::make_shared<PacketRef>(ref->buf));
         }
         return ref->udp_hdr;
       }
@@ -667,14 +628,16 @@ void install_modules(Interpreter& interp, const std::shared_ptr<ScriptRuntime::S
         shared->slaves.emplace_back([shared, fn_name, slave_args = std::move(slave_args),
                                      core]() mutable {
           pin_thread(core);
-          // A fresh, completely independent interpreter per slave task
-          // (paper Section 3.4); only the chunk is shared.
-          Interpreter slave(shared->program);
-          install_modules(slave, shared);
-          slave.run();  // define the chunk's functions
+          // An exception must not leave the thread (std::terminate): any
+          // failure, script-level or C++, is reported and ends this slave.
           try {
+            // A fresh, completely independent interpreter per slave task
+            // (paper Section 3.4); only the chunk is shared.
+            Interpreter slave(shared->program);
+            install_modules(slave, shared);
+            slave.run();  // define the chunk's functions
             slave.call_global(fn_name, std::move(slave_args));
-          } catch (const ScriptError& e) {
+          } catch (const std::exception& e) {
             std::cerr << "slave '" << fn_name << "' failed: " << e.what() << "\n";
           }
         });

@@ -914,10 +914,7 @@ class Compiler {
       emit_load_const(fs, Value(1.0), base + 2, stmt.line);
     }
     emit(fs, Op::kForPrep, static_cast<std::int32_t>(base), 0, 0, 0, stmt.line);
-    // The test is a trace anchor: its IC slot holds the back-edge hotness
-    // counter and, once recorded, the installed loop specialization.
-    const auto test = emit(fs, Op::kForTest, static_cast<std::int32_t>(base), 0, 0, 0,
-                           stmt.line, new_ic());
+    const auto test = emit(fs, Op::kForTest, static_cast<std::int32_t>(base), 0, 0, 0, stmt.line);
     emit(fs, Op::kCheckStep, 0, 0, 0, 0, stmt.line);
     fs.breaks.emplace_back();
     const auto scope = open_scope(fs);
@@ -948,8 +945,8 @@ class Compiler {
     // leaving f/s/ctrl in place, exit-if-nil (d: target, patched below) and
     // the ctrl update — the kCheckStep/kJumpIfNil/kMove sequence it
     // replaces, with identical observable order.
-    // Also a trace anchor (see kForTest): the IC slot carries the hotness
-    // counter and any installed field-kernel specialization.
+    // Also the trace anchor: the IC slot carries the hotness counter and
+    // any installed field-kernel specialization.
     const auto forin_call =
         emit(fs, Op::kForInCall, static_cast<std::int32_t>(iter), static_cast<std::int32_t>(w),
              nres, 0, stmt.line, new_ic());
@@ -1128,7 +1125,7 @@ std::string disassemble_instr(const FunctionProto& proto, const Instr& ins) {
          << " exit=" << ins.d << " [ic " << ins.ic << "]";
       break;
     case Op::kForTest:
-      os << "i=r" << ins.a << " exit=" << ins.b << " [ic " << ins.ic << "]";
+      os << "i=r" << ins.a << " exit=" << ins.b;
       break;
     case Op::kForNext:
       os << "i=r" << ins.a << " -> " << ins.b;

@@ -92,8 +92,6 @@ enum class Op : std::uint8_t {
   kToNum,       // r[a] = number(r[a]) — numeric-for bound conversion
   kForPrep,     // validate step r[a+2] != 0
   kForTest,     // if loop (i=r[a], stop=r[a+1], step=r[a+2]) done: pc = b
-                // (ic: trace anchor — hotness counter + installed
-                // numeric-loop specialization)
   kForNext,     // r[a] += r[a+2]; pc = b
   kPathMid,     // r[a] = checked-table r[b][consts[c]] (function a.b.c decl)
   kPathSet,     // checked-table r[a][consts[b]] = r[c]

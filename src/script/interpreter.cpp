@@ -1,5 +1,6 @@
 #include "script/interpreter.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -84,16 +85,24 @@ Interpreter::Interpreter(std::shared_ptr<const Program> program)
   install_base_library();
 }
 
-Interpreter::~Interpreter() = default;
-
-bool Interpreter::default_tree_walk() {
-  const char* env = std::getenv("MOONGEN_SCRIPT_TREEWALK");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
+Interpreter::~Interpreter() {
+  for (const auto& weak : captured_envs_) {
+    if (const auto env = weak.lock()) env->clear();
+  }
 }
 
-bool Interpreter::default_trace() {
-  const char* env = std::getenv("MOONGEN_SCRIPT_NOTRACE");
-  return !(env != nullptr && env[0] != '\0' && env[0] != '0');
+Value Interpreter::make_closure(const FunctionDecl& decl,
+                                const std::shared_ptr<Environment>& env) {
+  if (captured_envs_.size() >= prune_captured_at_) {
+    std::erase_if(captured_envs_, [](const auto& weak) { return weak.expired(); });
+    prune_captured_at_ = std::max<std::size_t>(64, 2 * captured_envs_.size());
+  }
+  captured_envs_.push_back(env);
+  auto fn = std::make_shared<ScriptFunction>();
+  fn->decl = &decl;
+  fn->closure = env;
+  fn->name = decl.name;
+  return Value(std::move(fn));
 }
 
 void Interpreter::ensure_compiled() {
@@ -257,11 +266,7 @@ Interpreter::Flow Interpreter::execute(const Stmt& stmt, const std::shared_ptr<E
       return {};
     }
     case StmtKind::kFunctionDecl: {
-      auto fn = std::make_shared<ScriptFunction>();
-      fn->decl = stmt.function.get();
-      fn->closure = env;
-      fn->name = stmt.function->name;
-      const Value fn_value{fn};
+      const Value fn_value = make_closure(*stmt.function, env);
       if (stmt.is_local_function || stmt.func_path.size() == 1) {
         if (stmt.is_local_function) {
           env->declare(stmt.func_path[0], fn_value);
@@ -365,13 +370,7 @@ Value Interpreter::evaluate(const Expr& expr, const std::shared_ptr<Environment>
       auto results = evaluate_multi(expr, env);
       return results.empty() ? Value() : results[0];
     }
-    case ExprKind::kFunction: {
-      auto fn = std::make_shared<ScriptFunction>();
-      fn->decl = expr.function.get();
-      fn->closure = env;
-      fn->name = expr.function->name;
-      return Value(fn);
-    }
+    case ExprKind::kFunction: return make_closure(*expr.function, env);
     case ExprKind::kUnary: {
       if (expr.op == static_cast<int>(TokenType::kNot))
         return Value(!evaluate(*expr.rhs, env).truthy());

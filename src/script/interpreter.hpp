@@ -42,6 +42,14 @@ class Environment : public std::enable_shared_from_this<Environment> {
   /// Reference to this scope's entry for `name`, creating a nil one.
   Value& slot(const std::string& name) { return values_[name]; }
 
+  /// Drops every local and the parent link (breaks closure cycles when
+  /// the owning interpreter is destroyed).
+  void clear() {
+    std::map<std::string, Value> doomed;
+    doomed.swap(values_);
+    parent_.reset();
+  }
+
  private:
   std::map<std::string, Value> values_;
   std::shared_ptr<Environment> parent_;
@@ -52,12 +60,15 @@ class Interpreter {
   /// Creates an interpreter over a parsed chunk with the base library
   /// (print, math, string helpers, ipairs/pairs, tostring/tonumber...).
   explicit Interpreter(std::shared_ptr<const Program> program);
-  ~Interpreter();  // out of line: Vm is incomplete here
+  /// Out of line (Vm is incomplete here). Empties every scope a script
+  /// closure captured: a function stored in the scope it closes over is a
+  /// reference cycle that would otherwise outlive the interpreter.
+  ~Interpreter();
 
   /// Executes the top-level block (declares functions, runs statements).
   /// By default this compiles to bytecode and runs on the register VM;
-  /// set_tree_walk(true) (or MOONGEN_SCRIPT_TREEWALK=1) selects the
-  /// tree-walking reference interpreter instead.
+  /// set_tree_walk(true) selects the tree-walking reference interpreter
+  /// instead.
   void run();
 
   /// Engine selection. The tree-walker is the reference semantics; the VM
@@ -66,8 +77,8 @@ class Interpreter {
   [[nodiscard]] bool tree_walk() const { return tree_walk_; }
 
   /// Trace specialization: the VM's hot-loop tier (DESIGN.md section 13).
-  /// On by default; MOONGEN_SCRIPT_NOTRACE=1 (or set_trace(false)) keeps
-  /// the generic bytecode VM only. Irrelevant when tree-walking.
+  /// On by default; set_trace(false) keeps the generic bytecode VM only.
+  /// Irrelevant when tree-walking.
   void set_trace(bool on) { trace_ = on; }
   [[nodiscard]] bool trace_enabled() const { return trace_; }
   /// Back edges a loop anchor must see before recording starts. The
@@ -146,6 +157,9 @@ class Interpreter {
   std::vector<Value> evaluate_list(const std::vector<ExprPtr>& exprs,
                                    const std::shared_ptr<Environment>& env);
 
+  /// A script closure over `env`; remembers `env` for ~Interpreter.
+  Value make_closure(const FunctionDecl& decl, const std::shared_ptr<Environment>& env);
+
   Value binary_op(int op, const Expr& lhs_expr, const Expr& rhs_expr,
                   const std::shared_ptr<Environment>& env, int line);
   Value index_value(const Value& object, const Value& key, int line);
@@ -167,19 +181,20 @@ class Interpreter {
 
   std::shared_ptr<const Program> program_;
   std::shared_ptr<Environment> globals_;
+  /// Scopes captured by script closures (weak: most die with their
+  /// closures; expired entries are pruned as the list grows).
+  std::vector<std::weak_ptr<Environment>> captured_envs_;
+  std::size_t prune_captured_at_ = 64;
   std::uint64_t step_limit_ = 0;
   std::uint64_t steps_ = 0;
-  bool tree_walk_ = default_tree_walk();
-  bool trace_ = default_trace();
+  bool tree_walk_ = false;
+  bool trace_ = true;
   std::uint32_t trace_threshold_ = 56;
   std::shared_ptr<const Chunk> chunk_;
   std::unique_ptr<Vm> vm_;
   /// Installed by install_base_library (see math_rng/math_random_native).
   std::shared_ptr<std::mt19937_64> math_rng_;
   std::shared_ptr<NativeFunction> math_random_;
-
-  static bool default_tree_walk();
-  static bool default_trace();
 };
 
 /// Convenience: number/string/table argument extraction with diagnostics.

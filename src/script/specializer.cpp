@@ -380,154 +380,6 @@ class FieldKernelBuilder {
   FieldKernelSpec spec_;
 };
 
-// ---------------------------------------------------------------------------
-// Numeric-loop builder
-// ---------------------------------------------------------------------------
-
-constexpr std::size_t kMaxNumSlots = 64;
-constexpr std::size_t kMaxGlobalSlots = 16;
-
-class NumLoopBuilder {
- public:
-  NumLoopBuilder(const RecordedTrace& trace, Interpreter& host) : trace_(trace), host_(host) {}
-
-  std::optional<NumLoopSpec> build() {
-    const Instr& anchor = trace_.anchor;
-    const auto base = static_cast<std::uint16_t>(anchor.a);
-    // The implicit loop test reads the triple: map as live-in up front.
-    spec_.idx_slot = slot(base, /*write=*/false);
-    spec_.stop_slot = slot(static_cast<std::uint16_t>(base + 1), false);
-    spec_.step_slot = slot(static_cast<std::uint16_t>(base + 2), false);
-    if (failed_) return std::nullopt;
-
-    const auto& body = trace_.body;
-    if (body.empty()) return std::nullopt;
-    for (std::size_t i = 0; i < body.size(); ++i) {
-      const bool last = i + 1 == body.size();
-      const RecordedInstr& ri = body[i];
-      if (last) {
-        // The back edge must be the loop's own kForNext.
-        if (ri.ins.op != Op::kForNext || ri.ins.a != anchor.a ||
-            static_cast<std::uint32_t>(ri.ins.b) != trace_.anchor_pc) {
-          return std::nullopt;
-        }
-        break;
-      }
-      if (!step(ri)) return std::nullopt;
-    }
-    if (failed_ || ticks_ == 0) return std::nullopt;
-    spec_.ticks_per_iter = ticks_;
-    return spec_;
-  }
-
- private:
-  std::uint8_t slot(std::uint16_t reg, bool write) {
-    const auto it = reg2slot_.find(reg);
-    if (it != reg2slot_.end()) return it->second;
-    if (spec_.reg_slots.size() >= kMaxNumSlots) {
-      failed_ = true;
-      return 0;
-    }
-    const auto s = static_cast<std::uint8_t>(spec_.reg_slots.size());
-    spec_.reg_slots.push_back(reg);
-    spec_.reg_live_in.push_back(!write);  // first use is a read -> live-in
-    reg2slot_[reg] = s;
-    return s;
-  }
-
-  std::uint16_t global(Value* slot_ptr, bool write) {
-    for (std::size_t i = 0; i < spec_.global_slots.size(); ++i) {
-      if (spec_.global_slots[i] == slot_ptr) {
-        if (write) spec_.global_written[i] = true;
-        return static_cast<std::uint16_t>(i);
-      }
-    }
-    if (spec_.global_slots.size() >= kMaxGlobalSlots) {
-      failed_ = true;
-      return 0;
-    }
-    spec_.global_slots.push_back(slot_ptr);
-    spec_.global_live_in.push_back(!write);
-    spec_.global_written.push_back(write);
-    return static_cast<std::uint16_t>(spec_.global_slots.size() - 1);
-  }
-
-  bool step(const RecordedInstr& ri) {
-    const Instr& ins = ri.ins;
-    const auto* consts = trace_.proto->consts.data();
-    NumOp op;
-    switch (ins.op) {
-      case Op::kCheckStep:
-        ++ticks_;
-        return true;
-      case Op::kLoadConst: {
-        const Value& c = consts[ins.b];
-        if (!c.is_number()) return false;
-        op.kind = NumOp::Kind::kLoadConst;
-        op.imm = c.as_number();
-        op.dst = slot(static_cast<std::uint16_t>(ins.a), true);
-        break;
-      }
-      case Op::kMove:
-        if (!ri.numeric) return false;  // generic copies any type; we can't
-        op.kind = NumOp::Kind::kMove;
-        op.a = slot(static_cast<std::uint16_t>(ins.b), false);
-        op.dst = slot(static_cast<std::uint16_t>(ins.a), true);
-        break;
-      case Op::kAdd:
-      case Op::kSub:
-      case Op::kMul:
-      case Op::kDiv:
-      case Op::kMod:
-      case Op::kPow: {
-        if (!ri.numeric) return false;
-        static constexpr NumOp::Kind kMap[] = {NumOp::Kind::kAdd, NumOp::Kind::kSub,
-                                               NumOp::Kind::kMul, NumOp::Kind::kDiv,
-                                               NumOp::Kind::kMod, NumOp::Kind::kPow};
-        op.kind = kMap[static_cast<int>(ins.op) - static_cast<int>(Op::kAdd)];
-        op.a = slot(static_cast<std::uint16_t>(ins.b), false);
-        op.b = slot(static_cast<std::uint16_t>(ins.c), false);
-        op.dst = slot(static_cast<std::uint16_t>(ins.a), true);
-        break;
-      }
-      case Op::kNeg:
-        if (!ri.numeric) return false;
-        op.kind = NumOp::Kind::kNeg;
-        op.a = slot(static_cast<std::uint16_t>(ins.b), false);
-        op.dst = slot(static_cast<std::uint16_t>(ins.a), true);
-        break;
-      case Op::kGetGlobal: {
-        Value* g = host_.global_slot_if_exists(consts[ins.b].as_string());
-        if (g == nullptr) return false;
-        op.kind = NumOp::Kind::kGlobalGet;
-        op.gslot = global(g, false);
-        op.dst = slot(static_cast<std::uint16_t>(ins.a), true);
-        break;
-      }
-      case Op::kSetGlobal: {
-        Value* g = host_.global_slot_if_exists(consts[ins.b].as_string());
-        if (g == nullptr) return false;
-        op.kind = NumOp::Kind::kGlobalSet;
-        op.gslot = global(g, true);
-        op.a = slot(static_cast<std::uint16_t>(ins.a), false);
-        break;
-      }
-      default:
-        return false;  // branches, calls, tables, strings: stay generic
-    }
-    if (failed_) return false;
-    spec_.ops.push_back(op);
-    return true;
-  }
-
-  const RecordedTrace& trace_;
-  Interpreter& host_;
-  std::map<std::uint16_t, std::uint8_t> reg2slot_;
-  std::uint32_t ticks_ = 0;
-  bool failed_ = false;
-  NumLoopSpec spec_;
-};
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -536,25 +388,12 @@ class NumLoopBuilder {
 
 std::shared_ptr<const Specialization> build_specialization(RecordedTrace trace,
                                                            Interpreter& host) {
+  // The anchor observation: f must have been the ipairs iterator over a
+  // packet array (re-checked at every kernel entry via the entry guards).
+  auto built = FieldKernelBuilder(trace, host).build();
+  if (!built) return nullptr;
   auto spec = std::make_shared<Specialization>();
-  if (trace.anchor.op == Op::kForInCall) {
-    // The anchor observation: f must have been the ipairs iterator over a
-    // packet array (the recorder only arms on that shape — re-checked at
-    // every kernel entry anyway via the entry guards).
-    FieldKernelBuilder builder(trace, host);
-    auto built = builder.build();
-    if (!built) return nullptr;
-    spec->kind = Specialization::Kind::kFieldKernel;
-    spec->field = std::move(*built);
-  } else if (trace.anchor.op == Op::kForTest) {
-    NumLoopBuilder builder(trace, host);
-    auto built = builder.build();
-    if (!built) return nullptr;
-    spec->kind = Specialization::Kind::kNumLoop;
-    spec->num = std::move(*built);
-  } else {
-    return nullptr;
-  }
+  spec->field = std::move(*built);
   spec->trace = std::move(trace);
   return spec;
 }
@@ -709,81 +548,6 @@ void run_field_kernel(const Specialization& spec, const Instr& anchor, Value* re
   // `next - 1 + done`: it performs the exhaust-exit (or the next
   // iteration) itself.
   regs[anchor.a + 2] = Value(static_cast<double>(next - 1 + done));
-}
-
-// ---------------------------------------------------------------------------
-// Numeric-loop executor
-// ---------------------------------------------------------------------------
-
-void run_num_loop(const Specialization& spec, const Instr& anchor, Value* regs,
-                  Interpreter& host) {
-  (void)anchor;
-  const NumLoopSpec& n = spec.num;
-  // Entry guards: every live-in slot and global must be a number (the
-  // generic loop would otherwise throw or leave arithmetic to
-  // apply_binary_op — both stay on the generic path).
-  for (std::size_t i = 0; i < n.reg_slots.size(); ++i) {
-    if (n.reg_live_in[i] && !regs[n.reg_slots[i]].is_number()) return;
-  }
-  for (std::size_t i = 0; i < n.global_slots.size(); ++i) {
-    if (n.global_live_in[i] && !n.global_slots[i]->is_number()) return;
-  }
-  std::uint64_t max_iters = ~std::uint64_t{0};
-  const std::uint64_t limit = host.step_limit();
-  if (limit != 0) {
-    const std::uint64_t taken = host.steps_taken();
-    if (taken >= limit) return;
-    max_iters = (limit - taken) / n.ticks_per_iter;
-    if (max_iters == 0) return;
-  }
-
-  double s[kMaxNumSlots];
-  double g[kMaxGlobalSlots];
-  for (std::size_t i = 0; i < n.reg_slots.size(); ++i) {
-    s[i] = n.reg_live_in[i] ? regs[n.reg_slots[i]].as_number() : 0.0;
-  }
-  for (std::size_t i = 0; i < n.global_slots.size(); ++i) {
-    g[i] = n.global_live_in[i] ? n.global_slots[i]->as_number() : 0.0;
-  }
-
-  const NumOp* ops = n.ops.data();
-  const std::size_t num_ops = n.ops.size();
-  std::uint64_t iters = 0;
-  while (iters < max_iters) {
-    const double i = s[n.idx_slot];
-    const double stop = s[n.stop_slot];
-    const double step = s[n.step_slot];
-    if (!(step > 0 ? i <= stop : i >= stop)) break;  // the VM's exact test
-    for (std::size_t p = 0; p < num_ops; ++p) {
-      const NumOp& op = ops[p];
-      switch (op.kind) {
-        case NumOp::Kind::kLoadConst: s[op.dst] = op.imm; break;
-        case NumOp::Kind::kMove: s[op.dst] = s[op.a]; break;
-        case NumOp::Kind::kAdd: s[op.dst] = s[op.a] + s[op.b]; break;
-        case NumOp::Kind::kSub: s[op.dst] = s[op.a] - s[op.b]; break;
-        case NumOp::Kind::kMul: s[op.dst] = s[op.a] * s[op.b]; break;
-        case NumOp::Kind::kDiv: s[op.dst] = s[op.a] / s[op.b]; break;
-        case NumOp::Kind::kMod:
-          s[op.dst] = s[op.a] - std::floor(s[op.a] / s[op.b]) * s[op.b];
-          break;
-        case NumOp::Kind::kPow: s[op.dst] = std::pow(s[op.a], s[op.b]); break;
-        case NumOp::Kind::kNeg: s[op.dst] = -s[op.a]; break;
-        case NumOp::Kind::kGlobalGet: s[op.dst] = g[op.gslot]; break;
-        case NumOp::Kind::kGlobalSet: g[op.gslot] = s[op.a]; break;
-      }
-    }
-    s[n.idx_slot] += s[n.step_slot];  // kForNext
-    ++iters;
-  }
-  if (iters == 0) return;
-  if (limit != 0) host.add_steps(iters * n.ticks_per_iter);
-  // Write back: every mapped slot is either live-in (already correct) or
-  // written every iteration, so the full write-back matches the generic
-  // register state after the same iterations.
-  for (std::size_t i = 0; i < n.reg_slots.size(); ++i) regs[n.reg_slots[i]] = Value(s[i]);
-  for (std::size_t i = 0; i < n.global_slots.size(); ++i) {
-    if (n.global_written[i]) *n.global_slots[i] = Value(g[i]);
-  }
 }
 
 }  // namespace moongen::script

@@ -1,31 +1,22 @@
 // Trace specializer: compiles recorded hot-loop traces (trace.hpp) into
 // guarded fast paths for the script VM.
 //
-// Two specialization shapes, matching how the paper's LuaJIT backend earns
-// its ~100 cycles/pkt (Sections 3.2, 5.1):
+// One specialization shape, matching how the paper's LuaJIT backend earns
+// its ~100 cycles/pkt on per-packet loops (Sections 3.2, 5.1): the field
+// kernel, a script→field-modifier escape hatch. A generic-for over a packet
+// array whose body is straight-line header-field writes (constants,
+// counters, math.random draws) compiles onto core::ModifierProgram: hot
+// packets never enter the VM dispatch loop at all. The kernel draws from
+// the interpreter's own math.random engine, so the random stream is
+// byte-identical to generic execution.
 //
-//  * FieldKernel — the script→field-modifier escape hatch. A generic-for
-//    over a packet array whose body is straight-line header-field writes
-//    (constants, counters, math.random draws) compiles onto
-//    core::ModifierProgram: hot packets never enter the VM dispatch loop
-//    at all. The kernel draws from the interpreter's own math.random
-//    engine, so the random stream is byte-identical to generic execution.
-//
-//  * NumLoop — a superinstruction for numeric for-loops with pure-numeric
-//    straight-line bodies: the recorded opcode sequence re-played over
-//    unboxed double slots (frame registers and global slots mapped in at
-//    entry, written back at exit), replacing per-instruction dispatch and
-//    Value boxing with a tight machine loop. Operations replay in recorded
-//    order with the VM's exact double semantics, so results are
-//    bit-identical.
-//
-// Both run as prefix accelerators at their loop anchor: entry guards
-// verify every recorded assumption (operand types, method-table identity,
-// iterator protocol, call-site inline caches, random-native identity); any
-// mismatch — a deopt — simply skips the accelerator and the generic VM
-// executes the iteration. Statement budgets are enforced exactly: kernels
-// process at most the iterations the remaining budget allows and leave
-// the exhaustion throw to the generic loop header.
+// A kernel runs as a prefix accelerator at its kForInCall anchor: entry
+// guards verify every recorded assumption (operand types, method-table
+// identity, iterator protocol, call-site inline caches, random-native
+// identity); any mismatch — a deopt — simply skips the kernel and the
+// generic VM executes the iteration. Statement budgets are enforced
+// exactly: a kernel processes at most the packets the remaining budget
+// allows and leaves the exhaustion throw to the generic loop header.
 #pragma once
 
 #include <cstdint>
@@ -94,49 +85,8 @@ struct FieldKernelSpec {
   std::uint32_t ticks_per_packet = 1;
 };
 
-/// One superinstruction micro-op over unboxed double slots.
-struct NumOp {
-  enum class Kind : std::uint8_t {
-    kLoadConst,  // s[dst] = imm
-    kMove,       // s[dst] = s[a]
-    kAdd,        // s[dst] = s[a] + s[b]   (exact VM double semantics)
-    kSub,
-    kMul,
-    kDiv,
-    kMod,        // a - floor(a/b)*b, like the VM
-    kPow,
-    kNeg,
-    kGlobalGet,  // s[dst] = globals[gslot]
-    kGlobalSet,  // globals[gslot] = s[a]
-  };
-  Kind kind = Kind::kLoadConst;
-  std::uint8_t dst = 0, a = 0, b = 0;
-  std::uint16_t gslot = 0;
-  double imm = 0.0;
-};
-
-/// Compiled numeric-for superinstruction for a kForTest anchor.
-struct NumLoopSpec {
-  std::vector<NumOp> ops;  ///< one loop iteration (test/increment implicit)
-  /// slot i <-> frame register reg_slots[i]; the loop's i/stop/step triple
-  /// occupies slots idx/stop/step below.
-  std::vector<std::uint16_t> reg_slots;
-  /// Slots read before written in an iteration (must be numeric at entry;
-  /// the others are fully defined by the iteration before use).
-  std::vector<bool> reg_live_in;
-  /// Global slots referenced by kGlobalGet/kGlobalSet (stable map nodes).
-  std::vector<Value*> global_slots;
-  std::vector<bool> global_live_in;
-  std::vector<bool> global_written;
-  std::uint8_t idx_slot = 0, stop_slot = 0, step_slot = 0;
-  std::uint32_t ticks_per_iter = 1;
-};
-
 struct Specialization {
-  enum class Kind : std::uint8_t { kFieldKernel, kNumLoop };
-  Kind kind = Kind::kFieldKernel;
   FieldKernelSpec field;
-  NumLoopSpec num;
   /// The source trace, kept for introspection (disassemble_trace).
   RecordedTrace trace;
 };
@@ -156,12 +106,5 @@ std::shared_ptr<const Specialization> build_specialization(RecordedTrace trace,
 void run_field_kernel(const Specialization& spec, const Instr& anchor, Value* regs,
                       ICEntry* ics, const std::vector<std::shared_ptr<Cell>>& upvals,
                       Interpreter& host);
-
-/// Executes a numeric-loop superinstruction at its kForTest anchor: runs
-/// whatever number of iterations guards and budget allow, writes slots and
-/// globals back, and returns; the caller falls through to the generic
-/// test.
-void run_num_loop(const Specialization& spec, const Instr& anchor, Value* regs,
-                  Interpreter& host);
 
 }  // namespace moongen::script

@@ -4,14 +4,14 @@
 // recorded as linear instruction sequences with observed operand types,
 // then compiled to specialized machine code guarded by type checks
 // (Section 3.2). This module reproduces the recording half of that design
-// for the bytecode VM: loop anchors (kForTest / kForInCall) carry hotness
-// counters in their inline-cache slots, and once a loop is hot the VM
+// for the bytecode VM: the generic-for loop anchor (kForInCall) carries a
+// hotness counter in its inline-cache slot, and once a loop is hot the VM
 // records one full iteration — each executed instruction plus what the
 // recorder observed about its operands (numeric-ness, receiver method
 // tables and their trace tags, resolved native callees). The specializer
-// (specializer.hpp) turns a recorded trace into a guarded superinstruction
-// or a field-modifier kernel; the generic VM remains the semantics oracle
-// that every guard falls back to.
+// (specializer.hpp) turns a recorded trace into a guarded field-modifier
+// kernel; the generic VM remains the semantics oracle that every guard
+// falls back to.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +32,7 @@ struct ICEntry;
 struct RecordedInstr {
   Instr ins;
   std::uint32_t pc = 0;
-  /// Arithmetic / kMove: the value operands were numbers when recorded.
+  /// Arithmetic: the value operands were numbers when recorded.
   bool numeric = false;
   /// kMethodCall / kGetField on userdata: the receiver's method table.
   const MethodTable* mt = nullptr;
@@ -50,8 +50,8 @@ struct RecordedTrace {
   const FunctionProto* proto = nullptr;
   std::uint32_t anchor_pc = 0;
   Instr anchor{};
-  /// kForInCall anchors: the iterated container's method table as observed
-  /// when the trace finished (null when the container was not userdata).
+  /// The iterated container's method table as observed when the trace
+  /// finished (null when the container was not userdata).
   const MethodTable* anchor_mt = nullptr;
   std::vector<RecordedInstr> body;
 };

@@ -682,20 +682,6 @@ std::vector<Value> Vm::execute(Frame& frame) {
           throw ScriptError("for step must not be zero", ins.line);
         break;
       case Op::kForTest: {
-        {
-          ICEntry& ic = frame.ics[ins.ic];
-          if (ic.spec != nullptr) {
-            // Prefix accelerator: runs the iterations its guards and the
-            // step budget allow over unboxed slots, writes registers back,
-            // and falls through to this generic test.
-            if (host_.trace_enabled()) {
-              run_num_loop(*ic.spec, ins, &stack_[frame.base], host_);
-            }
-          } else if (host_.trace_enabled() && !recording_ && !ic.spec_failed &&
-                     ++ic.hot >= host_.trace_threshold()) {
-            arm_recording(frame, ins_pc, ins, static_cast<std::uint32_t>(ins.b), ic);
-          }
-        }
         const double i = reg(ins.a).as_number();
         const double stop = reg(ins.a + 1).as_number();
         const double step = reg(ins.a + 2).as_number();
@@ -771,7 +757,6 @@ void Vm::record_step(Frame& frame, std::uint32_t pc, const Instr& ins) {
       ri.numeric = reg(ins.b).is_number() && reg(ins.c).is_number();
       break;
     case Op::kNeg:
-    case Op::kMove:
       ri.numeric = reg(ins.b).is_number();
       break;
     case Op::kGetField: {
@@ -819,10 +804,8 @@ void Vm::finish_recording() {
   recording_ = false;
   // Observe the iterated container now (same loop instance: f/s/ctrl
   // persist across iterations, and we are back at the anchor).
-  if (trace.anchor.op == Op::kForInCall) {
-    const Value& container = stack_[base + static_cast<std::size_t>(trace.anchor.a) + 1];
-    if (container.is_userdata()) trace.anchor_mt = container.as_userdata()->methods();
-  }
+  const Value& container = stack_[base + static_cast<std::size_t>(trace.anchor.a) + 1];
+  if (container.is_userdata()) trace.anchor_mt = container.as_userdata()->methods();
   auto spec = build_specialization(std::move(trace), host_);
   if (spec != nullptr) {
     entry->spec = spec;

@@ -9,15 +9,15 @@
 // behave exactly as for interpreter functions.
 //
 // On top of the generic dispatch loop sits the trace-specialization tier
-// (trace.hpp / specializer.hpp): loop anchors count back edges in their IC
-// slots, hot loops are recorded for one iteration, and the recorded trace
-// is compiled into either a numeric superinstruction loop or a
-// field-modifier kernel. Specialized code runs as a *prefix accelerator*:
-// it processes as many iterations as its entry guards and the statement
-// budget allow, then always falls through to the generic anchor code,
-// which remains the single place that handles loop exit, result binding
-// and budget exhaustion. Guard misses simply skip the accelerator, so
-// semantics stay byte-identical to the generic VM (and the tree-walker).
+// (trace.hpp / specializer.hpp): generic-for anchors (kForInCall) count
+// back edges in their IC slots, hot loops are recorded for one iteration,
+// and the recorded trace is compiled into a field-modifier kernel. The
+// kernel runs as a *prefix accelerator*: it processes as many iterations
+// as its entry guards and the statement budget allow, then always falls
+// through to the generic anchor code, which remains the single place that
+// handles loop exit, result binding and budget exhaustion. Guard misses
+// simply skip the accelerator, so semantics stay byte-identical to the
+// generic VM (and the tree-walker).
 #pragma once
 
 #include <cstdint>
@@ -57,8 +57,8 @@ struct VmClosure {
 /// process-unique token, so a hit proves the slot pointer is still the
 /// live map node (even if the table's address was reused).
 ///
-/// Loop-anchor instructions (kForTest / kForInCall) reuse their IC slot
-/// for trace-specialization state: the back-edge hotness counter and the
+/// The loop-anchor instruction (kForInCall) reuses its IC slot for
+/// trace-specialization state: the back-edge hotness counter and the
 /// installed Specialization (or the permanent-failure flag when a recorded
 /// trace proved unspecializable).
 struct ICEntry {

@@ -456,6 +456,38 @@ TEST(ScriptBindings, MethodTypeMismatchIsCaught) {
   EXPECT_THROW(runtime.run_master(), sc::ScriptError);
 }
 
+TEST(ScriptBindings, SlaveExceptionsAreReportedNotFatal) {
+  // An exception escaping a slave's thread would std::terminate the whole
+  // process. A bad queue index is a ScriptError naming the queue count; any
+  // other std::exception (here: a device id out of range) is reported the
+  // same way, and the master carries on.
+  mc::reset_run_state();
+  sc::ScriptRuntime runtime(R"(
+    function master()
+      mg.launchLua("badQueue")
+      mg.launchLua("badDevice")
+      mg.waitForSlaves()
+      survived = true
+    end
+    function badQueue() device.config(8):getTxQueue(3) end
+    function badDevice() device.config(1000) end
+  )");
+  testing::internal::CaptureStderr();
+  runtime.run_master();
+  runtime.wait();
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_TRUE(runtime.master().get_global("survived").truthy());
+  EXPECT_NE(err.find("slave 'badQueue' failed: getTxQueue: queue 3 out of range (device 8 "
+                     "has 1 tx queues)"),
+            std::string::npos)
+      << err;
+  EXPECT_NE(err.find("slave 'badDevice' failed: Device id out of range"), std::string::npos)
+      << err;
+
+  sc::ScriptRuntime master_only("function master() device.config(8):getRxQueue(1) end");
+  EXPECT_THROW(master_only.run_master(), sc::ScriptError);
+}
+
 // ---------------------------------------------------------------------------
 // Extended standard library
 // ---------------------------------------------------------------------------
@@ -899,65 +931,46 @@ TEST(ScriptCompiler, DisassemblerGoldenDecodedOps) {
       "  4\tTONUM\t1 0 0 0\n"
       "  5\tLOADK\tr2 <- 1\n"
       "  6\tFORPREP\t0 0 0 0\n"
-      "  7\tFORTEST\ti=r0 exit=14 [ic 0]\n"
+      "  7\tFORTEST\ti=r0 exit=14\n"
       "  8\tCHECKSTEP\t0 0 0 0\n"
       "  9\tMOVE\t3 0 0 0\n"
       "  10\tCHECKSTEP\t0 0 0 0\n"
       "  11\tMOVE\t4 3 0 0\n"
-      "  12\tSETGLOBAL\t\"x\" <- r4 [ic 1]\n"
+      "  12\tSETGLOBAL\t\"x\" <- r4 [ic 0]\n"
       "  13\tFORNEXT\ti=r0 -> 7\n"
       "  14\tCHECKSTEP\t0 0 0 0\n"
-      "  15\tGETGLOBAL\tr3 <- \"ipairs\" [ic 2]\n"
-      "  16\tGETGLOBAL\tr4 <- \"t\" [ic 3]\n"
+      "  15\tGETGLOBAL\tr3 <- \"ipairs\" [ic 1]\n"
+      "  16\tGETGLOBAL\tr4 <- \"t\" [ic 2]\n"
       "  17\tCALL\tr3 nargs=1 nres=0+multi\n"
       "  18\tADJUST\t0 3 0 0\n"
-      "  19\tFORINCALL\titer=r0 vars=r3..r4 exit=29 [ic 4]\n"
+      "  19\tFORINCALL\titer=r0 vars=r3..r4 exit=29 [ic 3]\n"
       "  20\tCHECKSTEP\t0 0 0 0\n"
       "  21\tLOADK\tr8 <- 26\n"
-      "  22\tGETGLOBAL\tr10 <- \"math\" [ic 5]\n"
-      "  23\tGETFIELD\tr9 <- r10.\"random\" [ic 6]\n"
+      "  22\tGETGLOBAL\tr10 <- \"math\" [ic 4]\n"
+      "  23\tGETFIELD\tr9 <- r10.\"random\" [ic 5]\n"
       "  24\tLOADK\tr10 <- 10\n"
       "  25\tCALL\tr9 nargs=1 nres=0+multi\n"
       "  26\tMOVE\t7 4 0 0\n"
-      "  27\tMCALL\tr7:\"set\" nargs=1+multi nres=0 -> r7 [ic 7]\n"
+      "  27\tMCALL\tr7:\"set\" nargs=1+multi nres=0 -> r7 [ic 6]\n"
       "  28\tJMP\t-> 19\n"
       "  29\tRET\t0 0 0 0\n";
   EXPECT_EQ(sc::disassemble(*chunk), expected);
-}
-
-TEST(ScriptTrace, TraceListingGolden) {
-  // Golden listing for a recorded numeric-loop trace: pc-prefixed body
-  // instructions with their recorded type observations.
-  sc::Interpreter interp(sc::parse("acc = 0\nfor i = 1, 50 do acc = acc + i end"));
-  interp.set_trace(true);
-  interp.set_trace_threshold(2);
-  interp.set_step_limit(1'000'000);
-  interp.run();
-  auto* vm = interp.vm_if_created();
-  ASSERT_NE(vm, nullptr);
-  ASSERT_FALSE(vm->specializations().empty());
-  const std::string expected =
-      "trace <main> anchor=10 FORTEST\ti=r0 exit=18 [ic 1]\n"
-      "  11\tCHECKSTEP\t0 0 0 0\n"
-      "  12\tMOVE\t3 0 0 0  [num]\n"
-      "  13\tCHECKSTEP\t0 0 0 0\n"
-      "  14\tGETGLOBAL\tr5 <- \"acc\" [ic 2]\n"
-      "  15\tADD\t4 5 3 0  [num]\n"
-      "  16\tSETGLOBAL\t\"acc\" <- r4 [ic 3]\n"
-      "  17\tFORNEXT\ti=r0 -> 10\n";
-  EXPECT_EQ(sc::disassemble_trace(vm->specializations().front()->trace), expected);
 }
 
 // ---------------------------------------------------------------------------
 // Trace specialization: forced deopts, introspection, escape-hatch kernels
 // (DESIGN.md section 13)
 // ---------------------------------------------------------------------------
+//
+// Only generic-for loops (the FORINCALL anchor) are recorded, and a trace
+// specializes only into a field kernel. The numeric loops below therefore
+// run on the generic path in the trace engine too; they pin that a hot
+// numeric loop stays byte-identical there, through type flips and budget
+// exhaustion.
 
 TEST(ScriptDifferential, TraceDeoptsOnTypeFlipMidRun) {
-  // The loop goes hot with `inc` numeric, so the trace engine installs a
-  // NumLoop superinstruction; flipping `inc` to a string must fail the
-  // entry guard and fall back to the generic path, which throws the same
-  // arithmetic error as the tree-walker.
+  // The loop goes hot with `inc` numeric; flipping `inc` to a string must
+  // throw the same arithmetic error as the tree-walker.
   expect_engines_agree(R"(
     inc = 1
     acc = 0
@@ -966,9 +979,8 @@ TEST(ScriptDifferential, TraceDeoptsOnTypeFlipMidRun) {
     inc = "x"
     spin(3)
     result = acc
-  )", "global flips number -> string after specialization");
-  // A benign value change (still numeric) must keep the specialized loop
-  // correct: live-in globals are re-read at every kernel entry.
+  )", "global flips number -> string after the loop went hot");
+  // A benign value change (still numeric) is seen by later iterations.
   expect_engines_agree(R"(
     inc = 1
     acc = 0
@@ -977,30 +989,32 @@ TEST(ScriptDifferential, TraceDeoptsOnTypeFlipMidRun) {
     inc = 3
     spin(40)
     result = acc
-  )", "global value change after specialization");
-  // NaN bounds after specialization: zero iterations in every engine.
+  )", "global value change after the loop went hot");
+  // NaN bounds after the loop went hot: zero iterations in every engine.
   expect_engines_agree(R"(
     acc = 0
     function spin(n) for i = 1, n do acc = acc + 1 end end
     spin(40)
     spin(0 / 0)
     result = acc
-  )", "NaN loop bound after specialization");
+  )", "NaN loop bound after the loop went hot");
 }
 
 TEST(ScriptDifferential, TraceBudgetExhaustionMatches) {
-  // The specialized loop bulk-charges the statement budget; the
-  // exhaustion error must fire at exactly the same step count — and thus
-  // with exactly the same message — as in both generic engines.
+  // The exhaustion error of a hot numeric loop must fire at exactly the
+  // same step count — and thus with exactly the same message — in every
+  // engine. (The field kernel's bulk budget charge is pinned by
+  // ScriptTraceBindings.FieldKernelBudgetExhaustionMatches.)
   expect_engines_agree(R"(
     acc = 0
     for i = 1, 100000000 do acc = acc + 1 end
     result = acc
-  )", "budget exhaustion through the specialized loop");
+  )", "budget exhaustion in a hot numeric loop");
 }
 
 TEST(ScriptDifferential, TraceNestedAndTypeChangingLoopsMatch) {
-  // Inner loop specializes with the outer induction variable live-in.
+  // Nested numeric loops: the inner loop reads the outer induction
+  // variable.
   expect_engines_agree(R"(
     acc = 0
     for i = 1, 30 do
@@ -1008,16 +1022,15 @@ TEST(ScriptDifferential, TraceNestedAndTypeChangingLoopsMatch) {
     end
     result = acc
   )", "nested numeric loops");
-  // A loop whose body leaves the numeric domain mid-recording can never
-  // specialize; it must still agree everywhere.
+  // A loop whose body leaves the numeric domain.
   expect_engines_agree(R"(
     s = ""
     for i = 1, 20 do s = s .. i end
     result = s
-  )", "string-accumulating loop stays generic");
+  )", "string-accumulating loop");
 }
 
-TEST(ScriptTrace, NumericLoopSpecializesAndTraceIsListable) {
+TEST(ScriptTrace, NumericLoopInstallsNoSpecialization) {
   sc::Interpreter interp(sc::parse(R"(
     acc = 0
     for i = 1, 500 do acc = acc + i end
@@ -1030,37 +1043,22 @@ TEST(ScriptTrace, NumericLoopSpecializesAndTraceIsListable) {
   EXPECT_EQ(interp.get_global("result").as_number(), 125250.0);
   auto* vm = interp.vm_if_created();
   ASSERT_NE(vm, nullptr);
-  ASSERT_EQ(vm->specializations().size(), 1u);
-  const auto& spec = *vm->specializations().front();
-  EXPECT_EQ(spec.kind, sc::Specialization::Kind::kNumLoop);
-  // The recorded trace must disassemble with per-instruction type
-  // observations (the [num] annotations that justified the NumLoop).
-  const std::string listing = sc::disassemble_trace(spec.trace);
-  EXPECT_NE(listing.find("trace <"), std::string::npos) << listing;
-  EXPECT_NE(listing.find("[num]"), std::string::npos) << listing;
-  EXPECT_NE(listing.find("FORNEXT"), std::string::npos) << listing;
-}
-
-TEST(ScriptTrace, NoTraceWhenDisabled) {
-  sc::Interpreter interp(sc::parse("acc = 0 for i = 1, 500 do acc = acc + i end"));
-  interp.set_trace(false);
-  interp.set_trace_threshold(2);
-  interp.set_step_limit(1'000'000);
-  interp.run();
-  auto* vm = interp.vm_if_created();
-  ASSERT_NE(vm, nullptr);
   EXPECT_TRUE(vm->specializations().empty());
 }
 
 namespace {
 
 /// Runs a bindings-level script (a `master()` body) under one engine and
-/// reports the global `result` plus the specializations the VM installed.
+/// reports the global `result` plus the field kernels the VM installed.
 struct MasterRun {
   std::string result;
   std::size_t field_kernels = 0;
-  std::size_t num_loops = 0;
 };
+
+std::size_t field_kernels(sc::Interpreter& interp) {
+  auto* vm = interp.vm_if_created();
+  return vm != nullptr ? vm->specializations().size() : 0;
+}
 
 MasterRun run_master_engine(const char* script, Engine engine) {
   mc::reset_run_state();
@@ -1069,19 +1067,61 @@ MasterRun run_master_engine(const char* script, Engine engine) {
   runtime.run_master();
   MasterRun out;
   out.result = runtime.master().get_global("result").to_display_string();
-  if (auto* vm = runtime.master().vm_if_created()) {
-    for (const auto& spec : vm->specializations()) {
-      if (spec->kind == sc::Specialization::Kind::kFieldKernel) {
-        ++out.field_kernels;
-      } else {
-        ++out.num_loops;
-      }
-    }
-  }
+  out.field_kernels = field_kernels(runtime.master());
   return out;
 }
 
+/// A per-packet loop whose body compiles to a field kernel.
+constexpr const char* kKernelLoopScript = R"(
+    function master()
+      local mem = memory.createMemPool()
+      local bufs = mem:bufArray(4)
+      for round = 1, 4 do
+        bufs:alloc(60)
+        for _, buf in ipairs(bufs) do
+          buf:getUdpPacket().ip.src:set(10 + math.random(4))
+        end
+        bufs:freeAll()
+      end
+      result = "done"
+    end
+  )";
+
 }  // namespace
+
+TEST(ScriptTrace, TraceListingGolden) {
+  // Golden listing for a recorded field-kernel trace: the FORINCALL
+  // anchor, then the pc-prefixed body with its recorded observations.
+  mc::reset_run_state();
+  sc::ScriptRuntime runtime(kKernelLoopScript);
+  configure_engine(runtime.master(), Engine::kVmTrace);
+  runtime.run_master();
+  auto* vm = runtime.master().vm_if_created();
+  ASSERT_NE(vm, nullptr);
+  ASSERT_EQ(vm->specializations().size(), 1u);
+  const std::string expected =
+      "trace <master> anchor=27 FORINCALL\titer=r6 vars=r9..r10 exit=40 [ic 5]\n"
+      "  28\tCHECKSTEP\t0 0 0 0\n"
+      "  29\tMCALL\tr10:\"getUdpPacket\" nargs=0 nres=1 -> r16 [ic 6]  [buf deref]\n"
+      "  30\tMOVE\t15 16 0 0\n"
+      "  31\tGETFIELD\tr14 <- r15.\"ip\" [ic 7]  [udpPacket deref]\n"
+      "  32\tGETFIELD\tr13 <- r14.\"src\" [ic 8]  [ipHeader deref @26/4]\n"
+      "  33\tLOADK\tr15 <- 10\n"
+      "  34\tLOADK\tr18 <- 4\n"
+      "  35\tGFCALL\tmath.random nargs=1 nres=1 -> r17 [ic 9]  [native math.random]\n"
+      "  36\tMOVE\t16 17 0 0\n"
+      "  37\tADD\t14 15 16 0  [num]\n"
+      "  38\tMCALL\tr13:\"set\" nargs=1 nres=0 -> r13 [ic 10]  [ipAddr write @carried]\n"
+      "  39\tJMP\t-> 27\n";
+  EXPECT_EQ(sc::disassemble_trace(vm->specializations().front()->trace), expected);
+}
+
+TEST(ScriptTrace, NoTraceWhenDisabled) {
+  // The same loop installs a field kernel with tracing on, and nothing
+  // with tracing off.
+  EXPECT_EQ(run_master_engine(kKernelLoopScript, Engine::kVmTrace).field_kernels, 1u);
+  EXPECT_EQ(run_master_engine(kKernelLoopScript, Engine::kVmGeneric).field_kernels, 0u);
+}
 
 TEST(ScriptTraceBindings, FieldKernelMatchesGenericEnginesByteForByte) {
   // Constant, counter and random recipes in one per-packet loop: the trace
@@ -1204,11 +1244,7 @@ TEST(ScriptTraceBindings, AllocFailDuringRecordingSoftAborts) {
     const auto r = interp.call(interp.get_global("run"), args);
     MasterRun out;
     out.result = r.empty() ? "" : r[0].to_display_string();
-    if (auto* vm = interp.vm_if_created()) {
-      for (const auto& spec : vm->specializations()) {
-        if (spec->kind == sc::Specialization::Kind::kFieldKernel) ++out.field_kernels;
-      }
-    }
+    out.field_kernels = field_kernels(interp);
     return out;
   };
   const MasterRun tw = run_with_faults(Engine::kTreeWalk);
@@ -1220,3 +1256,76 @@ TEST(ScriptTraceBindings, AllocFailDuringRecordingSoftAborts) {
   // aborts must not have latched the anchor into spec_failed.
   EXPECT_GE(tr.field_kernels, 1u);
 }
+
+TEST(ScriptTraceBindings, FieldKernelBudgetExhaustionMatches) {
+  // A field kernel charges the statement budget in bulk, whole packets
+  // only, and leaves the exhaustion throw to the generic loop header.
+  // Sweeping the step limit across more than one round stops the run at
+  // every position of the per-packet loop, most of them inside a kernel
+  // run. Every engine must stop at the same step with the same message,
+  // leaving the same packet bytes and the same random stream behind.
+  const char* script = R"(
+    function master()
+      mem = memory.createMemPool()  -- global: dump() reads its buffers
+      bufs = mem:bufArray(16)
+      local baseIP = parseIPAddress("10.0.0.1")
+      for round = 1, 1000 do
+        bufs:alloc(60)
+        for i, buf in ipairs(bufs) do
+          local pkt = buf:getUdpPacket()
+          pkt.ip.src:set(baseIP + i - 1 + round)
+          pkt.udp:setSrcPort(1000 + math.random(200) - 1)
+        end
+        rounds = round
+        bufs:freeAll()
+      end
+    end
+    function dump()
+      local sig = rounds .. ":"
+      for _, buf in ipairs(bufs) do
+        local pkt = buf:getUdpPacket()
+        sig = sig .. pkt.ip.src:get() .. "/" .. pkt.udp:getSrcPort() .. ";"
+      end
+      return sig .. math.random(100000)
+    end
+  )";
+  struct Stop {
+    std::string error;
+    std::uint64_t steps = 0;
+    std::string state;
+    std::size_t kernels = 0;
+  };
+  const auto run = [&](Engine engine, std::uint64_t limit) {
+    mc::reset_run_state();
+    sc::ScriptRuntime runtime(script);
+    auto& interp = runtime.master();
+    configure_engine(interp, engine);
+    interp.set_step_limit(limit);
+    Stop out;
+    try {
+      runtime.run_master();
+    } catch (const sc::ScriptError& e) {
+      out.error = e.what();
+    }
+    out.steps = interp.steps_taken();
+    out.kernels = field_kernels(interp);
+    interp.set_step_limit(0);
+    out.state = interp.call_global("dump", {})[0].to_display_string();
+    return out;
+  };
+  std::size_t kernels = 0;
+  for (std::uint64_t limit = 2000; limit < 2080; ++limit) {
+    const Stop tw = run(Engine::kTreeWalk, limit);
+    ASSERT_NE(tw.error.find("execution budget"), std::string::npos) << tw.error;
+    for (const Engine engine : {Engine::kVmGeneric, Engine::kVmTrace}) {
+      const Stop other = run(engine, limit);
+      EXPECT_EQ(other.error, tw.error) << engine_name(engine) << ", limit " << limit;
+      EXPECT_EQ(other.steps, tw.steps) << engine_name(engine) << ", limit " << limit;
+      EXPECT_EQ(other.state, tw.state) << engine_name(engine) << ", limit " << limit;
+      if (engine == Engine::kVmTrace) kernels += other.kernels;
+    }
+    if (::testing::Test::HasFailure()) break;
+  }
+  EXPECT_GT(kernels, 0u);
+}
+

@@ -17,6 +17,8 @@
 #include "core/device.hpp"
 #include "core/rate_control.hpp"
 #include "core/task.hpp"
+#include "membuf/buf_array.hpp"
+#include "membuf/mempool.hpp"
 #include "nic/chip.hpp"
 #include "rpc/latency_recorder.hpp"
 #include "rpc/open_loop.hpp"
@@ -24,6 +26,7 @@
 #include "telemetry/registry.hpp"
 #include "testbed/scenario.hpp"
 
+namespace mb = moongen::membuf;
 namespace mc = moongen::core;
 namespace mn = moongen::nic;
 namespace mr = moongen::rpc;
@@ -504,6 +507,37 @@ TEST(DeviceTable, DeprecatedStaticConfigDelegatesToProcessDefault) {
   mc::Device& via_static = mc::Device::config(6, 1, 1);
   mc::Device& via_table = mc::DeviceTable::process_default().config(6, 1, 1);
   EXPECT_EQ(&via_static, &via_table);
+}
+
+TEST(DeviceTable, ReconfiguringAddsQueuesToTheSameDevice) {
+  // Script handles, queue references and connected peers point at the
+  // configured Device: asking for more queues must grow it in place, not
+  // replace (and free) it.
+  mc::DeviceTable t;
+  mc::Device& dev = t.config(7);
+  mc::Device& peer = t.config(8);
+  dev.connect_to(peer);
+  mc::TxQueue& tx0 = dev.get_tx_queue(0);
+  mc::RxQueue& rx0 = peer.get_rx_queue(0);
+
+  EXPECT_EQ(&t.config(7, 1, 2), &dev);
+  EXPECT_EQ(&t.config(8, 3, 1), &peer);
+  EXPECT_EQ(dev.num_tx_queues(), 2);
+  EXPECT_EQ(dev.num_rx_queues(), 1);
+  EXPECT_EQ(peer.num_rx_queues(), 3);
+  EXPECT_EQ(&dev.get_tx_queue(0), &tx0);
+  EXPECT_EQ(&t.config(7), &dev);  // fewer queues asked: nothing changes
+  EXPECT_EQ(dev.num_tx_queues(), 2);
+
+  // The earlier references still carry traffic over the old cable.
+  mb::Mempool pool(64);
+  mb::BufArray bufs(pool, 4);
+  ASSERT_EQ(bufs.alloc(60), 4u);
+  EXPECT_EQ(tx0.send(bufs), 4u);
+  mb::BufArray got(8);
+  EXPECT_EQ(rx0.recv(got), 4u);
+  got.free_all();
+  tx0.reset();
 }
 
 TEST(DeviceTable, ScenarioFastDevicesLiveInThePrivateTable) {
