@@ -79,10 +79,8 @@ int main(int argc, char** argv) {
 
   // 1. Hand-written C++ loop.
   {
-    auto& dev = mc::Device::config(0, 1, 1);
-    dev.disconnect();
-    auto& queue = dev.get_tx_queue(0);
-    queue.reset();
+    mc::DeviceTable devices;
+    auto& queue = devices.config(0, 1, 1).get_tx_queue(0);
     mb::Mempool pool(4096, udp_prefill());
     mb::BufArray bufs(pool, 64);
     mc::Tausworthe rng(1);
@@ -105,10 +103,8 @@ int main(int argc, char** argv) {
 
   // 2. Declarative modifier program.
   {
-    auto& dev = mc::Device::config(0, 1, 1);
-    dev.disconnect();
-    auto& queue = dev.get_tx_queue(0);
-    queue.reset();
+    mc::DeviceTable devices;
+    auto& queue = devices.config(0, 1, 1).get_tx_queue(0);
     mb::Mempool pool(4096, udp_prefill());
     mb::BufArray bufs(pool, 64);
     mc::ModifierProgram prog({{.field = {26, 4},
@@ -131,9 +127,8 @@ int main(int argc, char** argv) {
 
   // 3. Generic config-driven generator (Pktgen-DPDK architecture).
   {
-    auto& dev = mc::Device::config(0, 1, 1);
-    dev.disconnect();
-    dev.get_tx_queue(0).reset();
+    mc::DeviceTable devices;
+    auto& dev = devices.config(0, 1, 1);
     moongen::baseline::StaticGenConfig cfg;
     cfg.packet_size = kPktSize;
     cfg.src_ip_mode = moongen::baseline::StaticGenConfig::RangeMode::kRandom;
@@ -172,7 +167,8 @@ int main(int argc, char** argv) {
     runtime.master().set_tree_walk(tree_walk);
     runtime.master().set_trace(trace);
     runtime.master().run();
-    auto& dev = mc::Device::config(0, 1, 1);
+    // The script's devices live in the process-default table.
+    auto& dev = mc::DeviceTable::process_default().config(0, 1, 1);
     dev.disconnect();
     dev.get_tx_queue(0).reset();
     // Build the script-side objects once via the bindings.

@@ -45,12 +45,9 @@ constexpr std::size_t kPktSize = 60;
 /// payload) + IP checksum offload + send on two queues alternately.
 std::uint64_t heavy_loop(int dev_a, int dev_b, std::uint64_t packets,
                          mt::CounterHandle tx_packets = {}) {
-  auto& da = mc::Device::config(dev_a, 1, 1);
-  auto& db = mc::Device::config(dev_b, 1, 1);
-  da.disconnect();
-  db.disconnect();
-  da.get_tx_queue(0).reset();
-  db.get_tx_queue(0).reset();
+  mc::DeviceTable devices;
+  auto& da = devices.config(dev_a, 1, 1);
+  auto& db = devices.config(dev_b, 1, 1);
   mb::Mempool pool(4096, [](mb::PktBuf& buf) {
     buf.set_length(kPktSize);
     mp::UdpPacketView view{buf.bytes()};
@@ -109,7 +106,7 @@ int main(int argc, char** argv) {
   for (int k = 1; k <= max_threads; ++k) {
     constexpr std::uint64_t kPerThread = 2 * 1024 * 1024;
     mc::TaskSet tasks;
-    tasks.bind_telemetry(registry, "fig2");
+    tasks.bind_telemetry(registry.shard(0), "fig2");
     const auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < k; ++i) {
       tasks.launch("fig2-core", [i, tx_packets] {

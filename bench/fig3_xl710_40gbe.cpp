@@ -25,10 +25,8 @@ namespace mn = moongen::nic;
 namespace {
 
 double measure_cycles_per_packet_simple(std::size_t pkt_size) {
-  auto& dev = mc::Device::config(0, 1, 1);
-  dev.disconnect();
-  auto& queue = dev.get_tx_queue(0);
-  queue.reset();
+  mc::DeviceTable devices;
+  auto& queue = devices.config(0, 1, 1).get_tx_queue(0);
   mb::Mempool pool(4096, [pkt_size](mb::PktBuf& buf) {
     buf.set_length(pkt_size);
     mp::UdpPacketView view{buf.bytes()};

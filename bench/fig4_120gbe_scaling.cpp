@@ -25,9 +25,8 @@ int main() {
   std::printf("Figure 4: Multi-core scaling, twelve 10 GbE interfaces at 2 GHz\n\n");
 
   // Cost of the varying-source-IP loop (the Section 5.5 workload).
-  auto& dev = mc::Device::config(0, 1, 1);
-  dev.disconnect();
-  auto& queue = dev.get_tx_queue(0);
+  mc::DeviceTable devices;
+  auto& queue = devices.config(0, 1, 1).get_tx_queue(0);
   mb::Mempool pool(4096, [](mb::PktBuf& buf) {
     buf.set_length(60);
     mp::UdpPacketView view{buf.bytes()};

@@ -37,10 +37,9 @@ int main() {
   std::printf("generic generator (min-size UDP, 256 varying source IPs, 1 core)\n\n");
 
   // --- MoonGen-style: pre-filled mempool + tight specialized loop ---------
-  auto& dev = mc::Device::config(0, 1, 1);
-  dev.disconnect();
+  mc::DeviceTable devices;
+  auto& dev = devices.config(0, 1, 1);
   auto& queue = dev.get_tx_queue(0);
-  queue.reset();
   mb::Mempool pool(4096, [](mb::PktBuf& buf) {
     buf.set_length(kPktSize);
     mp::UdpPacketView view{buf.bytes()};

@@ -63,9 +63,8 @@ void BM_MempoolContention(benchmark::State& state) {
 BENCHMARK(BM_MempoolContention)->Threads(1)->Threads(2)->Threads(4)->UseRealTime();
 
 void BM_TxSend(benchmark::State& state) {
-  auto& dev = mc::Device::config(0, 1, 1);
-  dev.disconnect();
-  auto& queue = dev.get_tx_queue(0);
+  mc::DeviceTable devices;
+  auto& queue = devices.config(0, 1, 1).get_tx_queue(0);
   mb::Mempool pool(4096, udp_prefill(60));
   mb::BufArray bufs(pool, static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {

@@ -41,7 +41,7 @@ constexpr std::size_t kBatch = 64;
 struct Fixture {
   explicit Fixture(std::size_t pkt_size, bool tcp = false)
       : size(pkt_size),
-        dev(mc::Device::config(0, 1, 1)),
+        dev(devices.config(0, 1, 1)),
         pool(4096,
              [pkt_size, tcp](mb::PktBuf& buf) {
                buf.set_length(pkt_size);
@@ -57,10 +57,7 @@ struct Fixture {
                  view.fill(opts);
                }
              }),
-        bufs(pool, kBatch) {
-    dev.disconnect();
-    dev.get_tx_queue(0).reset();  // previous fixture's pool is gone
-  }
+        bufs(pool, kBatch) {}
 
   /// Returns a loop body sending kPacketsPerRep packets with `touch`
   /// applied per batch.
@@ -78,6 +75,7 @@ struct Fixture {
   }
 
   std::size_t size;
+  mc::DeviceTable devices;
   mc::Device& dev;
   mb::Mempool pool;
   mb::BufArray bufs;

@@ -57,10 +57,8 @@ std::vector<mc::FieldAction> make_actions(int fields, mc::FieldAction::Kind kind
 }
 
 RunningStats measure_modifier(mc::ModifierProgram& prog) {
-  auto& dev = mc::Device::config(0, 1, 1);
-  dev.disconnect();
-  auto& queue = dev.get_tx_queue(0);
-  queue.reset();
+  mc::DeviceTable devices;
+  auto& queue = devices.config(0, 1, 1).get_tx_queue(0);
   mb::Mempool pool(4096, udp_prefill());
   mb::BufArray bufs(pool, kBatch);
   return measure_cycles_per_packet([&]() -> std::uint64_t {
@@ -106,10 +104,8 @@ int main() {
   // "Since a high quality random number generator is not required here, a
   // simple linear congruential generator would be faster."
   {
-    auto& dev = mc::Device::config(0, 1, 1);
-    dev.disconnect();
-    auto& queue = dev.get_tx_queue(0);
-    queue.reset();
+    mc::DeviceTable devices;
+    auto& queue = devices.config(0, 1, 1).get_tx_queue(0);
     mb::Mempool pool(4096, udp_prefill());
     mb::BufArray bufs(pool, kBatch);
     mc::Tausworthe taus(5);
@@ -138,10 +134,8 @@ int main() {
   // Predicted cost: IO + modification + 8 random fields + IP offloading,
   // composed from the measured numbers above (rand8 already includes IO and
   // modification).
-  auto& dev = mc::Device::config(0, 1, 1);
-  dev.disconnect();
-  auto& queue = dev.get_tx_queue(0);
-  queue.reset();
+  mc::DeviceTable devices;
+  auto& queue = devices.config(0, 1, 1).get_tx_queue(0);
   mb::Mempool pool(4096, udp_prefill());
   mb::BufArray bufs(pool, kBatch);
   // Measure IP offloading delta on this binary's build for composition.

@@ -53,8 +53,8 @@ CableResult measure_cable(const mn::ChipSpec& chip, const mw::CableSpec& cable,
   // the same oscillator, so align the clock phases and sync once.
   b.ptp_clock() = a.ptp_clock();
   mw::Link link(a, b, cable, 44);
-  a.bind_telemetry(registry, prefix + ".tx_port");
-  b.bind_telemetry(registry, prefix + ".rx_port");
+  a.bind_telemetry(registry.shard(0), prefix + ".tx_port");
+  b.bind_telemetry(registry.shard(0), prefix + ".rx_port");
 
   mc::TimestamperConfig cfg;
   cfg.sample_interval_ps = 3'300;  // tight loop; prime-ish to vary MAC phase
@@ -62,7 +62,7 @@ CableResult measure_cable(const mn::ChipSpec& chip, const mw::CableSpec& cable,
   cfg.hist_bin_ps = 100;  // sub-quantization bins: report raw values
   cfg.hist_max_ps = 10'000'000;
   mc::Timestamper ts(events, a, 0, b, mc::make_ptp_ethernet_frame(80), cfg);
-  ts.bind_telemetry(registry, prefix);
+  ts.bind_telemetry(registry.shard(0), prefix);
   ts.start();
   // Each sample takes ~probe wire time + latency + interval.
   events.run_until(static_cast<ms::SimTime>(samples) * 250'000);
@@ -73,11 +73,11 @@ CableResult measure_cable(const mn::ChipSpec& chip, const mw::CableSpec& cable,
   r.mean_ns = ts.latency_ns().mean();
   const auto& hist = ts.histogram();
   r.median_ns = static_cast<double>(hist.median()) / 1e3;
-  for (std::size_t i = 0; i < hist.bin_count(); ++i) {
-    if (hist.bin(i) == 0) continue;
-    const double frac = static_cast<double>(hist.bin(i)) / static_cast<double>(hist.total());
+  for (std::size_t i = 0; i < hist.bucket_count(); ++i) {
+    if (hist.bucket(i) == 0) continue;
+    const double frac = static_cast<double>(hist.bucket(i)) / static_cast<double>(hist.total());
     if (frac > 0.0005)
-      r.value_fractions[hist.bin_lower(i) / 1000] += frac;
+      r.value_fractions[hist.bucket_lower(i) / 1000] += frac;
   }
   const auto med_ps = hist.median();
   r.within_6_4_of_median = hist.fraction_between(med_ps > 6'400 ? med_ps - 6'400 : 0,

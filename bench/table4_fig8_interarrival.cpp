@@ -27,6 +27,7 @@ namespace mb = moongen::baseline;
 namespace mc = moongen::core;
 namespace mn = moongen::nic;
 namespace ms = moongen::sim;
+namespace mt = moongen::telemetry;
 
 namespace {
 
@@ -39,7 +40,7 @@ mn::Frame frame64() {
 struct Row {
   std::string name;
   double bursts, w64, w128, w256, w512;
-  moongen::stats::Histogram hist{64'000, 20'000'000};
+  mt::LogLinearHistogram hist{mt::HistogramConfig::linear(64'000, 20'000'000)};
 };
 
 Row measure(const std::string& name, double mpps, int generator,
@@ -87,11 +88,11 @@ void print_figure8(const Row& row, double mpps) {
   std::printf("\n  Figure 8 histogram — %s @ %.0f kpps (64 ns bins, bars ~ probability):\n",
               row.name.c_str(), mpps * 1e3);
   const auto& h = row.hist;
-  for (std::size_t i = 0; i < h.bin_count(); ++i) {
-    if (h.bin(i) == 0) continue;
-    const double frac = static_cast<double>(h.bin(i)) / static_cast<double>(h.total());
+  for (std::size_t i = 0; i < h.bucket_count(); ++i) {
+    if (h.bucket(i) == 0) continue;
+    const double frac = static_cast<double>(h.bucket(i)) / static_cast<double>(h.total());
     if (frac < 0.005) continue;
-    std::printf("    %6.2f us |", static_cast<double>(h.bin_lower(i)) / 1e6);
+    std::printf("    %6.2f us |", static_cast<double>(h.bucket_lower(i)) / 1e6);
     const int bar = static_cast<int>(frac * 80);
     for (int b = 0; b < bar; ++b) std::printf("#");
     std::printf(" %.1f%%\n", frac * 100.0);

@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
   victim_q.set_rate_wire_mbit(victim_mbit);
   auto victim_gen =
       mc::SimLoadGen::hardware_paced(victim_q, tenant_frame(10, 128, kVictimFlow));
-  victim_gen->bind_telemetry(registry, "loadgen.victim");
+  victim_gen->bind_telemetry(registry.shard(0), "loadgen.victim");
 
   // Attacker: periodic burst trains of an amplification pattern — a small
   // trigger frame alternating with the large amplified answer. CRC-gap rate
@@ -187,7 +187,7 @@ int main(int argc, char** argv) {
       10'000);
   attack_gen->set_templates(
       {tenant_frame(20, 64, kAttackFlow), tenant_frame(20, 1'024, kAttackFlow)});
-  attack_gen->bind_telemetry(registry, "loadgen.attacker");
+  attack_gen->bind_telemetry(registry.shard(0), "loadgen.attacker");
 
   // Background: Poisson aggregate cycling through every tenant VID.
   const double bg_mpps = background_mbit / ((128.0 + 20.0) * 8.0);
@@ -200,7 +200,7 @@ int main(int argc, char** argv) {
       gen.tx_queue(2), bg_templates.front(),
       std::make_unique<mc::PoissonPattern>(bg_mpps, 77), 10'000);
   bg_gen->set_templates(std::move(bg_templates));
-  bg_gen->bind_telemetry(registry, "loadgen.background");
+  bg_gen->bind_telemetry(registry.shard(0), "loadgen.background");
 
   // --- health plane ---------------------------------------------------------
   // Default checkers include vswitch frame conservation; a violation at any

@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
     queue.set_rate_mpps(rate_mpps, 100);
     gen = mc::SimLoadGen::hardware_paced(queue, mc::make_udp_frame(bg));
   }
-  gen->bind_telemetry(registry, "loadgen");
+  gen->bind_telemetry(registry.shard(0), "loadgen");
 
   // Timestamping task: flip every sampled packet's PTP type into the
   // stampable range. It touches gen_tx and sink directly, so it lives on
@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
   cfg.hist_bin_ps = 50'000;
   mc::Timestamper ts(tb->engine(0), gen_tx, *gen, mc::make_udp_frame(stamped),
                      tb->port("sink"), cfg);
-  ts.bind_telemetry(registry, "timestamper");
+  ts.bind_telemetry(registry.shard(0), "timestamper");
   ts.start();
 
   tb->run_until(static_cast<ms::SimTime>(seconds * 1e12));

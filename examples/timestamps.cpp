@@ -54,6 +54,7 @@ int main(int argc, char** argv) {
   cfg.sample_interval_ps = 3'300;
   cfg.sync_clocks_each_sample = false;
   cfg.hist_bin_ps = 100;
+  cfg.hist_max_ps = 100 * ms::kPsPerUs;  // ~20 km of fiber
   mc::Timestamper ts(tb->engine(0), a, 0, b, mc::make_ptp_ethernet_frame(80), cfg);
   ts.start();
   tb->run_until(static_cast<ms::SimTime>(samples) * 250'000);
@@ -68,11 +69,11 @@ int main(int argc, char** argv) {
   std::printf("\ndistribution (NIC timer granularity: %.1f ns):\n",
               static_cast<double>(chip.ptp_increment_ps) / 1e3);
   const auto& h = ts.histogram();
-  for (std::size_t i = 0; i < h.bin_count(); ++i) {
-    if (h.bin(i) == 0) continue;
-    const double frac = static_cast<double>(h.bin(i)) / static_cast<double>(h.total());
+  for (std::size_t i = 0; i < h.bucket_count(); ++i) {
+    if (h.bucket(i) == 0) continue;
+    const double frac = static_cast<double>(h.bucket(i)) / static_cast<double>(h.total());
     if (frac < 0.001) continue;
-    std::printf("  %7.1f ns  %5.1f %%\n", static_cast<double>(h.bin_lower(i)) / 1e3,
+    std::printf("  %7.1f ns  %5.1f %%\n", static_cast<double>(h.bucket_lower(i)) / 1e3,
                 frac * 100.0);
   }
   return 0;

@@ -34,10 +34,6 @@ void Device::add_queues(int rx_queues, int tx_queues) {
     rx_queues_.push_back(std::unique_ptr<RxQueue>(new RxQueue(*this, 4096)));
 }
 
-Device& Device::config(int id, int rx_queues, int tx_queues) {
-  return DeviceTable::process_default().config(id, rx_queues, tx_queues);
-}
-
 Device& DeviceTable::config(int id, int rx_queues, int tx_queues) {
   if (id < 0 || static_cast<std::size_t>(id) >= Device::kMaxDevices)
     throw std::out_of_range("Device id out of range");
@@ -91,8 +87,8 @@ void TxQueue::reset() {
 TxQueue::~TxQueue() {
   // Buffers still referenced by descriptors are NOT returned to their
   // mempools here: the pools own the buffer storage outright and may
-  // already be gone (devices are process-lifetime objects, pools are not).
-  // Dropping the references is safe and leak-free.
+  // already be gone (a device table may outlive the pools its queues sent
+  // from). Dropping the references is safe and leak-free.
 }
 
 void TxQueue::pace(std::size_t wire_bytes) {
@@ -150,10 +146,6 @@ void TxQueue::bind_telemetry(telemetry::MetricTree& tree, const std::string& pre
   tm_dropped_.add(dropped_);
   tm_short_.add(short_batches_);
   tm_link_wait_.add(link_waits_);
-}
-
-void TxQueue::bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix) {
-  bind_telemetry(registry.shard(0), prefix);
 }
 
 std::uint16_t TxQueue::send(membuf::BufArray& bufs) {

@@ -26,10 +26,6 @@
 #include "proto/mac_address.hpp"
 #include "telemetry/handles.hpp"
 
-namespace moongen::telemetry {
-class MetricRegistry;
-}  // namespace moongen::telemetry
-
 namespace moongen::core {
 
 class Device;
@@ -73,8 +69,6 @@ class TxQueue {
   /// Mirrors `<prefix>.sent_packets/.dropped/.short_batches` plus
   /// `recover.<prefix>.link_wait` into `registry`.
   void bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix);
-  /// Convenience overload: binds into the registry's default tree (shard 0).
-  void bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix);
 
   ~TxQueue();
 
@@ -155,22 +149,11 @@ class RxQueue {
   std::atomic<std::uint64_t> ring_drops_{0};
 };
 
-/// A fast-path port. `Device::config(id, rx, tx)` mirrors
-/// `device.config(port, rxQueues, txQueues)` from Listing 1.
+/// A fast-path port, handed out by DeviceTable::config (Listing 1's
+/// `device.config(port, rxQueues, txQueues)`).
 class Device {
  public:
   static constexpr std::size_t kMaxDevices = 64;
-
-  /// Returns the device with the given id, configured with at least the
-  /// given queue counts.
-  ///
-  /// \deprecated This is the process-global registry
-  /// (DeviceTable::process_default()): two experiments in one process share
-  /// every device it hands out, including link state and connected peers.
-  /// New code should build a testbed::Scenario and use its per-testbed
-  /// DeviceTable instead; this entry point remains for the script bindings
-  /// and legacy tests.
-  static Device& config(int id, int rx_queues = 1, int tx_queues = 1);
 
   /// Waits for configured links — a no-op in the fast path, kept for
   /// script parity with Listing 1.
@@ -220,9 +203,8 @@ class Device {
 };
 
 /// Owns the fast-path devices of one testbed. Each testbed::Testbed holds
-/// a private table, so two testbeds in one process (or one test binary) no
-/// longer share mutable device state — the deprecated Device::config
-/// static registry is just the process-default instance of this class.
+/// a private table, so two testbeds in one process (or one test binary)
+/// share no mutable device state.
 class DeviceTable {
  public:
   DeviceTable() = default;
@@ -238,7 +220,7 @@ class DeviceTable {
   /// The device if already configured, else nullptr.
   [[nodiscard]] Device* find(int id);
 
-  /// The table behind the deprecated Device::config registry.
+  /// The process-wide table behind the script `device` module.
   static DeviceTable& process_default();
 
  private:

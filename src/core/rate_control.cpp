@@ -99,10 +99,6 @@ void SimLoadGen::bind_telemetry(telemetry::MetricTree& tree, const std::string& 
   tm_gap_.add(gap_frames_);
 }
 
-void SimLoadGen::bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix) {
-  bind_telemetry(registry.shard(0), prefix);
-}
-
 nic::Frame SimLoadGen::next_frame() {
   // CRC mode: emit pending gap frames between valid packets.
   if (filler_ && pending_index_ < pending_gaps_.size()) {

@@ -19,7 +19,7 @@
 #include "nic/frame.hpp"
 #include "nic/port.hpp"
 #include "sim/time.hpp"
-#include "telemetry/registry.hpp"
+#include "telemetry/handles.hpp"
 
 namespace moongen::core {
 
@@ -180,8 +180,6 @@ class SimLoadGen {
   /// Mirrors the real-packet vs. filler-packet split (Section 8.1) into
   /// `<prefix>.valid_frames` / `<prefix>.gap_frames` / `<prefix>.carry_bytes`.
   void bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix);
-  /// Convenience overload: binds into the registry's default tree (shard 0).
-  void bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix);
 
   ~SimLoadGen() = default;
 

@@ -77,10 +77,6 @@ void TaskSet::bind_telemetry(telemetry::MetricTree& tree, const std::string& pre
   tm_active_ = tree.gauge(prefix + ".tasks_active");
 }
 
-void TaskSet::bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix) {
-  bind_telemetry(registry.shard(0), prefix);
-}
-
 void TaskSet::launch_impl(std::string name, std::function<void()> body) {
   const int core = next_core_++;
   if (tm_launched_.valid()) {

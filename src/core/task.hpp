@@ -20,7 +20,7 @@
 #include <utility>
 #include <vector>
 
-#include "telemetry/registry.hpp"
+#include "telemetry/handles.hpp"
 
 namespace moongen::core {
 
@@ -116,8 +116,6 @@ class TaskSet {
   /// and `<prefix>.tasks_finished` plus a `<prefix>.tasks_active` gauge.
   /// Bind before launching; the registry must outlive the task set.
   void bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix);
-  /// Convenience overload: binds into the registry's default tree (shard 0).
-  void bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix);
 
  private:
   void launch_impl(std::string name, std::function<void()> body);

@@ -11,7 +11,7 @@ Timestamper::Timestamper(sim::EventQueue& events, nic::Port& tx_port, int tx_que
       probe_(std::move(probe)),
       cfg_(config),
       rng_(config.seed),
-      hist_(config.hist_bin_ps, config.hist_max_ps) {
+      hist_(telemetry::HistogramConfig::linear(config.hist_bin_ps, config.hist_max_ps)) {
   init(rx_port);
 }
 
@@ -24,7 +24,7 @@ Timestamper::Timestamper(sim::EventQueue& events, nic::Port& tx_port, SimLoadGen
       stream_gen_(&gen),
       cfg_(config),
       rng_(config.seed),
-      hist_(config.hist_bin_ps, config.hist_max_ps) {
+      hist_(telemetry::HistogramConfig::linear(config.hist_bin_ps, config.hist_max_ps)) {
   init(rx_port);
 }
 
@@ -32,17 +32,11 @@ void Timestamper::init(nic::Port& rx_port) {
   rx_port.set_rx_stamp_callback([this](std::uint64_t) { on_rx_stamp(); });
 }
 
-void Timestamper::bind_telemetry(telemetry::MetricRegistry& registry,
-                                 const std::string& prefix) {
-  bind_telemetry(registry.shard(0), prefix);
-}
-
 void Timestamper::bind_telemetry(telemetry::MetricTree& tree,
                                  const std::string& prefix) {
   if (tm_latency_ns_.valid()) return;  // already bound; re-seeding would double-count
-  telemetry::HistogramConfig hist_cfg;
-  hist_cfg.max_value = 100'000'000;  // 100 ms in ns: covers buffer-bloated DuTs
-  tm_latency_ns_ = tree.histogram(prefix + ".latency_ns", hist_cfg);
+  // 100 ms in ns: covers buffer-bloated DuTs.
+  tm_latency_ns_ = tree.histogram(prefix + ".latency_ns", {.max_value = 100'000'000});
   tm_samples_ = tree.counter(prefix + ".samples");
   tm_lost_ = tree.counter(prefix + ".lost");
   tm_discarded_ = tree.counter(prefix + ".discarded");
@@ -110,7 +104,7 @@ void Timestamper::on_rx_stamp() {
   }
   const auto delta = static_cast<std::int64_t>(*rx) - static_cast<std::int64_t>(*tx);
   if (delta >= 0) {
-    hist_.add(static_cast<std::uint64_t>(delta));
+    hist_.record(static_cast<std::uint64_t>(delta));
     latency_ns_.add(static_cast<double>(delta) / 1e3);
     ++samples_;
     if (tm_latency_ns_.valid()) {

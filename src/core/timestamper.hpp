@@ -20,9 +20,9 @@
 #include "nic/port.hpp"
 #include "sim/clock_sync.hpp"
 #include "sim/event_queue.hpp"
-#include "stats/histogram.hpp"
 #include "stats/running_stats.hpp"
-#include "telemetry/registry.hpp"
+#include "telemetry/handles.hpp"
+#include "telemetry/log_linear_histogram.hpp"
 
 namespace moongen::core {
 
@@ -34,7 +34,9 @@ struct TimestamperConfig {
   /// Re-synchronize the port clocks before every sample (Section 6.3).
   bool sync_clocks_each_sample = true;
   sim::ClockSyncConfig sync;
-  /// Histogram geometry for latency values (in ps).
+  /// Histogram geometry for latency values (in ps): fixed bins of
+  /// hist_bin_ps up to hist_max_ps, at most 2^20 of them
+  /// (telemetry::HistogramConfig::linear).
   sim::SimTime hist_bin_ps = 6'400;
   sim::SimTime hist_max_ps = 5 * sim::kPsPerMs;
   std::uint64_t seed = 0x7151bead;
@@ -59,7 +61,7 @@ class Timestamper {
   /// Stops scheduling further samples.
   void stop() { running_ = false; }
 
-  [[nodiscard]] const stats::Histogram& histogram() const { return hist_; }
+  [[nodiscard]] const telemetry::LogLinearHistogram& histogram() const { return hist_; }
   [[nodiscard]] const stats::RunningStats& latency_ns() const { return latency_ns_; }
   [[nodiscard]] std::uint64_t samples() const { return samples_; }
   /// Probes that never produced an RX stamp before the timeout — the
@@ -89,8 +91,6 @@ class Timestamper {
   /// `<prefix>.lost`. The log-linear registry histogram spans ns..ms, so
   /// one geometry fits both loopback cables and overloaded-DuT latencies.
   void bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix);
-  /// Convenience overload: binds into the registry's default tree (shard 0).
-  void bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix);
 
  private:
   /// How one attempt resolved (see attempts() for the identity).
@@ -120,7 +120,7 @@ class Timestamper {
   std::uint64_t resyncs_ = 0;
   telemetry::CounterHandle tm_resync_;
 
-  stats::Histogram hist_;
+  telemetry::LogLinearHistogram hist_;
   stats::RunningStats latency_ns_;
   std::uint64_t samples_ = 0;
   std::uint64_t lost_ = 0;

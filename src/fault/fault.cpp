@@ -256,11 +256,6 @@ void FaultPlane::bind_telemetry(telemetry::MetricTree& tree, const std::string& 
   for (auto& s : sites_) bind_site(s);
 }
 
-void FaultPlane::bind_telemetry(telemetry::MetricRegistry& registry,
-                                const std::string& prefix) {
-  bind_telemetry(registry.shard(0), prefix);
-}
-
 std::uint64_t FaultPlane::total_fires() const {
   std::uint64_t n = 0;
   for (const auto& s : sites_) n += s.fires;

@@ -41,10 +41,6 @@ class EventQueue;
 class PtpClock;
 }  // namespace moongen::sim
 
-namespace moongen::telemetry {
-class MetricRegistry;
-}  // namespace moongen::telemetry
-
 namespace moongen::fault {
 
 enum class FaultKind : std::uint8_t {
@@ -186,8 +182,6 @@ class FaultPlane {
   /// plus `<prefix>.total` of `tree`. Sites created later are bound on
   /// creation.
   void bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix = "fault");
-  /// Convenience overload: binds into the registry's default tree (shard 0).
-  void bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix = "fault");
 
   [[nodiscard]] const FaultSpec& spec() const { return spec_; }
   [[nodiscard]] sim::EventQueue* events() const { return events_; }

@@ -36,11 +36,6 @@ std::vector<Violation> CheckerRegistry::run_all(sim::SimTime now_ps) {
   return fresh;
 }
 
-void CheckerRegistry::bind_telemetry(telemetry::MetricRegistry& registry,
-                                     const std::string& prefix) {
-  bind_telemetry(registry.shard(0), prefix);
-}
-
 void CheckerRegistry::bind_telemetry(telemetry::MetricTree& tree,
                                      const std::string& prefix) {
   tm_checks_ = tree.counter(prefix + ".checks_run");

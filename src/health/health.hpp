@@ -29,7 +29,6 @@
 #include "telemetry/handles.hpp"
 
 namespace moongen::telemetry {
-class MetricRegistry;
 class RttPlane;
 }  // namespace moongen::telemetry
 
@@ -97,8 +96,6 @@ class CheckerRegistry {
   /// Mirrors `<prefix>.checks_run` / `<prefix>.violations` counters and the
   /// `<prefix>.checkers` gauge into `registry`.
   void bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix = "health");
-  /// Convenience overload: binds into the registry's default tree (shard 0).
-  void bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix = "health");
 
  private:
   std::vector<std::string> names_;

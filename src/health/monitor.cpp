@@ -46,11 +46,6 @@ void DegradationGovernor::tick() {
   tm_active_.set(active_ ? 1.0 : 0.0);
 }
 
-void DegradationGovernor::bind_telemetry(telemetry::MetricRegistry& registry,
-                                         const std::string& prefix) {
-  bind_telemetry(registry.shard(0), prefix);
-}
-
 void DegradationGovernor::bind_telemetry(telemetry::MetricTree& tree,
                                          const std::string& prefix) {
   tm_enter_ = tree.counter(prefix + ".enter");
@@ -87,7 +82,7 @@ HealthMonitor::HealthMonitor(testbed::Testbed& tb, MonitorConfig cfg) : tb_(tb),
     if (tb_.vswitch_count() > 0)
       checkers_.add("vswitch.conservation", make_vswitch_checker(tb_));
   }
-  checkers_.bind_telemetry(tb_.registry(), "health");
+  checkers_.bind_telemetry(tb_.registry().shard(0), "health");
 
   if (cfg_.enable_watchdog) watchdog_ = std::make_unique<Watchdog>(rt, cfg_.watchdog);
 }
@@ -105,7 +100,7 @@ DegradationGovernor& HealthMonitor::add_governor(std::string label, GovernorConf
                                                  DegradationGovernor::ApplyFn apply) {
   auto gov = std::make_unique<DegradationGovernor>(std::move(label), cfg, std::move(pressure),
                                                    std::move(apply));
-  gov->bind_telemetry(tb_.registry(), "health.degraded." + gov->label());
+  gov->bind_telemetry(tb_.registry().shard(0), "health.degraded." + gov->label());
   governors_.push_back(std::move(gov));
   return *governors_.back();
 }

@@ -80,8 +80,6 @@ class DegradationGovernor {
   /// `<prefix>.enter` / `<prefix>.recover` counters + `<prefix>.active`
   /// gauge (prefix is typically "health.degraded.<label>").
   void bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix);
-  /// Convenience overload: binds into the registry's default tree (shard 0).
-  void bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix);
 
  private:
   std::string label_;

@@ -56,10 +56,6 @@ void Mempool::bind_telemetry(telemetry::MetricTree& tree, const std::string& pre
   unlock();
 }
 
-void Mempool::bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix) {
-  bind_telemetry(registry.shard(0), prefix);
-}
-
 void Mempool::install_faults(fault::FaultPlane& plane, const std::string& site) {
   auto point = plane.point(fault::FaultKind::kAllocFail, site);
   lock();

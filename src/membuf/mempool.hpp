@@ -18,10 +18,6 @@
 #include "membuf/pktbuf.hpp"
 #include "telemetry/handles.hpp"
 
-namespace moongen::telemetry {
-class MetricRegistry;
-}  // namespace moongen::telemetry
-
 namespace moongen::membuf {
 
 class Mempool {
@@ -74,8 +70,6 @@ class Mempool {
   /// Mirrors exhaustion events into `<prefix>.exhausted` of `tree`,
   /// resolving the counter handle once (per-shard metric API).
   void bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix);
-  /// Convenience overload: binds into the registry's default tree (shard 0).
-  void bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix);
 
   /// Arms the alloc-failure fault site: a fire makes the next alloc_batch
   /// return 0, as if the pool were momentarily drained. Probes run under

@@ -37,7 +37,6 @@
 #include "sim/event_queue.hpp"
 #include "sim/ptp_clock.hpp"
 #include "telemetry/handles.hpp"
-#include "telemetry/registry.hpp"
 #include "telemetry/rtt_plane.hpp"
 
 namespace moongen::nic {
@@ -232,10 +231,6 @@ class Port {
   /// Resolves `<prefix>.tx_packets` etc. handles from `tree` (the metric
   /// tree of this port's simulation shard). The tree must outlive the port.
   void bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix);
-  /// Convenience: binds against `registry.shard(0)` (single-shard setups).
-  void bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix) {
-    bind_telemetry(registry.shard(0), prefix);
-  }
 
   /// Attaches this port to the always-on RTT plane: `rtt` is the RttShard
   /// of this port's simulation shard. The TX path stamps departures on

@@ -167,10 +167,6 @@ void ClientBase::bind_telemetry(telemetry::MetricTree& tree, const std::string& 
   tm_.send_drops.set(static_cast<double>(send_drops_));
 }
 
-void ClientBase::bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix) {
-  bind_telemetry(registry.shard(0), prefix);
-}
-
 }  // namespace detail
 
 // ---------------------------------------------------------------------------

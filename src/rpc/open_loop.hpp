@@ -32,7 +32,7 @@
 #include "rpc/latency_recorder.hpp"
 #include "sim/event_queue.hpp"
 #include "stats/samplers.hpp"
-#include "telemetry/registry.hpp"
+#include "telemetry/handles.hpp"
 
 namespace moongen::rpc {
 
@@ -102,8 +102,6 @@ class ClientBase {
   /// timed_out, send_drops), set wherever the counts above change, so any
   /// quiesced snapshot reads them exact.
   void bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix);
-  /// Convenience overload: binds into the registry's default tree (shard 0).
-  void bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix);
 
  protected:
   struct Request {

@@ -166,8 +166,4 @@ void ServerModel::bind_telemetry(telemetry::MetricTree& tree, const std::string&
   tm_.stalls.set(static_cast<double>(stalls_));
 }
 
-void ServerModel::bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix) {
-  bind_telemetry(registry.shard(0), prefix);
-}
-
 }  // namespace moongen::rpc

@@ -25,7 +25,7 @@
 #include "rpc/codec.hpp"
 #include "sim/time.hpp"
 #include "stats/samplers.hpp"
-#include "telemetry/registry.hpp"
+#include "telemetry/handles.hpp"
 
 namespace moongen::rpc {
 
@@ -83,8 +83,6 @@ class ServerModel {
   /// queue_drops, stalls), set wherever those counts change, so any
   /// quiesced snapshot reads them exact.
   void bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix);
-  /// Convenience overload: binds into the registry's default tree (shard 0).
-  void bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix);
 
  private:
   struct PendingRequest {

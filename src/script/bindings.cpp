@@ -1,5 +1,6 @@
 #include "script/bindings.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <iostream>
@@ -513,6 +514,11 @@ struct ScriptRuntime::Shared {
   std::vector<std::thread> slaves;
   std::atomic<std::size_t> launched{0};
   std::atomic<int> next_core{1};
+  // As in DPDK, a mempool lives until the application ends: bufArrays and
+  // TX rings point into it after the script drops its last handle.
+  // ~ScriptRuntime resets these devices' TX queues before the pools go.
+  std::vector<std::shared_ptr<membuf::Mempool>> pools;
+  std::vector<core::Device*> devices;
 };
 
 namespace {
@@ -534,11 +540,15 @@ void install_modules(Interpreter& interp, const std::shared_ptr<ScriptRuntime::S
   // device module.
   auto device_module = std::make_shared<Table>();
   device_module->set(
-      Table::Key{"config"}, make_native("device.config", [](Interpreter&, std::vector<Value>& args) {
+      Table::Key{"config"},
+      make_native("device.config", [shared](Interpreter&, std::vector<Value>& args) {
         const int id = static_cast<int>(arg_number(args, 0, "device.config"));
         const int rxq = args.size() > 1 ? static_cast<int>(arg_number(args, 1, "device.config")) : 1;
         const int txq = args.size() > 2 ? static_cast<int>(arg_number(args, 2, "device.config")) : 1;
-        auto& dev = core::Device::config(id, rxq, txq);
+        auto& dev = core::DeviceTable::process_default().config(id, rxq, txq);
+        std::scoped_lock lock(shared->mutex);
+        if (std::ranges::find(shared->devices, &dev) == shared->devices.end())
+          shared->devices.push_back(&dev);
         return std::vector<Value>{Value(std::make_shared<UserData>(
             &device_methods(), std::shared_ptr<void>(), &dev))};
       }));
@@ -553,7 +563,7 @@ void install_modules(Interpreter& interp, const std::shared_ptr<ScriptRuntime::S
   auto memory_module = std::make_shared<Table>();
   memory_module->set(
       Table::Key{"createMemPool"},
-      make_native("memory.createMemPool", [](Interpreter& in, std::vector<Value>& args) {
+      make_native("memory.createMemPool", [shared](Interpreter& in, std::vector<Value>& args) {
         Value init = args.empty() ? Value() : args[0];
         auto pool = std::make_shared<membuf::Mempool>(
             2048, [&in, &init](membuf::PktBuf& buf) {
@@ -562,6 +572,8 @@ void install_modules(Interpreter& interp, const std::shared_ptr<ScriptRuntime::S
               std::vector<Value> cb_args{wrap_packet(&buf)};
               in.call(init, std::move(cb_args));
             });
+        std::scoped_lock lock(shared->mutex);
+        shared->pools.push_back(pool);
         return std::vector<Value>{wrap(mempool_methods(), std::move(pool))};
       }));
   memory_module->set(Table::Key{"bufArray"},
@@ -697,7 +709,13 @@ ScriptRuntime::ScriptRuntime(std::string_view source)
   install_modules(*master_, shared_);
 }
 
-ScriptRuntime::~ScriptRuntime() { wait(); }
+ScriptRuntime::~ScriptRuntime() {
+  wait();
+  // The devices outlive this runtime; drop the batches their TX queues
+  // still hold before shared_ releases the pools (after master_).
+  for (core::Device* dev : shared_->devices)
+    for (int q = 0; q < dev->num_tx_queues(); ++q) dev->get_tx_queue(q).reset();
+}
 
 void ScriptRuntime::run_master(std::vector<Value> args) {
   master_->run();

@@ -17,7 +17,8 @@
 
 namespace moongen::script {
 
-/// Runs MoonGen userscripts: owns the parsed chunk and the slave tasks.
+/// Runs MoonGen userscripts: owns the parsed chunk, the slave tasks and
+/// every mempool the script creates (freed only when the runtime is).
 class ScriptRuntime {
  public:
   /// Parses `source` (throws ScriptError on syntax errors).

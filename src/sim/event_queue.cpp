@@ -295,10 +295,6 @@ void EventQueue::bind_telemetry(telemetry::MetricTree& tree, const std::string& 
   publish_telemetry();
 }
 
-void EventQueue::bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix) {
-  bind_telemetry(registry.shard(0), prefix);
-}
-
 void EventQueue::publish_telemetry() {
   if (!tm_executed_.valid()) return;
   tm_executed_.add(executed_ - tm_executed_published_);

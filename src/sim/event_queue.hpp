@@ -28,10 +28,6 @@
 #include "sim/time.hpp"
 #include "telemetry/handles.hpp"
 
-namespace moongen::telemetry {
-class MetricRegistry;
-}  // namespace moongen::telemetry
-
 namespace moongen::sim {
 
 /// Observer of executed events (the health plane's flight recorder). The
@@ -144,8 +140,6 @@ class EventQueue {
   /// NOT updated per event — publish_telemetry() flushes the deltas
   /// (testbed::Testbed::snapshot does so for every shard engine).
   void bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix);
-  /// Convenience overload: binds into the registry's default tree (shard 0).
-  void bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix);
   /// Flushes executed/scheduled deltas into the bound registry counters and
   /// refreshes the events-per-wall-second gauge.
   void publish_telemetry();

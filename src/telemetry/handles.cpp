@@ -23,8 +23,7 @@ HistogramHandle MetricTree::histogram(const std::string& name, HistogramConfig c
   auto& slot = histograms_[name];
   if (!slot) {
     slot = std::make_unique<LogLinearHistogram>(config);
-  } else if (slot->config().sub_bucket_bits != config.sub_bucket_bits ||
-             slot->config().max_value != config.max_value) {
+  } else if (slot->config() != config) {
     throw std::invalid_argument("MetricTree: histogram '" + name +
                                 "' re-registered with different geometry");
   }

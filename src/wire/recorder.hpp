@@ -10,7 +10,7 @@
 #include <optional>
 
 #include "nic/port.hpp"
-#include "stats/histogram.hpp"
+#include "telemetry/log_linear_histogram.hpp"
 
 namespace moongen::wire {
 
@@ -21,7 +21,7 @@ class InterArrivalRecorder {
   InterArrivalRecorder(nic::Port& port, int queue, sim::SimTime bin_ps = 64'000,
                        sim::SimTime max_ps = 20'000'000);
 
-  [[nodiscard]] const stats::Histogram& histogram() const { return hist_; }
+  [[nodiscard]] const telemetry::LogLinearHistogram& histogram() const { return hist_; }
   [[nodiscard]] std::uint64_t samples() const { return hist_.total(); }
 
   /// Fraction of inter-arrivals within +-window of `target_ps`.
@@ -39,7 +39,7 @@ class InterArrivalRecorder {
   void on_packet(const nic::RxQueueModel::Entry& entry);
 
   nic::Port& port_;
-  stats::Histogram hist_;
+  telemetry::LogLinearHistogram hist_;
   std::optional<std::uint64_t> last_stamp_;
   std::uint64_t bursts_ = 0;
 };

@@ -20,8 +20,9 @@ namespace ms = moongen::sim;
 // ---------------------------------------------------------------------------
 
 TEST(StaticGenerator, CraftsValidUdpPackets) {
-  auto& tx = mc::Device::config(20, 1, 1);
-  auto& rx = mc::Device::config(21, 1, 1);
+  mc::DeviceTable devices;
+  auto& tx = devices.config(0, 1, 1);
+  auto& rx = devices.config(1, 1, 1);
   tx.connect_to(rx);
 
   mb::StaticGenConfig cfg;
@@ -47,12 +48,12 @@ TEST(StaticGenerator, CraftsValidUdpPackets) {
     EXPECT_LT(src, 0x0a000001u + 256u);
   }
   bufs.free_all();
-  tx.disconnect();
 }
 
 TEST(StaticGenerator, IncrementModeSweepsAddresses) {
-  auto& tx = mc::Device::config(22, 1, 1);
-  auto& rx = mc::Device::config(23, 1, 1);
+  mc::DeviceTable devices;
+  auto& tx = devices.config(0, 1, 1);
+  auto& rx = devices.config(1, 1, 1);
   tx.connect_to(rx);
   mb::StaticGenConfig cfg;
   cfg.src_ip_mode = mb::StaticGenConfig::RangeMode::kIncrement;
@@ -68,12 +69,12 @@ TEST(StaticGenerator, IncrementModeSweepsAddresses) {
     EXPECT_EQ(view.ip().src().value, 0x0a000001u + static_cast<std::uint32_t>(i % 4));
   }
   bufs.free_all();
-  tx.disconnect();
 }
 
 TEST(StaticGenerator, SupportsIpv6Tcp) {
-  auto& tx = mc::Device::config(24, 1, 1);
-  auto& rx = mc::Device::config(25, 1, 1);
+  mc::DeviceTable devices;
+  auto& tx = devices.config(0, 1, 1);
+  auto& rx = devices.config(1, 1, 1);
   tx.connect_to(rx);
   mb::StaticGenConfig cfg;
   cfg.packet_size = 80;
@@ -92,12 +93,12 @@ TEST(StaticGenerator, SupportsIpv6Tcp) {
     EXPECT_EQ(pc->l4_protocol, moongen::proto::IpProtocol::kTcp);
   }
   bufs.free_all();
-  tx.disconnect();
 }
 
 TEST(StaticGenerator, VlanTagging) {
-  auto& tx = mc::Device::config(26, 1, 1);
-  auto& rx = mc::Device::config(27, 1, 1);
+  mc::DeviceTable devices;
+  auto& tx = devices.config(0, 1, 1);
+  auto& rx = devices.config(1, 1, 1);
   tx.connect_to(rx);
   mb::StaticGenConfig cfg;
   cfg.packet_size = 64;
@@ -113,12 +114,12 @@ TEST(StaticGenerator, VlanTagging) {
   ASSERT_TRUE(pc.has_value());
   EXPECT_TRUE(pc->has_vlan);
   bufs.free_all();
-  tx.disconnect();
 }
 
 TEST(StaticGenerator, SizeSweep) {
-  auto& tx = mc::Device::config(28, 1, 1);
-  auto& rx = mc::Device::config(29, 1, 1);
+  mc::DeviceTable devices;
+  auto& tx = devices.config(0, 1, 1);
+  auto& rx = devices.config(1, 1, 1);
   tx.connect_to(rx);
   mb::StaticGenConfig cfg;
   cfg.size_mode = mb::StaticGenConfig::RangeMode::kIncrement;
@@ -132,7 +133,6 @@ TEST(StaticGenerator, SizeSweep) {
   ASSERT_EQ(bufs.size(), 8u);
   for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(bufs[i]->length(), 60 + i % 4);
   bufs.free_all();
-  tx.disconnect();
 }
 
 // ---------------------------------------------------------------------------

@@ -22,22 +22,24 @@ namespace mp = moongen::proto;
 // ---------------------------------------------------------------------------
 
 TEST(FastDevice, ConfigReturnsStableInstances) {
-  auto& dev = mc::Device::config(0, 1, 2);
-  auto& again = mc::Device::config(0, 1, 2);
+  mc::DeviceTable devices;
+  auto& dev = devices.config(0, 1, 2);
+  auto& again = devices.config(0, 1, 2);
   EXPECT_EQ(&dev, &again);
   EXPECT_EQ(dev.num_tx_queues(), 2);
-  EXPECT_THROW(mc::Device::config(-1), std::out_of_range);
-  EXPECT_THROW(mc::Device::config(1000), std::out_of_range);
+  EXPECT_THROW(devices.config(-1), std::out_of_range);
+  EXPECT_THROW(devices.config(1000), std::out_of_range);
 }
 
 TEST(FastDevice, MacDerivedFromId) {
-  auto& dev = mc::Device::config(3);
+  mc::DeviceTable devices;
+  auto& dev = devices.config(3);
   EXPECT_EQ(dev.mac().to_string(), "02:00:00:00:00:03");
 }
 
 TEST(FastDevice, SendRecyclesOnlyAfterRingWraps) {
-  auto& dev = mc::Device::config(4, 1, 1);
-  dev.disconnect();
+  mc::DeviceTable devices;
+  auto& dev = devices.config(0, 1, 1);
   mb::Mempool pool(2048);
   mb::BufArray bufs(pool, 64);
   auto& q = dev.get_tx_queue(0);
@@ -61,8 +63,9 @@ TEST(FastDevice, SendRecyclesOnlyAfterRingWraps) {
 }
 
 TEST(FastDevice, LoopbackDeliversPacketContents) {
-  auto& tx_dev = mc::Device::config(5, 1, 1);
-  auto& rx_dev = mc::Device::config(6, 1, 1);
+  mc::DeviceTable devices;
+  auto& tx_dev = devices.config(0, 1, 1);
+  auto& rx_dev = devices.config(1, 1, 1);
   tx_dev.connect_to(rx_dev);
 
   mb::Mempool pool(256, [](mb::PktBuf& buf) {
@@ -86,12 +89,12 @@ TEST(FastDevice, LoopbackDeliversPacketContents) {
     EXPECT_EQ(buf->length(), 124u);
   }
   rxb.free_all();
-  tx_dev.disconnect();
 }
 
 TEST(FastDevice, LoopbackDropsWhenRxRingFull) {
-  auto& tx_dev = mc::Device::config(7, 1, 1);
-  auto& rx_dev = mc::Device::config(8, 1, 1);
+  mc::DeviceTable devices;
+  auto& tx_dev = devices.config(0, 1, 1);
+  auto& rx_dev = devices.config(1, 1, 1);
   tx_dev.connect_to(rx_dev);
   mb::Mempool pool(16384);
   mb::BufArray bufs(pool, 64);
@@ -101,12 +104,11 @@ TEST(FastDevice, LoopbackDropsWhenRxRingFull) {
     tx_dev.get_tx_queue(0).send(bufs);
   }
   EXPECT_GT(rx_dev.get_rx_queue(0).ring_drops(), 0u);
-  tx_dev.disconnect();
 }
 
 TEST(FastDevice, RatePacingRoughlyLimitsThroughput) {
-  auto& dev = mc::Device::config(9, 1, 1);
-  dev.disconnect();
+  mc::DeviceTable devices;
+  auto& dev = devices.config(0, 1, 1);
   mb::Mempool pool(2048);
   mb::BufArray bufs(pool, 64);
   auto& q = dev.get_tx_queue(0);
@@ -269,8 +271,8 @@ TEST(FieldModifier, LcgMatchesKnownRecurrence) {
 // ---------------------------------------------------------------------------
 
 TEST(FastDevice, SendDropsBatchWhenLinkStaysDown) {
-  auto& dev = mc::Device::config(10, 1, 1);
-  dev.disconnect();
+  mc::DeviceTable devices;
+  auto& dev = devices.config(0, 1, 1);
   dev.set_link_up(false);
   mb::Mempool pool(128);
   mb::BufArray bufs(pool, 32);
@@ -285,12 +287,11 @@ TEST(FastDevice, SendDropsBatchWhenLinkStaysDown) {
   EXPECT_EQ(q.sent_packets(), 0u);
   EXPECT_EQ(bufs.size(), 0u);
   EXPECT_EQ(pool.available(), 128u);
-  dev.set_link_up(true);
 }
 
 TEST(FastDevice, SendRecoversWhenLinkReturnsDuringBackoff) {
-  auto& dev = mc::Device::config(11, 1, 1);
-  dev.disconnect();
+  mc::DeviceTable devices;
+  auto& dev = devices.config(0, 1, 1);
   dev.set_link_up(false);
   mb::Mempool pool(128);
   mb::BufArray bufs(pool, 32);
@@ -311,13 +312,13 @@ TEST(FastDevice, SendRecoversWhenLinkReturnsDuringBackoff) {
 }
 
 TEST(FastDevice, ShortBatchesAreCountedAndExported) {
-  auto& dev = mc::Device::config(12, 1, 1);
-  dev.disconnect();
+  mc::DeviceTable devices;
+  auto& dev = devices.config(0, 1, 1);
   mb::Mempool pool(8);
   mb::BufArray bufs(pool, 16);  // batch larger than the pool
   auto& q = dev.get_tx_queue(0);
   moongen::telemetry::MetricRegistry registry;
-  q.bind_telemetry(registry, "txq");
+  q.bind_telemetry(registry.shard(0), "txq");
 
   ASSERT_EQ(bufs.alloc(60), 8u);
   EXPECT_EQ(q.send(bufs), 8u);

@@ -283,6 +283,23 @@ TEST(Timestamper, LostPacketsAreCountedNotRecorded) {
   EXPECT_GT(ts.lost(), 5u);
 }
 
+TEST(Timestamper, HistogramGeometryIsBounded) {
+  ms::EventQueue events;
+  mn::Port a(events, mn::intel_82599(), 10'000, 71);
+  mn::Port b(events, mn::intel_82599(), 10'000, 72);
+  // 100 ps bins over the default 5 ms range would be 5*10^7 buckets: the
+  // geometry is rejected instead of allocated.
+  mc::TimestamperConfig fine;
+  fine.hist_bin_ps = 100;
+  EXPECT_THROW(mc::Timestamper(events, a, 0, b, mc::make_ptp_ethernet_frame(80), fine),
+               std::invalid_argument);
+  // The default, 6.4 ns bins up to 5 ms, needs 781,251 buckets: 20 bits.
+  mc::Timestamper ts(events, a, 0, b, mc::make_ptp_ethernet_frame(80));
+  EXPECT_EQ(ts.histogram().bucket_count(), 781'251u);
+  EXPECT_EQ(ts.histogram().config().sub_bucket_bits, 20u);
+  EXPECT_EQ(ts.histogram().bucket_width(781'250), 6'400u);
+}
+
 TEST(Timestamper, StreamModeSamplesLoadPackets) {
   moongen::test::TenGbeFiberBed bed;
   bed.b.rx_queue(0).set_ring_capacity(1'000'000);

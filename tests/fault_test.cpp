@@ -181,7 +181,7 @@ TEST(FaultPlane, TelemetryCountsFiresPerSiteAndTotal) {
   (void)early.fire(0);
 
   mt::MetricRegistry registry;
-  plane.bind_telemetry(registry);
+  plane.bind_telemetry(registry.shard(0));
   // History is seeded at bind time, not lost.
   EXPECT_EQ(registry.counter_value("fault.loss.pre.bind"), 2u);
   EXPECT_EQ(registry.counter_value("fault.total"), 2u);
@@ -297,7 +297,7 @@ TEST(WireFaults, LinkFlapBackpressuresAndRecovers) {
   bed.b.rx_queue(0).set_store(false);
 
   mt::MetricRegistry registry;
-  bed.a.bind_telemetry(registry, "port.a");
+  bed.a.bind_telemetry(registry.shard(0), "port.a");
 
   mc::UdpTemplateOptions opts;
   opts.frame_size = 60;
@@ -346,7 +346,7 @@ TEST(MempoolFaults, InjectedExhaustionIsCountedAndExported) {
   mb::Mempool pool(64);
   pool.install_faults(plane, "pool.tx");
   mt::MetricRegistry registry;
-  pool.bind_telemetry(registry, "mempool");
+  pool.bind_telemetry(registry.shard(0), "mempool");
 
   std::size_t failures = 0;
   std::vector<mb::PktBuf*> bufs(8);
@@ -489,13 +489,13 @@ TEST(TimestamperFaults, LostSamplesEqualInjectedDropsExactly) {
   bed.link.install_faults(plane, "wire.ab");
 
   mt::MetricRegistry registry;
-  plane.bind_telemetry(registry);
+  plane.bind_telemetry(registry.shard(0));
 
   mc::TimestamperConfig cfg;
   cfg.sample_interval_ps = 100 * ms::kPsPerUs;
   cfg.timeout_ps = 1 * ms::kPsPerMs;
   mc::Timestamper ts(bed.events, bed.a, 0, bed.b, mc::make_ptp_ethernet_frame(96), cfg);
-  ts.bind_telemetry(registry, "timestamper");
+  ts.bind_telemetry(registry.shard(0), "timestamper");
   ts.start();
   bed.events.run_until(200 * ms::kPsPerMs);
   ts.stop();

@@ -137,8 +137,9 @@ TEST(SequenceTracker, FeedParsesMarkerFromPacketBytes) {
 }
 
 TEST(SequenceTracker, EndToEndOverLoopbackDevices) {
-  auto& tx = mc::Device::config(36, 1, 1);
-  auto& rx = mc::Device::config(37, 1, 1);
+  mc::DeviceTable devices;
+  auto& tx = devices.config(0, 1, 1);
+  auto& rx = devices.config(1, 1, 1);
   tx.connect_to(rx);
   mb::Mempool pool(512, [](mb::PktBuf& buf) {
     buf.set_length(124);
@@ -162,7 +163,6 @@ TEST(SequenceTracker, EndToEndOverLoopbackDevices) {
   const auto r = tracker.report();
   EXPECT_EQ(r.unique, 128u);
   EXPECT_EQ(r.lost, 0u);
-  tx.disconnect();
 }
 
 // ---------------------------------------------------------------------------

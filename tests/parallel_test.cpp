@@ -307,7 +307,7 @@ RunResult run_fig10(int shards, bool poisson, const std::string& faults) {
   r.cross_shard = tb->cross_shard_frames();
   r.shards = tb->shard_count();
   const auto& h = ts.histogram();
-  for (std::size_t i = 0; i < h.bin_count(); ++i) r.latency_bins.push_back(h.bin(i));
+  for (std::size_t i = 0; i < h.bucket_count(); ++i) r.latency_bins.push_back(h.bucket(i));
   r.latency_min = ts.latency_ns().min();
   r.latency_max = ts.latency_ns().max();
   return r;

@@ -20,7 +20,7 @@
 #include "proto/packet_view.hpp"
 #include "sim/clock_sync.hpp"
 #include "sim_testbed.hpp"
-#include "stats/histogram.hpp"
+#include "telemetry/log_linear_histogram.hpp"
 #include "wire/link.hpp"
 #include "wire/recorder.hpp"
 
@@ -29,6 +29,7 @@ namespace mc = moongen::core;
 namespace mn = moongen::nic;
 namespace mp = moongen::proto;
 namespace ms = moongen::sim;
+namespace mt = moongen::telemetry;
 namespace mw = moongen::wire;
 
 // ---------------------------------------------------------------------------
@@ -226,8 +227,8 @@ TEST_P(HistogramPercentiles, WithinOneBinOfExact) {
     samples.push_back(std::min<std::uint64_t>(v, 1'999'999));
   }
   const std::uint64_t bin = 1'000;
-  moongen::stats::Histogram hist(bin, 2'000'000);
-  for (auto v : samples) hist.add(v);
+  mt::LogLinearHistogram hist(mt::HistogramConfig::linear(bin, 2'000'000));
+  for (auto v : samples) hist.record(v);
   std::sort(samples.begin(), samples.end());
   for (double p : {1.0, 25.0, 50.0, 75.0, 99.0}) {
     const auto exact =
@@ -372,11 +373,9 @@ TEST_P(ProtoMatrix, CraftedPacketsClassifyBack) {
   using moongen::baseline::StaticGenerator;
   const auto param = GetParam();
 
-  static int next_dev = 40;  // distinct device pairs per instantiation
-  const int dev_id = next_dev;
-  next_dev += 2;
-  auto& tx = mc::Device::config(dev_id, 1, 1);
-  auto& rx = mc::Device::config(dev_id + 1, 1, 1);
+  mc::DeviceTable devices;
+  auto& tx = devices.config(0, 1, 1);
+  auto& rx = devices.config(1, 1, 1);
   tx.connect_to(rx);
 
   StaticGenConfig cfg;
@@ -401,7 +400,6 @@ TEST_P(ProtoMatrix, CraftedPacketsClassifyBack) {
                                                                      : mp::IpProtocol::kTcp);
   }
   bufs.free_all();
-  tx.disconnect();
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -488,6 +488,66 @@ TEST(ScriptBindings, SlaveExceptionsAreReportedNotFatal) {
   EXPECT_THROW(master_only.run_master(), sc::ScriptError);
 }
 
+// Mempools live until the runtime ends, as in DPDK: buffers in bufArrays
+// and TX rings may point into a pool after the script drops its handle.
+
+TEST(ScriptBindings, BufArrayKeepsUsingADroppedPool) {
+  mc::reset_run_state();
+  sc::ScriptRuntime runtime(R"(
+    local function helperBufs()
+      local mem = memory.createMemPool()
+      return mem:bufArray(4)
+    end
+    function master()
+      local bufs = memory.createMemPool():bufArray(4)
+      direct = bufs:alloc(60)
+      local returned = helperBufs()
+      viaHelper = returned:alloc(60)
+    end
+  )");
+  runtime.run_master();
+  EXPECT_EQ(runtime.master().get_global("direct").as_number(), 4);
+  EXPECT_EQ(runtime.master().get_global("viaHelper").as_number(), 4);
+}
+
+TEST(ScriptBindings, SendRecyclesABatchFromADroppedPool) {
+  mc::reset_run_state();
+  sc::ScriptRuntime runtime(R"(
+    local function sendBatch(q)
+      local mem = memory.createMemPool()
+      local bufs = mem:bufArray(4)
+      bufs:alloc(60)
+      return q:send(bufs)
+    end
+    function master()
+      local q = device.config(11):getTxQueue(0)
+      first = sendBatch(q)
+      second = sendBatch(q)  -- recycles the first batch into its pool
+    end
+  )");
+  runtime.run_master();
+  EXPECT_EQ(runtime.master().get_global("first").as_number(), 4);
+  EXPECT_EQ(runtime.master().get_global("second").as_number(), 4);
+}
+
+TEST(ScriptBindings, RuntimesInSequenceSendOnOneDevice) {
+  const char* script = R"(
+    function master()
+      local q = device.config(0):getTxQueue(0)
+      local mem = memory.createMemPool()
+      local bufs = mem:bufArray(4)
+      bufs:alloc(60)
+      sent = q:send(bufs)
+    end
+  )";
+  for (int run = 0; run < 2; ++run) {
+    mc::reset_run_state();
+    sc::ScriptRuntime runtime(script);
+    runtime.run_master();
+    EXPECT_EQ(runtime.master().get_global("sent").as_number(), 4) << "run " << run;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Extended standard library
 // ---------------------------------------------------------------------------

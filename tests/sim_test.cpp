@@ -230,7 +230,7 @@ TEST(EventQueue, InlineSchedulingRejectsNothingThatFits) {
 TEST(EventQueue, PublishesEngineTelemetry) {
   moongen::telemetry::MetricRegistry registry;
   ms::EventQueue q;
-  q.bind_telemetry(registry, "engine");
+  q.bind_telemetry(registry.shard(0), "engine");
   q.schedule_in(100, [&] { q.schedule_in(ms::EventQueue::kHorizonPs * 2, [] {}); });
   q.run();
   q.publish_telemetry();

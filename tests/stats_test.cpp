@@ -1,4 +1,5 @@
-// Unit tests for running statistics, histograms and throughput counters.
+// Unit tests for running statistics, fixed-bin histograms and throughput
+// counters.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,9 +8,10 @@
 #include <vector>
 
 #include "stats/counters.hpp"
-#include "stats/histogram.hpp"
 #include "stats/running_stats.hpp"
+#include "telemetry/log_linear_histogram.hpp"
 
+namespace mt = moongen::telemetry;
 namespace st = moongen::stats;
 
 // ---------------------------------------------------------------------------
@@ -112,24 +114,27 @@ TEST(RunningStatsMerge, MergeOfManyShardsIsOrderInsensitive) {
 }
 
 // ---------------------------------------------------------------------------
-// Histogram
+// Histogram: fixed-bin geometry (telemetry::HistogramConfig::linear)
 // ---------------------------------------------------------------------------
 
 TEST(Histogram, BinningAndTotal) {
-  st::Histogram h(64, 1024);
-  h.add(0);
-  h.add(63);   // same bin as 0
-  h.add(64);   // next bin
-  h.add(2000); // overflow
+  mt::LogLinearHistogram h(mt::HistogramConfig::linear(64, 1024));
+  h.record(0);
+  h.record(63);   // same bin as 0
+  h.record(64);   // next bin
+  h.record(2000); // overflow
   EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.bin(0), 2u);
-  EXPECT_EQ(h.bin(1), 1u);
+  EXPECT_EQ(h.bucket_count(), 17u);  // [0, 1088) in 64-wide bins
+  EXPECT_EQ(h.bucket(0), 2u);
+  EXPECT_EQ(h.bucket(1), 1u);
+  EXPECT_EQ(h.bucket_lower(16), 1024u);
+  EXPECT_EQ(h.bucket_width(16), 64u);
   EXPECT_EQ(h.overflow(), 1u);
 }
 
 TEST(Histogram, PercentileAndMedian) {
-  st::Histogram h(1, 1000);
-  for (std::uint64_t v = 1; v <= 100; ++v) h.add(v);
+  mt::LogLinearHistogram h(mt::HistogramConfig::linear(1, 1000));
+  for (std::uint64_t v = 1; v <= 100; ++v) h.record(v);
   EXPECT_EQ(h.median(), 50u);
   EXPECT_EQ(h.percentile(25), 25u);
   EXPECT_EQ(h.percentile(75), 75u);
@@ -138,60 +143,61 @@ TEST(Histogram, PercentileAndMedian) {
 }
 
 TEST(Histogram, FractionBetweenIsBinResolved) {
-  st::Histogram h(64, 4096);
-  for (int i = 0; i < 50; ++i) h.add(128);  // bin [128,192)
-  for (int i = 0; i < 50; ++i) h.add(512);  // bin [512,576)
+  mt::LogLinearHistogram h(mt::HistogramConfig::linear(64, 4096));
+  for (int i = 0; i < 50; ++i) h.record(128);  // bin [128,192)
+  for (int i = 0; i < 50; ++i) h.record(512);  // bin [512,576)
   EXPECT_DOUBLE_EQ(h.fraction_between(128, 191), 0.5);
+  EXPECT_DOUBLE_EQ(h.fraction_between(150, 150), 0.5);  // the bin holding 150
   EXPECT_DOUBLE_EQ(h.fraction_between(0, 4095), 1.0);
-  EXPECT_DOUBLE_EQ(h.fraction_at(150), 0.5);
-  EXPECT_DOUBLE_EQ(h.fraction_at(1024), 0.0);
+  EXPECT_DOUBLE_EQ(h.fraction_between(1024, 1024), 0.0);
 }
 
 TEST(Histogram, FractionBetweenIncludesOverflow) {
-  // Overflow counts live in the bucket past the last bin; a range whose
+  // Overflow counts live in the bin past the last bin; a range whose
   // upper end reaches past the last bin must cover them (regression: they
   // were silently dropped, undercounting the fraction).
-  st::Histogram h(64, 1024);  // bins cover [0, 1088)
-  for (int i = 0; i < 25; ++i) h.add(100);
-  for (int i = 0; i < 75; ++i) h.add(5'000);  // overflow
-  EXPECT_DOUBLE_EQ(h.fraction_at(5'000), 0.75);  // the model behaviour
+  mt::LogLinearHistogram h(mt::HistogramConfig::linear(64, 1024));  // bins cover [0, 1088)
+  for (int i = 0; i < 25; ++i) h.record(100);
+  for (int i = 0; i < 75; ++i) h.record(5'000);  // overflow
+  EXPECT_DOUBLE_EQ(h.fraction_between(5'000, 5'000), 0.75);
   EXPECT_DOUBLE_EQ(h.fraction_between(0, 5'000), 1.0);
   EXPECT_DOUBLE_EQ(h.fraction_between(2'000, 10'000), 0.75);  // fully in overflow
   EXPECT_DOUBLE_EQ(h.fraction_between(0, 1'000), 0.25);  // overflow not covered
 }
 
 TEST(Histogram, MergeAccumulates) {
-  st::Histogram a(10, 100);
-  st::Histogram b(10, 100);
-  a.add(5);
-  b.add(5);
-  b.add(95);
+  mt::LogLinearHistogram a(mt::HistogramConfig::linear(10, 100));
+  mt::LogLinearHistogram b(mt::HistogramConfig::linear(10, 100));
+  a.record(5);
+  b.record(5);
+  b.record(95);
   a.merge(b);
   EXPECT_EQ(a.total(), 3u);
-  EXPECT_EQ(a.bin(0), 2u);
+  EXPECT_EQ(a.bucket(0), 2u);
 }
 
 TEST(Histogram, MergeRejectsDifferentBinWidth) {
-  st::Histogram a(10, 100);
-  st::Histogram b(20, 100);
-  b.add(5);
+  mt::LogLinearHistogram a(mt::HistogramConfig::linear(10, 100));
+  mt::LogLinearHistogram b(mt::HistogramConfig::linear(20, 100));
+  b.record(5);
   EXPECT_THROW(a.merge(b), std::invalid_argument);
   EXPECT_EQ(a.total(), 0u);  // a is untouched on failure
 }
 
 TEST(Histogram, MergeRejectsDifferentBinCount) {
-  st::Histogram a(10, 100);
-  st::Histogram b(10, 200);
+  mt::LogLinearHistogram a(mt::HistogramConfig::linear(10, 100));
+  mt::LogLinearHistogram b(mt::HistogramConfig::linear(10, 200));
   EXPECT_THROW(a.merge(b), std::invalid_argument);
 }
 
 TEST(Histogram, RejectsZeroBinWidth) {
-  EXPECT_THROW(st::Histogram(0, 100), std::invalid_argument);
+  EXPECT_THROW((void)mt::HistogramConfig::linear(0, 100), std::invalid_argument);
+  EXPECT_THROW(mt::LogLinearHistogram({.unit = 0}), std::invalid_argument);
 }
 
 TEST(Histogram, PrintSkipsEmptyBins) {
-  st::Histogram h(64, 1024);
-  h.add(100);
+  mt::LogLinearHistogram h(mt::HistogramConfig::linear(64, 1024));
+  h.record(100);
   std::ostringstream os;
   h.print(os);
   EXPECT_NE(os.str().find("64"), std::string::npos);

@@ -10,14 +10,12 @@
 #include <vector>
 
 #include "core/task.hpp"
-#include "stats/histogram.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/log_linear_histogram.hpp"
 #include "telemetry/registry.hpp"
 
 namespace mc = moongen::core;
 namespace mt = moongen::telemetry;
-namespace st = moongen::stats;
 
 // ---------------------------------------------------------------------------
 // LogLinearHistogram
@@ -74,16 +72,17 @@ TEST(LogLinearHistogram, RecordTracksMomentsAndOverflow) {
 }
 
 TEST(LogLinearHistogram, PercentileMatchesFixedBinHistogram) {
-  // Acceptance: identical samples into a LogLinearHistogram and a unit-bin
-  // stats::Histogram; the log-linear percentile must be the lower edge of
-  // the bucket containing the exact percentile value.
+  // Acceptance: identical samples into a log-linear geometry and a unit-bin
+  // linear one; the log-linear percentile must be the lower edge of the
+  // bucket containing the exact percentile value.
   mt::LogLinearHistogram ll({.sub_bucket_bits = 5, .max_value = 1 << 20});
-  st::Histogram exact(1, 1 << 20);  // bin width 1: percentile == sample value
+  // Bin width 1: percentile == sample value.
+  mt::LogLinearHistogram exact(mt::HistogramConfig::linear(1, (1 << 20) - 1));
   std::uint64_t v = 1;
   for (int i = 0; i < 20'000; ++i) {
     v = (v * 48271) % 262'139;  // deterministic spread over [1, 2^18)
     ll.record(v);
-    exact.add(v);
+    exact.record(v);
   }
   for (double p : {0.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 99.9, 100.0}) {
     const auto e = exact.percentile(p);
@@ -115,8 +114,10 @@ TEST(LogLinearHistogram, MergeRejectsGeometryMismatch) {
   mt::LogLinearHistogram a({.sub_bucket_bits = 5, .max_value = 1000});
   mt::LogLinearHistogram bits({.sub_bucket_bits = 4, .max_value = 1000});
   mt::LogLinearHistogram range({.sub_bucket_bits = 5, .max_value = 2000});
+  mt::LogLinearHistogram unit({.sub_bucket_bits = 5, .max_value = 1000, .unit = 2});
   EXPECT_THROW(a.merge(bits), std::invalid_argument);
   EXPECT_THROW(a.merge(range), std::invalid_argument);
+  EXPECT_THROW(a.merge(unit), std::invalid_argument);
 }
 
 TEST(LogLinearHistogram, RejectsBadConfig) {
@@ -124,6 +125,40 @@ TEST(LogLinearHistogram, RejectsBadConfig) {
   EXPECT_THROW(mt::LogLinearHistogram({.sub_bucket_bits = 21}), std::invalid_argument);
   EXPECT_THROW(mt::LogLinearHistogram({.sub_bucket_bits = 5, .max_value = 0}),
                std::invalid_argument);
+}
+
+TEST(LogLinearHistogram, LinearGeometryKeepsFixedBinEdges) {
+  // linear(64, 1024): 64-wide bins over [0, 1088), overflow from 1088 on.
+  mt::LogLinearHistogram h(mt::HistogramConfig::linear(64, 1024));
+  EXPECT_EQ(h.config().unit, 64u);
+  EXPECT_EQ(h.config().max_value, 1088u);
+  ASSERT_EQ(h.bucket_count(), 17u);
+  for (std::size_t i = 0; i < h.bucket_count(); ++i) {
+    ASSERT_EQ(h.bucket_lower(i), 64 * i) << "i=" << i;
+    ASSERT_EQ(h.bucket_width(i), 64u) << "i=" << i;
+  }
+  h.record(1087);
+  EXPECT_EQ(h.bucket(16), 1u);
+  EXPECT_EQ(h.overflow(), 0u);
+  EXPECT_EQ(h.percentile(100), 1024u);
+  h.record(1088);
+  EXPECT_EQ(h.overflow(), 1u);
+  EXPECT_EQ(h.percentile(100), 1088u);  // overflow reports max_value
+  EXPECT_EQ(h.percentile(0), 1024u);
+}
+
+TEST(LogLinearHistogram, RejectsMoreThanTwoToTheTwentyBuckets) {
+  mt::LogLinearHistogram widest(mt::HistogramConfig::linear(1, (1 << 20) - 1));
+  EXPECT_EQ(widest.bucket_count(), mt::LogLinearHistogram::kMaxBuckets);
+  try {
+    mt::LogLinearHistogram h(mt::HistogramConfig::linear(100, 5'000'000'000ull));
+    FAIL() << "5*10^7 bins were allocated";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("bin width 100 "), std::string::npos) << what;
+    EXPECT_NE(what.find(" 5000000100 "), std::string::npos) << what;
+    EXPECT_NE(what.find(" 50000001 buckets"), std::string::npos) << what;
+  }
 }
 
 TEST(LogLinearHistogram, PrintMatchesStatsHistogramContract) {
@@ -168,6 +203,9 @@ TEST(MetricRegistry, HistogramGeometryConflictThrows) {
                std::invalid_argument);
   EXPECT_THROW((void)reg.shard(0).histogram("lat", {.sub_bucket_bits = 5, .max_value = 9999}),
                std::invalid_argument);
+  EXPECT_THROW(
+      (void)reg.shard(0).histogram("lat", {.sub_bucket_bits = 5, .max_value = 1000, .unit = 10}),
+      std::invalid_argument);
 }
 
 TEST(MetricRegistry, SnapshotIsNameSortedAndConsistent) {
@@ -260,7 +298,7 @@ TEST(TaskSetTelemetry, CountsLaunchesAndFinishes) {
   mc::reset_run_state();
   mt::MetricRegistry reg;
   mc::TaskSet tasks;
-  tasks.bind_telemetry(reg, "tasks");
+  tasks.bind_telemetry(reg.shard(0), "tasks");
   std::atomic<int> ran{0};
   for (int i = 0; i < 5; ++i) tasks.launch("worker", [&ran] { ran.fetch_add(1); });
   tasks.wait();

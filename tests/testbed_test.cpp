@@ -1,8 +1,7 @@
 // Tests of the Testbed/Scenario API: declaration validation, shard
-// partitioning, component lookup, telemetry naming, and the two satellite
-// fixes that ride with it — the per-testbed DeviceTable (replacing the
-// deprecated Device::config process registry) and the per-testbed RunState
-// (replacing the process-global run flag).
+// partitioning, component lookup, telemetry naming, the per-testbed
+// DeviceTable and the per-testbed RunState (replacing the process-global
+// run flag).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -332,7 +331,7 @@ TEST(Telemetry, RpcGaugesMatchTheirAccessorsAtEveryTick) {
           std::make_unique<mr::ServerModel>(tb->port("server" + std::to_string(i)), sc));
       servers.back()->install_faults(*tb->fault_plane(tb->shard_of(2 * i + 1)),
                                      "rpc.s" + std::to_string(i));
-      servers.back()->bind_telemetry(tb->registry(), "rpc.server" + std::to_string(i));
+      servers.back()->bind_telemetry(tb->registry().shard(0), "rpc.server" + std::to_string(i));
       recorders.push_back(std::make_unique<mr::LatencyRecorder>());
       mr::WorkloadConfig wc;
       wc.offered_rps = 100'000;
@@ -342,7 +341,7 @@ TEST(Telemetry, RpcGaugesMatchTheirAccessorsAtEveryTick) {
       clients.push_back(std::make_unique<mr::OpenLoopGenerator>(
           tb->port("client" + std::to_string(i)), *recorders.back(), wc));
       clients.back()->start(0, end_ps);
-      clients.back()->bind_telemetry(tb->registry(), "rpc.client" + std::to_string(i));
+      clients.back()->bind_telemetry(tb->registry().shard(0), "rpc.client" + std::to_string(i));
     }
     int ticks = 0;
     std::uint64_t timed_out = 0, stalls = 0, queue_drops = 0;
@@ -481,7 +480,7 @@ TEST(Testbed, NoFaultsMeansNoPlanes) {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite: per-testbed DeviceTable vs the deprecated global registry
+// Per-testbed DeviceTable
 // ---------------------------------------------------------------------------
 
 TEST(DeviceTable, TablesAreIsolated) {
@@ -501,12 +500,6 @@ TEST(DeviceTable, FindDoesNotCreate) {
   EXPECT_EQ(t.find(3), nullptr);
   mc::Device& d = t.config(3, 1, 1);
   EXPECT_EQ(t.find(3), &d);
-}
-
-TEST(DeviceTable, DeprecatedStaticConfigDelegatesToProcessDefault) {
-  mc::Device& via_static = mc::Device::config(6, 1, 1);
-  mc::Device& via_table = mc::DeviceTable::process_default().config(6, 1, 1);
-  EXPECT_EQ(&via_static, &via_table);
 }
 
 TEST(DeviceTable, ReconfiguringAddsQueuesToTheSameDevice) {
@@ -543,7 +536,7 @@ TEST(DeviceTable, ReconfiguringAddsQueuesToTheSameDevice) {
 TEST(DeviceTable, ScenarioFastDevicesLiveInThePrivateTable) {
   auto tb = mtb::Scenario().fast_device(0, 1, 1).fast_device(1, 1, 1).fast_connect(0, 1).build();
   // The testbed's device 0 is NOT the process-global device 0.
-  mc::Device& global0 = mc::Device::config(0, 1, 1);
+  mc::Device& global0 = mc::DeviceTable::process_default().config(0, 1, 1);
   EXPECT_NE(&tb->fast_device(0), &global0);
   EXPECT_EQ(tb->fast_devices().find(0), &tb->fast_device(0));
   EXPECT_THROW((void)tb->fast_device(9), std::out_of_range);
