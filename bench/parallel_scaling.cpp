@@ -10,7 +10,10 @@
 //
 // The simulated outputs (per-port TX counts) are asserted identical across
 // shard counts before any timing is reported — a benchmark of a wrong
-// result is worthless.
+// result is worthless. The generators' TX arbiters must also visit at most
+// kMaxArbiterVisitsPerFrame queues per transmitted frame: the arbiter visits
+// engaged queues only (one per generator here), so a return to scanning all
+// 384 XL710 queues fails the run as a count, not as a timing.
 //
 // Usage: parallel_scaling [virtual_ms] [json_path]
 #include <cstdint>
@@ -33,11 +36,13 @@ namespace mtb = moongen::testbed;
 namespace {
 
 constexpr int kPairs = 4;
+constexpr double kMaxArbiterVisitsPerFrame = 4.0;
 
 struct RunOutcome {
   double wall_ms = 0;
   std::size_t shards = 0;
   std::vector<std::uint64_t> tx_packets;  // per pair, for the identity check
+  double arbiter_visits_per_frame = 0;
 };
 
 RunOutcome run_config(int shards, double virtual_ms) {
@@ -73,7 +78,16 @@ RunOutcome run_config(int shards, double virtual_ms) {
   RunOutcome out;
   out.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   out.shards = tb->shard_count();
-  for (int p = 0; p < kPairs; ++p) out.tx_packets.push_back(tb->port(2 * p).stats().tx_packets);
+  std::uint64_t visits = 0;
+  std::uint64_t frames = 0;
+  for (int p = 0; p < kPairs; ++p) {
+    const auto& gen = tb->port(2 * p);
+    out.tx_packets.push_back(gen.stats().tx_packets);
+    visits += gen.arbiter_visits();
+    frames += gen.stats().tx_packets;
+  }
+  out.arbiter_visits_per_frame =
+      frames > 0 ? static_cast<double>(visits) / static_cast<double>(frames) : 0.0;
   return out;
 }
 
@@ -102,6 +116,14 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("  simulated outputs identical across shard counts\n");
+  const double visits = results[0].arbiter_visits_per_frame;
+  std::printf("  arbiter visits per transmitted frame: %.2f (gate: <= %.1f)\n", visits,
+              kMaxArbiterVisitsPerFrame);
+  if (visits > kMaxArbiterVisitsPerFrame) {
+    std::fprintf(stderr, "FATAL: the TX arbiter visits %.2f queues per frame (> %.1f)\n", visits,
+                 kMaxArbiterVisitsPerFrame);
+    return 1;
+  }
 
   std::FILE* f = std::fopen(json_path.c_str(), "w");
   if (f == nullptr) {
@@ -116,6 +138,7 @@ int main(int argc, char** argv) {
                kPairs, virtual_ms);
   const unsigned cores = std::thread::hardware_concurrency();
   std::fprintf(f, "  \"cores\": %u,\n", cores);
+  std::fprintf(f, "  \"arbiter_visits_per_frame\": %.2f,\n", visits);
   std::fprintf(f, "  \"runs\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     // honest: each shard thread had a physical core available — a run that

@@ -153,10 +153,8 @@ int main(int argc, char** argv) {
                       .device(4, mn::intel_x540()).name("vport1").with_seed(5).rtt_record(false)
                       .device(5, mn::intel_x540()).name("sink1").with_seed(6).rx_store(false)
                       .link(0, 1).with_seed(7)
-                      // Egress cables are long enough to give the sharded
-                      // runtime usable lookahead past one max frame time
-                      // (12.3 us at 1 GbE): conservative-sync channels need
-                      // latency > slack or the link cannot cross shards.
+                      // Long egress cables: each cross-shard link's latency
+                      // is its channel's lookahead in the sharded runtime.
                       .link(2, 3).with_seed(8).latency_ns(25'000)
                       .link(4, 5).with_seed(9).latency_ns(5'000)
                       .vswitch(1, {2, 4}, cfg);

@@ -95,8 +95,13 @@ VSwitch::VSwitch(sim::EventQueue& events, nic::Port& in_port, int in_queue,
     vp.backlog.assign(VSwitchConfig::kPriorityClasses, 0);
   }
   for (std::size_t qi = 0; qi < tenants_.size(); ++qi) {
-    const QueueState& q = tenants_[qi];
-    vports_[static_cast<std::size_t>(q.cfg.vport)].members[q.cfg.priority].push_back(qi);
+    QueueState& q = tenants_[qi];
+    auto& members = vports_[static_cast<std::size_t>(q.cfg.vport)].members[q.cfg.priority];
+    q.slot = members.size();
+    members.push_back(qi);
+  }
+  for (VportState& vp : vports_) {
+    for (const auto& members : vp.members) vp.backlogged.emplace_back(members.size());
   }
 
   rx_.set_callback([this](const nic::RxQueueModel::Entry&) { packet_arrived(); });
@@ -129,7 +134,8 @@ std::size_t VSwitch::queued() const {
 TenantCounters VSwitch::tenant_counters(std::size_t tenant) const {
   const QueueState& q = tenants_.at(tenant);
   return TenantCounters{q.matched,     q.emitted,     q.emitted_wire_bytes,
-                        q.shaped_drops, q.queue_drops, q.ring.count};
+                        q.shaped_drops, q.queue_drops, q.egress_ring_drops,
+                        q.ring.count};
 }
 
 void VSwitch::install_faults(fault::FaultPlane& plane, const std::string& site) {
@@ -146,6 +152,7 @@ void VSwitch::bind_telemetry(telemetry::MetricTree& tree, const std::string& pre
   tm_queue_drops_ = tree.counter(prefix + ".queue_drops");
   tm_fault_drops_ = tree.counter(prefix + ".fault_drops");
   tm_emitted_ = tree.counter(prefix + ".emitted");
+  tm_egress_ring_drops_ = tree.counter(prefix + ".egress_ring_drops");
   tm_received_.add(received_);
   tm_matched_.add(matched_);
   tm_flooded_.add(flooded_);
@@ -153,6 +160,7 @@ void VSwitch::bind_telemetry(telemetry::MetricTree& tree, const std::string& pre
   tm_queue_drops_.add(queue_drops_);
   tm_fault_drops_.add(fault_drops_);
   tm_emitted_.add(emitted_);
+  tm_egress_ring_drops_.add(egress_ring_drops_);
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
     QueueState& q = tenants_[i];
     const std::string tp =
@@ -161,10 +169,12 @@ void VSwitch::bind_telemetry(telemetry::MetricTree& tree, const std::string& pre
     q.tm_emitted = tree.counter(tp + ".emitted");
     q.tm_shaped_drops = tree.counter(tp + ".shaped_drops");
     q.tm_queue_drops = tree.counter(tp + ".queue_drops");
+    q.tm_egress_ring_drops = tree.counter(tp + ".egress_ring_drops");
     q.tm_matched.add(q.matched);
     q.tm_emitted.add(q.emitted);
     q.tm_shaped_drops.add(q.shaped_drops);
     q.tm_queue_drops.add(q.queue_drops);
+    q.tm_egress_ring_drops.add(q.egress_ring_drops);
   }
 }
 
@@ -300,6 +310,7 @@ void VSwitch::enqueue(std::size_t queue_idx, nic::Frame&& frame, bool is_flood) 
   q.tm_matched.add(1);
   q.ring.push(std::move(frame));
   VportState& vp = vports_[static_cast<std::size_t>(q.cfg.vport)];
+  vp.backlogged[q.cfg.priority].assign(q.slot, true);
   ++vp.backlog[q.cfg.priority];
   ++vp.backlog_total;
   if (!vp.busy) {
@@ -321,18 +332,27 @@ void VSwitch::drain_vport(std::size_t vp_idx) {
 
   // Deficit round robin within the class. Each visit to a backlogged queue
   // with an insufficient deficit tops it up by one quantum and moves on;
-  // the loop terminates because deficits only grow until a dequeue.
+  // the loop terminates because deficits only grow until a dequeue. The
+  // walk jumps from one backlogged member to the next. An idle queue must
+  // not bank credit (DRR rule), so a member-by-member walk zeroes the
+  // deficit of every empty member it passes. A member empties only by
+  // winning a dequeue, which leaves the cursor on it, so the one empty
+  // member that can still hold credit is the one the cursor rests on, and
+  // the walk passes it first.
   const auto& members = vp.members[cls];
+  const sim::Bitmap& backlogged = vp.backlogged[cls];
+  std::size_t& rr = vp.rr[cls];
+  if (QueueState& last = tenants_[members[rr]]; last.ring.empty() && last.deficit != 0) {
+    ++drr_visits_;
+    last.deficit = 0;
+  }
   std::size_t winner = 0;
   nic::Frame frame;
   for (;;) {
-    std::size_t& rr = vp.rr[cls];
+    rr = backlogged.find_next(rr);
+    if (rr == members.size()) rr = backlogged.find_next(0);
+    ++drr_visits_;
     QueueState& q = tenants_[members[rr]];
-    if (q.ring.empty()) {
-      q.deficit = 0;  // an idle queue must not bank credit (DRR rule)
-      rr = (rr + 1) % members.size();
-      continue;
-    }
     const auto bytes = static_cast<std::uint32_t>(q.ring.front().wire_bytes());
     if (q.deficit >= bytes) {
       q.deficit -= bytes;
@@ -345,6 +365,7 @@ void VSwitch::drain_vport(std::size_t vp_idx) {
   }
 
   QueueState& q = tenants_[winner];
+  if (q.ring.empty()) vp.backlogged[cls].assign(q.slot, false);
   --vp.backlog[cls];
   --vp.backlog_total;
   const std::size_t wire = frame.wire_bytes();
@@ -358,6 +379,9 @@ void VSwitch::drain_vport(std::size_t vp_idx) {
     // TX ring full despite pacing (e.g. the link is flapped down): the
     // frame is gone; the conservation identity accounts it here.
     ++egress_ring_drops_;
+    tm_egress_ring_drops_.add(1);
+    ++q.egress_ring_drops;
+    q.tm_egress_ring_drops.add(1);
   }
   // Self-pace at the vport's wire rate: the TX ring stays shallow, so the
   // *next* priority decision is made when this frame has serialized

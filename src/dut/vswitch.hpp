@@ -32,6 +32,7 @@
 
 #include "fault/fault.hpp"
 #include "nic/port.hpp"
+#include "sim/bitmap.hpp"
 #include "sim/event_queue.hpp"
 #include "telemetry/handles.hpp"
 
@@ -142,6 +143,8 @@ struct TenantCounters {
   std::uint64_t emitted_wire_bytes = 0;
   std::uint64_t shaped_drops = 0;
   std::uint64_t queue_drops = 0;
+  /// Frames the vport's full TX ring refused at dequeue.
+  std::uint64_t egress_ring_drops = 0;
   std::size_t queued = 0;
 };
 
@@ -173,18 +176,27 @@ class VSwitch {
   [[nodiscard]] std::size_t queued() const;
 
   [[nodiscard]] std::uint64_t polls() const { return polls_; }
+  /// Member queues the DRR walk has visited: backlogged members it offered
+  /// a dequeue plus emptied ones whose leftover deficit it cleared. It
+  /// grows with the backlogged members, not with the class size.
+  [[nodiscard]] std::uint64_t drr_visits() const { return drr_visits_; }
   [[nodiscard]] std::uint64_t stalls() const { return stalls_; }
   /// Configured tenants (the built-in flood queue is not counted).
   [[nodiscard]] std::size_t tenant_count() const { return cfg_.tenants.size(); }
   /// Books for tenant `tenant`; index tenant_count() reads the flood queue.
   [[nodiscard]] TenantCounters tenant_counters(std::size_t tenant) const;
+  /// DRR deficit of tenant `tenant` in wire bytes (same indexing).
+  [[nodiscard]] std::uint32_t deficit(std::size_t tenant) const {
+    return tenants_.at(tenant).deficit;
+  }
 
   /// Arms `<site>.drop` (frame loss at ingress, before classification) and
   /// `<site>.stall` (service-loop freeze, like the forwarder's).
   void install_faults(fault::FaultPlane& plane, const std::string& site);
 
   /// Resolve-once handles: global books under `<prefix>.*`, per-tenant
-  /// books under `<prefix>.t<k>.*`.
+  /// books under `<prefix>.t<k>.*` (the flood queue's under
+  /// `<prefix>.flood.*`).
   void bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix);
 
  private:
@@ -226,6 +238,7 @@ class VSwitch {
     TokenBucket bucket;
     TenantConfig cfg;
     std::uint32_t deficit = 0;
+    std::size_t slot = 0;  // position in its class's DRR member ring
     std::vector<RetagCacheEntry> retag_cache;
     std::size_t retag_evict = 0;
     // books
@@ -234,10 +247,12 @@ class VSwitch {
     std::uint64_t emitted_wire_bytes = 0;
     std::uint64_t shaped_drops = 0;
     std::uint64_t queue_drops = 0;
+    std::uint64_t egress_ring_drops = 0;
     telemetry::CounterHandle tm_matched;
     telemetry::CounterHandle tm_emitted;
     telemetry::CounterHandle tm_shaped_drops;
     telemetry::CounterHandle tm_queue_drops;
+    telemetry::CounterHandle tm_egress_ring_drops;
   };
 
   /// One egress port: strict-priority classes, each a DRR rotation over
@@ -248,6 +263,8 @@ class VSwitch {
     std::vector<std::vector<std::size_t>> members;  // per class: queue idxs
     std::vector<std::size_t> rr;                    // per class: DRR cursor
     std::vector<std::size_t> backlog;               // per class: queued frames
+    /// Per class, by member position: the queues holding frames.
+    std::vector<sim::Bitmap> backlogged;
     std::size_t backlog_total = 0;
     bool busy = false;
   };
@@ -303,6 +320,7 @@ class VSwitch {
   std::uint64_t egress_ring_drops_ = 0;
   std::uint64_t polls_ = 0;
   std::uint64_t stalls_ = 0;
+  std::uint64_t drr_visits_ = 0;
 
   telemetry::CounterHandle tm_received_;
   telemetry::CounterHandle tm_matched_;
@@ -311,6 +329,7 @@ class VSwitch {
   telemetry::CounterHandle tm_queue_drops_;
   telemetry::CounterHandle tm_fault_drops_;
   telemetry::CounterHandle tm_emitted_;
+  telemetry::CounterHandle tm_egress_ring_drops_;
 };
 
 }  // namespace moongen::dut

@@ -157,21 +157,35 @@ CheckFn make_vswitch_checker(testbed::Testbed& tb) {
       }
       // Per-tenant books (incl. the built-in flood queue) must sum to the
       // switch-wide totals — a mismatch means a frame was booked to the
-      // wrong tenant or to none.
+      // wrong tenant or to none — and each must close its own egress
+      // identity: every admitted frame left, died at a full TX ring, or
+      // still waits.
       std::uint64_t t_matched = 0, t_shaped = 0, t_queue_drops = 0, t_queued = 0;
+      std::uint64_t t_emitted = 0, t_egress_drops = 0;
       for (std::size_t k = 0; k <= vs.tenant_count(); ++k) {
         const auto& c = vs.tenant_counters(k);
+        if (c.matched != c.emitted + c.egress_ring_drops + c.queued) {
+          os << "vswitch " << vi << ": tenant " << k << " egress books broken: matched "
+             << c.matched << " != emitted " << c.emitted << " + egress_ring_drops "
+             << c.egress_ring_drops << " + queued " << c.queued;
+          return CheckResult::fail(os.str());
+        }
         t_matched += c.matched;
         t_shaped += c.shaped_drops;
         t_queue_drops += c.queue_drops;
         t_queued += c.queued;
+        t_emitted += c.emitted;
+        t_egress_drops += c.egress_ring_drops;
       }
       if (t_matched != admitted || t_shaped != vs.shaped_drops() ||
-          t_queue_drops != vs.queue_drops() || t_queued != vs.queued()) {
+          t_queue_drops != vs.queue_drops() || t_queued != vs.queued() ||
+          t_emitted != vs.emitted() || t_egress_drops != vs.egress_ring_drops()) {
         os << "vswitch " << vi << ": per-tenant books disagree with totals: sum matched "
            << t_matched << " vs " << admitted << ", shaped " << t_shaped << " vs "
            << vs.shaped_drops() << ", queue_drops " << t_queue_drops << " vs "
-           << vs.queue_drops() << ", queued " << t_queued << " vs " << vs.queued();
+           << vs.queue_drops() << ", queued " << t_queued << " vs " << vs.queued()
+           << ", emitted " << t_emitted << " vs " << vs.emitted() << ", egress_ring_drops "
+           << t_egress_drops << " vs " << vs.egress_ring_drops();
         return CheckResult::fail(os.str());
       }
     }

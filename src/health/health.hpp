@@ -141,7 +141,10 @@ class CheckerRegistry {
 ///   egress:  matched + flooded == emitted + egress_ring_drops + queued
 /// A broken ingress identity means a frame took two outcomes (or none); a
 /// broken egress identity means a queued frame leaked or was emitted twice.
-/// Per-tenant books must also sum to the switch-wide totals.
+/// Per-tenant books (matched, shaped, queue drops, queued, emitted, egress
+/// ring drops) must also sum to the switch-wide totals, and each tenant's
+/// egress identity must close: matched == emitted + egress_ring_drops +
+/// queued.
 [[nodiscard]] CheckFn make_vswitch_checker(testbed::Testbed& tb);
 
 /// RPC client conservation: issued == matched + timed_out + send_drops +

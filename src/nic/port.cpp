@@ -41,6 +41,12 @@ void TxQueueModel::set_refill(std::function<Frame()> generator) {
   if (port_ != nullptr) port_->notify_tx_work(index_);
 }
 
+void TxQueueModel::set_fifo_capacity(std::size_t frames) {
+  fifo_capacity_frames_ = frames;
+  fifo_.set_capacity(frames);
+  if (port_ != nullptr) port_->update_engaged(*this);
+}
+
 // ---------------------------------------------------------------------------
 // RxQueueModel
 // ---------------------------------------------------------------------------
@@ -68,6 +74,7 @@ Port::Port(sim::EventQueue& events, ChipSpec spec, std::uint64_t link_mbit, std:
       link_mbit_(link_mbit),
       byte_time_ps_(sim::byte_time_ps(link_mbit)),
       rng_(seed),
+      engaged_(static_cast<std::size_t>(spec_.num_queues)),
       ptp_clock_({.increment_ps = spec_.ptp_increment_ps,
                   .phase_step_ps = spec_.ptp_phase_step_ps},
                  seed ^ 0x9e3779b97f4a7c15ull) {
@@ -86,6 +93,7 @@ Port::Port(sim::EventQueue& events, ChipSpec spec, std::uint64_t link_mbit, std:
 
 void Port::notify_tx_work(int queue_index) {
   auto& q = *tx_queues_[static_cast<std::size_t>(queue_index)];
+  update_engaged(q);
   if (!q.mem_ring_.empty()) schedule_fetch(q);
   if (q.refill_) try_transmit();
 }
@@ -119,29 +127,39 @@ void Port::fetch_descriptors(TxQueueModel& q) {
 void Port::try_transmit() {
   if (serializer_busy_ || !link_up_) return;
   const sim::SimTime now = events_.now();
-  const int n = spec_.num_queues;
+  const auto n = static_cast<std::size_t>(spec_.num_queues);
+  const auto start = static_cast<std::size_t>(rr_next_);
   sim::SimTime earliest_blocked = UINT64_MAX;
-  for (int step = 0; step < n; ++step) {
-    const int idx = (rr_next_ + step) % n;
-    auto& q = *tx_queues_[static_cast<std::size_t>(idx)];
-    // Pull-on-demand: generate exactly the frame about to be considered, at
-    // the time it is considered. Prefilling the FIFO to capacity here would
-    // run the generator a whole FIFO ahead of the wire, so a frame marked
-    // for timestamp sampling (SimLoadGen::mark_next_valid) would reach the
-    // wire only after the pre-generated backlog drained — and batched and
-    // unbatched runs would sample different packets.
-    if (q.fifo_.empty() && q.refill_) q.fifo_.push_back(q.refill_());
-    if (q.fifo_.empty()) continue;
-    if (q.next_allowed_ps_ <= now) {
-      rr_next_ = (idx + 1) % n;
-      if (batching_allowed(q)) {
-        start_batch_transmission(q);
-      } else {
-        start_transmission(q);
+  // Round robin from rr_next_ over the engaged queues only: [start, n), then
+  // [0, start). An idle queue would be skipped anyway. engaged_ is re-read
+  // at every step, so queues a refill source engages or idles mid-scan are
+  // seen exactly as a walk over every queue would see them.
+  for (const auto& [lo, hi] : {std::pair{start, n}, std::pair{std::size_t{0}, start}}) {
+    for (std::size_t idx = engaged_.find_next(lo); idx < hi; idx = engaged_.find_next(idx + 1)) {
+      ++arbiter_visits_;
+      auto& q = *tx_queues_[idx];
+      // Pull-on-demand: generate exactly the frame about to be considered,
+      // at the time it is considered. Prefilling the FIFO to capacity here
+      // would run the generator a whole FIFO ahead of the wire, so a frame
+      // marked for timestamp sampling (SimLoadGen::mark_next_valid) would
+      // reach the wire only after the pre-generated backlog drained — and
+      // batched and unbatched runs would sample different packets.
+      if (q.fifo_.empty() && q.refill_) {
+        q.fifo_.push_back(q.refill_());
+        update_engaged(q);
       }
-      return;
+      if (q.fifo_.empty()) continue;
+      if (q.next_allowed_ps_ <= now) {
+        rr_next_ = static_cast<int>((idx + 1) % n);
+        if (batching_allowed(q)) {
+          start_batch_transmission(q);
+        } else {
+          start_transmission(q);
+        }
+        return;
+      }
+      earliest_blocked = std::min(earliest_blocked, q.next_allowed_ps_);
     }
-    earliest_blocked = std::min(earliest_blocked, q.next_allowed_ps_);
   }
   if (earliest_blocked != UINT64_MAX) {
     if (!wake_scheduled_ || earliest_blocked < scheduled_wake_ps_) {
@@ -162,17 +180,16 @@ bool Port::batching_allowed(const TxQueueModel& q) const {
   // through the one-event path, so a queue that engages while it serializes
   // gets its round-robin slot at the very next boundary.
   if (events_.now() != last_busy_end_) return false;
-  // Batch only while `q` is the sole engaged queue: with every other queue
-  // empty (no FIFO frames, no in-flight descriptors, no refill source) the
-  // round-robin arbiter would pick `q` at every frame boundary anyway.
-  for (const auto& other : tx_queues_) {
-    if (other.get() != &q && other->engaged()) return false;
-  }
-  return true;
+  // Batch only while `q` (which holds a frame) is the sole engaged queue:
+  // with every other queue empty (no FIFO frames, no in-flight descriptors,
+  // no refill source) the round-robin arbiter would pick `q` at every frame
+  // boundary anyway.
+  return engaged_.count() == 1;
 }
 
 void Port::start_transmission(TxQueueModel& q) {
   Frame frame = q.fifo_.pop_front();
+  update_engaged(q);
 
   // Transmissions start aligned to the MAC clock grid (the MAC and the
   // timestamp unit share one clock, Section 6.1) — except back-to-back
@@ -192,19 +209,20 @@ void Port::start_transmission(TxQueueModel& q) {
 
   apply_rate_limit(q, frame, t0);
 
-  const sim::SimTime busy_until = t0 + frame.wire_bytes() * byte_time_ps_;
+  const std::uint64_t wire = frame.wire_bytes();
+  const sim::SimTime busy_until = t0 + wire * byte_time_ps_;
   last_busy_end_ = busy_until;
-  // t0 is recomputed from the completion time rather than captured: the
-  // [this, frame] closure fills InlineFunction's buffer exactly, and the
-  // serialization span is fixed by the frame's wire bytes.
-  events_.schedule_at_inline(busy_until, [this, frame = std::move(frame)] {
-    const sim::SimTime t0 = events_.now() - frame.wire_bytes() * byte_time_ps_;
+  // The sink gets the frame at serialization start with its true start
+  // time, as in the batched path: a link then hands a frame to its far end
+  // no later than one cable latency before it arrives, which is the whole
+  // lookahead a cross-shard link offers (DESIGN.md section 10).
+  if (sink_ != nullptr) sink_->on_frame(frame, t0);
+  events_.schedule_at_inline(busy_until, [this, wire] {
     stats_.tx_packets += 1;
-    stats_.tx_bytes += frame.wire_bytes();
+    stats_.tx_bytes += wire;
     tm_.tx_packets.add(1);
-    tm_.tx_bytes.add(frame.wire_bytes());
+    tm_.tx_bytes.add(wire);
     serializer_busy_ = false;
-    if (sink_ != nullptr) sink_->on_frame(frame, t0);
     try_transmit();
   });
 }
@@ -255,6 +273,7 @@ void Port::start_batch_transmission(TxQueueModel& q) {
     ++frames;
   }
 
+  update_engaged(q);
   last_busy_end_ = t0;  // now the end of the batch's last frame
   // One completion event for the whole run; TX stats move at batch end
   // (bounded skew of tx_batch_frames_ frames vs. the per-frame path).

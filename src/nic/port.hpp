@@ -34,6 +34,7 @@
 #include "nic/flow_director.hpp"
 #include "nic/frame.hpp"
 #include "nic/rss.hpp"
+#include "sim/bitmap.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/ptp_clock.hpp"
 #include "telemetry/handles.hpp"
@@ -47,7 +48,10 @@ class Port;
 class FrameSink {
  public:
   virtual ~FrameSink() = default;
-  /// `tx_start_ps` is the time the first preamble bit left the MAC.
+  /// Called when the MAC starts serializing `frame` (for a batch, at batch
+  /// start for each of its frames). `tx_start_ps` is the time the first
+  /// preamble bit leaves the MAC, never before the engine's current time:
+  /// a cross-shard link's lookahead relies on it.
   virtual void on_frame(const Frame& frame, sim::SimTime tx_start_ps) = 0;
 };
 
@@ -116,10 +120,7 @@ class TxQueueModel {
   /// Bounds the on-chip FIFO lookahead (frames pulled from the refill
   /// source ahead of transmission). A small value keeps the generator's
   /// stream marking (timestamp sampling) responsive at low paced rates.
-  void set_fifo_capacity(std::size_t frames) {
-    fifo_capacity_frames_ = frames;
-    fifo_.set_capacity(frames);
-  }
+  void set_fifo_capacity(std::size_t frames);
 
   [[nodiscard]] double rate_wire_mbit() const { return rate_wire_mbit_; }
 
@@ -127,7 +128,7 @@ class TxQueueModel {
   friend class Port;
 
   /// True if this queue could put a frame on the wire now or in the future
-  /// without further software action (used by the batching gate).
+  /// without further software action: the port's engaged bitmap mirrors it.
   [[nodiscard]] bool engaged() const {
     return !fifo_.empty() || !mem_ring_.empty() || static_cast<bool>(refill_);
   }
@@ -293,6 +294,11 @@ class Port {
   /// True while the MAC is serializing a frame.
   [[nodiscard]] bool transmitting() const { return serializer_busy_; }
 
+  /// TX queues the arbiter has visited over the port's lifetime. It visits
+  /// engaged queues only, each at most once per arbitration, so this grows
+  /// with the engaged queues, not with num_queues().
+  [[nodiscard]] std::uint64_t arbiter_visits() const { return arbiter_visits_; }
+
   /// Maximum frames serialized per engine event on the uncontrolled
   /// fast path (see DESIGN.md, "Event-engine fast path"). Wire timestamps
   /// are identical for any value; sinks and TX counters observe frames at
@@ -312,6 +318,11 @@ class Port {
   friend class TxQueueModel;
 
   void notify_tx_work(int queue_index);
+  /// Re-reads `q`'s engaged state into engaged_; called wherever its FIFO,
+  /// descriptor ring or refill source changes.
+  void update_engaged(const TxQueueModel& q) {
+    engaged_.assign(static_cast<std::size_t>(q.index_), q.engaged());
+  }
   void schedule_fetch(TxQueueModel& q);
   void fetch_descriptors(TxQueueModel& q);
   void try_transmit();
@@ -320,7 +331,8 @@ class Port {
   /// solely-engaged queue in one engine event.
   void start_batch_transmission(TxQueueModel& q);
   /// True when `q` may use the batched fast path: no hardware rate limiter
-  /// on `q` and every other queue idle, so arbitration is a no-op.
+  /// on `q` and every other queue idle (`q` is the one engaged queue), so
+  /// arbitration is a no-op.
   [[nodiscard]] bool batching_allowed(const TxQueueModel& q) const;
   void apply_rate_limit(TxQueueModel& q, const Frame& frame, sim::SimTime tx_start);
   [[nodiscard]] bool frame_matches_ptp_filter(const Frame& frame) const;
@@ -350,6 +362,11 @@ class Port {
 
   std::vector<std::unique_ptr<TxQueueModel>> tx_queues_;
   std::vector<std::unique_ptr<RxQueueModel>> rx_queues_;
+  /// Bit i set while TX queue i is engaged. Arbitration visits only these:
+  /// a queue with no FIFO frame, descriptor or refill source has nothing to
+  /// offer, so skipping it leaves every pick and wake time unchanged.
+  sim::Bitmap engaged_;
+  std::uint64_t arbiter_visits_ = 0;
   FrameSink* sink_ = nullptr;
 
   bool serializer_busy_ = false;

@@ -40,6 +40,17 @@
 //    the barrier's completion step, single-threaded, while every shard is
 //    quiesced at the same virtual time.
 //
+// Two loops run the windows. The parallel loop gives every shard its own
+// worker; the serial loop runs all shards' windows on the calling thread
+// (shards joined by a channel cycle window by window in turn, the rest in
+// feed order) with the same windows, the same epoch drains before each
+// window and the same globals at each segment end, so both produce the
+// same results. One shard always runs serially. With more, the first
+// segment of the runtime's life runs in parallel and the second serially,
+// and every later segment uses the loop that spent less wall time per
+// executed event: a cross-shard window can cost more in handoffs than the
+// work it carries.
+//
 // The runtime does not create threads itself: the caller injects an
 // executor (testbed::Testbed supplies core::TaskSet pinned threads — the
 // sim layer cannot depend on core). Without channels the window is
@@ -72,7 +83,7 @@ class ParallelRuntime {
   ParallelRuntime& operator=(const ParallelRuntime&) = delete;
 
   /// Windows a producer may run ahead of a consumer's drained epoch. A
-  /// segment (at most 1118 windows for a 1 ms health tick on the default
+  /// segment (at most 471 windows for a 1 ms health tick on the default
   /// cable) never reaches it; it caps what a feed-forward run without
   /// globals buffers in a channel.
   static constexpr std::uint64_t kMaxLeadWindows = 4096;
@@ -112,9 +123,11 @@ class ParallelRuntime {
   void set_executor(Executor executor) { executor_ = std::move(executor); }
 
   /// Advances every shard to `t`: all events with time <= t run, clocks end
-  /// at t. With one shard this is inline and thread-free; with more, the
-  /// executor runs one worker per shard, synchronized per channel epoch
-  /// within a segment and by a barrier at each segment end.
+  /// at t. With one shard this is inline and thread-free; with more, each
+  /// segment runs in the parallel loop (the executor runs one worker per
+  /// shard, synchronized per channel epoch within a segment and by a
+  /// barrier at each segment end) or in the serial loop on the calling
+  /// thread, as the probe described above picks.
   void run_until(SimTime t);
 
   /// Global virtual time (the last window boundary reached).
@@ -125,12 +138,14 @@ class ParallelRuntime {
   [[nodiscard]] std::size_t channel_count() const { return channels_.size(); }
   /// Lookahead windows completed over the runtime's lifetime.
   [[nodiscard]] std::uint64_t windows_run() const { return windows_; }
+  /// The part of windows_run() the serial loop ran (all of it with one
+  /// shard).
+  [[nodiscard]] std::uint64_t serial_windows() const { return serial_windows_; }
 
   // --- health-plane observability (watchdog support) ------------------------
-  /// Monotonic per-shard progress counter: bumped once per window iteration
-  /// of the shard's worker loop (sequential runs bump shard 0 once per
-  /// window/global boundary). Relaxed atomic — safe to sample from a
-  /// wall-clock monitor thread without perturbing the run.
+  /// Monotonic per-shard progress counter: bumped once per window the
+  /// shard completes, in either loop. Relaxed atomic — safe to sample from
+  /// a wall-clock monitor thread without perturbing the run.
   [[nodiscard]] std::uint64_t heartbeat(std::size_t shard) const {
     return heartbeats_[shard].count.load(std::memory_order_relaxed);
   }
@@ -161,8 +176,14 @@ class ParallelRuntime {
     std::uint64_t flushed_seen = 0;
   };
 
-  void run_sequential(SimTime t);
-  void run_parallel(SimTime t);
+  /// Each loop runs at most `segments` segments of run_until(t), fewer if
+  /// it reaches t first.
+  void run_serial(SimTime t, std::uint64_t segments);
+  /// Groups the shards for the serial loop: each group is a set of shards
+  /// joined by a channel cycle, and a group comes after every group that
+  /// feeds it.
+  void plan_serial_groups();
+  void run_parallel(SimTime t, std::uint64_t segments);
   /// Runs all due global events at now_ (including ones scheduled by the
   /// callbacks themselves for the current time).
   void run_globals();
@@ -172,10 +193,6 @@ class ParallelRuntime {
   /// End of the window starting at `cur` in a segment ending at `seg_end`.
   [[nodiscard]] SimTime window_end(SimTime cur, SimTime seg_end) const {
     return window_ps_ != UINT64_MAX && seg_end - cur > window_ps_ ? cur + window_ps_ : seg_end;
-  }
-  /// Next window boundary: min(cur + W, end, first global event).
-  [[nodiscard]] SimTime next_target(SimTime cur, SimTime end) const {
-    return window_end(cur, segment_end(end));
   }
   static void default_executor(std::vector<Work>& work);
 
@@ -202,6 +219,15 @@ class ParallelRuntime {
   Executor executor_;
   SimTime now_ = 0;
   std::uint64_t windows_ = 0;
+  std::uint64_t serial_windows_ = 0;
+  /// The serial loop's shard groups, in feed order (empty: not planned).
+  std::vector<std::vector<std::size_t>> serial_groups_;
+  /// Mode probe: segments measured so far (0..2), the wall time and
+  /// executed events of the parallel and the serial one, and the verdict.
+  int probed_ = 0;
+  std::uint64_t probe_ns_[2] = {};
+  std::uint64_t probe_events_[2] = {};
+  bool serial_ = false;
 };
 
 }  // namespace moongen::sim

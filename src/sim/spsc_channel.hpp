@@ -15,7 +15,7 @@
 //    the total traffic.
 //
 // Thread-safety contract: exactly one producer thread and one consumer
-// thread (which may be the same thread, e.g. in the sequential fallback).
+// thread (which may be the same thread, e.g. in the runtime's serial loop).
 // No other concurrent access is allowed — this is what buys the two-load
 // hot path.
 #pragma once

@@ -419,13 +419,12 @@ std::unique_ptr<Testbed> Scenario::build() {
         throw std::invalid_argument(
             "Scenario: cross-shard link " + std::to_string(l.from) + " -> " +
             std::to_string(l.to) +
-            " has no usable lookahead (cable latency does not exceed one max frame "
-            "time); give it a longer cable()/latency_ns() or couple() its endpoints "
+            " has no usable lookahead (zero minimum cable latency); give it a "
+            "cable()/latency_ns() with positive latency or couple() its endpoints "
             "onto one shard");
       tb->channels_.emplace_back();
       wire::Link* raw = entry.link.get();
-      raw->set_remote(&tb->channels_.back(),
-                      std::to_string(l.from) + " -> " + std::to_string(l.to));
+      raw->set_remote(&tb->channels_.back());
       tb->runtime_->add_channel(
           from_shard, to_shard, lookahead, [raw] { raw->drain_remote_epoch(); },
           [raw] { raw->flush_remote_epoch(); });

@@ -22,16 +22,6 @@ std::uint64_t hash_site(std::string_view s) {
   return h;
 }
 
-[[noreturn, gnu::cold, gnu::noinline]] void throw_overlong(const std::string& ends,
-                                                       std::size_t frame_size) {
-  throw std::invalid_argument(
-      "Link " + ends + ": a " + std::to_string(frame_size) + " B frame exceeds the " +
-      std::to_string(proto::kMaxFrameSize) +
-      " B a cross-shard link carries (its lookahead assumes at most " +
-      std::to_string(Link::kMaxFrameWireBytes) +
-      " wire bytes); couple() the link's endpoints onto one shard to send longer frames");
-}
-
 }  // namespace
 
 Link::Link(nic::Port& from, nic::Port& to, CableSpec cable, std::uint64_t seed)
@@ -138,10 +128,6 @@ void Link::corrupt_frame(nic::Frame& frame) {
 }
 
 void Link::on_frame(const nic::Frame& frame, sim::SimTime tx_start_ps) {
-  // The channel's lookahead absorbs one max-size frame of serialization
-  // slack; a longer frame could land in its consumer's past.
-  if (remote_ != nullptr && frame.wire_bytes() > kMaxFrameWireBytes)
-    throw_overlong(remote_ends_, frame.frame_size());
   ++frames_;
   if (!carrier_up_) {
     // Carrier is down mid-flap: the frame vanishes on the dead wire.

@@ -7,7 +7,6 @@
 
 #include "fault/fault.hpp"
 #include "nic/port.hpp"
-#include "proto/headers.hpp"
 #include "sim/spsc_channel.hpp"
 #include "wire/cable.hpp"
 
@@ -49,11 +48,8 @@ class Link : public nic::FrameSink {
   /// into `channel` with their computed arrival time instead. The flush and
   /// drain hooks below pair up through ParallelRuntime::add_channel; the
   /// producer side (this link's shard) calls flush, the destination shard
-  /// calls drain. `ends` names the link in errors (e.g. "0 -> 1").
-  void set_remote(FrameChannel* channel, std::string ends) {
-    remote_ = channel;
-    remote_ends_ = std::move(ends);
-  }
+  /// calls drain.
+  void set_remote(FrameChannel* channel) { remote_ = channel; }
   [[nodiscard]] bool remote() const { return remote_ != nullptr; }
   /// Producer side: closes the current window's epoch with a marker.
   void flush_remote_epoch();
@@ -67,21 +63,11 @@ class Link : public nic::FrameSink {
   /// link can have. Fault rules only ever add delay (reorder holds back,
   /// duplicates trail), so the cable bound holds with faults installed.
   [[nodiscard]] sim::SimTime min_latency_ps() const { return cable_.min_latency_ps(); }
-  /// Largest frame a cross-shard link carries, in wire bytes: the 1518 B
-  /// standard maximum plus preamble, SFD and inter-frame gap. on_frame
-  /// rejects a longer one in cross-shard mode.
-  static constexpr std::uint64_t kMaxFrameWireBytes = proto::kMaxFrameSize + proto::kWireOverhead;
-  /// Usable lookahead for a cross-shard channel. The sender's MAC notifies
-  /// the link at the *end* of serialization with the frame's true start
-  /// time, so relative to the engine clock a frame's arrival can fall one
-  /// max-size frame serialization short of the cable bound; the channel
-  /// window must absorb that slack. Zero means this link cannot safely
-  /// cross shards.
-  [[nodiscard]] sim::SimTime lookahead_ps() const {
-    const sim::SimTime slack = kMaxFrameWireBytes * from_.byte_time_ps();
-    const sim::SimTime lat = min_latency_ps();
-    return lat > slack ? lat - slack : 0;
-  }
+  /// Usable lookahead for a cross-shard channel: the whole minimum cable
+  /// latency, because the sender's MAC hands every frame to the link at
+  /// serialization start, when the engine clock is at (or just before) the
+  /// frame's start time. Zero means this link cannot safely cross shards.
+  [[nodiscard]] sim::SimTime lookahead_ps() const { return min_latency_ps(); }
   /// Frames pushed into the channel (markers excluded).
   [[nodiscard]] std::uint64_t remote_frames() const { return remote_frames_; }
 
@@ -132,7 +118,6 @@ class Link : public nic::FrameSink {
   std::uint64_t frames_ = 0;
   std::uint64_t delivered_ = 0;
   FrameChannel* remote_ = nullptr;
-  std::string remote_ends_;
   std::uint64_t remote_frames_ = 0;
 
   // Fault plane wiring (all disabled by default; on_frame's fast path is

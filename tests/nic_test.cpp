@@ -2,7 +2,11 @@
 // rate control, PTP timestamping, CRC hardware drop, RX rings.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <deque>
+#include <functional>
+#include <random>
 
 #include "core/rate_control.hpp"
 #include "nic/chip.hpp"
@@ -13,6 +17,7 @@
 namespace mn = moongen::nic;
 namespace ms = moongen::sim;
 namespace mc = moongen::core;
+namespace mp = moongen::proto;
 using moongen::test::CaptureSink;
 
 namespace {
@@ -472,4 +477,379 @@ TEST(PortBatching, DisabledBatchingKeepsPerFrameEvents) {
   port.tx_queue(0).set_refill([] { return udp_frame(); });
   events.run_until(ms::kPsPerMs);
   EXPECT_GE(events.executed(), port.stats().tx_packets);
+}
+
+// ---------------------------------------------------------------------------
+// TX arbitration against a linear-scan reference
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// The TX path of nic::Port with the arbitration it had before the engaged
+/// bitmap: every try_transmit walks all queues from the round-robin cursor,
+/// and the batching gate checks every other queue. Everything else (DMA
+/// fetch and its jitter draws, MAC alignment, pacing and its noise draws,
+/// batches, wakes) mirrors Port exactly, so two runs fed the same
+/// operations must schedule the same events and transmit the same frames.
+class LinearScanPort {
+ public:
+  LinearScanPort(ms::EventQueue& events, mn::ChipSpec spec, std::uint64_t link_mbit,
+                 std::uint64_t seed)
+      : events_(events),
+        spec_(std::move(spec)),
+        byte_time_ps_(ms::byte_time_ps(link_mbit)),
+        rate_tick_ps_(spec_.rate_tick_at_max_speed_ps * (spec_.max_link_mbit / link_mbit)),
+        rng_(seed),
+        queues_(static_cast<std::size_t>(spec_.num_queues)) {}
+
+  std::vector<std::pair<std::uint32_t, ms::SimTime>> picks;  // (queue, tx_start)
+  std::uint64_t batches = 0;
+  std::uint64_t wakes = 0;
+
+  bool post(int i, mn::Frame frame) {
+    Queue& q = queues_[static_cast<std::size_t>(i)];
+    if (q.ring.size() >= 1024) return false;
+    q.ring.push_back(std::move(frame));
+    notify(i);
+    return true;
+  }
+  void set_refill(int i, std::function<mn::Frame()> generator) {
+    queues_[static_cast<std::size_t>(i)].refill = std::move(generator);
+    notify(i);
+  }
+  void set_rate_wire_mbit(int i, double mbit) {
+    queues_[static_cast<std::size_t>(i)].rate = mbit;
+    queues_[static_cast<std::size_t>(i)].pacing_initialized = false;
+  }
+  void set_fifo_capacity(int i, std::size_t frames) {
+    Queue& q = queues_[static_cast<std::size_t>(i)];
+    q.fifo_capacity = frames;
+    if (q.fifo.size() > frames) q.fifo.resize(frames);  // drops the newest
+  }
+  void set_link_state(bool up) {
+    if (up == link_up_) return;
+    link_up_ = up;
+    if (up) try_transmit();
+  }
+
+ private:
+  struct Queue {
+    std::deque<mn::Frame> ring;
+    std::deque<mn::Frame> fifo;
+    std::size_t fifo_capacity = 128;
+    bool fetch_scheduled = false;
+    double rate = 0.0;
+    double next_target = 0;
+    ms::SimTime next_allowed = 0;
+    bool pacing_initialized = false;
+    std::function<mn::Frame()> refill;
+    [[nodiscard]] bool engaged() const {
+      return !fifo.empty() || !ring.empty() || static_cast<bool>(refill);
+    }
+  };
+
+  void notify(int i) {
+    Queue& q = queues_[static_cast<std::size_t>(i)];
+    if (!q.ring.empty()) schedule_fetch(q);
+    if (q.refill) try_transmit();
+  }
+  void schedule_fetch(Queue& q) {
+    if (q.fetch_scheduled) return;
+    q.fetch_scheduled = true;
+    const mn::DmaTiming dma;
+    const ms::SimTime jitter = rng_() % dma.jitter_ps;
+    events_.schedule_in(dma.latency_ps + jitter, [this, &q] { fetch(q); });
+  }
+  void fetch(Queue& q) {
+    const mn::DmaTiming dma;
+    q.fetch_scheduled = false;
+    std::size_t moved = 0;
+    while (!q.ring.empty() && q.fifo.size() < q.fifo_capacity && moved < dma.fetch_batch) {
+      q.fifo.push_back(std::move(q.ring.front()));
+      q.ring.pop_front();
+      ++moved;
+    }
+    if (!q.ring.empty()) {
+      q.fetch_scheduled = true;
+      events_.schedule_in(dma.fetch_interval_ps, [this, &q] { fetch(q); });
+    }
+    try_transmit();
+  }
+  void try_transmit() {
+    if (busy_ || !link_up_) return;
+    const ms::SimTime now = events_.now();
+    const int n = spec_.num_queues;
+    ms::SimTime earliest = UINT64_MAX;
+    for (int step = 0; step < n; ++step) {
+      const int idx = (rr_next_ + step) % n;
+      Queue& q = queues_[static_cast<std::size_t>(idx)];
+      if (q.fifo.empty() && q.refill) q.fifo.push_back(q.refill());
+      if (q.fifo.empty()) continue;
+      if (q.next_allowed <= now) {
+        rr_next_ = (idx + 1) % n;
+        if (batching_allowed(q)) {
+          start_batch(q);
+        } else {
+          start(q);
+        }
+        return;
+      }
+      earliest = std::min(earliest, q.next_allowed);
+    }
+    if (earliest != UINT64_MAX && (!wake_scheduled_ || earliest < scheduled_wake_ps_)) {
+      wake_scheduled_ = true;
+      scheduled_wake_ps_ = earliest;
+      ++wakes;
+      events_.schedule_at(earliest, [this, at = earliest] {
+        if (wake_scheduled_ && scheduled_wake_ps_ == at) wake_scheduled_ = false;
+        try_transmit();
+      });
+    }
+  }
+  [[nodiscard]] bool batching_allowed(const Queue& q) const {
+    if (q.rate > 0.0 || events_.now() != last_busy_end_) return false;
+    for (const Queue& other : queues_) {
+      if (&other != &q && other.engaged()) return false;
+    }
+    return true;
+  }
+  void start(Queue& q) {
+    mn::Frame frame = std::move(q.fifo.front());
+    q.fifo.pop_front();
+    ms::SimTime t0 = events_.now();
+    if (t0 != last_busy_end_) t0 = align(t0);
+    busy_ = true;
+    rate_limit(q, frame, t0);
+    last_busy_end_ = t0 + frame.wire_bytes() * byte_time_ps_;
+    picks.emplace_back(frame.flow, t0);
+    events_.schedule_at(last_busy_end_, [this] {
+      busy_ = false;
+      try_transmit();
+    });
+  }
+  void start_batch(Queue& q) {
+    ++batches;
+    busy_ = true;
+    const ms::SimTime now = events_.now();
+    ms::SimTime t0 = now;
+    if (t0 != last_busy_end_) t0 = align(t0);
+    q.next_allowed = 0;
+    for (std::size_t frames = 0; frames < 16; ++frames) {
+      if (now == 0 && t0 > 0) break;  // Port's batch barrier, still at time 0
+      if (q.fifo.empty()) {
+        if (!q.refill) break;
+        q.fifo.push_back(q.refill());
+      }
+      const mn::Frame frame = std::move(q.fifo.front());
+      q.fifo.pop_front();
+      picks.emplace_back(frame.flow, t0);
+      t0 += frame.wire_bytes() * byte_time_ps_;
+    }
+    last_busy_end_ = t0;
+    events_.schedule_at(t0, [this] {
+      busy_ = false;
+      try_transmit();
+    });
+  }
+  void rate_limit(Queue& q, const mn::Frame& frame, ms::SimTime tx_start) {
+    if (q.rate <= 0.0) {
+      q.next_allowed = 0;
+      return;
+    }
+    double gap = static_cast<double>(frame.wire_bytes()) * 8e6 / q.rate;
+    if (1e12 / gap > spec_.rate_control_reliable_pps) {
+      std::uniform_real_distribution<double> inflate(1.0, 1.6);
+      gap *= inflate(rng_);
+    }
+    if (!q.pacing_initialized) {
+      q.pacing_initialized = true;
+      q.next_target = static_cast<double>(tx_start);
+    }
+    q.next_target += gap;
+    std::uniform_int_distribution<int> u(-1, 1);
+    const int noise = u(rng_) + u(rng_);
+    const double next =
+        q.next_target + static_cast<double>(noise) * static_cast<double>(rate_tick_ps_);
+    q.next_allowed = next > 0 ? static_cast<ms::SimTime>(next) : 0;
+  }
+  [[nodiscard]] ms::SimTime align(ms::SimTime t) const {
+    return (t + spec_.mac_cycle_ps - 1) / spec_.mac_cycle_ps * spec_.mac_cycle_ps;
+  }
+
+  ms::EventQueue& events_;
+  mn::ChipSpec spec_;
+  ms::SimTime byte_time_ps_;
+  ms::SimTime rate_tick_ps_;
+  std::mt19937_64 rng_;
+  std::vector<Queue> queues_;
+  bool busy_ = false;
+  bool link_up_ = true;
+  ms::SimTime last_busy_end_ = UINT64_MAX;
+  bool wake_scheduled_ = false;
+  ms::SimTime scheduled_wake_ps_ = 0;
+  int rr_next_ = 0;
+};
+
+/// Port's picks, in the reference's terms.
+struct PickSink : mn::FrameSink {
+  std::vector<std::pair<std::uint32_t, ms::SimTime>> picks;
+  void on_frame(const mn::Frame& frame, ms::SimTime tx_start_ps) override {
+    picks.emplace_back(frame.flow, tx_start_ps);
+  }
+};
+
+/// Every executed event's (time, sequence number): equal logs mean both
+/// models scheduled the same events, wakes included, in the same order.
+struct EventLog : ms::EventTraceSink {
+  std::vector<std::pair<ms::SimTime, std::uint64_t>> events;
+  void on_event(ms::SimTime time_ps, std::uint64_t seq) override {
+    events.emplace_back(time_ps, seq);
+  }
+};
+
+mn::Frame queue_frame(std::uint32_t queue, std::size_t size) {
+  mn::Frame f = udp_frame(size);
+  f.flow = queue;
+  return f;
+}
+
+}  // namespace
+
+TEST(PortArbiterProperty, EngagedBitmapMatchesLinearScanOnXl710) {
+  // Random operations on a 384-queue XL710 at 40 GbE: descriptor bursts on
+  // many queues, refill sources set and cleared, rates (some above the
+  // ~9 Mpps point where pacing turns erratic), link flaps and FIFO shrinks.
+  // The bitmap arbiter must pick the same queue at the same tx_start every
+  // time and schedule exactly the same events (wakes included) as the
+  // linear scan.
+  const mn::ChipSpec chip = mn::intel_xl710();
+  ASSERT_EQ(chip.num_queues, 384);
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    ms::EventQueue port_events;
+    ms::EventQueue ref_events;
+    mn::Port port(port_events, chip, 40'000, 77 + seed);
+    LinearScanPort ref(ref_events, chip, 40'000, 77 + seed);
+    PickSink sink;
+    port.set_tx_sink(&sink);
+    EventLog port_log;
+    EventLog ref_log;
+    port_events.set_trace_sink(&port_log);
+    ref_events.set_trace_sink(&ref_log);
+
+    std::mt19937_64 rng(seed);
+    const auto at = [&](ms::SimTime t, auto&& on_port, auto&& on_ref) {
+      port_events.schedule_at(t, [&port, on_port] { on_port(port); });
+      ref_events.schedule_at(t, [&ref, on_ref] { on_ref(ref); });
+    };
+    const auto burst = [&](ms::SimTime t, int q, int n, std::size_t size) {
+      at(t, [=](mn::Port& p) {
+           for (int i = 0; i < n; ++i) p.tx_queue(q).post(queue_frame(q, size));
+         },
+         [=](LinearScanPort& r) {
+           for (int i = 0; i < n; ++i) r.post(q, queue_frame(q, size));
+         });
+    };
+    // Busy blocks: most operations hit a dozen hot queues around the
+    // bitmap's 64-bit word edges, so rate-limited backlogs pile up (wakes);
+    // the rest land anywhere. Quiet blocks: bursts on one uncontrolled
+    // queue, far apart, so it drains alone (batches).
+    constexpr std::array<int, 12> kHot = {0, 5, 63, 64, 65, 127, 128, 200, 255, 256, 300, 383};
+    for (const int h : kHot) {  // the hot queues start out paced
+      const double mbit = static_cast<double>(1 + rng() % 20) * 500.0;
+      at(50'000, [=](mn::Port& p) { p.tx_queue(h).set_rate_wire_mbit(mbit); },
+         [=](LinearScanPort& r) { r.set_rate_wire_mbit(h, mbit); });
+    }
+    ms::SimTime t = 100'000;
+    int quiet_q = 0;
+    for (int op = 0; op < 600; ++op) {
+      const bool quiet = (op / 50) % 2 == 1;
+      t += rng() % (quiet ? 20'000'000 : 3'000'000);
+      const int q = rng() % 4 == 0 ? static_cast<int>(rng() % 384) : kHot[rng() % kHot.size()];
+      const auto size = static_cast<std::size_t>(60 + rng() % 1455);
+      if (quiet) {
+        if (op % 50 == 0) {
+          quiet_q = q;
+          at(t, [=](mn::Port& p) { p.tx_queue(q).set_rate_wire_mbit(0.0); },
+             [=](LinearScanPort& r) { r.set_rate_wire_mbit(q, 0.0); });
+        }
+        burst(t, quiet_q, 1 + static_cast<int>(rng() % 60), size);
+        continue;
+      }
+      switch (rng() % 6) {
+        case 0:
+        case 1:  // descriptor burst
+          burst(t, q, 1 + static_cast<int>(rng() % 60), size);
+          break;
+        case 2: {  // a refill source for a while, or clearing one that is not there
+          if (rng() % 4 == 0) {
+            at(t, [=](mn::Port& p) { p.tx_queue(q).set_refill(nullptr); },
+               [=](LinearScanPort& r) { r.set_refill(q, nullptr); });
+            break;
+          }
+          const auto gen = [q, size] { return queue_frame(static_cast<std::uint32_t>(q), size); };
+          const ms::SimTime on = 1 + rng() % 10'000'000;
+          at(t, [=](mn::Port& p) { p.tx_queue(q).set_refill(gen); },
+             [=](LinearScanPort& r) { r.set_refill(q, gen); });
+          at(t + on, [=](mn::Port& p) { p.tx_queue(q).set_refill(nullptr); },
+             [=](LinearScanPort& r) { r.set_refill(q, nullptr); });
+          break;
+        }
+        case 3: {  // pacing: off, a few Mpps, or beyond the reliable range
+          const double mpps = std::array<double, 5>{0.0, 0.5, 3.0, 12.0, 25.0}[rng() % 5];
+          const double mbit = mpps * static_cast<double>(mp::wire_size(size)) * 8.0;
+          at(t, [=](mn::Port& p) { p.tx_queue(q).set_rate_wire_mbit(mbit); },
+             [=](LinearScanPort& r) { r.set_rate_wire_mbit(q, mbit); });
+          break;
+        }
+        case 4: {  // link flap
+          const ms::SimTime down = 1 + rng() % 5'000'000;
+          at(t, [](mn::Port& p) { p.set_link_state(false); },
+             [](LinearScanPort& r) { r.set_link_state(false); });
+          at(t + down, [](mn::Port& p) { p.set_link_state(true); },
+             [](LinearScanPort& r) { r.set_link_state(true); });
+          break;
+        }
+        default: {  // FIFO shrink (drops the newest frames; 0 empties it), later restored
+          const auto frames = static_cast<std::size_t>(rng() % 8);
+          at(t, [=](mn::Port& p) { p.tx_queue(q).set_fifo_capacity(frames); },
+             [=](LinearScanPort& r) { r.set_fifo_capacity(q, frames); });
+          at(t + 2'000'000, [=](mn::Port& p) { p.tx_queue(q).set_fifo_capacity(128); },
+             [=](LinearScanPort& r) { r.set_fifo_capacity(q, 128); });
+          break;
+        }
+      }
+    }
+    port_events.run_until(t + 3 * ms::kPsPerMs / 2);
+    ref_events.run_until(t + 3 * ms::kPsPerMs / 2);
+    port_events.set_trace_sink(nullptr);
+    ref_events.set_trace_sink(nullptr);
+
+    ASSERT_GT(sink.picks.size(), 2'000u) << "seed " << seed;
+    EXPECT_GT(ref.batches, 100u) << "seed " << seed;
+    EXPECT_GT(ref.wakes, 100u) << "seed " << seed;
+    ASSERT_EQ(sink.picks.size(), ref.picks.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < sink.picks.size(); ++i) {
+      ASSERT_EQ(sink.picks[i], ref.picks[i]) << "seed " << seed << " pick " << i;
+    }
+    ASSERT_EQ(port_log.events.size(), ref_log.events.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < port_log.events.size(); ++i) {
+      ASSERT_EQ(port_log.events[i], ref_log.events[i]) << "seed " << seed << " event " << i;
+    }
+  }
+}
+
+TEST(PortArbiter, VisitsTrackEngagedQueuesNotQueueCount) {
+  // Two paced generators on an XL710: each arbitration visits the two
+  // engaged queues at most, never the 384 the chip has.
+  ms::EventQueue events;
+  mn::Port port(events, mn::intel_xl710(), 40'000, 5);
+  port.tx_queue(3).set_rate_mpps(2.0, 64);
+  port.tx_queue(300).set_rate_mpps(2.0, 64);
+  port.tx_queue(3).set_refill([] { return udp_frame(); });
+  port.tx_queue(300).set_refill([] { return udp_frame(); });
+  events.run_until(ms::kPsPerMs);
+  const std::uint64_t frames = port.stats().tx_packets;
+  ASSERT_GT(frames, 3'000u);
+  EXPECT_LE(port.arbiter_visits(), 4 * frames);
+  EXPECT_GE(port.arbiter_visits(), frames);
 }

@@ -3,6 +3,7 @@
 // and the victim-isolation property behind the DDoS scenarios.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <random>
 #include <vector>
@@ -496,4 +497,228 @@ TEST(VSwitch, RttStampsStayConservedThroughShapingAndDropFaults) {
   EXPECT_GT(tb->vswitch().shaped_drops(), 0u);
   EXPECT_GT(tb->vswitch().fault_drops(), 0u);
   EXPECT_GE(tb->rtt_plane().in_flight(), 0);
+}
+
+// A vport whose link stays down fills its 1024-slot TX ring; the switch
+// keeps dequeuing at wire pace and the refused frames are egress ring
+// drops. They must land in the owning tenant's books as well as the
+// switch-wide count, so every tenant's egress identity closes.
+TEST(VSwitch, EgressRingDropsAreBookedPerTenant) {
+  md::VSwitchConfig cfg;
+  cfg.tenants = {tenant(10, 0), tenant(20, 0)};
+  auto tb = mtb::Scenario()
+                .seed(1)
+                .device(0, mn::intel_x540()).name("gen").with_seed(1)
+                .device(1, mn::intel_x540()).name("vs_in").with_seed(2).rtt_record(false)
+                .device(2, mn::intel_x540()).name("vport").with_seed(3).rtt_record(false)
+                .device(3, mn::intel_x540()).name("sink").with_seed(4).rx_store(false)
+                .link(0, 1).with_seed(5)
+                .link(2, 3).with_seed(6)
+                .vswitch(1, {2}, cfg)
+                .couple(0, 3)
+                .build();
+  auto check = mh::make_vswitch_checker(*tb);
+  tb->port("vport").set_link_state(false);
+  auto& gen = tb->port("gen");
+  gen.tx_queue(0).set_rate_wire_mbit(3'000.0);
+  gen.tx_queue(1).set_rate_wire_mbit(3'000.0);
+  auto gen10 = mc::SimLoadGen::hardware_paced(gen.tx_queue(0), tagged_frame(10));
+  auto gen20 = mc::SimLoadGen::hardware_paced(gen.tx_queue(1), tagged_frame(20));
+  for (int step = 1; step <= 4; ++step) {
+    tb->run_until(static_cast<ms::SimTime>(step) * ms::kPsPerMs);
+    const auto r = check(tb->now());
+    EXPECT_TRUE(r.ok) << r.detail;
+  }
+  const auto& vs = tb->vswitch();
+  ASSERT_GT(vs.egress_ring_drops(), 0u);
+  std::uint64_t drops = 0;
+  for (std::size_t k = 0; k <= vs.tenant_count(); ++k) {
+    const auto c = vs.tenant_counters(k);
+    EXPECT_EQ(c.matched, c.emitted + c.egress_ring_drops + c.queued) << "tenant " << k;
+    drops += c.egress_ring_drops;
+  }
+  EXPECT_EQ(drops, vs.egress_ring_drops());
+  EXPECT_GT(vs.tenant_counters(0).egress_ring_drops, 0u);
+  EXPECT_GT(vs.tenant_counters(1).egress_ring_drops, 0u);
+  // Only the ring's 1024 descriptors plus the 128-frame on-chip FIFO left.
+  EXPECT_EQ(vs.emitted(), 1024u + 128u);
+  const auto& reg = tb->registry();
+  EXPECT_EQ(reg.counter_value("vswitch.egress_ring_drops"), vs.egress_ring_drops());
+  EXPECT_EQ(reg.counter_value("vswitch.t0.egress_ring_drops"),
+            vs.tenant_counters(0).egress_ring_drops);
+  EXPECT_EQ(reg.counter_value("vswitch.t1.egress_ring_drops"),
+            vs.tenant_counters(1).egress_ring_drops);
+}
+
+// ---------------------------------------------------------------------------
+// DRR walk against a member-by-member reference
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// The textbook walk the switch's bitmap walk must reproduce: visit members
+/// one by one from the cursor, zero the deficit of every empty one, top up
+/// a backlogged one by its quantum until its head frame fits.
+struct LinearDrr {
+  struct Member {
+    std::vector<std::uint32_t> frames;  // wire bytes, FIFO
+    std::size_t head = 0;
+    std::uint32_t quantum = 0;
+    std::uint32_t deficit = 0;
+    [[nodiscard]] bool empty() const { return head == frames.size(); }
+  };
+  std::vector<Member> members;
+  std::size_t rr = 0;
+
+  /// The member dequeued from, or SIZE_MAX when every member is empty.
+  std::size_t dequeue() {
+    if (std::all_of(members.begin(), members.end(), [](const Member& m) { return m.empty(); }))
+      return SIZE_MAX;
+    for (;;) {
+      Member& m = members[rr];
+      if (m.empty()) {
+        m.deficit = 0;
+        rr = (rr + 1) % members.size();
+        continue;
+      }
+      const std::uint32_t bytes = m.frames[m.head];
+      if (m.deficit >= bytes) {
+        m.deficit -= bytes;
+        ++m.head;
+        return rr;
+      }
+      m.deficit += m.quantum;
+      rr = (rr + 1) % members.size();
+    }
+  }
+};
+
+/// Reads the switch's books before every event, so it sees each event's
+/// enqueue and dequeue (an ingest enqueues, then may dequeue at once).
+class DrrObserver : public ms::EventTraceSink {
+ public:
+  DrrObserver(const md::VSwitch& vs, LinearDrr& ref, std::vector<std::uint32_t> sent_bytes,
+              std::vector<std::size_t> sent_member)
+      : vs_(vs), ref_(ref), bytes_(std::move(sent_bytes)), member_(std::move(sent_member)),
+        matched_(ref.members.size(), 0), emitted_(ref.members.size(), 0) {}
+
+  void on_event(ms::SimTime, std::uint64_t) override {
+    if (!testing::Test::HasFatalFailure()) settle();
+  }
+
+  void settle() {
+    for (std::size_t k = 0; k < ref_.members.size(); ++k) {
+      const auto c = vs_.tenant_counters(k);
+      for (; matched_[k] < c.matched; ++matched_[k]) {
+        ASSERT_LT(enqueued_, bytes_.size());
+        ASSERT_EQ(member_[enqueued_], k) << "enqueue " << enqueued_;
+        ref_.members[k].frames.push_back(bytes_[enqueued_++]);
+      }
+    }
+    std::size_t dequeued = 0;
+    for (std::size_t k = 0; k < ref_.members.size(); ++k) {
+      const auto c = vs_.tenant_counters(k);
+      for (; emitted_[k] < c.emitted; ++emitted_[k]) {
+        ++dequeued;
+        ASSERT_EQ(ref_.dequeue(), k) << "dequeue " << dequeues_;
+        ++dequeues_;
+      }
+    }
+    if (dequeued == 0) return;
+    ASSERT_EQ(dequeued, 1u);
+    for (std::size_t k = 0; k < ref_.members.size(); ++k)
+      ASSERT_EQ(vs_.deficit(k), ref_.members[k].deficit) << "member " << k << " after dequeue "
+                                                         << dequeues_;
+  }
+
+  [[nodiscard]] std::size_t dequeues() const { return dequeues_; }
+
+ private:
+  const md::VSwitch& vs_;
+  LinearDrr& ref_;
+  std::vector<std::uint32_t> bytes_;
+  std::vector<std::size_t> member_;
+  std::vector<std::uint64_t> matched_;
+  std::vector<std::uint64_t> emitted_;
+  std::size_t enqueued_ = 0;
+  std::size_t dequeues_ = 0;
+};
+
+}  // namespace
+
+TEST(VSwitchProperty, BitmapDrrWalkMatchesMemberByMemberWalk) {
+  // 120 tenants plus the flood queue share the lowest class of one 1 GbE
+  // vport; quanta are smaller than one frame, so members go several rounds
+  // before a dequeue, and bursty arrivals leave many members empty (and
+  // some emptied with credit left). Every dequeue and every deficit after
+  // it must equal the member-by-member walk's.
+  constexpr std::size_t kTenants = 120;
+  std::mt19937_64 rng(2026);
+  for (int trial = 0; trial < 3; ++trial) {
+    md::VSwitchConfig cfg;
+    cfg.flood_quantum_bytes = 37 + static_cast<std::uint32_t>(rng() % 300);
+    cfg.flood_queue_frames = 4096;
+    LinearDrr ref;
+    for (std::size_t i = 0; i < kTenants; ++i) {
+      md::TenantConfig t = tenant(static_cast<std::uint16_t>(100 + i), 0,
+                                  md::VSwitchConfig::kPriorityClasses - 1);
+      t.quantum_bytes = 20 + static_cast<std::uint32_t>(rng() % 400);
+      t.queue_frames = 4096;
+      cfg.tenants.push_back(t);
+      ref.members.push_back({{}, 0, t.quantum_bytes, 0});
+    }
+    ref.members.push_back({{}, 0, cfg.flood_quantum_bytes, 0});
+
+    ms::EventQueue events;
+    mn::Port in(events, mn::intel_x540(), 10'000, 1);
+    mn::Port out(events, mn::intel_x540(), 1'000, 2);
+    md::VSwitch vs(events, in, 0, {&out}, cfg);
+
+    // Bursts: a few hot tenants at a time, some table misses (flood).
+    std::vector<std::uint32_t> bytes;
+    std::vector<std::size_t> member;
+    ms::SimTime t = 1'000'000;
+    for (int burst = 0; burst < 40; ++burst) {
+      const std::size_t hot = 1 + rng() % 6;
+      std::vector<std::size_t> pick(hot);
+      for (auto& p : pick) p = rng() % 4 == 0 ? kTenants : rng() % kTenants;
+      const int frames = 5 + static_cast<int>(rng() % 40);
+      for (int f = 0; f < frames; ++f) {
+        const std::size_t k = pick[rng() % hot];
+        const std::size_t size = 64 + rng() % 1455;
+        const std::uint16_t vid = k == kTenants ? 4000 : static_cast<std::uint16_t>(100 + k);
+        const mn::Frame frame = tagged_frame(vid, 0, size);
+        bytes.push_back(static_cast<std::uint32_t>(frame.wire_bytes()));
+        member.push_back(k);
+        in.deliver_frame(frame, t);
+        t += frame.wire_bytes() * in.byte_time_ps();
+      }
+      t += static_cast<ms::SimTime>(rng() % 400) * 1'000'000;  // idle gap up to 400 us
+    }
+    DrrObserver obs(vs, ref, bytes, member);
+    events.set_trace_sink(&obs);
+    events.run();
+    obs.settle();
+    events.set_trace_sink(nullptr);
+    ASSERT_FALSE(testing::Test::HasFatalFailure());
+    EXPECT_EQ(obs.dequeues(), bytes.size()) << "trial " << trial;
+    EXPECT_EQ(vs.emitted(), bytes.size());
+    EXPECT_EQ(vs.flooded() + vs.matched(), bytes.size());
+    EXPECT_GT(vs.flooded(), 0u);
+  }
+}
+
+TEST(VSwitch, DrrVisitsTrackBackloggedMembersNotClassSize) {
+  // 2000 idle tenants share a class with two busy ones: the walk jumps
+  // between the two, so visits per dequeue stay near one, not near 2000.
+  md::VSwitchConfig cfg;
+  for (int i = 0; i < 2'000; ++i)
+    cfg.tenants.push_back(tenant(static_cast<std::uint16_t>(100 + i), 0));
+  VsBed bed(cfg, 1'000);
+  auto& q = bed.gen_tx.tx_queue(0);
+  for (int i = 0; i < 600; ++i) q.post(tagged_frame(i % 2 == 0 ? 100 : 1999));
+  bed.events.run();
+  ASSERT_EQ(bed.vsw.emitted(), 600u);
+  EXPECT_LE(bed.vsw.drr_visits(), 3u * 600u);
+  bed.check_conservation();
 }
