@@ -41,15 +41,15 @@
 //    quiesced at the same virtual time.
 //
 // Two loops run the windows. The parallel loop gives every shard its own
-// worker; the serial loop runs all shards' windows on the calling thread
-// (shards joined by a channel cycle window by window in turn, the rest in
-// feed order) with the same windows, the same epoch drains before each
-// window and the same globals at each segment end, so both produce the
-// same results. One shard always runs serially. With more, the first
-// segment of the runtime's life runs in parallel and the second serially,
-// and every later segment uses the loop that spent less wall time per
-// executed event: a cross-shard window can cost more in handoffs than the
-// work it carries.
+// worker, which waits as described above. The serial loop runs all shards
+// on the calling thread, in turns: a shard runs windows until it would
+// have to wait, then the next shard takes its turn. Both run the same
+// windows with the same epoch drains before each and the same globals at
+// each segment end, so both produce the same results. run_until runs
+// shards joined by a channel serially (a window costs a cross-core
+// handoff whatever it carries, and on the measured topologies that cost
+// more than the work) and shards without channels, which meet only at
+// segment ends, in parallel.
 //
 // The runtime does not create threads itself: the caller injects an
 // executor (testbed::Testbed supplies core::TaskSet pinned threads — the
@@ -123,11 +123,10 @@ class ParallelRuntime {
   void set_executor(Executor executor) { executor_ = std::move(executor); }
 
   /// Advances every shard to `t`: all events with time <= t run, clocks end
-  /// at t. With one shard this is inline and thread-free; with more, each
-  /// segment runs in the parallel loop (the executor runs one worker per
-  /// shard, synchronized per channel epoch within a segment and by a
-  /// barrier at each segment end) or in the serial loop on the calling
-  /// thread, as the probe described above picks.
+  /// at t. Shards without channels run in the parallel loop (the executor
+  /// runs one worker per shard, and the workers meet at a barrier at each
+  /// segment end); one shard, or shards joined by channels, run in the
+  /// serial loop on the calling thread.
   void run_until(SimTime t);
 
   /// Global virtual time (the last window boundary reached).
@@ -138,8 +137,7 @@ class ParallelRuntime {
   [[nodiscard]] std::size_t channel_count() const { return channels_.size(); }
   /// Lookahead windows completed over the runtime's lifetime.
   [[nodiscard]] std::uint64_t windows_run() const { return windows_; }
-  /// The part of windows_run() the serial loop ran (all of it with one
-  /// shard).
+  /// The part of windows_run() the serial loop ran.
   [[nodiscard]] std::uint64_t serial_windows() const { return serial_windows_; }
 
   // --- health-plane observability (watchdog support) ------------------------
@@ -176,14 +174,14 @@ class ParallelRuntime {
     std::uint64_t flushed_seen = 0;
   };
 
-  /// Each loop runs at most `segments` segments of run_until(t), fewer if
-  /// it reaches t first.
-  void run_serial(SimTime t, std::uint64_t segments);
-  /// Groups the shards for the serial loop: each group is a set of shards
-  /// joined by a channel cycle, and a group comes after every group that
-  /// feeds it.
-  void plan_serial_groups();
-  void run_parallel(SimTime t, std::uint64_t segments);
+  /// Tests run the parallel loop on shards joined by channels through
+  /// advance(t, true).
+  friend class ParallelRuntimeTestPeer;
+
+  /// run_until in the parallel loop or the serial one.
+  void advance(SimTime t, bool parallel);
+  void run_serial(SimTime t);
+  void run_parallel(SimTime t);
   /// Runs all due global events at now_ (including ones scheduled by the
   /// callbacks themselves for the current time).
   void run_globals();
@@ -220,14 +218,6 @@ class ParallelRuntime {
   SimTime now_ = 0;
   std::uint64_t windows_ = 0;
   std::uint64_t serial_windows_ = 0;
-  /// The serial loop's shard groups, in feed order (empty: not planned).
-  std::vector<std::vector<std::size_t>> serial_groups_;
-  /// Mode probe: segments measured so far (0..2), the wall time and
-  /// executed events of the parallel and the serial one, and the verdict.
-  int probed_ = 0;
-  std::uint64_t probe_ns_[2] = {};
-  std::uint64_t probe_events_[2] = {};
-  bool serial_ = false;
 };
 
 }  // namespace moongen::sim

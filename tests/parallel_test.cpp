@@ -31,6 +31,32 @@ namespace mt = moongen::telemetry;
 namespace mtb = moongen::testbed;
 namespace mw = moongen::wire;
 
+namespace moongen::sim {
+
+/// run_until runs shards joined by channels in the serial loop; this runs
+/// them in the parallel one, one worker per shard.
+class ParallelRuntimeTestPeer {
+ public:
+  static void run_parallel(ParallelRuntime& rt, SimTime t) { rt.advance(t, true); }
+};
+
+}  // namespace moongen::sim
+
+namespace {
+
+using Peer = moongen::sim::ParallelRuntimeTestPeer;
+
+/// Advances `rt` to `t` in the parallel loop, or as run_until chooses.
+void advance(moongen::sim::ParallelRuntime& rt, moongen::sim::SimTime t, bool parallel) {
+  if (parallel) {
+    Peer::run_parallel(rt, t);
+  } else {
+    rt.run_until(t);
+  }
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // SpscChannel
 // ---------------------------------------------------------------------------
@@ -121,7 +147,7 @@ TEST(ParallelRuntime, WorkerExceptionPropagates) {
   ms::ParallelRuntime rt(2);
   rt.add_channel(0, 1, 1'000, [] { throw std::runtime_error("drain boom"); }, [] {});
   rt.shard(0).schedule_at(500, [] {});
-  EXPECT_THROW(rt.run_until(10'000), std::runtime_error);
+  EXPECT_THROW(Peer::run_parallel(rt, 10'000), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -143,9 +169,9 @@ void wait_for_flushes(const std::atomic<std::uint64_t>& flushed, std::uint64_t t
   std::this_thread::sleep_for(20ms);
 }
 
-std::string message_of(ms::ParallelRuntime& rt, ms::SimTime t) {
+std::string message_of(ms::ParallelRuntime& rt, ms::SimTime t, bool parallel) {
   try {
-    rt.run_until(t);
+    advance(rt, t, parallel);
   } catch (const std::runtime_error& e) {
     return e.what();
   }
@@ -155,26 +181,30 @@ std::string message_of(ms::ParallelRuntime& rt, ms::SimTime t) {
 }  // namespace
 
 TEST(ParallelEpochs, SlowConsumerHoldsProducerAtLeadBound) {
-  ms::ParallelRuntime rt(2);
-  std::atomic<std::uint64_t> flushed{0};
-  std::atomic<std::uint64_t> drained{0};
-  std::uint64_t max_lead = 0;  // producer thread only
-  rt.add_channel(
-      0, 1, 1'000,
-      [&] {
-        if (drained.load() == 0) wait_for_flushes(flushed, kLead);
-        drained.fetch_add(1);
-      },
-      [&] {
-        const std::uint64_t f = flushed.fetch_add(1) + 1;
-        max_lead = std::max(max_lead, f - drained.load());
-      });
-  // One segment of 3 x kLead windows: no global or hook resets the lead.
-  rt.run_until(3 * kLead * 1'000);
-  EXPECT_EQ(max_lead, kLead);
-  EXPECT_EQ(flushed.load(), 3 * kLead);
-  EXPECT_EQ(drained.load(), 3 * kLead - 1);  // the last epoch waits for the next run
-  EXPECT_EQ(rt.windows_run(), 3 * kLead);
+  // The serial loop holds a producer at the same bound: its turn ends there.
+  for (const bool parallel : {false, true}) {
+    SCOPED_TRACE(parallel ? "parallel loop" : "serial loop");
+    ms::ParallelRuntime rt(2);
+    std::atomic<std::uint64_t> flushed{0};
+    std::atomic<std::uint64_t> drained{0};
+    std::uint64_t max_lead = 0;  // producer thread only
+    rt.add_channel(
+        0, 1, 1'000,
+        [&] {
+          if (drained.load() == 0) wait_for_flushes(flushed, kLead);
+          drained.fetch_add(1);
+        },
+        [&] {
+          const std::uint64_t f = flushed.fetch_add(1) + 1;
+          max_lead = std::max(max_lead, f - drained.load());
+        });
+    // One segment of 3 x kLead windows: no global or hook resets the lead.
+    advance(rt, 3 * kLead * 1'000, parallel);
+    EXPECT_EQ(max_lead, kLead);
+    EXPECT_EQ(flushed.load(), 3 * kLead);
+    EXPECT_EQ(drained.load(), 3 * kLead - 1);  // the last epoch waits for the next run
+    EXPECT_EQ(rt.windows_run(), 3 * kLead);
+  }
 }
 
 TEST(ParallelEpochs, ProducerFailureReleasesWaitingConsumer) {
@@ -184,7 +214,7 @@ TEST(ParallelEpochs, ProducerFailureReleasesWaitingConsumer) {
     std::this_thread::sleep_for(50ms);  // the consumer now waits on epoch 0
     throw std::runtime_error("producer boom");
   });
-  EXPECT_EQ(message_of(rt, 1'000'000), "producer boom");
+  EXPECT_EQ(message_of(rt, 1'000'000, true), "producer boom");
   EXPECT_EQ(rt.heartbeat(0), 0u);  // the producer never closed window 0
   EXPECT_EQ(rt.heartbeat(1), 1u);  // the consumer ran window 0, then waited
 }
@@ -199,87 +229,142 @@ TEST(ParallelEpochs, ConsumerFailureReleasesHeldProducer) {
         throw std::runtime_error("consumer boom");
       },
       [&] { flushed.fetch_add(1); });
-  EXPECT_EQ(message_of(rt, 3 * kLead * 1'000), "consumer boom");
+  EXPECT_EQ(message_of(rt, 3 * kLead * 1'000, true), "consumer boom");
   EXPECT_EQ(flushed.load(), kLead);
   EXPECT_EQ(rt.heartbeat(0), kLead);
 }
 
 TEST(ParallelEpochs, MidRunGlobalSeesEveryShardAtItsTime) {
-  ms::ParallelRuntime rt(3);
-  rt.add_channel(0, 1, 1'000, [] {}, [] {});
-  rt.add_channel(1, 2, 1'000, [] {}, [] {});
-  for (std::size_t s = 0; s < 3; ++s) rt.shard(s).schedule_at(12'000 + 100 * s, [] {});
-  std::vector<ms::SimTime> seen;
-  rt.schedule_global(12'345, [&] {
-    for (std::size_t s = 0; s < 3; ++s) seen.push_back(rt.shard(s).now());
-    seen.push_back(rt.now());
-  });
-  rt.run_until(50'000);
-  EXPECT_EQ(seen, (std::vector<ms::SimTime>(4, 12'345)));
-  // 13 windows up to the global (the last one 345 ps long), 38 after it.
-  EXPECT_EQ(rt.windows_run(), 51u);
-  for (std::size_t s = 0; s < 3; ++s) EXPECT_EQ(rt.shard(s).now(), 50'000u);
+  for (const bool parallel : {false, true}) {
+    ms::ParallelRuntime rt(3);
+    rt.add_channel(0, 1, 1'000, [] {}, [] {});
+    rt.add_channel(1, 2, 1'000, [] {}, [] {});
+    for (std::size_t s = 0; s < 3; ++s) rt.shard(s).schedule_at(12'000 + 100 * s, [] {});
+    std::vector<ms::SimTime> seen;
+    rt.schedule_global(12'345, [&] {
+      for (std::size_t s = 0; s < 3; ++s) seen.push_back(rt.shard(s).now());
+      seen.push_back(rt.now());
+    });
+    advance(rt, 50'000, parallel);
+    EXPECT_EQ(seen, (std::vector<ms::SimTime>(4, 12'345))) << "parallel " << parallel;
+    // 13 windows up to the global (the last one 345 ps long), 38 after it.
+    EXPECT_EQ(rt.windows_run(), 51u);
+    EXPECT_EQ(rt.serial_windows(), parallel ? 0u : 51u);
+    for (std::size_t s = 0; s < 3; ++s) EXPECT_EQ(rt.shard(s).now(), 50'000u);
+  }
+}
+
+TEST(ParallelEpochs, LeadBoundHoldsAcrossSegments) {
+  // Globals cut three segments of 1.5 x kLead windows each. In every
+  // segment the consumer stalls on its first drain until the producer is
+  // held by the lead bound; the producer's view of the consumer crosses
+  // each rendezvous, where the last epoch stays queued.
+  for (const bool parallel : {false, true}) {
+    SCOPED_TRACE(parallel ? "parallel loop" : "serial loop");
+    ms::ParallelRuntime rt(2);
+    constexpr std::uint64_t kSegment = kLead + kLead / 2;
+    std::atomic<std::uint64_t> flushed{0};
+    std::atomic<std::uint64_t> drained{0};
+    // The consumer's first drain in each segment: epoch 0, then the epoch
+    // left queued at each rendezvous.
+    const std::array<std::uint64_t, 3> stall_at = {0, kSegment - 1, 2 * kSegment - 1};
+    std::size_t stalls = 0;      // consumer thread only
+    std::uint64_t max_lead = 0;  // producer thread only
+    rt.add_channel(
+        0, 1, 1'000,
+        [&] {
+          if (stalls < stall_at.size() && drained.load() == stall_at[stalls]) {
+            wait_for_flushes(flushed, stall_at[stalls] + kLead);
+            ++stalls;
+          }
+          drained.fetch_add(1);
+        },
+        [&] {
+          const std::uint64_t f = flushed.fetch_add(1) + 1;
+          max_lead = std::max(max_lead, f - drained.load());
+        });
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> at_globals;  // (flushed, drained)
+    for (std::uint64_t g = 1; g <= 2; ++g) {
+      rt.schedule_global(g * kSegment * 1'000,
+                         [&] { at_globals.emplace_back(flushed.load(), drained.load()); });
+    }
+    advance(rt, 3 * kSegment * 1'000, parallel);
+    EXPECT_EQ(stalls, 3u);
+    EXPECT_EQ(max_lead, kLead);
+    ASSERT_EQ(at_globals.size(), 2u);
+    for (std::uint64_t g = 1; g <= 2; ++g) {
+      EXPECT_EQ(at_globals[g - 1].first, g * kSegment) << "global " << g;
+      EXPECT_EQ(at_globals[g - 1].second, g * kSegment - 1) << "global " << g;
+    }
+    EXPECT_EQ(flushed.load(), 3 * kSegment);
+    EXPECT_EQ(drained.load(), 3 * kSegment - 1);
+    EXPECT_EQ(rt.windows_run(), 3 * kSegment);
+    EXPECT_EQ(rt.serial_windows(), parallel ? 0u : 3 * kSegment);
+  }
 }
 
 TEST(ParallelRuntime, SerialAndParallelSegmentsRunTheSameWindows) {
   // Shards 0 and 1 feed each other, 1 feeds 2; globals every ten 1 ns
-  // windows cut five segments and a tail. Segment 0 runs in parallel,
-  // segment 1 serially, the rest in whichever loop the probe picked. Either
-  // way every global sees all shards at its time, every epoch but the last
-  // flushed and drained, and ten more windows.
-  ms::ParallelRuntime rt(3);
-  constexpr std::size_t kChannels = 3;
-  std::array<std::atomic<std::uint64_t>, kChannels> drained{};
-  std::array<std::atomic<std::uint64_t>, kChannels> flushed{};
-  const std::array<std::pair<std::size_t, std::size_t>, kChannels> ends = {
-      std::pair{0, 1}, std::pair{1, 0}, std::pair{1, 2}};
-  for (std::size_t c = 0; c < kChannels; ++c) {
-    rt.add_channel(ends[c].first, ends[c].second, 1'000, [&drained, c] { drained[c].fetch_add(1); },
-                   [&flushed, c] { flushed[c].fetch_add(1); });
-  }
-  for (std::size_t s = 0; s < 3; ++s) {
-    for (ms::SimTime t = 250 + 100 * s; t < 55'000; t += 700) rt.shard(s).schedule_at(t, [] {});
-  }
-  struct Seen {
-    std::uint64_t windows;
-    std::array<ms::SimTime, 3> clocks;
-    std::array<std::uint64_t, kChannels> drained, flushed;
-  };
-  std::vector<Seen> seen;
-  for (ms::SimTime g = 10'000; g <= 50'000; g += 10'000) {
-    rt.schedule_global(g, [&] {
-      Seen x{rt.windows_run(), {}, {}, {}};
-      for (std::size_t s = 0; s < 3; ++s) x.clocks[s] = rt.shard(s).now();
-      for (std::size_t c = 0; c < kChannels; ++c) {
-        x.drained[c] = drained[c].load();
-        x.flushed[c] = flushed[c].load();
-      }
-      seen.push_back(x);
-    });
-  }
-  rt.run_until(55'000);
-  ASSERT_EQ(seen.size(), 5u);
-  for (std::size_t i = 0; i < seen.size(); ++i) {
-    const std::uint64_t windows = 10 * (i + 1);
-    EXPECT_EQ(seen[i].windows, windows) << "global " << i;
-    for (std::size_t s = 0; s < 3; ++s)
-      EXPECT_EQ(seen[i].clocks[s], 10'000 * (i + 1)) << "global " << i << " shard " << s;
+  // windows cut five segments and a tail. run_until runs them serially,
+  // the peer in parallel. Either way every global sees all shards at its
+  // time, every epoch but the last flushed and drained, and ten more
+  // windows.
+  for (const bool parallel : {false, true}) {
+    SCOPED_TRACE(parallel ? "parallel loop" : "serial loop");
+    ms::ParallelRuntime rt(3);
+    constexpr std::size_t kChannels = 3;
+    std::array<std::atomic<std::uint64_t>, kChannels> drained{};
+    std::array<std::atomic<std::uint64_t>, kChannels> flushed{};
+    const std::array<std::pair<std::size_t, std::size_t>, kChannels> ends = {
+        std::pair{0, 1}, std::pair{1, 0}, std::pair{1, 2}};
     for (std::size_t c = 0; c < kChannels; ++c) {
-      EXPECT_EQ(seen[i].flushed[c], windows) << "global " << i << " channel " << c;
-      EXPECT_EQ(seen[i].drained[c], windows - 1) << "global " << i << " channel " << c;
+      rt.add_channel(ends[c].first, ends[c].second, 1'000,
+                     [&drained, c] { drained[c].fetch_add(1); },
+                     [&flushed, c] { flushed[c].fetch_add(1); });
     }
-  }
-  EXPECT_EQ(rt.windows_run(), 55u);
-  EXPECT_GE(rt.serial_windows(), 10u);  // at least the probe's segment
-  EXPECT_LE(rt.serial_windows(), 45u);  // never the parallel first one
-  for (std::size_t s = 0; s < 3; ++s) {
-    EXPECT_EQ(rt.shard(s).now(), 55'000u);
-    EXPECT_EQ(rt.heartbeat(s), 55u);
+    for (std::size_t s = 0; s < 3; ++s) {
+      for (ms::SimTime t = 250 + 100 * s; t < 55'000; t += 700) rt.shard(s).schedule_at(t, [] {});
+    }
+    struct Seen {
+      std::uint64_t windows;
+      std::array<ms::SimTime, 3> clocks;
+      std::array<std::uint64_t, kChannels> drained, flushed;
+    };
+    std::vector<Seen> seen;
+    for (ms::SimTime g = 10'000; g <= 50'000; g += 10'000) {
+      rt.schedule_global(g, [&] {
+        Seen x{rt.windows_run(), {}, {}, {}};
+        for (std::size_t s = 0; s < 3; ++s) x.clocks[s] = rt.shard(s).now();
+        for (std::size_t c = 0; c < kChannels; ++c) {
+          x.drained[c] = drained[c].load();
+          x.flushed[c] = flushed[c].load();
+        }
+        seen.push_back(x);
+      });
+    }
+    advance(rt, 55'000, parallel);
+    ASSERT_EQ(seen.size(), 5u);
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+      const std::uint64_t windows = 10 * (i + 1);
+      EXPECT_EQ(seen[i].windows, windows) << "global " << i;
+      for (std::size_t s = 0; s < 3; ++s)
+        EXPECT_EQ(seen[i].clocks[s], 10'000 * (i + 1)) << "global " << i << " shard " << s;
+      for (std::size_t c = 0; c < kChannels; ++c) {
+        EXPECT_EQ(seen[i].flushed[c], windows) << "global " << i << " channel " << c;
+        EXPECT_EQ(seen[i].drained[c], windows - 1) << "global " << i << " channel " << c;
+      }
+    }
+    EXPECT_EQ(rt.windows_run(), 55u);
+    EXPECT_EQ(rt.serial_windows(), parallel ? 0u : 55u);
+    for (std::size_t s = 0; s < 3; ++s) {
+      EXPECT_EQ(rt.shard(s).now(), 55'000u);
+      EXPECT_EQ(rt.heartbeat(s), 55u);
+    }
   }
 }
 
 TEST(ParallelRuntime, SerialLoopExceptionPropagates) {
-  // The probe runs the second segment serially; a shard that throws there
+  // Shards joined by channels run serially; a shard that throws there
   // surfaces from run_until like one that throws on a worker thread.
   ms::ParallelRuntime rt(2);
   rt.add_channel(0, 1, 1'000, [] {}, [] {});
@@ -290,9 +375,13 @@ TEST(ParallelRuntime, SerialLoopExceptionPropagates) {
     thrower = std::this_thread::get_id();
     throw std::runtime_error("serial boom");
   });
-  EXPECT_EQ(message_of(rt, 20'000), "serial boom");
+  EXPECT_EQ(message_of(rt, 20'000, false), "serial boom");
   EXPECT_EQ(thrower, std::this_thread::get_id());  // it ran in the serial loop
-  EXPECT_EQ(rt.heartbeat(1), 15u);  // 10 parallel windows, 5 serial ones
+  // Around the cycle each shard stays within a window of the other: shard 0
+  // ran through window 14 and waits for shard 1's epoch 14.
+  EXPECT_EQ(rt.heartbeat(0), 15u);
+  EXPECT_EQ(rt.heartbeat(1), 15u);
+  EXPECT_EQ(rt.serial_windows(), 10u);  // the failed segment is not counted
   EXPECT_FALSE(rt.running());
 }
 
@@ -334,11 +423,22 @@ struct RunResult {
   }
 };
 
+/// Runs `tb` to `t` in the parallel loop, or as run_until chooses.
+void advance(mtb::Testbed& tb, ms::SimTime t, bool parallel) {
+  if (parallel) {
+    tb.validate_fault_rules();
+    Peer::run_parallel(tb.runtime(), t);
+  } else {
+    tb.run_until(t);
+  }
+}
+
 // The fig10/fig11 testbed (l2_load_latency) at a given shard count, run for
-// `run_ps` of virtual time; a non-zero `tick_ps` adds a global every tick
-// that reads the sink's RX count.
+// `run_ps` of virtual time, in the parallel loop if `parallel`; a non-zero
+// `tick_ps` adds a global every tick that reads the sink's RX count.
 RunResult run_fig10(int shards, bool poisson, const std::string& faults,
-                    ms::SimTime run_ps = 50 * ms::kPsPerMs, ms::SimTime tick_ps = 0) {
+                    ms::SimTime run_ps = 50 * ms::kPsPerMs, ms::SimTime tick_ps = 0,
+                    bool parallel = false) {
   auto tb = mtb::Scenario()
                 .seed(1)
                 .shards(shards)
@@ -379,7 +479,7 @@ RunResult run_fig10(int shards, bool poisson, const std::string& faults,
   RunResult r;
   for (ms::SimTime t = tick_ps; tick_ps > 0 && t <= run_ps; t += tick_ps)
     tb->schedule_global(t, [&] { r.ticks.push_back(tb->port("sink").stats().rx_packets); });
-  tb->run_until(run_ps);
+  advance(*tb, run_ps, parallel);
   ts.stop();
 
   r.gen_tx_packets = tb->port("gen_tx").stats().tx_packets;
@@ -420,8 +520,10 @@ TEST(ParallelEquivalence, Fig10CbrIdenticalAcrossShardCounts) {
 TEST(ParallelEquivalence, Fig11PoissonIdenticalAcrossShardCounts) {
   const RunResult seq = run_fig10(1, true, "");
   const RunResult two = run_fig10(2, true, "");
+  const RunResult par = run_fig10(2, true, "", 50 * ms::kPsPerMs, 0, true);
   EXPECT_GT(two.cross_shard, 0u);
   EXPECT_TRUE(seq == two);
+  EXPECT_TRUE(seq == par);
 }
 
 TEST(ParallelEquivalence, FaultedRunIdenticalAcrossShardCounts) {
@@ -430,30 +532,37 @@ TEST(ParallelEquivalence, FaultedRunIdenticalAcrossShardCounts) {
       "flap@wire.l1:p=1e-4,param=2e8;stall@dut.fwd:p=0.01,param=2e7";
   const RunResult seq = run_fig10(1, false, spec);
   const RunResult two = run_fig10(2, false, spec);
+  const RunResult par = run_fig10(2, false, spec, 50 * ms::kPsPerMs, 0, true);
   EXPECT_GT(seq.fault_fires, 0u);
   EXPECT_TRUE(seq == two);
+  EXPECT_TRUE(seq == par);
 }
 
 TEST(ParallelEquivalence, TickedRunMatchesAcrossRuntimeLoops) {
-  // A 1 ms global tick over 10 ms cuts ten segments: the first runs in
-  // parallel, the second serially, the rest in whichever loop was faster.
-  // Results, and what every tick saw, equal the one-shard run.
-  const RunResult seq = run_fig10(1, false, "", 10 * ms::kPsPerMs, ms::kPsPerMs);
-  const RunResult two = run_fig10(2, false, "", 10 * ms::kPsPerMs, ms::kPsPerMs);
-  ASSERT_EQ(two.shards, 2u);
+  // A 1 ms global tick over 10 ms cuts ten segments. At 2 shards run_until
+  // runs them serially and the peer in parallel; results, and what every
+  // tick saw, equal the one-shard run.
+  const ms::SimTime run = 10 * ms::kPsPerMs;
+  const RunResult seq = run_fig10(1, false, "", run, ms::kPsPerMs);
+  const RunResult serial = run_fig10(2, false, "", run, ms::kPsPerMs);
+  const RunResult parallel = run_fig10(2, false, "", run, ms::kPsPerMs, true);
+  ASSERT_EQ(serial.shards, 2u);
   EXPECT_EQ(seq.ticks.size(), 10u);
   EXPECT_GT(seq.sink_rx_packets, 0u);
-  EXPECT_TRUE(seq == two);
-  EXPECT_GT(two.serial_windows, 0u);           // the serial loop ran
-  EXPECT_LT(two.serial_windows, two.windows);  // and so did the parallel one
+  EXPECT_TRUE(seq == serial);
+  EXPECT_TRUE(seq == parallel);
+  EXPECT_EQ(serial.windows, parallel.windows);
+  EXPECT_EQ(serial.serial_windows, serial.windows);
+  EXPECT_EQ(parallel.serial_windows, 0u);
   EXPECT_EQ(seq.serial_windows, seq.windows);  // one shard is always serial
 }
 
 TEST(ParallelEquivalence, ParallelRunIsRepeatable) {
   // Two parallel runs must agree with each other bit for bit, regardless
   // of thread scheduling.
-  const RunResult a = run_fig10(2, false, "");
-  const RunResult b = run_fig10(2, false, "");
+  const RunResult a = run_fig10(2, false, "", 50 * ms::kPsPerMs, 0, true);
+  const RunResult b = run_fig10(2, false, "", 50 * ms::kPsPerMs, 0, true);
+  EXPECT_EQ(a.serial_windows, 0u);
   EXPECT_TRUE(a == b);
 }
 
@@ -465,7 +574,8 @@ TEST(ParallelLookahead, CrossShardArrivalsNeverLandInThePast) {
   // drain_remote_epoch throws std::logic_error on any lookahead violation;
   // a clean long faulted run is the property test that the conservative
   // window bound (the cable's minimum latency) is sufficient.
-  EXPECT_NO_THROW(run_fig10(2, true, "loss@wire.l1:p=0.001"));
+  for (const bool parallel : {false, true})
+    EXPECT_NO_THROW(run_fig10(2, true, "loss@wire.l1:p=0.001", 50 * ms::kPsPerMs, 0, parallel));
 }
 
 TEST(ParallelLookahead, ZeroLatencyCrossShardLinkIsRejected) {
@@ -502,9 +612,11 @@ struct RxDigest {
 };
 
 // Two devices on a duplex `cable` at `mbit`, each sending paced frames of
-// random size (up to 1518 B) to the other, under a 100 us global tick.
+// random size (up to 1518 B) to the other, under a 100 us global tick; in
+// the parallel loop if `parallel`.
 std::pair<RxDigest, RxDigest> run_duplex(int shards, mn::ChipSpec chip, std::uint64_t mbit,
-                                         const mw::CableSpec& cable, std::size_t* shard_count) {
+                                         const mw::CableSpec& cable, std::size_t* shard_count,
+                                         bool parallel = false) {
   auto tb = mtb::Scenario()
                 .seed(3)
                 .shards(shards)
@@ -539,7 +651,7 @@ std::pair<RxDigest, RxDigest> run_duplex(int shards, mn::ChipSpec chip, std::uin
   }
   for (ms::SimTime t = 100 * ms::kPsPerUs; t <= 2 * ms::kPsPerMs; t += 100 * ms::kPsPerUs)
     tb->schedule_global(t, [] {});
-  tb->run_until(2 * ms::kPsPerMs);
+  advance(*tb, 2 * ms::kPsPerMs, parallel);
   return out;
 }
 
@@ -552,10 +664,12 @@ TEST(ParallelLookahead, FiberLinkCrossesShards) {
   const auto cable = mw::fiber_om3(2.0);
   std::size_t one = 0, two = 0;
   const auto seq = run_duplex(1, mn::intel_82599(), 10'000, cable, &one);
-  const auto par = run_duplex(2, mn::intel_82599(), 10'000, cable, &two);
+  const auto serial = run_duplex(2, mn::intel_82599(), 10'000, cable, &two);
+  const auto par = run_duplex(2, mn::intel_82599(), 10'000, cable, &two, true);
   ASSERT_EQ(two, 2u);
   EXPECT_GT(seq.first.packets, 1'000u);
   EXPECT_GT(seq.second.packets, 1'000u);
+  EXPECT_TRUE(seq == serial);
   EXPECT_TRUE(seq == par);
 }
 
@@ -565,10 +679,12 @@ TEST(ParallelLookahead, GbeCopperLinkCrossesShards) {
   const auto cable = mw::cat5e_gbe(2.0);
   std::size_t one = 0, two = 0;
   const auto seq = run_duplex(1, mn::intel_x540(), 1'000, cable, &one);
-  const auto par = run_duplex(2, mn::intel_x540(), 1'000, cable, &two);
+  const auto serial = run_duplex(2, mn::intel_x540(), 1'000, cable, &two);
+  const auto par = run_duplex(2, mn::intel_x540(), 1'000, cable, &two, true);
   ASSERT_EQ(two, 2u);
   EXPECT_GT(seq.first.packets, 100u);
   EXPECT_GT(seq.second.packets, 100u);
+  EXPECT_TRUE(seq == serial);
   EXPECT_TRUE(seq == par);
 }
 
@@ -576,7 +692,7 @@ namespace {
 
 // A 9000 B hardware-paced frame over a default cable between two devices;
 // returns the frames the far end received.
-std::uint64_t run_jumbo(int shards) {
+std::uint64_t run_jumbo(int shards, bool parallel = false) {
   auto tb = mtb::Scenario()
                 .seed(1)
                 .shards(shards)
@@ -590,7 +706,7 @@ std::uint64_t run_jumbo(int shards) {
   auto& queue = tb->port("a").tx_queue(0);
   queue.set_rate_wire_mbit(5'000.0);
   auto gen = mc::SimLoadGen::hardware_paced(queue, mc::make_udp_frame(jumbo));
-  tb->run_until(static_cast<ms::SimTime>(ms::kPsPerMs));
+  advance(*tb, ms::kPsPerMs, parallel);
   return tb->port("b").stats().rx_packets;
 }
 
@@ -602,6 +718,7 @@ TEST(ParallelLookahead, JumboFrameCrossesShards) {
   const std::uint64_t one = run_jumbo(1);
   EXPECT_GT(one, 50u);
   EXPECT_EQ(run_jumbo(2), one);
+  EXPECT_EQ(run_jumbo(2, true), one);
 }
 
 TEST(ParallelLookahead, CoupledZeroLatencyLinkIsFine) {
