@@ -137,8 +137,9 @@ int main(int argc, char** argv) {
   cfg.flood_vport = 1;
 
   // --- testbed --------------------------------------------------------------
-  // Four shard groups: {gen}, {vs_in,vport0,vport1}, {sink0}, {sink1} — so
-  // --shards 1/2/4 are all valid partitions of the same virtual timeline.
+  // The vswitch couples vs_in and its vports, and the cables join gen and
+  // both sinks: one component, so every --shards runs one engine and the
+  // virtual timeline is the same.
   auto scenario = mtb::Scenario()
                       .seed(cli->seed)
                       .shards(cli->shards)
@@ -153,8 +154,6 @@ int main(int argc, char** argv) {
                       .device(4, mn::intel_x540()).name("vport1").with_seed(5).rtt_record(false)
                       .device(5, mn::intel_x540()).name("sink1").with_seed(6).rx_store(false)
                       .link(0, 1).with_seed(7)
-                      // Long egress cables: each cross-shard link's latency
-                      // is its channel's lookahead in the sharded runtime.
                       .link(2, 3).with_seed(8).latency_ns(25'000)
                       .link(4, 5).with_seed(9).latency_ns(5'000)
                       .vswitch(1, {2, 4}, cfg);

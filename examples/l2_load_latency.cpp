@@ -22,9 +22,11 @@
 // faults — see src/fault/fault.hpp for the spec mini-language); fault and
 // recovery counters are printed and exported with the telemetry.
 //
-// With `--shards N` the two halves of the testbed (generator+sink vs. the
-// DuT pair) run on parallel event engines bridged by the cables' latency
-// (DESIGN.md Section 10); the output is byte-identical to --shards 1.
+// `--shards N` is accepted, but the cables join generator+sink and the DuT
+// pair into one component, so the testbed runs on one event engine: cutting
+// a cable would cost a cross-shard window per cable latency, more than the
+// work it carries (DESIGN.md Section 10). The output is byte-identical to
+// --shards 1.
 #include <cstdio>
 #include <memory>
 #include <string_view>
@@ -64,8 +66,7 @@ int main(int argc, char** argv) {
 
   // Testbed: generator -> DuT -> sink (all X540 at 10 GbE). The timestamper
   // spans gen_tx and sink, so those two share a shard (couple); the
-  // forwarder couples the DuT pair. With --shards 2 each pair gets its own
-  // engine, bridged at the cables.
+  // forwarder couples the DuT pair, and the cables join both pairs.
   // The DuT ports see frames mid-journey, so they count stamp conservation
   // but do not fold into the end-to-end RTT histograms (rtt_record(false));
   // only the sink's RX is an end-to-end measurement point.

@@ -25,8 +25,10 @@
 // streamed to FILE (FILE.closed.jsonl for the closed-loop run). stdout is
 // unchanged either way.
 // With `--faults SPEC` the fault plane also drives server stalls (sites
-// rpc.s0 / rpc.s1) next to the usual wire faults. With `--shards N` the
-// pairs run on parallel engines; output is byte-identical to --shards 1.
+// rpc.s0 / rpc.s1) next to the usual wire faults. Each pair's cable joins
+// its client and server into one component, so with `--shards 2` or more
+// the two pairs run on two parallel engines and exchange nothing; output
+// is byte-identical to --shards 1.
 //
 // usage: rpc_load_latency [offered_krps] [seconds] [open|closed|compare]
 //                         [service_us] [workers]
@@ -84,8 +86,8 @@ struct RunParams {
 };
 
 RunResult run_mode(const me::Cli& cli, const RunParams& p) {
-  // Two ungrouped client/server pairs: four shard groups, so --shards up
-  // to 4 spreads them across engines (cables provide the lookahead).
+  // Two client/server pairs, two components: --shards 2 and up give each
+  // pair its own engine.
   mtb::Scenario s;
   s.seed(cli.seed).shards(cli.shards).faults(cli.faults);
   if (cli.has_json()) s.sample_telemetry(100'000'000);

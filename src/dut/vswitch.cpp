@@ -1,6 +1,8 @@
 #include "dut/vswitch.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 
 #include "proto/packet_view.hpp"
@@ -8,8 +10,6 @@
 namespace moongen::dut {
 
 namespace {
-
-constexpr std::size_t kRetagCacheCapacity = 16;
 
 std::uint64_t hash_key(const FiveTupleKey& k) {
   // splitmix64 over the packed tuple; the table is power-of-two sized so
@@ -62,8 +62,7 @@ VSwitch::VSwitch(sim::EventQueue& events, nic::Port& in_port, int in_queue,
     QueueState q;
     q.cfg = tc;
     q.bucket = TokenBucket(tc.rate_mbit, tc.burst_bytes);
-    q.ring.slots.resize(std::max<std::size_t>(1, tc.queue_frames));
-    q.retag_cache.reserve(kRetagCacheCapacity);
+    q.ring.capacity = std::max<std::size_t>(1, tc.queue_frames);
     if (tc.vid != 0) {
       auto& slot = vid_table_[tc.vid & 0x0fff];
       if (slot != -1) throw std::invalid_argument("VSwitch: duplicate tenant vid");
@@ -80,8 +79,7 @@ VSwitch::VSwitch(sim::EventQueue& events, nic::Port& in_port, int in_queue,
     q.cfg.vport = cfg_.flood_vport;
     q.cfg.priority = VSwitchConfig::kPriorityClasses - 1;
     q.cfg.quantum_bytes = std::max<std::uint32_t>(1, cfg_.flood_quantum_bytes);
-    q.ring.slots.resize(std::max<std::size_t>(1, cfg_.flood_queue_frames));
-    q.retag_cache.reserve(kRetagCacheCapacity);
+    q.ring.capacity = std::max<std::size_t>(1, cfg_.flood_queue_frames);
     tenants_.push_back(std::move(q));
   }
 
@@ -123,6 +121,13 @@ void VSwitch::add_flow(const FiveTupleKey& key, std::size_t tenant) {
   flows_[idx].key = key;
   flows_[idx].tenant = static_cast<std::int32_t>(tenant);
   ++flow_count_;
+}
+
+void VSwitch::FrameRing::grow() {
+  std::vector<nic::Frame> bigger(std::min(capacity, std::max<std::size_t>(1, 2 * slots.size())));
+  for (std::size_t i = 0; i < count; ++i) bigger[i] = std::move(slots[(head + i) % slots.size()]);
+  slots = std::move(bigger);
+  head = 0;
 }
 
 std::size_t VSwitch::queued() const {
@@ -394,14 +399,6 @@ void VSwitch::rewrite_frame(QueueState& q, nic::Frame& frame) {
   if (q.cfg.flow != 0) frame.flow = q.cfg.flow;
   if (q.cfg.tag == TenantConfig::Tag::kKeep) return;
 
-  const void* source = frame.data.get();
-  for (const RetagCacheEntry& e : q.retag_cache) {
-    if (e.source == source) {
-      frame.data = e.rewritten;
-      return;
-    }
-  }
-
   const auto& bytes = *frame.data;
   const bool tagged =
       bytes.size() >= sizeof(proto::EthernetHeader) + sizeof(proto::VlanTag) &&
@@ -435,16 +432,7 @@ void VSwitch::rewrite_frame(QueueState& q, nic::Frame& frame) {
     }
   }
 
-  auto rewritten = std::make_shared<const std::vector<std::uint8_t>>(std::move(out));
-  if (q.retag_cache.size() < kRetagCacheCapacity) {
-    q.retag_cache.push_back(RetagCacheEntry{source, rewritten});
-  } else {
-    // Round-robin eviction: generators cycle a bounded template set, so a
-    // hot source re-enters the cache within one cycle.
-    q.retag_cache[q.retag_evict] = RetagCacheEntry{source, rewritten};
-    q.retag_evict = (q.retag_evict + 1) % kRetagCacheCapacity;
-  }
-  frame.data = std::move(rewritten);
+  frame.data = std::make_shared<const std::vector<std::uint8_t>>(std::move(out));
 }
 
 }  // namespace moongen::dut

@@ -18,15 +18,15 @@
 // Every counter moves exactly once per frame, so both identities are exact
 // at any quiesced instant.
 //
-// Steady state is allocation-free: match tables, egress rings, and DRR
-// rotation lists are sized at construction; VLAN push/pop/retag reuses a
-// per-tenant copy-on-write buffer cache keyed by the source buffer
-// (generators cycle a handful of templates, so rewrites are computed once
-// and shared by every subsequent frame off the same template).
+// Match tables and DRR rotation lists are sized at construction; egress
+// rings double up to their capacity as they fill, so the steady state
+// allocates only for a VLAN push/pop/retag, which writes each frame it
+// rewrites into a fresh buffer (a source buffer may be freed and its
+// address reused, or rewritten in place as rpc::FramePool does, so no
+// rewrite can be looked up by the source's address).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -112,7 +112,7 @@ struct TenantConfig {
   std::uint8_t push_pcp = 0;
   /// Frame.flow stamped on forwarded frames (0 = keep incoming label).
   std::uint32_t flow = 0;
-  /// Egress ring capacity in frames.
+  /// Egress ring capacity in frames (slots are allocated as the ring fills).
   std::size_t queue_frames = 512;
 };
 
@@ -205,16 +205,20 @@ class VSwitch {
     std::int32_t tenant = -1;  // -1 = empty
   };
 
-  /// Fixed-capacity frame ring (vector + head/count, no allocation after
-  /// construction).
+  /// Frame ring holding at most `capacity` frames. Its slots double, up to
+  /// the capacity, when a push finds them all taken: thousands of tenants
+  /// that never queue deeply do not pay for their capacity up front.
   struct FrameRing {
     std::vector<nic::Frame> slots;
+    std::size_t capacity = 1;
     std::size_t head = 0;
     std::size_t count = 0;
 
-    [[nodiscard]] bool full() const { return count == slots.size(); }
+    [[nodiscard]] bool full() const { return count == capacity; }
     [[nodiscard]] bool empty() const { return count == 0; }
+    /// Requires !full().
     void push(nic::Frame&& f) {
+      if (count == slots.size()) grow();
       slots[(head + count) % slots.size()] = std::move(f);
       ++count;
     }
@@ -225,11 +229,9 @@ class VSwitch {
       --count;
       return f;
     }
-  };
-
-  struct RetagCacheEntry {
-    const void* source = nullptr;
-    std::shared_ptr<const std::vector<std::uint8_t>> rewritten;
+    /// Doubles the slots (at most to `capacity`) and moves the queued
+    /// frames to the front in FIFO order.
+    void grow();
   };
 
   /// One egress queue: a tenant's, or the flood queue (tenant index -1).
@@ -239,8 +241,6 @@ class VSwitch {
     TenantConfig cfg;
     std::uint32_t deficit = 0;
     std::size_t slot = 0;  // position in its class's DRR member ring
-    std::vector<RetagCacheEntry> retag_cache;
-    std::size_t retag_evict = 0;
     // books
     std::uint64_t matched = 0;
     std::uint64_t emitted = 0;
@@ -279,8 +279,7 @@ class VSwitch {
   void enqueue(std::size_t queue_idx, nic::Frame&& frame, bool is_flood);
   void kick_vport(std::size_t vp_idx);
   void drain_vport(std::size_t vp_idx);
-  /// Applies the queue's VLAN rewrite + flow label; COW-cached per source
-  /// buffer.
+  /// Applies the queue's VLAN rewrite (into a new buffer) and flow label.
   void rewrite_frame(QueueState& q, nic::Frame& frame);
 
   sim::EventQueue& events_;

@@ -277,8 +277,8 @@ std::uint64_t Scenario::telemetry_period_ps() const {
 std::unique_ptr<Testbed> Scenario::build() {
   const std::uint64_t snapshot_period_ps = telemetry_period_ps();
 
-  // 1. Partition devices into coupling groups: devices joined by couple()
-  // or forwarder() must share one event engine.
+  // 1. Partition devices into components that share one event engine.
+  // couple(), forwarder() and vswitch() join their devices outright.
   UnionFind uf(devices_.size());
   for (const auto& c : couples_)
     uf.merge(device_index(c.a, "couple"), device_index(c.b, "couple"));
@@ -288,13 +288,30 @@ std::unique_ptr<Testbed> Scenario::build() {
     for (const int out : v.outs)
       uf.merge(device_index(v.in, "vswitch"), device_index(out, "vswitch"));
   }
+  std::vector<int> pin_of(devices_.size(), -1);  // by component root
+  for (std::size_t i = 0; i < devices_.size(); ++i) {
+    const int p = devices_[i].pin;
+    int& pin = pin_of[uf.find(i)];
+    if (p < 0) continue;
+    if (pin >= 0 && pin != p)
+      throw std::invalid_argument("Scenario: conflicting pin_shard() within one coupled group");
+    pin = p;
+  }
+  // A link joins its two ends as well, unless pin_shard() has put the
+  // components they are in onto different shards: only such a link crosses
+  // shards. Cutting an unpinned link would only trade work for a window
+  // handoff per lookahead (DESIGN.md section 10). Links are taken in
+  // declaration order, so a chain of pins resolves first come, first served.
   for (const auto& l : links_) {
-    (void)device_index(l.from, "link");
-    (void)device_index(l.to, "link");
+    const std::size_t a = uf.find(device_index(l.from, "link"));
+    const std::size_t b = uf.find(device_index(l.to, "link"));
+    if (a == b || (pin_of[a] >= 0 && pin_of[b] >= 0 && pin_of[a] != pin_of[b])) continue;
+    uf.merge(a, b);  // b stays the root
+    pin_of[b] = std::max(pin_of[a], pin_of[b]);
   }
 
-  // Groups ordered by their smallest device id: shard assignment must not
-  // depend on declaration order subtleties.
+  // Components ordered by their smallest device id: shard assignment must
+  // not depend on declaration order subtleties.
   std::map<std::size_t, std::vector<std::size_t>> groups;  // root -> members
   for (std::size_t i = 0; i < devices_.size(); ++i) groups[uf.find(i)].push_back(i);
   std::vector<std::vector<std::size_t>> ordered;
@@ -309,30 +326,26 @@ std::unique_ptr<Testbed> Scenario::build() {
     return min_id(a) < min_id(b);
   });
 
-  // 2. Effective shard count: never more shards than independent groups
-  // (and at least one engine even for a pure fast-path testbed).
+  // 2. Effective shard count: never more shards than components (and at
+  // least one engine even for a pure fast-path testbed).
   const std::size_t effective =
       std::max<std::size_t>(1, std::min<std::size_t>(static_cast<std::size_t>(shards_),
                                                      std::max<std::size_t>(1, ordered.size())));
 
-  // 3. Assign groups to shards: explicit pins first, the rest round-robin.
+  // 3. Assign components to shards: explicit pins first, the rest
+  // round-robin.
   std::vector<std::size_t> shard_of(devices_.size(), 0);
   std::size_t next_shard = 0;
   for (const auto& group : ordered) {
-    int pin = -1;
-    for (const std::size_t i : group) {
-      const int p = devices_[i].pin;
-      if (p < 0) continue;
-      if (pin >= 0 && pin != p)
-        throw std::invalid_argument("Scenario: conflicting pin_shard() within one coupled group");
-      pin = p;
-    }
+    const int pin = pin_of[uf.find(group.front())];
     std::size_t shard;
     if (pin >= 0) {
       if (static_cast<std::size_t>(pin) >= effective)
         throw std::invalid_argument("Scenario: pin_shard(" + std::to_string(pin) +
                                     ") exceeds effective shard count " +
-                                    std::to_string(effective));
+                                    std::to_string(effective) + " (shards(" +
+                                    std::to_string(shards_) + ") over " +
+                                    std::to_string(ordered.size()) + " components)");
       shard = static_cast<std::size_t>(pin);
     } else {
       shard = next_shard++ % effective;
@@ -389,9 +402,9 @@ std::unique_ptr<Testbed> Scenario::build() {
     tb->devices_.emplace(d.id, std::move(entry));
   }
 
-  // 7. Links, in declaration order (duplex expands in place). A link whose
-  // endpoints live on different shards gets a lock-free frame channel and
-  // registers its cable's minimum latency as the runtime's lookahead.
+  // 7. Links, in declaration order (duplex expands in place). A link pinned
+  // across shards gets a lock-free frame channel and registers its cable's
+  // minimum latency as the runtime's lookahead.
   std::vector<LinkDecl> expanded;
   for (const LinkDecl& l : links_) {
     expanded.push_back(l);
@@ -420,8 +433,8 @@ std::unique_ptr<Testbed> Scenario::build() {
             "Scenario: cross-shard link " + std::to_string(l.from) + " -> " +
             std::to_string(l.to) +
             " has no usable lookahead (zero minimum cable latency); give it a "
-            "cable()/latency_ns() with positive latency or couple() its endpoints "
-            "onto one shard");
+            "cable()/latency_ns() with positive latency or drop the pin_shard() that "
+            "puts its endpoints on different shards");
       tb->channels_.emplace_back();
       wire::Link* raw = entry.link.get();
       raw->set_remote(&tb->channels_.back());

@@ -19,13 +19,18 @@
 //                 .couple(0, 3)                   // timestamper spans these
 //                 .build();
 //
-// build() partitions the devices into shards: couple() and forwarder()
-// declare which devices must share an event engine (components that touch
-// both ends synchronously); everything else may be split. Cross-shard
-// links become lock-free frame channels with conservative lookahead equal
-// to the cable's minimum latency (sim::ParallelRuntime), so a cross-shard
-// link MUST have positive minimum latency — pin its endpoints together
-// with couple() if it cannot.
+// build() partitions the devices into shards by connected component:
+// couple(), forwarder() and vswitch() join the devices they name (the
+// timestamper or DuT behind them touches both ends synchronously), and so
+// does every link, unless pin_shard() has already put the components at
+// its two ends on different shards (links are taken in declaration order).
+// Components exchange no frames, so the runtime runs them in parallel and
+// they meet only at global events. A pinned-apart link becomes a lock-free
+// frame channel with conservative lookahead equal to the cable's minimum
+// latency (sim::ParallelRuntime), so it MUST have positive minimum latency.
+// Pins are the only way to cut a link: an unpinned cut costs a window
+// handoff per lookahead and, on every measured topology, more than it
+// saves (DESIGN.md section 10).
 //
 // Modifier calls (name/with_seed/cable/...) apply to the most recently
 // declared device or link, in the builder-cursor style of the usage above.
@@ -57,8 +62,9 @@ class Scenario {
   /// theirs from this (mixed with the device id / link index).
   Scenario& seed(std::uint64_t s);
   /// Requested shard count (from --shards). build() caps it at the number
-  /// of independent device groups; 1 (the default) is the sequential
-  /// engine, byte-identical to pre-parallel behaviour.
+  /// of components (devices joined by couplings, DuTs and links that no
+  /// pin_shard() splits); 1 (the default) is the sequential engine, and
+  /// every shard count gives byte-identical results.
   Scenario& shards(int n);
   /// Installs the fault spec on every component (links as wire.l<N>, ports
   /// as nic.<name>, forwarders as dut.fwd[N], clocks as clock.<name>).
@@ -113,8 +119,11 @@ class Scenario {
   /// this off for ports whose RX is not an end-to-end measurement point
   /// (e.g. a DuT's ingress, where the frame is still mid-journey).
   Scenario& rtt_record(bool record);
-  /// Pins this device's group to a specific shard (0-based, must be below
-  /// the effective shard count). Default: groups are assigned round-robin.
+  /// Pins this device's component to a specific shard (0-based, must be
+  /// below the effective shard count). Default: components are assigned
+  /// round-robin. Only a link between components pinned to different
+  /// shards crosses shards: it becomes a frame channel, and the runtime
+  /// then runs every shard in its serial loop.
   Scenario& pin_shard(int shard);
 
   // --- links ---------------------------------------------------------------
@@ -159,7 +168,7 @@ class Scenario {
 
   /// Validates the declaration, partitions devices into shards and
   /// constructs the testbed. Throws std::invalid_argument on undeclared
-  /// ids, conflicting pins, a cross-shard link with zero minimum latency,
+  /// ids, conflicting pins, a pinned-apart link with zero minimum latency,
   /// or a telemetry period that overflows picoseconds, differs between
   /// sample_telemetry and stream_telemetry, or outlasts the RTT windows
   /// the plane retains for the stream.

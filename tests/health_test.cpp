@@ -31,16 +31,17 @@ namespace mtb = moongen::testbed;
 
 namespace {
 
-/// Four-device L2 chain with a forwarder, mirroring l2_load_latency.
+/// Four-device L2 chain with a forwarder, mirroring l2_load_latency. Above
+/// one shard, {gen_tx, sink} and the DuT pair are pinned apart, so both
+/// links cross shards.
 std::unique_ptr<mtb::Testbed> l2_bed(int shards, const mf::FaultSpec& spec = {}) {
-  return mtb::Scenario()
-      .seed(1)
-      .shards(shards)
-      .telemetry(false)
-      .faults(spec)
-      .device(0, mn::intel_x540()).name("gen_tx").with_seed(1)
-      .device(1, mn::intel_x540()).name("dut_in").with_seed(2)
-      .device(2, mn::intel_x540()).name("dut_out").with_seed(3)
+  mtb::Scenario s;
+  s.seed(1).shards(shards).telemetry(false).faults(spec)
+      .device(0, mn::intel_x540()).name("gen_tx").with_seed(1);
+  if (shards > 1) s.pin_shard(0);
+  s.device(1, mn::intel_x540()).name("dut_in").with_seed(2);
+  if (shards > 1) s.pin_shard(1);
+  return s.device(2, mn::intel_x540()).name("dut_out").with_seed(3)
       .device(3, mn::intel_x540()).name("sink").with_seed(4).rx_store(false)
       .link(0, 1).with_seed(5)
       .link(2, 3).with_seed(6)

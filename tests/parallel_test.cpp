@@ -435,18 +435,20 @@ void advance(mtb::Testbed& tb, ms::SimTime t, bool parallel) {
 
 // The fig10/fig11 testbed (l2_load_latency) at a given shard count, run for
 // `run_ps` of virtual time, in the parallel loop if `parallel`; a non-zero
-// `tick_ps` adds a global every tick that reads the sink's RX count.
+// `tick_ps` adds a global every tick that reads the sink's RX count. Above
+// one shard, gen_tx and dut_in are pinned apart, so {gen_tx, sink} and the
+// DuT pair run on two shards and both links cross them.
 RunResult run_fig10(int shards, bool poisson, const std::string& faults,
                     ms::SimTime run_ps = 50 * ms::kPsPerMs, ms::SimTime tick_ps = 0,
                     bool parallel = false) {
-  auto tb = mtb::Scenario()
-                .seed(1)
-                .shards(shards)
-                .faults(faults)
-                .telemetry(false)
-                .device(0, mn::intel_x540()).name("gen_tx").with_seed(1)
-                .device(1, mn::intel_x540()).name("dut_in").with_seed(2)
-                .device(2, mn::intel_x540()).name("dut_out").with_seed(3)
+  const bool split = shards > 1;
+  mtb::Scenario s;
+  s.seed(1).shards(shards).faults(faults).telemetry(false)
+      .device(0, mn::intel_x540()).name("gen_tx").with_seed(1);
+  if (split) s.pin_shard(0);
+  s.device(1, mn::intel_x540()).name("dut_in").with_seed(2);
+  if (split) s.pin_shard(1);
+  auto tb = s.device(2, mn::intel_x540()).name("dut_out").with_seed(3)
                 .device(3, mn::intel_x540()).name("sink").with_seed(4).rx_store(false)
                 .link(0, 1).with_seed(5)
                 .link(2, 3).with_seed(6)
@@ -510,7 +512,7 @@ TEST(ParallelEquivalence, Fig10CbrIdenticalAcrossShardCounts) {
   const RunResult four = run_fig10(4, false, "");
   EXPECT_EQ(seq.shards, 1u);
   EXPECT_EQ(two.shards, 2u);
-  EXPECT_EQ(four.shards, 2u);  // capped at the two coupling groups
+  EXPECT_EQ(four.shards, 2u);  // capped at the two pinned components
   EXPECT_GT(two.cross_shard, 0u);
   EXPECT_GT(seq.ts_samples, 10u);  // the run measured something
   EXPECT_TRUE(seq == two);
@@ -582,15 +584,16 @@ TEST(ParallelLookahead, ZeroLatencyCrossShardLinkIsRejected) {
   mtb::Scenario s;
   s.seed(1)
       .shards(2)
-      .device(0, mn::intel_x540()).name("a")
-      .device(1, mn::intel_x540()).name("b")
+      .device(0, mn::intel_x540()).name("a").pin_shard(0)
+      .device(1, mn::intel_x540()).name("b").pin_shard(1)
       .link(0, 1).latency_ns(0);  // no latency: no usable lookahead
   try {
     (void)s.build();
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("zero minimum cable latency"), std::string::npos)
-        << e.what();
+    const std::string what = e.what();
+    EXPECT_NE(what.find("zero minimum cable latency"), std::string::npos) << what;
+    EXPECT_NE(what.find("pin_shard()"), std::string::npos) << what;
   }
 }
 
@@ -613,18 +616,17 @@ struct RxDigest {
 
 // Two devices on a duplex `cable` at `mbit`, each sending paced frames of
 // random size (up to 1518 B) to the other, under a 100 us global tick; in
-// the parallel loop if `parallel`.
+// the parallel loop if `parallel`. Above one shard the devices are pinned
+// apart, so the cable crosses shards.
 std::pair<RxDigest, RxDigest> run_duplex(int shards, mn::ChipSpec chip, std::uint64_t mbit,
                                          const mw::CableSpec& cable, std::size_t* shard_count,
                                          bool parallel = false) {
-  auto tb = mtb::Scenario()
-                .seed(3)
-                .shards(shards)
-                .telemetry(false)
-                .device(0, chip).name("a").link_mbit(mbit)
-                .device(1, chip).name("b").link_mbit(mbit)
-                .link(0, 1).cable(cable).duplex()
-                .build();
+  mtb::Scenario s;
+  s.seed(3).shards(shards).telemetry(false).device(0, chip).name("a").link_mbit(mbit);
+  if (shards > 1) s.pin_shard(0);
+  s.device(1, chip).name("b").link_mbit(mbit);
+  if (shards > 1) s.pin_shard(1);
+  auto tb = s.link(0, 1).cable(cable).duplex().build();
   *shard_count = tb->shard_count();
   std::pair<RxDigest, RxDigest> out;
   std::vector<std::unique_ptr<mc::SimLoadGen>> gens;
@@ -690,17 +692,15 @@ TEST(ParallelLookahead, GbeCopperLinkCrossesShards) {
 
 namespace {
 
-// A 9000 B hardware-paced frame over a default cable between two devices;
-// returns the frames the far end received.
+// A 9000 B hardware-paced frame over a default cable between two devices,
+// pinned apart above one shard; returns the frames the far end received.
 std::uint64_t run_jumbo(int shards, bool parallel = false) {
-  auto tb = mtb::Scenario()
-                .seed(1)
-                .shards(shards)
-                .telemetry(false)
-                .device(0, mn::intel_x540()).name("a")
-                .device(1, mn::intel_x540()).name("b")
-                .link(0, 1)
-                .build();
+  mtb::Scenario s;
+  s.seed(1).shards(shards).telemetry(false).device(0, mn::intel_x540()).name("a");
+  if (shards > 1) s.pin_shard(0);
+  s.device(1, mn::intel_x540()).name("b");
+  if (shards > 1) s.pin_shard(1);
+  auto tb = s.link(0, 1).build();
   mc::UdpTemplateOptions jumbo;
   jumbo.frame_size = 8'996;  // buffer without FCS: a 9000 B frame
   auto& queue = tb->port("a").tx_queue(0);

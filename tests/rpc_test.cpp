@@ -287,12 +287,16 @@ TEST(LatencyRecorder, WritesMachineReadableJson) {
 
 namespace {
 
+// Client and server on a duplex cable; above one shard they are pinned
+// apart, so the cable crosses shards.
 std::unique_ptr<mtb::Testbed> pair_bed(int shards, const mf::FaultSpec& spec = {}) {
   mtb::Scenario s;
   s.seed(1).shards(shards).telemetry(false).faults(spec);
-  s.device(0, mn::intel_x540()).name("client").with_seed(10).rx_store(false)
-      .device(1, mn::intel_x540()).name("server").with_seed(20).rx_store(false)
-      .link(0, 1).with_seed(30).duplex();
+  s.device(0, mn::intel_x540()).name("client").with_seed(10).rx_store(false);
+  if (shards > 1) s.pin_shard(0);
+  s.device(1, mn::intel_x540()).name("server").with_seed(20).rx_store(false);
+  if (shards > 1) s.pin_shard(1);
+  s.link(0, 1).with_seed(30).duplex();
   return s.build();
 }
 

@@ -44,14 +44,16 @@ namespace mtb = moongen::testbed;
 
 namespace {
 
-/// The l2_load_latency topology: generator -> forwarder DuT -> sink.
+/// The l2_load_latency topology: generator -> forwarder DuT -> sink. Above
+/// one shard, {gen_tx, sink} and the DuT pair are pinned apart, so both
+/// links cross shards.
 mtb::Scenario l2_scenario(int shards, const std::string& faults = "") {
   mtb::Scenario sc;
-  sc.seed(1)
-      .shards(shards)
-      .device(0, mn::intel_x540()).name("gen_tx").with_seed(1)
-      .device(1, mn::intel_x540()).name("dut_in").with_seed(2).rtt_record(false)
-      .device(2, mn::intel_x540()).name("dut_out").with_seed(3).rtt_record(false)
+  sc.seed(1).shards(shards).device(0, mn::intel_x540()).name("gen_tx").with_seed(1);
+  if (shards > 1) sc.pin_shard(0);
+  sc.device(1, mn::intel_x540()).name("dut_in").with_seed(2).rtt_record(false);
+  if (shards > 1) sc.pin_shard(1);
+  sc.device(2, mn::intel_x540()).name("dut_out").with_seed(3).rtt_record(false)
       .device(3, mn::intel_x540()).name("sink").with_seed(4).rx_store(false)
       .link(0, 1).with_seed(5)
       .link(2, 3).with_seed(6)

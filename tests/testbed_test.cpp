@@ -35,15 +35,18 @@ namespace mtb = moongen::testbed;
 
 namespace {
 
-// The standard 4-device fig10 topology used throughout.
-mtb::Scenario fig10_scenario(int shards) {
+// The standard 4-device fig10 topology used throughout. Its links join
+// its two coupling groups, {gen_tx, sink} and the DuT pair, into one
+// component, so it runs on one shard unless `split` pins the groups apart;
+// its two links then cross shards.
+mtb::Scenario fig10_scenario(int shards, bool split = false) {
+  const bool pin = split && shards > 1;
   mtb::Scenario s;
-  s.seed(1)
-      .shards(shards)
-      .telemetry(true)
-      .device(0, mn::intel_x540()).name("gen_tx")
-      .device(1, mn::intel_x540()).name("dut_in")
-      .device(2, mn::intel_x540()).name("dut_out")
+  s.seed(1).shards(shards).telemetry(true).device(0, mn::intel_x540()).name("gen_tx");
+  if (pin) s.pin_shard(0);
+  s.device(1, mn::intel_x540()).name("dut_in");
+  if (pin) s.pin_shard(1);
+  s.device(2, mn::intel_x540()).name("dut_out")
       .device(3, mn::intel_x540()).name("sink")
       .link(0, 1)
       .link(2, 3)
@@ -131,10 +134,15 @@ TEST(Scenario, SingleShardByDefault) {
 }
 
 TEST(Scenario, ShardCountCappedAtGroupCount) {
-  // fig10 has two coupling groups: {0,3} and {1,2}. Asking for 8 shards
-  // must yield 2, not 8 idle engines.
-  auto tb = fig10_scenario(8).build();
-  EXPECT_EQ(tb->shard_count(), 2u);
+  // fig10's links join its two coupling groups, {0,3} and {1,2}, into one
+  // component: asking for 8 shards yields 1. Pinned apart, the groups are
+  // two components, and 8 shards yield 2, not 8 idle engines.
+  auto joined = fig10_scenario(8).build();
+  EXPECT_EQ(joined->shard_count(), 1u);
+  EXPECT_EQ(joined->runtime().channel_count(), 0u);
+  auto split = fig10_scenario(8, /*split=*/true).build();
+  EXPECT_EQ(split->shard_count(), 2u);
+  EXPECT_EQ(split->runtime().channel_count(), 2u);
 }
 
 TEST(Scenario, FullyCoupledScenarioIsSequential) {
@@ -145,7 +153,8 @@ TEST(Scenario, FullyCoupledScenarioIsSequential) {
 }
 
 TEST(Scenario, CoupledDevicesShareAShard) {
-  auto tb = fig10_scenario(2).build();
+  // Pins on gen_tx and dut_in reach their coupled partners.
+  auto tb = fig10_scenario(2, /*split=*/true).build();
   EXPECT_EQ(tb->shard_of(0), tb->shard_of(3));  // couple(0, 3)
   EXPECT_EQ(tb->shard_of(1), tb->shard_of(2));  // forwarder(1, 2)
   EXPECT_NE(tb->shard_of(0), tb->shard_of(1));
@@ -168,8 +177,194 @@ TEST(Scenario, PinShardIsHonored) {
   EXPECT_EQ(tb->shard_of(3), 0u);
 }
 
+// ---------------------------------------------------------------------------
+// Placement rule: a link joins components unless pins hold them apart
+// ---------------------------------------------------------------------------
+
+TEST(Scenario, LinkJoinsItsEndsIntoOneComponent) {
+  mtb::Scenario s;
+  s.shards(2).device(0, mn::intel_x540()).device(1, mn::intel_x540()).link(0, 1);
+  auto tb = s.build();
+  EXPECT_EQ(tb->shard_count(), 1u);
+  EXPECT_EQ(tb->runtime().channel_count(), 0u);
+  EXPECT_FALSE(tb->link(0, 1).remote());
+}
+
+TEST(Scenario, LinkBetweenDifferentlyPinnedComponentsKeepsAChannel) {
+  mtb::Scenario s;
+  s.shards(2)
+      .device(0, mn::intel_x540()).pin_shard(0)
+      .device(1, mn::intel_x540())
+      .device(2, mn::intel_x540()).pin_shard(1)
+      .couple(1, 2)  // device 1's component is pinned through device 2
+      .link(0, 1).duplex();
+  auto tb = s.build();
+  EXPECT_EQ(tb->shard_count(), 2u);
+  EXPECT_EQ(tb->shard_of(1), 1u);
+  EXPECT_EQ(tb->runtime().channel_count(), 2u);
+  EXPECT_TRUE(tb->link(0, 1).remote());
+  EXPECT_TRUE(tb->link(1, 0).remote());
+}
+
+TEST(Scenario, PinChainResolvesInLinkDeclarationOrder) {
+  // 0 (pinned to 0) -- 1 (unpinned) -- 2 (pinned to 1): the first declared
+  // link takes device 1 into its pinned component, so the second one joins
+  // differently pinned components and becomes the channel.
+  for (const bool left_first : {true, false}) {
+    mtb::Scenario s;
+    s.shards(2)
+        .device(0, mn::intel_x540()).pin_shard(0)
+        .device(1, mn::intel_x540())
+        .device(2, mn::intel_x540()).pin_shard(1);
+    if (left_first) {
+      s.link(0, 1).link(1, 2);
+    } else {
+      s.link(1, 2).link(0, 1);
+    }
+    auto tb = s.build();
+    EXPECT_EQ(tb->runtime().channel_count(), 1u) << left_first;
+    EXPECT_EQ(tb->shard_of(1), left_first ? 0u : 1u);
+    EXPECT_EQ(tb->link(0, 1).remote(), !left_first);
+    EXPECT_EQ(tb->link(1, 2).remote(), left_first);
+  }
+}
+
+TEST(Scenario, PinOnOneEndDoesNotCutALink) {
+  // Only device 0 is pinned: the link still joins both devices, so there is
+  // one component, one shard, and no shard 1 to pin to.
+  mtb::Scenario s;
+  s.shards(2).device(0, mn::intel_x540()).pin_shard(1).device(1, mn::intel_x540()).link(0, 1);
+  try {
+    (void)s.build();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("over 1 components"), std::string::npos) << e.what();
+  }
+}
+
+TEST(Scenario, EffectiveShardsAreMinOfRequestedAndComponents) {
+  // Three duplex-linked pairs are three components.
+  for (const int requested : {1, 2, 3, 4, 8}) {
+    mtb::Scenario s;
+    s.shards(requested);
+    for (int p = 0; p < 3; ++p)
+      s.device(2 * p, mn::intel_x540())
+          .device(2 * p + 1, mn::intel_x540())
+          .link(2 * p, 2 * p + 1).duplex();
+    auto tb = s.build();
+    EXPECT_EQ(tb->shard_count(), static_cast<std::size_t>(std::min(requested, 3))) << requested;
+    EXPECT_EQ(tb->runtime().channel_count(), 0u);
+    for (int p = 0; p < 3; ++p) EXPECT_EQ(tb->shard_of(2 * p), tb->shard_of(2 * p + 1));
+  }
+}
+
+namespace {
+
+// The topologies of the sharded examples and of bench/e2e's simulated
+// workloads as they declare them, minus seeds and load: placement depends
+// only on devices, links, couplings and DuTs.
+
+// l2_load_latency, rfc2544_throughput and bench/e2e's l2_forward.
+mtb::Scenario l2_forward_topology(int shards) {
+  mtb::Scenario s;
+  s.shards(shards)
+      .device(0, mn::intel_x540()).name("gen_tx")
+      .device(1, mn::intel_x540()).name("dut_in")
+      .device(2, mn::intel_x540()).name("dut_out")
+      .device(3, mn::intel_x540()).name("sink")
+      .link(0, 1)
+      .link(2, 3)
+      .forwarder(1, 2)
+      .couple(0, 3);
+  return s;
+}
+
+// ddos_isolation and bench/e2e's ddos_vswitch.
+mtb::Scenario ddos_vswitch_topology(int shards) {
+  mtb::Scenario s;
+  s.shards(shards)
+      .device(0, mn::intel_x540()).name("gen")
+      .device(1, mn::intel_x540()).name("vs_in")
+      .device(2, mn::intel_x540()).name("vport0").link_mbit(1'000)
+      .device(3, mn::intel_x540()).name("sink0").link_mbit(1'000)
+      .device(4, mn::intel_x540()).name("vport1")
+      .device(5, mn::intel_x540()).name("sink1")
+      .link(0, 1)
+      .link(2, 3).latency_ns(25'000)
+      .link(4, 5).latency_ns(5'000)
+      .vswitch(1, {2, 4}, {});
+  return s;
+}
+
+// rpc_load_latency and bench/e2e's rpc_open.
+mtb::Scenario rpc_open_topology(int shards) {
+  mtb::Scenario s;
+  s.shards(shards);
+  for (int i = 0; i < 2; ++i)
+    s.device(2 * i, mn::intel_x540()).name("client" + std::to_string(i))
+        .device(2 * i + 1, mn::intel_x540()).name("server" + std::to_string(i))
+        .link(2 * i, 2 * i + 1).duplex();
+  return s;
+}
+
+// parallel_scaling and bench/e2e's hwpaced_4x40g.
+mtb::Scenario hwpaced_topology(int shards) {
+  mtb::Scenario s;
+  s.shards(shards).telemetry(false);
+  for (int p = 0; p < 4; ++p)
+    s.device(2 * p, mn::intel_xl710()).link_mbit(40'000)
+        .device(2 * p + 1, mn::intel_xl710()).link_mbit(40'000)
+        .link(2 * p, 2 * p + 1)
+        .couple(2 * p, 2 * p + 1);
+  return s;
+}
+
+// chaos_soak: the l2_load_latency pipeline plus two RPC pairs.
+mtb::Scenario chaos_soak_topology(int shards) {
+  mtb::Scenario s = l2_forward_topology(shards);
+  for (int d = 4; d < 8; ++d) s.device(d, mn::intel_x540());
+  s.link(4, 5).duplex().link(6, 7).duplex();
+  return s;
+}
+
+}  // namespace
+
+TEST(Scenario, ExampleAndBenchTopologiesBuildNoChannels) {
+  struct Case {
+    const char* name;
+    mtb::Scenario (*make)(int);
+    std::size_t components;
+  };
+  const Case cases[] = {{"l2_forward", l2_forward_topology, 1},
+                        {"ddos_vswitch", ddos_vswitch_topology, 1},
+                        {"rpc_open", rpc_open_topology, 2},
+                        {"hwpaced_4x40g", hwpaced_topology, 4},
+                        {"chaos_soak", chaos_soak_topology, 3}};
+  for (const Case& c : cases) {
+    for (const int shards : {1, 2, 4}) {
+      auto tb = c.make(shards).build();
+      EXPECT_EQ(tb->runtime().channel_count(), 0u) << c.name << " at " << shards;
+      EXPECT_EQ(tb->shard_count(), std::min<std::size_t>(shards, c.components))
+          << c.name << " at " << shards;
+    }
+  }
+}
+
+TEST(Scenario, HwPacedPlacementIsRoundRobinOverPairs) {
+  // Each coupled pair is its own component; pair p lands on shard
+  // p % shards, the placement the coupling groups have always had.
+  for (const int shards : {1, 2, 4}) {
+    auto tb = hwpaced_topology(shards).build();
+    for (int p = 0; p < 4; ++p) {
+      const auto expected = static_cast<std::size_t>(p % shards);
+      EXPECT_EQ(tb->shard_of(2 * p), expected) << "pair " << p << " at " << shards;
+      EXPECT_EQ(tb->shard_of(2 * p + 1), expected) << "pair " << p << " at " << shards;
+    }
+  }
+}
+
 TEST(Testbed, MultiShardEngineLookupNeedsDeviceId) {
-  auto tb = fig10_scenario(2).build();
+  auto tb = fig10_scenario(2, /*split=*/true).build();
   EXPECT_THROW((void)tb->engine(), std::logic_error);
   EXPECT_NO_THROW((void)tb->engine(0));
   // Devices in one group resolve to the same engine object.
@@ -222,7 +417,7 @@ TEST(Testbed, SequentialTelemetryKeepsLegacyEnginePrefix) {
 }
 
 TEST(Testbed, ShardedTelemetryUsesPerShardPrefixes) {
-  auto tb = fig10_scenario(2).build();
+  auto tb = fig10_scenario(2, /*split=*/true).build();
   tb->run_for(0.0001);
   const auto snap = tb->snapshot();
   EXPECT_TRUE(has_counter(snap, "engine.shard0.events_executed"));
@@ -245,7 +440,7 @@ TEST(Testbed, ExternalRegistryIsUsedWhenProvided) {
 // ---------------------------------------------------------------------------
 
 TEST(Telemetry, SampledSeriesOpensAtZeroAndTicksEveryPeriod) {
-  mtb::Scenario s = fig10_scenario(2);
+  mtb::Scenario s = fig10_scenario(2, /*split=*/true);
   s.sample_telemetry(100'000'000);
   auto tb = s.build();
   tb->run_until(300 * ms::kPsPerMs);
@@ -267,7 +462,7 @@ TEST(Telemetry, SampledSeriesKeepsTheNewestSnapshots) {
 
 TEST(Telemetry, SnapshotCountsEveryEngineEventWithoutAPublishCall) {
   for (const int shards : {1, 2}) {
-    auto tb = fig10_scenario(shards).build();
+    auto tb = fig10_scenario(shards, /*split=*/true).build();
     mc::UdpTemplateOptions opts;
     opts.frame_size = 96;
     for (int i = 0; i < 50; ++i) tb->port("gen_tx").tx_queue(0).post(mc::make_udp_frame(opts));
@@ -398,7 +593,7 @@ EngineCounters engine_counters(mtb::Testbed& tb) {
 }
 
 EngineCounters fig10_engine_counters() {
-  auto tb = fig10_scenario(2).build();
+  auto tb = fig10_scenario(2, /*split=*/true).build();
   mc::UdpTemplateOptions opts;
   opts.frame_size = 96;
   auto& queue = tb->port("gen_tx").tx_queue(0);
@@ -409,11 +604,14 @@ EngineCounters fig10_engine_counters() {
 }
 
 EngineCounters rpc_engine_counters() {
+  // Every device pinned to its own shard: both duplex links cross shards.
   mtb::Scenario s;
   s.seed(1).shards(4);
   for (int i = 0; i < 2; ++i) {
     s.device(2 * i, mn::intel_x540()).name("client" + std::to_string(i)).rx_store(false)
+        .pin_shard(2 * i)
         .device(2 * i + 1, mn::intel_x540()).name("server" + std::to_string(i)).rx_store(false)
+        .pin_shard(2 * i + 1)
         .link(2 * i, 2 * i + 1).duplex();
   }
   auto tb = s.build();
@@ -457,7 +655,7 @@ TEST(Testbed, ShardedEngineCountersRepeatAcrossRuns) {
 // ---------------------------------------------------------------------------
 
 TEST(Testbed, FaultSitesLandOnTheOwningShardsPlane) {
-  mtb::Scenario s = fig10_scenario(2);
+  mtb::Scenario s = fig10_scenario(2, /*split=*/true);
   s.faults("loss@wire.l1:p=1");  // drop everything on link 0->1
   auto tb = s.build();
   EXPECT_TRUE(tb->has_faults());

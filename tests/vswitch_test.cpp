@@ -14,6 +14,7 @@
 #include "health/health.hpp"
 #include "nic/chip.hpp"
 #include "proto/packet_view.hpp"
+#include "rpc/codec.hpp"
 #include "testbed/scenario.hpp"
 #include "wire/link.hpp"
 
@@ -23,6 +24,7 @@ namespace mf = moongen::fault;
 namespace mh = moongen::health;
 namespace mn = moongen::nic;
 namespace mp = moongen::proto;
+namespace mr = moongen::rpc;
 namespace ms = moongen::sim;
 namespace mtb = moongen::testbed;
 namespace mw = moongen::wire;
@@ -327,6 +329,100 @@ TEST(VSwitch, PopRemovesTagAndPushRetagsInPlace) {
     EXPECT_EQ(cls->outer_vid, 77u);
     EXPECT_EQ(cls->outer_pcp, 3u);
   }
+  bed.check_conservation();
+}
+
+namespace {
+
+/// UDP destination port of a received frame (0 when it does not parse).
+std::uint16_t udp_dst_of(const mn::Frame& frame) {
+  const auto& bytes = *frame.data;
+  const auto cls = mp::classify({bytes.data(), bytes.size()});
+  if (!cls.has_value() || cls->l4_offset == 0 || bytes.size() < cls->l4_offset + 4) return 0;
+  return static_cast<std::uint16_t>(bytes[cls->l4_offset + 2] << 8 | bytes[cls->l4_offset + 3]);
+}
+
+/// A tenant that retags VID 20 to VID 77 on vport 1.
+md::VSwitchConfig retag_config() {
+  md::TenantConfig pusher = tenant(20, 1);
+  pusher.tag = md::TenantConfig::Tag::kPush;
+  pusher.push_vid = 77;
+  md::VSwitchConfig cfg;
+  cfg.tenants = {pusher};
+  return cfg;
+}
+
+}  // namespace
+
+// Each frame is built, switched and freed before the next one is made, so
+// the allocator may hand every frame the previous one's address: a rewrite
+// must come from the frame's own bytes, never from a buffer seen earlier.
+TEST(VSwitch, RetagRewritesEachFreshPayload) {
+  VsBed bed(retag_config());
+  auto& q = bed.gen_tx.tx_queue(0);
+  for (std::uint16_t i = 0; i < 50; ++i) {
+    q.post(tagged_frame(20, 0, 128, static_cast<std::uint16_t>(1'000 + i)));
+    bed.events.run();
+  }
+  const auto rx = bed.sink1.rx_queue(0).drain();
+  ASSERT_EQ(rx.size(), 50u);
+  for (std::size_t i = 0; i < rx.size(); ++i) {
+    EXPECT_EQ(udp_dst_of(rx[i].frame), 1'000 + i) << "frame " << i;
+    const auto cls = mp::classify({rx[i].frame.data->data(), rx[i].frame.data->size()});
+    ASSERT_TRUE(cls.has_value());
+    EXPECT_EQ(cls->outer_vid, 77u);
+  }
+}
+
+// rpc::FramePool rewrites one buffer in place between frames: the second
+// frame shares the first one's buffer but not its bytes.
+TEST(VSwitch, RetagFollowsABufferRewrittenInPlace) {
+  VsBed bed(retag_config());
+  auto& q = bed.gen_tx.tx_queue(0);
+  mr::FramePool pool(tagged_frame(20, 0, 128, 1), 1);
+  for (const std::uint16_t dst : {1, 2}) {
+    auto [bytes, frame] = pool.acquire();
+    const mn::Frame src = tagged_frame(20, 0, 128, dst);
+    ASSERT_EQ(bytes.size(), src.data->size());
+    std::copy(src.data->begin(), src.data->end(), bytes.begin());
+    q.post(std::move(frame));
+    bed.events.run();
+  }
+  const auto rx = bed.sink1.rx_queue(0).drain();
+  ASSERT_EQ(rx.size(), 2u);
+  EXPECT_EQ(udp_dst_of(rx[0].frame), 1u);
+  EXPECT_EQ(udp_dst_of(rx[1].frame), 2u);
+}
+
+// Ring slots are allocated as the ring fills, yet the capacity is exactly
+// queue_frames and order is FIFO. A 10 Mbit/s vport drains one frame per
+// ~120 us, so each burst below queues at once. Burst one leaves one frame
+// in a 4-slot ring with its head at slot 2; burst two wraps around slot 3
+// to 0, grows the ring to 8 slots and then overflows it.
+TEST(VSwitch, EgressRingGrowsToQueueFramesInFifoOrder) {
+  md::TenantConfig t = tenant(10, 0);
+  t.queue_frames = 8;
+  md::VSwitchConfig cfg;
+  cfg.tenants = {t};
+  VsBed bed(cfg, /*out_mbit=*/10);
+  auto& q = bed.gen_tx.tx_queue(0);
+  std::uint16_t next_dst = 1;
+  for (int i = 0; i < 4; ++i) q.post(tagged_frame(10, 0, 128, next_dst++));
+  while (bed.vsw.tenant_counters(0).queued != 1)
+    bed.events.run_until(bed.events.now() + ms::kPsPerUs);
+  EXPECT_EQ(bed.vsw.tenant_counters(0).emitted, 3u);
+  for (int i = 0; i < 16; ++i) q.post(tagged_frame(10, 0, 128, next_dst++));
+  bed.events.run_until(bed.events.now() + 20 * ms::kPsPerUs);
+  // Frames 5..11 join frame 4 in the ring; 12..20 find it full.
+  const auto full = bed.vsw.tenant_counters(0);
+  EXPECT_EQ(full.emitted, 3u);
+  EXPECT_EQ(full.queued, 8u);
+  EXPECT_EQ(full.matched, 11u);
+  EXPECT_EQ(full.queue_drops, 9u);
+  bed.events.run();
+  const auto rx = bed.sink0.rx_queue(0).drain();
+  ASSERT_EQ(rx.size(), 11u);
+  for (std::size_t i = 0; i < rx.size(); ++i) EXPECT_EQ(udp_dst_of(rx[i].frame), i + 1);
   bed.check_conservation();
 }
 
