@@ -48,7 +48,10 @@ std::uint64_t wall_ns() {
 }  // namespace
 
 ParallelRuntime::ParallelRuntime(std::size_t shards)
-    : incoming_(shards == 0 ? 1 : shards), outgoing_(shards == 0 ? 1 : shards) {
+    : incoming_(shards == 0 ? 1 : shards),
+      outgoing_(shards == 0 ? 1 : shards),
+      serial_next_(shards == 0 ? 1 : shards),
+      serial_cur_(shards == 0 ? 1 : shards) {
   if (shards == 0) shards = 1;
   shards_.reserve(shards);
   for (std::size_t i = 0; i < shards; ++i) shards_.push_back(std::make_unique<EventQueue>());
@@ -131,8 +134,8 @@ void ParallelRuntime::run_globals() {
 
 void ParallelRuntime::run_serial(SimTime t) {
   const std::size_t n = shards_.size();
-  std::vector<std::uint64_t> next(n);  // per shard: the window about to run
-  std::vector<SimTime> cur(n);         // and its start
+  std::vector<std::uint64_t>& next = serial_next_;
+  std::vector<SimTime>& cur = serial_cur_;
   // Window k of shard s may run once every incoming channel has closed
   // epoch k-1 and every outgoing one stays within the lead bound: exactly
   // when a parallel worker would run it without waiting. Only this thread

@@ -218,6 +218,10 @@ class ParallelRuntime {
   SimTime now_ = 0;
   std::uint64_t windows_ = 0;
   std::uint64_t serial_windows_ = 0;
+  /// run_serial's per-shard state: the window about to run and its start.
+  /// Members rather than locals, so run_until allocates nothing.
+  std::vector<std::uint64_t> serial_next_;
+  std::vector<SimTime> serial_cur_;
 };
 
 }  // namespace moongen::sim
