@@ -7,6 +7,10 @@
 //   gen ──link── vs_in ═[VSwitch]═╦═ vport0 (1 GbE) ──link── sink0
 //                                 ╚═ vport1 (10 GbE) ─link── sink1
 //
+// The vswitch and the cables join all six ports into one component, so
+// every --shards runs the testbed on one event engine (DESIGN.md
+// Section 10).
+//
 // Three traffic classes share the generator, one TX queue each:
 //   q0  victim    CBR (hardware-paced), VLAN 10, Frame.flow 1 -> vport0
 //   q1  attacker  periodic burst trains with a 64 B trigger / 1024 B
