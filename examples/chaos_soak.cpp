@@ -20,16 +20,18 @@
 // under sustained allocation/overflow pressure and restores it with
 // hysteresis once the pressure clears.
 //
-// Exit codes: 0 clean; 2 invariant violation (flight-recorder JSON dumped
-// to --fr-dump or stderr); 4 watchdog trip (ditto). CI runs this across
-// seeds and shard counts and additionally diffs `--no-chaos` stdout against
+// Exit codes: 0 clean; 1 bad arguments, or --inject-leak leaked no buffer;
+// 2 invariant violation (flight-recorder JSON dumped to --fr-dump or
+// stderr); 4 watchdog trip (ditto). CI runs this across seeds and shard
+// counts and additionally diffs `--no-chaos` stdout against
 // `--no-chaos --no-health` — checkers are observation-only, so those two
 // runs must be byte-identical.
 //
 // Flags (besides the shared example flags):
 //   --no-health     run without the health plane (byte-identity baseline)
 //   --no-chaos      drop the built-in fault schedule (still honors --faults)
-//   --inject-leak   deliberately leak one mempool buffer mid-run: the
+//   --inject-leak   deliberately leak one mempool buffer mid-run (retried
+//                   every simulated ms while allocation fails): the
 //                   conservation checker must catch it within one window
 //                   (negative test for the detection machinery itself)
 //   --fr-dump FILE  write the flight-recorder dump here instead of stderr
@@ -253,8 +255,14 @@ int main(int argc, char** argv) {
   if (tb->has_faults())
     churn.pool().install_faults(*tb->fault_plane(tb->shard_of(0)), "pool.churn");
   churn.start(end_ps);
-  if (inject_leak)
-    tb->schedule_global(end_ps / 3, [&churn] { churn.leak_one(); });
+  // An allocation in pool.churn's alloc-failure phase leaks nothing, so the
+  // leak is retried every simulated ms until one buffer is gone.
+  std::function<void()> leak = [&] {
+    churn.leak_one();
+    const ms::SimTime next = tb->now() + ms::kPsPerMs;
+    if (churn.leaked() == 0 && next < end_ps) tb->schedule_global(next, leak);
+  };
+  if (inject_leak) tb->schedule_global(end_ps / 3, leak);
 
   // --- health plane ---------------------------------------------------------
   std::unique_ptr<mh::HealthMonitor> mon;
@@ -321,6 +329,11 @@ int main(int argc, char** argv) {
               churn.pool().low_watermark());
   std::printf("faults:   %llu fires total\n",
               static_cast<unsigned long long>(tb->fault_fires()));
+  if (inject_leak && churn.leaked() != 1) {
+    std::fprintf(stderr, "chaos_soak: --inject-leak leaked %llu buffers, not 1\n",
+                 static_cast<unsigned long long>(churn.leaked()));
+    return 1;
+  }
 
   if (mon == nullptr) return 0;
 

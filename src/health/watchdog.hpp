@@ -1,15 +1,14 @@
 // Watchdog: wall-clock stall detection for the parallel runtime.
 //
-// The conservative-lookahead synchronization in sim::ParallelRuntime (the
-// per-channel epoch waits and the segment-end barrier) is the one place
-// the simulation can genuinely deadlock: if a shard worker wedges (a
-// runaway event loop, an injected stall that never unwinds, a lost epoch
-// marker), every other shard soon waits on it forever and the process
-// just... sits. The watchdog gives that silence a voice: a monitor thread
-// samples each shard's heartbeat counter on a wall-clock cadence, and when
-// no shard has made progress for a configurable budget while the runtime
-// claims to be running, it trips — invoking a callback (typically a flight
-// recorder dump) with the frozen heartbeat vector.
+// The segment-end barrier in sim::ParallelRuntime is the one place the
+// simulation can genuinely deadlock: if a shard worker wedges (a runaway
+// event loop, an injected stall that never unwinds), every other shard
+// soon waits on it forever and the process just... sits. The watchdog
+// gives that silence a voice: a monitor thread samples each shard's
+// heartbeat counter on a wall-clock cadence, and when no shard has made
+// progress for a configurable budget while the runtime claims to be
+// running, it trips — invoking a callback (typically a flight recorder
+// dump) with the frozen heartbeat vector.
 //
 // TSan-clean by construction: the monitor reads only atomics (relaxed
 // heartbeats, acquire running flag) and never touches simulation state.

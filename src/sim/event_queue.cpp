@@ -189,11 +189,6 @@ bool EventQueue::step() {
 
 void EventQueue::run_until(SimTime t) {
   const std::uint64_t t0 = wall_ns();
-  run_until_untimed(t);
-  run_wall_ns_ += wall_ns() - t0;
-}
-
-void EventQueue::run_until_untimed(SimTime t) {
   while (!stopped_) {
     bool from_heap = false;
     const Event* next = peek_next(from_heap);
@@ -204,6 +199,7 @@ void EventQueue::run_until_untimed(SimTime t) {
     now_ = t;
     sync_cursor();
   }
+  run_wall_ns_ += wall_ns() - t0;
 }
 
 void EventQueue::run() {

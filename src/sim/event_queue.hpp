@@ -92,11 +92,6 @@ class EventQueue {
 
   /// Runs all events with time <= `t`, then advances the clock to `t`.
   void run_until(SimTime t);
-  /// run_until without its two wall-clock reads: the caller accounts the
-  /// time with add_run_wall_ns. The runtime's serial loop runs thousands
-  /// of short windows per shard and reads the clock once per shard turn.
-  void run_until_untimed(SimTime t);
-  void add_run_wall_ns(std::uint64_t ns) { run_wall_ns_ += ns; }
 
   /// Runs until no events remain or `stop()` is called.
   void run();
@@ -115,8 +110,7 @@ class EventQueue {
   /// for frame-dominated workloads).
   [[nodiscard]] std::uint64_t wheel_scheduled() const { return wheel_scheduled_; }
   [[nodiscard]] std::uint64_t heap_scheduled() const { return heap_scheduled_; }
-  /// Wall-clock nanoseconds spent inside run()/run_until(), plus what
-  /// callers of run_until_untimed() added.
+  /// Wall-clock nanoseconds spent inside run()/run_until().
   [[nodiscard]] std::uint64_t run_wall_ns() const { return run_wall_ns_; }
 
   /// Attaches (or detaches, with nullptr) an executed-event observer.

@@ -403,8 +403,8 @@ std::unique_ptr<Testbed> Scenario::build() {
   }
 
   // 7. Links, in declaration order (duplex expands in place). A link pinned
-  // across shards gets a lock-free frame channel and registers its cable's
-  // minimum latency as the runtime's lookahead.
+  // across shards holds its frames for the destination shard and registers
+  // its cable's minimum latency as the runtime's lookahead.
   std::vector<LinkDecl> expanded;
   for (const LinkDecl& l : links_) {
     expanded.push_back(l);
@@ -435,12 +435,10 @@ std::unique_ptr<Testbed> Scenario::build() {
             " has no usable lookahead (zero minimum cable latency); give it a "
             "cable()/latency_ns() with positive latency or drop the pin_shard() that "
             "puts its endpoints on different shards");
-      tb->channels_.emplace_back();
       wire::Link* raw = entry.link.get();
-      raw->set_remote(&tb->channels_.back());
-      tb->runtime_->add_channel(
-          from_shard, to_shard, lookahead, [raw] { raw->drain_remote_epoch(); },
-          [raw] { raw->flush_remote_epoch(); });
+      raw->set_remote();
+      tb->runtime_->add_channel(from_shard, to_shard, lookahead,
+                                [raw] { raw->deliver_remote(); });
     }
     tb->links_.push_back(std::move(entry));
   }

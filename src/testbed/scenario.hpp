@@ -25,12 +25,12 @@
 // does every link, unless pin_shard() has already put the components at
 // its two ends on different shards (links are taken in declaration order).
 // Components exchange no frames, so the runtime runs them in parallel and
-// they meet only at global events. A pinned-apart link becomes a lock-free
-// frame channel with conservative lookahead equal to the cable's minimum
-// latency (sim::ParallelRuntime), so it MUST have positive minimum latency.
-// Pins are the only way to cut a link: an unpinned cut costs a window
-// handoff per lookahead and, on every measured topology, more than it
-// saves (DESIGN.md section 10).
+// they meet only at global events. A pinned-apart link becomes a runtime
+// channel with conservative lookahead equal to the cable's minimum latency
+// (sim::ParallelRuntime), so it MUST have positive minimum latency.
+// Pins are the only way to cut a link: a cut link bounds every window by its
+// cable's latency and runs its shards on one thread, window by window, so
+// it buys no parallelism (DESIGN.md section 10).
 //
 // Modifier calls (name/with_seed/cable/...) apply to the most recently
 // declared device or link, in the builder-cursor style of the usage above.
@@ -123,7 +123,7 @@ class Scenario {
   /// below the effective shard count). Default: components are assigned
   /// round-robin. Only a link between components pinned to different
   /// shards crosses shards: it becomes a frame channel, and the runtime
-  /// then runs every shard in its serial loop.
+  /// then runs every shard in its window-major loop on one thread.
   Scenario& pin_shard(int shard);
 
   // --- links ---------------------------------------------------------------

@@ -5,10 +5,10 @@
 // the hand-wiring previously duplicated across every example: construct an
 // EventQueue, four Ports, two Links, a Forwarder, a FaultPlane, bind
 // telemetry, remember the right seeds. The Scenario declares the topology
-// once; build() places every device on a simulation shard, bridges
-// cross-shard links with lock-free frame channels, and wires fault
-// injection and telemetry with the same site/metric names the hand-wired
-// examples used — so existing CI greps and JSON consumers keep working.
+// once; build() places every device on a simulation shard, turns each
+// pinned-apart link into a runtime channel, and wires fault injection and
+// telemetry with the same site/metric names the hand-wired examples used —
+// so existing CI greps and JSON consumers keep working.
 //
 // Determinism contract (DESIGN.md Section 10): for a fixed scenario, seed
 // and shard count, every run produces identical outputs; and the paper's
@@ -190,9 +190,9 @@ class Testbed {
     std::unique_ptr<wire::Link> link;
   };
 
-  // Declaration order is destruction-order-sensitive: links reference ports
-  // and channels, ports reference shard engines and fault planes, so the
-  // members they point into must be declared first (destroyed last).
+  // Declaration order is destruction-order-sensitive: links reference
+  // ports, ports reference shard engines and fault planes, so the members
+  // they point into must be declared first (destroyed last).
   core::RunState run_state_;
   std::unique_ptr<telemetry::MetricRegistry> owned_registry_;
   telemetry::MetricRegistry* registry_ = nullptr;
@@ -204,7 +204,6 @@ class Testbed {
   std::deque<telemetry::Snapshot> series_;
   std::unique_ptr<sim::ParallelRuntime> runtime_;
   std::vector<std::unique_ptr<fault::FaultPlane>> planes_;  // one per shard
-  std::deque<wire::FrameChannel> channels_;
   std::map<int, DeviceEntry> devices_;
   std::vector<LinkEntry> links_;
   std::vector<std::unique_ptr<dut::Forwarder>> forwarders_;

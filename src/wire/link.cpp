@@ -92,28 +92,21 @@ void Link::begin_flap(sim::SimTime now_ps, double down_ps_param) {
 
 void Link::deliver(const nic::Frame& frame, sim::SimTime arrival_ps) {
   ++delivered_;
-  if (remote_ != nullptr) {
-    remote_->push(RemoteHop{frame, arrival_ps});
+  if (remote_) {
+    held_.push_back(RemoteHop{frame, arrival_ps});
     ++remote_frames_;
     return;
   }
   to_.deliver_frame(frame, arrival_ps);
 }
 
-void Link::flush_remote_epoch() {
-  remote_->push(RemoteHop{nic::Frame{}, RemoteHop::kEpochMark});
-}
-
-void Link::drain_remote_epoch() {
-  RemoteHop hop;
-  for (;;) {
-    if (!remote_->try_pop(hop))
-      throw std::logic_error("Link::drain_remote_epoch: epoch marker missing");
-    if (hop.arrival_ps == RemoteHop::kEpochMark) return;
+void Link::deliver_remote() {
+  for (const RemoteHop& hop : held_) {
     if (hop.arrival_ps < to_.events().now())
-      throw std::logic_error("Link::drain_remote_epoch: lookahead violated");
+      throw std::logic_error("Link::deliver_remote: lookahead violated");
     to_.deliver_frame(hop.frame, hop.arrival_ps);
   }
+  held_.clear();
 }
 
 void Link::corrupt_frame(nic::Frame& frame) {

@@ -4,26 +4,13 @@
 #include <cstdint>
 #include <random>
 #include <string>
+#include <vector>
 
 #include "fault/fault.hpp"
 #include "nic/port.hpp"
-#include "sim/spsc_channel.hpp"
 #include "wire/cable.hpp"
 
 namespace moongen::wire {
-
-/// One frame in flight between shards: the payload plus its computed
-/// arrival time at the destination PHY. `arrival_ps == kEpochMark` closes
-/// a synchronization window's epoch (no frame attached).
-struct RemoteHop {
-  static constexpr sim::SimTime kEpochMark = UINT64_MAX;
-
-  nic::Frame frame;
-  sim::SimTime arrival_ps = 0;
-};
-
-/// SPSC frame channel between a link's shard and its destination's shard.
-using FrameChannel = sim::SpscChannel<RemoteHop>;
 
 class Link : public nic::FrameSink {
  public:
@@ -44,21 +31,17 @@ class Link : public nic::FrameSink {
   [[nodiscard]] std::uint64_t frames_carried() const { return frames_; }
 
   // --- cross-shard mode (parallel runtime) ---------------------------------
-  /// Detaches the link from its destination port: deliveries are pushed
-  /// into `channel` with their computed arrival time instead. The flush and
-  /// drain hooks below pair up through ParallelRuntime::add_channel; the
-  /// producer side (this link's shard) calls flush, the destination shard
-  /// calls drain.
-  void set_remote(FrameChannel* channel) { remote_ = channel; }
-  [[nodiscard]] bool remote() const { return remote_ != nullptr; }
-  /// Producer side: closes the current window's epoch with a marker.
-  void flush_remote_epoch();
-  /// Consumer side: delivers exactly one published epoch into the
-  /// destination port. Throws std::logic_error if the epoch marker is
-  /// missing or a frame would land in the destination engine's past (a
-  /// lookahead violation — the property the conservative window exists to
-  /// rule out).
-  void drain_remote_epoch();
+  /// Detaches the link from its destination port: deliveries are held with
+  /// their computed arrival time until deliver_remote() hands them over.
+  /// Scenario::build() registers deliver_remote as the link's runtime
+  /// channel, which sim::ParallelRuntime calls before every window.
+  void set_remote() { remote_ = true; }
+  [[nodiscard]] bool remote() const { return remote_; }
+  /// Delivers every held frame into the destination port, in send order.
+  /// Throws std::logic_error if a frame would land in the destination
+  /// engine's past (a lookahead violation — the property the conservative
+  /// window exists to rule out).
+  void deliver_remote();
   /// Conservative lookahead bound: the smallest latency any frame on this
   /// link can have. Fault rules only ever add delay (reorder holds back,
   /// duplicates trail), so the cable bound holds with faults installed.
@@ -68,7 +51,7 @@ class Link : public nic::FrameSink {
   /// serialization start, when the engine clock is at (or just before) the
   /// frame's start time. Zero means this link cannot safely cross shards.
   [[nodiscard]] sim::SimTime lookahead_ps() const { return min_latency_ps(); }
-  /// Frames pushed into the channel (markers excluded).
+  /// Frames held for the destination shard so far.
   [[nodiscard]] std::uint64_t remote_frames() const { return remote_frames_; }
 
   /// True while carrier is present (false during an injected flap).
@@ -90,7 +73,7 @@ class Link : public nic::FrameSink {
   [[nodiscard]] std::uint64_t flaps() const { return flaps_; }
 
   // --- conservation accounting (health plane) -------------------------------
-  /// Frames handed to the destination (or its cross-shard channel),
+  /// Frames handed to the destination (or held for its shard),
   /// duplicates included. The per-link conservation law the health checker
   /// verifies: frames_carried + duplicated == flap_drops + fault_drops +
   /// delivered — every frame entering the wire is accounted exactly once.
@@ -107,8 +90,15 @@ class Link : public nic::FrameSink {
   [[nodiscard]] std::int64_t phy_jitter_ps();
   void begin_flap(sim::SimTime now_ps, double down_ps_param);
   void corrupt_frame(nic::Frame& frame);
-  /// Local mode: into the destination port; remote mode: into the channel.
+  /// Local mode: into the destination port; remote mode: into held_.
   void deliver(const nic::Frame& frame, sim::SimTime arrival_ps);
+
+  /// A frame in flight to the destination shard, with its computed arrival
+  /// time at the destination PHY.
+  struct RemoteHop {
+    nic::Frame frame;
+    sim::SimTime arrival_ps = 0;
+  };
 
   nic::Port& from_;
   nic::Port& to_;
@@ -117,7 +107,7 @@ class Link : public nic::FrameSink {
   std::mt19937_64 rng_;
   std::uint64_t frames_ = 0;
   std::uint64_t delivered_ = 0;
-  FrameChannel* remote_ = nullptr;
+  bool remote_ = false;
   std::uint64_t remote_frames_ = 0;
 
   // Fault plane wiring (all disabled by default; on_frame's fast path is
@@ -137,6 +127,10 @@ class Link : public nic::FrameSink {
   std::uint64_t reordered_ = 0;
   std::uint64_t duplicated_ = 0;
   std::uint64_t flaps_ = 0;
+
+  /// Remote mode: frames awaiting deliver_remote(). Declared last, apart
+  /// from the members on_frame reads for every frame.
+  std::vector<RemoteHop> held_;
 };
 
 /// Bidirectional convenience wrapper (one Link per direction).

@@ -577,10 +577,10 @@ TEST(Telemetry, RpcGaugesMatchTheirAccessorsAtEveryTick) {
   }
 }
 
-// Cross-shard deliveries drain exactly through the previous window's epoch,
-// so each shard schedules every frame from the same engine time in every
-// run: the per-shard engine counters (wheel vs heap placement included)
-// repeat exactly, like stdout, whatever the thread timing.
+// Before each window every channel delivers exactly the frames sent before
+// it, so each shard schedules every frame from the same engine time in
+// every run: the per-shard engine counters (wheel vs heap placement
+// included) repeat exactly, like stdout.
 namespace {
 
 using EngineCounters = std::vector<std::pair<std::string, std::uint64_t>>;

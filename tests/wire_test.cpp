@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
 
 #include "core/rate_control.hpp"
 #include "sim_testbed.hpp"
@@ -44,6 +45,21 @@ TEST(Link, DeliversWithDeterministicFiberLatency) {
   bed.events.run();
   EXPECT_EQ(bed.b.stats().rx_packets, 10u);
   EXPECT_EQ(bed.link.frames_carried(), 10u);
+}
+
+TEST(Link, RemoteDeliveryIntoThePastThrows) {
+  // A cross-shard link holds its frames until deliver_remote(). If the
+  // destination engine has already run past a held frame's arrival, the
+  // window outran the lookahead, and the delivery refuses the frame.
+  moongen::test::TenGbeFiberBed bed(10.0);
+  bed.link.set_remote();
+  bed.a.tx_queue(0).post(mc::make_ptp_ethernet_frame(60));
+  while (bed.link.remote_frames() == 0 && bed.events.step()) {
+  }
+  ASSERT_EQ(bed.link.remote_frames(), 1u);
+  bed.events.run_until(bed.events.now() + ms::kPsPerMs);
+  EXPECT_THROW(bed.link.deliver_remote(), std::logic_error);
+  EXPECT_EQ(bed.b.stats().rx_packets, 0u);
 }
 
 TEST(Link, TenGBaseTJitterBoundedAndMostlyTight) {
