@@ -33,7 +33,8 @@ struct WatchdogConfig {
   std::uint64_t poll_ms = 50;
   /// Wall-clock budget: no shard progress for this long while running
   /// trips the watchdog. Must comfortably exceed the longest legitimate
-  /// between-heartbeat gap (one lookahead window's worth of events).
+  /// between-heartbeat gap (one segment's worth of events: a shard
+  /// heartbeats once per segment).
   std::uint64_t budget_ms = 2000;
 };
 

@@ -213,9 +213,8 @@ void Port::start_transmission(TxQueueModel& q) {
   const sim::SimTime busy_until = t0 + wire * byte_time_ps_;
   last_busy_end_ = busy_until;
   // The sink gets the frame at serialization start with its true start
-  // time, as in the batched path: a link then hands a frame to its far end
-  // no later than one cable latency before it arrives, which is the whole
-  // lookahead a cross-shard link offers (DESIGN.md section 10).
+  // time, as in the batched path. That time is never before now, so the
+  // arrival a link schedules from it is no event into the past.
   if (sink_ != nullptr) sink_->on_frame(frame, t0);
   events_.schedule_at_inline(busy_until, [this, wire] {
     stats_.tx_packets += 1;

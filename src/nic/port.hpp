@@ -51,7 +51,8 @@ class FrameSink {
   /// Called when the MAC starts serializing `frame` (for a batch, at batch
   /// start for each of its frames). `tx_start_ps` is the time the first
   /// preamble bit leaves the MAC, never before the engine's current time:
-  /// a cross-shard link's lookahead relies on it.
+  /// a link schedules the frame's arrival from it, and no event may land in
+  /// the past.
   virtual void on_frame(const Frame& frame, sim::SimTime tx_start_ps) = 0;
 };
 

@@ -17,19 +17,6 @@ ParallelRuntime::ParallelRuntime(std::size_t shards) {
   executor_ = &ParallelRuntime::default_executor;
 }
 
-void ParallelRuntime::add_channel(std::size_t from_shard, std::size_t to_shard,
-                                  SimTime lookahead_ps, std::function<void()> deliver) {
-  if (from_shard >= shards_.size() || to_shard >= shards_.size())
-    throw std::out_of_range("ParallelRuntime::add_channel: shard index out of range");
-  if (from_shard == to_shard)
-    throw std::invalid_argument("ParallelRuntime::add_channel: channel within one shard");
-  if (lookahead_ps == 0)
-    throw std::invalid_argument(
-        "ParallelRuntime::add_channel: zero lookahead cannot bound a window");
-  channels_.push_back(std::move(deliver));
-  if (lookahead_ps < window_ps_) window_ps_ = lookahead_ps;
-}
-
 void ParallelRuntime::schedule_global(SimTime t, std::function<void()> fn) {
   if (t < now_) throw std::logic_error("ParallelRuntime: scheduling a global into the past");
   globals_.emplace(t, std::move(fn));
@@ -80,15 +67,8 @@ void ParallelRuntime::run_globals() {
 void ParallelRuntime::run_serial(SimTime t) {
   while (now_ < t) {
     const SimTime end = segment_end(t);
-    for (SimTime cur = now_; cur < end;) {
-      // Every frame sent before this window may land in it and none sent in
-      // it can: hand them all over, channel by channel in registration
-      // order, then run every shard to the window's end.
-      for (const auto& deliver : channels_) deliver();
-      cur = window_ps_ != UINT64_MAX && end - cur > window_ps_ ? cur + window_ps_ : end;
-      for (std::size_t s = 0; s < shards_.size(); ++s) run_shard(s, cur);
-      ++windows_;
-    }
+    run_shard(0, end);
+    ++windows_;
     now_ = end;
     run_globals();
   }
@@ -163,12 +143,9 @@ void ParallelRuntime::run_until(SimTime t) {
     explicit RunningGuard(std::atomic<bool>& f) : flag(f) { flag.store(true, std::memory_order_release); }
     ~RunningGuard() { flag.store(false, std::memory_order_release); }
   } guard(running_);
-  // Shards joined by a channel run serially: on a 4-core host every
-  // measured topology with channels ran 1.1-1.5x faster on one thread
-  // than on one worker per shard, because a window costs a cross-core
-  // handoff whatever work it carries. Shards without channels meet only at
-  // segment ends and run in parallel.
-  if (shards_.size() > 1 && channels_.empty()) {
+  // Shards share nothing and meet only at segment ends, so several of them
+  // run in parallel; one needs no worker.
+  if (shards_.size() > 1) {
     run_parallel(t);
   } else {
     run_serial(t);

@@ -1,37 +1,26 @@
-// Sharded parallel simulation runtime (conservative synchronization).
+// Sharded parallel simulation runtime.
 //
 // The sequential engine dispatches every port, wire, and DuT of a testbed
 // from one EventQueue, so multi-port scaling experiments (paper Figures
 // 3/4) serialize on one core. The ParallelRuntime splits a testbed into
 // shards — each shard owns one EventQueue plus the components placed on
-// it — and runs each topology one way, picked from the topology:
+// it. Shards share nothing: no frame or event crosses from one to another,
+// just as MoonGen's slave tasks, one per core and queue, share nothing.
+// run_until picks its loop from the shard count alone:
 //
-//  * Shards without channels exchange no frames. Each runs on its own
-//    executor worker, and the workers meet only at segment ends.
-//  * One shard, or shards joined by cross-shard channels, run on the
-//    calling thread in windows of at most W virtual picoseconds:
-//
-//      W = min over channels of their lookahead (the smallest possible
-//      latency of the wire they carry). A frame sent during a window
-//      arrives no earlier than the window's end. This is the classic
-//      Chandy–Misra–Bryant conservative argument with the link latency as
-//      the lookahead bound.
-//
-//    The loop is window-major: before each window every channel delivers
-//    what it holds, in registration order, then every shard runs to the
-//    window's end.
+//  * several shards run on executor workers, one per shard, that meet only
+//    at segment ends;
+//  * one shard runs on the calling thread, one run_shard call per segment.
 //
 // Segments. The global timeline (globals, window-hook due times, the end of
 // run_until) cuts a run into segments. At a segment end every shard is
 // quiesced at the same virtual time, and the due hooks and globals run
-// single-threaded (in the parallel loop, in the completion step of the
+// single-threaded (with several shards, in the completion step of the
 // std::barrier the workers meet at).
 //
 // Determinism contract (see DESIGN.md section 10):
-//  * each window receives exactly the frames sent before it, in channel
-//    registration order — the interleaving of cross-shard deliveries into
-//    a shard's event order is a function of the topology, never of thread
-//    scheduling;
+//  * a shard's event order is a function of its own components, never of
+//    thread scheduling;
 //  * global events (telemetry sampling ticks, experiment control) run
 //    single-threaded while every shard is quiesced at the same virtual time.
 //
@@ -68,14 +57,6 @@ class ParallelRuntime {
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] EventQueue& shard(std::size_t i) { return *shards_.at(i); }
 
-  /// Registers a cross-shard channel. `lookahead_ps` must be > 0: it is the
-  /// smallest latency a frame entering the channel can have, and bounds the
-  /// synchronization window. `deliver` hands everything the channel holds
-  /// to the destination shard; it runs before every window, in
-  /// registration order. Channels must be registered before run_until.
-  void add_channel(std::size_t from_shard, std::size_t to_shard, SimTime lookahead_ps,
-                   std::function<void()> deliver);
-
   /// Schedules `fn` at absolute virtual time `t`, executed single-threaded
   /// while all shards are quiesced at `t`. FIFO order for equal times. May
   /// only be called from the main thread (outside run_until) or from
@@ -99,24 +80,20 @@ class ParallelRuntime {
   void set_executor(Executor executor) { executor_ = std::move(executor); }
 
   /// Advances every shard to `t`: all events with time <= t run, clocks end
-  /// at t. Shards without channels run in the parallel loop (the executor
-  /// runs one worker per shard, and the workers meet at a barrier at each
-  /// segment end); one shard, or shards joined by channels, run in the
-  /// window-major loop on the calling thread.
+  /// at t. Several shards run in the parallel loop (the executor runs one
+  /// worker per shard, and the workers meet at a barrier at each segment
+  /// end); one shard runs segment by segment on the calling thread.
   void run_until(SimTime t);
 
   /// Global virtual time (the last segment end reached).
   [[nodiscard]] SimTime now() const { return now_; }
 
-  /// Synchronization window length, or UINT64_MAX with no channels.
-  [[nodiscard]] SimTime window_ps() const { return window_ps_; }
-  [[nodiscard]] std::size_t channel_count() const { return channels_.size(); }
-  /// Windows completed over the runtime's lifetime (without channels, one
-  /// per segment).
+  /// Windows completed over the runtime's lifetime. A window is one
+  /// segment: shards meet only at segment ends.
   [[nodiscard]] std::uint64_t windows_run() const { return windows_; }
 
   // --- health-plane observability (watchdog support) ------------------------
-  /// Monotonic per-shard progress counter: bumped once per window the
+  /// Monotonic per-shard progress counter: bumped once per segment the
   /// shard completes, in either loop. Relaxed atomic — safe to sample from
   /// a wall-clock monitor thread without perturbing the run.
   [[nodiscard]] std::uint64_t heartbeat(std::size_t shard) const {
@@ -138,7 +115,7 @@ class ParallelRuntime {
   /// End of the segment starting at now_: min(end, first global, first
   /// hook due time).
   [[nodiscard]] SimTime segment_end(SimTime end) const;
-  /// Runs shard `s` to `t` and counts the window in its heartbeat (each
+  /// Runs shard `s` to `t` and counts the segment in its heartbeat (each
   /// heartbeat has one writer, so a relaxed load and store suffice).
   void run_shard(std::size_t s, SimTime t) {
     shards_[s]->run_until(t);
@@ -161,9 +138,6 @@ class ParallelRuntime {
   std::vector<std::unique_ptr<EventQueue>> shards_;
   std::unique_ptr<Heartbeat[]> heartbeats_;
   std::atomic<bool> running_{false};
-  /// Each channel's deliver callback, in registration order.
-  std::vector<std::function<void()>> channels_;
-  SimTime window_ps_ = UINT64_MAX;
   std::multimap<SimTime, std::function<void()>> globals_;
   std::vector<WindowHook> hooks_;
   Executor executor_;

@@ -153,12 +153,6 @@ Scenario& Scenario::rtt_record(bool record) {
   return *this;
 }
 
-Scenario& Scenario::pin_shard(int shard) {
-  if (shard < 0) throw std::invalid_argument("Scenario::pin_shard: negative shard");
-  cur_device().pin = shard;
-  return *this;
-}
-
 Scenario& Scenario::link(int from, int to) {
   if (from == to) throw std::invalid_argument("Scenario::link: from == to");
   LinkDecl decl;
@@ -277,8 +271,9 @@ std::uint64_t Scenario::telemetry_period_ps() const {
 std::unique_ptr<Testbed> Scenario::build() {
   const std::uint64_t snapshot_period_ps = telemetry_period_ps();
 
-  // 1. Partition devices into components that share one event engine.
-  // couple(), forwarder() and vswitch() join their devices outright.
+  // 1. Partition devices into components that share one event engine:
+  // couple(), forwarder() and vswitch() join the devices they name, and
+  // every link joins its two ends.
   UnionFind uf(devices_.size());
   for (const auto& c : couples_)
     uf.merge(device_index(c.a, "couple"), device_index(c.b, "couple"));
@@ -288,27 +283,7 @@ std::unique_ptr<Testbed> Scenario::build() {
     for (const int out : v.outs)
       uf.merge(device_index(v.in, "vswitch"), device_index(out, "vswitch"));
   }
-  std::vector<int> pin_of(devices_.size(), -1);  // by component root
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    const int p = devices_[i].pin;
-    int& pin = pin_of[uf.find(i)];
-    if (p < 0) continue;
-    if (pin >= 0 && pin != p)
-      throw std::invalid_argument("Scenario: conflicting pin_shard() within one coupled group");
-    pin = p;
-  }
-  // A link joins its two ends as well, unless pin_shard() has put the
-  // components they are in onto different shards: only such a link crosses
-  // shards. Cutting an unpinned link would only trade work for a window
-  // handoff per lookahead (DESIGN.md section 10). Links are taken in
-  // declaration order, so a chain of pins resolves first come, first served.
-  for (const auto& l : links_) {
-    const std::size_t a = uf.find(device_index(l.from, "link"));
-    const std::size_t b = uf.find(device_index(l.to, "link"));
-    if (a == b || (pin_of[a] >= 0 && pin_of[b] >= 0 && pin_of[a] != pin_of[b])) continue;
-    uf.merge(a, b);  // b stays the root
-    pin_of[b] = std::max(pin_of[a], pin_of[b]);
-  }
+  for (const auto& l : links_) uf.merge(device_index(l.from, "link"), device_index(l.to, "link"));
 
   // Components ordered by their smallest device id: shard assignment must
   // not depend on declaration order subtleties.
@@ -332,26 +307,10 @@ std::unique_ptr<Testbed> Scenario::build() {
       std::max<std::size_t>(1, std::min<std::size_t>(static_cast<std::size_t>(shards_),
                                                      std::max<std::size_t>(1, ordered.size())));
 
-  // 3. Assign components to shards: explicit pins first, the rest
-  // round-robin.
+  // 3. Place the components on shards round-robin, in that order.
   std::vector<std::size_t> shard_of(devices_.size(), 0);
-  std::size_t next_shard = 0;
-  for (const auto& group : ordered) {
-    const int pin = pin_of[uf.find(group.front())];
-    std::size_t shard;
-    if (pin >= 0) {
-      if (static_cast<std::size_t>(pin) >= effective)
-        throw std::invalid_argument("Scenario: pin_shard(" + std::to_string(pin) +
-                                    ") exceeds effective shard count " +
-                                    std::to_string(effective) + " (shards(" +
-                                    std::to_string(shards_) + ") over " +
-                                    std::to_string(ordered.size()) + " components)");
-      shard = static_cast<std::size_t>(pin);
-    } else {
-      shard = next_shard++ % effective;
-    }
-    for (const std::size_t i : group) shard_of[i] = shard;
-  }
+  for (std::size_t c = 0; c < ordered.size(); ++c)
+    for (const std::size_t i : ordered[c]) shard_of[i] = c % effective;
 
   auto tb = std::unique_ptr<Testbed>(new Testbed());
 
@@ -402,9 +361,8 @@ std::unique_ptr<Testbed> Scenario::build() {
     tb->devices_.emplace(d.id, std::move(entry));
   }
 
-  // 7. Links, in declaration order (duplex expands in place). A link pinned
-  // across shards holds its frames for the destination shard and registers
-  // its cable's minimum latency as the runtime's lookahead.
+  // 7. Links, in declaration order (duplex expands in place). A link's two
+  // ends are one component, so the link runs on one engine.
   std::vector<LinkDecl> expanded;
   for (const LinkDecl& l : links_) {
     expanded.push_back(l);
@@ -418,29 +376,10 @@ std::unique_ptr<Testbed> Scenario::build() {
   }
   for (std::size_t li = 0; li < expanded.size(); ++li) {
     const LinkDecl& l = expanded[li];
-    const std::size_t from_shard = shard_of[device_index(l.from, "link")];
-    const std::size_t to_shard = shard_of[device_index(l.to, "link")];
     const std::uint64_t link_seed = l.seed ? *l.seed : mix_seed(seed_ ^ 0x77697265ull, li);
-    Testbed::LinkEntry entry;
-    entry.from = l.from;
-    entry.to = l.to;
-    entry.link = std::make_unique<wire::Link>(tb->port(l.from), tb->port(l.to), l.cable,
-                                              link_seed);
-    if (from_shard != to_shard) {
-      const sim::SimTime lookahead = entry.link->lookahead_ps();
-      if (lookahead == 0)
-        throw std::invalid_argument(
-            "Scenario: cross-shard link " + std::to_string(l.from) + " -> " +
-            std::to_string(l.to) +
-            " has no usable lookahead (zero minimum cable latency); give it a "
-            "cable()/latency_ns() with positive latency or drop the pin_shard() that "
-            "puts its endpoints on different shards");
-      wire::Link* raw = entry.link.get();
-      raw->set_remote();
-      tb->runtime_->add_channel(from_shard, to_shard, lookahead,
-                                [raw] { raw->deliver_remote(); });
-    }
-    tb->links_.push_back(std::move(entry));
+    tb->links_.push_back(Testbed::LinkEntry{
+        l.from, l.to,
+        std::make_unique<wire::Link>(tb->port(l.from), tb->port(l.to), l.cable, link_seed)});
   }
 
   // 8. Forwarders and vswitches, in declaration order.

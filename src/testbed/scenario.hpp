@@ -19,18 +19,13 @@
 //                 .couple(0, 3)                   // timestamper spans these
 //                 .build();
 //
-// build() partitions the devices into shards by connected component:
-// couple(), forwarder() and vswitch() join the devices they name (the
-// timestamper or DuT behind them touches both ends synchronously), and so
-// does every link, unless pin_shard() has already put the components at
-// its two ends on different shards (links are taken in declaration order).
-// Components exchange no frames, so the runtime runs them in parallel and
-// they meet only at global events. A pinned-apart link becomes a runtime
-// channel with conservative lookahead equal to the cable's minimum latency
-// (sim::ParallelRuntime), so it MUST have positive minimum latency.
-// Pins are the only way to cut a link: a cut link bounds every window by its
-// cable's latency and runs its shards on one thread, window by window, so
-// it buys no parallelism (DESIGN.md section 10).
+// build() partitions the devices into shards by connected component: every
+// link joins its two ends, and couple(), forwarder() and vswitch() join the
+// devices they name (the timestamper or DuT behind them touches both ends
+// synchronously). Components are placed on shards round-robin, in order of
+// their smallest device id. They exchange no frames, so shards share
+// nothing: the runtime runs them in parallel, and they meet only at global
+// events (sim::ParallelRuntime).
 //
 // Modifier calls (name/with_seed/cable/...) apply to the most recently
 // declared device or link, in the builder-cursor style of the usage above.
@@ -62,9 +57,9 @@ class Scenario {
   /// theirs from this (mixed with the device id / link index).
   Scenario& seed(std::uint64_t s);
   /// Requested shard count (from --shards). build() caps it at the number
-  /// of components (devices joined by couplings, DuTs and links that no
-  /// pin_shard() splits); 1 (the default) is the sequential engine, and
-  /// every shard count gives byte-identical results.
+  /// of components (devices joined by links, couplings and DuTs); 1 (the
+  /// default) is the sequential engine, and every shard count gives
+  /// byte-identical results.
   Scenario& shards(int n);
   /// Installs the fault spec on every component (links as wire.l<N>, ports
   /// as nic.<name>, forwarders as dut.fwd[N], clocks as clock.<name>).
@@ -119,16 +114,11 @@ class Scenario {
   /// this off for ports whose RX is not an end-to-end measurement point
   /// (e.g. a DuT's ingress, where the frame is still mid-journey).
   Scenario& rtt_record(bool record);
-  /// Pins this device's component to a specific shard (0-based, must be
-  /// below the effective shard count). Default: components are assigned
-  /// round-robin. Only a link between components pinned to different
-  /// shards crosses shards: it becomes a frame channel, and the runtime
-  /// then runs every shard in its window-major loop on one thread.
-  Scenario& pin_shard(int shard);
 
   // --- links ---------------------------------------------------------------
 
-  /// Declares a one-directional cable from `from`'s MAC to `to`'s RX path.
+  /// Declares a one-directional cable from `from`'s MAC to `to`'s RX path;
+  /// joins both devices into one component.
   Scenario& link(int from, int to);
   /// Cable model for the last link (default: 2 m Cat 5e 10GBASE-T).
   Scenario& cable(wire::CableSpec c);
@@ -143,9 +133,9 @@ class Scenario {
 
   // --- coupling & DuTs -----------------------------------------------------
 
-  /// Forces two devices onto the same shard (required when a component —
-  /// e.g. a Timestamper or a shared PtpClock — touches both without a
-  /// link's latency between them).
+  /// Joins two devices into one component, so onto one shard (required
+  /// when something — e.g. a Timestamper or a shared PtpClock — touches
+  /// both and no link or DuT joins them already).
   Scenario& couple(int a, int b);
   /// Declares an OVS-like forwarder from `in_device` RX 0 to `out_device`
   /// TX 0; implies couple(in_device, out_device).
@@ -168,8 +158,7 @@ class Scenario {
 
   /// Validates the declaration, partitions devices into shards and
   /// constructs the testbed. Throws std::invalid_argument on undeclared
-  /// ids, conflicting pins, a pinned-apart link with zero minimum latency,
-  /// or a telemetry period that overflows picoseconds, differs between
+  /// ids, or a telemetry period that overflows picoseconds, differs between
   /// sample_telemetry and stream_telemetry, or outlasts the RTT windows
   /// the plane retains for the stream.
   [[nodiscard]] std::unique_ptr<Testbed> build();
@@ -186,7 +175,6 @@ class Scenario {
     bool rx_store = true;
     bool rtt_record = true;
     std::optional<std::uint64_t> seed;
-    int pin = -1;  // -1: round-robin
   };
   struct LinkDecl {
     int from = -1;

@@ -80,12 +80,6 @@ void Testbed::run_for(double seconds) {
   runtime_->run_until(now() + static_cast<sim::SimTime>(seconds * 1e12));
 }
 
-std::uint64_t Testbed::cross_shard_frames() const {
-  std::uint64_t total = 0;
-  for (const auto& entry : links_) total += entry.link->remote_frames();
-  return total;
-}
-
 telemetry::Snapshot Testbed::snapshot() {
   // Engines batch their counters (a per-event registry bump would tax the
   // hot path); flush so the snapshot is exact at this quiesced instant.

@@ -5,10 +5,10 @@
 // the hand-wiring previously duplicated across every example: construct an
 // EventQueue, four Ports, two Links, a Forwarder, a FaultPlane, bind
 // telemetry, remember the right seeds. The Scenario declares the topology
-// once; build() places every device on a simulation shard, turns each
-// pinned-apart link into a runtime channel, and wires fault injection and
-// telemetry with the same site/metric names the hand-wired examples used —
-// so existing CI greps and JSON consumers keep working.
+// once; build() places every component on a simulation shard and wires
+// fault injection and telemetry with the same site/metric names the
+// hand-wired examples used — so existing CI greps and JSON consumers keep
+// working.
 //
 // Determinism contract (DESIGN.md Section 10): for a fixed scenario, seed
 // and shard count, every run produces identical outputs; and the paper's
@@ -105,8 +105,10 @@ class Testbed {
     runtime_->schedule_global(t, std::move(fn));
   }
 
-  /// Frames that crossed a shard boundary so far (0 on one shard).
-  [[nodiscard]] std::uint64_t cross_shard_frames() const;
+  /// Frames that crossed a shard boundary: always 0, because shards share
+  /// nothing (a link's two ends are one component, so one shard). Kept for
+  /// bench/e2e's wire.cross_shard_per_window metric.
+  [[nodiscard]] std::uint64_t cross_shard_frames() const { return 0; }
 
   // --- telemetry -----------------------------------------------------------
 

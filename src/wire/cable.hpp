@@ -31,16 +31,6 @@ struct CableSpec {
     constexpr double kSpeedOfLightMPerNs = 0.299792458;
     return static_cast<sim::SimTime>(length_m / (vp_fraction_c * kSpeedOfLightMPerNs) * 1e3);
   }
-
-  /// Smallest achievable end-to-end latency: k + l/vp minus the largest
-  /// negative PHY jitter excursion (10GBASE-T block alignment: -32 ns).
-  /// This is the conservative lookahead a parallel runtime may assume for
-  /// frames on this cable.
-  [[nodiscard]] sim::SimTime min_latency_ps() const {
-    const sim::SimTime base = k_ps + propagation_ps();
-    const sim::SimTime worst_early = jitter == PhyJitter::kTenGBaseT ? 32'000 : 0;
-    return base > worst_early ? base - worst_early : 0;
-  }
 };
 
 /// OM3 multimode fiber between two 82599 ports with 10GBASE-SR SFP+ modules

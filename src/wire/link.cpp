@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "sim/event_queue.hpp"
 
@@ -92,21 +93,7 @@ void Link::begin_flap(sim::SimTime now_ps, double down_ps_param) {
 
 void Link::deliver(const nic::Frame& frame, sim::SimTime arrival_ps) {
   ++delivered_;
-  if (remote_) {
-    held_.push_back(RemoteHop{frame, arrival_ps});
-    ++remote_frames_;
-    return;
-  }
   to_.deliver_frame(frame, arrival_ps);
-}
-
-void Link::deliver_remote() {
-  for (const RemoteHop& hop : held_) {
-    if (hop.arrival_ps < to_.events().now())
-      throw std::logic_error("Link::deliver_remote: lookahead violated");
-    to_.deliver_frame(hop.frame, hop.arrival_ps);
-  }
-  held_.clear();
 }
 
 void Link::corrupt_frame(nic::Frame& frame) {

@@ -1,10 +1,11 @@
 // Unidirectional link: carries frames from a port's MAC to a peer port.
+// Both ports run on one event engine: Scenario::build() puts a link's two
+// ends in one component, and a component lives on one shard.
 #pragma once
 
 #include <cstdint>
 #include <random>
 #include <string>
-#include <vector>
 
 #include "fault/fault.hpp"
 #include "nic/port.hpp"
@@ -30,30 +31,6 @@ class Link : public nic::FrameSink {
   [[nodiscard]] const CableSpec& cable() const { return cable_; }
   [[nodiscard]] std::uint64_t frames_carried() const { return frames_; }
 
-  // --- cross-shard mode (parallel runtime) ---------------------------------
-  /// Detaches the link from its destination port: deliveries are held with
-  /// their computed arrival time until deliver_remote() hands them over.
-  /// Scenario::build() registers deliver_remote as the link's runtime
-  /// channel, which sim::ParallelRuntime calls before every window.
-  void set_remote() { remote_ = true; }
-  [[nodiscard]] bool remote() const { return remote_; }
-  /// Delivers every held frame into the destination port, in send order.
-  /// Throws std::logic_error if a frame would land in the destination
-  /// engine's past (a lookahead violation — the property the conservative
-  /// window exists to rule out).
-  void deliver_remote();
-  /// Conservative lookahead bound: the smallest latency any frame on this
-  /// link can have. Fault rules only ever add delay (reorder holds back,
-  /// duplicates trail), so the cable bound holds with faults installed.
-  [[nodiscard]] sim::SimTime min_latency_ps() const { return cable_.min_latency_ps(); }
-  /// Usable lookahead for a cross-shard channel: the whole minimum cable
-  /// latency, because the sender's MAC hands every frame to the link at
-  /// serialization start, when the engine clock is at (or just before) the
-  /// frame's start time. Zero means this link cannot safely cross shards.
-  [[nodiscard]] sim::SimTime lookahead_ps() const { return min_latency_ps(); }
-  /// Frames held for the destination shard so far.
-  [[nodiscard]] std::uint64_t remote_frames() const { return remote_frames_; }
-
   /// True while carrier is present (false during an injected flap).
   [[nodiscard]] bool carrier_up() const { return carrier_up_; }
 
@@ -73,10 +50,10 @@ class Link : public nic::FrameSink {
   [[nodiscard]] std::uint64_t flaps() const { return flaps_; }
 
   // --- conservation accounting (health plane) -------------------------------
-  /// Frames handed to the destination (or held for its shard),
-  /// duplicates included. The per-link conservation law the health checker
-  /// verifies: frames_carried + duplicated == flap_drops + fault_drops +
-  /// delivered — every frame entering the wire is accounted exactly once.
+  /// Frames handed to the destination port, duplicates included. The
+  /// per-link conservation law the health checker verifies:
+  /// frames_carried + duplicated == flap_drops + fault_drops + delivered —
+  /// every frame entering the wire is accounted exactly once.
   [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
   /// FaultPoint fire counts, for reconciling the drop/corrupt counters
   /// above against the fault plane's own books (they must agree exactly).
@@ -90,15 +67,8 @@ class Link : public nic::FrameSink {
   [[nodiscard]] std::int64_t phy_jitter_ps();
   void begin_flap(sim::SimTime now_ps, double down_ps_param);
   void corrupt_frame(nic::Frame& frame);
-  /// Local mode: into the destination port; remote mode: into held_.
+  /// Hands `frame` to the destination port, arriving at `arrival_ps`.
   void deliver(const nic::Frame& frame, sim::SimTime arrival_ps);
-
-  /// A frame in flight to the destination shard, with its computed arrival
-  /// time at the destination PHY.
-  struct RemoteHop {
-    nic::Frame frame;
-    sim::SimTime arrival_ps = 0;
-  };
 
   nic::Port& from_;
   nic::Port& to_;
@@ -107,8 +77,6 @@ class Link : public nic::FrameSink {
   std::mt19937_64 rng_;
   std::uint64_t frames_ = 0;
   std::uint64_t delivered_ = 0;
-  bool remote_ = false;
-  std::uint64_t remote_frames_ = 0;
 
   // Fault plane wiring (all disabled by default; on_frame's fast path is
   // unchanged when nothing is installed).
@@ -127,10 +95,6 @@ class Link : public nic::FrameSink {
   std::uint64_t reordered_ = 0;
   std::uint64_t duplicated_ = 0;
   std::uint64_t flaps_ = 0;
-
-  /// Remote mode: frames awaiting deliver_remote(). Declared last, apart
-  /// from the members on_frame reads for every frame.
-  std::vector<RemoteHop> held_;
 };
 
 /// Bidirectional convenience wrapper (one Link per direction).

@@ -31,32 +31,43 @@ namespace mtb = moongen::testbed;
 
 namespace {
 
-/// Four-device L2 chain with a forwarder, mirroring l2_load_latency. Above
-/// one shard, {gen_tx, sink} and the DuT pair are pinned apart, so both
-/// links cross shards.
-std::unique_ptr<mtb::Testbed> l2_bed(int shards, const mf::FaultSpec& spec = {}) {
+/// Four-device L2 chain with a forwarder, mirroring l2_load_latency,
+/// `copies` times over. Each copy is one component; copy k has devices
+/// 4k..4k+3 and seeds of its own, and its names after the first copy end
+/// in k.
+std::unique_ptr<mtb::Testbed> l2_bed(int shards, const mf::FaultSpec& spec = {},
+                                     int copies = 1) {
   mtb::Scenario s;
-  s.seed(1).shards(shards).telemetry(false).faults(spec)
-      .device(0, mn::intel_x540()).name("gen_tx").with_seed(1);
-  if (shards > 1) s.pin_shard(0);
-  s.device(1, mn::intel_x540()).name("dut_in").with_seed(2);
-  if (shards > 1) s.pin_shard(1);
-  return s.device(2, mn::intel_x540()).name("dut_out").with_seed(3)
-      .device(3, mn::intel_x540()).name("sink").with_seed(4).rx_store(false)
-      .link(0, 1).with_seed(5)
-      .link(2, 3).with_seed(6)
-      .forwarder(1, 2)
-      .couple(0, 3)
-      .build();
+  s.seed(1).shards(shards).telemetry(false).faults(spec);
+  for (int k = 0; k < copies; ++k) {
+    const int d = 4 * k;
+    const std::uint64_t seed = 10 * static_cast<std::uint64_t>(k);
+    const std::string suffix = k == 0 ? "" : std::to_string(k);
+    s.device(d, mn::intel_x540()).name("gen_tx" + suffix).with_seed(seed + 1)
+        .device(d + 1, mn::intel_x540()).name("dut_in" + suffix).with_seed(seed + 2)
+        .device(d + 2, mn::intel_x540()).name("dut_out" + suffix).with_seed(seed + 3)
+        .device(d + 3, mn::intel_x540()).name("sink" + suffix).with_seed(seed + 4)
+        .rx_store(false)
+        .link(d, d + 1).with_seed(seed + 5)
+        .link(d + 2, d + 3).with_seed(seed + 6)
+        .forwarder(d + 1, d + 2)
+        .couple(d, d + 3);
+  }
+  return s.build();
 }
 
-void start_l2_load(mtb::Testbed& tb, double rate_mpps,
-                   std::unique_ptr<mc::SimLoadGen>& out) {
+/// Loads every copy's generator with 96 B hardware-paced frames.
+std::vector<std::unique_ptr<mc::SimLoadGen>> start_l2_load(mtb::Testbed& tb, double rate_mpps) {
   mc::UdpTemplateOptions bg;
   bg.frame_size = 96;
-  auto& queue = tb.port("gen_tx").tx_queue(0);
-  queue.set_rate_mpps(rate_mpps, 100);
-  out = mc::SimLoadGen::hardware_paced(queue, mc::make_udp_frame(bg));
+  std::vector<std::unique_ptr<mc::SimLoadGen>> gens;
+  for (const int id : tb.device_ids()) {
+    if (id % 4 != 0) continue;
+    auto& queue = tb.port(id).tx_queue(0);
+    queue.set_rate_mpps(rate_mpps, 100);
+    gens.push_back(mc::SimLoadGen::hardware_paced(queue, mc::make_udp_frame(bg)));
+  }
+  return gens;
 }
 
 }  // namespace
@@ -158,8 +169,7 @@ TEST(LinkChecker, ConservationHoldsUnderLossCorruptDupFaults) {
   const auto spec =
       mf::FaultSpec::parse("seed=9;loss@wire:p=0.01;corrupt@wire.l1:p=0.005;dup@wire.l2:p=0.005");
   auto tb = l2_bed(1, spec);
-  std::unique_ptr<mc::SimLoadGen> gen;
-  start_l2_load(*tb, 2.0, gen);
+  const auto gens = start_l2_load(*tb, 2.0);
   tb->run_until(20 * ms::kPsPerMs);
 
   auto link_check = mh::make_link_checker(*tb);
@@ -252,9 +262,9 @@ TEST(Watchdog, TripsOnAWedgedShardAndReportsHeartbeats) {
 }
 
 TEST(Watchdog, StaysQuietOnAHealthyRun) {
-  auto tb = l2_bed(2);
-  std::unique_ptr<mc::SimLoadGen> gen;
-  start_l2_load(*tb, 1.0, gen);
+  auto tb = l2_bed(2, {}, 2);
+  ASSERT_EQ(tb->shard_count(), 2u);
+  const auto gens = start_l2_load(*tb, 1.0);
   mh::WatchdogConfig cfg;
   cfg.poll_ms = 20;
   cfg.budget_ms = 30'000;  // far beyond the run's wall clock
@@ -297,8 +307,7 @@ TEST(HealthMonitor, DumpNamesTheFailingCheckerInJson) {
   // bounded tail (the dump shows the *last* N entries per shard).
   const auto spec = mf::FaultSpec::parse("seed=3;loss@wire:p=0.05");
   auto tb = l2_bed(1, spec);
-  std::unique_ptr<mc::SimLoadGen> gen;
-  start_l2_load(*tb, 1.0, gen);
+  const auto gens = start_l2_load(*tb, 1.0);
   mh::MonitorConfig hc;
   hc.window_ps = ms::kPsPerMs;
   mh::HealthMonitor mon(*tb, hc);
@@ -348,9 +357,8 @@ TEST(HealthMonitor, CatchesASeededLeakWithinOneWindow) {
 TEST(HealthMonitor, MonitoredRunIsByteIdenticalToUnmonitored) {
   const auto spec = mf::FaultSpec::parse("seed=7;loss@wire:p=0.003;corrupt@wire.l1:p=0.001");
   const auto run = [&spec](bool with_monitor) {
-    auto tb = l2_bed(2, spec);
-    std::unique_ptr<mc::SimLoadGen> gen;
-    start_l2_load(*tb, 2.0, gen);
+    auto tb = l2_bed(2, spec, 2);
+    const auto gens = start_l2_load(*tb, 2.0);
     std::unique_ptr<mh::HealthMonitor> mon;
     if (with_monitor) {
       mh::MonitorConfig hc;

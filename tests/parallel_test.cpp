@@ -1,8 +1,8 @@
-// Tests of the parallel simulation runtime: its two loops (window-major on
-// one thread for channel topologies, one worker per shard without
-// channels), the conservative-window protocol, and the headline determinism
-// contract — a sharded run of the paper's fig10/fig11 scenarios is
-// indistinguishable from the sequential engine for a fixed seed.
+// Tests of the parallel simulation runtime: its two loops (one shard on the
+// calling thread, several shards on workers that meet at segment ends), and
+// the headline determinism contract — independent copies of the paper's
+// fig10/fig11 scenario in one testbed run copy for copy identically at any
+// shard count for a fixed seed.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -63,24 +63,9 @@ TEST(ParallelRuntime, RejectsRunIntoPast) {
   EXPECT_THROW(rt.run_until(1'000), std::logic_error);
 }
 
-TEST(ParallelRuntime, RejectsBadChannels) {
-  ms::ParallelRuntime rt(2);
-  EXPECT_THROW(rt.add_channel(0, 0, 1'000, [] {}), std::invalid_argument);
-  EXPECT_THROW(rt.add_channel(0, 1, 0, [] {}), std::invalid_argument);
-  EXPECT_THROW(rt.add_channel(0, 7, 1'000, [] {}), std::out_of_range);
-}
-
-TEST(ParallelRuntime, WindowIsMinChannelLookahead) {
-  ms::ParallelRuntime rt(2);
-  EXPECT_EQ(rt.window_ps(), UINT64_MAX);
-  rt.add_channel(0, 1, 5'000, [] {});
-  rt.add_channel(1, 0, 3'000, [] {});
-  EXPECT_EQ(rt.window_ps(), 3'000u);
-}
-
 TEST(ParallelRuntime, WorkerExceptionPropagates) {
-  // Shards without channels run on workers; a shard that throws there
-  // surfaces from run_until. The other worker still runs to the segment
+  // Several shards run on workers; a shard that throws there surfaces from
+  // run_until. The other worker still runs to the segment
   // end, and the global due there does not run.
   ms::ParallelRuntime rt(2);
   std::thread::id thrower;
@@ -101,103 +86,99 @@ TEST(ParallelRuntime, WorkerExceptionPropagates) {
 }
 
 TEST(ParallelEpochs, MidRunGlobalSeesEveryShardAtItsTime) {
-  ms::ParallelRuntime rt(3);
-  rt.add_channel(0, 1, 1'000, [] {});
-  rt.add_channel(1, 2, 1'000, [] {});
-  for (std::size_t s = 0; s < 3; ++s) rt.shard(s).schedule_at(12'000 + 100 * s, [] {});
-  std::vector<ms::SimTime> seen;
-  rt.schedule_global(12'345, [&] {
-    for (std::size_t s = 0; s < 3; ++s) seen.push_back(rt.shard(s).now());
-    seen.push_back(rt.now());
-  });
-  rt.run_until(50'000);
-  EXPECT_EQ(seen, (std::vector<ms::SimTime>(4, 12'345)));
-  // 13 windows up to the global (the last one 345 ps long), 38 after it.
-  EXPECT_EQ(rt.windows_run(), 51u);
-  for (std::size_t s = 0; s < 3; ++s) EXPECT_EQ(rt.shard(s).now(), 50'000u);
+  // A global due between two segments sees every shard at its time, with
+  // every event before it executed: on three shards in the parallel loop,
+  // and with the same events on one shard in the one-shard loop.
+  for (const std::size_t shards : {3u, 1u}) {
+    ms::ParallelRuntime rt(shards);
+    for (std::size_t s = 0; s < 3; ++s) rt.shard(s % shards).schedule_at(12'000 + 100 * s, [] {});
+    std::vector<ms::SimTime> seen;
+    std::uint64_t executed = 0;
+    rt.schedule_global(12'345, [&] {
+      for (std::size_t s = 0; s < shards; ++s) {
+        seen.push_back(rt.shard(s).now());
+        executed += rt.shard(s).executed();
+      }
+      seen.push_back(rt.now());
+    });
+    rt.run_until(50'000);
+    EXPECT_EQ(seen, (std::vector<ms::SimTime>(shards + 1, 12'345))) << shards;
+    EXPECT_EQ(executed, 3u) << shards;
+    // One window up to the global, one after it.
+    EXPECT_EQ(rt.windows_run(), 2u) << shards;
+    for (std::size_t s = 0; s < shards; ++s) {
+      EXPECT_EQ(rt.shard(s).now(), 50'000u) << shards;
+      EXPECT_EQ(rt.heartbeat(s), 2u) << shards;
+    }
+  }
 }
 
 TEST(ParallelRuntime, SerialAndParallelSegmentsRunTheSameWindows) {
-  // The same events on three shards under globals every 10 ns, which cut
-  // five segments and a tail, run twice: joined by channels (0 and 1 feed
-  // each other, 1 feeds 2), in the window-major loop with 1 ns windows;
-  // and without channels, on workers, one window per segment. Every global
-  // sees every shard at its time with the same events executed. The
-  // window-major loop delivers every channel before each window.
+  // The same three event streams under globals every 10 ns, which cut five
+  // segments and a tail, run twice: one stream per shard in the parallel
+  // loop, and all three on one shard in the one-shard loop. Both run one
+  // window per segment, and every global sees every shard at its time with
+  // the same events executed.
   struct Seen {
     std::uint64_t windows;
-    std::array<ms::SimTime, 3> clocks;
-    std::array<std::uint64_t, 3> executed;
-    std::array<std::uint64_t, 3> delivered;
+    std::vector<ms::SimTime> clocks;
+    std::uint64_t executed;  // summed over the shards
   };
-  constexpr std::size_t kChannels = 3;
-  const auto run = [](bool channels) {
-    ms::ParallelRuntime rt(3);
-    std::array<std::uint64_t, kChannels> delivered{};
-    const std::array<std::pair<std::size_t, std::size_t>, kChannels> ends = {
-        std::pair{0, 1}, std::pair{1, 0}, std::pair{1, 2}};
-    for (std::size_t c = 0; channels && c < kChannels; ++c)
-      rt.add_channel(ends[c].first, ends[c].second, 1'000, [&delivered, c] { ++delivered[c]; });
+  const auto run = [](std::size_t shards) {
+    ms::ParallelRuntime rt(shards);
     for (std::size_t s = 0; s < 3; ++s) {
-      for (ms::SimTime t = 250 + 100 * s; t < 55'000; t += 700) rt.shard(s).schedule_at(t, [] {});
+      for (ms::SimTime t = 250 + 100 * s; t < 55'000; t += 700)
+        rt.shard(s % shards).schedule_at(t, [] {});
     }
     std::vector<Seen> seen;
     for (ms::SimTime g = 10'000; g <= 50'000; g += 10'000) {
       rt.schedule_global(g, [&] {
-        Seen x{rt.windows_run(), {}, {}, delivered};
-        for (std::size_t s = 0; s < 3; ++s) {
-          x.clocks[s] = rt.shard(s).now();
-          x.executed[s] = rt.shard(s).executed();
+        Seen x{rt.windows_run(), {}, 0};
+        for (std::size_t s = 0; s < shards; ++s) {
+          x.clocks.push_back(rt.shard(s).now());
+          x.executed += rt.shard(s).executed();
         }
         seen.push_back(x);
       });
     }
     rt.run_until(55'000);
-    for (std::size_t s = 0; s < 3; ++s) {
-      EXPECT_EQ(rt.shard(s).now(), 55'000u);
-      EXPECT_EQ(rt.heartbeat(s), channels ? 55u : 6u);
+    for (std::size_t s = 0; s < shards; ++s) {
+      EXPECT_EQ(rt.shard(s).now(), 55'000u) << shards;
+      EXPECT_EQ(rt.heartbeat(s), 6u) << shards;
     }
-    EXPECT_EQ(rt.windows_run(), channels ? 55u : 6u);
-    for (const std::uint64_t d : delivered) EXPECT_EQ(d, channels ? 55u : 0u);
+    EXPECT_EQ(rt.windows_run(), 6u) << shards;
     return seen;
   };
-  const std::vector<Seen> serial = run(true);
-  const std::vector<Seen> parallel = run(false);
-  ASSERT_EQ(serial.size(), 5u);
+  const std::vector<Seen> parallel = run(3);
+  const std::vector<Seen> serial = run(1);
   ASSERT_EQ(parallel.size(), 5u);
+  ASSERT_EQ(serial.size(), 5u);
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    const std::uint64_t windows = 10 * (i + 1);
-    EXPECT_EQ(serial[i].windows, windows) << "global " << i;
     EXPECT_EQ(parallel[i].windows, i + 1) << "global " << i;
-    for (std::size_t s = 0; s < 3; ++s) {
-      EXPECT_EQ(serial[i].clocks[s], 10'000 * (i + 1)) << "global " << i << " shard " << s;
-      EXPECT_EQ(parallel[i].clocks[s], 10'000 * (i + 1)) << "global " << i << " shard " << s;
-      EXPECT_EQ(serial[i].executed[s], parallel[i].executed[s]) << "global " << i << " shard " << s;
-    }
-    for (std::size_t c = 0; c < kChannels; ++c)
-      EXPECT_EQ(serial[i].delivered[c], windows) << "global " << i << " channel " << c;
+    EXPECT_EQ(serial[i].windows, i + 1) << "global " << i;
+    EXPECT_EQ(parallel[i].clocks, std::vector<ms::SimTime>(3, 10'000 * (i + 1))) << "global " << i;
+    EXPECT_EQ(serial[i].clocks, std::vector<ms::SimTime>(1, 10'000 * (i + 1))) << "global " << i;
+    EXPECT_GT(parallel[i].executed, 0u) << "global " << i;
+    EXPECT_EQ(serial[i].executed, parallel[i].executed) << "global " << i;
   }
 }
 
 TEST(ParallelRuntime, SerialLoopExceptionPropagates) {
-  // Shards joined by channels run window-major on the calling thread; a
-  // shard that throws there surfaces from run_until like one that throws
-  // on a worker thread.
-  ms::ParallelRuntime rt(2);
-  rt.add_channel(0, 1, 1'000, [] {});
-  rt.add_channel(1, 0, 1'000, [] {});
+  // One shard runs on the calling thread; a shard that throws there
+  // surfaces from run_until like one that throws on a worker thread.
+  ms::ParallelRuntime rt(1);
   rt.schedule_global(10'000, [] {});
   std::thread::id thrower;
-  rt.shard(1).schedule_at(15'500, [&thrower] {
+  rt.shard(0).schedule_at(15'500, [&thrower] {
     thrower = std::this_thread::get_id();
     throw std::runtime_error("serial boom");
   });
   EXPECT_EQ(message_of(rt, 20'000), "serial boom");
   EXPECT_EQ(thrower, std::this_thread::get_id());  // it ran on the calling thread
-  // Window 15 ran shard 0 to its end, then shard 1 threw in it.
-  EXPECT_EQ(rt.heartbeat(0), 16u);
-  EXPECT_EQ(rt.heartbeat(1), 15u);
-  EXPECT_EQ(rt.windows_run(), 15u);
+  // The segment up to the global completed; the shard threw in the next.
+  EXPECT_EQ(rt.heartbeat(0), 1u);
+  EXPECT_EQ(rt.windows_run(), 1u);
+  EXPECT_EQ(rt.now(), 10'000u);
   EXPECT_FALSE(rt.running());
 }
 
@@ -207,6 +188,7 @@ TEST(ParallelRuntime, SerialLoopExceptionPropagates) {
 
 namespace {
 
+/// What one copy of the fig10 testbed measured.
 struct RunResult {
   std::uint64_t gen_tx_packets = 0;
   std::uint64_t gen_tx_bytes = 0;
@@ -216,170 +198,186 @@ struct RunResult {
   std::uint64_t forwarded = 0;
   std::uint64_t interrupts = 0;
   std::uint64_t ts_samples = 0;
-  std::uint64_t fault_fires = 0;
-  std::uint64_t cross_shard = 0;
-  std::size_t shards = 0;
-  std::uint64_t windows = 0;
+  /// Loss, corruption and flaps on the generator's link.
+  std::uint64_t link_faults = 0;
   std::vector<std::uint64_t> latency_bins;
   /// Sink RX count seen by each global tick.
   std::vector<std::uint64_t> ticks;
   double latency_min = 0;
   double latency_max = 0;
 
-  bool operator==(const RunResult& o) const {
-    // cross_shard/shards/windows intentionally excluded: they describe the
-    // runtime layout, not the simulated physics.
-    return gen_tx_packets == o.gen_tx_packets && gen_tx_bytes == o.gen_tx_bytes &&
-           sink_rx_packets == o.sink_rx_packets && sink_rx_bytes == o.sink_rx_bytes &&
-           dut_crc_errors == o.dut_crc_errors && forwarded == o.forwarded &&
-           interrupts == o.interrupts && ts_samples == o.ts_samples &&
-           fault_fires == o.fault_fires && latency_bins == o.latency_bins &&
-           latency_min == o.latency_min && latency_max == o.latency_max && ticks == o.ticks;
-  }
+  bool operator==(const RunResult&) const = default;
 };
 
-// The fig10/fig11 testbed (l2_load_latency) at a given shard count, run for
-// `run_ps` of virtual time; a non-zero `tick_ps` adds a global every tick
-// that reads the sink's RX count. Above one shard, gen_tx and dut_in are
-// pinned apart, so {gen_tx, sink} and the DuT pair run on two shards and
-// both links cross them.
-RunResult run_fig10(int shards, bool poisson, const std::string& faults,
-                    ms::SimTime run_ps = 50 * ms::kPsPerMs, ms::SimTime tick_ps = 0) {
-  const bool split = shards > 1;
+/// A run of several fig10 copies: per-copy physics, plus the runtime
+/// layout (shards, each copy's shard, windows), which may differ across
+/// shard counts.
+struct Fig10Run {
+  std::vector<RunResult> copies;
+  std::vector<std::size_t> shard_of;
+  std::size_t shards = 0;
+  std::uint64_t windows = 0;
+  std::uint64_t fault_fires = 0;
+};
+
+// `copies` independent copies of the fig10/fig11 testbed (l2_load_latency)
+// in one testbed, run for `run_ps` of virtual time at a given shard count.
+// Copy k has devices 4k..4k+3 (gen_tx, dut_in, dut_out, sink; names after
+// the first copy end in k), seeds of its own, and its own timestamper; its
+// Poisson pattern draws from seed 77 + k. Each copy is one component, so
+// round-robin puts copy k on shard k % shards. A non-zero `tick_ps` adds a
+// global every tick that reads every sink's RX count.
+Fig10Run run_fig10(int shards, int copies, bool poisson, const std::string& faults,
+                   ms::SimTime run_ps = 50 * ms::kPsPerMs, ms::SimTime tick_ps = 0) {
   mtb::Scenario s;
-  s.seed(1).shards(shards).faults(faults).telemetry(false)
-      .device(0, mn::intel_x540()).name("gen_tx").with_seed(1);
-  if (split) s.pin_shard(0);
-  s.device(1, mn::intel_x540()).name("dut_in").with_seed(2);
-  if (split) s.pin_shard(1);
-  auto tb = s.device(2, mn::intel_x540()).name("dut_out").with_seed(3)
-                .device(3, mn::intel_x540()).name("sink").with_seed(4).rx_store(false)
-                .link(0, 1).with_seed(5)
-                .link(2, 3).with_seed(6)
-                .forwarder(1, 2)
-                .couple(0, 3)
-                .build();
+  s.seed(1).shards(shards).faults(faults).telemetry(false);
+  for (int k = 0; k < copies; ++k) {
+    const int d = 4 * k;
+    const std::uint64_t seed = 10 * static_cast<std::uint64_t>(k);
+    const std::string suffix = k == 0 ? "" : std::to_string(k);
+    s.device(d, mn::intel_x540()).name("gen_tx" + suffix).with_seed(seed + 1)
+        .device(d + 1, mn::intel_x540()).name("dut_in" + suffix).with_seed(seed + 2)
+        .device(d + 2, mn::intel_x540()).name("dut_out" + suffix).with_seed(seed + 3)
+        .device(d + 3, mn::intel_x540()).name("sink" + suffix).with_seed(seed + 4)
+        .rx_store(false)
+        .link(d, d + 1).with_seed(seed + 5)
+        .link(d + 2, d + 3).with_seed(seed + 6)
+        .forwarder(d + 1, d + 2)
+        .couple(d, d + 3);
+  }
+  auto tb = s.build();
 
   mc::UdpTemplateOptions bg;
   bg.frame_size = 96;
   bg.ptp_payload = true;
   bg.ptp_message_type = 5;
-  auto& queue = tb->port("gen_tx").tx_queue(0);
-  std::unique_ptr<mc::SimLoadGen> gen;
-  if (poisson) {
-    gen = mc::SimLoadGen::crc_paced(queue, mc::make_udp_frame(bg),
-                                    std::make_unique<mc::PoissonPattern>(2.0, 77), 10'000);
-  } else {
-    queue.set_rate_mpps(2.0, 100);
-    gen = mc::SimLoadGen::hardware_paced(queue, mc::make_udp_frame(bg));
-  }
-
   mc::UdpTemplateOptions stamped = bg;
   stamped.ptp_message_type = 0;
   mc::TimestamperConfig cfg;
   cfg.sample_interval_ps = 100 * ms::kPsPerUs;
   cfg.hist_bin_ps = 50'000;
-  mc::Timestamper ts(tb->engine(0), tb->port("gen_tx"), *gen, mc::make_udp_frame(stamped),
-                     tb->port("sink"), cfg);
-  ts.start();
-  RunResult r;
-  for (ms::SimTime t = tick_ps; tick_ps > 0 && t <= run_ps; t += tick_ps)
-    tb->schedule_global(t, [&] { r.ticks.push_back(tb->port("sink").stats().rx_packets); });
+  std::vector<std::unique_ptr<mc::SimLoadGen>> gens;
+  std::vector<std::unique_ptr<mc::Timestamper>> stampers;
+  for (int k = 0; k < copies; ++k) {
+    const int d = 4 * k;
+    auto& queue = tb->port(d).tx_queue(0);
+    if (poisson) {
+      gens.push_back(mc::SimLoadGen::crc_paced(
+          queue, mc::make_udp_frame(bg),
+          std::make_unique<mc::PoissonPattern>(2.0, 77 + static_cast<std::uint64_t>(k)), 10'000));
+    } else {
+      queue.set_rate_mpps(2.0, 100);
+      gens.push_back(mc::SimLoadGen::hardware_paced(queue, mc::make_udp_frame(bg)));
+    }
+    stampers.push_back(std::make_unique<mc::Timestamper>(tb->engine(d), tb->port(d), *gens.back(),
+                                                         mc::make_udp_frame(stamped),
+                                                         tb->port(d + 3), cfg));
+    stampers.back()->start();
+  }
+  Fig10Run r;
+  r.copies.resize(static_cast<std::size_t>(copies));
+  for (ms::SimTime t = tick_ps; tick_ps > 0 && t <= run_ps; t += tick_ps) {
+    tb->schedule_global(t, [&] {
+      for (int k = 0; k < copies; ++k)
+        r.copies[static_cast<std::size_t>(k)].ticks.push_back(
+            tb->port(4 * k + 3).stats().rx_packets);
+    });
+  }
   tb->run_until(run_ps);
-  ts.stop();
 
-  r.gen_tx_packets = tb->port("gen_tx").stats().tx_packets;
-  r.gen_tx_bytes = tb->port("gen_tx").stats().tx_bytes;
-  r.sink_rx_packets = tb->port("sink").stats().rx_packets;
-  r.sink_rx_bytes = tb->port("sink").stats().rx_bytes;
-  r.dut_crc_errors = tb->port("dut_in").stats().crc_errors;
-  r.forwarded = tb->forwarder().forwarded();
-  r.interrupts = tb->forwarder().interrupts();
-  r.ts_samples = ts.samples();
-  r.fault_fires = tb->fault_fires();
-  r.cross_shard = tb->cross_shard_frames();
+  for (int k = 0; k < copies; ++k) {
+    const int d = 4 * k;
+    mc::Timestamper& ts = *stampers[static_cast<std::size_t>(k)];
+    ts.stop();
+    RunResult& c = r.copies[static_cast<std::size_t>(k)];
+    c.gen_tx_packets = tb->port(d).stats().tx_packets;
+    c.gen_tx_bytes = tb->port(d).stats().tx_bytes;
+    c.sink_rx_packets = tb->port(d + 3).stats().rx_packets;
+    c.sink_rx_bytes = tb->port(d + 3).stats().rx_bytes;
+    c.dut_crc_errors = tb->port(d + 1).stats().crc_errors;
+    c.forwarded = tb->forwarder(static_cast<std::size_t>(k)).forwarded();
+    c.interrupts = tb->forwarder(static_cast<std::size_t>(k)).interrupts();
+    c.ts_samples = ts.samples();
+    const auto& link = tb->link(d, d + 1);
+    c.link_faults = link.fault_drops() + link.corrupted() + link.flaps();
+    const auto& h = ts.histogram();
+    for (std::size_t i = 0; i < h.bucket_count(); ++i) c.latency_bins.push_back(h.bucket(i));
+    c.latency_min = ts.latency_ns().min();
+    c.latency_max = ts.latency_ns().max();
+    r.shard_of.push_back(tb->shard_of(d));
+  }
   r.shards = tb->shard_count();
   r.windows = tb->runtime().windows_run();
-  const auto& h = ts.histogram();
-  for (std::size_t i = 0; i < h.bucket_count(); ++i) r.latency_bins.push_back(h.bucket(i));
-  r.latency_min = ts.latency_ns().min();
-  r.latency_max = ts.latency_ns().max();
+  r.fault_fires = tb->fault_fires();
   return r;
+}
+
+/// Requires that `run` used more than one shard and that every copy in it
+/// measured exactly what the same copy measured on one shard.
+void expect_same_copies(const Fig10Run& seq, const Fig10Run& run) {
+  EXPECT_GT(run.shards, 1u);
+  ASSERT_EQ(run.copies.size(), seq.copies.size());
+  for (std::size_t k = 0; k < seq.copies.size(); ++k)
+    EXPECT_TRUE(run.copies[k] == seq.copies[k]) << "copy " << k << " on " << run.shards << " shards";
+  EXPECT_EQ(run.fault_fires, seq.fault_fires);
 }
 
 }  // namespace
 
 TEST(ParallelEquivalence, Fig10CbrIdenticalAcrossShardCounts) {
-  const RunResult seq = run_fig10(1, false, "");
-  const RunResult two = run_fig10(2, false, "");
-  const RunResult four = run_fig10(4, false, "");
+  // Three copies: --shards 2 runs copies 0 and 2 on one engine and copy 1
+  // on the other; --shards 4 gives each copy its own shard.
+  const Fig10Run seq = run_fig10(1, 3, false, "");
   EXPECT_EQ(seq.shards, 1u);
+  for (const RunResult& c : seq.copies) EXPECT_GT(c.ts_samples, 10u);  // each copy measured
+  const Fig10Run two = run_fig10(2, 3, false, "");
   EXPECT_EQ(two.shards, 2u);
-  EXPECT_EQ(four.shards, 2u);  // capped at the two pinned components
-  EXPECT_GT(two.cross_shard, 0u);
-  EXPECT_GT(seq.ts_samples, 10u);  // the run measured something
-  EXPECT_TRUE(seq == two);
-  EXPECT_TRUE(seq == four);
+  EXPECT_EQ(two.shard_of, (std::vector<std::size_t>{0, 1, 0}));
+  expect_same_copies(seq, two);
+  const Fig10Run four = run_fig10(4, 3, false, "");
+  EXPECT_EQ(four.shards, 3u);  // capped at the three components
+  EXPECT_EQ(four.shard_of, (std::vector<std::size_t>{0, 1, 2}));
+  expect_same_copies(seq, four);
 }
 
 TEST(ParallelEquivalence, Fig11PoissonIdenticalAcrossShardCounts) {
-  const RunResult seq = run_fig10(1, true, "");
-  const RunResult two = run_fig10(2, true, "");
-  EXPECT_GT(two.cross_shard, 0u);
-  EXPECT_TRUE(seq == two);
+  const Fig10Run seq = run_fig10(1, 2, true, "");
+  for (const int shards : {2, 4}) {
+    SCOPED_TRACE(shards);
+    expect_same_copies(seq, run_fig10(shards, 2, true, ""));
+  }
 }
 
 TEST(ParallelEquivalence, FaultedRunIdenticalAcrossShardCounts) {
+  // wire.l1 is copy 0's generator link; dut.fwd prefixes every copy's
+  // forwarder site (dut.fwd, dut.fwd2).
   const std::string spec =
       "seed=42;loss@wire.l1:p=0.002;corrupt@wire.l1:p=0.001;"
       "flap@wire.l1:p=1e-4,param=2e8;stall@dut.fwd:p=0.01,param=2e7";
-  const RunResult seq = run_fig10(1, false, spec);
-  const RunResult two = run_fig10(2, false, spec);
+  const Fig10Run seq = run_fig10(1, 2, false, spec);
   EXPECT_GT(seq.fault_fires, 0u);
-  EXPECT_TRUE(seq == two);
+  EXPECT_GT(seq.copies[0].link_faults, 0u);
+  for (const int shards : {2, 4}) {
+    SCOPED_TRACE(shards);
+    expect_same_copies(seq, run_fig10(shards, 2, false, spec));
+  }
 }
 
 TEST(ParallelEquivalence, TickedRunMatchesAcrossRuntimeLoops) {
-  // A 1 ms global tick over 10 ms cuts ten segments. One shard runs one
-  // window per segment; two shards joined by the cut links run 2.125 us
-  // windows. Results, and what every tick saw, are the same.
+  // A 1 ms global tick over 10 ms cuts ten segments. One shard runs them on
+  // the calling thread, two shards on workers; both run one window per
+  // segment. Results, and what every tick saw, are the same.
   const ms::SimTime run = 10 * ms::kPsPerMs;
-  const RunResult seq = run_fig10(1, false, "", run, ms::kPsPerMs);
-  const RunResult two = run_fig10(2, false, "", run, ms::kPsPerMs);
+  const Fig10Run seq = run_fig10(1, 2, false, "", run, ms::kPsPerMs);
+  const Fig10Run two = run_fig10(2, 2, false, "", run, ms::kPsPerMs);
   ASSERT_EQ(two.shards, 2u);
-  EXPECT_EQ(seq.ticks.size(), 10u);
-  EXPECT_GT(seq.sink_rx_packets, 0u);
-  EXPECT_TRUE(seq == two);
-  EXPECT_EQ(seq.windows, 10u);
-  EXPECT_EQ(two.windows, 10 * 471u);
-}
-
-// ---------------------------------------------------------------------------
-// Lookahead properties
-// ---------------------------------------------------------------------------
-
-TEST(ParallelLookahead, CrossShardArrivalsNeverLandInThePast) {
-  // deliver_remote throws std::logic_error on any lookahead violation; a
-  // clean long faulted run is the property test that the conservative
-  // window bound (the cable's minimum latency) is sufficient.
-  EXPECT_NO_THROW(run_fig10(2, true, "loss@wire.l1:p=0.001"));
-}
-
-TEST(ParallelLookahead, ZeroLatencyCrossShardLinkIsRejected) {
-  mtb::Scenario s;
-  s.seed(1)
-      .shards(2)
-      .device(0, mn::intel_x540()).name("a").pin_shard(0)
-      .device(1, mn::intel_x540()).name("b").pin_shard(1)
-      .link(0, 1).latency_ns(0);  // no latency: no usable lookahead
-  try {
-    (void)s.build();
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("zero minimum cable latency"), std::string::npos) << what;
-    EXPECT_NE(what.find("pin_shard()"), std::string::npos) << what;
+  for (const RunResult& c : seq.copies) {
+    EXPECT_EQ(c.ticks.size(), 10u);
+    EXPECT_GT(c.sink_rx_packets, 0u);
   }
+  expect_same_copies(seq, two);
+  EXPECT_EQ(seq.windows, 10u);
+  EXPECT_EQ(two.windows, 10u);
 }
 
 namespace {
@@ -429,32 +427,11 @@ void tick_every_100us(mtb::Testbed& tb, ms::SimTime end_ps) {
     tb.schedule_global(t, [] {});
 }
 
-// Two devices on a duplex `cable` at `mbit`, each sending to the other
-// under a 100 us global tick. Above one shard the devices are pinned apart,
-// so the cable crosses shards.
-std::pair<RxDigest, RxDigest> run_duplex(int shards, mn::ChipSpec chip, std::uint64_t mbit,
-                                         const mw::CableSpec& cable, std::size_t* shard_count) {
-  mtb::Scenario s;
-  s.seed(3).shards(shards).telemetry(false).device(0, chip).name("a").link_mbit(mbit);
-  if (shards > 1) s.pin_shard(0);
-  s.device(1, chip).name("b").link_mbit(mbit);
-  if (shards > 1) s.pin_shard(1);
-  auto tb = s.link(0, 1).cable(cable).duplex().build();
-  *shard_count = tb->shard_count();
-  std::pair<RxDigest, RxDigest> out;
-  const auto gen_a = exchange_frames(tb->port("a"), mbit, out.first);
-  const auto gen_b = exchange_frames(tb->port("b"), mbit, out.second);
-  tick_every_100us(*tb, 2 * ms::kPsPerMs);
-  tb->run_until(2 * ms::kPsPerMs);
-  return out;
-}
-
-/// Two duplex pairs (0-1 and 2-3) as run_duplex sends on them, with
-/// nothing pinned: each pair is one component.
+/// Two duplex pairs (0-1 and 2-3), each end sending to the other as
+/// exchange_frames does: each pair is one component.
 struct PairsRun {
   std::array<RxDigest, 4> rx;
   std::size_t shards = 0;
-  std::size_t channels = 0;
   bool on_worker = false;  // an event of the run ran off the calling thread
 };
 
@@ -465,7 +442,6 @@ PairsRun run_pairs(int shards) {
   auto tb = s.link(0, 1).duplex().link(2, 3).duplex().build();
   PairsRun r;
   r.shards = tb->shard_count();
-  r.channels = tb->runtime().channel_count();
   std::vector<std::unique_ptr<mc::SimLoadGen>> gens;
   for (int d = 0; d < 4; ++d)
     gens.push_back(exchange_frames(tb->port(d), 10'000, r.rx[static_cast<std::size_t>(d)]));
@@ -482,11 +458,54 @@ PairsRun run_pairs(int shards) {
   return r;
 }
 
+/// Three beds in one testbed, each its own component: two 82599s on a
+/// duplex 2 m OM3 fiber at 10 GbE (devices 0-1; ~322 ns, less than one max
+/// frame) and two X540s on a duplex GbE copper cable at 1 GbE (devices
+/// 2-3; a max frame serializes for 12.3 us, far longer than the cable's
+/// latency), each end sending as exchange_frames does; and 9000 B
+/// hardware-paced frames from device 4 to device 5 over a default cable.
+struct CablesRun {
+  std::array<RxDigest, 4> duplex;  // devices 0-3
+  std::uint64_t jumbo_rx = 0;
+  std::size_t shards = 0;
+};
+
+CablesRun run_cables(int shards) {
+  mtb::Scenario s;
+  s.seed(3).shards(shards).telemetry(false)
+      .device(0, mn::intel_82599()).name("fiber_a")
+      .device(1, mn::intel_82599()).name("fiber_b")
+      .device(2, mn::intel_x540()).name("gbe_a").link_mbit(1'000)
+      .device(3, mn::intel_x540()).name("gbe_b").link_mbit(1'000)
+      .device(4, mn::intel_x540()).name("jumbo_tx")
+      .device(5, mn::intel_x540()).name("jumbo_rx")
+      .link(0, 1).cable(mw::fiber_om3(2.0)).duplex()
+      .link(2, 3).cable(mw::cat5e_gbe(2.0)).duplex()
+      .link(4, 5);
+  auto tb = s.build();
+  CablesRun r;
+  r.shards = tb->shard_count();
+  std::vector<std::unique_ptr<mc::SimLoadGen>> gens;
+  for (int d = 0; d < 4; ++d) {
+    gens.push_back(exchange_frames(tb->port(d), d < 2 ? 10'000 : 1'000,
+                                   r.duplex[static_cast<std::size_t>(d)]));
+  }
+  mc::UdpTemplateOptions jumbo;
+  jumbo.frame_size = 8'996;  // buffer without FCS: a 9000 B frame
+  auto& queue = tb->port(4).tx_queue(0);
+  queue.set_rate_wire_mbit(5'000.0);
+  gens.push_back(mc::SimLoadGen::hardware_paced(queue, mc::make_udp_frame(jumbo)));
+  tick_every_100us(*tb, 2 * ms::kPsPerMs);
+  tb->run_until(2 * ms::kPsPerMs);
+  r.jumbo_rx = tb->port(5).stats().rx_packets;
+  return r;
+}
+
 }  // namespace
 
 TEST(ParallelEquivalence, UnpinnedPairsRunOnWorkersIdenticalToOneShard) {
-  // The loop --shards N takes on the examples: components without
-  // channels, each on its own worker, meeting at the 100 us ticks.
+  // The loop --shards N takes on the examples: components, each on its
+  // own worker, meeting at the 100 us ticks.
   const PairsRun one = run_pairs(1);
   EXPECT_EQ(one.shards, 1u);
   EXPECT_FALSE(one.on_worker);
@@ -494,67 +513,24 @@ TEST(ParallelEquivalence, UnpinnedPairsRunOnWorkersIdenticalToOneShard) {
   for (const int shards : {2, 4}) {
     const PairsRun run = run_pairs(shards);
     EXPECT_EQ(run.shards, 2u) << shards;  // one shard per pair
-    EXPECT_EQ(run.channels, 0u) << shards;
     EXPECT_TRUE(run.on_worker) << shards;
     EXPECT_TRUE(run.rx == one.rx) << shards;
   }
 }
 
-TEST(ParallelLookahead, FiberLinkCrossesShards) {
-  // 2 m of OM3 fiber between 82599s is ~322 ns, less than one max frame at
-  // 10 GbE: usable only because frames reach the link at serialization
-  // start.
-  const auto cable = mw::fiber_om3(2.0);
-  std::size_t one = 0, two = 0;
-  const auto seq = run_duplex(1, mn::intel_82599(), 10'000, cable, &one);
-  const auto two_shards = run_duplex(2, mn::intel_82599(), 10'000, cable, &two);
-  ASSERT_EQ(two, 2u);
-  EXPECT_GT(seq.first.packets, 1'000u);
-  EXPECT_GT(seq.second.packets, 1'000u);
-  EXPECT_TRUE(seq == two_shards);
-}
-
-TEST(ParallelLookahead, GbeCopperLinkCrossesShards) {
-  // A 1 GbE max frame takes 12.3 us to serialize, far more than the cable's
-  // latency; the link still crosses shards with its latency as lookahead.
-  const auto cable = mw::cat5e_gbe(2.0);
-  std::size_t one = 0, two = 0;
-  const auto seq = run_duplex(1, mn::intel_x540(), 1'000, cable, &one);
-  const auto two_shards = run_duplex(2, mn::intel_x540(), 1'000, cable, &two);
-  ASSERT_EQ(two, 2u);
-  EXPECT_GT(seq.first.packets, 100u);
-  EXPECT_GT(seq.second.packets, 100u);
-  EXPECT_TRUE(seq == two_shards);
-}
-
-namespace {
-
-// A 9000 B hardware-paced frame over a default cable between two devices,
-// pinned apart above one shard; returns the frames the far end received.
-std::uint64_t run_jumbo(int shards) {
-  mtb::Scenario s;
-  s.seed(1).shards(shards).telemetry(false).device(0, mn::intel_x540()).name("a");
-  if (shards > 1) s.pin_shard(0);
-  s.device(1, mn::intel_x540()).name("b");
-  if (shards > 1) s.pin_shard(1);
-  auto tb = s.link(0, 1).build();
-  mc::UdpTemplateOptions jumbo;
-  jumbo.frame_size = 8'996;  // buffer without FCS: a 9000 B frame
-  auto& queue = tb->port("a").tx_queue(0);
-  queue.set_rate_wire_mbit(5'000.0);
-  auto gen = mc::SimLoadGen::hardware_paced(queue, mc::make_udp_frame(jumbo));
-  tb->run_until(ms::kPsPerMs);
-  return tb->port("b").stats().rx_packets;
-}
-
-}  // namespace
-
-TEST(ParallelLookahead, JumboFrameCrossesShards) {
-  // A frame's length no longer matters to the lookahead: the link sees it
-  // at serialization start, a full cable latency before it arrives.
-  const std::uint64_t one = run_jumbo(1);
-  EXPECT_GT(one, 50u);
-  EXPECT_EQ(run_jumbo(2), one);
+TEST(ParallelEquivalence, CableVariantsIdenticalAcrossShardCounts) {
+  // Fiber, GbE copper and jumbo frames as three components: --shards 2 runs
+  // the fiber and jumbo beds on one engine.
+  const CablesRun one = run_cables(1);
+  EXPECT_EQ(one.shards, 1u);
+  for (std::size_t d = 0; d < 4; ++d) EXPECT_GT(one.duplex[d].packets, d < 2 ? 1'000u : 100u);
+  EXPECT_GT(one.jumbo_rx, 100u);
+  for (const int shards : {2, 4}) {
+    const CablesRun run = run_cables(shards);
+    EXPECT_EQ(run.shards, shards == 2 ? 2u : 3u) << shards;
+    EXPECT_TRUE(run.duplex == one.duplex) << shards;
+    EXPECT_EQ(run.jumbo_rx, one.jumbo_rx) << shards;
+  }
 }
 
 TEST(ParallelLookahead, CoupledZeroLatencyLinkIsFine) {
@@ -564,7 +540,7 @@ TEST(ParallelLookahead, CoupledZeroLatencyLinkIsFine) {
       .device(0, mn::intel_x540()).name("a")
       .device(1, mn::intel_x540()).name("b")
       .link(0, 1).latency_ns(0)
-      .couple(0, 1);  // same shard: no channel, no lookahead requirement
+      .couple(0, 1);  // one component: the link runs on one engine
   auto tb = s.build();
   EXPECT_EQ(tb->shard_count(), 1u);
 }

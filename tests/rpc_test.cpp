@@ -11,6 +11,7 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -287,16 +288,22 @@ TEST(LatencyRecorder, WritesMachineReadableJson) {
 
 namespace {
 
-// Client and server on a duplex cable; above one shard they are pinned
-// apart, so the cable crosses shards.
-std::unique_ptr<mtb::Testbed> pair_bed(int shards, const mf::FaultSpec& spec = {}) {
+// Client and server on a duplex cable, `copies` times over: copy k has
+// devices 2k (client) and 2k+1 (server) and seeds of its own, and its
+// names after the first copy end in k. Each copy is one component.
+std::unique_ptr<mtb::Testbed> pair_bed(int shards, const mf::FaultSpec& spec = {},
+                                       int copies = 1) {
   mtb::Scenario s;
   s.seed(1).shards(shards).telemetry(false).faults(spec);
-  s.device(0, mn::intel_x540()).name("client").with_seed(10).rx_store(false);
-  if (shards > 1) s.pin_shard(0);
-  s.device(1, mn::intel_x540()).name("server").with_seed(20).rx_store(false);
-  if (shards > 1) s.pin_shard(1);
-  s.link(0, 1).with_seed(30).duplex();
+  for (int k = 0; k < copies; ++k) {
+    const std::uint64_t seed = 100 * static_cast<std::uint64_t>(k);
+    const std::string suffix = k == 0 ? "" : std::to_string(k);
+    s.device(2 * k, mn::intel_x540()).name("client" + suffix).with_seed(seed + 10)
+        .rx_store(false)
+        .device(2 * k + 1, mn::intel_x540()).name("server" + suffix).with_seed(seed + 20)
+        .rx_store(false)
+        .link(2 * k, 2 * k + 1).with_seed(seed + 30).duplex();
+  }
   return s.build();
 }
 
@@ -313,48 +320,72 @@ struct E2eResult {
   std::uint64_t count = 0;
 };
 
-E2eResult run_open(int shards, const mf::FaultSpec& spec, double offered_rps,
-                   double service_us, ms::SimTime end_ps, ms::SimTime timeout_ps) {
-  auto tb = pair_bed(shards, spec);
-  mr::ServerConfig sc;
-  sc.workers = 1;
-  sc.service = mr::ServerConfig::Service::kExponential;
-  sc.service_mean_ps = service_us * static_cast<double>(ms::kPsPerUs);
-  sc.seed = 7;
-  mr::ServerModel server(tb->port("server"), sc);
-  // Arm the server's stall site so `stall@rpc` rules are live probes —
-  // the testbed's fault-rule validation rejects rules with no probe site.
-  if (tb->has_faults()) server.install_faults(*tb->fault_plane(tb->shard_of(1)), "rpc.s0");
+/// An open-loop run on pair_bed: one result per copy, plus the effective
+/// shard count.
+struct OpenRun {
+  std::vector<E2eResult> copies;
+  std::size_t shards = 0;
+};
 
-  mr::LatencyRecorder recorder;
-  mr::WorkloadConfig wc;
-  wc.offered_rps = offered_rps;
-  wc.seed = 42;
-  wc.warmup_ps = end_ps / 10;
-  wc.cooldown_ps = end_ps / 20;
-  wc.timeout_ps = timeout_ps;
-  mr::OpenLoopGenerator gen(tb->port("client"), recorder, wc);
-  gen.start(0, end_ps);
+// Copy k's server seeds its service times with 7 + k, and its client its
+// workload with 42 + k.
+OpenRun run_open(int shards, const mf::FaultSpec& spec, double offered_rps, double service_us,
+                 ms::SimTime end_ps, ms::SimTime timeout_ps, int copies = 1) {
+  auto tb = pair_bed(shards, spec, copies);
+  std::vector<std::unique_ptr<mr::ServerModel>> servers;
+  std::vector<std::unique_ptr<mr::LatencyRecorder>> recorders;
+  std::vector<std::unique_ptr<mr::OpenLoopGenerator>> gens;
+  for (int k = 0; k < copies; ++k) {
+    mr::ServerConfig sc;
+    sc.workers = 1;
+    sc.service = mr::ServerConfig::Service::kExponential;
+    sc.service_mean_ps = service_us * static_cast<double>(ms::kPsPerUs);
+    sc.seed = 7 + static_cast<std::uint64_t>(k);
+    servers.push_back(std::make_unique<mr::ServerModel>(tb->port(2 * k + 1), sc));
+    // Arm the server's stall site so `stall@rpc` rules are live probes —
+    // the testbed's fault-rule validation rejects rules with no probe site.
+    if (tb->has_faults()) {
+      servers.back()->install_faults(*tb->fault_plane(tb->shard_of(2 * k + 1)),
+                                     "rpc.s" + std::to_string(k));
+    }
+    recorders.push_back(std::make_unique<mr::LatencyRecorder>());
+    mr::WorkloadConfig wc;
+    wc.offered_rps = offered_rps;
+    wc.seed = 42 + static_cast<std::uint64_t>(k);
+    wc.warmup_ps = end_ps / 10;
+    wc.cooldown_ps = end_ps / 20;
+    wc.timeout_ps = timeout_ps;
+    gens.push_back(
+        std::make_unique<mr::OpenLoopGenerator>(tb->port(2 * k), *recorders.back(), wc));
+    gens.back()->start(0, end_ps);
+  }
   tb->run_until(end_ps + (timeout_ps > 0 ? 3 * timeout_ps : 5 * ms::kPsPerMs));
 
-  E2eResult out;
-  out.issued = gen.issued();
-  out.matched = gen.matched();
-  out.timed_out = gen.timed_out();
-  out.send_drops = gen.send_drops();
-  out.garbage = gen.garbage();
-  out.inflight_after = gen.inflight();
-  out.peak_inflight = gen.peak_inflight();
-  out.p50_ns = recorder.p50_ns();
-  out.p99_ns = recorder.p99_ns();
-  out.count = recorder.count();
-  return out;
+  OpenRun run;
+  run.shards = tb->shard_count();
+  for (int k = 0; k < copies; ++k) {
+    const mr::OpenLoopGenerator& gen = *gens[static_cast<std::size_t>(k)];
+    const mr::LatencyRecorder& recorder = *recorders[static_cast<std::size_t>(k)];
+    E2eResult out;
+    out.issued = gen.issued();
+    out.matched = gen.matched();
+    out.timed_out = gen.timed_out();
+    out.send_drops = gen.send_drops();
+    out.garbage = gen.garbage();
+    out.inflight_after = gen.inflight();
+    out.peak_inflight = gen.peak_inflight();
+    out.p50_ns = recorder.p50_ns();
+    out.p99_ns = recorder.p99_ns();
+    out.count = recorder.count();
+    run.copies.push_back(out);
+  }
+  return run;
 }
 
 }  // namespace
 
 TEST(RpcPlane, OpenLoopMatchesEveryRequestUnderLightLoad) {
-  const auto r = run_open(1, {}, 50'000.0, 2.0, 50 * ms::kPsPerMs, 0);
+  const auto r = run_open(1, {}, 50'000.0, 2.0, 50 * ms::kPsPerMs, 0).copies[0];
   EXPECT_GT(r.issued, 2000u);
   EXPECT_EQ(r.matched, r.issued);
   EXPECT_EQ(r.timed_out, 0u);
@@ -366,23 +397,37 @@ TEST(RpcPlane, OpenLoopMatchesEveryRequestUnderLightLoad) {
 }
 
 TEST(RpcPlane, RunsAreByteIdenticalAcrossRepeatsAndShards) {
+  // Two client/server pairs: two shards at --shards 2 and 4.
   const auto spec = mf::FaultSpec::parse("seed=3;loss@wire:p=0.005;stall@rpc:p=0.002,param=1e8");
-  const auto base = run_open(1, spec, 80'000.0, 4.0, 60 * ms::kPsPerMs, 5 * ms::kPsPerMs);
-  const auto again = run_open(1, spec, 80'000.0, 4.0, 60 * ms::kPsPerMs, 5 * ms::kPsPerMs);
-  const auto sharded = run_open(2, spec, 80'000.0, 4.0, 60 * ms::kPsPerMs, 5 * ms::kPsPerMs);
-  for (const auto* r : {&again, &sharded}) {
-    EXPECT_EQ(r->issued, base.issued);
-    EXPECT_EQ(r->matched, base.matched);
-    EXPECT_EQ(r->timed_out, base.timed_out);
-    EXPECT_EQ(r->p50_ns, base.p50_ns);
-    EXPECT_EQ(r->p99_ns, base.p99_ns);
-    EXPECT_EQ(r->count, base.count);
+  const auto run = [&spec](int shards) {
+    return run_open(shards, spec, 80'000.0, 4.0, 60 * ms::kPsPerMs, 5 * ms::kPsPerMs, 2);
+  };
+  const OpenRun base = run(1);
+  EXPECT_EQ(base.shards, 1u);
+  const OpenRun again = run(1);
+  const OpenRun two = run(2);
+  const OpenRun four = run(4);
+  EXPECT_EQ(two.shards, 2u);
+  EXPECT_EQ(four.shards, 2u);
+  for (const OpenRun* r : {&again, &two, &four}) {
+    ASSERT_EQ(r->copies.size(), 2u);
+    for (std::size_t k = 0; k < 2; ++k) {
+      SCOPED_TRACE("copy " + std::to_string(k) + " on " + std::to_string(r->shards) + " shards");
+      const E2eResult& got = r->copies[k];
+      const E2eResult& want = base.copies[k];
+      EXPECT_EQ(got.issued, want.issued);
+      EXPECT_EQ(got.matched, want.matched);
+      EXPECT_EQ(got.timed_out, want.timed_out);
+      EXPECT_EQ(got.p50_ns, want.p50_ns);
+      EXPECT_EQ(got.p99_ns, want.p99_ns);
+      EXPECT_EQ(got.count, want.count);
+    }
   }
 }
 
 TEST(RpcPlane, LossFaultsTimeOutAndEveryEntryIsReclaimed) {
   const auto spec = mf::FaultSpec::parse("seed=5;loss@wire:p=0.01");
-  const auto r = run_open(1, spec, 60'000.0, 3.0, 80 * ms::kPsPerMs, 5 * ms::kPsPerMs);
+  const auto r = run_open(1, spec, 60'000.0, 3.0, 80 * ms::kPsPerMs, 5 * ms::kPsPerMs).copies[0];
   EXPECT_GT(r.timed_out, 0u);
   EXPECT_LT(r.matched, r.issued);
   // Conservation: every issued request was matched, timed out, or dropped
@@ -421,7 +466,7 @@ TEST(RpcPlane, OpenLoopTailExceedsClosedLoopNearSaturation) {
   // capacity). The open loop keeps departing while queues build; the
   // closed loop's 16 users throttle. The open p99 must be strictly worse.
   const ms::SimTime end_ps = 300 * ms::kPsPerMs;
-  const auto open = run_open(1, {}, 120'000.0, 8.0, end_ps, 0);
+  const auto open = run_open(1, {}, 120'000.0, 8.0, end_ps, 0).copies[0];
 
   auto tb = pair_bed(1);
   mr::ServerConfig sc;

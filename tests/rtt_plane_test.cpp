@@ -44,31 +44,45 @@ namespace mtb = moongen::testbed;
 
 namespace {
 
-/// The l2_load_latency topology: generator -> forwarder DuT -> sink. Above
-/// one shard, {gen_tx, sink} and the DuT pair are pinned apart, so both
-/// links cross shards.
-mtb::Scenario l2_scenario(int shards, const std::string& faults = "") {
+/// The l2_load_latency topology: generator -> forwarder DuT -> sink,
+/// `copies` times over. Each copy is one component; copy k has devices
+/// 4k..4k+3 and seeds of its own, and its names after the first copy end
+/// in k.
+mtb::Scenario l2_scenario(int shards, const std::string& faults = "", int copies = 1) {
   mtb::Scenario sc;
-  sc.seed(1).shards(shards).device(0, mn::intel_x540()).name("gen_tx").with_seed(1);
-  if (shards > 1) sc.pin_shard(0);
-  sc.device(1, mn::intel_x540()).name("dut_in").with_seed(2).rtt_record(false);
-  if (shards > 1) sc.pin_shard(1);
-  sc.device(2, mn::intel_x540()).name("dut_out").with_seed(3).rtt_record(false)
-      .device(3, mn::intel_x540()).name("sink").with_seed(4).rx_store(false)
-      .link(0, 1).with_seed(5)
-      .link(2, 3).with_seed(6)
-      .forwarder(1, 2)
-      .couple(0, 3);
+  sc.seed(1).shards(shards);
+  for (int k = 0; k < copies; ++k) {
+    const int d = 4 * k;
+    const std::uint64_t seed = 10 * static_cast<std::uint64_t>(k);
+    const std::string suffix = k == 0 ? "" : std::to_string(k);
+    sc.device(d, mn::intel_x540()).name("gen_tx" + suffix).with_seed(seed + 1)
+        .device(d + 1, mn::intel_x540()).name("dut_in" + suffix).with_seed(seed + 2)
+        .rtt_record(false)
+        .device(d + 2, mn::intel_x540()).name("dut_out" + suffix).with_seed(seed + 3)
+        .rtt_record(false)
+        .device(d + 3, mn::intel_x540()).name("sink" + suffix).with_seed(seed + 4)
+        .rx_store(false)
+        .link(d, d + 1).with_seed(seed + 5)
+        .link(d + 2, d + 3).with_seed(seed + 6)
+        .forwarder(d + 1, d + 2)
+        .couple(d, d + 3);
+  }
   if (!faults.empty()) sc.faults(faults);
   return sc;
 }
 
-std::unique_ptr<mc::SimLoadGen> start_load(mtb::Testbed& tb, double rate_mpps) {
+/// Loads every copy's generator with 96 B hardware-paced frames.
+std::vector<std::unique_ptr<mc::SimLoadGen>> start_load(mtb::Testbed& tb, double rate_mpps) {
   mc::UdpTemplateOptions bg;
   bg.frame_size = 96;
-  auto& queue = tb.port("gen_tx").tx_queue(0);
-  queue.set_rate_mpps(rate_mpps, 100);
-  return mc::SimLoadGen::hardware_paced(queue, mc::make_udp_frame(bg));
+  std::vector<std::unique_ptr<mc::SimLoadGen>> gens;
+  for (const int id : tb.device_ids()) {
+    if (id % 4 != 0) continue;
+    auto& queue = tb.port(id).tx_queue(0);
+    queue.set_rate_mpps(rate_mpps, 100);
+    gens.push_back(mc::SimLoadGen::hardware_paced(queue, mc::make_udp_frame(bg)));
+  }
+  return gens;
 }
 
 std::string serialize_windows(const mt::RttPlane& plane) {
@@ -168,16 +182,18 @@ TEST(RttPlaneUnit, WindowJsonIsSingleLineWithSchema) {
 // ---------------------------------------------------------------------------
 
 TEST(RttPlaneScenario, WindowStreamIsByteIdenticalAcrossShardCounts) {
+  // Two copies of the topology: two shards at --shards 2 and 4.
   std::vector<std::string> streams;
   std::vector<std::uint64_t> recorded;
   for (int shards : {1, 2, 4}) {
-    auto tb = l2_scenario(shards).rtt_groups(2).build();
-    auto gen = start_load(*tb, 1.0);
+    auto tb = l2_scenario(shards, "", 2).rtt_groups(2).build();
+    EXPECT_EQ(tb->shard_count(), shards == 1 ? 1u : 2u);
+    auto gens = start_load(*tb, 1.0);
     tb->run_until(500 * ms::kPsPerMs);  // 5 windows at the default 100 ms
     ASSERT_TRUE(tb->has_rtt_plane());
     auto& plane = tb->rtt_plane();
     EXPECT_EQ(plane.windows_closed(), 5u);
-    EXPECT_GT(plane.recorded(), 100'000u);  // ~500k frames at 1 Mpps
+    EXPECT_GT(plane.recorded(), 200'000u);  // ~500k frames per copy at 1 Mpps
     streams.push_back(serialize_windows(plane));
     recorded.push_back(plane.recorded());
   }
@@ -189,7 +205,7 @@ TEST(RttPlaneScenario, WindowStreamIsByteIdenticalAcrossShardCounts) {
 
 TEST(RttPlaneScenario, MidJourneyPortsCountConservationButDoNotRecord) {
   auto tb = l2_scenario(1).build();
-  auto gen = start_load(*tb, 1.0);
+  auto gens = start_load(*tb, 1.0);
   tb->run_until(100 * ms::kPsPerMs);
   auto& plane = tb->rtt_plane();
   // Every frame is seen twice (dut_in mid-journey + sink end-to-end) but
@@ -208,7 +224,7 @@ TEST(RttPlaneScenario, MidJourneyPortsCountConservationButDoNotRecord) {
 
 TEST(RttPlaneScenario, LostStampsCountAsDropsUnderFaultLoss) {
   auto tb = l2_scenario(1, "seed=7;loss@wire.l1:p=0.05").build();
-  auto gen = start_load(*tb, 1.0);
+  auto gens = start_load(*tb, 1.0);
   tb->run_until(200 * ms::kPsPerMs);
   auto& plane = tb->rtt_plane();
   const auto wire_drops = tb->link(0, 1).fault_drops();
@@ -299,10 +315,11 @@ TEST(HandleParity, DefaultConstructedHandlesAreInertNoOps) {
 TEST(StreamTelemetry, WritesSnapshotsAndRttWindowsToFile) {
   const std::string path = ::testing::TempDir() + "rtt_stream_test.jsonl";
   {
-    auto sc = l2_scenario(2);
+    auto sc = l2_scenario(2, "", 2);
     sc.stream_telemetry(path, 100'000'000);  // one tick per 100 ms window
     auto tb = sc.build();
-    auto gen = start_load(*tb, 1.0);
+    ASSERT_EQ(tb->shard_count(), 2u);
+    auto gens = start_load(*tb, 1.0);
     tb->run_until(300 * ms::kPsPerMs);
     ASSERT_NE(tb->stream(), nullptr);
     EXPECT_EQ(tb->stream()->ticks(), 3u);
@@ -327,7 +344,7 @@ TEST(StreamTelemetry, StreamingDoesNotPerturbTheSimulatedRun) {
     auto sc = l2_scenario(1);
     if (streamed) sc.stream_telemetry(path, 100'000'000);
     auto tb = sc.build();
-    auto gen = start_load(*tb, 1.0);
+    auto gens = start_load(*tb, 1.0);
     tb->run_until(300 * ms::kPsPerMs);
     (streamed ? with_stream : without_stream) = serialize_windows(tb->rtt_plane());
     (streamed ? tx_with : tx_without) = tb->port("gen_tx").stats().tx_packets;
@@ -344,10 +361,11 @@ TEST(StreamTelemetry, EachStreamedSnapshotEqualsTheMatchingSeriesEntry) {
   std::vector<std::string> expected;
   for (const int shards : {1, 2}) {
     {
-      auto sc = l2_scenario(shards);
+      auto sc = l2_scenario(shards, "", shards);
       sc.sample_telemetry(100'000'000).stream_telemetry(path, 100'000'000);
       auto tb = sc.build();
-      auto gen = start_load(*tb, 1.0);
+      ASSERT_EQ(tb->shard_count(), static_cast<std::size_t>(shards));
+      auto gens = start_load(*tb, 1.0);
       tb->run_until(300 * ms::kPsPerMs);
       const auto series = tb->series();
       ASSERT_EQ(series.size(), 4u);  // t=0 plus three ticks

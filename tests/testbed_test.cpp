@@ -35,23 +35,25 @@ namespace mtb = moongen::testbed;
 
 namespace {
 
-// The standard 4-device fig10 topology used throughout. Its links join
-// its two coupling groups, {gen_tx, sink} and the DuT pair, into one
-// component, so it runs on one shard unless `split` pins the groups apart;
-// its two links then cross shards.
-mtb::Scenario fig10_scenario(int shards, bool split = false) {
-  const bool pin = split && shards > 1;
+// The standard 4-device fig10 topology used throughout, `copies` times
+// over. Its links join its two coupling groups, {gen_tx, sink} and the DuT
+// pair, into one component, so each copy is one component. Copy k has
+// devices 4k..4k+3; names after the first copy end in k.
+mtb::Scenario fig10_scenario(int shards, int copies = 1) {
   mtb::Scenario s;
-  s.seed(1).shards(shards).telemetry(true).device(0, mn::intel_x540()).name("gen_tx");
-  if (pin) s.pin_shard(0);
-  s.device(1, mn::intel_x540()).name("dut_in");
-  if (pin) s.pin_shard(1);
-  s.device(2, mn::intel_x540()).name("dut_out")
-      .device(3, mn::intel_x540()).name("sink")
-      .link(0, 1)
-      .link(2, 3)
-      .forwarder(1, 2)
-      .couple(0, 3);
+  s.seed(1).shards(shards).telemetry(true);
+  for (int k = 0; k < copies; ++k) {
+    const int d = 4 * k;
+    const std::string suffix = k == 0 ? "" : std::to_string(k);
+    s.device(d, mn::intel_x540()).name("gen_tx" + suffix)
+        .device(d + 1, mn::intel_x540()).name("dut_in" + suffix)
+        .device(d + 2, mn::intel_x540()).name("dut_out" + suffix)
+        .device(d + 3, mn::intel_x540()).name("sink" + suffix)
+        .link(d, d + 1)
+        .link(d + 2, d + 3)
+        .forwarder(d + 1, d + 2)
+        .couple(d, d + 3);
+  }
   return s;
 }
 
@@ -97,25 +99,6 @@ TEST(Scenario, RejectsDeviceModifierOnLinkCursor) {
   EXPECT_THROW(s.rx_store(false), std::logic_error);  // link is current
 }
 
-TEST(Scenario, RejectsConflictingPinsInOneGroup) {
-  mtb::Scenario s;
-  s.shards(2)
-      .device(0, mn::intel_x540()).pin_shard(0)
-      .device(1, mn::intel_x540()).pin_shard(1)
-      .couple(0, 1);
-  EXPECT_THROW((void)s.build(), std::invalid_argument);
-}
-
-TEST(Scenario, RejectsPinBeyondEffectiveShards) {
-  mtb::Scenario s;
-  s.shards(4)
-      .device(0, mn::intel_x540()).pin_shard(3)  // only 2 groups -> 2 shards
-      .device(1, mn::intel_x540())
-      .device(2, mn::intel_x540())
-      .couple(1, 2);
-  EXPECT_THROW((void)s.build(), std::invalid_argument);
-}
-
 TEST(Scenario, RejectsMalformedFaultSpec) {
   mtb::Scenario s;
   EXPECT_THROW(s.faults("loss@wire.l1:p=not_a_number"), std::invalid_argument);
@@ -135,14 +118,12 @@ TEST(Scenario, SingleShardByDefault) {
 
 TEST(Scenario, ShardCountCappedAtGroupCount) {
   // fig10's links join its two coupling groups, {0,3} and {1,2}, into one
-  // component: asking for 8 shards yields 1. Pinned apart, the groups are
-  // two components, and 8 shards yield 2, not 8 idle engines.
-  auto joined = fig10_scenario(8).build();
-  EXPECT_EQ(joined->shard_count(), 1u);
-  EXPECT_EQ(joined->runtime().channel_count(), 0u);
-  auto split = fig10_scenario(8, /*split=*/true).build();
-  EXPECT_EQ(split->shard_count(), 2u);
-  EXPECT_EQ(split->runtime().channel_count(), 2u);
+  // component: asking for 8 shards yields 1. Two copies are two
+  // components, and 8 shards yield 2, not 8 idle engines.
+  auto one = fig10_scenario(8).build();
+  EXPECT_EQ(one->shard_count(), 1u);
+  auto two = fig10_scenario(8, 2).build();
+  EXPECT_EQ(two->shard_count(), 2u);
 }
 
 TEST(Scenario, FullyCoupledScenarioIsSequential) {
@@ -153,32 +134,25 @@ TEST(Scenario, FullyCoupledScenarioIsSequential) {
 }
 
 TEST(Scenario, CoupledDevicesShareAShard) {
-  // Pins on gen_tx and dut_in reach their coupled partners.
-  auto tb = fig10_scenario(2, /*split=*/true).build();
+  // fig10 without its links: couple(0, 3) and forwarder(1, 2) alone make
+  // two components, each on one shard.
+  mtb::Scenario s;
+  s.shards(2)
+      .device(0, mn::intel_x540())
+      .device(1, mn::intel_x540())
+      .device(2, mn::intel_x540())
+      .device(3, mn::intel_x540())
+      .forwarder(1, 2)
+      .couple(0, 3);
+  auto tb = s.build();
+  EXPECT_EQ(tb->shard_count(), 2u);
   EXPECT_EQ(tb->shard_of(0), tb->shard_of(3));  // couple(0, 3)
   EXPECT_EQ(tb->shard_of(1), tb->shard_of(2));  // forwarder(1, 2)
   EXPECT_NE(tb->shard_of(0), tb->shard_of(1));
 }
 
-TEST(Scenario, PinShardIsHonored) {
-  mtb::Scenario s;
-  s.shards(2)
-      .device(0, mn::intel_x540()).pin_shard(1)
-      .device(1, mn::intel_x540()).pin_shard(0)
-      .device(2, mn::intel_x540())
-      .device(3, mn::intel_x540())
-      .link(0, 1)
-      .couple(0, 2)
-      .couple(1, 3);
-  auto tb = s.build();
-  EXPECT_EQ(tb->shard_of(0), 1u);
-  EXPECT_EQ(tb->shard_of(2), 1u);
-  EXPECT_EQ(tb->shard_of(1), 0u);
-  EXPECT_EQ(tb->shard_of(3), 0u);
-}
-
 // ---------------------------------------------------------------------------
-// Placement rule: a link joins components unless pins hold them apart
+// Placement rule: a link joins its ends into one component
 // ---------------------------------------------------------------------------
 
 TEST(Scenario, LinkJoinsItsEndsIntoOneComponent) {
@@ -186,60 +160,7 @@ TEST(Scenario, LinkJoinsItsEndsIntoOneComponent) {
   s.shards(2).device(0, mn::intel_x540()).device(1, mn::intel_x540()).link(0, 1);
   auto tb = s.build();
   EXPECT_EQ(tb->shard_count(), 1u);
-  EXPECT_EQ(tb->runtime().channel_count(), 0u);
-  EXPECT_FALSE(tb->link(0, 1).remote());
-}
-
-TEST(Scenario, LinkBetweenDifferentlyPinnedComponentsKeepsAChannel) {
-  mtb::Scenario s;
-  s.shards(2)
-      .device(0, mn::intel_x540()).pin_shard(0)
-      .device(1, mn::intel_x540())
-      .device(2, mn::intel_x540()).pin_shard(1)
-      .couple(1, 2)  // device 1's component is pinned through device 2
-      .link(0, 1).duplex();
-  auto tb = s.build();
-  EXPECT_EQ(tb->shard_count(), 2u);
-  EXPECT_EQ(tb->shard_of(1), 1u);
-  EXPECT_EQ(tb->runtime().channel_count(), 2u);
-  EXPECT_TRUE(tb->link(0, 1).remote());
-  EXPECT_TRUE(tb->link(1, 0).remote());
-}
-
-TEST(Scenario, PinChainResolvesInLinkDeclarationOrder) {
-  // 0 (pinned to 0) -- 1 (unpinned) -- 2 (pinned to 1): the first declared
-  // link takes device 1 into its pinned component, so the second one joins
-  // differently pinned components and becomes the channel.
-  for (const bool left_first : {true, false}) {
-    mtb::Scenario s;
-    s.shards(2)
-        .device(0, mn::intel_x540()).pin_shard(0)
-        .device(1, mn::intel_x540())
-        .device(2, mn::intel_x540()).pin_shard(1);
-    if (left_first) {
-      s.link(0, 1).link(1, 2);
-    } else {
-      s.link(1, 2).link(0, 1);
-    }
-    auto tb = s.build();
-    EXPECT_EQ(tb->runtime().channel_count(), 1u) << left_first;
-    EXPECT_EQ(tb->shard_of(1), left_first ? 0u : 1u);
-    EXPECT_EQ(tb->link(0, 1).remote(), !left_first);
-    EXPECT_EQ(tb->link(1, 2).remote(), left_first);
-  }
-}
-
-TEST(Scenario, PinOnOneEndDoesNotCutALink) {
-  // Only device 0 is pinned: the link still joins both devices, so there is
-  // one component, one shard, and no shard 1 to pin to.
-  mtb::Scenario s;
-  s.shards(2).device(0, mn::intel_x540()).pin_shard(1).device(1, mn::intel_x540()).link(0, 1);
-  try {
-    (void)s.build();
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("over 1 components"), std::string::npos) << e.what();
-  }
+  EXPECT_EQ(tb->shard_of(0), tb->shard_of(1));
 }
 
 TEST(Scenario, EffectiveShardsAreMinOfRequestedAndComponents) {
@@ -253,7 +174,6 @@ TEST(Scenario, EffectiveShardsAreMinOfRequestedAndComponents) {
           .link(2 * p, 2 * p + 1).duplex();
     auto tb = s.build();
     EXPECT_EQ(tb->shard_count(), static_cast<std::size_t>(std::min(requested, 3))) << requested;
-    EXPECT_EQ(tb->runtime().channel_count(), 0u);
     for (int p = 0; p < 3; ++p) EXPECT_EQ(tb->shard_of(2 * p), tb->shard_of(2 * p + 1));
   }
 }
@@ -343,7 +263,6 @@ TEST(Scenario, ExampleAndBenchTopologiesBuildNoChannels) {
   for (const Case& c : cases) {
     for (const int shards : {1, 2, 4}) {
       auto tb = c.make(shards).build();
-      EXPECT_EQ(tb->runtime().channel_count(), 0u) << c.name << " at " << shards;
       EXPECT_EQ(tb->shard_count(), std::min<std::size_t>(shards, c.components))
           << c.name << " at " << shards;
     }
@@ -364,12 +283,12 @@ TEST(Scenario, HwPacedPlacementIsRoundRobinOverPairs) {
 }
 
 TEST(Testbed, MultiShardEngineLookupNeedsDeviceId) {
-  auto tb = fig10_scenario(2, /*split=*/true).build();
+  auto tb = fig10_scenario(2, 2).build();
   EXPECT_THROW((void)tb->engine(), std::logic_error);
   EXPECT_NO_THROW((void)tb->engine(0));
-  // Devices in one group resolve to the same engine object.
-  EXPECT_EQ(&tb->engine(1), &tb->engine(2));
-  EXPECT_NE(&tb->engine(0), &tb->engine(1));
+  // Devices in one component resolve to the same engine object.
+  EXPECT_EQ(&tb->engine(0), &tb->engine(2));
+  EXPECT_NE(&tb->engine(0), &tb->engine(4));
 }
 
 // ---------------------------------------------------------------------------
@@ -417,7 +336,7 @@ TEST(Testbed, SequentialTelemetryKeepsLegacyEnginePrefix) {
 }
 
 TEST(Testbed, ShardedTelemetryUsesPerShardPrefixes) {
-  auto tb = fig10_scenario(2, /*split=*/true).build();
+  auto tb = fig10_scenario(2, 2).build();
   tb->run_for(0.0001);
   const auto snap = tb->snapshot();
   EXPECT_TRUE(has_counter(snap, "engine.shard0.events_executed"));
@@ -440,7 +359,7 @@ TEST(Testbed, ExternalRegistryIsUsedWhenProvided) {
 // ---------------------------------------------------------------------------
 
 TEST(Telemetry, SampledSeriesOpensAtZeroAndTicksEveryPeriod) {
-  mtb::Scenario s = fig10_scenario(2, /*split=*/true);
+  mtb::Scenario s = fig10_scenario(2, 2);
   s.sample_telemetry(100'000'000);
   auto tb = s.build();
   tb->run_until(300 * ms::kPsPerMs);
@@ -462,10 +381,11 @@ TEST(Telemetry, SampledSeriesKeepsTheNewestSnapshots) {
 
 TEST(Telemetry, SnapshotCountsEveryEngineEventWithoutAPublishCall) {
   for (const int shards : {1, 2}) {
-    auto tb = fig10_scenario(shards, /*split=*/true).build();
+    auto tb = fig10_scenario(shards, 2).build();
     mc::UdpTemplateOptions opts;
     opts.frame_size = 96;
-    for (int i = 0; i < 50; ++i) tb->port("gen_tx").tx_queue(0).post(mc::make_udp_frame(opts));
+    for (const char* gen : {"gen_tx", "gen_tx1"})
+      for (int i = 0; i < 50; ++i) tb->port(gen).tx_queue(0).post(mc::make_udp_frame(opts));
     tb->run_for(0.001);
     std::uint64_t executed = 0;
     for (std::size_t k = 0; k < tb->shard_count(); ++k)
@@ -577,10 +497,9 @@ TEST(Telemetry, RpcGaugesMatchTheirAccessorsAtEveryTick) {
   }
 }
 
-// Before each window every channel delivers exactly the frames sent before
-// it, so each shard schedules every frame from the same engine time in
-// every run: the per-shard engine counters (wheel vs heap placement
-// included) repeat exactly, like stdout.
+// Shards share nothing, so each shard's event order is a function of its
+// own components: the per-shard engine counters (wheel vs heap placement
+// included) repeat exactly from run to run, like stdout.
 namespace {
 
 using EngineCounters = std::vector<std::pair<std::string, std::uint64_t>>;
@@ -593,25 +512,27 @@ EngineCounters engine_counters(mtb::Testbed& tb) {
 }
 
 EngineCounters fig10_engine_counters() {
-  auto tb = fig10_scenario(2, /*split=*/true).build();
+  // Two copies, one per shard, both loaded.
+  auto tb = fig10_scenario(2, 2).build();
   mc::UdpTemplateOptions opts;
   opts.frame_size = 96;
-  auto& queue = tb->port("gen_tx").tx_queue(0);
-  queue.set_rate_mpps(2.0, 100);
-  auto gen = mc::SimLoadGen::hardware_paced(queue, mc::make_udp_frame(opts));
+  std::vector<std::unique_ptr<mc::SimLoadGen>> gens;
+  for (const char* gen : {"gen_tx", "gen_tx1"}) {
+    auto& queue = tb->port(gen).tx_queue(0);
+    queue.set_rate_mpps(2.0, 100);
+    gens.push_back(mc::SimLoadGen::hardware_paced(queue, mc::make_udp_frame(opts)));
+  }
   tb->run_until(20 * ms::kPsPerMs);
   return engine_counters(*tb);
 }
 
 EngineCounters rpc_engine_counters() {
-  // Every device pinned to its own shard: both duplex links cross shards.
+  // Four client/server pairs, one per shard.
   mtb::Scenario s;
   s.seed(1).shards(4);
-  for (int i = 0; i < 2; ++i) {
+  for (int i = 0; i < 4; ++i) {
     s.device(2 * i, mn::intel_x540()).name("client" + std::to_string(i)).rx_store(false)
-        .pin_shard(2 * i)
         .device(2 * i + 1, mn::intel_x540()).name("server" + std::to_string(i)).rx_store(false)
-        .pin_shard(2 * i + 1)
         .link(2 * i, 2 * i + 1).duplex();
   }
   auto tb = s.build();
@@ -619,7 +540,7 @@ EngineCounters rpc_engine_counters() {
   std::vector<std::unique_ptr<mr::ServerModel>> servers;
   std::vector<std::unique_ptr<mr::LatencyRecorder>> recorders;
   std::vector<std::unique_ptr<mr::OpenLoopGenerator>> clients;
-  for (int i = 0; i < 2; ++i) {
+  for (int i = 0; i < 4; ++i) {
     mr::ServerConfig sc;
     sc.service_mean_ps = 8.0 * 1e6;
     sc.seed = 100 + static_cast<std::uint64_t>(i);
@@ -655,7 +576,7 @@ TEST(Testbed, ShardedEngineCountersRepeatAcrossRuns) {
 // ---------------------------------------------------------------------------
 
 TEST(Testbed, FaultSitesLandOnTheOwningShardsPlane) {
-  mtb::Scenario s = fig10_scenario(2, /*split=*/true);
+  mtb::Scenario s = fig10_scenario(2, 2);
   s.faults("loss@wire.l1:p=1");  // drop everything on link 0->1
   auto tb = s.build();
   EXPECT_TRUE(tb->has_faults());
