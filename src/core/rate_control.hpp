@@ -121,9 +121,11 @@ class CrcGapFiller {
  public:
   explicit CrcGapFiller(GapFillerConfig config = {}) : cfg_(config) {}
 
-  /// Returns the wire lengths of the invalid frames filling `gap_bytes` of
-  /// wire time. May return an empty vector (back-to-back, or carry-over).
-  std::vector<std::size_t> fill(std::size_t gap_bytes);
+  /// Writes the wire lengths of the invalid frames filling `gap_bytes` of
+  /// wire time into `out`, which is cleared first and may stay empty
+  /// (back-to-back, or carry-over). A caller that passes the same vector
+  /// every time allocates only while its capacity grows.
+  void fill(std::size_t gap_bytes, std::vector<std::size_t>& out);
 
   [[nodiscard]] std::size_t carry_bytes() const { return carry_; }
   [[nodiscard]] std::uint64_t skipped_gaps() const { return skipped_; }

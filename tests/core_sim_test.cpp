@@ -8,6 +8,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/rate_control.hpp"
 #include "core/timestamper.hpp"
@@ -114,18 +115,22 @@ TEST(Patterns, BurstPatternAlternates) {
 
 TEST(CrcGapFiller, ZeroGapMeansBackToBack) {
   mc::CrcGapFiller filler;
-  EXPECT_TRUE(filler.fill(0).empty());
+  std::vector<std::size_t> fillers;
+  filler.fill(0, fillers);
+  EXPECT_TRUE(fillers.empty());
   EXPECT_EQ(filler.carry_bytes(), 0u);
 }
 
 TEST(CrcGapFiller, ShortGapCarriedOver) {
   mc::CrcGapFiller filler;
+  std::vector<std::size_t> fillers;
   // 40 bytes < 76 minimum: unrepresentable, carried to the next gap.
-  EXPECT_TRUE(filler.fill(40).empty());
+  filler.fill(40, fillers);
+  EXPECT_TRUE(fillers.empty());
   EXPECT_EQ(filler.carry_bytes(), 40u);
   EXPECT_EQ(filler.skipped_gaps(), 1u);
   // Next gap is lengthened by the carry.
-  const auto fillers = filler.fill(100);
+  filler.fill(100, fillers);
   std::size_t total = 0;
   for (auto f : fillers) total += f;
   EXPECT_EQ(total, 140u);
@@ -134,7 +139,8 @@ TEST(CrcGapFiller, ShortGapCarriedOver) {
 
 TEST(CrcGapFiller, LargeGapSplitsIntoValidSizes) {
   mc::CrcGapFiller filler;
-  const auto fillers = filler.fill(10'000);
+  std::vector<std::size_t> fillers;
+  filler.fill(10'000, fillers);
   std::size_t total = 0;
   for (auto f : fillers) {
     EXPECT_GE(f, filler.config().min_wire_len);
@@ -149,11 +155,13 @@ TEST(CrcGapFiller, PropertySweepConservesBytes) {
   // every emitted filler is within [min, max].
   std::mt19937_64 rng(1234);
   mc::CrcGapFiller filler;
+  std::vector<std::size_t> fillers;
   std::uint64_t requested = 0, emitted = 0;
   for (int i = 0; i < 100'000; ++i) {
     const std::size_t gap = rng() % 4'000;
     requested += gap;
-    for (auto f : filler.fill(gap)) {
+    filler.fill(gap, fillers);
+    for (auto f : fillers) {
       EXPECT_GE(f, filler.config().min_wire_len);
       EXPECT_LE(f, filler.config().max_wire_len);
       emitted += f;
@@ -169,8 +177,10 @@ TEST(CrcGapFiller, EdgeCasesAroundMaxLength) {
        {cfg.max_wire_len, cfg.max_wire_len + 1, cfg.max_wire_len + cfg.min_wire_len - 1,
         cfg.max_wire_len + cfg.min_wire_len, 2 * cfg.max_wire_len, 3 * cfg.max_wire_len + 7}) {
     mc::CrcGapFiller f;
+    std::vector<std::size_t> pieces;
+    f.fill(gap, pieces);
     std::size_t total = 0;
-    for (auto piece : f.fill(gap)) {
+    for (auto piece : pieces) {
       EXPECT_GE(piece, cfg.min_wire_len) << "gap=" << gap;
       EXPECT_LE(piece, cfg.max_wire_len) << "gap=" << gap;
       total += piece;

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "core/rate_control.hpp"
 #include "core/task.hpp"
@@ -183,15 +184,35 @@ TEST(EdgeCases, GapFillerMinEqualsMax) {
   cfg.min_wire_len = 100;
   cfg.max_wire_len = 100;
   mc::CrcGapFiller filler(cfg);
-  const auto out = filler.fill(300);
+  std::vector<std::size_t> out;
+  filler.fill(300, out);
   EXPECT_EQ(out.size(), 3u);
   for (auto piece : out) EXPECT_EQ(piece, 100u);
   // 250 = 2 x 100 + 50 carry.
   mc::CrcGapFiller f2(cfg);
-  const auto out2 = f2.fill(250);
+  std::vector<std::size_t> out2;
+  f2.fill(250, out2);
   std::size_t total = 0;
   for (auto piece : out2) total += piece;
   EXPECT_EQ(total + f2.carry_bytes(), 250u);
+}
+
+TEST(EdgeCases, GapFillerRefillsOneVector) {
+  // One vector across calls, as SimLoadGen keeps its pending gaps: each
+  // call clears it first, so a carried short gap leaves nothing of the
+  // long gap before it, and the buffer is reused rather than reallocated.
+  mc::CrcGapFiller filler;  // defaults: 76..1538 wire bytes
+  std::vector<std::size_t> out;
+  filler.fill(3'000, out);
+  EXPECT_EQ(out, (std::vector<std::size_t>{1'538, 1'462}));
+  const std::size_t* buffer = out.data();
+  filler.fill(40, out);  // under 76 bytes: carried to the next gap
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(filler.carry_bytes(), 40u);
+  filler.fill(100, out);  // lengthened by the carry
+  EXPECT_EQ(out, (std::vector<std::size_t>{140}));
+  EXPECT_EQ(filler.carry_bytes(), 0u);
+  EXPECT_EQ(out.data(), buffer);
 }
 
 TEST(EdgeCases, CbrPatternSurvivesExtremeRates) {
