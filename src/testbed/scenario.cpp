@@ -377,9 +377,12 @@ std::unique_ptr<Testbed> Scenario::build() {
   for (std::size_t li = 0; li < expanded.size(); ++li) {
     const LinkDecl& l = expanded[li];
     const std::uint64_t link_seed = l.seed ? *l.seed : mix_seed(seed_ ^ 0x77697265ull, li);
-    tb->links_.push_back(Testbed::LinkEntry{
-        l.from, l.to,
-        std::make_unique<wire::Link>(tb->port(l.from), tb->port(l.to), l.cable, link_seed)});
+    Testbed::LinkEntry entry;
+    entry.from = l.from;
+    entry.to = l.to;
+    entry.link = std::make_unique<wire::Link>(tb->port(l.from), tb->port(l.to), l.cable,
+                                              link_seed);
+    tb->links_.push_back(std::move(entry));
   }
 
   // 8. Forwarders and vswitches, in declaration order.
