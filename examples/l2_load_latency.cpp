@@ -23,10 +23,8 @@
 // recovery counters are printed and exported with the telemetry.
 //
 // `--shards N` is accepted, but the cables join generator+sink and the DuT
-// pair into one component, so the testbed runs on one event engine: cutting
-// a cable would cost a cross-shard window per cable latency, more than the
-// work it carries (DESIGN.md Section 10). The output is byte-identical to
-// --shards 1.
+// pair into one component, and a component runs on one event engine
+// (DESIGN.md Section 10). The output is byte-identical to --shards 1.
 #include <cstdio>
 #include <memory>
 #include <string_view>
