@@ -6,6 +6,26 @@
 
 namespace moongen::core {
 
+namespace {
+
+/// `frame` with a copy of its payload whose reference count has a cache
+/// line of its own. Every frame a generator sends copies its template's
+/// payload pointer, writing that count several times per frame, and
+/// templates are built on one thread, next to other shards' templates: a
+/// count that shares a line with another shard's data bounces between
+/// their cores (hwpaced_4x40g at 4 shards took 10-30% more CPU in some
+/// heap layouts).
+nic::Frame with_own_payload(nic::Frame frame) {
+  struct alignas(64) Payload {
+    std::vector<std::uint8_t> bytes;
+  };
+  auto owner = std::make_shared<Payload>(Payload{*frame.data});
+  frame.data = std::shared_ptr<const std::vector<std::uint8_t>>(owner, &owner->bytes);
+  return frame;
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // CrcGapFiller
 // ---------------------------------------------------------------------------
@@ -43,7 +63,7 @@ void CrcGapFiller::fill(std::size_t gap_bytes, std::vector<std::size_t>& out) {
 std::unique_ptr<SimLoadGen> SimLoadGen::hardware_paced(nic::TxQueueModel& queue,
                                                        nic::Frame frame) {
   auto gen = std::unique_ptr<SimLoadGen>(new SimLoadGen());
-  gen->frame_ = std::move(frame);
+  gen->frame_ = with_own_payload(std::move(frame));
   SimLoadGen* raw = gen.get();
   // Keep the FIFO lookahead short so a marked (timestamped) frame reaches
   // the wire promptly even at low paced rates.
@@ -57,7 +77,7 @@ std::unique_ptr<SimLoadGen> SimLoadGen::crc_paced(nic::TxQueueModel& queue, nic:
                                                   std::uint64_t link_mbit,
                                                   GapFillerConfig config) {
   auto gen = std::unique_ptr<SimLoadGen>(new SimLoadGen());
-  gen->frame_ = std::move(frame);
+  gen->frame_ = with_own_payload(std::move(frame));
   gen->pattern_ = std::move(pattern);
   gen->filler_ = std::make_unique<CrcGapFiller>(config);
   gen->byte_time_ps_ = sim::byte_time_ps(link_mbit);
@@ -81,6 +101,7 @@ void SimLoadGen::set_flow(std::uint32_t flow) {
 
 void SimLoadGen::set_templates(std::vector<nic::Frame> templates) {
   templates_ = std::move(templates);
+  for (auto& t : templates_) t = with_own_payload(std::move(t));
   template_index_ = 0;
   if (flow_ != 0) {
     for (auto& t : templates_) {

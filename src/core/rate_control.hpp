@@ -148,7 +148,9 @@ class CrcGapFiller {
 ///  * CRC mode: the queue runs at line rate and the generator interleaves
 ///    valid packets with invalid filler frames per a DeparturePattern
 ///    (Section 8).
-class SimLoadGen {
+/// Cache-line aligned: the generator writes its counters for every frame,
+/// and generators of different shards are allocated next to each other.
+class alignas(64) SimLoadGen {
  public:
   /// Hardware rate control: keep `queue` full of copies of `frame`; pacing
   /// comes from queue.set_rate_*.
