@@ -13,8 +13,8 @@ namespace {
 /// payload pointer, writing that count several times per frame, and
 /// templates are built on one thread, next to other shards' templates: a
 /// count that shares a line with another shard's data bounces between
-/// their cores (hwpaced_4x40g at 4 shards took 10-30% more CPU in some
-/// heap layouts).
+/// their cores (hwpaced_4x40g at 4 shards took up to a third more CPU in
+/// some heap layouts).
 nic::Frame with_own_payload(nic::Frame frame) {
   struct alignas(64) Payload {
     std::vector<std::uint8_t> bytes;
