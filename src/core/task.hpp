@@ -2,21 +2,17 @@
 //
 // MoonGen spawns each slave as an independent LuaJIT VM pinned to a CPU
 // core; tasks share nothing except explicit pipes (paper Section 3.4).
-// Here every task is a pinned thread running a plain function; the global
-// run flag mirrors `dpdk.running()` and pipes mirror MoonGen's inter-task
-// communication facilities.
+// Here every task is a pinned thread running a plain function, and the
+// global run flag mirrors `dpdk.running()`.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -128,57 +124,6 @@ class TaskSet {
   telemetry::CounterHandle tm_launched_;
   telemetry::CounterHandle tm_finished_;
   telemetry::GaugeHandle tm_active_;
-};
-
-/// Bounded MPMC pipe for inter-task communication (MoonGen's `pipe`).
-template <typename T>
-class Pipe {
- public:
-  explicit Pipe(std::size_t capacity = 1024) : capacity_(capacity) {}
-
-  /// Blocks while full (unless stop was requested; then drops and returns
-  /// false).
-  bool push(T value) {
-    std::unique_lock lock(mutex_);
-    not_full_.wait(lock, [&] { return queue_.size() < capacity_ || !running(); });
-    if (queue_.size() >= capacity_) return false;
-    queue_.push_back(std::move(value));
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Pops with a timeout; empty optional on timeout or shutdown.
-  std::optional<T> pop(std::chrono::nanoseconds timeout = std::chrono::milliseconds(100)) {
-    std::unique_lock lock(mutex_);
-    if (!not_empty_.wait_for(lock, timeout, [&] { return !queue_.empty(); }))
-      return std::nullopt;
-    T value = std::move(queue_.front());
-    queue_.pop_front();
-    not_full_.notify_one();
-    return value;
-  }
-
-  /// Non-blocking pop.
-  std::optional<T> try_pop() {
-    std::scoped_lock lock(mutex_);
-    if (queue_.empty()) return std::nullopt;
-    T value = std::move(queue_.front());
-    queue_.pop_front();
-    not_full_.notify_one();
-    return value;
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    std::scoped_lock lock(mutex_);
-    return queue_.size();
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::condition_variable not_empty_;
-  std::condition_variable not_full_;
-  std::deque<T> queue_;
-  std::size_t capacity_;
 };
 
 }  // namespace moongen::core

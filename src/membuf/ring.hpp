@@ -2,8 +2,7 @@
 //
 // SpscRing: lock-free single-producer/single-consumer ring — the fast-path
 // equivalent of a DPDK rte_ring in SP/SC mode, used for the loopback wiring
-// between fast-path devices and for inter-task pipes where exactly one
-// producer and one consumer task exist (the normal MoonGen task topology).
+// between fast-path devices.
 //
 // BoundedRing: single-threaded bounded FIFO — a descriptor-ring stand-in
 // for std::deque in the event-driven NIC model. A deque allocates/frees

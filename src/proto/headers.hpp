@@ -53,38 +53,6 @@ struct [[gnu::packed]] VlanTag {
 static_assert(sizeof(VlanTag) == 4);
 
 // ---------------------------------------------------------------------------
-// ARP
-// ---------------------------------------------------------------------------
-
-struct [[gnu::packed]] ArpHeader {
-  std::uint16_t htype_be;  // 1 = Ethernet
-  std::uint16_t ptype_be;  // 0x0800 = IPv4
-  std::uint8_t hlen;       // 6
-  std::uint8_t plen;       // 4
-  std::uint16_t oper_be;   // 1 = request, 2 = reply
-  MacAddress sha;
-  std::uint32_t spa_be;
-  MacAddress tha;
-  std::uint32_t tpa_be;
-
-  static constexpr std::uint16_t kOperRequest = 1;
-  static constexpr std::uint16_t kOperReply = 2;
-
-  [[nodiscard]] std::uint16_t oper() const { return ntoh16(oper_be); }
-  void set_ethernet_ipv4_defaults() {
-    htype_be = hton16(1);
-    ptype_be = hton16(0x0800);
-    hlen = 6;
-    plen = 4;
-  }
-  [[nodiscard]] IPv4Address sender_ip() const { return IPv4Address::from_network(spa_be); }
-  [[nodiscard]] IPv4Address target_ip() const { return IPv4Address::from_network(tpa_be); }
-  void set_sender_ip(IPv4Address a) { spa_be = a.to_network(); }
-  void set_target_ip(IPv4Address a) { tpa_be = a.to_network(); }
-};
-static_assert(sizeof(ArpHeader) == 28);
-
-// ---------------------------------------------------------------------------
 // IPv4 / IPv6
 // ---------------------------------------------------------------------------
 
@@ -153,7 +121,7 @@ struct [[gnu::packed]] Ipv6Header {
 static_assert(sizeof(Ipv6Header) == 40);
 
 // ---------------------------------------------------------------------------
-// UDP / TCP / ICMP
+// UDP / TCP
 // ---------------------------------------------------------------------------
 
 struct [[gnu::packed]] UdpHeader {
@@ -205,18 +173,6 @@ struct [[gnu::packed]] TcpHeader {
 };
 static_assert(sizeof(TcpHeader) == 20);
 
-struct [[gnu::packed]] IcmpHeader {
-  std::uint8_t type;
-  std::uint8_t code;
-  std::uint16_t checksum_be;
-  std::uint16_t identifier_be;
-  std::uint16_t sequence_be;
-
-  static constexpr std::uint8_t kEchoReply = 0;
-  static constexpr std::uint8_t kEchoRequest = 8;
-};
-static_assert(sizeof(IcmpHeader) == 8);
-
 // ---------------------------------------------------------------------------
 // IPsec (header layouts only; no cryptography)
 // ---------------------------------------------------------------------------
@@ -230,16 +186,6 @@ struct [[gnu::packed]] EspHeader {
   void set_sequence(std::uint32_t s) { sequence_be = hton32(s); }
 };
 static_assert(sizeof(EspHeader) == 8);
-
-struct [[gnu::packed]] AhHeader {
-  std::uint8_t next_header;
-  std::uint8_t payload_len;  // in 32-bit words minus 2
-  std::uint16_t reserved_be;
-  std::uint32_t spi_be;
-  std::uint32_t sequence_be;
-  // variable-length ICV follows
-};
-static_assert(sizeof(AhHeader) == 12);
 
 // ---------------------------------------------------------------------------
 // IEEE 1588 PTP

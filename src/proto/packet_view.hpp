@@ -111,16 +111,6 @@ class TcpPacketView : public Ipv4PacketView {
   void fill(const TcpFillOptions& opts) const;
 };
 
-/// View of an Ethernet/IPv4/ICMP packet.
-class IcmpPacketView : public Ipv4PacketView {
- public:
-  using Ipv4PacketView::Ipv4PacketView;
-  [[nodiscard]] IcmpHeader& icmp() const {
-    return *reinterpret_cast<IcmpHeader*>(frame_.data() + sizeof(EthernetHeader) +
-                                          sizeof(Ipv4Header));
-  }
-};
-
 /// View of an Ethernet/IPv6/UDP packet.
 class Udp6PacketView : public EthPacketView {
  public:
@@ -163,17 +153,6 @@ class EspPacketView : public Ipv4PacketView {
   void fill(std::size_t packet_length, MacAddress eth_src, MacAddress eth_dst,
             IPv4Address ip_src, IPv4Address ip_dst, std::uint32_t spi,
             std::uint32_t sequence) const;
-};
-
-/// View of an Ethernet/IPv4/AH packet.
-class AhPacketView : public Ipv4PacketView {
- public:
-  using Ipv4PacketView::Ipv4PacketView;
-
-  [[nodiscard]] AhHeader& ah() const {
-    return *reinterpret_cast<AhHeader*>(frame_.data() + sizeof(EthernetHeader) +
-                                        sizeof(Ipv4Header));
-  }
 };
 
 // ---------------------------------------------------------------------------

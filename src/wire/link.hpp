@@ -97,18 +97,4 @@ class Link : public nic::FrameSink {
   std::uint64_t flaps_ = 0;
 };
 
-/// Bidirectional convenience wrapper (one Link per direction).
-class DuplexLink {
- public:
-  DuplexLink(nic::Port& a, nic::Port& b, const CableSpec& cable, std::uint64_t seed)
-      : a_to_b_(a, b, cable, seed), b_to_a_(b, a, cable, seed ^ 0x5bd1e995) {}
-
-  [[nodiscard]] Link& a_to_b() { return a_to_b_; }
-  [[nodiscard]] Link& b_to_a() { return b_to_a_; }
-
- private:
-  Link a_to_b_;
-  Link b_to_a_;
-};
-
 }  // namespace moongen::wire

@@ -175,36 +175,6 @@ TEST(Tasks, ResetRunStateAdvancesGeneration) {
   EXPECT_GT(mc::run_generation(), g0);
 }
 
-TEST(Tasks, PipePassesMessagesBetweenTasks) {
-  mc::reset_run_state();
-  mc::Pipe<int> pipe(16);
-  mc::TaskSet tasks;
-  std::atomic<int> sum{0};
-  tasks.launch("producer", [&] {
-    for (int i = 1; i <= 100; ++i) pipe.push(i);
-  });
-  tasks.launch("consumer", [&] {
-    int received = 0;
-    while (received < 100) {
-      if (auto v = pipe.pop()) {
-        sum += *v;
-        ++received;
-      }
-    }
-  });
-  tasks.wait();
-  EXPECT_EQ(sum.load(), 5050);
-}
-
-TEST(Tasks, PipeTryPopOnEmpty) {
-  mc::Pipe<int> pipe(4);
-  EXPECT_FALSE(pipe.try_pop().has_value());
-  pipe.push(7);
-  auto v = pipe.try_pop();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 7);
-}
-
 // ---------------------------------------------------------------------------
 // Field modifier engine and RNGs (Section 5.6.2)
 // ---------------------------------------------------------------------------

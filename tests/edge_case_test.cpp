@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/rate_control.hpp"
-#include "core/task.hpp"
 #include "core/timestamper.hpp"
 #include "membuf/ring.hpp"
 #include "nic/chip.hpp"
@@ -148,18 +147,8 @@ TEST(EdgeCases, CounterHandlesIdleGaps) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipes and rings under adversarial use
+// Rings under adversarial use
 // ---------------------------------------------------------------------------
-
-TEST(EdgeCases, PipePushFailsAfterStopWhenFull) {
-  mc::reset_run_state();
-  mc::Pipe<int> pipe(2);
-  EXPECT_TRUE(pipe.push(1));
-  EXPECT_TRUE(pipe.push(2));
-  mc::request_stop();  // full + stopped: push must not deadlock
-  EXPECT_FALSE(pipe.push(3));
-  mc::reset_run_state();
-}
 
 TEST(EdgeCases, RingPushPopAcrossWrapBoundaryManyTimes) {
   mb::SpscRing<int> ring(4);

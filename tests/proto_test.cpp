@@ -279,6 +279,26 @@ TEST(PacketView, Udp6Fill) {
 }
 
 // ---------------------------------------------------------------------------
+// IPsec views (paper Section 3.4: IPsec example traffic)
+// ---------------------------------------------------------------------------
+
+TEST(IpsecView, EspFillRoundTrip) {
+  std::vector<std::uint8_t> frame(96, 0);
+  mp::EspPacketView view{{frame.data(), frame.size()}};
+  view.fill(96, mp::MacAddress::from_uint64(1), mp::MacAddress::from_uint64(2),
+            mp::IPv4Address{10, 0, 0, 1}, mp::IPv4Address{10, 0, 0, 2}, /*spi=*/0xdeadbeef,
+            /*sequence=*/42);
+  EXPECT_EQ(view.ip().ip_protocol(), mp::IpProtocol::kEsp);
+  EXPECT_TRUE(mp::verify_ipv4_checksum(view.ip()));
+  EXPECT_EQ(view.esp().spi(), 0xdeadbeefu);
+  EXPECT_EQ(mp::ntoh32(view.esp().sequence_be), 42u);
+  const auto pc = mp::classify({frame.data(), frame.size()});
+  ASSERT_TRUE(pc.has_value());
+  EXPECT_EQ(pc->l4_protocol, mp::IpProtocol::kEsp);
+  EXPECT_FALSE(pc->is_udp);
+}
+
+// ---------------------------------------------------------------------------
 // Classification
 // ---------------------------------------------------------------------------
 
@@ -478,17 +498,6 @@ TEST(Headers, PtpHeaderTypeAndVersion) {
   EXPECT_EQ(ptp.message_type(), mp::PtpMessageType::kDelayReq);
   EXPECT_EQ(ptp.version(), 2);
   EXPECT_EQ(ptp.sequence_id(), 777);
-}
-
-TEST(Headers, ArpRequestLayout) {
-  mp::ArpHeader arp{};
-  arp.set_ethernet_ipv4_defaults();
-  arp.oper_be = mp::hton16(mp::ArpHeader::kOperRequest);
-  arp.set_sender_ip(mp::IPv4Address{10, 0, 0, 1});
-  arp.set_target_ip(mp::IPv4Address{10, 0, 0, 2});
-  EXPECT_EQ(arp.oper(), mp::ArpHeader::kOperRequest);
-  EXPECT_EQ(arp.sender_ip().to_string(), "10.0.0.1");
-  EXPECT_EQ(arp.target_ip().to_string(), "10.0.0.2");
 }
 
 TEST(Headers, WireSizeArithmetic) {

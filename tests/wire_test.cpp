@@ -1,5 +1,4 @@
-// Tests for cables, links, the inter-arrival recorder, and the
-// store-and-forward switch.
+// Tests for cables, links and the inter-arrival recorder.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +9,6 @@
 #include "wire/cable.hpp"
 #include "wire/link.hpp"
 #include "wire/recorder.hpp"
-#include "wire/switch.hpp"
 
 namespace mw = moongen::wire;
 namespace mn = moongen::nic;
@@ -112,66 +110,4 @@ TEST(Recorder, CbrTrafficCentersOnTarget) {
   // Within +-512 ns of the 2 us target: essentially everything.
   EXPECT_GT(bed.recorder.fraction_within(2'000'000, 512'000), 0.99);
   EXPECT_LT(bed.recorder.micro_burst_fraction(), 0.01);
-}
-
-TEST(Switch, DropsInvalidForwardsValid) {
-  ms::EventQueue events;
-  mn::Port gen(events, mn::intel_x540(), 10'000, 41);
-  mn::Port dst(events, mn::intel_x540(), 10'000, 42);
-  mw::StoreForwardSwitch sw(events, 10'000);
-  gen.set_tx_sink(&sw.add_input(10'000));
-  sw.set_output(dst, mw::fiber_om3(2.0));
-
-  mc::UdpTemplateOptions opts;
-  opts.frame_size = 60;
-  for (int i = 0; i < 10; ++i) {
-    gen.tx_queue(0).post(mc::make_udp_frame(opts));
-    gen.tx_queue(0).post(mn::make_gap_frame(100));
-  }
-  events.run();
-  EXPECT_EQ(sw.dropped_invalid(), 10u);
-  EXPECT_EQ(sw.forwarded(), 10u);
-  EXPECT_EQ(dst.stats().rx_packets, 10u);
-  EXPECT_EQ(dst.stats().crc_errors, 0u);  // gaps became real gaps
-}
-
-TEST(Switch, MultiplexesSeveralInputs) {
-  // Section 8.4 work-around: several generator streams merge through a
-  // switch onto one output.
-  ms::EventQueue events;
-  mn::Port gen1(events, mn::intel_x540(), 10'000, 51);
-  mn::Port gen2(events, mn::intel_x540(), 10'000, 52);
-  mn::Port dst(events, mn::intel_x540(), 10'000, 53);
-  mw::StoreForwardSwitch sw(events, 10'000);
-  gen1.set_tx_sink(&sw.add_input(10'000));
-  gen2.set_tx_sink(&sw.add_input(10'000));
-  sw.set_output(dst, mw::fiber_om3(2.0));
-
-  mc::UdpTemplateOptions opts;
-  opts.frame_size = 60;
-  for (int i = 0; i < 50; ++i) {
-    gen1.tx_queue(0).post(mc::make_udp_frame(opts));
-    gen2.tx_queue(0).post(mc::make_udp_frame(opts));
-  }
-  events.run();
-  EXPECT_EQ(dst.stats().rx_packets, 100u);
-}
-
-TEST(Switch, OutputQueueBoundsBacklog) {
-  ms::EventQueue events;
-  mn::Port gen1(events, mn::intel_x540(), 10'000, 61);
-  mn::Port gen2(events, mn::intel_x540(), 10'000, 62);
-  mn::Port dst(events, mn::intel_x540(), 1'000, 63);  // slow output NIC
-  // Slow (GbE) switch output port, two 10 GbE inputs at line rate.
-  mw::StoreForwardSwitch sw(events, 1'000);
-  gen1.set_tx_sink(&sw.add_input(10'000));
-  gen2.set_tx_sink(&sw.add_input(10'000));
-  sw.set_output(dst, mw::cat5e_gbe(2.0));
-  mc::UdpTemplateOptions opts;
-  opts.frame_size = 60;
-  gen1.tx_queue(0).set_refill([&] { return mc::make_udp_frame(opts); });
-  gen2.tx_queue(0).set_refill([&] { return mc::make_udp_frame(opts); });
-  events.run_until(20 * ms::kPsPerMs);
-  EXPECT_GT(sw.queue_drops(), 0u);  // inputs overrun the slow output
-  EXPECT_GT(dst.stats().rx_packets, 1'000u);
 }
