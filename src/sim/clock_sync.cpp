@@ -1,11 +1,14 @@
 #include "sim/clock_sync.hpp"
 
 #include <algorithm>
-#include <vector>
+#include <array>
 
 namespace moongen::sim {
 
 namespace {
+
+/// Repeated difference measurements per synchronization (paper: 7).
+constexpr std::size_t kAttempts = 7;
 
 /// A single PCIe register read: returns the clock value and advances the
 /// time cursor by the (possibly outlier-delayed) access time.
@@ -40,10 +43,8 @@ std::int64_t measure_clock_difference(const PtpClock& a, const PtpClock& b, SimT
 ClockSyncResult synchronize_clocks(const PtpClock& a, PtpClock& b, SimTime start,
                                    std::mt19937_64& rng, const ClockSyncConfig& config) {
   SimTime cursor = start;
-  std::vector<std::int64_t> diffs;
-  diffs.reserve(static_cast<std::size_t>(config.attempts));
-  for (int i = 0; i < config.attempts; ++i)
-    diffs.push_back(measure_clock_difference(a, b, &cursor, rng, config));
+  std::array<std::int64_t, kAttempts> diffs{};
+  for (auto& diff : diffs) diff = measure_clock_difference(a, b, &cursor, rng, config);
 
   std::nth_element(diffs.begin(), diffs.begin() + static_cast<std::ptrdiff_t>(diffs.size() / 2),
                    diffs.end());

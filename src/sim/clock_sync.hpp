@@ -23,8 +23,6 @@ struct ClockSyncConfig {
   double outlier_probability = 0.05;
   /// Maximum extra delay of an outlier read.
   SimTime outlier_extra_ps = 5'000'000;  // 5 us
-  /// Number of repeated difference measurements (paper: 7).
-  int attempts = 7;
 };
 
 struct ClockSyncResult {
