@@ -38,7 +38,6 @@
 #include <array>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -51,6 +50,7 @@
 #include "core/rate_control.hpp"
 #include "health/monitor.hpp"
 #include "membuf/mempool.hpp"
+#include "membuf/ring.hpp"
 #include "nic/chip.hpp"
 #include "rpc/open_loop.hpp"
 #include "rpc/server_model.hpp"
@@ -99,10 +99,7 @@ class PoolChurn {
   static constexpr ms::SimTime kGapPs = 2 * ms::kPsPerUs;
 
   void tick() {
-    while (held_.size() > 16) {
-      pool_.free(held_.front());
-      held_.pop_front();
-    }
+    while (held_.size() > 16) pool_.free(held_.pop_front());
     std::array<mm::PktBuf*, 8> batch{};
     const std::size_t got = pool_.alloc_batch({batch.data(), batch.size()}, 64);
     for (std::size_t i = 0; i < got; ++i) held_.push_back(batch[i]);
@@ -111,7 +108,7 @@ class PoolChurn {
 
   ms::EventQueue& events_;
   mm::Mempool pool_;
-  std::deque<mm::PktBuf*> held_;
+  mm::BoundedRing<mm::PktBuf*> held_{24};  // at most 16 kept + one batch of 8
   std::uint64_t leaked_ = 0;
   ms::SimTime end_ps_ = 0;
 };
