@@ -6,7 +6,10 @@
 // capture on the receiving port shows what survives the hardware CRC
 // check. The file is then re-read and replayed through a second port.
 //
-// Usage: packet_capture [file.pcap]
+// Usage: packet_capture [file.pcap] [--seed N]
+// The TX capture goes to file.pcap (default: moongen_tx.pcap in the working
+// directory) and the RX capture next to it as file.pcap.rx; both are removed
+// after the replay.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -26,7 +29,9 @@ namespace mtb = moongen::testbed;
 
 namespace {
 
-constexpr const char* kUsage = "usage: packet_capture [file.pcap] [--seed N]\n";
+constexpr const char* kUsage =
+    "usage: packet_capture [file.pcap] [--seed N]\n"
+    "  file.pcap defaults to moongen_tx.pcap in the working directory\n";
 
 // Both scenes are a simple A -> B pair; the replay runs the engine to
 // exhaustion, which needs the single-engine form (couple).
@@ -46,7 +51,7 @@ std::unique_ptr<mtb::Testbed> make_pair(std::uint64_t seed, std::uint64_t a_seed
 int main(int argc, char** argv) {
   const auto cli = me::parse_cli(argc, argv, kUsage);
   if (!cli) return 2;
-  const std::string tx_path = cli->arg(0, "/tmp/moongen_tx.pcap");
+  const std::string tx_path = cli->arg(0, "moongen_tx.pcap");
   const std::string rx_path = tx_path + ".rx";
 
   {
