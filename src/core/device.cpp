@@ -106,59 +106,15 @@ void TxQueue::pace(std::size_t wire_bytes) {
                                               rate_mbit_);
 }
 
-bool TxQueue::wait_for_link() {
-  // Bounded exponential backoff: ~1 us doubling per round. Sleeping (not
-  // spinning) frees the core; the bound guarantees forward progress even if
-  // the link never returns.
-  std::uint64_t wait_ns = 1'000;
-  for (unsigned round = 0; round < link_retry_limit_; ++round) {
-    if (dev_.link_up()) return true;
-    std::this_thread::sleep_for(std::chrono::nanoseconds(wait_ns));
-    wait_ns *= 2;
-  }
-  return dev_.link_up();
-}
-
-void TxQueue::drop_batch(membuf::BufArray& bufs) {
-  const auto packets = bufs.packets();
-  // Group frees by pool (same idiom as recycling) — cold path, but a flap
-  // storm should not hammer the pool lock per buffer.
-  std::size_t start = 0;
-  while (start < packets.size()) {
-    membuf::Mempool* pool = packets[start]->pool();
-    std::size_t end = start + 1;
-    while (end < packets.size() && packets[end]->pool() == pool) ++end;
-    pool->free_batch({packets.data() + start, end - start});
-    start = end;
-  }
-  dropped_ += packets.size();
-  tm_dropped_.add(packets.size());
-  bufs.set_size(0);
-}
-
 void TxQueue::bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix) {
   if (tm_sent_.valid()) return;  // already bound
   tm_sent_ = tree.counter(prefix + ".sent_packets");
-  tm_dropped_ = tree.counter(prefix + ".dropped");
   tm_short_ = tree.counter(prefix + ".short_batches");
-  tm_link_wait_ = tree.counter("recover." + prefix + ".link_wait");
   tm_sent_.add(sent_packets_);
-  tm_dropped_.add(dropped_);
   tm_short_.add(short_batches_);
-  tm_link_wait_.add(link_waits_);
 }
 
 std::uint16_t TxQueue::send(membuf::BufArray& bufs) {
-  if (!dev_.link_up()) {
-    if (!wait_for_link()) {
-      // Link stayed down through the whole retry budget: shed the batch
-      // instead of wedging the generator loop.
-      drop_batch(bufs);
-      return 0;
-    }
-    ++link_waits_;  // survived the outage — a recovery, not a drop
-    tm_link_wait_.add(1);
-  }
   if (bufs.last_shortfall() > 0) {
     // The mempool came back short: the burst on the wire is smaller than
     // the script asked for. Surface it — silent shrinkage skews CBR spacing.

@@ -34,14 +34,9 @@ class Device;
 class TxQueue {
  public:
   /// Enqueues all packets of `bufs` for transmission; returns the number
-  /// sent. Buffers are recycled automatically as the ring wraps.
-  ///
-  /// Robustness: a link-down device (injected flap) makes send() back off
-  /// with bounded exponential waits; if the link stays down the batch is
-  /// dropped (freed back to its pools, counted in dropped()) and 0 is
-  /// returned — the queue never wedges and never leaks. A batch whose
-  /// allocation came back short (bufs.last_shortfall() > 0) is counted in
-  /// short_batches() so CBR-skewing partial bursts are visible.
+  /// sent. Buffers are recycled automatically as the ring wraps. A batch
+  /// whose allocation came back short (bufs.last_shortfall() > 0) is
+  /// counted in short_batches() so CBR-skewing partial bursts are visible.
   std::uint16_t send(membuf::BufArray& bufs);
 
   /// Sets a wall-clock rate limit in Mbit/s wire rate (0 = unlimited).
@@ -56,18 +51,10 @@ class TxQueue {
 
   [[nodiscard]] std::uint64_t sent_packets() const { return sent_packets_; }
   [[nodiscard]] std::uint64_t sent_bytes() const { return sent_bytes_; }
-  [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
   /// Batches sent with fewer buffers than requested from the mempool.
   [[nodiscard]] std::uint64_t short_batches() const { return short_batches_; }
-  /// Sends that survived a link-down window by backing off (recoveries).
-  [[nodiscard]] std::uint64_t link_waits() const { return link_waits_; }
 
-  /// Maximum backoff rounds before a link-down send gives up and drops the
-  /// batch (each round doubles the wait, starting at ~1 us).
-  void set_link_retry_limit(unsigned rounds) { link_retry_limit_ = rounds; }
-
-  /// Mirrors `<prefix>.sent_packets/.dropped/.short_batches` plus
-  /// `recover.<prefix>.link_wait` into `registry`.
+  /// Mirrors `<prefix>.sent_packets/.short_batches` into `tree`.
   void bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix);
 
   ~TxQueue();
@@ -91,11 +78,6 @@ class TxQueue {
   };
 
   void pace(std::size_t wire_bytes);
-  /// Waits for the device's link with bounded exponential backoff; false if
-  /// the retry budget ran out while still down.
-  bool wait_for_link();
-  /// Frees a never-transmitted batch back to its pools (link-down give-up).
-  void drop_batch(membuf::BufArray& bufs);
 
   Device& dev_;
   std::vector<Descriptor> ring_;  // descriptor ring (modeling artifact)
@@ -117,15 +99,10 @@ class TxQueue {
 
   std::uint64_t sent_packets_ = 0;
   std::uint64_t sent_bytes_ = 0;
-  std::uint64_t dropped_ = 0;
   std::uint64_t short_batches_ = 0;
-  std::uint64_t link_waits_ = 0;
-  unsigned link_retry_limit_ = 10;  // ~1 us * 2^10 ≈ 1 ms total wait
 
   telemetry::CounterHandle tm_sent_;
-  telemetry::CounterHandle tm_dropped_;
   telemetry::CounterHandle tm_short_;
-  telemetry::CounterHandle tm_link_wait_;
 };
 
 /// Fast-path receive queue fed by a loopback wire from a peer device.
@@ -177,12 +154,6 @@ class Device {
   /// like a port with no link partner — useful for pure TX benchmarks).
   void disconnect() { peer_ = nullptr; }
 
-  /// Carrier state (cleared/restored by injected link flaps; thread-safe —
-  /// fault drivers and send loops run on different threads). TxQueue::send
-  /// backs off while the link is down.
-  void set_link_up(bool up) { link_up_.store(up, std::memory_order_release); }
-  [[nodiscard]] bool link_up() const { return link_up_.load(std::memory_order_acquire); }
-
   [[nodiscard]] membuf::Mempool& rx_pool() { return rx_pool_; }
 
  private:
@@ -196,7 +167,6 @@ class Device {
   std::vector<std::unique_ptr<RxQueue>> rx_queues_;
   Device* peer_ = nullptr;
   membuf::Mempool rx_pool_;
-  std::atomic<bool> link_up_{true};
 
   friend class TxQueue;
   friend class DeviceTable;

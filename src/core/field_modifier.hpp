@@ -62,13 +62,9 @@ struct FieldRef {
 /// One per-packet action on a field.
 struct FieldAction {
   enum class Kind : std::uint8_t {
-    kConstant,   ///< write a fixed value (baseline in Table 2)
-    kCounter,    ///< wrapping counter, +1 per packet
-    kRandom,     ///< Tausworthe random draw per packet
-    kFlowLabel,  ///< metadata action: record value (+ wrapping counter over
-                 ///< [value, value+range) when range != 0) as the packet's
-                 ///< flow-group label — no bytes are written; the caller
-                 ///< reads it back via last_flow() and stamps Frame.flow
+    kConstant,  ///< write a fixed value (baseline in Table 2)
+    kCounter,   ///< wrapping counter, +1 per packet
+    kRandom,    ///< Tausworthe random draw per packet
   };
 
   FieldRef field;
@@ -101,10 +97,6 @@ class ModifierProgram {
           v = counters_[i]++;
           if (a.range != 0 && counters_[i] >= a.value + a.range) counters_[i] = a.value;
           break;
-        case FieldAction::Kind::kFlowLabel:
-          last_flow_ = counters_[i];
-          if (a.range != 0 && ++counters_[i] >= a.value + a.range) counters_[i] = a.value;
-          continue;  // metadata only, no byte write
         case FieldAction::Kind::kRandom:
         default:
           v = rng_.next();
@@ -135,10 +127,6 @@ class ModifierProgram {
           v = counters_[i]++;
           if (a.range != 0 && counters_[i] >= a.value + a.range) counters_[i] = a.value;
           break;
-        case FieldAction::Kind::kFlowLabel:
-          last_flow_ = counters_[i];
-          if (a.range != 0 && ++counters_[i] >= a.value + a.range) counters_[i] = a.value;
-          continue;  // metadata only, no byte write
         case FieldAction::Kind::kRandom:
         default: {
           const std::uint64_t r = static_cast<std::uint64_t>(draw());
@@ -151,22 +139,7 @@ class ModifierProgram {
     }
   }
 
-  /// Rewrites one action in place (keeping its slot in the program); used
-  /// by specializer kernels that re-bind entry-dependent constants.
-  void set_action(std::size_t i, std::uint32_t value, std::uint32_t range) {
-    actions_[i].value = value;
-    actions_[i].range = range;
-  }
-
-  /// Resets the wrapping counter backing action `i`.
-  void set_counter(std::size_t i, std::uint32_t v) { counters_[i] = v; }
-
   [[nodiscard]] std::size_t action_count() const { return actions_.size(); }
-
-  /// Flow-group label computed by the most recent apply() that executed a
-  /// kFlowLabel action. The generator copies this onto Frame.flow so the
-  /// RTT plane buckets the packet under the kernel-chosen group.
-  [[nodiscard]] std::uint32_t last_flow() const { return last_flow_; }
 
  private:
   static void write_field(std::uint8_t* dst, std::uint8_t width, std::uint32_t v) {
@@ -192,7 +165,6 @@ class ModifierProgram {
 
   std::vector<FieldAction> actions_;
   std::vector<std::uint32_t> counters_;
-  std::uint32_t last_flow_ = 0;
   Tausworthe rng_;
 };
 

@@ -91,23 +91,10 @@ void SimLoadGen::mark_next_valid(nic::Frame stamped, int n) {
   marked_remaining_ = n;
 }
 
-void SimLoadGen::set_flow(std::uint32_t flow) {
-  flow_ = flow;
-  frame_.flow = flow;
-  for (auto& t : templates_) {
-    if (t.flow == 0) t.flow = flow;
-  }
-}
-
 void SimLoadGen::set_templates(std::vector<nic::Frame> templates) {
   templates_ = std::move(templates);
   for (auto& t : templates_) t = with_own_payload(std::move(t));
   template_index_ = 0;
-  if (flow_ != 0) {
-    for (auto& t : templates_) {
-      if (t.flow == 0) t.flow = flow_;
-    }
-  }
 }
 
 void SimLoadGen::bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix) {

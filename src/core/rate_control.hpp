@@ -104,8 +104,6 @@ class BurstPattern : public DeparturePattern {
 // ---------------------------------------------------------------------------
 
 struct GapFillerConfig {
-  /// Hardware floor: NICs refuse wire lengths below 33 bytes.
-  std::size_t hw_min_wire_len = 33;
   /// MoonGen's default: sub-64 B frames overload the NIC's transmit path
   /// (max 15.6 Mpps), so invalid frames are at least 76 wire bytes.
   std::size_t min_wire_len = 76;
@@ -167,11 +165,6 @@ class alignas(64) SimLoadGen {
   /// stream-sampling mode (Section 6.4).
   void mark_next_valid(nic::Frame stamped, int n = 1);
 
-  /// Labels every valid frame this generator emits with `flow` (the RTT
-  /// plane's flow-group id). Applies to the base template and to any
-  /// cycling templates installed afterwards that left flow at 0.
-  void set_flow(std::uint32_t flow);
-
   /// Installs a set of templates cycled round-robin across valid frames
   /// (one frame per template per cycle) — e.g. one VLAN-tagged template
   /// per tenant, each carrying its own Frame.flow label. Replaces the
@@ -195,7 +188,6 @@ class alignas(64) SimLoadGen {
   nic::Frame marked_frame_;
   std::vector<nic::Frame> templates_;  // round-robin when non-empty
   std::size_t template_index_ = 0;
-  std::uint32_t flow_ = 0;
   int marked_remaining_ = 0;
   std::unique_ptr<DeparturePattern> pattern_;
   std::unique_ptr<CrcGapFiller> filler_;

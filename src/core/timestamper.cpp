@@ -66,8 +66,7 @@ void Timestamper::take_sample() {
   const bool forced = resync_pending_;
   resync_pending_ = false;
   if (cfg_.sync_clocks_each_sample || forced) {
-    sim::synchronize_clocks(tx_port_.ptp_clock(), rx_port_.ptp_clock(), events_.now(), rng_,
-                            cfg_.sync);
+    sim::synchronize_clocks(tx_port_.ptp_clock(), rx_port_.ptp_clock(), events_.now(), rng_);
     if (forced && !cfg_.sync_clocks_each_sample) {
       ++resyncs_;
       tm_resync_.add(1);

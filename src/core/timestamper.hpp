@@ -33,7 +33,6 @@ struct TimestamperConfig {
   sim::SimTime timeout_ps = 20 * sim::kPsPerMs;
   /// Re-synchronize the port clocks before every sample (Section 6.3).
   bool sync_clocks_each_sample = true;
-  sim::ClockSyncConfig sync;
   /// Histogram geometry for latency values (in ps): fixed bins of
   /// hist_bin_ps up to hist_max_ps, at most 2^20 of them
   /// (telemetry::HistogramConfig::linear).

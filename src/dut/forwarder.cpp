@@ -2,14 +2,41 @@
 
 namespace moongen::dut {
 
+namespace {
+
+/// IRQ delivery + handler entry until the poll starts.
+constexpr sim::SimTime kInterruptLatencyPs = 2'000'000;
+/// Fixed kernel path pipeline latency (skb handling, OVS lookup layers)
+/// added outside the CPU bottleneck.
+constexpr sim::SimTime kBasePipelinePs = 8'000'000;
+/// Frames one NAPI poll pass drains.
+constexpr std::size_t kPollBudget = 64;
+
+// Dynamic ITR: re-arm gaps per class. The classifier watches for
+// back-to-back arrivals (micro-bursts): polls that contain wire-adjacent
+// packets push the estimator toward the bulk class and its long re-arm
+// gap — this is how bad rate control collapses the DuT's interrupt rate
+// (Section 7.4, Figure 7).
+constexpr sim::SimTime kItrGapLowestPs = 8'000'000;  // ~125 k int/s ceiling
+constexpr sim::SimTime kItrGapLowPs = 40'000'000;    // 25 k int/s
+constexpr sim::SimTime kItrGapBulkPs = 120'000'000;  // ~8 k int/s
+/// Relative jitter of the re-arm timer and IRQ delivery. Linux's dynamic
+/// interrupt adaption [25] re-tunes the throttle per interrupt and OS
+/// timers are not cycle-accurate; the resulting variation prevents phase
+/// locking between a CBR packet train and the interrupt cadence.
+constexpr double kTimerJitter = 0.25;
+constexpr double kBurstLowThreshold = 0.15;   ///< b2b-pair share above -> low class
+constexpr double kBurstBulkThreshold = 0.45;  ///< b2b-pair share above -> bulk class
+
+}  // namespace
+
 Forwarder::Forwarder(sim::EventQueue& events, nic::Port& in_port, int in_queue,
                      nic::Port& out_port, int out_queue, ForwarderConfig config)
     : events_(events),
       in_port_(in_port),
       rx_(in_port.rx_queue(in_queue)),
       tx_(out_port.tx_queue(out_queue)),
-      cfg_(config),
-      service_ps_(static_cast<sim::SimTime>(cfg_.cycles_per_packet / cfg_.cpu_hz * 1e12)),
+      service_ps_(static_cast<sim::SimTime>(config.cycles_per_packet / config.cpu_hz * 1e12)),
       rng_(config.seed) {
   rx_.set_callback([this](const nic::RxQueueModel::Entry&) { packet_arrived(); });
 }
@@ -17,11 +44,11 @@ Forwarder::Forwarder(sim::EventQueue& events, nic::Port& in_port, int in_queue,
 sim::SimTime Forwarder::current_itr_gap() const {
   switch (itr_class_) {
     case 0:
-      return cfg_.itr_gap_lowest_ps;
+      return kItrGapLowestPs;
     case 1:
-      return cfg_.itr_gap_low_ps;
+      return kItrGapLowPs;
     default:
-      return cfg_.itr_gap_bulk_ps;
+      return kItrGapBulkPs;
   }
 }
 
@@ -32,11 +59,10 @@ void Forwarder::packet_arrived() {
   // ITR re-arm time relative to the previous interrupt. Both delays carry
   // OS-timer jitter, which keeps a CBR packet train from phase-locking to
   // the interrupt cadence.
-  std::uniform_real_distribution<double> jitter(1.0 - cfg_.timer_jitter,
-                                                1.0 + cfg_.timer_jitter);
+  std::uniform_real_distribution<double> jitter(1.0 - kTimerJitter, 1.0 + kTimerJitter);
   const auto gap = static_cast<sim::SimTime>(static_cast<double>(current_itr_gap()) * jitter(rng_));
   const auto lat =
-      static_cast<sim::SimTime>(static_cast<double>(cfg_.interrupt_latency_ps) * jitter(rng_));
+      static_cast<sim::SimTime>(static_cast<double>(kInterruptLatencyPs) * jitter(rng_));
   const sim::SimTime earliest = last_interrupt_ps_ + gap;
   const sim::SimTime at = std::max(events_.now() + lat, earliest);
   events_.schedule_at_inline(at, [this] { fire_interrupt(); });
@@ -69,7 +95,7 @@ void Forwarder::poll() {
   }
   ++polls_;
   poll_scratch_.clear();
-  rx_.drain_into(poll_scratch_, static_cast<std::size_t>(cfg_.poll_budget));
+  rx_.drain_into(poll_scratch_, kPollBudget);
   const auto& entries = poll_scratch_;
 
   sim::SimTime t = events_.now();
@@ -85,14 +111,14 @@ void Forwarder::poll() {
     last_arrival_ps_ = entry.complete_ps;
 
     t += service_ps_;  // single core: packets are processed sequentially
-    const sim::SimTime out_time = t + cfg_.base_pipeline_ps;
+    const sim::SimTime out_time = t + kBasePipelinePs;
     latency_ns_.add(sim::to_ns(out_time - entry.complete_ps));
     events_.schedule_at_inline(out_time, [this, frame = entry.frame] { tx_.post(frame); });
     ++forwarded_;
   }
   if (!entries.empty()) update_itr(pairs, entries.size());
 
-  const bool budget_exhausted = entries.size() >= static_cast<std::size_t>(cfg_.poll_budget);
+  const bool budget_exhausted = entries.size() >= kPollBudget;
   if (budget_exhausted || rx_.pending() > 0) {
     // Stay in polling mode (interrupts remain disabled); next pass after
     // this batch has been processed.
@@ -111,9 +137,9 @@ void Forwarder::update_itr(std::size_t pairs, std::size_t packets) {
   constexpr double kAlpha = 0.2;  // EWMA weight of the newest poll
   const double share = static_cast<double>(pairs) / static_cast<double>(packets);
   burst_share_ewma_ = (1.0 - kAlpha) * burst_share_ewma_ + kAlpha * share;
-  if (burst_share_ewma_ > cfg_.burst_bulk_threshold) {
+  if (burst_share_ewma_ > kBurstBulkThreshold) {
     itr_class_ = 2;
-  } else if (burst_share_ewma_ > cfg_.burst_low_threshold) {
+  } else if (burst_share_ewma_ > kBurstLowThreshold) {
     itr_class_ = 1;
   } else {
     itr_class_ = 0;

@@ -31,29 +31,7 @@ namespace moongen::dut {
 struct ForwarderConfig {
   double cpu_hz = 3.3e9;             ///< Xeon E3-1230 v2 (Section 9)
   double cycles_per_packet = 1'700;  ///< OVS datapath cost -> ~1.94 Mpps capacity
-  /// IRQ delivery + handler entry until the poll starts.
-  sim::SimTime interrupt_latency_ps = 2'000'000;
-  /// Fixed kernel path pipeline latency (skb handling, OVS lookup layers)
-  /// added outside the CPU bottleneck.
-  sim::SimTime base_pipeline_ps = 8'000'000;
-  int poll_budget = 64;
-
-  // Dynamic ITR: re-arm gaps per class. The classifier watches for
-  // back-to-back arrivals (micro-bursts): polls that contain wire-adjacent
-  // packets push the estimator toward the bulk class and its long re-arm
-  // gap — this is how bad rate control collapses the DuT's interrupt rate
-  // (Section 7.4, Figure 7).
-  sim::SimTime itr_gap_lowest_ps = 8'000'000;    // ~125 k int/s ceiling
-  sim::SimTime itr_gap_low_ps = 40'000'000;      // 25 k int/s
-  sim::SimTime itr_gap_bulk_ps = 120'000'000;    // ~8 k int/s
-  /// Relative jitter of the re-arm timer and IRQ delivery. Linux's dynamic
-  /// interrupt adaption [25] re-tunes the throttle per interrupt and OS
-  /// timers are not cycle-accurate; the resulting variation prevents phase
-  /// locking between a CBR packet train and the interrupt cadence.
-  double timer_jitter = 0.25;
   std::uint64_t seed = 0xd0075ffULL;
-  double burst_low_threshold = 0.15;   ///< b2b-pair share above -> low class
-  double burst_bulk_threshold = 0.45;  ///< b2b-pair share above -> bulk class
 };
 
 class Forwarder {
@@ -96,7 +74,6 @@ class Forwarder {
   nic::Port& in_port_;
   nic::RxQueueModel& rx_;
   nic::TxQueueModel& tx_;
-  ForwarderConfig cfg_;
   sim::SimTime service_ps_;
 
   bool polling_ = false;
@@ -107,7 +84,7 @@ class Forwarder {
   double burst_share_ewma_ = 0.0;
   sim::SimTime last_arrival_ps_ = 0;
   std::mt19937_64 rng_;
-  /// Reused RX burst array (cleared per poll); grows to poll_budget once.
+  /// Reused RX burst array (cleared per poll); grows to the poll budget once.
   std::vector<nic::RxQueueModel::Entry> poll_scratch_;
 
   fault::FaultPoint fp_stall_;

@@ -1,8 +1,6 @@
 #include "dut/vswitch.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <memory>
 #include <stdexcept>
 
 #include "proto/packet_view.hpp"
@@ -10,6 +8,11 @@
 namespace moongen::dut {
 
 namespace {
+
+/// RX notification until the service loop starts.
+constexpr sim::SimTime kIngressLatencyPs = 500'000;  // 0.5 us
+/// Frames the service loop drains per poll.
+constexpr std::size_t kPollBudget = 64;
 
 std::uint64_t hash_key(const FiveTupleKey& k) {
   // splitmix64 over the packed tuple; the table is power-of-two sized so
@@ -186,7 +189,7 @@ void VSwitch::bind_telemetry(telemetry::MetricTree& tree, const std::string& pre
 void VSwitch::packet_arrived() {
   if (polling_ || service_scheduled_) return;
   service_scheduled_ = true;
-  events_.schedule_in_inline(cfg_.ingress_latency_ps, [this] { fire_service(); });
+  events_.schedule_in_inline(kIngressLatencyPs, [this] { fire_service(); });
 }
 
 void VSwitch::fire_service() {
@@ -210,7 +213,7 @@ void VSwitch::poll() {
   }
   ++polls_;
   poll_scratch_.clear();
-  rx_.drain_into(poll_scratch_, static_cast<std::size_t>(cfg_.poll_budget));
+  rx_.drain_into(poll_scratch_, kPollBudget);
 
   sim::SimTime t = events_.now();
   for (auto& entry : poll_scratch_) {
@@ -220,9 +223,7 @@ void VSwitch::poll() {
     });
   }
 
-  const bool budget_exhausted =
-      poll_scratch_.size() >= static_cast<std::size_t>(cfg_.poll_budget);
-  if (budget_exhausted || rx_.pending() > 0) {
+  if (poll_scratch_.size() >= kPollBudget || rx_.pending() > 0) {
     events_.schedule_at_inline(t, [this] { poll(); });
     return;
   }
@@ -301,9 +302,7 @@ void VSwitch::enqueue(std::size_t queue_idx, nic::Frame&& frame, bool is_flood) 
     q.tm_queue_drops.add(1);
     return;
   }
-  // Rewrite at enqueue time so the DRR deficits and the egress pacing see
-  // the frame's actual wire size after a tag push/pop.
-  rewrite_frame(q, frame);
+  if (q.cfg.flow != 0) frame.flow = q.cfg.flow;
   if (is_flood) {
     ++flooded_;
     tm_flooded_.add(1);
@@ -393,46 +392,6 @@ void VSwitch::drain_vport(std::size_t vp_idx) {
   // instead of being queued behind a ring full of low-priority frames.
   events_.schedule_at_inline(events_.now() + wire * vp.port->byte_time_ps(),
                              [this, vp_idx] { drain_vport(vp_idx); });
-}
-
-void VSwitch::rewrite_frame(QueueState& q, nic::Frame& frame) {
-  if (q.cfg.flow != 0) frame.flow = q.cfg.flow;
-  if (q.cfg.tag == TenantConfig::Tag::kKeep) return;
-
-  const auto& bytes = *frame.data;
-  const bool tagged =
-      bytes.size() >= sizeof(proto::EthernetHeader) + sizeof(proto::VlanTag) &&
-      (reinterpret_cast<const proto::EthernetHeader*>(bytes.data())->ether_type() ==
-           proto::EtherType::kVlan ||
-       reinterpret_cast<const proto::EthernetHeader*>(bytes.data())->ether_type() ==
-           proto::EtherType::kQinQ);
-  std::vector<std::uint8_t> out;
-  constexpr std::size_t kTagOffset = 12;  // TPID lives where ether_type was
-  if (q.cfg.tag == TenantConfig::Tag::kPop) {
-    if (!tagged) return;  // nothing to pop; leave the frame as-is
-    out.reserve(bytes.size() - sizeof(proto::VlanTag));
-    out.insert(out.end(), bytes.begin(), bytes.begin() + kTagOffset);
-    out.insert(out.end(), bytes.begin() + kTagOffset + sizeof(proto::VlanTag), bytes.end());
-  } else {  // kPush: retag in place, or insert a tag into an untagged frame
-    proto::VlanTag tag{};
-    tag.set(q.cfg.push_vid, q.cfg.push_pcp);
-    if (tagged) {
-      out = bytes;
-      std::memcpy(out.data() + kTagOffset + 2, &tag.tci_be, sizeof(tag.tci_be));
-    } else {
-      out.reserve(bytes.size() + sizeof(proto::VlanTag));
-      out.insert(out.end(), bytes.begin(), bytes.begin() + kTagOffset);
-      const std::uint16_t tpid =
-          proto::hton16(static_cast<std::uint16_t>(proto::EtherType::kVlan));
-      const auto* tpid_bytes = reinterpret_cast<const std::uint8_t*>(&tpid);
-      out.insert(out.end(), tpid_bytes, tpid_bytes + 2);
-      const auto* tci_bytes = reinterpret_cast<const std::uint8_t*>(&tag.tci_be);
-      out.insert(out.end(), tci_bytes, tci_bytes + 2);
-      out.insert(out.end(), bytes.begin() + kTagOffset, bytes.end());
-    }
-  }
-
-  frame.data = std::make_shared<const std::vector<std::uint8_t>>(std::move(out));
 }
 
 }  // namespace moongen::dut

@@ -19,11 +19,9 @@
 // at any quiesced instant.
 //
 // Match tables and DRR rotation lists are sized at construction; egress
-// rings double up to their capacity as they fill, so the steady state
-// allocates only for a VLAN push/pop/retag, which writes each frame it
-// rewrites into a fresh buffer (a source buffer may be freed and its
-// address reused, or rewritten in place as rpc::FramePool does, so no
-// rewrite can be looked up by the source's address).
+// rings double up to their capacity as they fill, so once every ring has
+// reached its deepest fill the steady state allocates nothing. Forwarded
+// frames keep their bytes; only their flow-group label may change.
 #pragma once
 
 #include <cstdint>
@@ -87,8 +85,8 @@ struct FiveTupleKey {
 };
 
 /// One tenant: match identity (VLAN id), egress placement (vport +
-/// priority class + DRR quantum), shaping, tag rewrite, and the flow-group
-/// label its forwarded frames carry into the RTT plane.
+/// priority class + DRR quantum), shaping, and the flow-group label its
+/// forwarded frames carry into the RTT plane.
 struct TenantConfig {
   /// VLAN id owning this tenant in the VID table (the C-tag of a QinQ
   /// stack, i.e. the innermost tag). 0 = no VID table entry (five-tuple
@@ -105,11 +103,6 @@ struct TenantConfig {
   /// Token-bucket policer: rate in Mbit/s of wire bytes (0 = unshaped).
   double rate_mbit = 0.0;
   std::size_t burst_bytes = 16'000;
-  /// VLAN rewrite on egress. kPush retags a tagged frame in place (TCI
-  /// rewrite) or inserts a tag into an untagged one.
-  enum class Tag : std::uint8_t { kKeep, kPop, kPush } tag = Tag::kKeep;
-  std::uint16_t push_vid = 0;
-  std::uint8_t push_pcp = 0;
   /// Frame.flow stamped on forwarded frames (0 = keep incoming label).
   std::uint32_t flow = 0;
   /// Egress ring capacity in frames (slots are allocated as the ring fills).
@@ -123,9 +116,6 @@ struct VSwitchConfig {
   /// Datapath cost per frame (parse + table lookup + enqueue); the vswitch
   /// core saturates at cpu_hz / cycles_per_packet frames per second.
   double cycles_per_packet = 450;
-  /// RX notification until the service loop starts.
-  sim::SimTime ingress_latency_ps = 500'000;  // 0.5 us
-  int poll_budget = 64;
   /// Table-miss frames flood to this vport at the lowest priority class.
   int flood_vport = 0;
   std::size_t flood_queue_frames = 256;
@@ -279,8 +269,6 @@ class VSwitch {
   void enqueue(std::size_t queue_idx, nic::Frame&& frame, bool is_flood);
   void kick_vport(std::size_t vp_idx);
   void drain_vport(std::size_t vp_idx);
-  /// Applies the queue's VLAN rewrite (into a new buffer) and flow label.
-  void rewrite_frame(QueueState& q, nic::Frame& frame);
 
   sim::EventQueue& events_;
   nic::Port& in_port_;
@@ -303,7 +291,7 @@ class VSwitch {
 
   bool polling_ = false;
   bool service_scheduled_ = false;
-  /// Reused RX burst array (cleared per poll); grows to poll_budget once.
+  /// Reused RX burst array (cleared per poll); grows to the poll budget once.
   std::vector<nic::RxQueueModel::Entry> poll_scratch_;
 
   fault::FaultPoint fp_drop_;

@@ -8,6 +8,11 @@
 
 namespace moongen::health {
 
+namespace {
+/// Flight-recorder entries retained per shard.
+constexpr std::size_t kRecorderCapacity = 256;
+}  // namespace
+
 // --- DegradationGovernor ----------------------------------------------------
 
 DegradationGovernor::DegradationGovernor(std::string label, GovernorConfig cfg,
@@ -58,7 +63,7 @@ void DegradationGovernor::bind_telemetry(telemetry::MetricTree& tree,
 
 HealthMonitor::HealthMonitor(testbed::Testbed& tb, MonitorConfig cfg) : tb_(tb), cfg_(cfg) {
   auto& rt = tb_.runtime();
-  recorder_ = std::make_unique<FlightRecorder>(rt.shard_count(), cfg_.recorder_capacity);
+  recorder_ = std::make_unique<FlightRecorder>(rt.shard_count(), kRecorderCapacity);
   // Intern every fault site before the run: the fire path then only reads
   // the table (see FlightRecorder's concurrency contract). Sites installed
   // after this constructor record as "?" — construct the monitor last.
@@ -73,15 +78,14 @@ HealthMonitor::HealthMonitor(testbed::Testbed& tb, MonitorConfig cfg) : tb_(tb),
   for (std::size_t s = 0; s < rt.shard_count(); ++s)
     rt.shard(s).set_trace_sink(recorder_->sink(s));
 
-  if (cfg_.default_checkers) {
-    for (std::size_t s = 0; s < rt.shard_count(); ++s)
-      checkers_.add("engine.shard" + std::to_string(s),
-                    make_engine_checker(rt.shard(s), "shard" + std::to_string(s)));
-    checkers_.add("link.conservation", make_link_checker(tb_));
-    checkers_.add("port.accounting", make_port_checker(tb_));
-    if (tb_.vswitch_count() > 0)
-      checkers_.add("vswitch.conservation", make_vswitch_checker(tb_));
-  }
+  // The testbed-wide checkers; app-specific ones (RPC clients, mempools)
+  // are added through checkers().add().
+  for (std::size_t s = 0; s < rt.shard_count(); ++s)
+    checkers_.add("engine.shard" + std::to_string(s),
+                  make_engine_checker(rt.shard(s), "shard" + std::to_string(s)));
+  checkers_.add("link.conservation", make_link_checker(tb_));
+  checkers_.add("port.accounting", make_port_checker(tb_));
+  if (tb_.vswitch_count() > 0) checkers_.add("vswitch.conservation", make_vswitch_checker(tb_));
   checkers_.bind_telemetry(tb_.registry().shard(0), "health");
 
   if (cfg_.enable_watchdog) watchdog_ = std::make_unique<Watchdog>(rt, cfg_.watchdog);
@@ -114,9 +118,8 @@ void HealthMonitor::start(sim::SimTime until_ps) {
 
 void HealthMonitor::tick(sim::SimTime now_ps, sim::SimTime until_ps) {
   ++ticks_;
-  const auto fresh = checkers_.run_all(now_ps);
+  checkers_.run_all(now_ps);
   for (auto& gov : governors_) gov->tick();
-  if (!fresh.empty() && on_violation_) on_violation_(fresh);
   const sim::SimTime next = now_ps + cfg_.window_ps;
   if (next <= until_ps)
     tb_.schedule_global(next, [this, next, until_ps] { tick(next, until_ps); });

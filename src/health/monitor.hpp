@@ -103,12 +103,6 @@ class DegradationGovernor {
 struct MonitorConfig {
   /// Checker / governor evaluation period (virtual time).
   sim::SimTime window_ps = 1'000'000'000;  // 1 ms
-  /// Flight-recorder entries retained per shard.
-  std::size_t recorder_capacity = 256;
-  /// Install the testbed-wide default checkers (per-shard engine audit,
-  /// link conservation, port accounting). App-specific checkers (RPC
-  /// clients, mempools) are added via checkers().add().
-  bool default_checkers = true;
   /// Start a wall-clock watchdog thread over the runtime's heartbeats.
   bool enable_watchdog = false;
   WatchdogConfig watchdog;
@@ -136,12 +130,6 @@ class HealthMonitor {
   /// the next window boundary up to `until_ps`, and starts the watchdog
   /// if enabled. Call once, before the run.
   void start(sim::SimTime until_ps);
-
-  /// Fresh violations from each tick are handed to this callback (global
-  /// context, quiesced — safe to dump and stop the runtime).
-  void set_on_violation(std::function<void(const std::vector<Violation>&)> fn) {
-    on_violation_ = std::move(fn);
-  }
 
   [[nodiscard]] const std::vector<Violation>& violations() const {
     return checkers_.violations();
@@ -171,7 +159,6 @@ class HealthMonitor {
   std::unique_ptr<FlightRecorder> recorder_;
   std::unique_ptr<Watchdog> watchdog_;
   std::vector<std::unique_ptr<DegradationGovernor>> governors_;
-  std::function<void(const std::vector<Violation>&)> on_violation_;
   std::uint64_t ticks_ = 0;
 };
 

@@ -5,24 +5,9 @@
 
 namespace moongen::membuf {
 
-namespace {
-
-void backoff_spin(std::uint64_t iterations) {
-  for (std::uint64_t i = 0; i < iterations; ++i) {
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#elif defined(__aarch64__) || defined(__arm__)
-    asm volatile("yield" ::: "memory");
-#endif
-  }
-}
-
-}  // namespace
-
 std::size_t BufArray::alloc(std::size_t frame_length) {
   size_ = pool_->alloc_batch({bufs_.data(), bufs_.size()}, frame_length);
   last_shortfall_ = bufs_.size() - size_;
-  last_retries_ = 0;
   return size_;
 }
 
@@ -30,23 +15,6 @@ std::size_t BufArray::alloc(std::size_t frame_length, std::size_t max_count) {
   const std::size_t want = std::min(max_count, bufs_.size());
   size_ = pool_->alloc_batch({bufs_.data(), want}, frame_length);
   last_shortfall_ = want - size_;
-  last_retries_ = 0;
-  return size_;
-}
-
-std::size_t BufArray::alloc_full(std::size_t frame_length, unsigned max_retries) {
-  std::size_t n = pool_->alloc_batch({bufs_.data(), bufs_.size()}, frame_length);
-  unsigned attempt = 0;
-  std::uint64_t spin = 64;
-  while (n < bufs_.size() && attempt < max_retries) {
-    backoff_spin(spin);
-    spin *= 2;
-    ++attempt;
-    n += pool_->alloc_batch({bufs_.data() + n, bufs_.size() - n}, frame_length);
-  }
-  size_ = n;
-  last_shortfall_ = bufs_.size() - n;
-  last_retries_ = attempt;
   return size_;
 }
 

@@ -38,18 +38,8 @@ class BufArray {
   /// Allocates at most `max_count` buffers (for the tail of a bounded run).
   std::size_t alloc(std::size_t frame_length, std::size_t max_count);
 
-  /// Like alloc(), but on a short return retries the missing tail with
-  /// bounded exponential backoff (spin-wait, no syscalls) — buffers free up
-  /// as the TX ring recycles the previous batch. Gives up after
-  /// `max_retries` rounds; check last_shortfall() for what is still
-  /// missing. Never deadlocks: the bound covers the case where nothing
-  /// will ever be freed.
-  std::size_t alloc_full(std::size_t frame_length, unsigned max_retries = 8);
-
   /// Buffers the most recent alloc call asked for but did not get.
   [[nodiscard]] std::size_t last_shortfall() const { return last_shortfall_; }
-  /// Backoff rounds the most recent alloc_full() needed (0 = first try).
-  [[nodiscard]] unsigned last_retries() const { return last_retries_; }
 
   /// Returns all held buffers to their pool and clears the array.
   void free_all();
@@ -83,7 +73,6 @@ class BufArray {
   std::vector<PktBuf*> bufs_;
   std::size_t size_;
   std::size_t last_shortfall_ = 0;
-  unsigned last_retries_ = 0;
 };
 
 }  // namespace moongen::membuf

@@ -8,7 +8,6 @@ ChipSpec intel_82599() {
   spec.num_queues = 128;
   spec.max_link_mbit = 10'000;
   spec.ptp_increment_ps = 12'800;  // timer increments every two 6.4 ns cycles
-  spec.tx_fifo_bytes = 160 * 1024;
   return spec;
 }
 
@@ -18,7 +17,6 @@ ChipSpec intel_x540() {
   spec.num_queues = 128;
   spec.max_link_mbit = 10'000;
   spec.ptp_increment_ps = 6'400;
-  spec.tx_fifo_bytes = 160 * 1024;
   return spec;
 }
 
@@ -30,7 +28,6 @@ ChipSpec intel_82580() {
   spec.ptp_increment_ps = 64'000;
   spec.ptp_phase_step_ps = 8'000;  // readings are n*64ns + k*8ns
   spec.rx_timestamp_all = true;
-  spec.tx_fifo_bytes = 24 * 1024;
   spec.rate_tick_at_max_speed_ps = 64'000;
   spec.mac_cycle_ps = 8'000;  // 125 MHz GbE MAC
   return spec;
@@ -42,7 +39,6 @@ ChipSpec intel_xl710() {
   spec.num_queues = 384;
   spec.max_link_mbit = 40'000;
   spec.ptp_increment_ps = 6'400;
-  spec.hw_rate_control = false;  // not supported by MoonGen on this chip
   // Hardware bottlenecks (Section 5.4 / Intel product brief [16]):
   // line rate only for frames larger than 128 B; ~30 Mpps per-port packet
   // engine cap (reached with two cores); 42 Mpps / 50 Gbit/s dual-port.

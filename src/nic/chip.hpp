@@ -43,16 +43,10 @@ struct ChipSpec {
   sim::SimTime mac_cycle_ps = 6'400;
 
   // --- TX path -------------------------------------------------------------
-  /// Smallest on-chip buffer; conceals LuaJIT pause times (Section 3.2).
-  std::size_t tx_fifo_bytes = 160 * 1024;
   /// NICs refuse frames with a wire length below 33 bytes (Section 8.1).
   std::size_t min_wire_len = 33;
-  /// Maximum packet rate when pushing shorter-than-minimum frames:
-  /// 15.6 Mpps on 82599/X540 (Section 8.1).
-  double short_frame_max_pps = 15.6e6;
 
   // --- Hardware rate control (Section 7) ------------------------------------
-  bool hw_rate_control = true;
   /// Internal pacing clock tick at max link speed; scaled by the link-speed
   /// ratio when operating slower (Section 7.3: "frequency ... is scaled up
   /// by a factor of 10 when operating at 10 GbE compared to GbE").

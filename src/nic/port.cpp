@@ -13,6 +13,14 @@ constexpr sim::SimTime align_up(sim::SimTime t, sim::SimTime grid) {
   return (t + grid - 1) / grid * grid;
 }
 
+// PTP packet filter (Section 6): which message types are timestamped.
+// MoonGen's sampling trick sets the PTP type of background packets to a
+// value outside this mask.
+/// Bitmask over PtpMessageType values 0-15: the event messages.
+constexpr std::uint32_t kPtpMessageTypeMask = 0x0f;
+constexpr std::uint8_t kPtpVersion = 2;
+constexpr std::uint16_t kPtpUdpPort = 319;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -321,7 +329,6 @@ void Port::apply_rate_limit(TxQueueModel& q, const Frame& frame, sim::SimTime tx
 }
 
 bool Port::frame_matches_ptp_filter(const Frame& frame) const {
-  if (!ptp_filter_.enabled) return false;
   const auto& bytes = *frame.data;
   const auto pc = proto::classify({bytes.data(), bytes.size()});
   if (!pc.has_value()) return false;
@@ -329,7 +336,7 @@ bool Port::frame_matches_ptp_filter(const Frame& frame) const {
   std::size_t ptp_offset = 0;
   if (pc->is_ptp_ethernet) {
     ptp_offset = pc->l3_offset;
-  } else if (pc->is_udp && pc->udp_dst_port == ptp_filter_.udp_port) {
+  } else if (pc->is_udp && pc->udp_dst_port == kPtpUdpPort) {
     // The unit refuses undersized UDP PTP packets (Section 6.4).
     if (frame.frame_size() < spec_.min_udp_ptp_size) return false;
     ptp_offset = pc->l7_offset;
@@ -339,8 +346,8 @@ bool Port::frame_matches_ptp_filter(const Frame& frame) const {
   if (bytes.size() < ptp_offset + 2) return false;
   const std::uint8_t msg_type = bytes[ptp_offset] & 0x0f;
   const std::uint8_t version = bytes[ptp_offset + 1] & 0x0f;
-  if (version != ptp_filter_.version) return false;
-  return (ptp_filter_.message_type_mask & (1u << msg_type)) != 0;
+  if (version != kPtpVersion) return false;
+  return (kPtpMessageTypeMask & (1u << msg_type)) != 0;
 }
 
 void Port::deliver_frame(const Frame& frame, sim::SimTime first_bit_ps) {
@@ -376,22 +383,8 @@ void Port::deliver_frame(const Frame& frame, sim::SimTime first_bit_ps) {
       if (rx_stamp_callback_) rx_stamp_callback_(*rx_stamp_register_);
     }
 
-    // Steering precedence: Flow Director perfect-match rules, then the
-    // custom hook, then RSS, else queue 0 (Section 3.3).
-    int queue_index = 0;
-    const auto verdict = flow_director_.match(frame);
-    if (verdict.matched) {
-      if (verdict.drop) {  // filtered in hardware
-        if (rtt_ != nullptr && frame.tx_stamp_ps != 0) rtt_->note_dropped();
-        return;
-      }
-      queue_index = verdict.queue;
-    } else if (steering_) {
-      queue_index = steering_(frame);
-    } else if (rss_) {
-      queue_index = rss_->steer(frame);
-    }
-    auto& q = *rx_queues_[static_cast<std::size_t>(queue_index)];
+    // Every accepted frame goes to RX queue 0.
+    auto& q = *rx_queues_[0];
     // Injected overflow takes the same path as a genuinely full ring: only
     // the drop counter moves, software sees a gap in the stream. A genuine
     // overflow needs a stored ring, but the injected one models a MAC-FIFO
@@ -466,15 +459,10 @@ void Port::set_link_state(bool up) {
   } else {
     stats_.link_down_events += 1;
   }
-  if (link_state_callback_) link_state_callback_(up);
 }
 
 void Port::install_faults(fault::FaultPlane& plane, const std::string& site) {
   fp_rx_overflow_ = plane.point(fault::FaultKind::kRxOverflow, site);
-}
-
-void Port::enable_rss(int queues, RssHashType type) {
-  rss_ = std::make_unique<RssUnit>(queues, type);
 }
 
 std::optional<std::uint64_t> Port::read_tx_timestamp() {

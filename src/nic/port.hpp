@@ -6,7 +6,7 @@
 //       --per-queue HW rate limiter--> MAC serialization --> wire sink
 //
 //   wire --deliver_frame()--> FCS check (hardware drop of invalid frames)
-//       --> PTP timestamp unit / RX-all timestamping --> steering --> RX ring
+//       --> PTP timestamp unit / RX-all timestamping --> RX ring 0
 //
 // The model reproduces exactly the hardware behaviours the paper's
 // experiments depend on:
@@ -31,9 +31,7 @@
 #include "fault/fault.hpp"
 #include "membuf/ring.hpp"
 #include "nic/chip.hpp"
-#include "nic/flow_director.hpp"
 #include "nic/frame.hpp"
-#include "nic/rss.hpp"
 #include "sim/bitmap.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/ptp_clock.hpp"
@@ -54,17 +52,6 @@ class FrameSink {
   /// a link schedules the frame's arrival from it, and no event may land in
   /// the past.
   virtual void on_frame(const Frame& frame, sim::SimTime tx_start_ps) = 0;
-};
-
-/// PTP packet filter configuration (Section 6): which message types are
-/// timestamped. MoonGen's sampling trick sets the PTP type of background
-/// packets to a value outside this mask.
-struct PtpFilterConfig {
-  bool enabled = true;
-  /// Bitmask over PtpMessageType values 0-15; default: event messages.
-  std::uint32_t message_type_mask = 0x0f;
-  std::uint8_t version = 2;
-  std::uint16_t udp_port = 319;
 };
 
 struct PortStats {
@@ -253,10 +240,6 @@ class Port {
   /// resumes transmission and counts as a recovery.
   void set_link_state(bool up);
   [[nodiscard]] bool link_up() const { return link_up_; }
-  /// Invoked on every carrier transition (after internal state updates).
-  void set_link_state_callback(std::function<void(bool)> cb) {
-    link_state_callback_ = std::move(cb);
-  }
 
   /// Arms this port's fault sites (currently: RX-ring overflow) against
   /// `plane` under the given site name.
@@ -265,7 +248,6 @@ class Port {
   [[nodiscard]] sim::PtpClock& ptp_clock() { return ptp_clock_; }
 
   // --- PTP timestamp registers (single-slot, read-to-clear; Section 6) -----
-  PtpFilterConfig& ptp_filter() { return ptp_filter_; }
   /// Reads and clears the TX timestamp register. Until read, no further TX
   /// packet is timestamped.
   std::optional<std::uint64_t> read_tx_timestamp();
@@ -277,18 +259,6 @@ class Port {
   void set_rx_stamp_callback(std::function<void(std::uint64_t)> cb) {
     rx_stamp_callback_ = std::move(cb);
   }
-
-  /// Selects the RX queue for a frame with a custom function (overrides
-  /// RSS when set; Flow Director rules still take precedence).
-  void set_rx_steering(std::function<int(const Frame&)> steer) { steering_ = std::move(steer); }
-
-  /// Enables Toeplitz RSS over the first `queues` receive queues.
-  void enable_rss(int queues, RssHashType type = RssHashType::kIpv4Udp);
-  [[nodiscard]] const RssUnit* rss() const { return rss_.get(); }
-
-  /// Perfect-match flow steering; rules take precedence over RSS
-  /// (Section 3.3: "configurable filters (e.g., Intel Flow Director)").
-  [[nodiscard]] FlowDirector& flow_director() { return flow_director_; }
 
   DmaTiming& dma_timing() { return dma_; }
 
@@ -378,7 +348,6 @@ class Port {
   std::size_t tx_batch_frames_ = 16;
   sim::SimTime tx_batch_barrier_ = 0;
   bool link_up_ = true;
-  std::function<void(bool)> link_state_callback_;
   fault::FaultPoint fp_rx_overflow_;
 
   PortStats stats_;
@@ -386,13 +355,9 @@ class Port {
   telemetry::RttShard* rtt_ = nullptr;
   bool rtt_record_ = false;
   sim::PtpClock ptp_clock_;
-  PtpFilterConfig ptp_filter_;
   std::optional<std::uint64_t> tx_stamp_register_;
   std::optional<std::uint64_t> rx_stamp_register_;
   std::function<void(std::uint64_t)> rx_stamp_callback_;
-  std::function<int(const Frame&)> steering_;
-  std::unique_ptr<RssUnit> rss_;
-  FlowDirector flow_director_;
   DmaTiming dma_;
 };
 

@@ -8,6 +8,10 @@ namespace detail {
 namespace {
 /// Backoff before re-posting requests parked on a full TX ring.
 constexpr sim::SimTime kTxRetryGapPs = 5 * sim::kPsPerUs;
+/// Backpressured sends parked for retry (beyond it: dropped + counted).
+constexpr std::size_t kPendingCapacity = 1 << 12;
+/// The port queue, RX and TX, that a client uses.
+constexpr int kQueue = 0;
 
 nic::Frame request_template(const WorkloadConfig& cfg) {
   RpcTemplateOptions opts;
@@ -26,12 +30,12 @@ ClientBase::ClientBase(nic::Port& port, LatencyRecorder& recorder, const Workloa
       recorder_(recorder),
       pool_(request_template(cfg), cfg.pool_frames),
       table_(cfg.inflight_expected),
-      pending_(cfg.pending_capacity),
+      pending_(kPendingCapacity),
       opmix_(cfg.seed ^ 0x0b5e55edull),
       zipf_(cfg.key_space, cfg.zipf_skew, cfg.seed ^ 0x21f0a11a5ull),
       next_seq_(cfg.seq_base != 0 ? cfg.seq_base : 1) {
-  pending_.reserve(cfg.pending_capacity);
-  auto& rx = port_.rx_queue(cfg_.rx_queue);
+  pending_.reserve(kPendingCapacity);
+  auto& rx = port_.rx_queue(kQueue);
   rx.set_store(false);
   rx.set_callback([this](const nic::RxQueueModel::Entry& e) { on_rx(e); });
 }
@@ -68,13 +72,7 @@ bool ClientBase::post_request(const Request& req) {
   // queueing, or backpressure would silently shrink the measured tail.
   write_rpc_fields(bytes, req.op, req.seq, req.key, req.departed_ps);
   frame.seq = req.seq;
-  // Per-opcode flow labels: the RTT plane's flow-group histograms then
-  // publish GET and SET tails separately instead of folding both into
-  // group 0.
-  if (cfg_.label_flows) {
-    frame.flow = cfg_.flow_base + static_cast<std::uint32_t>(req.op);
-  }
-  return port_.tx_queue(cfg_.tx_queue).post(std::move(frame));
+  return port_.tx_queue(kQueue).post(std::move(frame));
 }
 
 void ClientBase::send_or_park(const Request& req) {

@@ -47,12 +47,8 @@ struct WorkloadConfig {
   std::size_t frame_size = 96;
   std::uint16_t udp_src = 9000;
   std::uint16_t udp_dst = kRpcUdpPort;
-  int tx_queue = 0;
-  int rx_queue = 0;
   /// Request buffers in flight; must exceed the TX ring + FIFO depth.
   std::size_t pool_frames = 2048;
-  /// Backpressured sends parked for retry (beyond it: dropped + counted).
-  std::size_t pending_capacity = 1 << 12;
   /// Expected outstanding requests; the in-flight table is sized to hold
   /// twice this (open-addressing load factor 0.5).
   std::size_t inflight_expected = 1 << 16;
@@ -63,16 +59,9 @@ struct WorkloadConfig {
   /// under loss faults, where responses never come). 0 disables.
   sim::SimTime timeout_ps = 0;
   enum class Arrival { kExponential, kCbr } arrival = Arrival::kExponential;
-  telemetry::HistogramConfig hist;
   /// First sequence id (nonzero); pairs sharing a wire need disjoint ranges.
   std::uint64_t seq_base = 1;
   std::uint64_t seed = 1;
-  /// Flow-group labeling of request frames for the RTT plane: each request
-  /// is stamped `Frame.flow = flow_base + opcode` (kGet → +0, kSet → +1)
-  /// so the plane's windowed quantiles separate GET and SET latency.
-  /// Leave 0 with label_flows=false for the legacy all-group-0 behaviour.
-  bool label_flows = false;
-  std::uint32_t flow_base = 0;
 };
 
 namespace detail {

@@ -8,10 +8,14 @@ namespace moongen::rpc {
 namespace {
 /// Backoff before re-posting a response that hit a full TX ring.
 constexpr sim::SimTime kTxRetryGapPs = 5 * sim::kPsPerUs;
+/// Response frame size in bytes; a GET hit's value fills the frame.
+constexpr std::size_t kResponseFrameSize = 96;
+/// The port queue, RX and TX, that the server uses.
+constexpr int kQueue = 0;
 
 nic::Frame response_template(const ServerConfig& cfg) {
   RpcTemplateOptions opts;
-  opts.frame_size = cfg.response_frame_size;
+  opts.frame_size = kResponseFrameSize;
   opts.udp_src = cfg.udp_src;
   opts.udp_dst = cfg.udp_dst;
   opts.opcode = Op::kGetHit;
@@ -26,15 +30,12 @@ ServerModel::ServerModel(nic::Port& port, ServerConfig config)
       pool_(response_template(config), config.pool_frames),
       queue_(config.queue_capacity),
       tx_retry_(config.pool_frames),
-      exp_service_(config.service_mean_ps, config.seed ^ 0x5e71ce5ull),
-      logn_service_(stats::LognormalSampler::from_mean(config.service_mean_ps,
-                                                       config.lognormal_sigma,
-                                                       config.seed ^ 0x10c0f3a1ull)) {
+      exp_service_(config.service_mean_ps, config.seed ^ 0x5e71ce5ull) {
   // Pre-size the ring storage: BoundedRing grows lazily, and a queue that
   // deepens for the first time mid-measurement would allocate there.
   queue_.reserve(config.queue_capacity);
   tx_retry_.reserve(config.pool_frames);
-  auto& rx = port_.rx_queue(cfg_.rx_queue);
+  auto& rx = port_.rx_queue(kQueue);
   rx.set_store(false);
   rx.set_callback([this](const nic::RxQueueModel::Entry& e) { on_rx(e); });
 }
@@ -66,12 +67,8 @@ void ServerModel::on_rx(const nic::RxQueueModel::Entry& entry) {
 }
 
 sim::SimTime ServerModel::sample_service_ps() {
-  double ps = cfg_.service_mean_ps;
-  switch (cfg_.service) {
-    case ServerConfig::Service::kFixed: break;
-    case ServerConfig::Service::kExponential: ps = exp_service_.next(); break;
-    case ServerConfig::Service::kLognormal: ps = logn_service_.next(); break;
-  }
+  const double ps = cfg_.service == ServerConfig::Service::kExponential ? exp_service_.next()
+                                                                        : cfg_.service_mean_ps;
   const auto rounded = std::llround(ps);
   return rounded > 0 ? static_cast<sim::SimTime>(rounded) : 1;
 }
@@ -112,7 +109,7 @@ void ServerModel::send_response(const PendingRequest& req) {
     if (req.key < cfg_.cache_keys) {
       op = Op::kGetHit;
       value_len =
-          static_cast<std::uint16_t>(cfg_.response_frame_size - RpcPacketView::kHeaderStack);
+          static_cast<std::uint16_t>(kResponseFrameSize - RpcPacketView::kHeaderStack);
     } else {
       op = Op::kGetMiss;
       ++misses_;
@@ -122,7 +119,7 @@ void ServerModel::send_response(const PendingRequest& req) {
   write_rpc_fields(bytes, op, req.seq, req.key, req.tx_time_ps, value_len);
   frame.seq = req.seq;
   frame.flow = req.flow;
-  if (!port_.tx_queue(cfg_.tx_queue).post(std::move(frame))) {
+  if (!port_.tx_queue(kQueue).post(std::move(frame))) {
     // TX ring full: park the request and retry on a timer; re-encoding at
     // retry time reuses a fresh pool buffer.
     if (tx_retry_.full()) {
@@ -141,7 +138,7 @@ void ServerModel::send_response(const PendingRequest& req) {
 void ServerModel::drain_tx_retry() {
   retry_timer_armed_ = false;
   while (!tx_retry_.empty()) {
-    if (port_.tx_queue(cfg_.tx_queue).ring_free() == 0) break;
+    if (port_.tx_queue(kQueue).ring_free() == 0) break;
     const PendingRequest req = tx_retry_.pop_front();
     send_response(req);
   }

@@ -32,32 +32,27 @@ namespace moongen::rpc {
 struct ServerConfig {
   /// Concurrent service slots (the "k" of the M/G/k queue).
   int workers = 1;
-  enum class Service { kFixed, kExponential, kLognormal };
+  enum class Service { kFixed, kExponential };
   Service service = Service::kExponential;
   double service_mean_ps = 8.0 * 1e6;  // 8 us
-  /// Shape of the lognormal service option (ignored otherwise).
-  double lognormal_sigma = 0.5;
   /// Pending-request queue bound; arrivals beyond it are dropped (and show
   /// up at the client as timeouts). Size it for the expected open-loop
   /// backlog, not the closed-loop one.
   std::size_t queue_capacity = 1 << 16;
   /// Response buffers in flight; must exceed the TX ring + FIFO depth.
   std::size_t pool_frames = 2048;
-  std::size_t response_frame_size = 96;
   /// GET keys at or above this id miss (kGetMiss response): a crude but
   /// deterministic cache-capacity model. Default: everything hits.
   std::uint64_t cache_keys = UINT64_MAX;
   std::uint16_t udp_src = kRpcUdpPort;
   std::uint16_t udp_dst = 9000;
-  int rx_queue = 0;
-  int tx_queue = 0;
   std::uint64_t seed = 1;
 };
 
 class ServerModel {
  public:
-  /// Attaches to `port`'s RX queue (callback sink mode — the queue's ring
-  /// storage is disabled) and posts responses to its TX queue.
+  /// Attaches to `port`'s RX queue 0 (callback sink mode — the queue's ring
+  /// storage is disabled) and posts responses to its TX queue 0.
   ServerModel(nic::Port& port, ServerConfig config);
 
   ServerModel(const ServerModel&) = delete;
@@ -109,7 +104,6 @@ class ServerModel {
   membuf::BoundedRing<PendingRequest> queue_;
   membuf::BoundedRing<PendingRequest> tx_retry_;
   stats::ExponentialSampler exp_service_;
-  stats::LognormalSampler logn_service_;
   fault::FaultPoint fp_stall_;
   sim::SimTime stall_until_ps_ = 0;
   bool retry_timer_armed_ = false;

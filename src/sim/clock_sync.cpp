@@ -9,15 +9,17 @@ namespace {
 
 /// Repeated difference measurements per synchronization (paper: 7).
 constexpr std::size_t kAttempts = 7;
+/// Maximum extra delay of an outlier read.
+constexpr SimTime kOutlierExtraPs = 5'000'000;  // 5 us
 
 /// A single PCIe register read: returns the clock value and advances the
 /// time cursor by the (possibly outlier-delayed) access time.
 std::uint64_t pcie_read(const PtpClock& clock, SimTime* cursor, std::mt19937_64& rng,
                         const ClockSyncConfig& cfg) {
-  SimTime access = cfg.pcie_read_ps;
+  SimTime access = ClockSyncConfig::kPcieReadPs;
   std::uniform_real_distribution<double> uni(0.0, 1.0);
   if (uni(rng) < cfg.outlier_probability) {
-    access += static_cast<SimTime>(uni(rng) * static_cast<double>(cfg.outlier_extra_ps));
+    access += static_cast<SimTime>(uni(rng) * static_cast<double>(kOutlierExtraPs));
   }
   // The value is latched at the start of the access; completion takes the
   // full round trip.

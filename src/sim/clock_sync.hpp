@@ -18,11 +18,10 @@ namespace moongen::sim {
 
 struct ClockSyncConfig {
   /// PCIe register read round-trip.
-  SimTime pcie_read_ps = 300'000;  // 300 ns
+  static constexpr SimTime kPcieReadPs = 300'000;  // 300 ns
+
   /// Probability that a single register read is delayed by contention.
   double outlier_probability = 0.05;
-  /// Maximum extra delay of an outlier read.
-  SimTime outlier_extra_ps = 5'000'000;  // 5 us
 };
 
 struct ClockSyncResult {

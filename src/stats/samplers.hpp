@@ -60,47 +60,6 @@ class ExponentialSampler {
   SplitMix64 rng_;
 };
 
-/// Lognormally distributed positive reals: exp(N(mu, sigma^2)) via
-/// Box-Muller (both normals of a pair are used, so draws cost one RNG step
-/// amortized). Models heavy-ish-tailed service times: sigma around 0.5-1.0
-/// gives the multi-modal "slow request" tails real caches exhibit.
-class LognormalSampler {
- public:
-  LognormalSampler(double mu, double sigma, std::uint64_t seed)
-      : mu_(mu), sigma_(sigma), rng_(seed) {}
-
-  /// Parameterized by the distribution mean (not the mean of the log):
-  /// mu = ln(mean) - sigma^2/2, so mean() of the draws converges to `mean`.
-  static LognormalSampler from_mean(double mean, double sigma, std::uint64_t seed) {
-    return {std::log(mean) - sigma * sigma / 2.0, sigma, seed};
-  }
-
-  double next() {
-    if (have_spare_) {
-      have_spare_ = false;
-      return std::exp(mu_ + sigma_ * spare_);
-    }
-    // Box-Muller on (0,1] x [0,1): 1-u keeps the log argument positive.
-    const double u1 = 1.0 - rng_.next_double();
-    const double u2 = rng_.next_double();
-    const double r = std::sqrt(-2.0 * std::log(u1));
-    const double theta = 2.0 * 3.14159265358979323846 * u2;
-    spare_ = r * std::sin(theta);
-    have_spare_ = true;
-    return std::exp(mu_ + sigma_ * r * std::cos(theta));
-  }
-
-  [[nodiscard]] double mu() const { return mu_; }
-  [[nodiscard]] double sigma() const { return sigma_; }
-
- private:
-  double mu_;
-  double sigma_;
-  SplitMix64 rng_;
-  double spare_ = 0.0;
-  bool have_spare_ = false;
-};
-
 /// Zipf-distributed ranks 0..n-1: P(rank = i) proportional to 1/(i+1)^skew.
 /// Draws use a precomputed Walker/Vose alias table — one RNG step and one
 /// table probe regardless of n — so a million-key popularity distribution

@@ -4,6 +4,9 @@ namespace moongen::telemetry {
 
 namespace {
 
+/// Geometry of every histogram on the plane (values in nanoseconds).
+constexpr HistogramConfig kHistogram{};
+
 std::uint32_t round_up_pow2(std::uint32_t v) {
   if (v <= 1) return 1;
   std::uint32_t p = 1;
@@ -25,7 +28,7 @@ RttPlane::RttPlane(RttPlaneConfig cfg, std::size_t shard_count) : cfg_(cfg) {
   if (shard_count == 0) shard_count = 1;
   shards_.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i)
-    shards_.push_back(std::make_unique<RttShard>(group_count_, cfg_.histogram));
+    shards_.push_back(std::make_unique<RttShard>(group_count_, kHistogram));
 }
 
 void RttPlane::close_window(std::uint64_t end_ps) {
@@ -34,8 +37,8 @@ void RttPlane::close_window(std::uint64_t end_ps) {
   w.end_ps = end_ps;
   w.groups.resize(group_count_);
 
-  LogLinearHistogram overall(cfg_.histogram);
-  LogLinearHistogram merged(cfg_.histogram);
+  LogLinearHistogram overall(kHistogram);
+  LogLinearHistogram merged(kHistogram);
   for (std::uint32_t g = 0; g < group_count_; ++g) {
     merged.reset();
     // Shard-index order; merge is bucket-wise addition, so the result does
@@ -61,7 +64,7 @@ void RttPlane::close_window(std::uint64_t end_ps) {
   last_window_end_ps_ = end_ps;
   ++windows_closed_;
   windows_.push_back(std::move(w));
-  if (windows_.size() > cfg_.max_windows) {
+  if (windows_.size() > RttPlaneConfig::kMaxWindows) {
     windows_.pop_front();
     ++windows_evicted_;
   }
@@ -86,14 +89,14 @@ void RttPlane::close_window(std::uint64_t end_ps) {
 }
 
 LogLinearHistogram RttPlane::cumulative() const {
-  LogLinearHistogram out(cfg_.histogram);
+  LogLinearHistogram out(kHistogram);
   for (const auto& shard : shards_)
     for (const auto& group : shard->groups_) out.merge(group.cumulative);
   return out;
 }
 
 LogLinearHistogram RttPlane::cumulative_group(std::uint32_t group) const {
-  LogLinearHistogram out(cfg_.histogram);
+  LogLinearHistogram out(kHistogram);
   for (const auto& shard : shards_) out.merge(shard->groups_[group & (group_count_ - 1)].cumulative);
   return out;
 }
@@ -151,7 +154,7 @@ void RttPlane::bind_telemetry(MetricTree& tree, const std::string& prefix) {
   tm_p99_ = tree.gauge(prefix + ".p99_ns");
   tm_p999_ = tree.gauge(prefix + ".p999_ns");
   tm_in_flight_ = tree.gauge(prefix + ".in_flight");
-  tm_hist_ = tree.histogram(prefix + ".rtt_ns", cfg_.histogram);
+  tm_hist_ = tree.histogram(prefix + ".rtt_ns", kHistogram);
   // Seed with any history recorded before binding (mirrors the component
   // bind_telemetry convention), so books stay exact.
   tm_hist_.merge(cumulative());

@@ -44,17 +44,16 @@
 namespace moongen::telemetry {
 
 struct RttPlaneConfig {
+  /// Retained closed windows; older ones are evicted (a week-long soak at
+  /// 100 ms windows would otherwise hold ~6 million windows).
+  static constexpr std::size_t kMaxWindows = 8192;
+
   /// Flow groups per shard (rounded up to a power of two, >= 1). A frame's
   /// `flow` label indexes its group modulo this count.
   std::uint32_t flow_groups = 1;
   /// Window length in picoseconds of virtual time (default 100 ms — the
   /// sampling cadence of the fig10/fig11 experiments).
   std::uint64_t window_ps = 100'000'000'000ull;
-  /// Geometry of every histogram on the plane (values in nanoseconds).
-  HistogramConfig histogram{};
-  /// Retained closed windows; older ones are evicted (a week-long soak at
-  /// 100 ms windows would otherwise hold ~6 million windows).
-  std::size_t max_windows = 8192;
 };
 
 /// Quantiles of one flow group over one window (ns, bucket lower edges).

@@ -259,11 +259,11 @@ std::uint64_t Scenario::telemetry_period_ps() const {
   // from the plane's bounded deque; a longer tick would lose some unseen.
   // (period_ps - 1) / max >= window  <=>  period_ps > max * window, with
   // no overflow on the right-hand side.
-  const std::uint64_t max_windows = telemetry::RttPlaneConfig{}.max_windows;
-  if (!stream_path_.empty() && (period_ps - 1) / max_windows >= rtt_window_ps_)
+  constexpr std::uint64_t kept_windows = telemetry::RttPlaneConfig::kMaxWindows;
+  if (!stream_path_.empty() && (period_ps - 1) / kept_windows >= rtt_window_ps_)
     throw std::invalid_argument(
         "Scenario::stream_telemetry: period of " + std::to_string(period_ns) +
-        " ns exceeds the " + std::to_string(max_windows) + " RTT windows of " +
+        " ns exceeds the " + std::to_string(kept_windows) + " RTT windows of " +
         std::to_string(rtt_window_ps_ / 1'000) + " ns the plane retains between ticks");
   return period_ps;
 }

@@ -337,7 +337,7 @@ TEST(NicFaults, RxOverflowDropsLookLikeAFullRing) {
 }
 
 // ---------------------------------------------------------------------------
-// Mempool exhaustion injection and the TX-side retry
+// Mempool exhaustion injection
 // ---------------------------------------------------------------------------
 
 TEST(MempoolFaults, InjectedExhaustionIsCountedAndExported) {
@@ -361,28 +361,6 @@ TEST(MempoolFaults, InjectedExhaustionIsCountedAndExported) {
   EXPECT_EQ(failures, plane.fires_at("pool.tx"));
   EXPECT_EQ(failures, pool.exhausted_events());
   EXPECT_EQ(registry.counter_value("mempool.exhausted"), failures);
-}
-
-TEST(MempoolFaults, AllocFullRetriesThroughTransientFailures) {
-  const auto spec = mf::FaultSpec::parse("seed=17;alloc_fail@pool.tx:p=0.5");
-  mf::FaultPlane plane(spec);
-  mb::Mempool pool(256);
-  pool.install_faults(plane, "pool.tx");
-  mb::BufArray bufs(pool, 16);
-
-  bool saw_retry = false;
-  std::size_t full_batches = 0;
-  for (int i = 0; i < 50; ++i) {
-    const std::size_t n = bufs.alloc_full(60);
-    EXPECT_EQ(n + bufs.last_shortfall(), 16u);
-    saw_retry = saw_retry || bufs.last_retries() > 0;
-    if (bufs.last_shortfall() == 0) ++full_batches;
-    bufs.free_all();
-  }
-  // At p=0.5 roughly half the initial allocations fail; the bounded retry
-  // turns nearly all of them into full batches.
-  EXPECT_TRUE(saw_retry);
-  EXPECT_GT(full_batches, 40u);
 }
 
 // ---------------------------------------------------------------------------

@@ -324,7 +324,7 @@ TEST(BoundedRing, PropertyRandomizedGrowShrinkMatchesDequeModel) {
 }
 
 // ---------------------------------------------------------------------------
-// BufArray::alloc_full (retrying allocation)
+// BufArray shortfall
 // ---------------------------------------------------------------------------
 
 TEST(BufArray, AllocTracksShortfall) {
@@ -332,28 +332,8 @@ TEST(BufArray, AllocTracksShortfall) {
   mb::BufArray bufs(pool, 16);
   EXPECT_EQ(bufs.alloc(60), 8u);  // pool smaller than the batch
   EXPECT_EQ(bufs.last_shortfall(), 8u);
-  EXPECT_EQ(bufs.last_retries(), 0u);
   bufs.free_all();
   EXPECT_EQ(bufs.alloc(60, 4), 4u);
   EXPECT_EQ(bufs.last_shortfall(), 0u);
-  bufs.free_all();
-}
-
-TEST(BufArray, AllocFullGivesUpAfterBoundedRetries) {
-  mb::Mempool pool(8);
-  mb::BufArray bufs(pool, 16);
-  // The pool genuinely cannot satisfy 16: alloc_full must not spin forever.
-  EXPECT_EQ(bufs.alloc_full(60, /*max_retries=*/3), 8u);
-  EXPECT_EQ(bufs.last_shortfall(), 8u);
-  EXPECT_EQ(bufs.last_retries(), 3u);
-  bufs.free_all();
-}
-
-TEST(BufArray, AllocFullSucceedsWithoutRetriesWhenPoolIsHealthy) {
-  mb::Mempool pool(64);
-  mb::BufArray bufs(pool, 16);
-  EXPECT_EQ(bufs.alloc_full(60), 16u);
-  EXPECT_EQ(bufs.last_shortfall(), 0u);
-  EXPECT_EQ(bufs.last_retries(), 0u);
   bufs.free_all();
 }

@@ -345,16 +345,6 @@ TEST(NicRx, RingOverflowDrops) {
   EXPECT_EQ(bed.b.stats().rx_ring_drops, 16u);
 }
 
-TEST(NicRx, SteeringSelectsQueue) {
-  moongen::test::TenGbeFiberBed bed;
-  bed.b.set_rx_steering([](const mn::Frame& f) { return f.frame_size() > 100 ? 1 : 0; });
-  bed.a.tx_queue(0).post(udp_frame(60));
-  bed.a.tx_queue(0).post(udp_frame(124));
-  bed.events.run();
-  EXPECT_EQ(bed.b.rx_queue(0).pending(), 1u);
-  EXPECT_EQ(bed.b.rx_queue(1).pending(), 1u);
-}
-
 // ---------------------------------------------------------------------------
 // Throughput model (Figures 2-4 arithmetic)
 // ---------------------------------------------------------------------------

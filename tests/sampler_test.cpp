@@ -1,5 +1,5 @@
 // Tests for the deterministic workload samplers (stats/samplers.hpp):
-// SplitMix64, exponential/lognormal inter-arrivals and the alias-table
+// SplitMix64, exponential inter-arrivals and the alias-table
 // Zipf key-popularity sampler. Distributional checks use chi-square
 // goodness-of-fit at fixed seeds — the streams are fully deterministic,
 // so the thresholds are exact regression pins, not flaky statistics.
@@ -96,14 +96,6 @@ TEST(ExponentialSampler, MeanConverges) {
   const int n = 200'000;
   for (int i = 0; i < n; ++i) total += s.next();
   EXPECT_NEAR(total / n, 250.0, 2.5);  // within 1 %
-}
-
-TEST(LognormalSampler, FromMeanHitsTheRequestedMean) {
-  auto s = st::LognormalSampler::from_mean(1000.0, 0.5, 5);
-  double total = 0;
-  const int n = 200'000;
-  for (int i = 0; i < n; ++i) total += s.next();
-  EXPECT_NEAR(total / n, 1000.0, 15.0);
 }
 
 // ---------------------------------------------------------------------------

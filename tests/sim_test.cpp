@@ -361,7 +361,7 @@ TEST(ClockSync, MeasurementCancelsConstantAccessTime) {
   ms::SimTime cursor = 0;
   const std::int64_t measured = ms::measure_clock_difference(a, b, &cursor, rng, cfg);
   EXPECT_NEAR(static_cast<double>(measured), 123'456'000.0, 2 * 6'400.0);
-  EXPECT_EQ(cursor, 4 * cfg.pcie_read_ps);
+  EXPECT_EQ(cursor, 4 * ms::ClockSyncConfig::kPcieReadPs);
 }
 
 TEST(ClockSync, DriftMeasuredAsRelativeError) {

@@ -608,10 +608,10 @@ TEST(DeviceTable, TablesAreIsolated) {
   mc::Device& da = a.config(5, 1, 1);
   mc::Device& db = b.config(5, 1, 1);
   EXPECT_NE(&da, &db);  // same id, different tables, different devices
-  da.set_link_up(false);
-  EXPECT_FALSE(da.link_up());
-  EXPECT_TRUE(db.link_up());  // state does not leak across tables
-  da.set_link_up(true);
+  a.config(5, 3, 2);
+  EXPECT_EQ(da.num_rx_queues(), 3);
+  EXPECT_EQ(db.num_rx_queues(), 1);  // state does not leak across tables
+  EXPECT_EQ(db.num_tx_queues(), 1);
 }
 
 TEST(DeviceTable, FindDoesNotCreate) {

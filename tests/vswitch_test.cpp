@@ -1,5 +1,5 @@
 // Tests for the multi-tenant virtual-switch DuT: match tables, token-bucket
-// shaping, strict-priority + DRR egress, VLAN rewrite, frame conservation,
+// shaping, strict-priority + DRR egress, flow labels, frame conservation,
 // and the victim-isolation property behind the DDoS scenarios.
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include "health/health.hpp"
 #include "nic/chip.hpp"
 #include "proto/packet_view.hpp"
-#include "rpc/codec.hpp"
 #include "testbed/scenario.hpp"
 #include "wire/link.hpp"
 
@@ -24,7 +23,6 @@ namespace mf = moongen::fault;
 namespace mh = moongen::health;
 namespace mn = moongen::nic;
 namespace mp = moongen::proto;
-namespace mr = moongen::rpc;
 namespace ms = moongen::sim;
 namespace mtb = moongen::testbed;
 namespace mw = moongen::wire;
@@ -294,43 +292,8 @@ TEST(VSwitch, DrrSharesClassBandwidthByQuantum) {
 }
 
 // ---------------------------------------------------------------------------
-// VLAN rewrite
+// Egress rings and flow labels
 // ---------------------------------------------------------------------------
-
-TEST(VSwitch, PopRemovesTagAndPushRetagsInPlace) {
-  md::TenantConfig popper = tenant(10, 0);
-  popper.tag = md::TenantConfig::Tag::kPop;
-  md::TenantConfig pusher = tenant(20, 1);
-  pusher.tag = md::TenantConfig::Tag::kPush;
-  pusher.push_vid = 77;
-  pusher.push_pcp = 3;
-  md::VSwitchConfig cfg;
-  cfg.tenants = {popper, pusher};
-  VsBed bed(cfg);
-  auto& q = bed.gen_tx.tx_queue(0);
-  for (int i = 0; i < 10; ++i) q.post(tagged_frame(10));
-  for (int i = 0; i < 10; ++i) q.post(tagged_frame(20));
-  bed.events.run();
-
-  const auto popped = bed.sink0.rx_queue(0).drain();
-  ASSERT_EQ(popped.size(), 10u);
-  for (const auto& e : popped) {
-    const auto cls = mp::classify({e.frame.data->data(), e.frame.data->size()});
-    ASSERT_TRUE(cls.has_value());
-    EXPECT_FALSE(cls->has_vlan);
-    EXPECT_EQ(cls->ether_type, mp::EtherType::kIPv4);
-  }
-  const auto pushed = bed.sink1.rx_queue(0).drain();
-  ASSERT_EQ(pushed.size(), 10u);
-  for (const auto& e : pushed) {
-    const auto cls = mp::classify({e.frame.data->data(), e.frame.data->size()});
-    ASSERT_TRUE(cls.has_value());
-    ASSERT_TRUE(cls->has_vlan);
-    EXPECT_EQ(cls->outer_vid, 77u);
-    EXPECT_EQ(cls->outer_pcp, 3u);
-  }
-  bed.check_conservation();
-}
 
 namespace {
 
@@ -342,57 +305,7 @@ std::uint16_t udp_dst_of(const mn::Frame& frame) {
   return static_cast<std::uint16_t>(bytes[cls->l4_offset + 2] << 8 | bytes[cls->l4_offset + 3]);
 }
 
-/// A tenant that retags VID 20 to VID 77 on vport 1.
-md::VSwitchConfig retag_config() {
-  md::TenantConfig pusher = tenant(20, 1);
-  pusher.tag = md::TenantConfig::Tag::kPush;
-  pusher.push_vid = 77;
-  md::VSwitchConfig cfg;
-  cfg.tenants = {pusher};
-  return cfg;
-}
-
 }  // namespace
-
-// Each frame is built, switched and freed before the next one is made, so
-// the allocator may hand every frame the previous one's address: a rewrite
-// must come from the frame's own bytes, never from a buffer seen earlier.
-TEST(VSwitch, RetagRewritesEachFreshPayload) {
-  VsBed bed(retag_config());
-  auto& q = bed.gen_tx.tx_queue(0);
-  for (std::uint16_t i = 0; i < 50; ++i) {
-    q.post(tagged_frame(20, 0, 128, static_cast<std::uint16_t>(1'000 + i)));
-    bed.events.run();
-  }
-  const auto rx = bed.sink1.rx_queue(0).drain();
-  ASSERT_EQ(rx.size(), 50u);
-  for (std::size_t i = 0; i < rx.size(); ++i) {
-    EXPECT_EQ(udp_dst_of(rx[i].frame), 1'000 + i) << "frame " << i;
-    const auto cls = mp::classify({rx[i].frame.data->data(), rx[i].frame.data->size()});
-    ASSERT_TRUE(cls.has_value());
-    EXPECT_EQ(cls->outer_vid, 77u);
-  }
-}
-
-// rpc::FramePool rewrites one buffer in place between frames: the second
-// frame shares the first one's buffer but not its bytes.
-TEST(VSwitch, RetagFollowsABufferRewrittenInPlace) {
-  VsBed bed(retag_config());
-  auto& q = bed.gen_tx.tx_queue(0);
-  mr::FramePool pool(tagged_frame(20, 0, 128, 1), 1);
-  for (const std::uint16_t dst : {1, 2}) {
-    auto [bytes, frame] = pool.acquire();
-    const mn::Frame src = tagged_frame(20, 0, 128, dst);
-    ASSERT_EQ(bytes.size(), src.data->size());
-    std::copy(src.data->begin(), src.data->end(), bytes.begin());
-    q.post(std::move(frame));
-    bed.events.run();
-  }
-  const auto rx = bed.sink1.rx_queue(0).drain();
-  ASSERT_EQ(rx.size(), 2u);
-  EXPECT_EQ(udp_dst_of(rx[0].frame), 1u);
-  EXPECT_EQ(udp_dst_of(rx[1].frame), 2u);
-}
 
 // Ring slots are allocated as the ring fills, yet the capacity is exactly
 // queue_frames and order is FIFO. A 10 Mbit/s vport drains one frame per
