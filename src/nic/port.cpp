@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "proto/packet_view.hpp"
 
@@ -20,6 +22,16 @@ constexpr sim::SimTime align_up(sim::SimTime t, sim::SimTime grid) {
 constexpr std::uint32_t kPtpMessageTypeMask = 0x0f;
 constexpr std::uint8_t kPtpVersion = 2;
 constexpr std::uint16_t kPtpUdpPort = 319;
+
+/// A speed the chip cannot run would divide by zero in the byte time or
+/// give a zero pacing tick.
+std::uint64_t checked_link_mbit(const ChipSpec& spec, std::uint64_t link_mbit) {
+  if (link_mbit == 0 || link_mbit > spec.max_link_mbit)
+    throw std::invalid_argument("Port: " + spec.name + " cannot run at " +
+                                std::to_string(link_mbit) + " Mbit/s (1.." +
+                                std::to_string(spec.max_link_mbit) + ")");
+  return link_mbit;
+}
 
 }  // namespace
 
@@ -79,8 +91,8 @@ std::size_t RxQueueModel::drain_into(std::vector<Entry>& out, std::size_t max) {
 Port::Port(sim::EventQueue& events, ChipSpec spec, std::uint64_t link_mbit, std::uint64_t seed)
     : events_(events),
       spec_(std::move(spec)),
-      link_mbit_(link_mbit),
-      byte_time_ps_(sim::byte_time_ps(link_mbit)),
+      link_mbit_(checked_link_mbit(spec_, link_mbit)),
+      byte_time_ps_(sim::byte_time_ps(link_mbit_)),
       rng_(seed),
       engaged_(static_cast<std::size_t>(spec_.num_queues)),
       ptp_clock_({.increment_ps = spec_.ptp_increment_ps,

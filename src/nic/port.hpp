@@ -193,6 +193,8 @@ struct DmaTiming {
 
 class Port {
  public:
+  /// Throws std::invalid_argument when `link_mbit` is 0 or above the
+  /// chip's max_link_mbit.
   Port(sim::EventQueue& events, ChipSpec spec, std::uint64_t link_mbit, std::uint64_t seed);
 
   Port(const Port&) = delete;

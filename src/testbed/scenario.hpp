@@ -102,7 +102,8 @@ class Scenario {
   /// `nic.<name>` / `clock.<name>`, and lookup via Testbed::port(name).
   /// Default name: `dev<id>`.
   Scenario& name(std::string device_name);
-  /// Link speed in Mbit/s (default 10'000).
+  /// Link speed in Mbit/s (default 10'000). build() throws
+  /// std::invalid_argument on 0 or a speed above the chip's max_link_mbit.
   Scenario& link_mbit(std::uint64_t mbit);
   /// Overrides the chip's TX/RX queue count.
   Scenario& queues(int n);

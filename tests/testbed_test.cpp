@@ -404,6 +404,27 @@ TEST(Scenario, RejectsTelemetryPeriodOverflowingPicoseconds) {
   EXPECT_THROW((void)s.build(), std::invalid_argument);
 }
 
+// Port divides by the link speed and scales its pacing tick by
+// max_link_mbit / link_mbit: a speed of 0 or above the chip's maximum
+// must fail the build, naming the chip and the speed.
+TEST(Scenario, RejectsLinkSpeedsTheChipCannotRun) {
+  for (const std::uint64_t mbit : {std::uint64_t{0}, std::uint64_t{40'000}}) {
+    mtb::Scenario s;
+    s.device(0, mn::intel_x540()).link_mbit(mbit);
+    try {
+      (void)s.build();
+      ADD_FAILURE() << mbit << " Mbit/s was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("X540"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::to_string(mbit) + " Mbit/s"), std::string::npos) << what;
+    }
+  }
+  mtb::Scenario ok;
+  ok.device(0, mn::intel_82580()).link_mbit(1'000);
+  EXPECT_NO_THROW((void)ok.build());
+}
+
 TEST(Scenario, RejectsStreamPeriodBeyondRetainedRttWindows) {
   // 8192 retained windows of 1 us span 8.192 ms; a 10 ms tick would skip
   // windows evicted before the stream saw them.
