@@ -82,6 +82,9 @@ Scenario& Scenario::rtt_groups(std::uint32_t n) {
 
 Scenario& Scenario::rtt_window_ns(std::uint64_t ns) {
   if (ns == 0) throw std::invalid_argument("Scenario::rtt_window_ns: zero window");
+  if (ns > UINT64_MAX / 1'000)
+    throw std::invalid_argument("Scenario::rtt_window_ns: window of " + std::to_string(ns) +
+                                " ns overflows picoseconds");
   rtt_window_ps_ = ns * 1'000;
   return *this;
 }

@@ -80,7 +80,8 @@ class Scenario {
   Scenario& rtt_groups(std::uint32_t n);
   /// Window length of the RTT plane's quantile snapshots in nanoseconds of
   /// virtual time (default 100 ms). Windows close automatically during
-  /// run_until at every multiple of this period.
+  /// run_until at every multiple of this period. Throws
+  /// std::invalid_argument on 0 or a window that overflows picoseconds.
   Scenario& rtt_window_ns(std::uint64_t ns);
   /// Records one registry snapshot (Testbed::snapshot) per `period_ns` of
   /// virtual time in memory — plus one at the first run instant — for

@@ -402,6 +402,9 @@ TEST(Scenario, RejectsTelemetryPeriodOverflowingPicoseconds) {
   mtb::Scenario s = fig10_scenario(1);
   s.sample_telemetry(UINT64_MAX / 1'000 + 1);
   EXPECT_THROW((void)s.build(), std::invalid_argument);
+  // The RTT window is kept in picoseconds too; it would wrap to 384 ps.
+  EXPECT_THROW(s.rtt_window_ns(UINT64_MAX / 1'000 + 1), std::invalid_argument);
+  EXPECT_NO_THROW(s.rtt_window_ns(UINT64_MAX / 1'000));
 }
 
 // Port divides by the link speed and scales its pacing tick by
