@@ -1,5 +1,7 @@
 #include "cli.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -7,9 +9,27 @@
 
 namespace moongen::examples {
 
+namespace {
+
+/// Parses all of `text` as a T; false on trailing bytes, range or syntax.
+template <typename T>
+bool parse_whole(const char* text, T& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  return ec == std::errc{} && ptr == end && ptr != text;
+}
+
+}  // namespace
+
 double Cli::number(std::size_t i, double dflt) const {
   if (i >= positional.size()) return dflt;
-  return std::atof(positional[i].c_str());
+  double v = 0.0;
+  if (!parse_whole(positional[i].c_str(), v) || !std::isfinite(v) || v < 0.0) {
+    std::fprintf(stderr, "argument %zu (%s) is not a finite number >= 0\n%s", i + 1,
+                 positional[i].c_str(), usage);
+    std::exit(2);
+  }
+  return v;
 }
 
 std::string Cli::arg(std::size_t i, const std::string& dflt) const {
@@ -20,6 +40,7 @@ std::string Cli::arg(std::size_t i, const std::string& dflt) const {
 std::optional<Cli> parse_cli(int argc, char** argv, const char* usage) {
   if (usage == nullptr) usage = "";
   Cli cli;
+  cli.usage = usage;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     const bool has_value = i + 1 < argc;
@@ -43,11 +64,13 @@ std::optional<Cli> parse_cli(int argc, char** argv, const char* usage) {
     } else if (std::strcmp(a, "--stream") == 0) {
       cli.stream_path = argv[++i];
     } else if (std::strcmp(a, "--seed") == 0) {
-      cli.seed = std::strtoull(argv[++i], nullptr, 10);
+      if (!parse_whole(argv[++i], cli.seed)) {
+        std::fprintf(stderr, "--seed %s is not an unsigned integer\n%s", argv[i], usage);
+        return std::nullopt;
+      }
     } else if (std::strcmp(a, "--shards") == 0) {
-      cli.shards = std::atoi(argv[++i]);
-      if (cli.shards < 1) {
-        std::fprintf(stderr, "--shards must be >= 1\n%s", usage);
+      if (!parse_whole(argv[++i], cli.shards) || cli.shards < 1) {
+        std::fprintf(stderr, "--shards %s is not an integer >= 1\n%s", argv[i], usage);
         return std::nullopt;
       }
     } else if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) {

@@ -31,21 +31,25 @@ struct Cli {
   std::uint64_t seed = 1;
   int shards = 1;
   std::vector<std::string> positional;
+  /// The example's usage text, printed when a positional value is malformed.
+  const char* usage = "";
 
   [[nodiscard]] bool has_json() const { return !json_path.empty(); }
   [[nodiscard]] bool has_faults() const { return !faults.empty(); }
   [[nodiscard]] bool has_stream() const { return !stream_path.empty(); }
 
-  /// Positional argument `i` as a double, or `dflt` when absent.
+  /// Positional argument `i` as a double, or `dflt` when absent. An
+  /// argument that is not a finite number >= 0 in full is named on stderr
+  /// with the usage text, and the process exits with status 2.
   [[nodiscard]] double number(std::size_t i, double dflt) const;
   /// Positional argument `i` as a string, or `dflt` when absent.
   [[nodiscard]] std::string arg(std::size_t i, const std::string& dflt = "") const;
 };
 
 /// Parses the shared flags out of argv. On error (a flag `usage` does not
-/// name, a missing flag value, a malformed --faults spec) prints a message
-/// plus `usage` to stderr and returns nullopt; the caller should exit
-/// non-zero.
+/// name, a missing flag value, a --seed or --shards that is not an integer
+/// in full, a malformed --faults spec) prints a message plus `usage` to
+/// stderr and returns nullopt; the caller should exit with status 2.
 std::optional<Cli> parse_cli(int argc, char** argv, const char* usage);
 
 }  // namespace moongen::examples
