@@ -10,7 +10,8 @@
 //   2. declarative field-modifier program (a restricted "script" compiled
 //                                          to a data structure)
 //   3. generic config-driven generator    (the Pktgen-DPDK architecture)
-//   4. tree-walking interpreter           (per-packet script WITHOUT a JIT)
+//   4. tree-walking interpreter           (per-packet script WITHOUT a JIT;
+//                                          the test oracle, tests/oracle)
 //   5. generic bytecode VM                (the same script lowered to
 //                                          register bytecode + inline caches,
 //                                          trace specialization disabled)
@@ -27,6 +28,7 @@
 //
 // Usage: ablation_scripting [json_path]   (default BENCH_ablation_scripting.json)
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,6 +39,7 @@
 #include "core/field_modifier.hpp"
 #include "membuf/buf_array.hpp"
 #include "membuf/mempool.hpp"
+#include "oracle/tree_walker.hpp"
 #include "proto/packet_view.hpp"
 #include "script/bindings.hpp"
 #include "script/interpreter.hpp"
@@ -143,7 +146,7 @@ int main(int argc, char** argv) {
   }
 
   // 4/5/6. The same per-packet script, executed by the tree-walking
-  // interpreter, by the generic bytecode VM (trace tier disabled) and by
+  // test oracle, by the generic bytecode VM (trace tier disabled) and by
   // the trace-specialized VM (the default engine).
   const auto scripted_tier = [](bool tree_walk, bool trace, const char* label) {
     mc::reset_run_state();
@@ -164,9 +167,15 @@ int main(int argc, char** argv) {
       function master() end
     )";
     sc::ScriptRuntime runtime(script);
-    runtime.master().set_tree_walk(tree_walk);
     runtime.master().set_trace(trace);
-    runtime.master().run();
+    // The walker's closures call back into it, so it outlives `run`.
+    std::optional<sc::oracle::TreeWalker> walker;
+    if (tree_walk) {
+      walker.emplace(runtime.master());
+      walker->run();
+    } else {
+      runtime.master().run();
+    }
     // The script's devices live in the process-default table.
     auto& dev = mc::DeviceTable::process_default().config(0, 1, 1);
     dev.disconnect();

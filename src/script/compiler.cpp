@@ -360,12 +360,12 @@ class Compiler {
          line, new_ic());
   }
 
-  /// True at the top level outside any block: locals there are globals in
-  /// the tree-walker (the top-level environment *is* the global table).
+  /// True at the top level outside any block: locals there are globals, as
+  /// in the tree-walker (whose top-level scope *is* the global table).
   static bool direct_toplevel(const FuncState& fs) { return fs.toplevel && fs.depth == 0; }
 
   /// Declares a local holding the value currently in `src`. Re-declaring a
-  /// name in the same scope reuses its slot (the interpreter overwrites the
+  /// name in the same scope reuses its slot (the tree-walker overwrites the
   /// same environment entry, which existing closures observe).
   void bind_local(FuncState& fs, const std::string& name, std::uint32_t src, std::int32_t line) {
     for (auto it = fs.locals.rbegin(); it != fs.locals.rend() && it->depth == fs.depth; ++it) {
@@ -557,7 +557,7 @@ class Compiler {
             emit_load_const(fs, Value(*item.name_key), key, expr.line);
           } else if (item.expr_key) {
             compile_expr_to(fs, *item.expr_key, key);
-            // The interpreter validates the key *before* evaluating the value.
+            // The tree-walker validates the key *before* evaluating the value.
             emit(fs, Op::kCheckKey, static_cast<std::int32_t>(key), 0, 0, 0, expr.line);
           } else {
             emit_load_const(fs, Value(next_index), key, expr.line);
@@ -705,7 +705,7 @@ class Compiler {
   }
 
   /// Compiles an expression list so exactly `want` values land in
-  /// registers [dest, dest + want) — the interpreter's evaluate_list with
+  /// registers [dest, dest + want) — the tree-walker's evaluate_list with
   /// multi-value expansion of the final expression.
   void compile_explist(FuncState& fs, const std::vector<ExprPtr>& exprs, std::uint32_t dest,
                        std::uint32_t want, std::int32_t line) {
@@ -771,7 +771,7 @@ class Compiler {
   }
 
   void compile_stmt(FuncState& fs, const Stmt& stmt) {
-    // Mirrors the interpreter's count_step at execute() entry: one budget
+    // Mirrors the tree-walker's count_step at execute() entry: one budget
     // tick per executed statement, before its effects.
     emit(fs, Op::kCheckStep, 0, 0, 0, 0, stmt.line);
     switch (stmt.kind) {
@@ -814,7 +814,7 @@ class Compiler {
     const auto dest = alloc_regs(fs, n);
     compile_explist(fs, stmt.exprs, dest, n, stmt.line);
     if (direct_toplevel(fs)) {
-      // The top-level environment is the global table in the tree-walker.
+      // Top-level locals are globals (see direct_toplevel).
       for (std::uint32_t i = 0; i < n; ++i) {
         emit(fs, Op::kSetGlobal, static_cast<std::int32_t>(dest + i),
              const_index(fs, Value(stmt.names[i])), 0, 0, stmt.line, new_ic());
@@ -898,10 +898,10 @@ class Compiler {
     const auto outer = fs.reg_top;
     // Internal i/stop/step triple survives the whole loop; the user loop
     // variable is a separate per-iteration local (mutating it must not
-    // steer the iteration — the interpreter iterates on its own double).
+    // steer the iteration — the tree-walker iterates on its own double).
     const auto base = alloc_regs(fs, 3);
     // Bounds are converted as they are evaluated, matching the
-    // interpreter's evaluate(start).as_number() sequencing: a non-number
+    // tree-walker's evaluate(start).as_number() sequencing: a non-number
     // start throws before the stop expression runs.
     compile_expr_to(fs, *stmt.for_start, base);
     emit(fs, Op::kToNum, static_cast<std::int32_t>(base), 0, 0, 0, stmt.line);

@@ -9,8 +9,9 @@
 //
 // Determinism contract: for programs that declare names before use (all of
 // the repo's scripts and the fuzz corpus), the compiled program is
-// observably identical to the tree-walking interpreter — same values, same
-// side-effect order, same error messages, same statement-budget counting.
+// observably identical to the tree-walking reference evaluator that the
+// tests run beside it (tests/oracle) — same values, same side-effect
+// order, same error messages, same statement-budget counting.
 // See DESIGN.md section 11 for the one documented divergence
 // (use-before-declaration captures resolve lexically here, dynamically in
 // the tree-walker).
@@ -95,7 +96,7 @@ enum class Op : std::uint8_t {
   kForNext,     // r[a] += r[a+2]; pc = b
   kPathMid,     // r[a] = checked-table r[b][consts[c]] (function a.b.c decl)
   kPathSet,     // checked-table r[a][consts[b]] = r[c]
-  kCheckStep,   // statement budget tick (mirrors the interpreter's count)
+  kCheckStep,   // statement budget tick (mirrors the tree-walker's count)
 };
 
 /// nargs encoding for kCall / kMethodCall / kReturn: n >= 0 means exactly

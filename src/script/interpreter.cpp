@@ -15,25 +15,6 @@
 namespace moongen::script {
 
 // ---------------------------------------------------------------------------
-// Environment
-// ---------------------------------------------------------------------------
-
-Value Environment::get(const std::string& name) const {
-  const auto it = values_.find(name);
-  if (it != values_.end()) return it->second;
-  return parent_ ? parent_->get(name) : Value();
-}
-
-bool Environment::assign(const std::string& name, const Value& value) {
-  const auto it = values_.find(name);
-  if (it != values_.end()) {
-    it->second = value;
-    return true;
-  }
-  return parent_ ? parent_->assign(name, value) : false;
-}
-
-// ---------------------------------------------------------------------------
 // Argument helpers
 // ---------------------------------------------------------------------------
 
@@ -81,29 +62,11 @@ Value make_native(std::string name, NativeFn fn) {
 // ---------------------------------------------------------------------------
 
 Interpreter::Interpreter(std::shared_ptr<const Program> program)
-    : program_(std::move(program)), globals_(std::make_shared<Environment>()) {
+    : program_(std::move(program)) {
   install_base_library();
 }
 
-Interpreter::~Interpreter() {
-  for (const auto& weak : captured_envs_) {
-    if (const auto env = weak.lock()) env->clear();
-  }
-}
-
-Value Interpreter::make_closure(const FunctionDecl& decl,
-                                const std::shared_ptr<Environment>& env) {
-  if (captured_envs_.size() >= prune_captured_at_) {
-    std::erase_if(captured_envs_, [](const auto& weak) { return weak.expired(); });
-    prune_captured_at_ = std::max<std::size_t>(64, 2 * captured_envs_.size());
-  }
-  captured_envs_.push_back(env);
-  auto fn = std::make_shared<ScriptFunction>();
-  fn->decl = &decl;
-  fn->closure = env;
-  fn->name = decl.name;
-  return Value(std::move(fn));
-}
+Interpreter::~Interpreter() = default;
 
 void Interpreter::ensure_compiled() {
   if (!chunk_) chunk_ = compile_program(*program_);
@@ -120,323 +83,32 @@ std::vector<Value> Interpreter::call_compiled(const std::shared_ptr<VmClosure>& 
 }
 
 void Interpreter::set_global(const std::string& name, Value value) {
-  globals_->declare(name, std::move(value));
+  globals_[name] = std::move(value);
 }
 
-Value Interpreter::get_global(const std::string& name) const { return globals_->get(name); }
+Value Interpreter::get_global(const std::string& name) const {
+  const auto it = globals_.find(name);
+  return it != globals_.end() ? it->second : Value();
+}
 
 void Interpreter::run() {
-  if (tree_walk_) {
-    const auto flow = execute_block(program_->block, globals_);
-    (void)flow;
-    return;
-  }
   ensure_compiled();
   vm().run_toplevel(chunk_);
 }
 
 std::vector<Value> Interpreter::call_global(const std::string& name, std::vector<Value> args) {
-  const Value fn = globals_->get(name);
+  const Value fn = get_global(name);
   if (!fn.is_callable()) throw ScriptError("global '" + name + "' is not a function");
   return call(fn, std::move(args));
 }
 
 std::vector<Value> Interpreter::call(const Value& callee, std::vector<Value> args, int line) {
   if (const auto* nf = callee.native()) return (*nf)->fn(*this, args);
-  if (const auto* sf = callee.script_fn()) {
-    const auto& fn = **sf;
-    auto env = std::make_shared<Environment>(fn.closure);
-    for (std::size_t i = 0; i < fn.decl->params.size(); ++i) {
-      env->declare(fn.decl->params[i], i < args.size() ? args[i] : Value());
-    }
-    auto flow = execute_block(fn.decl->body, env);
-    if (flow.kind == Flow::Kind::kReturn) return std::move(flow.values);
-    return {};
-  }
   throw ScriptError("attempt to call a " + callee.type_name() + " value", line);
 }
 
 void Interpreter::step_budget_exceeded(int line) {
   throw ScriptError("script exceeded its execution budget", line);
-}
-
-// --- statements -------------------------------------------------------------
-
-Interpreter::Flow Interpreter::execute_block(const Block& block,
-                                             const std::shared_ptr<Environment>& env) {
-  for (const auto& stmt : block) {
-    auto flow = execute(*stmt, env);
-    if (flow.kind != Flow::Kind::kNormal) return flow;
-  }
-  return {};
-}
-
-Interpreter::Flow Interpreter::execute(const Stmt& stmt, const std::shared_ptr<Environment>& env) {
-  count_step(stmt.line);
-  switch (stmt.kind) {
-    case StmtKind::kLocal: {
-      auto values = evaluate_list(stmt.exprs, env);
-      for (std::size_t i = 0; i < stmt.names.size(); ++i) {
-        env->declare(stmt.names[i], i < values.size() ? values[i] : Value());
-      }
-      return {};
-    }
-    case StmtKind::kAssign: {
-      auto values = evaluate_list(stmt.exprs, env);
-      for (std::size_t i = 0; i < stmt.targets.size(); ++i) {
-        assign_target(*stmt.targets[i], i < values.size() ? values[i] : Value(), env);
-      }
-      return {};
-    }
-    case StmtKind::kExpr: {
-      (void)evaluate_multi(*stmt.expr, env);
-      return {};
-    }
-    case StmtKind::kIf: {
-      for (const auto& branch : stmt.branches) {
-        if (evaluate(*branch.condition, env).truthy()) {
-          auto scope = std::make_shared<Environment>(env);
-          return execute_block(branch.body, scope);
-        }
-      }
-      if (stmt.has_else) {
-        auto scope = std::make_shared<Environment>(env);
-        return execute_block(stmt.else_body, scope);
-      }
-      return {};
-    }
-    case StmtKind::kWhile: {
-      while (evaluate(*stmt.condition, env).truthy()) {
-        count_step(stmt.line);
-        auto scope = std::make_shared<Environment>(env);
-        auto flow = execute_block(stmt.body, scope);
-        if (flow.kind == Flow::Kind::kBreak) break;
-        if (flow.kind == Flow::Kind::kReturn) return flow;
-      }
-      return {};
-    }
-    case StmtKind::kRepeat: {
-      while (true) {
-        count_step(stmt.line);
-        auto scope = std::make_shared<Environment>(env);
-        auto flow = execute_block(stmt.body, scope);
-        if (flow.kind == Flow::Kind::kBreak) break;
-        if (flow.kind == Flow::Kind::kReturn) return flow;
-        // `until` sees the loop body's locals (Lua scoping rule).
-        if (evaluate(*stmt.condition, scope).truthy()) break;
-      }
-      return {};
-    }
-    case StmtKind::kNumericFor: {
-      const double start = evaluate(*stmt.for_start, env).as_number();
-      const double stop = evaluate(*stmt.for_stop, env).as_number();
-      const double step = stmt.for_step ? evaluate(*stmt.for_step, env).as_number() : 1.0;
-      if (step == 0) throw ScriptError("for step must not be zero", stmt.line);
-      for (double i = start; step > 0 ? i <= stop : i >= stop; i += step) {
-        count_step(stmt.line);
-        auto scope = std::make_shared<Environment>(env);
-        scope->declare(stmt.loop_var, Value(i));
-        auto flow = execute_block(stmt.body, scope);
-        if (flow.kind == Flow::Kind::kBreak) break;
-        if (flow.kind == Flow::Kind::kReturn) return flow;
-      }
-      return {};
-    }
-    case StmtKind::kGenericFor: {
-      // for n1, n2 in explist do ... end — the Lua iterator protocol:
-      // explist evaluates to (f, s, ctrl); each round calls f(s, ctrl).
-      auto iter = evaluate_list(stmt.exprs, env);
-      iter.resize(3);
-      const Value f = iter[0];
-      const Value s = iter[1];
-      Value ctrl = iter[2];
-      while (true) {
-        count_step(stmt.line);
-        auto results = call(f, {s, ctrl}, stmt.line);
-        if (results.empty() || results[0].is_nil()) break;
-        ctrl = results[0];
-        auto scope = std::make_shared<Environment>(env);
-        for (std::size_t i = 0; i < stmt.names.size(); ++i) {
-          scope->declare(stmt.names[i], i < results.size() ? results[i] : Value());
-        }
-        auto flow = execute_block(stmt.body, scope);
-        if (flow.kind == Flow::Kind::kBreak) break;
-        if (flow.kind == Flow::Kind::kReturn) return flow;
-      }
-      return {};
-    }
-    case StmtKind::kFunctionDecl: {
-      const Value fn_value = make_closure(*stmt.function, env);
-      if (stmt.is_local_function || stmt.func_path.size() == 1) {
-        if (stmt.is_local_function) {
-          env->declare(stmt.func_path[0], fn_value);
-        } else if (!env->assign(stmt.func_path[0], fn_value)) {
-          globals_->declare(stmt.func_path[0], fn_value);
-        }
-      } else {
-        // function a.b.c(...) — walk the table path.
-        Value container = env->get(stmt.func_path[0]);
-        for (std::size_t i = 1; i + 1 < stmt.func_path.size(); ++i) {
-          if (!container.is_table())
-            throw ScriptError("cannot declare function in non-table", stmt.line);
-          container = container.as_table()->get(Table::Key{stmt.func_path[i]});
-        }
-        if (!container.is_table())
-          throw ScriptError("cannot declare function in non-table", stmt.line);
-        container.as_table()->set(Table::Key{stmt.func_path.back()}, fn_value);
-      }
-      return {};
-    }
-    case StmtKind::kReturn: {
-      Flow flow;
-      flow.kind = Flow::Kind::kReturn;
-      flow.values = evaluate_list(stmt.exprs, env);
-      return flow;
-    }
-    case StmtKind::kBreak: {
-      Flow flow;
-      flow.kind = Flow::Kind::kBreak;
-      return flow;
-    }
-    case StmtKind::kDo: {
-      auto scope = std::make_shared<Environment>(env);
-      return execute_block(stmt.body, scope);
-    }
-  }
-  return {};
-}
-
-// --- expressions -------------------------------------------------------------
-
-std::vector<Value> Interpreter::evaluate_list(const std::vector<ExprPtr>& exprs,
-                                              const std::shared_ptr<Environment>& env) {
-  std::vector<Value> values;
-  for (std::size_t i = 0; i < exprs.size(); ++i) {
-    if (i + 1 == exprs.size()) {
-      // The last expression expands all of its results.
-      auto multi = evaluate_multi(*exprs[i], env);
-      for (auto& v : multi) values.push_back(std::move(v));
-    } else {
-      values.push_back(evaluate(*exprs[i], env));
-    }
-  }
-  return values;
-}
-
-std::vector<Value> Interpreter::evaluate_multi(const Expr& expr,
-                                               const std::shared_ptr<Environment>& env) {
-  if (expr.kind == ExprKind::kCall) {
-    const Value callee = evaluate(*expr.callee, env);
-    auto args = evaluate_list(expr.args, env);
-    return call(callee, std::move(args), expr.line);
-  }
-  if (expr.kind == ExprKind::kMethodCall) {
-    const Value object = evaluate(*expr.object, env);
-    auto args = evaluate_list(expr.args, env);
-    if (object.is_userdata()) {
-      auto& ud = *object.as_userdata();
-      const auto it = ud.methods()->methods.find(expr.method);
-      if (it == ud.methods()->methods.end())
-        throw ScriptError("no method '" + expr.method + "' on " + ud.type_name(), expr.line);
-      return it->second(*this, ud, args);
-    }
-    if (object.is_table()) {
-      const Value fn = object.as_table()->get(Table::Key{expr.method});
-      args.insert(args.begin(), object);  // self
-      return call(fn, std::move(args), expr.line);
-    }
-    throw ScriptError("attempt to call method '" + expr.method + "' on a " +
-                          object.type_name() + " value",
-                      expr.line);
-  }
-  return {evaluate(expr, env)};
-}
-
-Value Interpreter::evaluate(const Expr& expr, const std::shared_ptr<Environment>& env) {
-  switch (expr.kind) {
-    case ExprKind::kNil: return Value();
-    case ExprKind::kTrue: return Value(true);
-    case ExprKind::kFalse: return Value(false);
-    case ExprKind::kNumber: return Value(expr.number);
-    case ExprKind::kString: return Value(expr.string);
-    case ExprKind::kName: return env->get(expr.name);
-    case ExprKind::kIndex: {
-      const Value object = evaluate(*expr.object, env);
-      const Value key = evaluate(*expr.key, env);
-      return index_value(object, key, expr.line);
-    }
-    case ExprKind::kCall:
-    case ExprKind::kMethodCall: {
-      auto results = evaluate_multi(expr, env);
-      return results.empty() ? Value() : results[0];
-    }
-    case ExprKind::kFunction: return make_closure(*expr.function, env);
-    case ExprKind::kUnary: {
-      if (expr.op == static_cast<int>(TokenType::kNot))
-        return Value(!evaluate(*expr.rhs, env).truthy());
-      const Value v = evaluate(*expr.rhs, env);
-      if (expr.op == static_cast<int>(TokenType::kMinus)) {
-        if (!v.is_number()) throw ScriptError("attempt to negate a " + v.type_name(), expr.line);
-        return Value(-v.as_number());
-      }
-      // '#': length of table array part or string.
-      if (v.is_string()) return Value(static_cast<double>(v.as_string().size()));
-      if (v.is_table()) return Value(static_cast<double>(v.as_table()->array_size()));
-      if (v.is_userdata()) {
-        auto& ud = *v.as_userdata();
-        const auto it = ud.methods()->methods.find("__len");
-        if (it != ud.methods()->methods.end()) {
-          std::vector<Value> no_args;
-          auto r = it->second(*this, ud, no_args);
-          return r.empty() ? Value() : r[0];
-        }
-      }
-      throw ScriptError("attempt to get length of a " + v.type_name(), expr.line);
-    }
-    case ExprKind::kBinary:
-      return binary_op(expr.op, *expr.lhs, *expr.rhs, env, expr.line);
-    case ExprKind::kTable: {
-      auto table = std::make_shared<Table>();
-      double next_index = 1;
-      for (const auto& item : expr.items) {
-        if (item.name_key.has_value()) {
-          table->set(Table::Key{*item.name_key}, evaluate(*item.value, env));
-        } else if (item.expr_key) {
-          const Value key = evaluate(*item.expr_key, env);
-          if (key.is_number()) {
-            table->set(Table::Key{key.as_number()}, evaluate(*item.value, env));
-          } else if (key.is_string()) {
-            table->set(Table::Key{key.as_string()}, evaluate(*item.value, env));
-          } else {
-            throw ScriptError("table key must be a number or string", expr.line);
-          }
-        } else {
-          table->set(Table::Key{next_index}, evaluate(*item.value, env));
-          next_index += 1;
-        }
-      }
-      return Value(std::move(table));
-    }
-  }
-  return Value();
-}
-
-Value Interpreter::binary_op(int op, const Expr& lhs_expr, const Expr& rhs_expr,
-                             const std::shared_ptr<Environment>& env, int line) {
-  const auto type = static_cast<TokenType>(op);
-  // Short-circuit logic returns the operand value (Lua semantics).
-  if (type == TokenType::kAnd) {
-    Value lhs = evaluate(lhs_expr, env);
-    return lhs.truthy() ? evaluate(rhs_expr, env) : lhs;
-  }
-  if (type == TokenType::kOr) {
-    Value lhs = evaluate(lhs_expr, env);
-    return lhs.truthy() ? lhs : evaluate(rhs_expr, env);
-  }
-
-  const Value lhs = evaluate(lhs_expr, env);
-  const Value rhs = evaluate(rhs_expr, env);
-  return apply_binary_op(op, lhs, rhs, line);
 }
 
 Value apply_binary_op(int op, const Value& lhs, const Value& rhs, int line) {
@@ -515,28 +187,6 @@ Value Interpreter::index_value(const Value& object, const Value& key, int line) 
                       line);
   }
   throw ScriptError("attempt to index a " + object.type_name() + " value", line);
-}
-
-void Interpreter::assign_target(const Expr& target, const Value& value,
-                                const std::shared_ptr<Environment>& env) {
-  if (target.kind == ExprKind::kName) {
-    if (!env->assign(target.name, value)) globals_->declare(target.name, value);
-    return;
-  }
-  // Index assignment: obj.key = v / obj[k] = v.
-  const Value object = evaluate(*target.object, env);
-  const Value key = evaluate(*target.key, env);
-  if (object.is_table()) {
-    if (key.is_number()) {
-      object.as_table()->set(Table::Key{key.as_number()}, value);
-    } else if (key.is_string()) {
-      object.as_table()->set(Table::Key{key.as_string()}, value);
-    } else {
-      throw ScriptError("invalid table key", target.line);
-    }
-    return;
-  }
-  throw ScriptError("attempt to index a " + object.type_name() + " value", target.line);
 }
 
 // ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ bool Value::equals(const Value& other) const {
   if (is_table()) return as_table() == other.as_table();  // identity
   if (is_userdata()) return as_userdata() == other.as_userdata();
   if (const auto* nf = native()) return *nf == *other.native();
-  if (const auto* sf = script_fn()) return *sf == *other.script_fn();
   return false;
 }
 
@@ -68,7 +67,6 @@ std::string Value::to_display_string() const {
   if (is_table()) return "table";
   if (is_userdata()) return as_userdata()->type_name();
   if (native() != nullptr) return "function:" + (*native())->name;
-  if (script_fn() != nullptr) return "function:" + (*script_fn())->name;
   return "?";
 }
 

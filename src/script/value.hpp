@@ -2,11 +2,11 @@
 //
 // MoonGen's defining feature is that the *whole* packet generation logic
 // lives in user-controlled Lua scripts (paper Sections 1, 3.2). This module
-// reproduces that architecture with an embedded Lua-subset interpreter:
+// reproduces that architecture with an embedded Lua-subset runtime:
 // dynamically typed values, tables, first-class functions and host-bound
-// userdata objects. (The original uses LuaJIT for speed; a tree-walking
-// interpreter reproduces the programming model — the performance gap to
-// compiled code is quantified in the benchmarks.)
+// userdata objects. (The original uses LuaJIT for speed; a bytecode VM
+// with a trace tier runs the same programming model, and
+// bench/ablation_scripting quantifies the gap to compiled code.)
 #pragma once
 
 #include <cstdint>
@@ -78,16 +78,6 @@ class Table {
 
   std::map<Key, Value> entries_;
   std::uint64_t version_ = next_version();
-};
-
-struct FunctionDecl;  // AST node
-class Environment;
-
-/// Script-defined function: AST + captured environment.
-struct ScriptFunction {
-  const FunctionDecl* decl = nullptr;
-  std::shared_ptr<Environment> closure;
-  std::string name;
 };
 
 class UserData;
@@ -179,7 +169,7 @@ class Value {
  public:
   using Storage = std::variant<std::monostate, bool, double, std::string,
                                std::shared_ptr<Table>, std::shared_ptr<NativeFunction>,
-                               std::shared_ptr<ScriptFunction>, std::shared_ptr<UserData>>;
+                               std::shared_ptr<UserData>>;
 
   Value() = default;
   Value(bool b) : storage_(b) {}                      // NOLINT(google-explicit-constructor)
@@ -189,7 +179,6 @@ class Value {
   Value(std::string s) : storage_(std::move(s)) {}    // NOLINT
   Value(std::shared_ptr<Table> t) : storage_(std::move(t)) {}             // NOLINT
   Value(std::shared_ptr<NativeFunction> f) : storage_(std::move(f)) {}    // NOLINT
-  Value(std::shared_ptr<ScriptFunction> f) : storage_(std::move(f)) {}    // NOLINT
   Value(std::shared_ptr<UserData> u) : storage_(std::move(u)) {}          // NOLINT
 
   [[nodiscard]] bool is_nil() const { return std::holds_alternative<std::monostate>(storage_); }
@@ -203,8 +192,7 @@ class Value {
     return std::holds_alternative<std::shared_ptr<UserData>>(storage_);
   }
   [[nodiscard]] bool is_callable() const {
-    return std::holds_alternative<std::shared_ptr<NativeFunction>>(storage_) ||
-           std::holds_alternative<std::shared_ptr<ScriptFunction>>(storage_);
+    return std::holds_alternative<std::shared_ptr<NativeFunction>>(storage_);
   }
 
   [[nodiscard]] bool as_bool() const { return std::get<bool>(storage_); }
@@ -218,9 +206,6 @@ class Value {
   }
   [[nodiscard]] const std::shared_ptr<NativeFunction>* native() const {
     return std::get_if<std::shared_ptr<NativeFunction>>(&storage_);
-  }
-  [[nodiscard]] const std::shared_ptr<ScriptFunction>* script_fn() const {
-    return std::get_if<std::shared_ptr<ScriptFunction>>(&storage_);
   }
 
   /// Lua truthiness: only nil and false are falsy.

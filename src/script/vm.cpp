@@ -115,7 +115,6 @@ std::vector<Value> Vm::do_call(const Value& callee, std::vector<Value>& args, in
     }
     return fn.fn(host_, args);
   }
-  if (callee.script_fn() != nullptr) return host_.call(callee, std::move(args), line);
   throw ScriptError("attempt to call a " + callee.type_name() + " value", line);
 }
 
@@ -172,9 +171,8 @@ std::vector<Value> Vm::execute(Frame& frame) {
           break;
         }
         // Miss on an undefined global is not cached: the name may be
-        // defined later and must then become visible (interpreter reads
-        // the environment on every access).
-        if (Value* slot = host_.globals_->find_local(consts[ins.b].as_string())) {
+        // defined later and must then become visible.
+        if (Value* slot = host_.global_slot_if_exists(consts[ins.b].as_string())) {
           ic.global_slot = slot;
           reg(ins.a) = *slot;
         } else {
@@ -185,7 +183,7 @@ std::vector<Value> Vm::execute(Frame& frame) {
       case Op::kSetGlobal: {
         ICEntry& ic = frame.ics[ins.ic];
         if (ic.global_slot == nullptr)
-          ic.global_slot = &host_.globals_->slot(consts[ins.b].as_string());
+          ic.global_slot = &host_.globals_[consts[ins.b].as_string()];
         *ic.global_slot = reg(ins.a);
         break;
       }
@@ -353,7 +351,7 @@ std::vector<Value> Vm::execute(Frame& frame) {
             }
           }
           if (ic.kind == ICEntry::FieldKind::kMethod) {
-            // A fresh wrapper per access, like the interpreter: obj.m is
+            // A fresh wrapper per access, like index_value: obj.m is
             // a new function value every time (obj.m ~= obj.m).
             const Method* method = ic.method;
             reg(ins.a) = make_native(name, [method, self](Interpreter& interp,
@@ -535,7 +533,7 @@ std::vector<Value> Vm::execute(Frame& frame) {
           // Miss: resolve exactly like kGetGlobal + kGetField and refresh.
           ic.tbl = nullptr;
           if (ic.global_slot == nullptr) {
-            ic.global_slot = host_.globals_->find_local(consts[ins.b].as_string());
+            ic.global_slot = host_.global_slot_if_exists(consts[ins.b].as_string());
           }
           const Value global = ic.global_slot != nullptr ? *ic.global_slot : Value();
           if (global.is_table()) {
@@ -674,7 +672,7 @@ std::vector<Value> Vm::execute(Frame& frame) {
 
       case Op::kToNum:
         // as_number() throws std::bad_variant_access on non-numbers,
-        // exactly like the interpreter's evaluate(bound).as_number().
+        // exactly like the tree-walker's evaluate(bound).as_number().
         (void)reg(ins.a).as_number();
         break;
       case Op::kForPrep:

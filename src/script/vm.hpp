@@ -1,12 +1,12 @@
-// Register VM executing the bytecode produced by compiler.hpp.
+// Register VM executing the bytecode produced by compiler.hpp: the one
+// engine that runs every script.
 //
 // This is the "compiled" scripting tier that closes (part of) the gap to
 // the paper's LuaJIT backend: no per-node dispatch, no per-scope
 // environment maps, no shared_ptr churn for locals. Closures produced by
 // the VM are ordinary NativeFunction values whose `compiled` member holds
-// the VmClosure, so they flow through bindings, tables and the
-// tree-walking interpreter unchanged — `type()`, `tostring()` and equality
-// behave exactly as for interpreter functions.
+// the VmClosure, so they flow through bindings and tables unchanged —
+// `type()` reads "function" and `tostring()` "function:<name>".
 //
 // On top of the generic dispatch loop sits the trace-specialization tier
 // (trace.hpp / specializer.hpp): generic-for anchors (kForInCall) count
@@ -17,7 +17,7 @@
 // through to the generic anchor code, which remains the single place that
 // handles loop exit, result binding and budget exhaustion. Guard misses
 // simply skip the accelerator, so semantics stay byte-identical to the
-// generic VM (and the tree-walker).
+// generic VM (and to the reference evaluator the tests run beside it).
 #pragma once
 
 #include <cstdint>
@@ -36,8 +36,8 @@ class Interpreter;
 struct Specialization;
 
 /// Heap box for a captured local ("upvalue" storage). A fresh Cell per
-/// declaration-execution reproduces the interpreter's fresh-environment-
-/// per-iteration closure semantics.
+/// declaration-execution gives every loop iteration its own captured
+/// variables, as Lua's scoping does.
 struct Cell {
   Value v;
 };
@@ -51,7 +51,7 @@ struct VmClosure {
 };
 
 /// Monomorphic inline cache. Global slots point into the interpreter's
-/// global environment (std::map nodes: stable, never erased). Method
+/// global table (std::map nodes: stable, never erased). Method
 /// pointers point into static MethodTable singletons. Table field slots
 /// are guarded by the table's version token: erasure draws a fresh
 /// process-unique token, so a hit proves the slot pointer is still the

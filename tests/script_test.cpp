@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "core/task.hpp"
 #include "fault/fault.hpp"
 #include "membuf/mempool.hpp"
+#include "oracle/tree_walker.hpp"
 #include "script/bindings.hpp"
 #include "script/compiler.hpp"
 #include "script/interpreter.hpp"
@@ -22,14 +24,93 @@
 #include "script/vm.hpp"
 
 namespace sc = moongen::script;
+namespace so = moongen::script::oracle;
 namespace mc = moongen::core;
 namespace mb = moongen::membuf;
 namespace mflt = moongen::fault;
 
 namespace {
 
-/// Runs a chunk and returns the value of global `result`.
+// The tree-walker (tests/oracle) is the reference semantics; the bytecode
+// VM is the one production engine, and its trace tier records hot loops
+// and runs them through specialized kernels (DESIGN.md sections 11 and
+// 13). The trace engine uses threshold 2 so even short test loops get
+// recorded, specialized, and — when a guard fails — deoptimized.
+enum class Engine { kTreeWalk, kVmGeneric, kVmTrace };
+
+const char* engine_name(Engine e) {
+  switch (e) {
+    case Engine::kTreeWalk: return "tree-walker";
+    case Engine::kVmGeneric: return "generic VM";
+    case Engine::kVmTrace: return "trace VM";
+  }
+  return "?";
+}
+
+/// Selects `engine` on `interp`. The tree-walker comes back as a walker
+/// that runs the script and must outlive every call of its closures; the
+/// VM engines return null.
+std::unique_ptr<so::TreeWalker> configure_engine(sc::Interpreter& interp, Engine engine) {
+  interp.set_trace(engine == Engine::kVmTrace);
+  interp.set_trace_threshold(2);
+  return engine == Engine::kTreeWalk ? std::make_unique<so::TreeWalker>(interp) : nullptr;
+}
+
+/// Runs the top level on `walker` if there is one, else on the VM.
+void run_top_level(sc::Interpreter& interp, so::TreeWalker* walker) {
+  if (walker != nullptr) {
+    walker->run();
+  } else {
+    interp.run();
+  }
+}
+
+/// ScriptRuntime::run_master(), with the top level on `walker` if given.
+void run_master(sc::ScriptRuntime& runtime, so::TreeWalker* walker) {
+  if (walker == nullptr) return runtime.run_master();
+  walker->run();
+  runtime.master().call_global("master", {});
+}
+
+struct EngineRun {
+  bool ok = true;
+  std::string error;
+  std::string output;
+  std::string result;
+};
+
+EngineRun run_engine(const std::string& source, Engine engine) {
+  EngineRun r;
+  testing::internal::CaptureStdout();
+  try {
+    sc::Interpreter interp(sc::parse(source));
+    const auto walker = configure_engine(interp, engine);
+    interp.set_step_limit(200'000);
+    run_top_level(interp, walker.get());
+    r.result = interp.get_global("result").to_display_string();
+  } catch (const std::exception& e) {
+    r.ok = false;
+    r.error = e.what();
+  }
+  r.output = testing::internal::GetCapturedStdout();
+  return r;
+}
+
+void expect_engines_agree(const std::string& source, const char* context) {
+  const EngineRun tw = run_engine(source, Engine::kTreeWalk);
+  for (const Engine engine : {Engine::kVmGeneric, Engine::kVmTrace}) {
+    const EngineRun run = run_engine(source, engine);
+    EXPECT_EQ(run.ok, tw.ok) << engine_name(engine) << ": " << context << "\n" << source;
+    EXPECT_EQ(run.error, tw.error) << engine_name(engine) << ": " << context << "\n" << source;
+    EXPECT_EQ(run.output, tw.output) << engine_name(engine) << ": " << context << "\n" << source;
+    EXPECT_EQ(run.result, tw.result) << engine_name(engine) << ": " << context << "\n" << source;
+  }
+}
+
+/// Runs a chunk and returns the value of global `result`, after requiring
+/// every engine to agree on it (and on any error).
 sc::Value eval(const std::string& source) {
+  expect_engines_agree(source, "eval");
   sc::Interpreter interp(sc::parse(source));
   interp.set_step_limit(10'000'000);
   interp.run();
@@ -149,6 +230,27 @@ TEST(ScriptInterp, ComparisonAndLogic) {
   EXPECT_EQ(eval_number("result = false or 5"), 5);
   EXPECT_EQ(eval_number("result = nil and 3 or 7"), 7);
   EXPECT_EQ(eval_string("result = 'x' and 'y'"), "y");
+}
+
+// The compiler folds operators whose operands are literals, so these apply
+// them to variables, which every engine evaluates at run time.
+TEST(ScriptInterp, UnaryOperatorsOnVariables) {
+  EXPECT_EQ(eval("local v = nil result = not v").as_bool(), true);
+  EXPECT_EQ(eval("local v = false result = not v").as_bool(), true);
+  EXPECT_EQ(eval("local v = 0 result = not v").as_bool(), false);
+  EXPECT_EQ(eval("local v = 'x' result = not v").as_bool(), false);
+  EXPECT_EQ(eval_number("local v = 3 result = -v"), -3);
+  EXPECT_EQ(eval_number("local v = -2.5 result = -v"), 2.5);
+}
+
+TEST(ScriptInterp, StringComparisonOnVariables) {
+  EXPECT_EQ(eval_string(R"(
+    local a, b = "a", "b"
+    local function cmp(x, y)
+      return tostring(x < y) .. tostring(x <= y) .. tostring(x > y) .. tostring(x >= y)
+    end
+    result = cmp(a, b) .. "," .. cmp(b, a) .. "," .. cmp(a, a)
+  )"), "truetruefalsefalse,falsefalsetruetrue,falsetruefalsetrue");
 }
 
 TEST(ScriptInterp, StringsAndConcat) {
@@ -601,67 +703,11 @@ TEST(ScriptStdlib, TableAsQueueInScript) {
 // vs. trace-specialized VM
 // ---------------------------------------------------------------------------
 //
-// The tree-walker is the reference semantics; the bytecode VM is the
-// default scripted path, and the trace tier records hot loops and runs
-// them through specialized kernels (DESIGN.md sections 11 and 13). These
-// tests run the same source through all three engines and require
+// These tests run the same source through all three engines and require
 // identical results, identical printed output and identical error
-// messages. The trace engine uses threshold 2 so even short test loops
-// get recorded, specialized, and — when a guard fails — deoptimized.
+// messages.
 
 namespace {
-
-enum class Engine { kTreeWalk, kVmGeneric, kVmTrace };
-
-const char* engine_name(Engine e) {
-  switch (e) {
-    case Engine::kTreeWalk: return "tree-walker";
-    case Engine::kVmGeneric: return "generic VM";
-    case Engine::kVmTrace: return "trace VM";
-  }
-  return "?";
-}
-
-void configure_engine(sc::Interpreter& interp, Engine engine) {
-  interp.set_tree_walk(engine == Engine::kTreeWalk);
-  interp.set_trace(engine == Engine::kVmTrace);
-  interp.set_trace_threshold(2);
-}
-
-struct EngineRun {
-  bool ok = true;
-  std::string error;
-  std::string output;
-  std::string result;
-};
-
-EngineRun run_engine(const std::string& source, Engine engine) {
-  EngineRun r;
-  testing::internal::CaptureStdout();
-  try {
-    sc::Interpreter interp(sc::parse(source));
-    configure_engine(interp, engine);
-    interp.set_step_limit(200'000);
-    interp.run();
-    r.result = interp.get_global("result").to_display_string();
-  } catch (const std::exception& e) {
-    r.ok = false;
-    r.error = e.what();
-  }
-  r.output = testing::internal::GetCapturedStdout();
-  return r;
-}
-
-void expect_engines_agree(const std::string& source, const char* context) {
-  const EngineRun tw = run_engine(source, Engine::kTreeWalk);
-  for (const Engine engine : {Engine::kVmGeneric, Engine::kVmTrace}) {
-    const EngineRun run = run_engine(source, engine);
-    EXPECT_EQ(run.ok, tw.ok) << engine_name(engine) << ": " << context << "\n" << source;
-    EXPECT_EQ(run.error, tw.error) << engine_name(engine) << ": " << context << "\n" << source;
-    EXPECT_EQ(run.output, tw.output) << engine_name(engine) << ": " << context << "\n" << source;
-    EXPECT_EQ(run.result, tw.result) << engine_name(engine) << ": " << context << "\n" << source;
-  }
-}
 
 /// Tiny deterministic PRNG for the fuzzer (independent of libc rand).
 struct Xorshift {
@@ -1123,8 +1169,8 @@ std::size_t field_kernels(sc::Interpreter& interp) {
 MasterRun run_master_engine(const char* script, Engine engine) {
   mc::reset_run_state();
   sc::ScriptRuntime runtime(script);
-  configure_engine(runtime.master(), engine);
-  runtime.run_master();
+  const auto walker = configure_engine(runtime.master(), engine);
+  run_master(runtime, walker.get());
   MasterRun out;
   out.result = runtime.master().get_global("result").to_display_string();
   out.field_kernels = field_kernels(runtime.master());
@@ -1293,8 +1339,8 @@ TEST(ScriptTraceBindings, AllocFailDuringRecordingSoftAborts) {
     mc::reset_run_state();
     sc::ScriptRuntime runtime(script);
     auto& interp = runtime.master();
-    configure_engine(interp, engine);
-    interp.run();
+    const auto walker = configure_engine(interp, engine);
+    run_top_level(interp, walker.get());
     auto mem_fn = interp.get_global("memory").as_table()->get(sc::Table::Key{"createMemPool"});
     std::vector<sc::Value> no_args;
     const auto mem_val = interp.call(mem_fn, no_args)[0];
@@ -1359,11 +1405,11 @@ TEST(ScriptTraceBindings, FieldKernelBudgetExhaustionMatches) {
     mc::reset_run_state();
     sc::ScriptRuntime runtime(script);
     auto& interp = runtime.master();
-    configure_engine(interp, engine);
+    const auto walker = configure_engine(interp, engine);
     interp.set_step_limit(limit);
     Stop out;
     try {
-      runtime.run_master();
+      run_master(runtime, walker.get());
     } catch (const sc::ScriptError& e) {
       out.error = e.what();
     }
