@@ -181,7 +181,7 @@ int main(int argc, char** argv) {
     }
   }
   const auto cli = me::parse_cli(static_cast<int>(filtered.size()), filtered.data(), kUsage);
-  if (!cli) return 1;
+  if (!cli) return 2;
   const double seconds = cli->number(0, 0.08);
   const double l2_mpps = cli->number(1, 2.0);
   const auto end_ps = static_cast<ms::SimTime>(seconds * 1e12);
