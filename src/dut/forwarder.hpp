@@ -56,13 +56,6 @@ class Forwarder {
   void install_faults(fault::FaultPlane& plane, const std::string& site);
   [[nodiscard]] std::uint64_t stalls() const { return stalls_; }
 
-  /// Interrupt count can be sampled and reset to compute rates per window.
-  std::uint64_t take_interrupt_count() {
-    const std::uint64_t n = interrupts_;
-    interrupts_since_sample_ = interrupts_ - interrupts_since_sample_;
-    return n;
-  }
-
  private:
   void packet_arrived();
   void fire_interrupt();
@@ -91,7 +84,6 @@ class Forwarder {
   std::uint64_t stalls_ = 0;
 
   std::uint64_t interrupts_ = 0;
-  std::uint64_t interrupts_since_sample_ = 0;
   std::uint64_t forwarded_ = 0;
   std::uint64_t polls_ = 0;
   stats::RunningStats latency_ns_;

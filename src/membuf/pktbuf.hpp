@@ -50,11 +50,6 @@ class PktBuf {
   OffloadFlags& flags() { return flags_; }
   [[nodiscard]] const OffloadFlags& flags() const { return flags_; }
 
-  /// Hardware RX timestamp prepended by NICs that support timestamping all
-  /// received packets (Intel 82580, paper Section 6). 0 when absent.
-  [[nodiscard]] std::uint64_t rx_timestamp_ns() const { return rx_timestamp_ns_; }
-  void set_rx_timestamp_ns(std::uint64_t t) { rx_timestamp_ns_ = t; }
-
   [[nodiscard]] Mempool* pool() const { return pool_; }
 
  private:
@@ -63,7 +58,6 @@ class PktBuf {
   alignas(64) std::uint8_t data_[kDataRoom];
   std::uint32_t length_ = 0;
   OffloadFlags flags_{};
-  std::uint64_t rx_timestamp_ns_ = 0;
   Mempool* pool_ = nullptr;
 };
 

@@ -696,12 +696,6 @@ void install_modules(Interpreter& interp, const std::shared_ptr<ScriptRuntime::S
 
 }  // namespace
 
-void install_moongen_bindings(Interpreter& interp,
-                              const std::shared_ptr<void>& shared_opaque) {
-  auto shared = std::static_pointer_cast<ScriptRuntime::Shared>(shared_opaque);
-  install_modules(interp, shared);
-}
-
 ScriptRuntime::ScriptRuntime(std::string_view source)
     : program_(parse(source)), shared_(std::make_shared<Shared>()) {
   shared_->program = program_;

@@ -51,9 +51,4 @@ class ScriptRuntime {
   std::unique_ptr<Interpreter> master_;
 };
 
-/// Installs the binding modules into an interpreter tied to `shared` task
-/// state (used internally by ScriptRuntime; exposed for tests).
-void install_moongen_bindings(Interpreter& interp,
-                              const std::shared_ptr<void>& shared_opaque);
-
 }  // namespace moongen::script
