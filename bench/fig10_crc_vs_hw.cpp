@@ -81,8 +81,8 @@ int main() {
       static_cast<ms::SimTime>(300.0 * moongen::bench::bench_scale()) * ms::kPsPerMs;
   std::printf("Figure 10: CBR via hardware rate control vs CRC-based software rate\n");
   std::printf("control — relative deviation of forwarding-latency quartiles\n");
-  std::printf("(OVS-like DuT, %.1f s per point; paper: deviations within ~1.2 sigma of 0%%)\n\n",
-              ms::to_seconds(duration));
+  std::printf("(OVS-like DuT, %.0f ms per point; paper: deviations within ~1.2 sigma of 0%%)\n\n",
+              ms::to_seconds(duration) * 1e3);
 
   const int runs = std::max(1, static_cast<int>(3 * moongen::bench::bench_scale()));
   std::printf("  %-12s %38s\n", "load [Mpps]",

@@ -80,8 +80,8 @@ int main() {
   const auto duration =
       static_cast<ms::SimTime>(300.0 * moongen::bench::bench_scale()) * ms::kPsPerMs;
   std::printf("Figure 11: Forwarding latency of Open vSwitch, CBR vs Poisson\n");
-  std::printf("(%.1f s per point; paper: Poisson ramps up before saturation, CBR stays\n",
-              ms::to_seconds(duration));
+  std::printf("(%.0f ms per point; paper: Poisson ramps up before saturation, CBR stays\n",
+              ms::to_seconds(duration) * 1e3);
   std::printf(" low; both hit ~2 ms buffer-bound latency at the ~1.9 Mpps overload point)\n\n");
 
   std::printf("  %-12s | %28s | %28s | %18s\n", "load [Mpps]", "CBR q25/median/q75 [us]",
