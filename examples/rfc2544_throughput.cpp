@@ -66,9 +66,6 @@ TrialResult run_trial(std::size_t frame_size, double mpps, double seconds,
   auto& dut_in = tb->port("dut_in");
   auto& sink = tb->port("sink");
 
-  std::uint64_t sink_count = 0;
-  sink.rx_queue(0).set_callback([&](const mn::RxQueueModel::Entry&) { ++sink_count; });
-
   mc::UdpTemplateOptions bg;
   bg.frame_size = frame_size - 4;  // buffer length without FCS
   bg.ptp_payload = true;
@@ -101,7 +98,6 @@ TrialResult run_trial(std::size_t frame_size, double mpps, double seconds,
   // RFC 2544 throughput criterion: zero loss. In this testbed the only
   // loss point is the DuT's RX ring overflowing; packets still in flight in
   // the pipeline at the end of the trial are not losses.
-  (void)sink_count;
   r.loss_free = dut_in.stats().rx_ring_drops == 0;
   r.forwarded_mpps = static_cast<double>(tb->forwarder().forwarded()) / seconds / 1e6;
   r.median_latency_us = static_cast<double>(ts.histogram().median()) / 1e6;
