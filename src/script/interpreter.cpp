@@ -66,7 +66,9 @@ Interpreter::Interpreter(std::shared_ptr<const Program> program)
   install_base_library();
 }
 
-Interpreter::~Interpreter() = default;
+Interpreter::~Interpreter() {
+  if (vm_) vm_->release_captured_cells();
+}
 
 void Interpreter::ensure_compiled() {
   if (!chunk_) chunk_ = compile_program(*program_);

@@ -22,7 +22,9 @@ class Interpreter {
   /// Creates an interpreter over a parsed chunk with the base library
   /// (print, math, string helpers, ipairs/pairs, tostring/tonumber...).
   explicit Interpreter(std::shared_ptr<const Program> program);
-  ~Interpreter();  // out of line: Vm is incomplete here
+  /// Out of line (Vm is incomplete here). Breaks the cycles of closures
+  /// that capture themselves (Vm::release_captured_cells).
+  ~Interpreter();
 
   /// Executes the top-level block (declares functions, runs statements):
   /// compiles the chunk to bytecode once and runs it on the register VM.

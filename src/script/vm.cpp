@@ -53,6 +53,21 @@ struct ArgScratch {
   std::vector<Value>& args;
 };
 
+void Vm::note_captured(const std::shared_ptr<Cell>& cell) {
+  if (captured_cells_.size() >= prune_captured_at_) {
+    std::erase_if(captured_cells_, [](const auto& weak) { return weak.expired(); });
+    prune_captured_at_ = std::max<std::size_t>(64, 2 * captured_cells_.size());
+  }
+  captured_cells_.push_back(cell);
+}
+
+void Vm::release_captured_cells() {
+  for (const auto& weak : captured_cells_) {
+    if (const auto cell = weak.lock()) cell->v = Value();
+  }
+  captured_cells_.clear();
+}
+
 ICEntry* Vm::ic_table(const Chunk* chunk) {
   auto& vec = ics_[chunk];
   if (vec.size() < chunk->num_ics) vec.resize(chunk->num_ics);
@@ -657,8 +672,13 @@ std::vector<Value> Vm::execute(Frame& frame) {
         closure->proto_index = proto_index;
         closure->upvals.reserve(proto.upvals.size());
         for (const auto& desc : proto.upvals) {
-          closure->upvals.push_back(desc.from_parent_cell ? frame.cells[desc.index]
-                                                          : (*frame.upvals)[desc.index]);
+          if (desc.from_parent_cell) {
+            note_captured(frame.cells[desc.index]);
+            closure->upvals.push_back(frame.cells[desc.index]);
+          } else {
+            // Noted when the enclosing closure captured it.
+            closure->upvals.push_back((*frame.upvals)[desc.index]);
+          }
         }
         auto nf = std::make_shared<NativeFunction>();
         nf->name = proto.name;

@@ -93,6 +93,12 @@ class Vm {
   std::vector<Value> call_closure(const std::shared_ptr<VmClosure>& closure,
                                   std::vector<Value>& args);
 
+  /// Clears every cell a closure of this VM captured that is still alive.
+  /// A local function that calls itself is stored in a cell its own
+  /// closure captures, a cycle that reference counting never frees; the
+  /// interpreter calls this as it goes, so such closures die with it.
+  void release_captured_cells();
+
   /// Specializations installed by this VM, in installation order
   /// (introspection: trace listings, tests).
   [[nodiscard]] const std::vector<std::shared_ptr<const Specialization>>& specializations()
@@ -132,6 +138,9 @@ class Vm {
   std::vector<Value>& acquire_scratch();
   friend struct ArgScratch;
 
+  /// Remembers a cell a new closure captures from its creating frame.
+  void note_captured(const std::shared_ptr<Cell>& cell);
+
   Interpreter& host_;
   /// Shared register stack: frames are [base, base + num_regs) windows.
   /// Always index via base — nested calls may reallocate the vector.
@@ -149,6 +158,10 @@ class Vm {
   TraceRecorder recorder_;
   bool recording_ = false;
   std::vector<std::shared_ptr<const Specialization>> specializations_;
+  /// Cells captured by closures (weak: most die with their closures;
+  /// expired entries are dropped each time the list doubles).
+  std::vector<std::weak_ptr<Cell>> captured_cells_;
+  std::size_t prune_captured_at_ = 64;
 };
 
 }  // namespace moongen::script

@@ -420,6 +420,30 @@ TEST(ScriptInterp, AssertPassesAndFails) {
   EXPECT_THROW(eval("assert(false, 'nope')"), sc::ScriptError);
 }
 
+// A local function that calls itself captures the cell that holds it, so
+// cell, closure and cell form a cycle. The interpreter breaks it when it
+// goes: the closure, and with it the compiled chunk, must not outlive the
+// interpreter and the last value that referred to it.
+TEST(ScriptInterp, RecursiveLocalFunctionDiesWithItsInterpreter) {
+  const std::string source =
+      "function make() local function f(n) if n > 0 then return f(n - 1) end return 0 end "
+      "return f end";
+  for (const Engine engine : {Engine::kVmGeneric, Engine::kVmTrace}) {
+    std::weak_ptr<sc::NativeFunction> weak;
+    {
+      sc::Interpreter interp(sc::parse(source));
+      (void)configure_engine(interp, engine);
+      interp.run();
+      const auto made = interp.call_global("make", {});
+      ASSERT_EQ(made.size(), 1u);
+      ASSERT_NE(made[0].native(), nullptr);
+      EXPECT_EQ(interp.call(made[0], {sc::Value(3.0)}).at(0).as_number(), 0.0);
+      weak = *made[0].native();
+    }
+    EXPECT_TRUE(weak.expired()) << engine_name(engine);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // MoonGen bindings: the paper's scripts end to end
 // ---------------------------------------------------------------------------
