@@ -7,8 +7,12 @@
 // results through the throughput model for the frequency-scaling figures.
 #pragma once
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <functional>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -24,6 +28,26 @@
 #include "stats/running_stats.hpp"
 
 namespace moongen::bench {
+
+/// Scale factor for simulated experiment durations / sample counts, set
+/// via the MOONGEN_BENCH_SCALE environment variable (default 1.0; larger
+/// values re-run the experiments closer to the paper's packet counts).
+/// Anything but a finite number > 0 spelled by the whole value exits 2.
+inline double bench_scale() {
+  static const double scale = [] {
+    const char* env = std::getenv("MOONGEN_BENCH_SCALE");
+    if (env == nullptr) return 1.0;
+    const char* end = env + std::strlen(env);
+    double v = 0.0;
+    const auto [ptr, ec] = std::from_chars(env, end, v);
+    if (ec != std::errc{} || ptr != end || !std::isfinite(v) || v <= 0.0) {
+      std::fprintf(stderr, "MOONGEN_BENCH_SCALE=%s is not a finite number > 0\n", env);
+      std::exit(2);
+    }
+    return v;
+  }();
+  return scale;
+}
 
 inline std::uint64_t rdtsc() {
 #if defined(__x86_64__) || defined(__i386__)

@@ -10,13 +10,17 @@
 #include <cstdio>
 #include <memory>
 
+#include "bench_util.hpp"
 #include "core/rate_control.hpp"
 #include "core/timestamper.hpp"
-#include "sim_beds.hpp"
+#include "testbed/scenario.hpp"
+#include "topologies.hpp"
 
 namespace mc = moongen::core;
 namespace mn = moongen::nic;
 namespace ms = moongen::sim;
+namespace mtb = moongen::testbed;
+namespace topo = moongen::topologies;
 
 namespace {
 
@@ -44,7 +48,12 @@ struct Quartiles {
 Quartiles measure(double mpps, bool crc_mode, ms::SimTime duration, std::uint64_t seed) {
   moongen::dut::ForwarderConfig fcfg;
   fcfg.seed = seed * 7919 + 13;
-  moongen::bench::DutBed bed(fcfg);
+  mtb::Scenario s;
+  s.telemetry(false);
+  topo::forwarder_path(
+      s, {.device_seeds = {2001, 2002, 2003, 2004}, .link_seeds = {2005, 2006}}, fcfg);
+  auto tb = s.build();
+  auto& gen_tx = tb->port("gen_tx");
   mc::TimestamperConfig cfg;
   cfg.sample_interval_ps = 100 * ms::kPsPerUs;
   cfg.hist_bin_ps = 50'000;  // 50 ns latency bins
@@ -55,17 +64,17 @@ Quartiles measure(double mpps, bool crc_mode, ms::SimTime duration, std::uint64_
   // the measured packets are part of the pattern (Section 6.4).
   std::unique_ptr<mc::SimLoadGen> gen;
   if (crc_mode) {
-    gen = mc::SimLoadGen::crc_paced(bed.gen_tx.tx_queue(0), background_frame(),
+    gen = mc::SimLoadGen::crc_paced(gen_tx.tx_queue(0), background_frame(),
                                     std::make_unique<mc::CbrPattern>(mpps), 10'000);
   } else {
-    auto& q = bed.gen_tx.tx_queue(0);
+    auto& q = gen_tx.tx_queue(0);
     q.set_rate_mpps(mpps, 100);
     gen = mc::SimLoadGen::hardware_paced(q, background_frame());
   }
-  auto ts = std::make_unique<mc::Timestamper>(bed.events, bed.gen_tx, *gen, stamped_frame(),
-                                              bed.sink, cfg);
+  auto ts = std::make_unique<mc::Timestamper>(tb->engine(), gen_tx, *gen, stamped_frame(),
+                                              tb->port("sink"), cfg);
   ts->start();
-  bed.events.run_until(duration);
+  tb->run_until(duration);
   ts->stop();
 
   const auto& h = ts->histogram();

@@ -10,13 +10,17 @@
 #include <cstdio>
 #include <memory>
 
+#include "bench_util.hpp"
 #include "core/rate_control.hpp"
 #include "core/timestamper.hpp"
-#include "sim_beds.hpp"
+#include "testbed/scenario.hpp"
+#include "topologies.hpp"
 
 namespace mc = moongen::core;
 namespace mn = moongen::nic;
 namespace ms = moongen::sim;
+namespace mtb = moongen::testbed;
+namespace topo = moongen::topologies;
 
 namespace {
 
@@ -43,7 +47,11 @@ struct Point {
 };
 
 Point measure(double mpps, bool poisson, ms::SimTime duration) {
-  moongen::bench::DutBed bed;
+  mtb::Scenario s;
+  s.telemetry(false);
+  topo::forwarder_path(s, {.device_seeds = {2001, 2002, 2003, 2004}, .link_seeds = {2005, 2006}});
+  auto tb = s.build();
+  auto& gen_tx = tb->port("gen_tx");
   mc::TimestamperConfig cfg;
   cfg.sample_interval_ps = 100 * ms::kPsPerUs;
   cfg.hist_bin_ps = 50'000;
@@ -53,24 +61,24 @@ Point measure(double mpps, bool poisson, ms::SimTime duration) {
   // timestampable (Section 6.4).
   std::unique_ptr<mc::SimLoadGen> gen;
   if (poisson) {
-    gen = mc::SimLoadGen::crc_paced(bed.gen_tx.tx_queue(0), background_frame(),
+    gen = mc::SimLoadGen::crc_paced(gen_tx.tx_queue(0), background_frame(),
                                     std::make_unique<mc::PoissonPattern>(mpps, 4242), 10'000);
   } else {
-    auto& q = bed.gen_tx.tx_queue(0);
+    auto& q = gen_tx.tx_queue(0);
     q.set_rate_mpps(mpps, 100);
     gen = mc::SimLoadGen::hardware_paced(q, background_frame());
   }
-  auto ts = std::make_unique<mc::Timestamper>(bed.events, bed.gen_tx, *gen, stamped_frame(),
-                                              bed.sink, cfg);
+  auto ts = std::make_unique<mc::Timestamper>(tb->engine(), gen_tx, *gen, stamped_frame(),
+                                              tb->port("sink"), cfg);
   ts->start();
-  bed.events.run_until(duration);
+  tb->run_until(duration);
   ts->stop();
 
   const auto& h = ts->histogram();
   return Point{static_cast<double>(h.percentile(25)) / 1e6,
                static_cast<double>(h.percentile(50)) / 1e6,
                static_cast<double>(h.percentile(75)) / 1e6,
-               static_cast<double>(bed.forwarder.forwarded()) / ms::to_seconds(duration) / 1e6,
+               static_cast<double>(tb->forwarder().forwarded()) / ms::to_seconds(duration) / 1e6,
                ts->lost()};
 }
 

@@ -11,13 +11,17 @@
 #include <cstdio>
 
 #include "baseline/sw_paced.hpp"
+#include "bench_util.hpp"
 #include "core/rate_control.hpp"
-#include "sim_beds.hpp"
+#include "testbed/scenario.hpp"
+#include "topologies.hpp"
 
 namespace mb = moongen::baseline;
 namespace mc = moongen::core;
 namespace mn = moongen::nic;
 namespace ms = moongen::sim;
+namespace mtb = moongen::testbed;
+namespace topo = moongen::topologies;
 
 namespace {
 
@@ -28,20 +32,23 @@ mn::Frame frame64() {
 }
 
 double interrupt_rate(double mpps, bool bursty, ms::SimTime duration) {
-  moongen::bench::DutBed bed;
+  mtb::Scenario s;
+  s.telemetry(false);
+  topo::forwarder_path(s, {.device_seeds = {2001, 2002, 2003, 2004}, .link_seeds = {2005, 2006}});
+  auto tb = s.build();
+  auto& tx = tb->port("gen_tx").tx_queue(0);
   std::unique_ptr<mc::SimLoadGen> gen;
   std::unique_ptr<mb::ZsendLikePacer> zsend;
   if (!bursty) {
-    auto& q = bed.gen_tx.tx_queue(0);
-    q.set_rate_mpps(mpps, 64);
-    gen = mc::SimLoadGen::hardware_paced(q, frame64());
+    tx.set_rate_mpps(mpps, 64);
+    gen = mc::SimLoadGen::hardware_paced(tx, frame64());
   } else {
-    zsend = std::make_unique<mb::ZsendLikePacer>(bed.events, bed.gen_tx.tx_queue(0), frame64(),
+    zsend = std::make_unique<mb::ZsendLikePacer>(tb->engine(), tx, frame64(),
                                                  mb::ZsendLikePacer::Config{.mpps = mpps});
     zsend->start();
   }
-  bed.events.run_until(duration);
-  return static_cast<double>(bed.forwarder.interrupts()) / ms::to_seconds(duration);
+  tb->run_until(duration);
+  return static_cast<double>(tb->forwarder().interrupts()) / ms::to_seconds(duration);
 }
 
 }  // namespace

@@ -25,13 +25,13 @@
 
 #include "bench_util.hpp"
 #include "core/rate_control.hpp"
-#include "nic/chip.hpp"
 #include "testbed/scenario.hpp"
+#include "topologies.hpp"
 
 namespace mc = moongen::core;
-namespace mn = moongen::nic;
 namespace ms = moongen::sim;
 namespace mtb = moongen::testbed;
+namespace topo = moongen::topologies;
 
 namespace {
 
@@ -48,15 +48,8 @@ struct RunOutcome {
 RunOutcome run_config(int shards, double virtual_ms) {
   mtb::Scenario s;
   s.seed(1).shards(shards).telemetry(false);
-  for (int p = 0; p < kPairs; ++p) {
-    const int gen = 2 * p;
-    const int sink = 2 * p + 1;
-    s.device(gen, mn::intel_xl710()).name("gen" + std::to_string(p)).link_mbit(40'000)
-        .device(sink, mn::intel_xl710()).name("sink" + std::to_string(p)).link_mbit(40'000)
-            .rx_store(false)
-        .link(gen, sink)
-        .couple(gen, sink);
-  }
+  for (int p = 0; p < kPairs; ++p)
+    topo::xl710_pair(s, {.first_id = 2 * p, .suffix = std::to_string(p)});
   // Groups are {0,1},{2,3},{4,5},{6,7}; round-robin puts pair p on shard
   // p % effective, so each shard carries an equal share of the load.
   auto tb = s.build();

@@ -27,10 +27,10 @@
 #include <new>
 #include <string>
 
-#include "nic/chip.hpp"
 #include "rpc/open_loop.hpp"
 #include "rpc/server_model.hpp"
 #include "testbed/scenario.hpp"
+#include "topologies.hpp"
 
 // ---------------------------------------------------------------------------
 // Global allocation counter (this TU replaces operator new for the whole
@@ -66,24 +66,20 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::fre
 void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
-namespace mn = moongen::nic;
 namespace mr = moongen::rpc;
 namespace ms = moongen::sim;
 namespace mtb = moongen::testbed;
+namespace topo = moongen::topologies;
 
 namespace {
 
 std::unique_ptr<mtb::Testbed> make_pair_bed() {
   // One client -> server pair on a single engine; determinism across
   // repeats is covered by tests, this binary measures.
-  return mtb::Scenario()
-      .seed(1)
-      .shards(1)
-      .telemetry(false)
-      .device(0, mn::intel_x540()).name("client").with_seed(10).rx_store(false)
-      .device(1, mn::intel_x540()).name("server").with_seed(20).rx_store(false)
-      .link(0, 1).with_seed(30).duplex()
-      .build();
+  mtb::Scenario s;
+  s.telemetry(false);
+  topo::rpc_pair(s, {.device_seeds = {10, 20}, .link_seeds = {30}});
+  return s.build();
 }
 
 // ---------------------------------------------------------------------------

@@ -15,12 +15,12 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "core/rate_control.hpp"
 #include "core/timestamper.hpp"
 #include "nic/chip.hpp"
 #include "nic/port.hpp"
 #include "sim/clock_sync.hpp"
-#include "sim_beds.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/registry.hpp"
 #include "wire/cable.hpp"

@@ -20,14 +20,20 @@
 #include <string>
 
 #include "baseline/sw_paced.hpp"
+#include "bench_util.hpp"
 #include "core/rate_control.hpp"
-#include "sim_beds.hpp"
+#include "testbed/scenario.hpp"
+#include "topologies.hpp"
+#include "wire/recorder.hpp"
 
 namespace mb = moongen::baseline;
 namespace mc = moongen::core;
 namespace mn = moongen::nic;
 namespace ms = moongen::sim;
 namespace mt = moongen::telemetry;
+namespace mtb = moongen::testbed;
+namespace mw = moongen::wire;
+namespace topo = moongen::topologies;
 
 namespace {
 
@@ -45,7 +51,12 @@ struct Row {
 
 Row measure(const std::string& name, double mpps, int generator,
             std::uint64_t target_packets) {
-  moongen::bench::GbeBed bed;
+  mtb::Scenario s;
+  s.telemetry(false);
+  topo::gbe_pair(s, {.device_seeds = {1001, 1002}, .link_seeds = {1003}});
+  auto tb = s.build();
+  auto& tx = tb->port("tx").tx_queue(0);
+  mw::InterArrivalRecorder recorder(tb->port("rx"), 0);
   const ms::SimTime duration =
       static_cast<ms::SimTime>(static_cast<double>(target_packets) / (mpps * 1e6) * 1e12);
 
@@ -53,34 +64,32 @@ Row measure(const std::string& name, double mpps, int generator,
   std::unique_ptr<mb::PktgenLikePacer> pktgen;
   std::unique_ptr<mb::ZsendLikePacer> zsend;
   switch (generator) {
-    case 0: {  // MoonGen: hardware rate control, queue kept full
-      auto& q = bed.tx.tx_queue(0);
-      q.set_rate_mpps(mpps, 64);
-      gen = mc::SimLoadGen::hardware_paced(q, frame64());
+    case 0:  // MoonGen: hardware rate control, queue kept full
+      tx.set_rate_mpps(mpps, 64);
+      gen = mc::SimLoadGen::hardware_paced(tx, frame64());
       break;
-    }
     case 1:
-      pktgen = std::make_unique<mb::PktgenLikePacer>(bed.events, bed.tx.tx_queue(0), frame64(),
+      pktgen = std::make_unique<mb::PktgenLikePacer>(tb->engine(), tx, frame64(),
                                                      mb::PktgenLikePacer::Config{.mpps = mpps});
       pktgen->start();
       break;
     default:
-      zsend = std::make_unique<mb::ZsendLikePacer>(bed.events, bed.tx.tx_queue(0), frame64(),
+      zsend = std::make_unique<mb::ZsendLikePacer>(tb->engine(), tx, frame64(),
                                                    mb::ZsendLikePacer::Config{.mpps = mpps});
       zsend->start();
       break;
   }
-  bed.events.run_until(duration);
+  tb->run_until(duration);
 
   const auto target = static_cast<ms::SimTime>(1e6 / mpps);
   Row row;
   row.name = name;
-  row.bursts = bed.recorder.micro_burst_fraction() * 100.0;
-  row.w64 = bed.recorder.fraction_within(target, 64'000) * 100.0;
-  row.w128 = bed.recorder.fraction_within(target, 128'000) * 100.0;
-  row.w256 = bed.recorder.fraction_within(target, 256'000) * 100.0;
-  row.w512 = bed.recorder.fraction_within(target, 512'000) * 100.0;
-  row.hist.merge(bed.recorder.histogram());
+  row.bursts = recorder.micro_burst_fraction() * 100.0;
+  row.w64 = recorder.fraction_within(target, 64'000) * 100.0;
+  row.w128 = recorder.fraction_within(target, 128'000) * 100.0;
+  row.w256 = recorder.fraction_within(target, 256'000) * 100.0;
+  row.w512 = recorder.fraction_within(target, 512'000) * 100.0;
+  row.hist.merge(recorder.histogram());
   return row;
 }
 

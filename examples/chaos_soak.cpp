@@ -51,20 +51,20 @@
 #include "health/monitor.hpp"
 #include "membuf/mempool.hpp"
 #include "membuf/ring.hpp"
-#include "nic/chip.hpp"
 #include "rpc/open_loop.hpp"
 #include "rpc/server_model.hpp"
 #include "testbed/scenario.hpp"
+#include "topologies.hpp"
 
 namespace mc = moongen::core;
 namespace me = moongen::examples;
 namespace mf = moongen::fault;
 namespace mh = moongen::health;
 namespace mm = moongen::membuf;
-namespace mn = moongen::nic;
 namespace mr = moongen::rpc;
 namespace ms = moongen::sim;
 namespace mtb = moongen::testbed;
+namespace topo = moongen::topologies;
 
 namespace {
 
@@ -193,25 +193,14 @@ int main(int argc, char** argv) {
   std::printf("chaos-soak: %.0f ms, %.2f Mpps L2 + 2x open-loop RPC, %zu fault rules\n\n",
               seconds * 1e3, l2_mpps, spec.rules.size());
 
-  auto tb = mtb::Scenario()
-                .seed(cli->seed)
-                .shards(cli->shards)
-                .faults(spec)
-                .device(0, mn::intel_x540()).name("gen_tx").with_seed(1)
-                .device(1, mn::intel_x540()).name("dut_in").with_seed(2)
-                .device(2, mn::intel_x540()).name("dut_out").with_seed(3)
-                .device(3, mn::intel_x540()).name("sink").with_seed(4).rx_store(false)
-                .device(4, mn::intel_x540()).name("rpc_c0").with_seed(5).rx_store(false)
-                .device(5, mn::intel_x540()).name("rpc_s0").with_seed(6).rx_store(false)
-                .device(6, mn::intel_x540()).name("rpc_c1").with_seed(7).rx_store(false)
-                .device(7, mn::intel_x540()).name("rpc_s1").with_seed(8).rx_store(false)
-                .link(0, 1).with_seed(11)
-                .link(2, 3).with_seed(12)
-                .link(4, 5).with_seed(13).duplex()
-                .link(6, 7).with_seed(14).duplex()
-                .forwarder(1, 2)
-                .couple(0, 3)
-                .build();
+  mtb::Scenario scenario;
+  scenario.seed(cli->seed).shards(cli->shards).faults(spec);
+  topo::forwarder_path(scenario, {.device_seeds = {1, 2, 3, 4}, .link_seeds = {11, 12}});
+  topo::rpc_pair(scenario,
+                 {.first_id = 4, .suffix = "0", .device_seeds = {5, 6}, .link_seeds = {13}});
+  topo::rpc_pair(scenario,
+                 {.first_id = 6, .suffix = "1", .device_seeds = {7, 8}, .link_seeds = {14}});
+  auto tb = scenario.build();
 
   // --- L2 plane: CBR load through the forwarder ----------------------------
   mc::UdpTemplateOptions bg;

@@ -42,11 +42,11 @@
 #include "core/rate_control.hpp"
 #include "dut/vswitch.hpp"
 #include "health/monitor.hpp"
-#include "nic/chip.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/rtt_plane.hpp"
 #include "testbed/scenario.hpp"
+#include "topologies.hpp"
 
 namespace mc = moongen::core;
 namespace md = moongen::dut;
@@ -56,6 +56,7 @@ namespace mn = moongen::nic;
 namespace ms = moongen::sim;
 namespace mt = moongen::telemetry;
 namespace mtb = moongen::testbed;
+namespace topo = moongen::topologies;
 
 namespace {
 
@@ -144,23 +145,10 @@ int main(int argc, char** argv) {
   // The vswitch couples vs_in and its vports, and the cables join gen and
   // both sinks: one component, so every --shards runs one engine and the
   // virtual timeline is the same.
-  auto scenario = mtb::Scenario()
-                      .seed(cli->seed)
-                      .shards(cli->shards)
-                      .faults(cli->faults)
-                      .rtt_groups(4)
-                      .device(0, mn::intel_x540()).name("gen").with_seed(1)
-                      .device(1, mn::intel_x540()).name("vs_in").with_seed(2).rtt_record(false)
-                      .device(2, mn::intel_x540()).name("vport0").with_seed(3)
-                          .link_mbit(1'000).rtt_record(false)
-                      .device(3, mn::intel_x540()).name("sink0").with_seed(4)
-                          .link_mbit(1'000).rx_store(false)
-                      .device(4, mn::intel_x540()).name("vport1").with_seed(5).rtt_record(false)
-                      .device(5, mn::intel_x540()).name("sink1").with_seed(6).rx_store(false)
-                      .link(0, 1).with_seed(7)
-                      .link(2, 3).with_seed(8).latency_ns(25'000)
-                      .link(4, 5).with_seed(9).latency_ns(5'000)
-                      .vswitch(1, {2, 4}, cfg);
+  mtb::Scenario scenario;
+  scenario.seed(cli->seed).shards(cli->shards).faults(cli->faults).rtt_groups(4);
+  topo::vswitch_fanout(scenario, {.device_seeds = {1, 2, 3, 4, 5, 6}, .link_seeds = {7, 8, 9}},
+                       {{.link_mbit = 1'000, .latency_ns = 25'000}, {.latency_ns = 5'000}}, cfg);
   if (cli->has_json()) scenario.sample_telemetry(100'000'000);
   if (cli->has_stream()) scenario.stream_telemetry(cli->stream_path, 100'000'000);
   auto tb = scenario.build();

@@ -19,20 +19,20 @@
 #include "baseline/sw_paced.hpp"
 #include "cli.hpp"
 #include "core/rate_control.hpp"
-#include "nic/chip.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/registry.hpp"
 #include "testbed/scenario.hpp"
+#include "topologies.hpp"
 #include "wire/recorder.hpp"
 
 namespace mb = moongen::baseline;
 namespace mc = moongen::core;
 namespace me = moongen::examples;
-namespace mn = moongen::nic;
 namespace ms = moongen::sim;
 namespace mt = moongen::telemetry;
 namespace mtb = moongen::testbed;
 namespace mw = moongen::wire;
+namespace topo = moongen::topologies;
 
 namespace {
 
@@ -51,17 +51,10 @@ int main(int argc, char** argv) {
   std::printf("inter-arrival-times: %.0f kpps via '%s' rate control, GbE, 82580 capture\n\n",
               kpps, mechanism.c_str());
 
-  // GbE frame times exceed the short cable's latency, so the two ports
-  // cannot run on separate shards — couple() keeps them on one engine.
-  auto tb = mtb::Scenario()
-                .seed(cli->seed)
-                .faults(cli->faults)
-                .telemetry(false)
-                .device(0, mn::intel_x540()).name("tx").link_mbit(1'000).with_seed(7)
-                .device(1, mn::intel_82580()).name("rx").link_mbit(1'000).with_seed(8)
-                .link(0, 1).cable(mw::cat5e_gbe(2.0)).with_seed(9)
-                .couple(0, 1)
-                .build();
+  mtb::Scenario s;
+  s.seed(cli->seed).faults(cli->faults).telemetry(false);
+  topo::gbe_pair(s, {.device_seeds = {7, 8}, .link_seeds = {9}});
+  auto tb = s.build();
   auto& tx = tb->port("tx");
   mw::InterArrivalRecorder recorder(tb->port("rx"), 0);
 

@@ -12,16 +12,16 @@
 
 #include "cli.hpp"
 #include "core/rate_control.hpp"
-#include "nic/chip.hpp"
 #include "testbed/scenario.hpp"
+#include "topologies.hpp"
 #include "wire/recorder.hpp"
 
 namespace mc = moongen::core;
 namespace me = moongen::examples;
-namespace mn = moongen::nic;
 namespace ms = moongen::sim;
 namespace mtb = moongen::testbed;
 namespace mw = moongen::wire;
+namespace topo = moongen::topologies;
 
 namespace {
 
@@ -37,17 +37,10 @@ int main(int argc, char** argv) {
   const auto burst = static_cast<std::size_t>(cli->number(1, 8));
   std::printf("l2-bursts: %zu-packet bursts at %.0f kpps average, GbE, 1 s\n\n", burst, kpps);
 
-  // GbE frame times exceed the short cable's latency, so the two ports
-  // cannot run on separate shards — couple() keeps them on one engine.
-  auto tb = mtb::Scenario()
-                .seed(cli->seed)
-                .faults(cli->faults)
-                .telemetry(false)
-                .device(0, mn::intel_x540()).name("tx").link_mbit(1'000).with_seed(21)
-                .device(1, mn::intel_82580()).name("rx").link_mbit(1'000).with_seed(22)
-                .link(0, 1).cable(mw::cat5e_gbe(2.0)).with_seed(23)
-                .couple(0, 1)
-                .build();
+  mtb::Scenario s;
+  s.seed(cli->seed).faults(cli->faults).telemetry(false);
+  topo::gbe_pair(s, {.device_seeds = {21, 22}, .link_seeds = {23}});
+  auto tb = s.build();
   auto& tx = tb->port("tx");
   mw::InterArrivalRecorder recorder(tb->port("rx"), 0);
 

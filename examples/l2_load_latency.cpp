@@ -32,17 +32,17 @@
 #include "cli.hpp"
 #include "core/rate_control.hpp"
 #include "core/timestamper.hpp"
-#include "nic/chip.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/registry.hpp"
 #include "testbed/scenario.hpp"
+#include "topologies.hpp"
 
 namespace mc = moongen::core;
 namespace me = moongen::examples;
-namespace mn = moongen::nic;
 namespace ms = moongen::sim;
 namespace mt = moongen::telemetry;
 namespace mtb = moongen::testbed;
+namespace topo = moongen::topologies;
 
 namespace {
 
@@ -62,24 +62,11 @@ int main(int argc, char** argv) {
   std::printf("l2-load-latency: %.2f Mpps %s through an OVS-like DuT, %.1f s\n\n", rate_mpps,
               poisson ? "Poisson" : "CBR", seconds);
 
-  // Testbed: generator -> DuT -> sink (all X540 at 10 GbE). The timestamper
-  // spans gen_tx and sink, so those two share a shard (couple); the
-  // forwarder couples the DuT pair, and the cables join both pairs.
-  // The DuT ports see frames mid-journey, so they count stamp conservation
-  // but do not fold into the end-to-end RTT histograms (rtt_record(false));
-  // only the sink's RX is an end-to-end measurement point.
-  auto scenario = mtb::Scenario()
-                      .seed(cli->seed)
-                      .shards(cli->shards)
-                      .faults(cli->faults)
-                      .device(0, mn::intel_x540()).name("gen_tx").with_seed(1)
-                      .device(1, mn::intel_x540()).name("dut_in").with_seed(2).rtt_record(false)
-                      .device(2, mn::intel_x540()).name("dut_out").with_seed(3).rtt_record(false)
-                      .device(3, mn::intel_x540()).name("sink").with_seed(4).rx_store(false)
-                      .link(0, 1).with_seed(5)
-                      .link(2, 3).with_seed(6)
-                      .forwarder(1, 2)
-                      .couple(0, 3);
+  // Testbed: generator -> DuT -> sink (all X540 at 10 GbE). Only the
+  // sink's RX is an end-to-end RTT measurement point.
+  mtb::Scenario scenario;
+  scenario.seed(cli->seed).shards(cli->shards).faults(cli->faults);
+  topo::forwarder_path(scenario, {.device_seeds = {1, 2, 3, 4}, .link_seeds = {5, 6}});
   if (cli->has_json()) scenario.sample_telemetry(100'000'000);
   if (cli->has_stream()) scenario.stream_telemetry(cli->stream_path, 100'000'000);
   auto tb = scenario.build();

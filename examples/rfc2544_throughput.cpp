@@ -21,15 +21,16 @@
 #include "cli.hpp"
 #include "core/rate_control.hpp"
 #include "core/timestamper.hpp"
-#include "nic/chip.hpp"
 #include "nic/throughput_model.hpp"
 #include "testbed/scenario.hpp"
+#include "topologies.hpp"
 
 namespace mc = moongen::core;
 namespace me = moongen::examples;
 namespace mn = moongen::nic;
 namespace ms = moongen::sim;
 namespace mtb = moongen::testbed;
+namespace topo = moongen::topologies;
 
 namespace {
 
@@ -48,20 +49,10 @@ TrialResult run_trial(std::size_t frame_size, double mpps, double seconds,
   // Per-trial testbed (and per-trial fault plane: every trial sees the same
   // seeded fault sequence, so the binary search stays deterministic and
   // comparable across rates). Telemetry is off — trials read stats directly.
-  auto tb = mtb::Scenario()
-                .seed(cli.seed)
-                .shards(cli.shards)
-                .faults(cli.faults)
-                .telemetry(false)
-                .device(0, mn::intel_x540()).name("gen_tx").with_seed(11)
-                .device(1, mn::intel_x540()).name("dut_in").with_seed(12)
-                .device(2, mn::intel_x540()).name("dut_out").with_seed(13)
-                .device(3, mn::intel_x540()).name("sink").with_seed(14).rx_store(false)
-                .link(0, 1).with_seed(15)
-                .link(2, 3).with_seed(16)
-                .forwarder(1, 2)
-                .couple(0, 3)
-                .build();
+  mtb::Scenario s;
+  s.seed(cli.seed).shards(cli.shards).faults(cli.faults).telemetry(false);
+  topo::forwarder_path(s, {.device_seeds = {11, 12, 13, 14}, .link_seeds = {15, 16}});
+  auto tb = s.build();
   auto& gen_tx = tb->port("gen_tx");
   auto& dut_in = tb->port("dut_in");
   auto& sink = tb->port("sink");

@@ -38,19 +38,19 @@
 #include <vector>
 
 #include "cli.hpp"
-#include "nic/chip.hpp"
 #include "rpc/open_loop.hpp"
 #include "rpc/server_model.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/registry.hpp"
 #include "testbed/scenario.hpp"
+#include "topologies.hpp"
 
 namespace me = moongen::examples;
-namespace mn = moongen::nic;
 namespace mr = moongen::rpc;
 namespace ms = moongen::sim;
 namespace mt = moongen::telemetry;
 namespace mtb = moongen::testbed;
+namespace topo = moongen::topologies;
 
 namespace {
 
@@ -96,19 +96,11 @@ RunResult run_mode(const me::Cli& cli, const RunParams& p) {
   const std::string stream_path = p.closed ? cli.stream_path + ".closed.jsonl" : cli.stream_path;
   if (cli.has_stream()) s.stream_telemetry(stream_path, 100'000'000);
   for (int i = 0; i < kPairs; ++i) {
-    const int client = 2 * i;
-    const int server = 2 * i + 1;
-    s.device(client, mn::intel_x540())
-        .name("client" + std::to_string(i))
-        .with_seed(10 + static_cast<std::uint64_t>(i))
-        .rx_store(false)
-        .device(server, mn::intel_x540())
-        .name("server" + std::to_string(i))
-        .with_seed(20 + static_cast<std::uint64_t>(i))
-        .rx_store(false)
-        .link(client, server)
-        .with_seed(30 + static_cast<std::uint64_t>(i))
-        .duplex();
+    const auto u = static_cast<std::uint64_t>(i);
+    topo::rpc_pair(s, {.first_id = 2 * i,
+                       .suffix = std::to_string(i),
+                       .device_seeds = {10 + u, 20 + u},
+                       .link_seeds = {30 + u}});
   }
   auto tb = s.build();
   mt::MetricRegistry& registry = tb->registry();

@@ -5,37 +5,25 @@
 #include <memory>
 
 #include "core/rate_control.hpp"
-#include "dut/forwarder.hpp"
-#include "sim_testbed.hpp"
-#include "wire/link.hpp"
+#include "testbed/scenario.hpp"
+#include "topologies.hpp"
 
 namespace mc = moongen::core;
-namespace md = moongen::dut;
 namespace mn = moongen::nic;
 namespace ms = moongen::sim;
-namespace mw = moongen::wire;
+namespace mtb = moongen::testbed;
+namespace topo = moongen::topologies;
 
 namespace {
 
-/// Generator -> DuT -> sink receiver testbed (the Open vSwitch setup of
-/// Sections 7.4 / 8.2 / 8.3).
-struct DutBed {
-  explicit DutBed(md::ForwarderConfig cfg = {})
-      : fwd(events, dut_in, 0, dut_out, 0, cfg) {
-    gen_tx.set_tx_sink(&to_dut);
-    dut_out.set_tx_sink(&to_sink);
-    sink.rx_queue(0).set_ring_capacity(10'000'000);
-  }
-
-  ms::EventQueue events;
-  mn::Port gen_tx{events, mn::intel_x540(), 10'000, 81};
-  mn::Port dut_in{events, mn::intel_x540(), 10'000, 82};
-  mn::Port dut_out{events, mn::intel_x540(), 10'000, 83};
-  mn::Port sink{events, mn::intel_x540(), 10'000, 84};
-  mw::Link to_dut{gen_tx, dut_in, mw::cat5e_10gbaset(2.0), 85};
-  mw::Link to_sink{dut_out, sink, mw::cat5e_10gbaset(2.0), 86};
-  md::Forwarder fwd;
-};
+/// The generator -> DuT -> sink testbed (the Open vSwitch setup of
+/// Sections 7.4 / 8.2 / 8.3) with seeds of its own.
+std::unique_ptr<mtb::Testbed> dut_bed() {
+  mtb::Scenario s;
+  s.telemetry(false);
+  topo::forwarder_path(s, {.device_seeds = {81, 82, 83, 84}, .link_seeds = {85, 86}});
+  return s.build();
+}
 
 mn::Frame load_frame() {
   mc::UdpTemplateOptions opts;
@@ -48,25 +36,25 @@ mn::Frame load_frame() {
 }  // namespace
 
 TEST(Forwarder, ForwardsEverythingBelowCapacity) {
-  DutBed bed;
-  auto& q = bed.gen_tx.tx_queue(0);
+  auto tb = dut_bed();
+  auto& q = tb->port("gen_tx").tx_queue(0);
   q.set_rate_mpps(0.5, 100);
   auto gen = mc::SimLoadGen::hardware_paced(q, load_frame());
-  bed.events.run_until(20 * ms::kPsPerMs);
+  tb->run_until(20 * ms::kPsPerMs);
   // 0.5 Mpps over 20 ms = 10'000 packets; all must reach the sink.
-  EXPECT_NEAR(static_cast<double>(bed.sink.stats().rx_packets), 10'000.0, 100.0);
-  EXPECT_EQ(bed.dut_in.stats().rx_ring_drops, 0u);
+  EXPECT_NEAR(static_cast<double>(tb->port("sink").stats().rx_packets), 10'000.0, 100.0);
+  EXPECT_EQ(tb->port("dut_in").stats().rx_ring_drops, 0u);
 }
 
 TEST(Forwarder, SaturatesAroundTwoMpps) {
-  DutBed bed;
-  auto& q = bed.gen_tx.tx_queue(0);
+  auto tb = dut_bed();
+  auto& q = tb->port("gen_tx").tx_queue(0);
   q.set_rate_mpps(4.0, 100);  // far above DuT capacity
   auto gen = mc::SimLoadGen::hardware_paced(q, load_frame());
-  bed.events.run_until(50 * ms::kPsPerMs);
-  const double mpps = static_cast<double>(bed.fwd.forwarded()) / 50'000.0;
+  tb->run_until(50 * ms::kPsPerMs);
+  const double mpps = static_cast<double>(tb->forwarder().forwarded()) / 50'000.0;
   EXPECT_NEAR(mpps, 2.0, 0.1);  // the 1650-cycle datapath at 3.3 GHz
-  EXPECT_GT(bed.dut_in.stats().rx_ring_drops, 0u);  // overload drops
+  EXPECT_GT(tb->port("dut_in").stats().rx_ring_drops, 0u);  // overload drops
 }
 
 TEST(Forwarder, InterruptRateCollapsesUnderMicroBursts) {
@@ -75,56 +63,56 @@ TEST(Forwarder, InterruptRateCollapsesUnderMicroBursts) {
   const double mpps = 0.5;
   std::uint64_t smooth_ints, bursty_ints;
   {
-    DutBed bed;
-    auto& q = bed.gen_tx.tx_queue(0);
+    auto tb = dut_bed();
+    auto& q = tb->port("gen_tx").tx_queue(0);
     q.set_rate_mpps(mpps, 100);
     auto gen = mc::SimLoadGen::hardware_paced(q, load_frame());
-    bed.events.run_until(100 * ms::kPsPerMs);
-    smooth_ints = bed.fwd.interrupts();
+    tb->run_until(100 * ms::kPsPerMs);
+    smooth_ints = tb->forwarder().interrupts();
   }
   {
-    DutBed bed;
-    auto& q = bed.gen_tx.tx_queue(0);
+    auto tb = dut_bed();
+    auto& q = tb->port("gen_tx").tx_queue(0);
     // 64-packet micro-bursts at the same average rate (CRC-paced pattern).
     auto gen = mc::SimLoadGen::crc_paced(
         q, load_frame(), std::make_unique<mc::BurstPattern>(mpps, 64, 120, 10'000), 10'000);
-    bed.events.run_until(100 * ms::kPsPerMs);
-    bursty_ints = bed.fwd.interrupts();
+    tb->run_until(100 * ms::kPsPerMs);
+    bursty_ints = tb->forwarder().interrupts();
   }
   EXPECT_GT(smooth_ints, 3 * bursty_ints);
 }
 
 TEST(Forwarder, PollingModeSuppressesInterruptsAtOverload) {
-  DutBed bed;
-  auto& q = bed.gen_tx.tx_queue(0);
+  auto tb = dut_bed();
+  auto& q = tb->port("gen_tx").tx_queue(0);
   q.set_rate_mpps(4.0, 100);
   auto gen = mc::SimLoadGen::hardware_paced(q, load_frame());
-  bed.events.run_until(100 * ms::kPsPerMs);
+  tb->run_until(100 * ms::kPsPerMs);
   // At overload NAPI stays in polling mode: interrupt rate is tiny
   // compared to the packet rate.
-  EXPECT_LT(bed.fwd.interrupts(), bed.fwd.forwarded() / 100);
+  EXPECT_LT(tb->forwarder().interrupts(), tb->forwarder().forwarded() / 100);
 }
 
 TEST(Forwarder, InternalLatencyBoundedByRingAtOverload) {
-  DutBed bed;
-  auto& q = bed.gen_tx.tx_queue(0);
+  auto tb = dut_bed();
+  auto& q = tb->port("gen_tx").tx_queue(0);
   q.set_rate_mpps(4.0, 100);
   auto gen = mc::SimLoadGen::hardware_paced(q, load_frame());
-  bed.events.run_until(100 * ms::kPsPerMs);
+  tb->run_until(100 * ms::kPsPerMs);
   // Ring of 4096 packets at ~0.5 us service: worst-case residence ~2 ms.
-  EXPECT_GT(bed.fwd.internal_latency_ns().max(), 1.5e6);
-  EXPECT_LT(bed.fwd.internal_latency_ns().max(), 3.0e6);
+  EXPECT_GT(tb->forwarder().internal_latency_ns().max(), 1.5e6);
+  EXPECT_LT(tb->forwarder().internal_latency_ns().max(), 3.0e6);
 }
 
 TEST(Forwarder, LatencyLowUnderLightLoad) {
-  DutBed bed;
-  auto& q = bed.gen_tx.tx_queue(0);
+  auto tb = dut_bed();
+  auto& q = tb->port("gen_tx").tx_queue(0);
   q.set_rate_mpps(0.2, 100);
   auto gen = mc::SimLoadGen::hardware_paced(q, load_frame());
-  bed.events.run_until(50 * ms::kPsPerMs);
+  tb->run_until(50 * ms::kPsPerMs);
   // Interrupt wait + pipeline: tens of microseconds at most.
-  EXPECT_LT(bed.fwd.internal_latency_ns().mean(), 40e3);
-  EXPECT_GT(bed.fwd.internal_latency_ns().mean(), 5e3);
+  EXPECT_LT(tb->forwarder().internal_latency_ns().mean(), 40e3);
+  EXPECT_GT(tb->forwarder().internal_latency_ns().mean(), 5e3);
 }
 
 TEST(Forwarder, ThroughputIndependentOfPattern) {
@@ -132,20 +120,20 @@ TEST(Forwarder, ThroughputIndependentOfPattern) {
   // the traffic pattern (CBR vs Poisson) at overload.
   double mpps_cbr, mpps_poisson;
   {
-    DutBed bed;
-    auto& q = bed.gen_tx.tx_queue(0);
+    auto tb = dut_bed();
+    auto& q = tb->port("gen_tx").tx_queue(0);
     q.set_rate_mpps(3.0, 100);
     auto gen = mc::SimLoadGen::hardware_paced(q, load_frame());
-    bed.events.run_until(50 * ms::kPsPerMs);
-    mpps_cbr = static_cast<double>(bed.fwd.forwarded()) / 50'000.0;
+    tb->run_until(50 * ms::kPsPerMs);
+    mpps_cbr = static_cast<double>(tb->forwarder().forwarded()) / 50'000.0;
   }
   {
-    DutBed bed;
-    auto& q = bed.gen_tx.tx_queue(0);
+    auto tb = dut_bed();
+    auto& q = tb->port("gen_tx").tx_queue(0);
     auto gen = mc::SimLoadGen::crc_paced(q, load_frame(),
                                          std::make_unique<mc::PoissonPattern>(3.0, 999), 10'000);
-    bed.events.run_until(50 * ms::kPsPerMs);
-    mpps_poisson = static_cast<double>(bed.fwd.forwarded()) / 50'000.0;
+    tb->run_until(50 * ms::kPsPerMs);
+    mpps_poisson = static_cast<double>(tb->forwarder().forwarded()) / 50'000.0;
   }
   EXPECT_NEAR(mpps_cbr, mpps_poisson, 0.05);
 }

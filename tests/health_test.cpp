@@ -14,24 +14,24 @@
 #include "core/rate_control.hpp"
 #include "health/monitor.hpp"
 #include "membuf/mempool.hpp"
-#include "nic/chip.hpp"
 #include "rpc/open_loop.hpp"
 #include "rpc/server_model.hpp"
 #include "sim/event_queue.hpp"
 #include "testbed/scenario.hpp"
+#include "topologies.hpp"
 
 namespace mc = moongen::core;
 namespace mf = moongen::fault;
 namespace mh = moongen::health;
 namespace mm = moongen::membuf;
-namespace mn = moongen::nic;
 namespace mr = moongen::rpc;
 namespace ms = moongen::sim;
 namespace mtb = moongen::testbed;
+namespace topo = moongen::topologies;
 
 namespace {
 
-/// Four-device L2 chain with a forwarder, mirroring l2_load_latency,
+/// The l2_load_latency testbed (generator -> forwarder DuT -> sink),
 /// `copies` times over. Each copy is one component; copy k has devices
 /// 4k..4k+3 and seeds of its own, and its names after the first copy end
 /// in k.
@@ -40,18 +40,11 @@ std::unique_ptr<mtb::Testbed> l2_bed(int shards, const mf::FaultSpec& spec = {},
   mtb::Scenario s;
   s.seed(1).shards(shards).telemetry(false).faults(spec);
   for (int k = 0; k < copies; ++k) {
-    const int d = 4 * k;
     const std::uint64_t seed = 10 * static_cast<std::uint64_t>(k);
-    const std::string suffix = k == 0 ? "" : std::to_string(k);
-    s.device(d, mn::intel_x540()).name("gen_tx" + suffix).with_seed(seed + 1)
-        .device(d + 1, mn::intel_x540()).name("dut_in" + suffix).with_seed(seed + 2)
-        .device(d + 2, mn::intel_x540()).name("dut_out" + suffix).with_seed(seed + 3)
-        .device(d + 3, mn::intel_x540()).name("sink" + suffix).with_seed(seed + 4)
-        .rx_store(false)
-        .link(d, d + 1).with_seed(seed + 5)
-        .link(d + 2, d + 3).with_seed(seed + 6)
-        .forwarder(d + 1, d + 2)
-        .couple(d, d + 3);
+    topo::forwarder_path(s, {.first_id = 4 * k,
+                             .suffix = k == 0 ? "" : std::to_string(k),
+                             .device_seeds = {seed + 1, seed + 2, seed + 3, seed + 4},
+                             .link_seeds = {seed + 5, seed + 6}});
   }
   return s.build();
 }
@@ -68,6 +61,14 @@ std::vector<std::unique_ptr<mc::SimLoadGen>> start_l2_load(mtb::Testbed& tb, dou
     gens.push_back(mc::SimLoadGen::hardware_paced(queue, mc::make_udp_frame(bg)));
   }
   return gens;
+}
+
+/// One RPC client and server on a duplex cable.
+std::unique_ptr<mtb::Testbed> rpc_bed(const mf::FaultSpec& spec = {}) {
+  mtb::Scenario s;
+  s.seed(1).telemetry(false).faults(spec);
+  topo::rpc_pair(s, {.device_seeds = {10, 20}, .link_seeds = {30}});
+  return s.build();
 }
 
 }  // namespace
@@ -199,14 +200,7 @@ TEST(Testbed, TopologyEnumerationMatchesDeclaration) {
 
 TEST(RpcChecker, ConservationHoldsThroughALossyRun) {
   const auto spec = mf::FaultSpec::parse("seed=5;loss@wire:p=0.01");
-  auto tb = mtb::Scenario()
-                .seed(1)
-                .telemetry(false)
-                .faults(spec)
-                .device(0, mn::intel_x540()).name("client").with_seed(10).rx_store(false)
-                .device(1, mn::intel_x540()).name("server").with_seed(20).rx_store(false)
-                .link(0, 1).with_seed(30).duplex()
-                .build();
+  auto tb = rpc_bed(spec);
   mr::ServerConfig sc;
   sc.workers = 1;
   sc.service = mr::ServerConfig::Service::kExponential;
@@ -437,13 +431,7 @@ TEST(DegradationGovernor, EntersAndRecoversWithHysteresis) {
 }
 
 TEST(OpenLoopGenerator, KeepFractionShedsDeterministically) {
-  auto tb = mtb::Scenario()
-                .seed(1)
-                .telemetry(false)
-                .device(0, mn::intel_x540()).name("client").with_seed(10).rx_store(false)
-                .device(1, mn::intel_x540()).name("server").with_seed(20).rx_store(false)
-                .link(0, 1).with_seed(30).duplex()
-                .build();
+  auto tb = rpc_bed();
   mr::ServerConfig sc;
   sc.workers = 1;
   sc.service = mr::ServerConfig::Service::kFixed;
@@ -491,14 +479,7 @@ TEST(FaultValidation, PrefixRulesAndLateInstalledSitesPass) {
   // `stall@rpc` only matches a site installed *after* build() — validation
   // is deferred to the first run_until precisely for this.
   const auto spec = mf::FaultSpec::parse("seed=1;loss@wire:p=0.001;stall@rpc:p=0.01,param=1e8");
-  auto tb = mtb::Scenario()
-                .seed(1)
-                .telemetry(false)
-                .faults(spec)
-                .device(0, mn::intel_x540()).name("client").with_seed(10).rx_store(false)
-                .device(1, mn::intel_x540()).name("server").with_seed(20).rx_store(false)
-                .link(0, 1).with_seed(30).duplex()
-                .build();
+  auto tb = rpc_bed(spec);
   mr::ServerConfig sc;
   sc.workers = 1;
   sc.service = mr::ServerConfig::Service::kFixed;

@@ -20,14 +20,15 @@
 #include "sim/parallel.hpp"
 #include "telemetry/registry.hpp"
 #include "testbed/scenario.hpp"
+#include "topologies.hpp"
 #include "wire/cable.hpp"
 
 namespace mc = moongen::core;
 namespace mn = moongen::nic;
 namespace ms = moongen::sim;
-namespace mt = moongen::telemetry;
 namespace mtb = moongen::testbed;
 namespace mw = moongen::wire;
+namespace topo = moongen::topologies;
 
 namespace {
 
@@ -232,18 +233,11 @@ Fig10Run run_fig10(int shards, int copies, bool poisson, const std::string& faul
   mtb::Scenario s;
   s.seed(1).shards(shards).faults(faults).telemetry(false);
   for (int k = 0; k < copies; ++k) {
-    const int d = 4 * k;
     const std::uint64_t seed = 10 * static_cast<std::uint64_t>(k);
-    const std::string suffix = k == 0 ? "" : std::to_string(k);
-    s.device(d, mn::intel_x540()).name("gen_tx" + suffix).with_seed(seed + 1)
-        .device(d + 1, mn::intel_x540()).name("dut_in" + suffix).with_seed(seed + 2)
-        .device(d + 2, mn::intel_x540()).name("dut_out" + suffix).with_seed(seed + 3)
-        .device(d + 3, mn::intel_x540()).name("sink" + suffix).with_seed(seed + 4)
-        .rx_store(false)
-        .link(d, d + 1).with_seed(seed + 5)
-        .link(d + 2, d + 3).with_seed(seed + 6)
-        .forwarder(d + 1, d + 2)
-        .couple(d, d + 3);
+    topo::forwarder_path(s, {.first_id = 4 * k,
+                             .suffix = k == 0 ? "" : std::to_string(k),
+                             .device_seeds = {seed + 1, seed + 2, seed + 3, seed + 4},
+                             .link_seeds = {seed + 5, seed + 6}});
   }
   auto tb = s.build();
 

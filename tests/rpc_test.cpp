@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "fault/fault.hpp"
-#include "nic/chip.hpp"
 #include "rpc/codec.hpp"
 #include "rpc/inflight.hpp"
 #include "rpc/latency_recorder.hpp"
@@ -24,12 +23,13 @@
 #include "rpc/server_model.hpp"
 #include "stats/samplers.hpp"
 #include "testbed/scenario.hpp"
+#include "topologies.hpp"
 
 namespace mf = moongen::fault;
-namespace mn = moongen::nic;
 namespace mr = moongen::rpc;
 namespace ms = moongen::sim;
 namespace mtb = moongen::testbed;
+namespace topo = moongen::topologies;
 
 // ---------------------------------------------------------------------------
 // Codec
@@ -297,12 +297,10 @@ std::unique_ptr<mtb::Testbed> pair_bed(int shards, const mf::FaultSpec& spec = {
   s.seed(1).shards(shards).telemetry(false).faults(spec);
   for (int k = 0; k < copies; ++k) {
     const std::uint64_t seed = 100 * static_cast<std::uint64_t>(k);
-    const std::string suffix = k == 0 ? "" : std::to_string(k);
-    s.device(2 * k, mn::intel_x540()).name("client" + suffix).with_seed(seed + 10)
-        .rx_store(false)
-        .device(2 * k + 1, mn::intel_x540()).name("server" + suffix).with_seed(seed + 20)
-        .rx_store(false)
-        .link(2 * k, 2 * k + 1).with_seed(seed + 30).duplex();
+    topo::rpc_pair(s, {.first_id = 2 * k,
+                       .suffix = k == 0 ? "" : std::to_string(k),
+                       .device_seeds = {seed + 10, seed + 20},
+                       .link_seeds = {seed + 30}});
   }
   return s.build();
 }

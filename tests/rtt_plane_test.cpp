@@ -26,21 +26,21 @@
 #include "core/rate_control.hpp"
 #include "core/timestamper.hpp"
 #include "health/health.hpp"
-#include "nic/chip.hpp"
 #include "sim_testbed.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/rtt_plane.hpp"
 #include "telemetry/stream.hpp"
 #include "testbed/scenario.hpp"
+#include "topologies.hpp"
 
 namespace mc = moongen::core;
 namespace mf = moongen::fault;
 namespace mh = moongen::health;
-namespace mn = moongen::nic;
 namespace ms = moongen::sim;
 namespace mt = moongen::telemetry;
 namespace mtb = moongen::testbed;
+namespace topo = moongen::topologies;
 
 namespace {
 
@@ -52,20 +52,11 @@ mtb::Scenario l2_scenario(int shards, const std::string& faults = "", int copies
   mtb::Scenario sc;
   sc.seed(1).shards(shards);
   for (int k = 0; k < copies; ++k) {
-    const int d = 4 * k;
     const std::uint64_t seed = 10 * static_cast<std::uint64_t>(k);
-    const std::string suffix = k == 0 ? "" : std::to_string(k);
-    sc.device(d, mn::intel_x540()).name("gen_tx" + suffix).with_seed(seed + 1)
-        .device(d + 1, mn::intel_x540()).name("dut_in" + suffix).with_seed(seed + 2)
-        .rtt_record(false)
-        .device(d + 2, mn::intel_x540()).name("dut_out" + suffix).with_seed(seed + 3)
-        .rtt_record(false)
-        .device(d + 3, mn::intel_x540()).name("sink" + suffix).with_seed(seed + 4)
-        .rx_store(false)
-        .link(d, d + 1).with_seed(seed + 5)
-        .link(d + 2, d + 3).with_seed(seed + 6)
-        .forwarder(d + 1, d + 2)
-        .couple(d, d + 3);
+    topo::forwarder_path(sc, {.first_id = 4 * k,
+                              .suffix = k == 0 ? "" : std::to_string(k),
+                              .device_seeds = {seed + 1, seed + 2, seed + 3, seed + 4},
+                              .link_seeds = {seed + 5, seed + 6}});
   }
   if (!faults.empty()) sc.faults(faults);
   return sc;

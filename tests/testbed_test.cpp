@@ -24,6 +24,7 @@
 #include "rpc/server_model.hpp"
 #include "telemetry/registry.hpp"
 #include "testbed/scenario.hpp"
+#include "topologies.hpp"
 
 namespace mb = moongen::membuf;
 namespace mc = moongen::core;
@@ -32,28 +33,31 @@ namespace mr = moongen::rpc;
 namespace ms = moongen::sim;
 namespace mt = moongen::telemetry;
 namespace mtb = moongen::testbed;
+namespace topo = moongen::topologies;
 
 namespace {
 
-// The standard 4-device fig10 topology used throughout, `copies` times
-// over. Its links join its two coupling groups, {gen_tx, sink} and the DuT
-// pair, into one component, so each copy is one component. Copy k has
-// devices 4k..4k+3; names after the first copy end in k.
-mtb::Scenario fig10_scenario(int shards, int copies = 1) {
+// The fig10 testbed (topologies::forwarder_path) used throughout,
+// `copies` times over. Its links join its two coupling groups, {gen_tx,
+// sink} and the DuT pair, into one component, so each copy is one
+// component. Copy k has devices 4k..4k+3; names after the first copy end
+// in k.
+mtb::Scenario forwarder_paths(int shards, int copies = 1) {
   mtb::Scenario s;
-  s.seed(1).shards(shards).telemetry(true);
-  for (int k = 0; k < copies; ++k) {
-    const int d = 4 * k;
-    const std::string suffix = k == 0 ? "" : std::to_string(k);
-    s.device(d, mn::intel_x540()).name("gen_tx" + suffix)
-        .device(d + 1, mn::intel_x540()).name("dut_in" + suffix)
-        .device(d + 2, mn::intel_x540()).name("dut_out" + suffix)
-        .device(d + 3, mn::intel_x540()).name("sink" + suffix)
-        .link(d, d + 1)
-        .link(d + 2, d + 3)
-        .forwarder(d + 1, d + 2)
-        .couple(d, d + 3);
-  }
+  s.seed(1).shards(shards);
+  for (int k = 0; k < copies; ++k)
+    topo::forwarder_path(s, {.first_id = 4 * k, .suffix = k == 0 ? "" : std::to_string(k)});
+  return s;
+}
+
+// `pairs` RPC client/server pairs as rpc_load_latency places them: pair i
+// has devices 2i and 2i+1, named client<i> and server<i>. Each pair is one
+// component.
+mtb::Scenario rpc_pairs(int shards, int pairs) {
+  mtb::Scenario s;
+  s.seed(1).shards(shards);
+  for (int i = 0; i < pairs; ++i)
+    topo::rpc_pair(s, {.first_id = 2 * i, .suffix = std::to_string(i)});
   return s;
 }
 
@@ -109,7 +113,7 @@ TEST(Scenario, RejectsMalformedFaultSpec) {
 // ---------------------------------------------------------------------------
 
 TEST(Scenario, SingleShardByDefault) {
-  auto tb = fig10_scenario(1).build();
+  auto tb = forwarder_paths(1).build();
   EXPECT_EQ(tb->shard_count(), 1u);
   EXPECT_EQ(tb->cross_shard_frames(), 0u);
   // engine() is unambiguous on one shard.
@@ -120,14 +124,14 @@ TEST(Scenario, ShardCountCappedAtGroupCount) {
   // fig10's links join its two coupling groups, {0,3} and {1,2}, into one
   // component: asking for 8 shards yields 1. Two copies are two
   // components, and 8 shards yield 2, not 8 idle engines.
-  auto one = fig10_scenario(8).build();
+  auto one = forwarder_paths(8).build();
   EXPECT_EQ(one->shard_count(), 1u);
-  auto two = fig10_scenario(8, 2).build();
+  auto two = forwarder_paths(8, 2).build();
   EXPECT_EQ(two->shard_count(), 2u);
 }
 
 TEST(Scenario, FullyCoupledScenarioIsSequential) {
-  mtb::Scenario s = fig10_scenario(4);
+  mtb::Scenario s = forwarder_paths(4);
   s.couple(0, 1);  // merges both groups -> one shard regardless of shards(4)
   auto tb = s.build();
   EXPECT_EQ(tb->shard_count(), 1u);
@@ -180,86 +184,50 @@ TEST(Scenario, EffectiveShardsAreMinOfRequestedAndComponents) {
 
 namespace {
 
-// The topologies of the sharded examples and of bench/e2e's simulated
-// workloads as they declare them, minus seeds and load: placement depends
-// only on devices, links, couplings and DuTs.
+// The topologies of the sharded examples and bench binaries, built by the
+// topology functions with the placements those pass, minus seeds and load:
+// placement depends only on devices, links, couplings and DuTs.
 
-// l2_load_latency, rfc2544_throughput and bench/e2e's l2_forward.
-mtb::Scenario l2_forward_topology(int shards) {
-  mtb::Scenario s;
-  s.shards(shards)
-      .device(0, mn::intel_x540()).name("gen_tx")
-      .device(1, mn::intel_x540()).name("dut_in")
-      .device(2, mn::intel_x540()).name("dut_out")
-      .device(3, mn::intel_x540()).name("sink")
-      .link(0, 1)
-      .link(2, 3)
-      .forwarder(1, 2)
-      .couple(0, 3);
-  return s;
-}
-
-// ddos_isolation and bench/e2e's ddos_vswitch.
+// ddos_isolation.
 mtb::Scenario ddos_vswitch_topology(int shards) {
   mtb::Scenario s;
-  s.shards(shards)
-      .device(0, mn::intel_x540()).name("gen")
-      .device(1, mn::intel_x540()).name("vs_in")
-      .device(2, mn::intel_x540()).name("vport0").link_mbit(1'000)
-      .device(3, mn::intel_x540()).name("sink0").link_mbit(1'000)
-      .device(4, mn::intel_x540()).name("vport1")
-      .device(5, mn::intel_x540()).name("sink1")
-      .link(0, 1)
-      .link(2, 3).latency_ns(25'000)
-      .link(4, 5).latency_ns(5'000)
-      .vswitch(1, {2, 4}, {});
-  return s;
-}
-
-// rpc_load_latency and bench/e2e's rpc_open.
-mtb::Scenario rpc_open_topology(int shards) {
-  mtb::Scenario s;
   s.shards(shards);
-  for (int i = 0; i < 2; ++i)
-    s.device(2 * i, mn::intel_x540()).name("client" + std::to_string(i))
-        .device(2 * i + 1, mn::intel_x540()).name("server" + std::to_string(i))
-        .link(2 * i, 2 * i + 1).duplex();
+  topo::vswitch_fanout(s, {}, {{.link_mbit = 1'000, .latency_ns = 25'000}, {.latency_ns = 5'000}},
+                       {});
   return s;
 }
 
-// parallel_scaling and bench/e2e's hwpaced_4x40g.
+// parallel_scaling.
 mtb::Scenario hwpaced_topology(int shards) {
   mtb::Scenario s;
   s.shards(shards).telemetry(false);
   for (int p = 0; p < 4; ++p)
-    s.device(2 * p, mn::intel_xl710()).link_mbit(40'000)
-        .device(2 * p + 1, mn::intel_xl710()).link_mbit(40'000)
-        .link(2 * p, 2 * p + 1)
-        .couple(2 * p, 2 * p + 1);
+    topo::xl710_pair(s, {.first_id = 2 * p, .suffix = std::to_string(p)});
   return s;
 }
 
-// chaos_soak: the l2_load_latency pipeline plus two RPC pairs.
+// chaos_soak: the forwarder path plus two RPC pairs.
 mtb::Scenario chaos_soak_topology(int shards) {
-  mtb::Scenario s = l2_forward_topology(shards);
-  for (int d = 4; d < 8; ++d) s.device(d, mn::intel_x540());
-  s.link(4, 5).duplex().link(6, 7).duplex();
+  mtb::Scenario s = forwarder_paths(shards);
+  topo::rpc_pair(s, {.first_id = 4, .suffix = "0"});
+  topo::rpc_pair(s, {.first_id = 6, .suffix = "1"});
   return s;
 }
 
 }  // namespace
 
-TEST(Scenario, ExampleAndBenchTopologiesBuildNoChannels) {
+TEST(Scenario, ExampleTopologiesBuildNoChannels) {
   struct Case {
     const char* name;
     mtb::Scenario (*make)(int);
     std::size_t components;
   };
-  const Case cases[] = {{"l2_forward", l2_forward_topology, 1},
-                        {"ddos_vswitch", ddos_vswitch_topology, 1},
-                        {"rpc_open", rpc_open_topology, 2},
-                        {"hwpaced_4x40g", hwpaced_topology, 4},
-                        {"chaos_soak", chaos_soak_topology, 3}};
+  const Case cases[] = {
+      {"l2_forward", [](int shards) { return forwarder_paths(shards); }, 1},
+      {"ddos_vswitch", ddos_vswitch_topology, 1},
+      {"rpc_open", [](int shards) { return rpc_pairs(shards, 2); }, 2},
+      {"hwpaced_4x40g", hwpaced_topology, 4},
+      {"chaos_soak", chaos_soak_topology, 3}};
   for (const Case& c : cases) {
     for (const int shards : {1, 2, 4}) {
       auto tb = c.make(shards).build();
@@ -283,7 +251,7 @@ TEST(Scenario, HwPacedPlacementIsRoundRobinOverPairs) {
 }
 
 TEST(Testbed, MultiShardEngineLookupNeedsDeviceId) {
-  auto tb = fig10_scenario(2, 2).build();
+  auto tb = forwarder_paths(2, 2).build();
   EXPECT_THROW((void)tb->engine(), std::logic_error);
   EXPECT_NO_THROW((void)tb->engine(0));
   // Devices in one component resolve to the same engine object.
@@ -296,7 +264,7 @@ TEST(Testbed, MultiShardEngineLookupNeedsDeviceId) {
 // ---------------------------------------------------------------------------
 
 TEST(Testbed, LookupByNameAndId) {
-  auto tb = fig10_scenario(1).build();
+  auto tb = forwarder_paths(1).build();
   EXPECT_EQ(&tb->port("gen_tx"), &tb->port(0));
   EXPECT_EQ(&tb->port("sink"), &tb->port(3));
   EXPECT_THROW((void)tb->port("nonexistent"), std::out_of_range);
@@ -317,7 +285,7 @@ TEST(Testbed, DuplexLinkCreatesBothDirections) {
 }
 
 TEST(Testbed, RunForAdvancesVirtualTime) {
-  auto tb = fig10_scenario(1).build();
+  auto tb = forwarder_paths(1).build();
   tb->run_for(0.001);  // 1 ms
   EXPECT_EQ(tb->now(), static_cast<ms::SimTime>(1e9));  // ps
 }
@@ -327,7 +295,7 @@ TEST(Testbed, RunForAdvancesVirtualTime) {
 // ---------------------------------------------------------------------------
 
 TEST(Testbed, SequentialTelemetryKeepsLegacyEnginePrefix) {
-  auto tb = fig10_scenario(1).build();
+  auto tb = forwarder_paths(1).build();
   tb->run_for(0.0001);
   const auto snap = tb->snapshot();
   EXPECT_TRUE(has_counter(snap, "engine.events_executed"));
@@ -336,7 +304,7 @@ TEST(Testbed, SequentialTelemetryKeepsLegacyEnginePrefix) {
 }
 
 TEST(Testbed, ShardedTelemetryUsesPerShardPrefixes) {
-  auto tb = fig10_scenario(2, 2).build();
+  auto tb = forwarder_paths(2, 2).build();
   tb->run_for(0.0001);
   const auto snap = tb->snapshot();
   EXPECT_TRUE(has_counter(snap, "engine.shard0.events_executed"));
@@ -346,7 +314,7 @@ TEST(Testbed, ShardedTelemetryUsesPerShardPrefixes) {
 
 TEST(Testbed, ExternalRegistryIsUsedWhenProvided) {
   mt::MetricRegistry external;
-  mtb::Scenario s = fig10_scenario(1);
+  mtb::Scenario s = forwarder_paths(1);
   s.telemetry(external);
   auto tb = s.build();
   EXPECT_EQ(&tb->registry(), &external);
@@ -359,7 +327,7 @@ TEST(Testbed, ExternalRegistryIsUsedWhenProvided) {
 // ---------------------------------------------------------------------------
 
 TEST(Telemetry, SampledSeriesOpensAtZeroAndTicksEveryPeriod) {
-  mtb::Scenario s = fig10_scenario(2, 2);
+  mtb::Scenario s = forwarder_paths(2, 2);
   s.sample_telemetry(100'000'000);
   auto tb = s.build();
   tb->run_until(300 * ms::kPsPerMs);
@@ -369,7 +337,7 @@ TEST(Telemetry, SampledSeriesOpensAtZeroAndTicksEveryPeriod) {
 }
 
 TEST(Telemetry, SampledSeriesKeepsTheNewestSnapshots) {
-  mtb::Scenario s = fig10_scenario(1);
+  mtb::Scenario s = forwarder_paths(1);
   s.sample_telemetry(1'000);  // 1 us: 1001 snapshots over 1 ms
   auto tb = s.build();
   tb->run_until(ms::kPsPerMs);
@@ -381,7 +349,7 @@ TEST(Telemetry, SampledSeriesKeepsTheNewestSnapshots) {
 
 TEST(Telemetry, SnapshotCountsEveryEngineEventWithoutAPublishCall) {
   for (const int shards : {1, 2}) {
-    auto tb = fig10_scenario(shards, 2).build();
+    auto tb = forwarder_paths(shards, 2).build();
     mc::UdpTemplateOptions opts;
     opts.frame_size = 96;
     for (const char* gen : {"gen_tx", "gen_tx1"})
@@ -399,7 +367,7 @@ TEST(Telemetry, SnapshotCountsEveryEngineEventWithoutAPublishCall) {
 }
 
 TEST(Scenario, RejectsTelemetryPeriodOverflowingPicoseconds) {
-  mtb::Scenario s = fig10_scenario(1);
+  mtb::Scenario s = forwarder_paths(1);
   s.sample_telemetry(UINT64_MAX / 1'000 + 1);
   EXPECT_THROW((void)s.build(), std::invalid_argument);
   // The RTT window is kept in picoseconds too; it would wrap to 384 ps.
@@ -431,14 +399,14 @@ TEST(Scenario, RejectsLinkSpeedsTheChipCannotRun) {
 TEST(Scenario, RejectsStreamPeriodBeyondRetainedRttWindows) {
   // 8192 retained windows of 1 us span 8.192 ms; a 10 ms tick would skip
   // windows evicted before the stream saw them.
-  mtb::Scenario s = fig10_scenario(1);
+  mtb::Scenario s = forwarder_paths(1);
   s.rtt_window_ns(1'000).stream_telemetry(::testing::TempDir() + "never_opened.jsonl",
                                           10'000'000);
   EXPECT_THROW((void)s.build(), std::invalid_argument);
 }
 
 TEST(Scenario, RejectsDifferentSampleAndStreamPeriods) {
-  mtb::Scenario s = fig10_scenario(1);
+  mtb::Scenario s = forwarder_paths(1);
   s.sample_telemetry(100'000'000)
       .stream_telemetry(::testing::TempDir() + "never_opened.jsonl", 50'000'000);
   EXPECT_THROW((void)s.build(), std::invalid_argument);
@@ -449,13 +417,8 @@ TEST(Scenario, RejectsDifferentSampleAndStreamPeriods) {
 // publish step, at any shard count.
 TEST(Telemetry, RpcGaugesMatchTheirAccessorsAtEveryTick) {
   for (const int shards : {1, 4}) {
-    mtb::Scenario s;
-    s.seed(1).shards(shards).faults("seed=3;loss@wire:p=0.01;stall@rpc:p=0.01,param=2e8");
-    for (int i = 0; i < 2; ++i) {
-      s.device(2 * i, mn::intel_x540()).name("client" + std::to_string(i)).rx_store(false)
-          .device(2 * i + 1, mn::intel_x540()).name("server" + std::to_string(i)).rx_store(false)
-          .link(2 * i, 2 * i + 1).duplex();
-    }
+    mtb::Scenario s = rpc_pairs(shards, 2);
+    s.faults("seed=3;loss@wire:p=0.01;stall@rpc:p=0.01,param=2e8");
     auto tb = s.build();
     const ms::SimTime end_ps = 100 * ms::kPsPerMs;
     std::vector<std::unique_ptr<mr::ServerModel>> servers;
@@ -537,7 +500,7 @@ EngineCounters engine_counters(mtb::Testbed& tb) {
 
 EngineCounters fig10_engine_counters() {
   // Two copies, one per shard, both loaded.
-  auto tb = fig10_scenario(2, 2).build();
+  auto tb = forwarder_paths(2, 2).build();
   mc::UdpTemplateOptions opts;
   opts.frame_size = 96;
   std::vector<std::unique_ptr<mc::SimLoadGen>> gens;
@@ -552,14 +515,7 @@ EngineCounters fig10_engine_counters() {
 
 EngineCounters rpc_engine_counters() {
   // Four client/server pairs, one per shard.
-  mtb::Scenario s;
-  s.seed(1).shards(4);
-  for (int i = 0; i < 4; ++i) {
-    s.device(2 * i, mn::intel_x540()).name("client" + std::to_string(i)).rx_store(false)
-        .device(2 * i + 1, mn::intel_x540()).name("server" + std::to_string(i)).rx_store(false)
-        .link(2 * i, 2 * i + 1).duplex();
-  }
-  auto tb = s.build();
+  auto tb = rpc_pairs(4, 4).build();
   const ms::SimTime end_ps = 20 * ms::kPsPerMs;
   std::vector<std::unique_ptr<mr::ServerModel>> servers;
   std::vector<std::unique_ptr<mr::LatencyRecorder>> recorders;
@@ -600,7 +556,7 @@ TEST(Testbed, ShardedEngineCountersRepeatAcrossRuns) {
 // ---------------------------------------------------------------------------
 
 TEST(Testbed, FaultSitesLandOnTheOwningShardsPlane) {
-  mtb::Scenario s = fig10_scenario(2, 2);
+  mtb::Scenario s = forwarder_paths(2, 2);
   s.faults("loss@wire.l1:p=1");  // drop everything on link 0->1
   auto tb = s.build();
   EXPECT_TRUE(tb->has_faults());
@@ -616,7 +572,7 @@ TEST(Testbed, FaultSitesLandOnTheOwningShardsPlane) {
 }
 
 TEST(Testbed, NoFaultsMeansNoPlanes) {
-  auto tb = fig10_scenario(1).build();
+  auto tb = forwarder_paths(1).build();
   EXPECT_FALSE(tb->has_faults());
   EXPECT_EQ(tb->fault_plane(0), nullptr);
   EXPECT_EQ(tb->fault_fires(), 0u);

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <memory>
 #include <random>
+#include <string_view>
 #include <vector>
 
 #include "core/rate_control.hpp"
@@ -15,6 +16,7 @@
 #include "nic/chip.hpp"
 #include "proto/packet_view.hpp"
 #include "testbed/scenario.hpp"
+#include "topologies.hpp"
 #include "wire/link.hpp"
 
 namespace mc = moongen::core;
@@ -26,6 +28,7 @@ namespace mp = moongen::proto;
 namespace ms = moongen::sim;
 namespace mtb = moongen::testbed;
 namespace mw = moongen::wire;
+namespace topo = moongen::topologies;
 
 namespace {
 
@@ -382,6 +385,19 @@ TEST(VSwitch, ConservationHoldsUnderDropAndStallFaults) {
 
 namespace {
 
+/// Seeds of the one-vport beds below: gen, vs_in, vport0 and sink0, then
+/// their two links.
+const topo::Placement kSeeds{.device_seeds = {1, 2, 3, 4}, .link_seeds = {5, 6}};
+
+/// gen -> vs_in => VSwitch => vport0 -> sink0, all at 10 GbE.
+std::unique_ptr<mtb::Testbed> one_vport_bed(const md::VSwitchConfig& cfg,
+                                            std::string_view faults = "") {
+  mtb::Scenario s;
+  s.seed(1).faults(faults);
+  topo::vswitch_fanout(s, kSeeds, {{}}, cfg);
+  return s.build();
+}
+
 /// Victim (vid 10, CBR 100 Mbit) and attacker (vid 20) share one vport.
 /// Returns the victim's cumulative p99 RTT in ns from its RTT-plane flow
 /// group. `attack_mbit` 0 = idle attacker; `shaped` polices the attacker
@@ -400,20 +416,10 @@ std::uint64_t victim_p99_ns(double attack_mbit, bool shaped) {
   if (shaped) attacker.rate_mbit = 100.0;
   md::VSwitchConfig cfg;
   cfg.tenants = {victim, attacker};
-  auto tb = mtb::Scenario()
-                .seed(1)
-                .rtt_groups(4)
-                .device(0, mn::intel_x540()).name("gen").with_seed(1)
-                .device(1, mn::intel_x540()).name("vs_in").with_seed(2).rtt_record(false)
-                .device(2, mn::intel_x540()).name("vport").with_seed(3)
-                    .link_mbit(1'000).rtt_record(false)
-                .device(3, mn::intel_x540()).name("sink").with_seed(4)
-                    .link_mbit(1'000).rx_store(false)
-                .link(0, 1).with_seed(5)
-                .link(2, 3).with_seed(6)
-                .vswitch(1, {2}, cfg)
-                .couple(0, 3)
-                .build();
+  mtb::Scenario s;
+  s.seed(1).rtt_groups(4);
+  topo::vswitch_fanout(s, kSeeds, {{.link_mbit = 1'000}}, cfg);
+  auto tb = s.build();
   auto& q0 = tb->port("gen").tx_queue(0);
   q0.set_rate_wire_mbit(100.0);
   auto victim_gen = mc::SimLoadGen::hardware_paced(q0, tagged_frame(10));
@@ -449,17 +455,7 @@ TEST(VSwitch, ShapingIsolatesVictimFromAttackerFlood) {
 TEST(VSwitch, HealthCheckerPassesOnLiveTestbedAndSeesBooks) {
   md::VSwitchConfig cfg;
   cfg.tenants = {tenant(10, 0)};
-  auto tb = mtb::Scenario()
-                .seed(1)
-                .device(0, mn::intel_x540()).name("gen").with_seed(1)
-                .device(1, mn::intel_x540()).name("vs_in").with_seed(2).rtt_record(false)
-                .device(2, mn::intel_x540()).name("vport").with_seed(3).rtt_record(false)
-                .device(3, mn::intel_x540()).name("sink").with_seed(4).rx_store(false)
-                .link(0, 1).with_seed(5)
-                .link(2, 3).with_seed(6)
-                .vswitch(1, {2}, cfg)
-                .couple(0, 3)
-                .build();
+  auto tb = one_vport_bed(cfg);
   auto check = mh::make_vswitch_checker(*tb);
   auto& q = tb->port("gen").tx_queue(0);
   q.set_rate_wire_mbit(500.0);
@@ -479,18 +475,7 @@ TEST(VSwitch, HealthCheckerPassesOnLiveTestbedAndSeesBooks) {
 TEST(VSwitch, RttStampsStayConservedThroughShapingAndDropFaults) {
   md::VSwitchConfig cfg;
   cfg.tenants = {tenant(10, 0), tenant(20, 0, 0, 100.0)};
-  auto tb = mtb::Scenario()
-                .seed(1)
-                .faults("seed=7;loss@vswitch.drop:p=0.01")
-                .device(0, mn::intel_x540()).name("gen").with_seed(1)
-                .device(1, mn::intel_x540()).name("vs_in").with_seed(2).rtt_record(false)
-                .device(2, mn::intel_x540()).name("vport").with_seed(3).rtt_record(false)
-                .device(3, mn::intel_x540()).name("sink").with_seed(4).rx_store(false)
-                .link(0, 1).with_seed(5)
-                .link(2, 3).with_seed(6)
-                .vswitch(1, {2}, cfg)
-                .couple(0, 3)
-                .build();
+  auto tb = one_vport_bed(cfg, "seed=7;loss@vswitch.drop:p=0.01");
   auto& q0 = tb->port("gen").tx_queue(0);
   q0.set_rate_wire_mbit(100.0);
   auto victim_gen = mc::SimLoadGen::hardware_paced(q0, tagged_frame(10));
@@ -515,19 +500,9 @@ TEST(VSwitch, RttStampsStayConservedThroughShapingAndDropFaults) {
 TEST(VSwitch, EgressRingDropsAreBookedPerTenant) {
   md::VSwitchConfig cfg;
   cfg.tenants = {tenant(10, 0), tenant(20, 0)};
-  auto tb = mtb::Scenario()
-                .seed(1)
-                .device(0, mn::intel_x540()).name("gen").with_seed(1)
-                .device(1, mn::intel_x540()).name("vs_in").with_seed(2).rtt_record(false)
-                .device(2, mn::intel_x540()).name("vport").with_seed(3).rtt_record(false)
-                .device(3, mn::intel_x540()).name("sink").with_seed(4).rx_store(false)
-                .link(0, 1).with_seed(5)
-                .link(2, 3).with_seed(6)
-                .vswitch(1, {2}, cfg)
-                .couple(0, 3)
-                .build();
+  auto tb = one_vport_bed(cfg);
   auto check = mh::make_vswitch_checker(*tb);
-  tb->port("vport").set_link_state(false);
+  tb->port("vport0").set_link_state(false);
   auto& gen = tb->port("gen");
   gen.tx_queue(0).set_rate_wire_mbit(3'000.0);
   gen.tx_queue(1).set_rate_wire_mbit(3'000.0);
