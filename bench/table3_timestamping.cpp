@@ -21,6 +21,7 @@
 #include "nic/chip.hpp"
 #include "nic/port.hpp"
 #include "sim/clock_sync.hpp"
+#include "stats/mt19937_64.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/registry.hpp"
 #include "wire/cable.hpp"
@@ -162,7 +163,7 @@ int main(int argc, char** argv) {
   // --- Section 6.2: clock synchronization ---------------------------------
   std::printf("\nSection 6.2: clock synchronization between independent ports\n");
   {
-    std::mt19937_64 rng(2024);
+    moongen::stats::Mt19937_64 rng(2024);
     moongen::stats::RunningStats residual;
     int worst = 0;
     for (int i = 0; i < 1'000; ++i) {
@@ -181,7 +182,7 @@ int main(int argc, char** argv) {
   // --- Section 6.3: clock drift --------------------------------------------
   std::printf("\nSection 6.3: clock drift\n");
   {
-    std::mt19937_64 rng(77);
+    moongen::stats::Mt19937_64 rng(77);
     ms::PtpClock a({.increment_ps = 6'400}, 1);
     ms::PtpClock b({.increment_ps = 6'400, .drift_ppb = 35'000}, 1);
     ms::ClockSyncConfig cfg;

@@ -36,8 +36,7 @@ void PktgenLikePacer::tick() {
     f.seq = ++posted_;
     queue_.post(std::move(f));  // single descriptor: no batching possible (Section 7.1)
     next_deadline_ps_ += gap_ps_;
-    std::uniform_real_distribution<double> uni(0.0, 1.0);
-    if (uni(rng_) < cfg_.deadline_miss_probability) {
+    if (stats::canonical(rng_) < cfg_.deadline_miss_probability) {
       // Stall past the *next* deadline: that post goes out late by the
       // stall time.
       std::uniform_int_distribution<sim::SimTime> stall(cfg_.miss_delay_min_ps,

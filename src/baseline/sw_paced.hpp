@@ -20,6 +20,7 @@
 #include "nic/frame.hpp"
 #include "nic/port.hpp"
 #include "sim/event_queue.hpp"
+#include "stats/mt19937_64.hpp"
 
 namespace moongen::baseline {
 
@@ -56,7 +57,7 @@ class PktgenLikePacer {
   nic::TxQueueModel& queue_;
   nic::Frame frame_;
   Config cfg_;
-  std::mt19937_64 rng_;
+  stats::Mt19937_64 rng_;
   std::normal_distribution<double> jitter_;
   double next_deadline_ps_ = 0;
   double gap_ps_ = 0;
@@ -73,7 +74,6 @@ class ZsendLikePacer {
     /// The loop only observes time once per quantum; everything that became
     /// due meanwhile goes out back-to-back.
     sim::SimTime wake_quantum_ps = 2'800'000;  // 2.8 us
-    std::uint64_t seed = 0xabadcafe;
   };
 
   ZsendLikePacer(sim::EventQueue& events, nic::TxQueueModel& queue, nic::Frame frame,
@@ -90,7 +90,6 @@ class ZsendLikePacer {
   nic::TxQueueModel& queue_;
   nic::Frame frame_;
   Config cfg_;
-  std::mt19937_64 rng_;
   sim::SimTime start_ps_ = 0;
   std::uint64_t due_total_ = 0;
   bool running_ = false;

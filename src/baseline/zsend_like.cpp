@@ -4,7 +4,7 @@ namespace moongen::baseline {
 
 ZsendLikePacer::ZsendLikePacer(sim::EventQueue& events, nic::TxQueueModel& queue,
                                nic::Frame frame, Config config)
-    : events_(events), queue_(queue), frame_(std::move(frame)), cfg_(config), rng_(config.seed) {}
+    : events_(events), queue_(queue), frame_(std::move(frame)), cfg_(config) {}
 
 void ZsendLikePacer::start() {
   running_ = true;

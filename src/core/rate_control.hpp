@@ -13,12 +13,12 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <random>
 #include <vector>
 
 #include "nic/frame.hpp"
 #include "nic/port.hpp"
 #include "sim/time.hpp"
+#include "stats/mt19937_64.hpp"
 #include "telemetry/handles.hpp"
 
 namespace moongen::core {
@@ -59,16 +59,17 @@ class CbrPattern : public DeparturePattern {
 /// (Section 8.3).
 class PoissonPattern : public DeparturePattern {
  public:
-  PoissonPattern(double mpps, std::uint64_t seed) : dist_(mpps / 1e6), rng_(seed) {}
+  PoissonPattern(double mpps, std::uint64_t seed) : rate_per_ps_(mpps / 1e6), rng_(seed) {}
   sim::SimTime next_gap_ps() override {
     // Round to the nearest picosecond: truncation would bias the mean
     // inter-departure time low by ~0.5 ps per packet.
-    return static_cast<sim::SimTime>(std::llround(dist_(rng_)));  // mean 1e6/mpps ps
+    return static_cast<sim::SimTime>(
+        std::llround(stats::exponential(rng_, rate_per_ps_)));  // mean 1e6/mpps ps
   }
 
  private:
-  std::exponential_distribution<double> dist_;  // rate per ps
-  std::mt19937_64 rng_;
+  double rate_per_ps_;
+  stats::Mt19937_64 rng_;
 };
 
 /// Bursts of `burst_size` back-to-back packets at an average rate

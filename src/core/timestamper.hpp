@@ -14,12 +14,12 @@
 #pragma once
 
 #include <cstdint>
-#include <random>
 
 #include "core/rate_control.hpp"
 #include "nic/port.hpp"
 #include "sim/clock_sync.hpp"
 #include "sim/event_queue.hpp"
+#include "stats/mt19937_64.hpp"
 #include "stats/running_stats.hpp"
 #include "telemetry/handles.hpp"
 #include "telemetry/log_linear_histogram.hpp"
@@ -107,7 +107,7 @@ class Timestamper {
   nic::Frame probe_;
   SimLoadGen* stream_gen_ = nullptr;
   TimestamperConfig cfg_;
-  std::mt19937_64 rng_;
+  stats::Mt19937_64 rng_;
 
   bool running_ = false;
   bool armed_ = false;

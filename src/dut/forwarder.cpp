@@ -59,10 +59,11 @@ void Forwarder::packet_arrived() {
   // ITR re-arm time relative to the previous interrupt. Both delays carry
   // OS-timer jitter, which keeps a CBR packet train from phase-locking to
   // the interrupt cadence.
-  std::uniform_real_distribution<double> jitter(1.0 - kTimerJitter, 1.0 + kTimerJitter);
-  const auto gap = static_cast<sim::SimTime>(static_cast<double>(current_itr_gap()) * jitter(rng_));
-  const auto lat =
-      static_cast<sim::SimTime>(static_cast<double>(kInterruptLatencyPs) * jitter(rng_));
+  const auto jitter = [this] {
+    return stats::uniform_real(rng_, 1.0 - kTimerJitter, 1.0 + kTimerJitter);
+  };
+  const auto gap = static_cast<sim::SimTime>(static_cast<double>(current_itr_gap()) * jitter());
+  const auto lat = static_cast<sim::SimTime>(static_cast<double>(kInterruptLatencyPs) * jitter());
   const sim::SimTime earliest = last_interrupt_ps_ + gap;
   const sim::SimTime at = std::max(events_.now() + lat, earliest);
   events_.schedule_at_inline(at, [this] { fire_interrupt(); });

@@ -19,11 +19,11 @@
 #pragma once
 
 #include <cstdint>
-#include <random>
 
 #include "fault/fault.hpp"
 #include "nic/port.hpp"
 #include "sim/event_queue.hpp"
+#include "stats/mt19937_64.hpp"
 #include "stats/running_stats.hpp"
 
 namespace moongen::dut {
@@ -76,7 +76,7 @@ class Forwarder {
   int itr_class_ = 0;  // 0 = lowest latency, 1 = low latency, 2 = bulk
   double burst_share_ewma_ = 0.0;
   sim::SimTime last_arrival_ps_ = 0;
-  std::mt19937_64 rng_;
+  stats::Mt19937_64 rng_;
   /// Reused RX burst array (cleared per poll); grows to the poll budget once.
   std::vector<nic::RxQueueModel::Entry> poll_scratch_;
 

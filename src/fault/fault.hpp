@@ -28,12 +28,12 @@
 #include <deque>
 #include <functional>
 #include <optional>
-#include <random>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "sim/time.hpp"
+#include "stats/mt19937_64.hpp"
 #include "telemetry/handles.hpp"
 
 namespace moongen::sim {
@@ -125,7 +125,7 @@ struct FaultSite {
   FaultPlane* plane = nullptr;
   std::string name;
   FaultKind kind = FaultKind::kFrameLoss;
-  std::mt19937_64 rng;
+  stats::Mt19937_64 rng;
   std::vector<ArmedRule> armed;
   std::uint64_t probes = 0;
   std::uint64_t fires = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <random>
 #include <stdexcept>
 #include <string>
 
@@ -318,8 +319,7 @@ void Port::apply_rate_limit(TxQueueModel& q, const Frame& frame, sim::SimTime tx
   // non-linear; model as erratic gap inflation.
   const double configured_pps = 1e12 / ideal_gap_ps;
   if (configured_pps > spec_.rate_control_reliable_pps) {
-    std::uniform_real_distribution<double> inflate(1.0, 1.6);
-    ideal_gap_ps *= inflate(rng_);
+    ideal_gap_ps *= stats::uniform_real(rng_, 1.0, 1.6);
   }
 
   if (!q.pacing_initialized_) {

@@ -25,7 +25,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <random>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -35,6 +34,7 @@
 #include "sim/bitmap.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/ptp_clock.hpp"
+#include "stats/mt19937_64.hpp"
 #include "telemetry/handles.hpp"
 #include "telemetry/rtt_plane.hpp"
 
@@ -331,7 +331,7 @@ class Port {
   std::uint64_t link_mbit_;
   sim::SimTime byte_time_ps_;
   sim::SimTime rate_tick_ps_;
-  std::mt19937_64 rng_;
+  stats::Mt19937_64 rng_;
 
   std::vector<std::unique_ptr<TxQueueModel>> tx_queues_;
   std::vector<std::unique_ptr<RxQueueModel>> rx_queues_;

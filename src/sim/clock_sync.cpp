@@ -14,12 +14,11 @@ constexpr SimTime kOutlierExtraPs = 5'000'000;  // 5 us
 
 /// A single PCIe register read: returns the clock value and advances the
 /// time cursor by the (possibly outlier-delayed) access time.
-std::uint64_t pcie_read(const PtpClock& clock, SimTime* cursor, std::mt19937_64& rng,
+std::uint64_t pcie_read(const PtpClock& clock, SimTime* cursor, stats::Mt19937_64& rng,
                         const ClockSyncConfig& cfg) {
   SimTime access = ClockSyncConfig::kPcieReadPs;
-  std::uniform_real_distribution<double> uni(0.0, 1.0);
-  if (uni(rng) < cfg.outlier_probability) {
-    access += static_cast<SimTime>(uni(rng) * static_cast<double>(kOutlierExtraPs));
+  if (stats::canonical(rng) < cfg.outlier_probability) {
+    access += static_cast<SimTime>(stats::canonical(rng) * static_cast<double>(kOutlierExtraPs));
   }
   // The value is latched at the start of the access; completion takes the
   // full round trip.
@@ -31,7 +30,7 @@ std::uint64_t pcie_read(const PtpClock& clock, SimTime* cursor, std::mt19937_64&
 }  // namespace
 
 std::int64_t measure_clock_difference(const PtpClock& a, const PtpClock& b, SimTime* cursor,
-                                      std::mt19937_64& rng, const ClockSyncConfig& config) {
+                                      stats::Mt19937_64& rng, const ClockSyncConfig& config) {
   // Read a then b: difference overestimates b by the access time.
   const auto a1 = static_cast<std::int64_t>(pcie_read(a, cursor, rng, config));
   const auto b1 = static_cast<std::int64_t>(pcie_read(b, cursor, rng, config));
@@ -43,7 +42,7 @@ std::int64_t measure_clock_difference(const PtpClock& a, const PtpClock& b, SimT
 }
 
 ClockSyncResult synchronize_clocks(const PtpClock& a, PtpClock& b, SimTime start,
-                                   std::mt19937_64& rng, const ClockSyncConfig& config) {
+                                   stats::Mt19937_64& rng, const ClockSyncConfig& config) {
   SimTime cursor = start;
   std::array<std::int64_t, kAttempts> diffs{};
   for (auto& diff : diffs) diff = measure_clock_difference(a, b, &cursor, rng, config);

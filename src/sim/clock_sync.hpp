@@ -9,10 +9,10 @@
 #pragma once
 
 #include <cstdint>
-#include <random>
 
 #include "sim/ptp_clock.hpp"
 #include "sim/time.hpp"
+#include "stats/mt19937_64.hpp"
 
 namespace moongen::sim {
 
@@ -35,12 +35,12 @@ struct ClockSyncResult {
 
 /// Synchronizes clock `b` to clock `a`, starting at true time `start`.
 ClockSyncResult synchronize_clocks(const PtpClock& a, PtpClock& b, SimTime start,
-                                   std::mt19937_64& rng, const ClockSyncConfig& config = {});
+                                   stats::Mt19937_64& rng, const ClockSyncConfig& config = {});
 
 /// One-shot difference measurement (b - a) using the order-swap trick, for
 /// drift measurements (Section 6.3). Returns the measured difference and
 /// advances `*cursor` by the read time.
 std::int64_t measure_clock_difference(const PtpClock& a, const PtpClock& b, SimTime* cursor,
-                                      std::mt19937_64& rng, const ClockSyncConfig& config = {});
+                                      stats::Mt19937_64& rng, const ClockSyncConfig& config = {});
 
 }  // namespace moongen::sim

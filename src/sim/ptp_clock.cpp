@@ -2,12 +2,14 @@
 
 #include <cmath>
 
+#include "stats/mt19937_64.hpp"
+
 namespace moongen::sim {
 
 PtpClock::PtpClock(PtpClockConfig config, std::uint64_t seed) : config_(config) { reset(seed); }
 
 void PtpClock::reset(std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
+  stats::Mt19937_64 rng(seed);
   // Timer starts at an arbitrary phase relative to true time.
   offset_ps_ = static_cast<std::int64_t>(rng() % config_.increment_ps);
   if (config_.phase_step_ps > 0) {

@@ -65,8 +65,7 @@ std::int64_t Link::phy_jitter_ps() {
           0.00005,  // +-25.6
           0.00005,  // +-32
       };
-      std::uniform_real_distribution<double> uni(0.0, 1.0);
-      double x = uni(rng_) - kWeights[0];
+      double x = stats::canonical(rng_) - kWeights[0];
       if (x < 0) return 0;
       const std::int64_t sign = (rng_() & 1) ? 1 : -1;
       for (int step = 1; step <= 5; ++step) {

@@ -4,11 +4,11 @@
 #pragma once
 
 #include <cstdint>
-#include <random>
 #include <string>
 
 #include "fault/fault.hpp"
 #include "nic/port.hpp"
+#include "stats/mt19937_64.hpp"
 #include "wire/cable.hpp"
 
 namespace moongen::wire {
@@ -74,7 +74,7 @@ class Link : public nic::FrameSink {
   nic::Port& to_;
   CableSpec cable_;
   telemetry::RttShard* rtt_ = nullptr;
-  std::mt19937_64 rng_;
+  stats::Mt19937_64 rng_;
   std::uint64_t frames_ = 0;
   std::uint64_t delivered_ = 0;
 
@@ -86,8 +86,8 @@ class Link : public nic::FrameSink {
   fault::FaultPoint fp_reorder_;
   fault::FaultPoint fp_dup_;
   fault::FaultPoint fp_flap_;
-  std::mt19937_64 corrupt_rng_;  // byte-flip positions: separate stream so
-                                 // corruption never perturbs phy jitter
+  stats::Mt19937_64 corrupt_rng_;  // byte-flip positions: separate stream so
+                                   // corruption never perturbs phy jitter
   bool carrier_up_ = true;
   std::uint64_t fault_drops_ = 0;
   std::uint64_t flap_drops_ = 0;

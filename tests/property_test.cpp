@@ -20,6 +20,7 @@
 #include "proto/packet_view.hpp"
 #include "sim/clock_sync.hpp"
 #include "sim_testbed.hpp"
+#include "stats/mt19937_64.hpp"
 #include "telemetry/log_linear_histogram.hpp"
 #include "wire/link.hpp"
 #include "wire/recorder.hpp"
@@ -301,7 +302,7 @@ class ClockSyncSweep : public ::testing::TestWithParam<ClockSyncParam> {};
 
 TEST_P(ClockSyncSweep, ResidualWithinTwoIncrements) {
   const auto param = GetParam();
-  std::mt19937_64 rng(static_cast<std::uint64_t>(param.increment_ps));
+  moongen::stats::Mt19937_64 rng(static_cast<std::uint64_t>(param.increment_ps));
   int failures = 0;
   for (int trial = 0; trial < 40; ++trial) {
     ms::PtpClock a({.increment_ps = param.increment_ps}, rng());

@@ -12,6 +12,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/ptp_clock.hpp"
 #include "sim/time.hpp"
+#include "stats/mt19937_64.hpp"
 #include "telemetry/registry.hpp"
 
 namespace ms = moongen::sim;
@@ -323,7 +324,7 @@ TEST(PtpClock, DriftAccumulates) {
 // ---------------------------------------------------------------------------
 
 TEST(ClockSync, ConvergesWithinOneIncrement) {
-  std::mt19937_64 rng(42);
+  moongen::stats::Mt19937_64 rng(42);
   for (int trial = 0; trial < 50; ++trial) {
     ms::PtpClock a({.increment_ps = 6'400}, rng());
     ms::PtpClock b({.increment_ps = 6'400}, rng());
@@ -335,7 +336,7 @@ TEST(ClockSync, ConvergesWithinOneIncrement) {
 }
 
 TEST(ClockSync, RobustAgainstOutliers) {
-  std::mt19937_64 rng(7);
+  moongen::stats::Mt19937_64 rng(7);
   ms::ClockSyncConfig cfg;
   cfg.outlier_probability = 0.2;  // much worse than the observed 5 %
   int failures = 0;
@@ -352,7 +353,7 @@ TEST(ClockSync, RobustAgainstOutliers) {
 }
 
 TEST(ClockSync, MeasurementCancelsConstantAccessTime) {
-  std::mt19937_64 rng(9);
+  moongen::stats::Mt19937_64 rng(9);
   ms::ClockSyncConfig cfg;
   cfg.outlier_probability = 0.0;
   ms::PtpClock a({.increment_ps = 6'400}, 1);

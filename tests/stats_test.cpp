@@ -1,13 +1,17 @@
-// Unit tests for running statistics, fixed-bin histograms and throughput
-// counters.
+// Unit tests for running statistics, fixed-bin histograms, throughput
+// counters and the random engine and draws of stats/mt19937_64.hpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <random>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "stats/counters.hpp"
+#include "stats/mt19937_64.hpp"
 #include "stats/running_stats.hpp"
 #include "telemetry/log_linear_histogram.hpp"
 
@@ -329,4 +333,148 @@ TEST(Counters, StddevReflectsRateVariation) {
   }
   ctr.finalize();
   EXPECT_GT(ctr.mpps_stats().stddev(), 0.4);
+}
+
+// ---------------------------------------------------------------------------
+// Mt19937_64 and its draws: the std engine and libstdc++'s distributions
+// are the reference, value for value.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr std::uint64_t kAllOnes = std::numeric_limits<std::uint64_t>::max();
+/// Draws that span more than ten refills of the 312-word state.
+constexpr int kRefillSpan = 11 * 312 + 7;
+
+/// A full-range engine that returns `value` on every draw, so the edges of
+/// canonical() can be fed directly.
+struct FixedDraw {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return kAllOnes; }
+  result_type operator()() { return value; }
+  result_type value = 0;
+};
+
+}  // namespace
+
+TEST(Mt19937_64, MatchesStdEngineDrawForDraw) {
+  for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{5489},
+                                   std::uint64_t{0x5eed}, kAllOnes}) {
+    std::mt19937_64 want(seed);
+    st::Mt19937_64 got(seed);
+    for (int i = 0; i < kRefillSpan; ++i) {
+      ASSERT_EQ(got(), want()) << "seed " << seed << " draw " << i;
+    }
+  }
+  std::mt19937_64 want_default;
+  st::Mt19937_64 got_default;
+  for (int i = 0; i < kRefillSpan; ++i) ASSERT_EQ(got_default(), want_default()) << i;
+  static_assert(st::Mt19937_64::min() == std::mt19937_64::min());
+  static_assert(st::Mt19937_64::max() == std::mt19937_64::max());
+  static_assert(st::Mt19937_64::default_seed == std::mt19937_64::default_seed);
+}
+
+TEST(Mt19937_64, ReseedAndDiscardMatchStdEngine) {
+  std::mt19937_64 want(0x5eed);
+  st::Mt19937_64 got(0x5eed);
+  // Discards that stop short of, on and past a refill, and span several.
+  for (const unsigned long long skip : {0ull, 1ull, 150ull, 311ull, 312ull, 313ull, 1000ull,
+                                        5 * 312ull}) {
+    want.discard(skip);
+    got.discard(skip);
+    for (int i = 0; i < 100; ++i) ASSERT_EQ(got(), want()) << "after discard " << skip;
+  }
+  for (const std::uint64_t seed : {std::uint64_t{1}, kAllOnes, std::uint64_t{0}}) {
+    want.seed(seed);
+    got.seed(seed);
+    for (int i = 0; i < kRefillSpan; ++i) ASSERT_EQ(got(), want()) << "reseed " << seed;
+  }
+  want.seed();
+  got.seed();
+  for (int i = 0; i < 400; ++i) ASSERT_EQ(got(), want()) << "default reseed";
+}
+
+TEST(Mt19937_64, DrivesStdDistributionsLikeTheStdEngine) {
+  // The integer and normal draws the simulator keeps on std distributions.
+  const auto draws = [](auto& engine) {
+    std::uniform_int_distribution<int> ticks(-1, 1);
+    std::uniform_int_distribution<std::int64_t> stall(600'000, 1'900'000);
+    std::normal_distribution<double> jitter(0.0, 30'000.0);
+    std::vector<double> out;
+    for (int i = 0; i < 10'000; ++i) {
+      out.push_back(ticks(engine));
+      out.push_back(static_cast<double>(stall(engine)));
+      out.push_back(jitter(engine));
+    }
+    return out;
+  };
+  std::mt19937_64 want(77);
+  st::Mt19937_64 got(77);
+  EXPECT_EQ(draws(got), draws(want));
+}
+
+TEST(RandomDraws, MatchLibstdcxxOverAMillionDraws) {
+  constexpr int kDraws = 1'000'000;
+  {
+    std::mt19937_64 want(3);
+    st::Mt19937_64 got(3);
+    for (int i = 0; i < kDraws; ++i) {
+      ASSERT_EQ(st::canonical(got), (std::generate_canonical<double, 53>(want))) << i;
+    }
+  }
+  const std::pair<double, double> ranges[] = {{0.0, 1.0}, {1.0, 1.6}, {0.75, 1.25}, {-3.5, 1e9}};
+  for (const auto& [a, b] : ranges) {
+    std::mt19937_64 want(11);
+    st::Mt19937_64 got(11);
+    std::uniform_real_distribution<double> dist(a, b);
+    for (int i = 0; i < kDraws; ++i) {
+      ASSERT_EQ(st::uniform_real(got, a, b), dist(want)) << "[" << a << ", " << b << ") " << i;
+    }
+  }
+  for (const double lambda : {1e-5, 0.37, 1.0, 2.5e6}) {
+    std::mt19937_64 want(29);
+    st::Mt19937_64 got(29);
+    std::exponential_distribution<double> dist(lambda);
+    for (int i = 0; i < kDraws; ++i) {
+      ASSERT_EQ(st::exponential(got, lambda), dist(want)) << "lambda " << lambda << " " << i;
+    }
+  }
+}
+
+TEST(RandomDraws, CanonicalEdgesRoundToNearestEvenAndStayBelowOne) {
+  const double below_one = std::nextafter(1.0, 0.0);
+  struct Edge {
+    std::uint64_t draw;
+    double want;
+  };
+  const Edge edges[] = {
+      {0, 0.0},
+      {1, 0x1p-64},
+      // 2^53 + 1 and 2^53 + 3 are ties: they round to the even neighbour,
+      // 2^53 and 2^53 + 4 (truncation would give 2^53 + 2 for the second).
+      {(std::uint64_t{1} << 53) + 1, 0x1p-11},
+      {(std::uint64_t{1} << 53) + 3, (0x1p53 + 4) * 0x1p-64},
+      // Both halves carry bits: the sum of the halves rounds once.
+      {0x00000001'00000001ull, 0x1.00000001p-32},
+      // Just below the tie under 2^64: rounds down to 2^64 - 2^11.
+      {kAllOnes - 1024, below_one},
+      // The tie 2^64 - 2^10 and everything above round up to 2^64, which
+      // the clamp turns into the largest double below 1.
+      {kAllOnes - 1023, below_one},
+      {kAllOnes, below_one},
+  };
+  for (const Edge& e : edges) {
+    FixedDraw g{e.draw};
+    FixedDraw ref{e.draw};
+    EXPECT_EQ(st::canonical(g), e.want) << std::hex << e.draw;
+    EXPECT_EQ(st::canonical(g), (std::generate_canonical<double, 53>(ref))) << std::hex << e.draw;
+    std::uniform_real_distribution<double> uni(-2.0, 3.0);
+    EXPECT_EQ(st::uniform_real(g, -2.0, 3.0), uni(ref)) << std::hex << e.draw;
+    std::exponential_distribution<double> expo(0.5);
+    EXPECT_EQ(st::exponential(g, 0.5), expo(ref)) << std::hex << e.draw;
+  }
+  // The largest exponential draw: -log(2^-53) / lambda.
+  FixedDraw top{kAllOnes};
+  EXPECT_DOUBLE_EQ(st::exponential(top, 1.0), 53 * std::log(2.0));
 }
