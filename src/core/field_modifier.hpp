@@ -77,10 +77,22 @@ struct FieldAction {
 /// body of a generator script.
 class ModifierProgram {
  public:
-  explicit ModifierProgram(std::vector<FieldAction> actions, std::uint32_t seed = 42)
-      : actions_(std::move(actions)), rng_(seed) {
-    counters_.resize(actions_.size(), 0);
-    for (std::size_t i = 0; i < actions_.size(); ++i) counters_[i] = actions_[i].value;
+  explicit ModifierProgram(const std::vector<FieldAction>& actions = {}, std::uint32_t seed = 42)
+      : rng_(seed) {
+    for (const FieldAction& action : actions) add(action);
+  }
+
+  /// Empties the program but keeps its storage, so rebinding it with add()
+  /// allocates only when it grows past its largest size so far.
+  void clear() {
+    actions_.clear();
+    counters_.clear();
+  }
+
+  /// Appends an action; a counter starts at `action.value`.
+  void add(const FieldAction& action) {
+    actions_.push_back(action);
+    counters_.push_back(action.value);
   }
 
   /// Applies all actions to the packet at `data` (no bounds checks — the

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
-#include <random>
 #include <thread>
 
 #include "script/compiler.hpp"
@@ -53,8 +52,10 @@ std::shared_ptr<UserData> arg_userdata(const std::vector<Value>& args, std::size
 }
 
 Value make_native(std::string name, NativeFn fn) {
-  return Value(
-      std::make_shared<NativeFunction>(NativeFunction{std::move(name), std::move(fn), nullptr}));
+  auto native = std::make_shared<NativeFunction>();
+  native->name = std::move(name);
+  native->fn = std::move(fn);
+  return Value(std::move(native));
 }
 
 // ---------------------------------------------------------------------------
@@ -241,27 +242,24 @@ void Interpreter::install_base_library() {
              }));
 
   // ipairs: stateless array iterator. Works on tables and on userdata
-  // exposing __len / __index_number (bufArray).
-  set_global("ipairs", make_native("ipairs", [](Interpreter& interp, std::vector<Value>& args) {
-               if (args.empty()) throw ScriptError("ipairs: missing argument");
-               Value target = args[0];
-               auto iter = make_native(
-                   "ipairs_iter", [](Interpreter& in, std::vector<Value>& iter_args) {
-                     const Value& container = iter_args[0];
-                     const double next = iter_args[1].is_number()
-                                             ? iter_args[1].as_number() + 1
-                                             : 1;
-                     const Value element =
-                         in.index_for_iteration(container, next);
-                     if (element.is_nil()) return std::vector<Value>{Value()};
-                     return std::vector<Value>{Value(next), element};
-                   });
-               // Let the VM open-code calls to this iterator (same
-               // semantics, no argument/result vectors per element).
-               (*iter.native())->builtin = NativeFunction::Builtin::kIpairsIter;
-               (void)interp;
-               return std::vector<Value>{iter, target, Value(0.0)};
-             }));
+  // exposing __len / __index_number (bufArray). Like Lua's, every call
+  // returns the same iterator function, installed once here.
+  ipairs_iter_ = make_native("ipairs_iter", [](Interpreter& in, std::vector<Value>& iter_args) {
+    const Value& container = iter_args[0];
+    const double next = iter_args[1].is_number() ? iter_args[1].as_number() + 1 : 1;
+    const Value element = in.index_for_iteration(container, next);
+    if (element.is_nil()) return std::vector<Value>{Value()};
+    return std::vector<Value>{Value(next), element};
+  });
+  // Let the VM open-code ipairs() and calls to its iterator (same
+  // semantics, no argument/result vectors per call or element).
+  (*ipairs_iter_.native())->builtin = NativeFunction::Builtin::kIpairsIter;
+  Value ipairs = make_native("ipairs", [](Interpreter& interp, std::vector<Value>& args) {
+    if (args.empty()) throw ScriptError("ipairs: missing argument");
+    return std::vector<Value>{interp.ipairs_iter(), args[0], Value(0.0)};
+  });
+  (*ipairs.native())->builtin = NativeFunction::Builtin::kIpairs;
+  set_global("ipairs", std::move(ipairs));
 
   // pairs over tables: snapshot iteration (sufficient for scripts that
   // accumulate results; mirrors typical usage in the paper's listings).
@@ -288,7 +286,7 @@ void Interpreter::install_base_library() {
 
   // math.*
   auto math = std::make_shared<Table>();
-  auto rng = std::make_shared<std::mt19937_64>(0x5eed);
+  auto rng = std::make_shared<stats::Mt19937_64>(0x5eed);
   // math.random always yields exactly one number, so the single-result
   // protocol is registered alongside the vector one (same core lambda —
   // identical behaviour by construction; the VM uses fn1 on the hot path).

@@ -4,12 +4,13 @@
 
 #include <map>
 #include <memory>
-#include <random>
 #include <string>
 #include <vector>
 
+#include "core/field_modifier.hpp"
 #include "script/ast.hpp"
 #include "script/value.hpp"
+#include "stats/mt19937_64.hpp"
 
 namespace moongen::script {
 
@@ -44,11 +45,14 @@ class Interpreter {
   /// The engine behind math.random/math.randomseed. Specialized kernels
   /// draw from it directly so the random stream stays byte-identical with
   /// the generic VM.
-  [[nodiscard]] std::mt19937_64* math_rng() const { return math_rng_.get(); }
+  [[nodiscard]] stats::Mt19937_64* math_rng() const { return math_rng_.get(); }
   /// Identity of the installed math.random native: kernels folding random
   /// draws must verify the call site still resolves to exactly this
   /// function (table version checks miss in-place reassignment).
   [[nodiscard]] const NativeFunction* math_random_native() const { return math_random_.get(); }
+  /// The modifier program a field kernel binds on entry: rebinding keeps
+  /// its storage, so the steady state of a kernel loop allocates nothing.
+  core::ModifierProgram& field_program() { return field_program_; }
   /// Statement-budget accounting for bulk specialized iterations: kernels
   /// bound their iteration count by the remaining budget, tick it in one
   /// add, and leave the exhaustion throw to the generic loop code.
@@ -84,6 +88,10 @@ class Interpreter {
 
   /// Statement execution budget: aborts runaway scripts in tests. 0 = off.
   void set_step_limit(std::uint64_t limit) { step_limit_ = limit; }
+
+  /// The stateless iterator every ipairs() call returns (as in Lua); the
+  /// VM open-codes both ipairs() and calls of this iterator.
+  [[nodiscard]] const Value& ipairs_iter() const { return ipairs_iter_; }
 
   /// 1-based element access used by ipairs(): tables and userdata with a
   /// numeric-index hook. Inline: the VM's open-coded iterator calls this
@@ -128,8 +136,10 @@ class Interpreter {
   std::shared_ptr<const Chunk> chunk_;
   std::unique_ptr<Vm> vm_;
   /// Installed by install_base_library (see math_rng/math_random_native).
-  std::shared_ptr<std::mt19937_64> math_rng_;
+  std::shared_ptr<stats::Mt19937_64> math_rng_;
   std::shared_ptr<NativeFunction> math_random_;
+  Value ipairs_iter_;
+  core::ModifierProgram field_program_;
 };
 
 /// Convenience: number/string/table argument extraction with diagnostics.

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <random>
 #include <utility>
 #include <vector>
 
@@ -462,7 +461,7 @@ void run_field_kernel(const Specialization& spec, const Instr& anchor, Value* re
   // Folded math.random sites: each IC must still hit and still resolve to
   // the interpreter's math.random (version checks miss in-place
   // reassignment, so the native's identity is compared too).
-  std::mt19937_64* rng = nullptr;
+  stats::Mt19937_64* rng = nullptr;
   if (!k.random_ics.empty()) {
     if (k.random_native == nullptr || k.random_native != host.math_random_native()) return;
     for (const std::uint16_t ic_index : k.random_ics) {
@@ -480,8 +479,8 @@ void run_field_kernel(const Specialization& spec, const Instr& anchor, Value* re
   }
 
   // --- Bind the modifier program for this entry. --------------------------
-  std::vector<core::FieldAction> actions;
-  actions.reserve(k.actions.size());
+  core::ModifierProgram& program = host.field_program();
+  program.clear();
   std::size_t count = size - next + 1;
   // Budget bound: only whole packets whose every tick fits; the remainder
   // (and the exhaustion throw) stays with the generic loop.
@@ -521,9 +520,8 @@ void run_field_kernel(const Specialization& spec, const Instr& anchor, Value* re
         break;
       }
     }
-    actions.push_back(action);
+    program.add(action);
   }
-  core::ModifierProgram program(std::move(actions));
 
   // --- Bulk apply. --------------------------------------------------------
   std::size_t done = 0;

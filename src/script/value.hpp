@@ -37,7 +37,7 @@ struct NativeFunction {
   /// behaviourally identical to `fn`. kMathRandom additionally lets the
   /// trace specializer fold `math.random(m)` draws into field-modifier
   /// kernels that pull from the interpreter's own engine (same stream).
-  enum class Builtin : std::uint8_t { kNone, kIpairsIter, kMathRandom };
+  enum class Builtin : std::uint8_t { kNone, kIpairs, kIpairsIter, kMathRandom };
 
   std::string name;
   NativeFn fn;

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -1295,6 +1296,67 @@ TEST(ScriptTraceBindings, FieldKernelMatchesGenericEnginesByteForByte) {
   // The writing loop must actually have taken the escape hatch.
   EXPECT_GE(tr.field_kernels, 1u);
   EXPECT_EQ(vm.field_kernels, 0u);
+}
+
+TEST(ScriptTraceBindings, MathRandomIsTheSeededMt19937_64Stream) {
+  // math.random draws from a 64-bit Mersenne Twister seeded with 0x5eed
+  // and reseeded by math.randomseed: math.random() is the top 53 bits over
+  // 2^53, math.random(m) is 1 + draw % m and math.random(m, n) is
+  // m + draw % (n - m + 1). Pinned here to values computed in C++ from the
+  // std engine, on every engine, including a per-packet loop that the trace
+  // tier runs as a field kernel drawing from the same engine.
+  const char* script = R"(
+    function master()
+      draws = {}
+      table.insert(draws, math.random(1000))
+      table.insert(draws, math.floor(math.random() * 1048576))
+      table.insert(draws, math.random(5, 9))
+      math.randomseed(12345)
+      table.insert(draws, math.random(1000))
+      local mem = memory.createMemPool()
+      local bufs = mem:bufArray(8)
+      local baseIP = parseIPAddress("10.0.0.1")
+      for round = 1, 4 do
+        bufs:alloc(60)
+        for _, buf in ipairs(bufs) do
+          buf:getUdpPacket().ip.src:set(baseIP + math.random(255) - 1)
+        end
+        for _, buf in ipairs(bufs) do
+          table.insert(draws, buf:getUdpPacket().ip.src:get())
+        end
+        bufs:freeAll()
+      end
+      table.insert(draws, math.random(100000))
+    end
+  )";
+  std::mt19937_64 rng(0x5eed);
+  std::vector<double> want;
+  want.push_back(static_cast<double>(1 + rng() % 1000));
+  want.push_back(static_cast<double>(rng() >> 44));  // floor(2^20 * (draw >> 11) / 2^53)
+  want.push_back(static_cast<double>(5 + rng() % 5));
+  rng.seed(12345);
+  want.push_back(static_cast<double>(1 + rng() % 1000));
+  for (int i = 0; i < 4 * 8; ++i) want.push_back(static_cast<double>(0x0a000001 + rng() % 255));
+  want.push_back(static_cast<double>(1 + rng() % 100000));
+
+  for (const Engine engine : {Engine::kTreeWalk, Engine::kVmGeneric, Engine::kVmTrace}) {
+    mc::reset_run_state();
+    sc::ScriptRuntime runtime(script);
+    const auto walker = configure_engine(runtime.master(), engine);
+    run_master(runtime, walker.get());
+    const sc::Value draws = runtime.master().get_global("draws");
+    ASSERT_TRUE(draws.is_table()) << engine_name(engine);
+    std::vector<double> got;
+    for (std::size_t i = 1; i <= want.size(); ++i) {
+      const sc::Value v = draws.as_table()->get(sc::Table::Key{static_cast<double>(i)});
+      got.push_back(v.is_number() ? v.as_number() : -1.0);
+    }
+    EXPECT_EQ(got, want) << engine_name(engine);
+    EXPECT_EQ(draws.as_table()->array_size(), want.size()) << engine_name(engine);
+    if (engine == Engine::kVmTrace) {
+      EXPECT_GE(field_kernels(runtime.master()), 1u);
+    }
+  }
 }
 
 TEST(ScriptTraceBindings, MathRandomReplacementAndTableBumpsDeopt) {
