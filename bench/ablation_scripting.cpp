@@ -24,7 +24,10 @@
 // tier (6) is our answer to LuaJIT's trace compiler (paper Section 3.2).
 //
 // Results are also written as machine-readable JSON (per-tier mean/min
-// cycles/pkt plus the ratios CI gates on).
+// cycles/pkt plus the ratios CI gates on). The three script tiers also
+// report their heap allocations per 64-packet batch in the steady state,
+// counted by a global operator-new counter; CI requires 0 for the trace
+// tier.
 //
 // Usage: ablation_scripting [json_path]   (default BENCH_ablation_scripting.json)
 #include <cstdio>
@@ -32,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "baseline/static_generator.hpp"
 #include "bench_util.hpp"
 #include "core/device.hpp"
@@ -77,6 +81,7 @@ int main(int argc, char** argv) {
     const char* key;
     const char* label;
     moongen::stats::RunningStats stats;
+    std::optional<double> allocs_per_batch = std::nullopt;  // script tiers only
   };
   std::vector<TierResult> tiers;
 
@@ -148,6 +153,10 @@ int main(int argc, char** argv) {
   // 4/5/6. The same per-packet script, executed by the tree-walking
   // test oracle, by the generic bytecode VM (trace tier disabled) and by
   // the trace-specialized VM (the default engine).
+  struct ScriptedTier {
+    moongen::stats::RunningStats stats;
+    double allocs_per_batch = 0;
+  };
   const auto scripted_tier = [](bool tree_walk, bool trace, const char* label) {
     mc::reset_run_state();
     const char* script = R"(
@@ -198,22 +207,46 @@ int main(int argc, char** argv) {
     const auto queue_val =
         dev_ref.methods()->methods.at("getTxQueue")(interp, dev_ref, gq_args)[0];
     const auto run_fn = interp.get_global("run");
-    const auto measured = measure_cycles_per_packet([&]() -> std::uint64_t {
-      std::vector<sc::Value> run_args{queue_val, mem_val, sc::Value(n_packets)};
+    const auto run_packets = [&](double n) -> std::uint64_t {
+      std::vector<sc::Value> run_args{queue_val, mem_val, sc::Value(n)};
       auto r = interp.call(run_fn, std::move(run_args));
       return static_cast<std::uint64_t>(r.empty() ? 0 : r[0].as_number());
-    }, 9, 2);
-    std::printf("  %-44s %8.1f +- %.1f cycles/pkt\n", label, measured.mean(),
-                measured.stddev());
-    return measured;
+    };
+    // Allocations are counted over the measured repetitions (those after
+    // the warm-up ones) and compared with a call of `run` over half the
+    // packets, which makes the same per-call allocations (argument and
+    // result vectors, the script's bufArray and its per-buffer wrappers):
+    // the difference is what the second half's batches allocate.
+    constexpr int kReps = 9;
+    constexpr int kWarmup = 2;
+    int rep = 0;
+    std::uint64_t measured_allocs = 0;
+    ScriptedTier out;
+    out.stats = measure_cycles_per_packet([&]() -> std::uint64_t {
+      const std::uint64_t before = moongen::bench::allocations();
+      const std::uint64_t sent = run_packets(n_packets);
+      if (rep++ >= kWarmup) measured_allocs += moongen::bench::allocations() - before;
+      return sent;
+    }, kReps, kWarmup);
+    const std::uint64_t before = moongen::bench::allocations();
+    run_packets(n_packets / 2);
+    const auto half_run = static_cast<double>(moongen::bench::allocations() - before);
+    out.allocs_per_batch =
+        (static_cast<double>(measured_allocs) / kReps - half_run) / (n_packets / 2 / 64);
+    std::printf("  %-44s %8.1f +- %.1f cycles/pkt\n", label, out.stats.mean(),
+                out.stats.stddev());
+    return out;
   };
 
-  const auto tree_walk = scripted_tier(true, false, "tree-walking interpreter (no JIT)");
-  tiers.push_back({"tree_walker", "tree-walking interpreter (no JIT)", tree_walk});
-  const auto vm = scripted_tier(false, false, "generic bytecode VM (no traces)");
-  tiers.push_back({"vm_generic", "generic bytecode VM (no traces)", vm});
-  const auto traced = scripted_tier(false, true, "trace-specialized VM (default)");
-  tiers.push_back({"vm_trace", "trace-specialized VM (default)", traced});
+  const auto [tree_walk, tree_walk_allocs] =
+      scripted_tier(true, false, "tree-walking interpreter (no JIT)");
+  tiers.push_back(
+      {"tree_walker", "tree-walking interpreter (no JIT)", tree_walk, tree_walk_allocs});
+  const auto [vm, vm_allocs] = scripted_tier(false, false, "generic bytecode VM (no traces)");
+  tiers.push_back({"vm_generic", "generic bytecode VM (no traces)", vm, vm_allocs});
+  const auto [traced, traced_allocs] =
+      scripted_tier(false, true, "trace-specialized VM (default)");
+  tiers.push_back({"vm_trace", "trace-specialized VM (default)", traced, traced_allocs});
 
   // Ratio of per-engine minima: on a shared machine the minimum is the
   // cleanest estimate of intrinsic cost (noise only ever adds cycles), so
@@ -222,6 +255,9 @@ int main(int argc, char** argv) {
               tree_walk.min() / vm.min());
   std::printf("trace tier: %.1f cycles/pkt min (%.2fx over the generic VM)\n", traced.min(),
               vm.min() / traced.min());
+  std::printf("heap allocations per 64-packet batch: tree-walker %g, generic VM %g, "
+              "trace tier %g\n",
+              tree_walk_allocs, vm_allocs, traced_allocs);
   std::printf("(the paper measured LuaJIT's scripted loop at ~101 cycles/pkt —\n"
               " line rate at 1.5 GHz)\n");
 
@@ -240,9 +276,10 @@ int main(int argc, char** argv) {
     const auto& t = tiers[i];
     std::fprintf(f,
                  "    \"%s\": {\"label\": \"%s\", \"mean_cycles_per_pkt\": %.2f, "
-                 "\"min_cycles_per_pkt\": %.2f, \"stddev\": %.2f}%s\n",
-                 t.key, t.label, t.stats.mean(), t.stats.min(), t.stats.stddev(),
-                 i + 1 < tiers.size() ? "," : "");
+                 "\"min_cycles_per_pkt\": %.2f, \"stddev\": %.2f",
+                 t.key, t.label, t.stats.mean(), t.stats.min(), t.stats.stddev());
+    if (t.allocs_per_batch) std::fprintf(f, ", \"allocs_per_batch\": %g", *t.allocs_per_batch);
+    std::fprintf(f, "}%s\n", i + 1 < tiers.size() ? "," : "");
   }
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"ratios\": {\n");

@@ -18,53 +18,17 @@
 // Results are written as BENCH_rpc_open_loop.json.
 //
 // Usage: rpc_open_loop [json_path]
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <string>
 
+#include "alloc_counter.hpp"
 #include "rpc/open_loop.hpp"
 #include "rpc/server_model.hpp"
 #include "testbed/scenario.hpp"
 #include "topologies.hpp"
-
-// ---------------------------------------------------------------------------
-// Global allocation counter (this TU replaces operator new for the whole
-// binary; the delta across the steady-state window must be zero).
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size > 0 ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, static_cast<std::size_t>(align), size > 0 ? size : 1) != 0)
-    throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace mr = moongen::rpc;
 namespace ms = moongen::sim;
@@ -170,11 +134,11 @@ ScaleResult run_scale() {
   gen.start(0, kEndPs);
   tb->run_until(kWarmPs);
 
-  const std::uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t allocs_before = moongen::bench::allocations();
   const auto t0 = std::chrono::steady_clock::now();
   tb->run_until(kEndPs);
   const auto t1 = std::chrono::steady_clock::now();
-  const std::uint64_t allocs_after = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t allocs_after = moongen::bench::allocations();
 
   ScaleResult out;
   out.peak_inflight = gen.peak_inflight();

@@ -17,49 +17,13 @@
 // Results are written as BENCH_rtt_plane.json.
 //
 // Usage: rtt_plane [json_path]
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <string>
 
+#include "alloc_counter.hpp"
 #include "bench_util.hpp"
 #include "telemetry/rtt_plane.hpp"
-
-// ---------------------------------------------------------------------------
-// Global allocation counter (this TU replaces operator new for the whole
-// binary; the delta across the measured window must be zero).
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size > 0 ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, static_cast<std::size_t>(align), size > 0 ? size : 1) != 0)
-    throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace mb = moongen::bench;
 namespace mt = moongen::telemetry;
@@ -92,7 +56,7 @@ UpdateResult run_update_bench(mt::RttPlane& plane) {
   // Deterministic pseudo-random RTT stream spanning ns..ms (xorshift —
   // cheap enough not to dominate the measurement).
   std::uint64_t x = 0x9e3779b97f4a7c15ull;
-  const std::uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t allocs_before = mb::allocations();
   const std::uint64_t c0 = mb::rdtsc();
   for (std::uint64_t i = 0; i < kUpdates; ++i) {
     x ^= x << 13;
@@ -104,7 +68,7 @@ UpdateResult run_update_bench(mt::RttPlane& plane) {
     shard.record(static_cast<std::uint32_t>(x >> 32), rtt_ns);
   }
   const std::uint64_t c1 = mb::rdtsc();
-  const std::uint64_t allocs_after = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t allocs_after = mb::allocations();
 
   UpdateResult out;
   out.cycles_per_update = static_cast<double>(c1 - c0) / static_cast<double>(kUpdates);
