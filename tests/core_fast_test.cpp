@@ -208,10 +208,14 @@ TEST(FieldModifier, RandomStaysInRange) {
 TEST(FieldModifier, WritesBigEndian) {
   mc::ModifierProgram prog({{.field = {0, 2}, .kind = mc::FieldAction::Kind::kConstant,
                              .value = 0x1234}});
-  std::uint8_t pkt[2] = {};
+  // A 4-byte buffer: the store is a 2-byte case of a switch whose 4-byte
+  // case the compiler sees too. Bytes past the field stay untouched.
+  std::uint8_t pkt[4] = {};
   prog.apply(pkt);
   EXPECT_EQ(pkt[0], 0x12);
   EXPECT_EQ(pkt[1], 0x34);
+  EXPECT_EQ(pkt[2], 0);
+  EXPECT_EQ(pkt[3], 0);
 }
 
 TEST(FieldModifier, TauswortheLooksUniform) {

@@ -313,7 +313,9 @@ TEST(BoundedRing, PropertyRandomizedGrowShrinkMatchesDequeModel) {
     ASSERT_EQ(ring.size(), model.size());
     ASSERT_EQ(ring.empty(), model.empty());
     ASSERT_EQ(ring.full(), model.size() >= cap);
-    if (!model.empty()) ASSERT_EQ(ring.front(), model.front());
+    if (!model.empty()) {
+      ASSERT_EQ(ring.front(), model.front());
+    }
   }
   // Final drain: full remaining contents agree element-for-element.
   while (!model.empty()) {
