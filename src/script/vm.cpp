@@ -421,19 +421,13 @@ std::vector<Value> Vm::execute(Frame& frame) {
         // Direct-call sites for ipairs and its stateless iterator:
         // open-coded with identical semantics, skipping the argument and
         // result vectors and the std::function dispatch.
-        if (ins.b >= 1) {
+        if (ins.b >= 1 && ins.c == kMultiValues) {
           if (const auto* nf = reg(ins.a).native();
               nf != nullptr && (*nf)->builtin == NativeFunction::Builtin::kIpairs) {
-            // ipairs(x) returns (iterator, x, 0); x already sits in r[a+1].
-            // A generic for's explist takes them as multiple values, which
-            // refill pending's storage instead of a fresh result vector.
-            if (ins.c == kMultiValues) {
-              pending.assign({host_.ipairs_iter(), reg(ins.a + 1), Value(0.0)});
-              break;
-            }
-            reg(ins.a) = host_.ipairs_iter();
-            if (ins.c >= 3) reg(ins.a + 2) = Value(0.0);
-            for (std::int32_t i = 3; i < ins.c; ++i) reg(ins.a + i) = Value();
+            // ipairs(x) returns (iterator, x, 0), x in r[a+1]. A generic
+            // for's explist takes them as multiple values, which refill
+            // pending's storage instead of a fresh result vector.
+            pending.assign({host_.ipairs_iter(), reg(ins.a + 1), Value(0.0)});
             break;
           }
         }

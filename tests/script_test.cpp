@@ -954,6 +954,16 @@ TEST(ScriptDifferential, StdlibAndStateMatch) {
     for i = 1, 20 do sum = sum + math.random(100) * i end
     result = sum .. "," .. math.floor(math.random() * 1e6)
   )", "seeded math.random");
+  // ipairs returns one iterator on every call; the VM open-codes the
+  // multi-value call sites and leaves the others to the native.
+  expect_engines_agree(R"(
+    local t = {4, 5, 6}
+    local f, s, c = ipairs(t)
+    local g = (ipairs(t))
+    local sum = 0
+    for i, v in f, s, c do sum = sum + i * v end
+    result = tostring(f == g) .. "," .. tostring(s == t) .. "," .. c .. "," .. sum
+  )", "ipairs results");
   expect_engines_agree(R"(
     local t = {}
     for i = 1, 8 do table.insert(t, string.format("%02d", i * 7 % 10)) end
