@@ -128,9 +128,9 @@ TxTee::TxTee(nic::Port& port, PcapWriter& writer)
   port.set_tx_sink(this);
 }
 
-void TxTee::on_frame(const nic::Frame& frame, sim::SimTime tx_start_ps) {
+void TxTee::on_frame(nic::Frame frame, sim::SimTime tx_start_ps) {
   writer_.write(frame, tx_start_ps);
-  if (downstream_ != nullptr) downstream_->on_frame(frame, tx_start_ps);
+  if (downstream_ != nullptr) downstream_->on_frame(std::move(frame), tx_start_ps);
 }
 
 void capture_rx(nic::Port& port, int queue, PcapWriter& writer) {

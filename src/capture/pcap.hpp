@@ -97,7 +97,7 @@ class TxTee : public nic::FrameSink {
   /// Wraps `port`'s current TX sink.
   TxTee(nic::Port& port, PcapWriter& writer);
 
-  void on_frame(const nic::Frame& frame, sim::SimTime tx_start_ps) override;
+  void on_frame(nic::Frame frame, sim::SimTime tx_start_ps) override;
 
  private:
   PcapWriter& writer_;

@@ -24,6 +24,14 @@ constexpr std::uint32_t kPtpMessageTypeMask = 0x0f;
 constexpr std::uint8_t kPtpVersion = 2;
 constexpr std::uint16_t kPtpUdpPort = 319;
 
+// A timer-wheel slot must be shorter than the shortest frame on the fastest
+// link: a TX completion or pacing wake one frame later then lands in a later
+// slot (an O(1) chain push) instead of a sorted insert into the slot being
+// drained.
+static_assert(sim::EventQueue::kSlotWidth <
+                  sim::byte_time_ps(40'000) * proto::wire_size(proto::kMinFrameSize),
+              "wheel slots must be shorter than a minimum frame at 40 GbE");
+
 /// A speed the chip cannot run would divide by zero in the byte time or
 /// give a zero pacing tick.
 std::uint64_t checked_link_mbit(const ChipSpec& spec, std::uint64_t link_mbit) {
@@ -236,7 +244,7 @@ void Port::start_transmission(TxQueueModel& q) {
   // The sink gets the frame at serialization start with its true start
   // time, as in the batched path. That time is never before now, so the
   // arrival a link schedules from it is no event into the past.
-  if (sink_ != nullptr) sink_->on_frame(frame, t0);
+  if (sink_ != nullptr) sink_->on_frame(std::move(frame), t0);
   events_.schedule_at_inline(busy_until, [this, wire] {
     stats_.tx_packets += 1;
     stats_.tx_bytes += wire;
@@ -287,7 +295,7 @@ void Port::start_batch_transmission(TxQueueModel& q) {
     }
     stamp_departure(frame, t0);
     const std::uint64_t wire = frame.wire_bytes();
-    if (sink_ != nullptr) sink_->on_frame(frame, t0);
+    if (sink_ != nullptr) sink_->on_frame(std::move(frame), t0);
     t0 += wire * byte_time_ps_;
     bytes += wire;
     ++frames;
@@ -340,34 +348,32 @@ void Port::apply_rate_limit(TxQueueModel& q, const Frame& frame, sim::SimTime tx
   q.next_allowed_ps_ = next > 0 ? static_cast<sim::SimTime>(next) : 0;
 }
 
-bool Port::frame_matches_ptp_filter(const Frame& frame) const {
-  const auto& bytes = *frame.data;
-  const auto pc = proto::classify({bytes.data(), bytes.size()});
-  if (!pc.has_value()) return false;
-
-  std::size_t ptp_offset = 0;
-  if (pc->is_ptp_ethernet) {
-    ptp_offset = pc->l3_offset;
-  } else if (pc->is_udp && pc->udp_dst_port == kPtpUdpPort) {
-    // The unit refuses undersized UDP PTP packets (Section 6.4).
-    if (frame.frame_size() < spec_.min_udp_ptp_size) return false;
-    ptp_offset = pc->l7_offset;
-  } else {
-    return false;
-  }
-  if (bytes.size() < ptp_offset + 2) return false;
+PtpEvent ptp_event_of(std::span<const std::uint8_t> bytes) {
+  const auto pc = proto::classify(bytes);
+  if (!pc.has_value()) return PtpEvent::kNone;
+  const bool ethernet = pc->is_ptp_ethernet;
+  if (!ethernet && !(pc->is_udp && pc->udp_dst_port == kPtpUdpPort)) return PtpEvent::kNone;
+  const std::size_t ptp_offset = ethernet ? pc->l3_offset : pc->l7_offset;
+  if (bytes.size() < ptp_offset + 2) return PtpEvent::kNone;
   const std::uint8_t msg_type = bytes[ptp_offset] & 0x0f;
   const std::uint8_t version = bytes[ptp_offset + 1] & 0x0f;
-  if (version != kPtpVersion) return false;
-  return (kPtpMessageTypeMask & (1u << msg_type)) != 0;
+  if (version != kPtpVersion || (kPtpMessageTypeMask & (1u << msg_type)) == 0)
+    return PtpEvent::kNone;
+  return ethernet ? PtpEvent::kEthernet : PtpEvent::kUdp;
 }
 
-void Port::deliver_frame(const Frame& frame, sim::SimTime first_bit_ps) {
+bool Port::frame_matches_ptp_filter(const Frame& frame) const {
+  // The unit refuses undersized UDP PTP packets (Section 6.4).
+  return frame.ptp == PtpEvent::kEthernet ||
+         (frame.ptp == PtpEvent::kUdp && frame.frame_size() >= spec_.min_udp_ptp_size);
+}
+
+void Port::deliver_frame(Frame frame, sim::SimTime first_bit_ps) {
   const sim::SimTime complete =
       first_bit_ps + (frame.frame_size() + 8) * byte_time_ps_;  // preamble + frame
-  // first_bit_ps is recovered from the completion time inside the closure
-  // so [this, frame] stays within the inline buffer (see start_transmission).
-  events_.schedule_at_inline(complete, [this, frame]() mutable {
+  // first_bit_ps is recovered from the completion time inside the closure:
+  // [this, frame] is 48 bytes, the whole inline buffer.
+  events_.schedule_at_inline(complete, [this, frame = std::move(frame)]() mutable {
     const sim::SimTime first_bit_ps = events_.now() - (frame.frame_size() + 8) * byte_time_ps_;
     // Hardware drop of bad-FCS frames and runts: they never reach a receive
     // queue, only the error counter moves (Section 8.1).

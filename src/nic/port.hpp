@@ -50,8 +50,9 @@ class FrameSink {
   /// start for each of its frames). `tx_start_ps` is the time the first
   /// preamble bit leaves the MAC, never before the engine's current time:
   /// a link schedules the frame's arrival from it, and no event may land in
-  /// the past.
-  virtual void on_frame(const Frame& frame, sim::SimTime tx_start_ps) = 0;
+  /// the past. The frame is the sink's to keep: the port moves it in, so
+  /// carrying it to the receiver costs no payload reference count.
+  virtual void on_frame(Frame frame, sim::SimTime tx_start_ps) = 0;
 };
 
 struct PortStats {
@@ -215,7 +216,7 @@ class Port {
 
   /// Called by the attached link when a frame's first bit reaches this
   /// port's PHY (after cable propagation and (de)modulation).
-  void deliver_frame(const Frame& frame, sim::SimTime first_bit_ps);
+  void deliver_frame(Frame frame, sim::SimTime first_bit_ps);
 
   [[nodiscard]] const PortStats& stats() const { return stats_; }
 

@@ -63,7 +63,7 @@ std::optional<Decoded> decode(std::span<const std::uint8_t> frame_bytes) {
   return out;
 }
 
-FramePool::FramePool(const nic::Frame& tmpl, std::size_t count) {
+FramePool::FramePool(const nic::Frame& tmpl, std::size_t count) : ptp_(tmpl.ptp) {
   if (count == 0) throw std::invalid_argument("FramePool: empty pool");
   buffers_.reserve(count);
   for (std::size_t i = 0; i < count; ++i)
@@ -77,7 +77,7 @@ std::pair<std::span<std::uint8_t>, nic::Frame> FramePool::acquire() {
   // the mutable handle, so the next acquisition of this slot can rewrite
   // the per-request fields in place without reallocating.
   return {std::span<std::uint8_t>{buf->data(), buf->size()},
-          nic::Frame{.data = std::shared_ptr<const std::vector<std::uint8_t>>(buf)}};
+          nic::Frame{.data = std::shared_ptr<const std::vector<std::uint8_t>>(buf), .ptp = ptp_}};
 }
 
 }  // namespace moongen::rpc

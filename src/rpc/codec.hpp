@@ -130,7 +130,9 @@ std::optional<Decoded> decode(std::span<const std::uint8_t> frame_bytes);
 /// buffer is reused after `count` further acquisitions, so `count` must
 /// exceed the maximum number of frames the NIC can hold in flight
 /// (descriptor ring + FIFO + wire) — then the steady state allocates
-/// nothing per request.
+/// nothing per request. The Frame carries the template's PTP class:
+/// write_rpc_fields changes only bytes behind the RPC magic, which the
+/// PTP byte rule never reads.
 class FramePool {
  public:
   FramePool(const nic::Frame& tmpl, std::size_t count);
@@ -142,6 +144,7 @@ class FramePool {
 
  private:
   std::vector<std::shared_ptr<std::vector<std::uint8_t>>> buffers_;
+  nic::PtpEvent ptp_;
   std::size_t next_ = 0;
 };
 

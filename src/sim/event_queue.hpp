@@ -8,8 +8,8 @@
 // Hot-path design (see DESIGN.md, "Event-engine fast path"):
 //  * actions are InlineFunction — closures up to 48 bytes are stored inline
 //    in the event record, no heap allocation per event;
-//  * near-future timers (within ~268 us of the cursor) go into a timing
-//    wheel of 4096 slots of 65.536 ns — schedule + dispatch are O(1)
+//  * near-future timers (within ~33.5 us of the cursor) go into a timing
+//    wheel of 4096 slots of 8.192 ns — schedule + dispatch are O(1)
 //    bucket operations for the back-to-back frame cadence;
 //  * far timers overflow into a binary heap and are merged event-by-event
 //    with the wheel stream, preserving exact (time, seq) order across the
@@ -44,11 +44,16 @@ class EventQueue {
  public:
   using Action = InlineFunction;
 
-  // Wheel geometry: 4096 slots of 2^16 ps (65.536 ns) cover a horizon of
-  // ~268 us — comfortably beyond every per-frame delay in the NIC models
-  // (byte times, DMA latency, cable propagation), so only second-scale
-  // timers (experiment stops, sampling ticks) hit the overflow heap.
-  static constexpr unsigned kSlotShift = 16;
+  // Wheel geometry: 4096 slots of 2^13 ps (8.192 ns) cover a horizon of
+  // ~33.5 us — beyond the per-frame delays of the NIC and wire models (a
+  // full-size frame at GbE serializes in 12.3 us, a DMA fetch takes under
+  // 1 us). A slot is shorter than a minimum frame at 40 GbE (16.8 ns;
+  // port.cpp asserts it), so an event one frame ahead lands in a later
+  // slot, an O(1) chain push, rather than in the drained cursor slot, a
+  // sorted insert. Timers further out (experiment stops, Timestamper
+  // samples, forwarder interrupt gaps, long RPC service times) go to the
+  // overflow heap.
+  static constexpr unsigned kSlotShift = 13;
   static constexpr std::size_t kNumSlots = 4096;
   static constexpr SimTime kSlotWidth = SimTime{1} << kSlotShift;
   static constexpr SimTime kHorizonPs = kSlotWidth * kNumSlots;

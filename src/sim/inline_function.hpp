@@ -4,8 +4,8 @@
 // buffer (16 bytes in libstdc++) — at 3-5 events per simulated frame that
 // is 3-5 malloc/free pairs per packet, the single largest cost in the
 // discrete-event hot path. InlineFunction stores closures up to kCapacity
-// bytes (sized for the serializer-completion event: a Frame, a timestamp
-// and a `this` pointer) directly inside the object; only oversized or
+// bytes (sized for the largest hot-path closure, Port::deliver_frame's
+// [this, frame]) directly inside the object; only oversized or
 // throwing-move callables fall back to the heap. Hot-path call sites
 // static_assert the inline fit via fits_inline<F>() (see
 // EventQueue::schedule_at_inline), so a capture that silently outgrows the
@@ -21,8 +21,9 @@ namespace moongen::sim {
 
 class InlineFunction {
  public:
-  /// Inline storage size: fits the largest hot-path closure (a Frame of
-  /// 32 bytes plus a timestamp and an object pointer).
+  /// Inline storage size: fits the largest hot-path closure,
+  /// Port::deliver_frame's [this, frame] (a 40-byte Frame and a pointer;
+  /// the arrival time is recovered from the event time to stay within it).
   static constexpr std::size_t kCapacity = 48;
 
   /// True if `F` will be stored inline (no heap allocation). Requires a

@@ -90,23 +90,25 @@ void Link::begin_flap(sim::SimTime now_ps, double down_ps_param) {
   });
 }
 
-void Link::deliver(const nic::Frame& frame, sim::SimTime arrival_ps) {
+void Link::deliver(nic::Frame frame, sim::SimTime arrival_ps) {
   ++delivered_;
-  to_.deliver_frame(frame, arrival_ps);
+  to_.deliver_frame(std::move(frame), arrival_ps);
 }
 
 void Link::corrupt_frame(nic::Frame& frame) {
   // Copy-on-corrupt: payloads are shared (template frames, interned gap
   // frames), so the wire damages a private copy. Flip one byte to a
-  // guaranteed-different value; the FCS no longer matches.
+  // guaranteed-different value; the FCS no longer matches, and the flip may
+  // have made or unmade a PTP event message.
   auto bytes = std::make_shared<std::vector<std::uint8_t>>(*frame.data);
   const std::size_t pos = corrupt_rng_() % bytes->size();
   (*bytes)[pos] ^= static_cast<std::uint8_t>(1 + corrupt_rng_() % 255);
+  frame.ptp = nic::ptp_event_of(*bytes);
   frame.data = std::move(bytes);
   frame.fcs_valid = false;
 }
 
-void Link::on_frame(const nic::Frame& frame, sim::SimTime tx_start_ps) {
+void Link::on_frame(nic::Frame frame, sim::SimTime tx_start_ps) {
   ++frames_;
   if (!carrier_up_) {
     // Carrier is down mid-flap: the frame vanishes on the dead wire.
@@ -133,13 +135,12 @@ void Link::on_frame(const nic::Frame& frame, sim::SimTime tx_start_ps) {
   sim::SimTime arrival = tx_start_ps + static_cast<sim::SimTime>(delay);
 
   if (!fp_corrupt_.installed() && !fp_reorder_.installed() && !fp_dup_.installed()) {
-    deliver(frame, arrival);
+    deliver(std::move(frame), arrival);
     return;
   }
 
-  nic::Frame out = frame;
   if (fp_corrupt_.installed() && fp_corrupt_.fire(tx_start_ps) != nullptr) {
-    corrupt_frame(out);
+    corrupt_frame(frame);
     ++corrupted_;
   }
   if (fp_reorder_.installed()) {
@@ -150,14 +151,14 @@ void Link::on_frame(const nic::Frame& frame, sim::SimTime tx_start_ps) {
       ++reordered_;
     }
   }
-  deliver(out, arrival);
+  deliver(frame, arrival);
   if (fp_dup_.installed() && fp_dup_.fire(tx_start_ps) != nullptr) {
     // The duplicate follows as a separate frame, one frame time behind.
-    deliver(out, arrival + out.wire_bytes() * to_.byte_time_ps());
+    deliver(frame, arrival + frame.wire_bytes() * to_.byte_time_ps());
     ++duplicated_;
     // A duplicated stamp is one more in-flight stamp the receive side will
     // see (or drop); without this the conservation ledger would go negative.
-    if (rtt_ != nullptr && out.tx_stamp_ps != 0) rtt_->note_duplicated();
+    if (rtt_ != nullptr && frame.tx_stamp_ps != 0) rtt_->note_duplicated();
   }
 }
 

@@ -19,7 +19,7 @@ class Link : public nic::FrameSink {
   /// Registers itself as `from`'s TX sink.
   Link(nic::Port& from, nic::Port& to, CableSpec cable, std::uint64_t seed);
 
-  void on_frame(const nic::Frame& frame, sim::SimTime tx_start_ps) override;
+  void on_frame(nic::Frame frame, sim::SimTime tx_start_ps) override;
 
   /// Arms this link's fault sites (loss, corrupt, reorder, dup, flap)
   /// against `plane` under the given site name. Without this call the link
@@ -68,7 +68,7 @@ class Link : public nic::FrameSink {
   void begin_flap(sim::SimTime now_ps, double down_ps_param);
   void corrupt_frame(nic::Frame& frame);
   /// Hands `frame` to the destination port, arriving at `arrival_ps`.
-  void deliver(const nic::Frame& frame, sim::SimTime arrival_ps);
+  void deliver(nic::Frame frame, sim::SimTime arrival_ps);
 
   nic::Port& from_;
   nic::Port& to_;

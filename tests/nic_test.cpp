@@ -2,22 +2,30 @@
 // rate control, PTP timestamping, CRC hardware drop, RX rings.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <array>
 #include <cmath>
 #include <deque>
+#include <filesystem>
 #include <functional>
 #include <random>
+#include <string>
 
+#include "capture/pcap.hpp"
 #include "core/rate_control.hpp"
 #include "nic/chip.hpp"
 #include "nic/port.hpp"
 #include "nic/throughput_model.hpp"
+#include "rpc/codec.hpp"
 #include "sim_testbed.hpp"
 
 namespace mn = moongen::nic;
 namespace ms = moongen::sim;
 namespace mc = moongen::core;
 namespace mp = moongen::proto;
+namespace mr = moongen::rpc;
+namespace cap = moongen::capture;
 using moongen::test::CaptureSink;
 
 namespace {
@@ -34,6 +42,16 @@ mn::Frame ptp_udp_frame(std::size_t size = 96, std::uint8_t type = 0) {
   opts.ptp_payload = true;
   opts.ptp_message_type = type;
   return mc::make_udp_frame(opts);
+}
+
+/// A UDP PTP event message cut to `size` bytes. make_udp_frame leaves out
+/// a PTP header that does not fit, so a frame below the 80 B minimum of
+/// Section 6.4 that the byte rule still matches has to be cut from a
+/// larger one.
+mn::Frame short_ptp_udp_frame(std::size_t size) {
+  auto bytes = *ptp_udp_frame().data;
+  bytes.resize(size);
+  return mn::make_frame(std::move(bytes));
 }
 
 }  // namespace
@@ -275,7 +293,7 @@ TEST(NicPtp, UndersizedUdpPtpRefused) {
   mn::Port port(events, mn::intel_x540(), 10'000, 17);
   CaptureSink sink;
   port.set_tx_sink(&sink);
-  port.tx_queue(0).post(ptp_udp_frame(72));  // 76 B frame < 80
+  port.tx_queue(0).post(short_ptp_udp_frame(72));  // 76 B frame < 80
   events.run();
   EXPECT_FALSE(port.read_tx_timestamp().has_value());
 
@@ -310,6 +328,82 @@ TEST(NicPtp, RxTimestampAllOn82580) {
     EXPECT_GT(e.hw_timestamp, 0u);  // every packet stamped
     EXPECT_GE(e.hw_timestamp, prev);
     prev = e.hw_timestamp;
+  }
+}
+
+TEST(NicPtp, EveryFactoryGivesAFrameThePtpClassOfItsBytes) {
+  // The TX and RX filters read Frame::ptp instead of parsing the bytes, so
+  // every site that makes a frame's bytes must store what the byte rule
+  // finds in them. Each row also names the class the rule must find.
+  struct Row {
+    std::string name;
+    mn::Frame frame;
+    mn::PtpEvent expected;
+  };
+  std::vector<Row> rows;
+  rows.push_back({"udp", udp_frame(), mn::PtpEvent::kNone});
+  for (std::uint8_t type = 0; type < 16; ++type) {
+    const bool event = type < 4;  // filter mask 0x0f: the event messages
+    rows.push_back({"udp ptp type " + std::to_string(type), ptp_udp_frame(96, type),
+                    event ? mn::PtpEvent::kUdp : mn::PtpEvent::kNone});
+    rows.push_back({"ethernet ptp type " + std::to_string(type),
+                    mc::make_ptp_ethernet_frame(60, type),
+                    event ? mn::PtpEvent::kEthernet : mn::PtpEvent::kNone});
+  }
+  // Undersized UDP PTP is still a UDP event: only the port's size check
+  // (Section 6.4) refuses it. Without room for a PTP header it is none.
+  rows.push_back({"udp ptp cut to 76 B", short_ptp_udp_frame(72), mn::PtpEvent::kUdp});
+  rows.push_back({"udp ptp without header", ptp_udp_frame(72), mn::PtpEvent::kNone});
+  mc::UdpTemplateOptions vlan;
+  vlan.frame_size = 100;
+  vlan.vlan = true;
+  vlan.vlan_vid = 10;
+  rows.push_back({"udp vlan", mc::make_udp_frame(vlan), mn::PtpEvent::kNone});
+  vlan.ptp_payload = true;
+  vlan.ptp_message_type = 1;
+  rows.push_back({"udp ptp vlan", mc::make_udp_frame(vlan), mn::PtpEvent::kUdp});
+  auto v1 = *mc::make_ptp_ethernet_frame(60).data;
+  v1[15] = 0x01;  // version nibble 1
+  rows.push_back({"ethernet ptp version 1", mn::make_frame(std::move(v1)), mn::PtpEvent::kNone});
+  for (const std::size_t wire : {1, 33, 76, 84, 1538}) {
+    rows.push_back({"gap " + std::to_string(wire), mn::make_gap_frame(wire), mn::PtpEvent::kNone});
+  }
+
+  // A FramePool frame carries its template's class; write_rpc_fields
+  // rewrites only bytes behind the RPC magic, which the rule never reads,
+  // even at the PTP event port.
+  mr::RpcTemplateOptions rpc;
+  rpc.udp_dst = 319;
+  mr::FramePool rpc_pool(mr::make_rpc_frame(rpc), 2);
+  mr::FramePool ptp_pool(mc::make_ptp_ethernet_frame(96, 1), 2);
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    auto [rpc_bytes, rpc_frame] = rpc_pool.acquire();
+    mr::write_rpc_fields(rpc_bytes, mr::Op::kSet, ~i, ~i, ~i, 0xffff);
+    rows.push_back({"rpc pool #" + std::to_string(i), rpc_frame, mn::PtpEvent::kNone});
+    auto [ptp_bytes, ptp_frame] = ptp_pool.acquire();
+    mr::write_rpc_fields(ptp_bytes, mr::Op::kSet, ~i, ~i, ~i, 0xffff);
+    rows.push_back({"ptp pool #" + std::to_string(i), ptp_frame, mn::PtpEvent::kEthernet});
+  }
+
+  // Every row through a pcap file and back.
+  const std::vector<Row> originals = rows;
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("moongen_ptp_class_" + std::to_string(::getpid()) + ".pcap");
+  {
+    cap::PcapWriter writer(path.string());
+    for (const auto& r : originals) writer.write(r.frame, 0);
+  }
+  const auto loaded = cap::load_frames(path.string());
+  std::filesystem::remove(path);
+  ASSERT_EQ(loaded.size(), originals.size());
+  for (std::size_t i = 0; i < loaded.size(); ++i) {
+    rows.push_back({"pcap " + originals[i].name, loaded[i], originals[i].expected});
+  }
+
+  for (const auto& r : rows) {
+    SCOPED_TRACE(r.name);
+    EXPECT_EQ(r.frame.ptp, r.expected);
+    EXPECT_EQ(mn::ptp_event_of(*r.frame.data), r.expected);
   }
 }
 
@@ -683,7 +777,7 @@ class LinearScanPort {
 /// Port's picks, in the reference's terms.
 struct PickSink : mn::FrameSink {
   std::vector<std::pair<std::uint32_t, ms::SimTime>> picks;
-  void on_frame(const mn::Frame& frame, ms::SimTime tx_start_ps) override {
+  void on_frame(mn::Frame frame, ms::SimTime tx_start_ps) override {
     picks.emplace_back(frame.flow, tx_start_ps);
   }
 };

@@ -17,8 +17,8 @@ namespace moongen::test {
 /// Records every transmitted frame with its TX start time.
 struct CaptureSink : nic::FrameSink {
   std::vector<std::pair<nic::Frame, sim::SimTime>> frames;
-  void on_frame(const nic::Frame& frame, sim::SimTime tx_start_ps) override {
-    frames.emplace_back(frame, tx_start_ps);
+  void on_frame(nic::Frame frame, sim::SimTime tx_start_ps) override {
+    frames.emplace_back(std::move(frame), tx_start_ps);
   }
 };
 
