@@ -13,7 +13,10 @@
 // result is worthless. The generators' TX arbiters must also visit at most
 // kMaxArbiterVisitsPerFrame queues per transmitted frame: the arbiter visits
 // engaged queues only (one per generator here), so a return to scanning all
-// 384 XL710 queues fails the run as a count, not as a timing.
+// 384 XL710 queues fails the run as a count, not as a timing. Likewise the
+// shards may execute at most kMaxEventsPerFrame events per transmitted
+// frame: each frame's receive event plus a TX completion and a pacing wake
+// per batch of paced frames, so a pair that stops batching fails the run.
 //
 // Usage: parallel_scaling [virtual_ms] [json_path]
 #include <cstdint>
@@ -37,12 +40,14 @@ namespace {
 
 constexpr int kPairs = 4;
 constexpr double kMaxArbiterVisitsPerFrame = 4.0;
+constexpr double kMaxEventsPerFrame = 1.5;
 
 struct RunOutcome {
   double wall_ms = 0;
   std::size_t shards = 0;
   std::vector<std::uint64_t> tx_packets;  // per pair, for the identity check
   double arbiter_visits_per_frame = 0;
+  double events_per_frame = 0;
 };
 
 RunOutcome run_config(int shards, double virtual_ms) {
@@ -79,8 +84,12 @@ RunOutcome run_config(int shards, double virtual_ms) {
     visits += gen.arbiter_visits();
     frames += gen.stats().tx_packets;
   }
+  std::uint64_t events = 0;
+  for (std::size_t i = 0; i < tb->shard_count(); ++i) events += tb->runtime().shard(i).executed();
   out.arbiter_visits_per_frame =
       frames > 0 ? static_cast<double>(visits) / static_cast<double>(frames) : 0.0;
+  out.events_per_frame =
+      frames > 0 ? static_cast<double>(events) / static_cast<double>(frames) : 0.0;
   return out;
 }
 
@@ -117,6 +126,13 @@ int main(int argc, char** argv) {
                  kMaxArbiterVisitsPerFrame);
     return 1;
   }
+  const double events = results[0].events_per_frame;
+  std::printf("  events per transmitted frame: %.3f (gate: <= %.1f)\n", events, kMaxEventsPerFrame);
+  if (events > kMaxEventsPerFrame) {
+    std::fprintf(stderr, "FATAL: the shards execute %.3f events per frame (> %.1f)\n", events,
+                 kMaxEventsPerFrame);
+    return 1;
+  }
 
   std::FILE* f = std::fopen(json_path.c_str(), "w");
   if (f == nullptr) {
@@ -132,6 +148,7 @@ int main(int argc, char** argv) {
   const unsigned cores = std::thread::hardware_concurrency();
   std::fprintf(f, "  \"cores\": %u,\n", cores);
   std::fprintf(f, "  \"arbiter_visits_per_frame\": %.2f,\n", visits);
+  std::fprintf(f, "  \"events_per_frame\": %.3f,\n", events);
   std::fprintf(f, "  \"runs\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     // honest: each shard thread had a physical core available — a run that

@@ -59,7 +59,7 @@ TrialResult run_trial(std::size_t frame_size, double mpps, double seconds,
 
   mc::UdpTemplateOptions bg;
   bg.frame_size = frame_size - 4;  // buffer length without FCS
-  bg.ptp_payload = true;
+  bg.ptp_payload = bg.frame_size >= 76;  // a 64 B frame has no room for a PTP header
   bg.ptp_message_type = 5;
   auto& queue = gen_tx.tx_queue(0);
   queue.set_rate_mpps(mpps, frame_size);

@@ -98,6 +98,9 @@ class TxTee : public nic::FrameSink {
   TxTee(nic::Port& port, PcapWriter& writer);
 
   void on_frame(nic::Frame frame, sim::SimTime tx_start_ps) override;
+  [[nodiscard]] sim::SimTime min_delay_ps() const override {
+    return downstream_ != nullptr ? downstream_->min_delay_ps() : 0;
+  }
 
  private:
   PcapWriter& writer_;

@@ -1,6 +1,8 @@
 #include "core/rate_control.hpp"
 
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "proto/packet_view.hpp"
 
@@ -154,6 +156,16 @@ nic::Frame make_udp_frame(const UdpTemplateOptions& opts) {
   // layout, then the Ethernet header is re-typed and the 4 tag bytes
   // spliced in. IP/UDP lengths are unaffected (the tag lives below L3).
   const std::size_t tag_bytes = opts.vlan ? sizeof(proto::VlanTag) : 0;
+  const bool ptp = opts.ptp_payload;
+  if (ptp) {
+    const std::size_t min_size = sizeof(proto::EthernetHeader) + tag_bytes +
+                                 sizeof(proto::Ipv4Header) + sizeof(proto::UdpHeader) +
+                                 sizeof(proto::PtpHeader);
+    if (opts.frame_size < min_size)
+      throw std::invalid_argument("make_udp_frame: a PTP payload needs a frame of at least " +
+                                  std::to_string(min_size) + " B, not " +
+                                  std::to_string(opts.frame_size));
+  }
   std::vector<std::uint8_t> bytes(opts.frame_size - tag_bytes, 0);
   proto::UdpPacketView view{{bytes.data(), bytes.size()}};
   proto::UdpFillOptions fill;
@@ -161,17 +173,14 @@ nic::Frame make_udp_frame(const UdpTemplateOptions& opts) {
   fill.eth_src = proto::MacAddress::from_uint64(0x020000000001ull);
   fill.eth_dst = proto::MacAddress::from_uint64(0x020000000002ull);
   fill.udp_src = opts.udp_src;
-  fill.udp_dst = opts.ptp_payload ? proto::PtpHeader::kUdpEventPort : opts.udp_dst;
+  fill.udp_dst = ptp ? proto::PtpHeader::kUdpEventPort : opts.udp_dst;
   view.fill(fill);
 
-  if (opts.ptp_payload) {
-    auto payload = view.udp_payload();
-    if (payload.size() >= sizeof(proto::PtpHeader)) {
-      auto* ptp = reinterpret_cast<proto::PtpHeader*>(payload.data());
-      std::memset(ptp, 0, sizeof(*ptp));
-      ptp->set_message_type(static_cast<proto::PtpMessageType>(opts.ptp_message_type));
-      ptp->set_version(proto::PtpHeader::kVersion2);
-    }
+  if (ptp) {
+    auto* ptp = reinterpret_cast<proto::PtpHeader*>(view.udp_payload().data());
+    std::memset(ptp, 0, sizeof(*ptp));
+    ptp->set_message_type(static_cast<proto::PtpMessageType>(opts.ptp_message_type));
+    ptp->set_version(proto::PtpHeader::kVersion2);
   }
 
   if (opts.vlan) {

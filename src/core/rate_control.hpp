@@ -221,7 +221,8 @@ struct UdpTemplateOptions {
   /// RTT plane histogram group this traffic is accounted under.
   std::uint32_t flow = 0;
   /// If true, append a PTP header after UDP (dst port forced to 319) so the
-  /// NIC timestamp units can stamp the packet.
+  /// NIC timestamp units can stamp the packet. The header needs a
+  /// frame_size of at least 76 B (80 B with a VLAN tag).
   bool ptp_payload = false;
   /// PTP message type: a type within the filter mask (0-3) is timestamped;
   /// MoonGen crafts background packets with a type outside the mask so the
@@ -230,7 +231,7 @@ struct UdpTemplateOptions {
 };
 
 /// Builds a UDP (optionally PTP-carrying) frame template for the simulated
-/// generators.
+/// generators. Throws std::invalid_argument when a PTP payload does not fit.
 nic::Frame make_udp_frame(const UdpTemplateOptions& opts);
 
 /// Builds a PTP-over-Ethernet frame (EtherType 0x88F7), stampable at any

@@ -141,7 +141,7 @@ void Timestamper::finish_sample(Outcome outcome) {
   }
   if (!running_) return;
   // In stream mode the next take_sample marks a frame in the generator
-  // mid-stream; batched TX must not serialize past that instant, or the
+  // mid-stream; batched TX must not pull frames past that instant, or the
   // mark would land on a different packet than in an unbatched run.
   if (stream_gen_ != nullptr)
     tx_port_.set_tx_batch_barrier(events_.now() + cfg_.sample_interval_ps);

@@ -97,11 +97,11 @@ void Forwarder::poll() {
   ++polls_;
   poll_scratch_.clear();
   rx_.drain_into(poll_scratch_, kPollBudget);
-  const auto& entries = poll_scratch_;
+  auto& entries = poll_scratch_;
 
   sim::SimTime t = events_.now();
   std::size_t pairs = 0;
-  for (const auto& entry : entries) {
+  for (auto& entry : entries) {
     // Back-to-back detection: arrival spacing equal to the frame's own
     // wire time (within one MAC cycle) marks a micro-burst.
     const sim::SimTime wire_ps = entry.frame.wire_bytes() * in_port_.byte_time_ps();
@@ -114,7 +114,9 @@ void Forwarder::poll() {
     t += service_ps_;  // single core: packets are processed sequentially
     const sim::SimTime out_time = t + kBasePipelinePs;
     latency_ns_.add(sim::to_ns(out_time - entry.complete_ps));
-    events_.schedule_at_inline(out_time, [this, frame = entry.frame] { tx_.post(frame); });
+    events_.schedule_at_inline(out_time, [this, frame = std::move(entry.frame)]() mutable {
+      tx_.post(std::move(frame));
+    });
     ++forwarded_;
   }
   if (!entries.empty()) update_itr(pairs, entries.size());

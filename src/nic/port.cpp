@@ -135,22 +135,40 @@ void Port::schedule_fetch(TxQueueModel& q) {
   // control imprecision, Section 7.1).
   const sim::SimTime jitter =
       dma_.jitter_ps > 0 ? rng_() % dma_.jitter_ps : 0;
-  events_.schedule_in_inline(dma_.latency_ps + jitter, [this, &q] { fetch_descriptors(q); });
+  events_.schedule_in_inline(dma_.latency_ps + jitter,
+                             [this, &q, at = events_.now()] { fetch_descriptors(q, at); });
 }
 
-void Port::fetch_descriptors(TxQueueModel& q) {
+void Port::fetch_descriptors(TxQueueModel& q, sim::SimTime scheduled_ps) {
   q.fetch_scheduled_ = false;
+  // A batch in flight has taken frames from the FIFO that a per-frame run
+  // pops only at their own start; the read sees them where that run would.
+  const std::size_t held = q.fifo_.size() + unpopped_batch_frames(q, scheduled_ps);
   std::size_t moved = 0;
-  while (!q.mem_ring_.empty() && q.fifo_.size() < q.fifo_capacity_frames_ &&
+  while (!q.mem_ring_.empty() && held + moved < q.fifo_capacity_frames_ &&
          moved < dma_.fetch_batch) {
     q.fifo_.push_back(q.mem_ring_.pop_front());
     ++moved;
   }
   if (!q.mem_ring_.empty()) {
     q.fetch_scheduled_ = true;
-    events_.schedule_in_inline(dma_.fetch_interval_ps, [this, &q] { fetch_descriptors(q); });
+    events_.schedule_in_inline(dma_.fetch_interval_ps,
+                               [this, &q, at = events_.now()] { fetch_descriptors(q, at); });
   }
   try_transmit();
+}
+
+std::size_t Port::unpopped_batch_frames(const TxQueueModel& q, sim::SimTime scheduled_ps) const {
+  if (&q != batch_queue_) return 0;
+  // Pops run in frame order, so the unpopped frames are a suffix. At a tie
+  // the event scheduled first runs first, and a read scheduled at the
+  // instant the pop's event was counts as the first.
+  const sim::SimTime now = events_.now();
+  std::size_t n = 0;
+  for (auto it = batch_pops_.rbegin(); it != batch_pops_.rend(); ++it, ++n) {
+    if (it->at < now || (it->at == now && it->scheduled < scheduled_ps)) break;
+  }
+  return n;
 }
 
 void Port::try_transmit() {
@@ -180,11 +198,7 @@ void Port::try_transmit() {
       if (q.fifo_.empty()) continue;
       if (q.next_allowed_ps_ <= now) {
         rr_next_ = static_cast<int>((idx + 1) % n);
-        if (batching_allowed(q)) {
-          start_batch_transmission(q);
-        } else {
-          start_transmission(q);
-        }
+        start_transmission(q, batch_limit(q));
         return;
       }
       earliest_blocked = std::min(earliest_blocked, q.next_allowed_ps_);
@@ -202,110 +216,86 @@ void Port::try_transmit() {
   }
 }
 
-bool Port::batching_allowed(const TxQueueModel& q) const {
-  if (tx_batch_frames_ <= 1) return false;
-  if (q.rate_wire_mbit_ > 0.0) return false;  // pacing gaps: one event per frame
-  // Only continuation frames batch: the first frame after an idle wire goes
-  // through the one-event path, so a queue that engages while it serializes
-  // gets its round-robin slot at the very next boundary.
-  if (events_.now() != last_busy_end_) return false;
-  // Batch only while `q` (which holds a frame) is the sole engaged queue:
-  // with every other queue empty (no FIFO frames, no in-flight descriptors,
+std::size_t Port::batch_limit(const TxQueueModel& q) const {
+  // With every other queue empty (no FIFO frames, no in-flight descriptors,
   // no refill source) the round-robin arbiter would pick `q` at every frame
   // boundary anyway.
-  return engaged_.count() == 1;
+  if (engaged_.count() != 1) return 1;
+  // An uncontrolled queue batches continuation frames only: the first frame
+  // after an idle wire goes alone, so a queue that engages while it
+  // serializes gets its round-robin slot at the very next boundary. A paced
+  // queue starts most frames from a pacing wake, so its batches may too.
+  if (q.rate_wire_mbit_ <= 0.0 && events_.now() != last_busy_end_) return 1;
+  return tx_batch_frames_;
 }
 
-void Port::start_transmission(TxQueueModel& q) {
-  Frame frame = q.fifo_.pop_front();
-  update_engaged(q);
-
+void Port::start_transmission(TxQueueModel& q, std::size_t max_frames) {
+  serializer_busy_ = true;
+  const sim::SimTime now = events_.now();
   // Transmissions start aligned to the MAC clock grid (the MAC and the
   // timestamp unit share one clock, Section 6.1) — except back-to-back
   // continuation frames, which follow immediately: real MACs absorb the
   // alignment into the inter-frame gap (deficit idle count), so line rate
   // is exact.
-  sim::SimTime t0 = events_.now();
-  if (t0 != last_busy_end_) t0 = align_up(t0, spec_.mac_cycle_ps);
-  serializer_busy_ = true;
-
-  // TX PTP timestamping, late in the transmit path: the register holds one
-  // timestamp and must be read back before the next one is taken.
-  if (!tx_stamp_register_.has_value() && frame_matches_ptp_filter(frame)) {
-    tx_stamp_register_ = ptp_clock_.read(t0);
-  }
-  stamp_departure(frame, t0);
-
-  apply_rate_limit(q, frame, t0);
-
-  const std::uint64_t wire = frame.wire_bytes();
-  const sim::SimTime busy_until = t0 + wire * byte_time_ps_;
-  last_busy_end_ = busy_until;
-  // The sink gets the frame at serialization start with its true start
-  // time, as in the batched path. That time is never before now, so the
-  // arrival a link schedules from it is no event into the past.
-  if (sink_ != nullptr) sink_->on_frame(std::move(frame), t0);
-  events_.schedule_at_inline(busy_until, [this, wire] {
-    stats_.tx_packets += 1;
-    stats_.tx_bytes += wire;
-    tm_.tx_packets.add(1);
-    tm_.tx_bytes.add(wire);
-    serializer_busy_ = false;
-    try_transmit();
-  });
-}
-
-void Port::start_batch_transmission(TxQueueModel& q) {
-  serializer_busy_ = true;
-  const sim::SimTime now = events_.now();
-  sim::SimTime t0 = now;
-  if (t0 != last_busy_end_) t0 = align_up(t0, spec_.mac_cycle_ps);
-  q.next_allowed_ps_ = 0;  // what apply_rate_limit does on the uncontrolled path
-
-  // Serialize a run of back-to-back frames in ONE engine event. Frame i
-  // starts exactly when frame i-1's last wire byte ends — the same instants
-  // the one-event-per-frame path produces, because an uncontrolled sole
-  // queue continues back-to-back at every completion. The sink is notified
-  // at batch start with each frame's true tx_start: the link only schedules
-  // absolute-time deliveries from it, so wire and RX timestamps are
-  // byte-identical (asserted by PortBatching.WireTimestampsMatchUnbatched).
+  sim::SimTime t0 = now == last_busy_end_ ? now : align_up(now, spec_.mac_cycle_ps);
+  // A paced batch ends before anything its own frames cause can reach this
+  // port: an RX stamp, a Timestamper barrier, a reply.
+  const sim::SimTime reach = q.rate_wire_mbit_ <= 0.0
+                                 ? UINT64_MAX
+                                 : t0 + (sink_ != nullptr ? sink_->min_delay_ps() : 0);
+  const sim::SimTime target = events_.run_target();
+  batch_queue_ = &q;
+  batch_pops_.clear();
+  sim::SimTime popped_ps = now;  // when a per-frame run pops the current frame
   std::uint64_t frames = 0;
   std::uint64_t bytes = 0;
-  while (frames < tx_batch_frames_) {
-    // Batch barrier: a consumer (the Timestamper) has announced an event at
-    // `tx_batch_barrier_` that must observe the generator state mid-stream.
-    // No frame may *start* at or after the barrier inside this batch; the
-    // batch ends there and the per-frame arbitration at the completion event
-    // re-reads the (possibly updated) refill source. Frames that merely
-    // finish after the barrier are fine — the unbatched path generates them
-    // before the barrier event too. A batch starting exactly at the barrier
-    // runs after the barrier's own event (scheduled far earlier, so lower
-    // sequence number at equal time): its first frame already sees the
-    // update, but later frames must still be cut so their refill times match
-    // the per-frame path. A barrier before the batch start is stale.
-    if (tx_batch_barrier_ >= now && t0 >= tx_batch_barrier_ && (t0 > now || tx_batch_barrier_ > now))
-      break;
-    if (q.fifo_.empty()) {
-      if (!q.refill_) break;
-      q.fifo_.push_back(q.refill_());
-    }
+  // One event serializes the whole batch. The sink gets every frame now,
+  // with its true start time: a link only schedules absolute-time arrivals
+  // from it, never an event in the past, so wire and RX timestamps equal
+  // the per-frame path's (PortBatching.WireTimestampsMatchUnbatched).
+  for (;;) {
     Frame frame = q.fifo_.pop_front();
+    // TX PTP timestamping, late in the transmit path: the register holds
+    // one timestamp and must be read back before the next one is taken.
     if (!tx_stamp_register_.has_value() && frame_matches_ptp_filter(frame)) {
       tx_stamp_register_ = ptp_clock_.read(t0);
     }
     stamp_departure(frame, t0);
+    apply_rate_limit(q, frame, t0);
     const std::uint64_t wire = frame.wire_bytes();
+    const sim::SimTime end = t0 + wire * byte_time_ps_;
     if (sink_ != nullptr) sink_->on_frame(std::move(frame), t0);
-    t0 += wire * byte_time_ps_;
-    bytes += wire;
     ++frames;
+    bytes += wire;
+    last_busy_end_ = end;
+    // A per-frame run takes the next frame at `end`, in this frame's
+    // completion event. The batch takes it now only if nothing that run
+    // would see by then can differ: the carrier held (a link flap fires
+    // inside on_frame), `end` is within the caller's run, before a live
+    // barrier and, for a paced queue, before this batch's first effect.
+    if (frames == max_frames || !link_up_ || end > target || end >= reach ||
+        (tx_batch_barrier_ >= now && end >= tx_batch_barrier_))
+      break;
+    const bool from_fifo = !q.fifo_.empty();
+    if (!from_fifo) {
+      if (!q.refill_) break;
+      q.fifo_.push_back(q.refill_());
+    }
+    // It starts at `end` if the limiter allows, else on the MAC grid after
+    // the pacing wake at next_allowed, and must end within the run.
+    const bool wake = q.next_allowed_ps_ > end;
+    const sim::SimTime next = wake ? align_up(q.next_allowed_ps_, spec_.mac_cycle_ps) : end;
+    if (next + q.fifo_.front().wire_bytes() * byte_time_ps_ > target) break;
+    // The completion event is scheduled when this frame is popped; the
+    // wake, at its end.
+    const BatchPop pop = wake ? BatchPop{q.next_allowed_ps_, end} : BatchPop{end, popped_ps};
+    if (from_fifo) batch_pops_.push_back(pop);
+    popped_ps = pop.at;
+    t0 = next;
   }
-
   update_engaged(q);
-  last_busy_end_ = t0;  // now the end of the batch's last frame
-  // One completion event for the whole run; TX stats move at batch end
-  // (bounded skew of tx_batch_frames_ frames vs. the per-frame path).
-  events_.schedule_at_inline(t0, [this, frames, bytes] {
+  // One completion event for the whole run; TX stats move at its end.
+  events_.schedule_at_inline(last_busy_end_, [this, frames, bytes] {
     stats_.tx_packets += frames;
     stats_.tx_bytes += bytes;
     tm_.tx_packets.add(frames);

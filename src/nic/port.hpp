@@ -53,6 +53,11 @@ class FrameSink {
   /// the past. The frame is the sink's to keep: the port moves it in, so
   /// carrying it to the receiver costs no payload reference count.
   virtual void on_frame(Frame frame, sim::SimTime tx_start_ps) = 0;
+  /// Least time from a frame's `tx_start_ps` to the first event anything it
+  /// causes can run at (its arrival, a stamp, a reply). A paced batch pulls
+  /// frames only within this span of its first frame's start; 0, the
+  /// default, sends paced frames one per event.
+  [[nodiscard]] virtual sim::SimTime min_delay_ps() const { return 0; }
 };
 
 struct PortStats {
@@ -273,19 +278,20 @@ class Port {
   /// with the engaged queues, not with num_queues().
   [[nodiscard]] std::uint64_t arbiter_visits() const { return arbiter_visits_; }
 
-  /// Maximum frames serialized per engine event on the uncontrolled
-  /// fast path (see DESIGN.md, "Event-engine fast path"). Wire timestamps
-  /// are identical for any value; sinks and TX counters observe frames at
-  /// batch granularity (skew bounded by one batch). 1 disables batching
-  /// (one event per frame, the pre-batching behaviour).
+  /// Maximum frames serialized per engine event (see DESIGN.md, "Batched
+  /// TX"). Wire and RX timestamps, and every count read after run_until
+  /// returns, are identical for any value; during a run, sinks and TX
+  /// counters observe frames at batch granularity. 1 sends one frame per
+  /// event.
   void set_tx_batch_frames(std::size_t n) { tx_batch_frames_ = n > 0 ? n : 1; }
   [[nodiscard]] std::size_t tx_batch_frames() const { return tx_batch_frames_; }
 
   /// Announces that an event at absolute time `t` must observe generator
-  /// state mid-stream (e.g. the Timestamper arming a sample): no batched
-  /// frame may start at or after `t`, so batched and unbatched runs pick up
-  /// refill-source updates made at `t` on exactly the same frame. A barrier
-  /// in the past is ignored; re-arm before each such event.
+  /// state mid-stream (e.g. the Timestamper arming a sample): no batch takes
+  /// a frame that a per-frame run would pull at or after `t`, so batched and
+  /// unbatched runs pick up refill-source updates made at `t` on exactly the
+  /// same frame. A barrier before now is ignored; re-arm before each such
+  /// event.
   void set_tx_batch_barrier(sim::SimTime t) { tx_batch_barrier_ = t; }
 
  private:
@@ -298,16 +304,20 @@ class Port {
     engaged_.assign(static_cast<std::size_t>(q.index_), q.engaged());
   }
   void schedule_fetch(TxQueueModel& q);
-  void fetch_descriptors(TxQueueModel& q);
+  /// A DMA read scheduled at `scheduled_ps`.
+  void fetch_descriptors(TxQueueModel& q, sim::SimTime scheduled_ps);
+  /// Frames of the batch in flight that `q`'s FIFO would still hold now in
+  /// a per-frame run, as a DMA read scheduled at `scheduled_ps` sees it.
+  [[nodiscard]] std::size_t unpopped_batch_frames(const TxQueueModel& q,
+                                                  sim::SimTime scheduled_ps) const;
   void try_transmit();
-  void start_transmission(TxQueueModel& q);
-  /// Serializes a run of back-to-back frames from an uncontrolled,
-  /// solely-engaged queue in one engine event.
-  void start_batch_transmission(TxQueueModel& q);
-  /// True when `q` may use the batched fast path: no hardware rate limiter
-  /// on `q` and every other queue idle (`q` is the one engaged queue), so
-  /// arbitration is a no-op.
-  [[nodiscard]] bool batching_allowed(const TxQueueModel& q) const;
+  /// Serializes `q`'s FIFO head and up to `max_frames - 1` more frames in
+  /// one engine event, each starting where the per-frame path would start it.
+  void start_transmission(TxQueueModel& q, std::size_t max_frames);
+  /// Frames `q`, which holds a frame, may send in one event: 1 unless `q` is
+  /// the one engaged queue (arbitration is then a no-op) and, uncontrolled,
+  /// continues a frame that just ended.
+  [[nodiscard]] std::size_t batch_limit(const TxQueueModel& q) const;
   void apply_rate_limit(TxQueueModel& q, const Frame& frame, sim::SimTime tx_start);
   [[nodiscard]] bool frame_matches_ptp_filter(const Frame& frame) const;
   /// RTT-plane departure stamping at serialization start (same latch point
@@ -350,6 +360,14 @@ class Port {
   int rr_next_ = 0;  // round-robin arbiter position
   std::size_t tx_batch_frames_ = 16;
   sim::SimTime tx_batch_barrier_ = 0;
+  /// A frame after the first that the last batch took from a FIFO: when a
+  /// per-frame run pops it, and when that run schedules the event that does.
+  struct BatchPop {
+    sim::SimTime at;
+    sim::SimTime scheduled;
+  };
+  const TxQueueModel* batch_queue_ = nullptr;
+  std::vector<BatchPop> batch_pops_;
   bool link_up_ = true;
   fault::FaultPoint fp_rx_overflow_;
 

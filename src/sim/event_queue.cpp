@@ -183,12 +183,15 @@ void EventQueue::execute(bool from_heap) {
 bool EventQueue::step() {
   bool from_heap = false;
   if (peek_next(from_heap) == nullptr) return false;
+  target_ = UINT64_MAX;
   execute(from_heap);
+  target_ = now_;
   return true;
 }
 
-void EventQueue::run_until(SimTime t) {
+void EventQueue::run_until(SimTime t, SimTime target) {
   const std::uint64_t t0 = wall_ns();
+  target_ = target;
   while (!stopped_) {
     bool from_heap = false;
     const Event* next = peek_next(from_heap);
@@ -199,6 +202,7 @@ void EventQueue::run_until(SimTime t) {
     now_ = t;
     sync_cursor();
   }
+  target_ = now_;
   run_wall_ns_ += wall_ns() - t0;
 }
 

@@ -96,10 +96,19 @@ class EventQueue {
   bool step();
 
   /// Runs all events with time <= `t`, then advances the clock to `t`.
-  void run_until(SimTime t);
+  void run_until(SimTime t) { run_until(t, t); }
+
+  /// As run_until(t), for one segment of a run that ends at `target`
+  /// (>= t): run_target() reads `target` meanwhile.
+  void run_until(SimTime t, SimTime target);
 
   /// Runs until no events remain or `stop()` is called.
   void run();
+
+  /// Where the caller's run ends: its run_until target, the end of time
+  /// inside run() and step(), now() between runs. A port batches frames
+  /// that end by this time only, so a run stops where a per-frame run would.
+  [[nodiscard]] SimTime run_target() const { return target_; }
 
   /// Requests `run`/`run_until` to return after the current event.
   void stop() { stopped_ = true; }
@@ -232,6 +241,7 @@ class EventQueue {
   std::vector<EventKey> heap_;  // binary min-heap via std::push_heap/pop_heap
 
   SimTime now_ = 0;
+  SimTime target_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   bool stopped_ = false;

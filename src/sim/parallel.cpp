@@ -67,7 +67,7 @@ void ParallelRuntime::run_globals() {
 void ParallelRuntime::run_serial(SimTime t) {
   while (now_ < t) {
     const SimTime end = segment_end(t);
-    run_shard(0, end);
+    run_shard(0, end, t);
     ++windows_;
     now_ = end;
     run_globals();
@@ -112,10 +112,10 @@ void ParallelRuntime::run_parallel(SimTime t) {
   std::vector<Work> work;
   work.reserve(n);
   for (std::size_t s = 0; s < n; ++s) {
-    work.emplace_back([this, s, &sync, &seg_end, &done, &record_error] {
+    work.emplace_back([this, s, t, &sync, &seg_end, &done, &record_error] {
       try {
         do {
-          run_shard(s, seg_end);
+          run_shard(s, seg_end, t);
           sync.arrive_and_wait();
         } while (!done);
       } catch (...) {

@@ -115,10 +115,12 @@ class ParallelRuntime {
   /// End of the segment starting at now_: min(end, first global, first
   /// hook due time).
   [[nodiscard]] SimTime segment_end(SimTime end) const;
-  /// Runs shard `s` to `t` and counts the segment in its heartbeat (each
-  /// heartbeat has one writer, so a relaxed load and store suffice).
-  void run_shard(std::size_t s, SimTime t) {
-    shards_[s]->run_until(t);
+  /// Runs shard `s` to `t`, a segment of the caller's run to `target`,
+  /// and counts the segment in its heartbeat (each heartbeat has one
+  /// writer, so a relaxed load and store suffice). Segment ends do not cut
+  /// TX batches: a monitored run batches as an unmonitored one does.
+  void run_shard(std::size_t s, SimTime t, SimTime target) {
+    shards_[s]->run_until(t, target);
     auto& beat = heartbeats_[s].count;
     beat.store(beat.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
   }

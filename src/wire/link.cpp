@@ -72,7 +72,7 @@ std::int64_t Link::phy_jitter_ps() {
         x -= 2 * kWeights[step];
         if (x < 0) return sign * step * 6'400;
       }
-      return sign * 32'000;
+      return sign * static_cast<std::int64_t>(kMaxPhyJitterPs);
     }
   }
   return 0;

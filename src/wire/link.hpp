@@ -20,6 +20,13 @@ class Link : public nic::FrameSink {
   Link(nic::Port& from, nic::Port& to, CableSpec cable, std::uint64_t seed);
 
   void on_frame(nic::Frame frame, sim::SimTime tx_start_ps) override;
+  /// The cable latency k + l/vp, less the 32 ns by which a 10GBASE-T block
+  /// code can deliver early (phy_jitter_ps); faults only delay or drop.
+  [[nodiscard]] sim::SimTime min_delay_ps() const override {
+    const sim::SimTime delay = cable_.k_ps + cable_.propagation_ps();
+    if (cable_.jitter != PhyJitter::kTenGBaseT) return delay;
+    return delay > kMaxPhyJitterPs ? delay - kMaxPhyJitterPs : 0;
+  }
 
   /// Arms this link's fault sites (loss, corrupt, reorder, dup, flap)
   /// against `plane` under the given site name. Without this call the link
@@ -64,6 +71,9 @@ class Link : public nic::FrameSink {
   [[nodiscard]] std::uint64_t flap_fault_fires() const { return fp_flap_.fires(); }
 
  private:
+  /// The largest shift phy_jitter_ps draws, either way.
+  static constexpr sim::SimTime kMaxPhyJitterPs = 32'000;
+
   [[nodiscard]] std::int64_t phy_jitter_ps();
   void begin_flap(sim::SimTime now_ps, double down_ps_param);
   void corrupt_frame(nic::Frame& frame);

@@ -332,17 +332,25 @@ TEST(Timestamper, StreamModeSamplesLoadPackets) {
 
 namespace {
 
-// Runs the stream-mode sampling scenario (CRC-paced load + Timestamper
-// marking frames mid-stream) with a given TX batch size and renders every
+// Runs the stream-mode sampling scenario (a load + Timestamper marking
+// frames mid-stream) with a given TX batch size and renders every
 // observable outcome — sample counts, the full latency histogram, and the
-// receive-side wire statistics — as one string.
-std::string stream_sampling_digest(std::size_t batch_frames) {
+// receive-side wire statistics — as one string. The load is CRC-paced at
+// 0.5 Mpps, or hardware-paced at 0.1 Mpps, where 16 frames span 160 us,
+// more than the 100 us sample interval.
+std::string stream_sampling_digest(std::size_t batch_frames, bool hardware_paced) {
   moongen::test::TenGbeFiberBed bed;
   bed.a.set_tx_batch_frames(batch_frames);
   bed.b.set_tx_batch_frames(batch_frames);
   bed.b.rx_queue(0).set_ring_capacity(1'000'000);
-  auto gen = mc::SimLoadGen::crc_paced(bed.a.tx_queue(0), background_frame(),
-                                       std::make_unique<mc::CbrPattern>(0.5), 10'000);
+  std::unique_ptr<mc::SimLoadGen> gen;
+  if (hardware_paced) {
+    bed.a.tx_queue(0).set_rate_mpps(0.1, 100);
+    gen = mc::SimLoadGen::hardware_paced(bed.a.tx_queue(0), background_frame());
+  } else {
+    gen = mc::SimLoadGen::crc_paced(bed.a.tx_queue(0), background_frame(),
+                                    std::make_unique<mc::CbrPattern>(0.5), 10'000);
+  }
   mc::UdpTemplateOptions stamped_opts;
   stamped_opts.frame_size = 96;
   stamped_opts.ptp_payload = true;
@@ -364,18 +372,22 @@ std::string stream_sampling_digest(std::size_t batch_frames) {
 
 }  // namespace
 
-// The PR 2 known issue, resolved: batched TX used to run the refill source
-// up to a batch ahead of the wire, so a frame marked by take_sample reached
-// the wire up to one batch late and a different packet was sampled. With
-// pull-on-demand refills and the Timestamper's batch barrier, batched and
-// unbatched runs sample exactly the same packets.
+// Batched TX used to run the refill source up to a batch ahead of the
+// wire, so a frame marked by take_sample reached the wire up to one batch
+// late and a different packet was sampled. With pull-on-demand refills and
+// the Timestamper's batch barrier, batched and unbatched runs sample exactly
+// the same packets. A paced batch also ends before its first frame can
+// reach the receiver: the sample that frame completes arms the next barrier.
 TEST(PortBatching, StreamSamplingIsByteIdenticalToUnbatched) {
-  const std::string unbatched = stream_sampling_digest(1);
-  const std::string batched = stream_sampling_digest(64);
-  EXPECT_EQ(unbatched, batched);
-  // Sanity: the digest describes a run that actually sampled packets.
-  EXPECT_NE(unbatched.find("samples="), std::string::npos);
-  EXPECT_EQ(unbatched.find("samples=0 "), std::string::npos);
+  for (const bool hardware_paced : {false, true}) {
+    SCOPED_TRACE(hardware_paced ? "hardware-paced" : "CRC-paced");
+    const std::string unbatched = stream_sampling_digest(1, hardware_paced);
+    const std::string batched = stream_sampling_digest(64, hardware_paced);
+    EXPECT_EQ(unbatched, batched);
+    // Sanity: the digest describes a run that actually sampled packets.
+    EXPECT_NE(unbatched.find("samples="), std::string::npos);
+    EXPECT_EQ(unbatched.find("samples=0 "), std::string::npos);
+  }
 }
 
 TEST(Timestamper, DriftIsAbsorbedByResync) {

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <functional>
 #include <random>
+#include <stdexcept>
 #include <string>
 
 #include "capture/pcap.hpp"
@@ -44,10 +45,10 @@ mn::Frame ptp_udp_frame(std::size_t size = 96, std::uint8_t type = 0) {
   return mc::make_udp_frame(opts);
 }
 
-/// A UDP PTP event message cut to `size` bytes. make_udp_frame leaves out
-/// a PTP header that does not fit, so a frame below the 80 B minimum of
-/// Section 6.4 that the byte rule still matches has to be cut from a
-/// larger one.
+/// A UDP PTP event message cut to `size` bytes. make_udp_frame refuses a
+/// buffer without room for the PTP header (76 B, an 80 B frame), so a frame
+/// below the 80 B minimum of Section 6.4 that the byte rule still matches
+/// has to be cut from a larger one.
 mn::Frame short_ptp_udp_frame(std::size_t size) {
   auto bytes = *ptp_udp_frame().data;
   bytes.resize(size);
@@ -351,9 +352,13 @@ TEST(NicPtp, EveryFactoryGivesAFrameThePtpClassOfItsBytes) {
                     event ? mn::PtpEvent::kEthernet : mn::PtpEvent::kNone});
   }
   // Undersized UDP PTP is still a UDP event: only the port's size check
-  // (Section 6.4) refuses it. Without room for a PTP header it is none.
+  // (Section 6.4) refuses it. A template without room for the PTP header
+  // (Ethernet, IPv4 and UDP take 42 B, the header 34, a VLAN tag 4) is
+  // refused where it is made.
   rows.push_back({"udp ptp cut to 76 B", short_ptp_udp_frame(72), mn::PtpEvent::kUdp});
-  rows.push_back({"udp ptp without header", ptp_udp_frame(72), mn::PtpEvent::kNone});
+  rows.push_back({"udp ptp at its 76 B minimum", ptp_udp_frame(76), mn::PtpEvent::kUdp});
+  EXPECT_THROW(ptp_udp_frame(75), std::invalid_argument);
+  EXPECT_THROW(ptp_udp_frame(72), std::invalid_argument);
   mc::UdpTemplateOptions vlan;
   vlan.frame_size = 100;
   vlan.vlan = true;
@@ -362,6 +367,11 @@ TEST(NicPtp, EveryFactoryGivesAFrameThePtpClassOfItsBytes) {
   vlan.ptp_payload = true;
   vlan.ptp_message_type = 1;
   rows.push_back({"udp ptp vlan", mc::make_udp_frame(vlan), mn::PtpEvent::kUdp});
+  vlan.frame_size = 80;
+  rows.push_back({"udp ptp vlan at its 80 B minimum", mc::make_udp_frame(vlan),
+                  mn::PtpEvent::kUdp});
+  vlan.frame_size = 79;
+  EXPECT_THROW(mc::make_udp_frame(vlan), std::invalid_argument);
   auto v1 = *mc::make_ptp_ethernet_frame(60).data;
   v1[15] = 0x01;  // version nibble 1
   rows.push_back({"ethernet ptp version 1", mn::make_frame(std::move(v1)), mn::PtpEvent::kNone});
@@ -524,21 +534,114 @@ std::vector<std::pair<mn::Frame, ms::SimTime>> run_crc_stream(std::size_t batch_
   return std::move(sink.frames);
 }
 
+/// Forwards every frame to `next` and records its (tx_start, wire bytes);
+/// reports `next`'s min_delay_ps as its own.
+struct TapSink : mn::FrameSink {
+  explicit TapSink(mn::FrameSink& next) : next(next) {}
+  mn::FrameSink& next;
+  std::vector<std::pair<ms::SimTime, std::uint64_t>> sent;
+  void on_frame(mn::Frame frame, ms::SimTime tx_start_ps) override {
+    sent.emplace_back(tx_start_ps, frame.wire_bytes());
+    next.on_frame(std::move(frame), tx_start_ps);
+  }
+  [[nodiscard]] ms::SimTime min_delay_ps() const override { return next.min_delay_ps(); }
+};
+
+/// What a 64 B stream from one XL710 over a 10GBASE-T cable to another
+/// shows: every frame sent and received, and the counters after each
+/// run_until target.
+struct StreamRun {
+  std::vector<std::pair<ms::SimTime, std::uint64_t>> sent;  // (tx_start, wire bytes)
+  std::vector<ms::SimTime> received;                        // RX completion times
+  // tx packets and bytes, rx packets, link carried, delivered, flaps and
+  // flap drops, carrier losses, refill pulls
+  std::vector<std::array<std::uint64_t, 9>> counts;
+  std::uint64_t events = 0;
+};
+
+/// Runs the stream for 200 us, paced at `mpps` (0: uncontrolled), stopping
+/// at targets 7.777 us apart, which fall inside batches. `faults` is a
+/// FaultSpec for the link's site "wire".
+StreamRun run_xl710_stream(std::size_t batch_frames, double mpps, const char* faults = "") {
+  ms::EventQueue events;
+  mn::Port a(events, mn::intel_xl710(), 40'000, 31);
+  mn::Port b(events, mn::intel_xl710(), 40'000, 32);
+  moongen::wire::Link link(a, b, moongen::wire::cat5e_10gbaset(2.0), 33);
+  moongen::fault::FaultPlane plane(moongen::fault::FaultSpec::parse(faults), &events);
+  link.install_faults(plane, "wire");
+  a.set_tx_batch_frames(batch_frames);
+  TapSink tap(link);
+  a.set_tx_sink(&tap);
+  StreamRun run;
+  b.rx_queue(0).set_store(false);
+  b.rx_queue(0).set_callback(
+      [&run](const mn::RxQueueModel::Entry& e) { run.received.push_back(e.complete_ps); });
+  std::uint64_t pulls = 0;
+  const mn::Frame frame = udp_frame();
+  auto& q = a.tx_queue(0);
+  if (mpps > 0) q.set_rate_mpps(mpps, 64);
+  q.set_refill([&pulls, &frame] {
+    ++pulls;
+    return frame;
+  });
+  for (ms::SimTime t = 7'777'777; t <= 200 * ms::kPsPerUs; t += 7'777'777) {
+    events.run_until(t);
+    run.counts.push_back({a.stats().tx_packets, a.stats().tx_bytes, b.stats().rx_packets,
+                          link.frames_carried(), link.delivered(), link.flaps(),
+                          link.flap_drops(), a.stats().link_down_events, pulls});
+  }
+  run.sent = std::move(tap.sent);
+  run.events = events.executed();
+  return run;
+}
+
+void expect_same_stream(const StreamRun& unbatched, const StreamRun& batched) {
+  EXPECT_LT(batched.events, unbatched.events) << "nothing was batched";
+  ASSERT_EQ(batched.sent.size(), unbatched.sent.size());
+  for (std::size_t i = 0; i < unbatched.sent.size(); ++i) {
+    ASSERT_EQ(batched.sent[i], unbatched.sent[i]) << "frame " << i;
+  }
+  EXPECT_EQ(batched.received, unbatched.received);
+  ASSERT_EQ(batched.counts.size(), unbatched.counts.size());
+  for (std::size_t i = 0; i < unbatched.counts.size(); ++i) {
+    EXPECT_EQ(batched.counts[i], unbatched.counts[i]) << "after target " << i;
+  }
+}
+
 }  // namespace
 
 TEST(PortBatching, WireTimestampsMatchUnbatched) {
   const auto unbatched = run_crc_stream(1);   // one event per frame
   const auto batched = run_crc_stream(16);    // default fast path
   ASSERT_GT(unbatched.size(), 10'000u);
-  // The batched run may have notified up to one batch of still-serializing
-  // frames at the cutoff; everything both runs observed must be identical.
-  ASSERT_LE(batched.size() - unbatched.size(), 16u);
-  ASSERT_GE(batched.size(), unbatched.size());
+  // Batches stop where the run does: both runs handed the sink the same
+  // frames at the same times.
+  ASSERT_EQ(batched.size(), unbatched.size());
   for (std::size_t i = 0; i < unbatched.size(); ++i) {
     ASSERT_EQ(unbatched[i].second, batched[i].second) << "tx_start diverges at frame " << i;
     ASSERT_EQ(unbatched[i].first.seq, batched[i].first.seq) << "frame order diverges at " << i;
     ASSERT_EQ(unbatched[i].first.fcs_valid, batched[i].first.fcs_valid);
     ASSERT_EQ(unbatched[i].first.wire_bytes(), batched[i].first.wire_bytes());
+  }
+  // Hardware pacing: reliable at 1 and 5 Mpps, erratic at 40 Mpps (above
+  // ~9 Mpps, Section 7.5), so the limiter's draws must also line up.
+  for (const double mpps : {1.0, 5.0, 40.0}) {
+    SCOPED_TRACE(std::to_string(mpps) + " Mpps");
+    const StreamRun paced = run_xl710_stream(16, mpps);
+    ASSERT_GT(paced.received.size(), 150u);
+    expect_same_stream(run_xl710_stream(1, mpps), paced);
+  }
+}
+
+TEST(PortBatching, LinkFlapInsideABatchMatchesUnbatched) {
+  // Carrier losses of 2 us fire on about one frame in 500. A batch ends at
+  // the frame that took the carrier down, as the per-frame path stops there.
+  constexpr const char* kFlaps = "seed=5;flap@wire:p=0.002,param=2e6";
+  for (const double mpps : {0.0, 40.0}) {
+    SCOPED_TRACE(std::to_string(mpps) + " Mpps");
+    const StreamRun batched = run_xl710_stream(16, mpps, kFlaps);
+    ASSERT_GT(batched.counts.back()[5], 5u) << "too few flaps";
+    expect_same_stream(run_xl710_stream(1, mpps, kFlaps), batched);
   }
 }
 
@@ -552,6 +655,14 @@ TEST(PortBatching, BatchingCutsEventsPerFrame) {
   // One completion event per 16-frame batch (plus the lone first frame).
   EXPECT_LT(events_per_frame, 0.2);
   EXPECT_GT(port.stats().tx_packets, 14'000u);
+
+  // Paced at 40 Mpps: per 16-frame batch one completion and one pacing wake
+  // instead of 16 of each, next to one receive event per frame.
+  const StreamRun paced = run_xl710_stream(16, 40.0);
+  const double paced_per_frame =
+      static_cast<double>(paced.events) / static_cast<double>(paced.counts.back()[0]);
+  EXPECT_LT(paced_per_frame, 1.2);
+  EXPECT_GT(paced.counts.back()[0], 5'000u);
 }
 
 TEST(PortBatching, DisabledBatchingKeepsPerFrameEvents) {
@@ -573,13 +684,16 @@ namespace {
 /// bitmap: every try_transmit walks all queues from the round-robin cursor,
 /// and the batching gate checks every other queue. Everything else (DMA
 /// fetch and its jitter draws, MAC alignment, pacing and its noise draws,
-/// batches, wakes) mirrors Port exactly, so two runs fed the same
-/// operations must schedule the same events and transmit the same frames.
+/// batches and the FIFO they leave to a DMA read, wakes) mirrors Port
+/// exactly, so two runs fed the same operations must schedule the same
+/// events and transmit the same frames.
 class LinearScanPort {
  public:
+  /// `sink_min_delay_ps` is what Port's sink reports as its min_delay_ps.
   LinearScanPort(ms::EventQueue& events, mn::ChipSpec spec, std::uint64_t link_mbit,
-                 std::uint64_t seed)
+                 std::uint64_t seed, ms::SimTime sink_min_delay_ps)
       : events_(events),
+        sink_min_delay_ps_(sink_min_delay_ps),
         spec_(std::move(spec)),
         byte_time_ps_(ms::byte_time_ps(link_mbit)),
         rate_tick_ps_(spec_.rate_tick_at_max_speed_ps * (spec_.max_link_mbit / link_mbit)),
@@ -587,7 +701,8 @@ class LinearScanPort {
         queues_(static_cast<std::size_t>(spec_.num_queues)) {}
 
   std::vector<std::pair<std::uint32_t, ms::SimTime>> picks;  // (queue, tx_start)
-  std::uint64_t batches = 0;
+  std::uint64_t batches = 0;  // events that sent more than one frame
+  std::uint64_t paced_batched_frames = 0;  // frames after the first of a paced batch
   std::uint64_t wakes = 0;
 
   bool post(int i, mn::Frame frame) {
@@ -642,20 +757,29 @@ class LinearScanPort {
     q.fetch_scheduled = true;
     const mn::DmaTiming dma;
     const ms::SimTime jitter = rng_() % dma.jitter_ps;
-    events_.schedule_in(dma.latency_ps + jitter, [this, &q] { fetch(q); });
+    events_.schedule_in(dma.latency_ps + jitter,
+                        [this, &q, at = events_.now()] { fetch(q, at); });
   }
-  void fetch(Queue& q) {
+  void fetch(Queue& q, ms::SimTime scheduled) {
     const mn::DmaTiming dma;
     q.fetch_scheduled = false;
+    // The batch in flight still holds the frames a per-frame run pops later.
+    std::size_t held = q.fifo.size();
+    if (&q == batch_queue_) {
+      for (auto it = pops_.rbegin(); it != pops_.rend(); ++it, ++held) {
+        if (it->first < events_.now() || (it->first == events_.now() && it->second < scheduled))
+          break;
+      }
+    }
     std::size_t moved = 0;
-    while (!q.ring.empty() && q.fifo.size() < q.fifo_capacity && moved < dma.fetch_batch) {
+    while (!q.ring.empty() && held + moved < q.fifo_capacity && moved < dma.fetch_batch) {
       q.fifo.push_back(std::move(q.ring.front()));
       q.ring.pop_front();
       ++moved;
     }
     if (!q.ring.empty()) {
       q.fetch_scheduled = true;
-      events_.schedule_in(dma.fetch_interval_ps, [this, &q] { fetch(q); });
+      events_.schedule_in(dma.fetch_interval_ps, [this, &q, at = events_.now()] { fetch(q, at); });
     }
     try_transmit();
   }
@@ -671,11 +795,7 @@ class LinearScanPort {
       if (q.fifo.empty()) continue;
       if (q.next_allowed <= now) {
         rr_next_ = (idx + 1) % n;
-        if (batching_allowed(q)) {
-          start_batch(q);
-        } else {
-          start(q);
-        }
+        start(q, batch_limit(q));
         return;
       }
       earliest = std::min(earliest, q.next_allowed);
@@ -690,47 +810,47 @@ class LinearScanPort {
       });
     }
   }
-  [[nodiscard]] bool batching_allowed(const Queue& q) const {
-    if (q.rate > 0.0 || events_.now() != last_busy_end_) return false;
+  [[nodiscard]] std::size_t batch_limit(const Queue& q) const {
     for (const Queue& other : queues_) {
-      if (&other != &q && other.engaged()) return false;
+      if (&other != &q && other.engaged()) return 1;
     }
-    return true;
+    return q.rate <= 0.0 && events_.now() != last_busy_end_ ? 1 : 16;
   }
-  void start(Queue& q) {
-    mn::Frame frame = std::move(q.fifo.front());
-    q.fifo.pop_front();
-    ms::SimTime t0 = events_.now();
-    if (t0 != last_busy_end_) t0 = align(t0);
-    busy_ = true;
-    rate_limit(q, frame, t0);
-    last_busy_end_ = t0 + frame.wire_bytes() * byte_time_ps_;
-    picks.emplace_back(frame.flow, t0);
-    events_.schedule_at(last_busy_end_, [this] {
-      busy_ = false;
-      try_transmit();
-    });
-  }
-  void start_batch(Queue& q) {
-    ++batches;
+  void start(Queue& q, std::size_t max_frames) {
     busy_ = true;
     const ms::SimTime now = events_.now();
-    ms::SimTime t0 = now;
-    if (t0 != last_busy_end_) t0 = align(t0);
-    q.next_allowed = 0;
-    for (std::size_t frames = 0; frames < 16; ++frames) {
-      if (now == 0 && t0 > 0) break;  // Port's batch barrier, still at time 0
-      if (q.fifo.empty()) {
+    ms::SimTime t0 = now == last_busy_end_ ? now : align(now);
+    const ms::SimTime reach = q.rate > 0.0 ? t0 + sink_min_delay_ps_ : UINT64_MAX;
+    const ms::SimTime target = events_.run_target();
+    batch_queue_ = &q;
+    pops_.clear();
+    ms::SimTime popped = now;
+    for (std::size_t frames = 1;; ++frames) {
+      const mn::Frame frame = std::move(q.fifo.front());
+      q.fifo.pop_front();
+      rate_limit(q, frame, t0);
+      const ms::SimTime end = t0 + frame.wire_bytes() * byte_time_ps_;
+      picks.emplace_back(frame.flow, t0);
+      last_busy_end_ = end;
+      if (frames == 2 && q.rate <= 0.0) ++batches;
+      if (frames >= 2 && q.rate > 0.0) ++paced_batched_frames;
+      // Port's batch barrier stays at 0, so it is live at time 0 only.
+      if (frames == max_frames || end > target || end >= reach || now == 0) break;
+      const bool from_fifo = !q.fifo.empty();
+      if (!from_fifo) {
         if (!q.refill) break;
         q.fifo.push_back(q.refill());
       }
-      const mn::Frame frame = std::move(q.fifo.front());
-      q.fifo.pop_front();
-      picks.emplace_back(frame.flow, t0);
-      t0 += frame.wire_bytes() * byte_time_ps_;
+      const bool wake = q.next_allowed > end;
+      const ms::SimTime next = wake ? align(q.next_allowed) : end;
+      if (next + q.fifo.front().wire_bytes() * byte_time_ps_ > target) break;
+      const std::pair<ms::SimTime, ms::SimTime> pop =
+          wake ? std::pair{q.next_allowed, end} : std::pair{end, popped};
+      if (from_fifo) pops_.push_back(pop);
+      popped = pop.first;
+      t0 = next;
     }
-    last_busy_end_ = t0;
-    events_.schedule_at(t0, [this] {
+    events_.schedule_at(last_busy_end_, [this] {
       busy_ = false;
       try_transmit();
     });
@@ -761,6 +881,7 @@ class LinearScanPort {
   }
 
   ms::EventQueue& events_;
+  ms::SimTime sink_min_delay_ps_;
   mn::ChipSpec spec_;
   ms::SimTime byte_time_ps_;
   ms::SimTime rate_tick_ps_;
@@ -772,14 +893,19 @@ class LinearScanPort {
   bool wake_scheduled_ = false;
   ms::SimTime scheduled_wake_ps_ = 0;
   int rr_next_ = 0;
+  const Queue* batch_queue_ = nullptr;
+  std::vector<std::pair<ms::SimTime, ms::SimTime>> pops_;  // (pop time, scheduled at)
 };
 
 /// Port's picks, in the reference's terms.
 struct PickSink : mn::FrameSink {
+  explicit PickSink(ms::SimTime min_delay) : min_delay(min_delay) {}
   std::vector<std::pair<std::uint32_t, ms::SimTime>> picks;
+  ms::SimTime min_delay;
   void on_frame(mn::Frame frame, ms::SimTime tx_start_ps) override {
     picks.emplace_back(frame.flow, tx_start_ps);
   }
+  [[nodiscard]] ms::SimTime min_delay_ps() const override { return min_delay; }
 };
 
 /// Every executed event's (time, sequence number): equal logs mean both
@@ -805,15 +931,19 @@ TEST(PortArbiterProperty, EngagedBitmapMatchesLinearScanOnXl710) {
   // ~9 Mpps point where pacing turns erratic), link flaps and FIFO shrinks.
   // The bitmap arbiter must pick the same queue at the same tx_start every
   // time and schedule exactly the same events (wakes included) as the
-  // linear scan.
+  // linear scan. Each seed runs with a sink that reports no delay (paced
+  // frames go one per event) and with one whose 500 ns lets paced batches
+  // form, and the run stops at targets that cut batches.
   const mn::ChipSpec chip = mn::intel_xl710();
   ASSERT_EQ(chip.num_queues, 384);
+  for (const ms::SimTime min_delay : {ms::SimTime{0}, ms::SimTime{2'000'000}})
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("sink min_delay_ps " + std::to_string(min_delay));
     ms::EventQueue port_events;
     ms::EventQueue ref_events;
     mn::Port port(port_events, chip, 40'000, 77 + seed);
-    LinearScanPort ref(ref_events, chip, 40'000, 77 + seed);
-    PickSink sink;
+    LinearScanPort ref(ref_events, chip, 40'000, 77 + seed, min_delay);
+    PickSink sink(min_delay);
     port.set_tx_sink(&sink);
     EventLog port_log;
     EventLog ref_log;
@@ -835,8 +965,9 @@ TEST(PortArbiterProperty, EngagedBitmapMatchesLinearScanOnXl710) {
     };
     // Busy blocks: most operations hit a dozen hot queues around the
     // bitmap's 64-bit word edges, so rate-limited backlogs pile up (wakes);
-    // the rest land anywhere. Quiet blocks: bursts on one uncontrolled
-    // queue, far apart, so it drains alone (batches).
+    // the rest land anywhere. Quiet blocks: bursts on one queue, far apart,
+    // so it drains alone (batches); the queue is uncontrolled and paced at
+    // half the line rate in turn.
     constexpr std::array<int, 12> kHot = {0, 5, 63, 64, 65, 127, 128, 200, 255, 256, 300, 383};
     for (const int h : kHot) {  // the hot queues start out paced
       const double mbit = static_cast<double>(1 + rng() % 20) * 500.0;
@@ -853,8 +984,9 @@ TEST(PortArbiterProperty, EngagedBitmapMatchesLinearScanOnXl710) {
       if (quiet) {
         if (op % 50 == 0) {
           quiet_q = q;
-          at(t, [=](mn::Port& p) { p.tx_queue(q).set_rate_wire_mbit(0.0); },
-             [=](LinearScanPort& r) { r.set_rate_wire_mbit(q, 0.0); });
+          const double mbit = op / 100 % 2 == 0 ? 0.0 : 20'000.0;
+          at(t, [=](mn::Port& p) { p.tx_queue(q).set_rate_wire_mbit(mbit); },
+             [=](LinearScanPort& r) { r.set_rate_wire_mbit(q, mbit); });
         }
         burst(t, quiet_q, 1 + static_cast<int>(rng() % 60), size);
         continue;
@@ -903,6 +1035,10 @@ TEST(PortArbiterProperty, EngagedBitmapMatchesLinearScanOnXl710) {
         }
       }
     }
+    for (ms::SimTime stop = 99'991'000; stop < t + 3 * ms::kPsPerMs / 2; stop += 99'991'000) {
+      port_events.run_until(stop);
+      ref_events.run_until(stop);
+    }
     port_events.run_until(t + 3 * ms::kPsPerMs / 2);
     ref_events.run_until(t + 3 * ms::kPsPerMs / 2);
     port_events.set_trace_sink(nullptr);
@@ -910,7 +1046,12 @@ TEST(PortArbiterProperty, EngagedBitmapMatchesLinearScanOnXl710) {
 
     ASSERT_GT(sink.picks.size(), 2'000u) << "seed " << seed;
     EXPECT_GT(ref.batches, 100u) << "seed " << seed;
-    EXPECT_GT(ref.wakes, 100u) << "seed " << seed;
+    if (min_delay == 0) {
+      EXPECT_GT(ref.wakes, 100u) << "seed " << seed;
+      EXPECT_EQ(ref.paced_batched_frames, 0u) << "seed " << seed;
+    } else {
+      EXPECT_GT(ref.paced_batched_frames, 1'000u) << "seed " << seed;
+    }
     ASSERT_EQ(sink.picks.size(), ref.picks.size()) << "seed " << seed;
     for (std::size_t i = 0; i < sink.picks.size(); ++i) {
       ASSERT_EQ(sink.picks[i], ref.picks[i]) << "seed " << seed << " pick " << i;
