@@ -932,7 +932,7 @@ TEST(PortArbiterProperty, EngagedBitmapMatchesLinearScanOnXl710) {
   // The bitmap arbiter must pick the same queue at the same tx_start every
   // time and schedule exactly the same events (wakes included) as the
   // linear scan. Each seed runs with a sink that reports no delay (paced
-  // frames go one per event) and with one whose 500 ns lets paced batches
+  // frames go one per event) and with one whose 2 us lets paced batches
   // form, and the run stops at targets that cut batches.
   const mn::ChipSpec chip = mn::intel_xl710();
   ASSERT_EQ(chip.num_queues, 384);
