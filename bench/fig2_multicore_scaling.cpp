@@ -11,14 +11,16 @@
 // the paper's own cycles-budget methodology (Section 5.1/5.6.3) to produce
 // the 1.2 GHz series with the line-rate cap — the actual Figure 2 curve.
 //
-// With `--json FILE` the run additionally dumps a telemetry snapshot
-// (packet counters hammered by all task threads, per-series gauges) in the
-// schema documented in DESIGN.md ("Telemetry"); stdout is unchanged.
+// With `--json FILE` the run additionally dumps a telemetry snapshot (the
+// packets and tasks of the silicon runs, each task counting on its own and
+// summed after it is joined, and per-series gauges) in the schema
+// documented in DESIGN.md ("Telemetry"); stdout is unchanged.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "core/device.hpp"
@@ -43,8 +45,7 @@ constexpr std::size_t kPktSize = 60;
 
 /// The Section 5.3 loop body: 8 random 4-byte fields (addresses, ports,
 /// payload) + IP checksum offload + send on two queues alternately.
-std::uint64_t heavy_loop(int dev_a, int dev_b, std::uint64_t packets,
-                         mt::CounterHandle tx_packets = {}) {
+std::uint64_t heavy_loop(int dev_a, int dev_b, std::uint64_t packets) {
   mc::DeviceTable devices;
   auto& da = devices.config(dev_a, 1, 1);
   auto& db = devices.config(dev_b, 1, 1);
@@ -69,9 +70,7 @@ std::uint64_t heavy_loop(int dev_a, int dev_b, std::uint64_t packets,
     bufs.offload_ip_checksums();
     auto& q = (flip ? da : db).get_tx_queue(0);
     flip = !flip;
-    const std::uint64_t n = q.send(bufs);
-    sent += n;
-    tx_packets.add(n);
+    sent += q.send(bufs);
   }
   return sent;
 }
@@ -85,7 +84,6 @@ int main(int argc, char** argv) {
   }
 
   mt::MetricRegistry registry;
-  auto tx_packets = registry.shard(0).counter("fig2.tx_packets");
 
   std::printf("Figure 2: Multi-core scaling under high load\n");
   std::printf("(min-size packets, 8 random fields/pkt, 2 x 10 GbE, 1.2 GHz cores)\n\n");
@@ -96,7 +94,7 @@ int main(int argc, char** argv) {
   std::printf("measured cost of the Section 5.3 script: %.1f +- %.1f cycles/pkt\n",
               single.mean(), single.stddev());
   std::printf("(paper predicts 229.2 +- 3.9 for its script; 10.3 Mpps at 2.4 GHz -> 233 cyc)\n\n");
-  registry.shard(0).gauge("fig2.cycles_per_packet").set(single.mean());
+  registry.set_gauge("fig2.cycles_per_packet", single.mean());
 
   // (1) Real silicon scaling: k pinned tasks, each its own devices and pool.
   const unsigned hw_threads = std::thread::hardware_concurrency();
@@ -105,20 +103,27 @@ int main(int argc, char** argv) {
   std::printf("  %-7s %12s %14s\n", "cores", "Mpps", "Mpps/core");
   for (int k = 1; k <= max_threads; ++k) {
     constexpr std::uint64_t kPerThread = 2 * 1024 * 1024;
+    // Each task counts on its own and stores its total once, after its
+    // loop: the cores share no counter while they send.
+    std::vector<std::uint64_t> sent(static_cast<std::size_t>(k));
     mc::TaskSet tasks;
-    tasks.bind_telemetry(registry.shard(0), "fig2");
     const auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < k; ++i) {
-      tasks.launch("fig2-core", [i, tx_packets] {
-        heavy_loop(2 + 2 * i, 3 + 2 * i, kPerThread, tx_packets);
+      tasks.launch("fig2-core", [i, &sent] {
+        sent[static_cast<std::size_t>(i)] = heavy_loop(2 + 2 * i, 3 + 2 * i, kPerThread);
       });
     }
     tasks.wait();
     const double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    for (const std::uint64_t n : sent) registry.add_counter("fig2.tx_packets", n);
+    // wait() joined all k tasks: as many finished as were launched.
+    registry.add_counter("fig2.tasks_launched", static_cast<std::uint64_t>(k));
+    registry.add_counter("fig2.tasks_finished", static_cast<std::uint64_t>(k));
+    registry.set_gauge("fig2.tasks_active", 0.0);
     const double mpps = static_cast<double>(kPerThread) * k / secs / 1e6;
     std::printf("  %-7d %12.2f %14.2f\n", k, mpps, mpps / k);
-    registry.shard(0).gauge("fig2.silicon.cores_" + std::to_string(k) + ".mpps").set(mpps);
+    registry.set_gauge("fig2.silicon.cores_" + std::to_string(k) + ".mpps", mpps);
   }
 
   // (2) The Figure 2 series: 1.2 GHz cores against 2 x 10 GbE line rate.
@@ -135,8 +140,8 @@ int main(int argc, char** argv) {
     const auto r = mn::predict_throughput(q);
     std::printf("  %-7d %12.2f %14.2f %12s\n", k, r.total_pps / 1e6, r.total_wire_mbit / 1e3,
                 r.bottleneck == mn::Bottleneck::kCpu ? "CPU" : "line rate");
-    registry.shard(0).gauge("fig2.model_1p2ghz.cores_" + std::to_string(k) + ".mpps")
-        .set(r.total_pps / 1e6);
+    registry.set_gauge("fig2.model_1p2ghz.cores_" + std::to_string(k) + ".mpps",
+                       r.total_pps / 1e6);
   }
   // Same series with the cost calibrated to the paper's LuaJIT script
   // (10.3 Mpps at 2.4 GHz, Section 5.3 -> 233 cycles/pkt): line rate is
@@ -154,8 +159,7 @@ int main(int argc, char** argv) {
     const auto r = mn::predict_throughput(q);
     std::printf("  %-7d %12.2f %14.2f %12s\n", k, r.total_pps / 1e6, r.total_wire_mbit / 1e3,
                 r.bottleneck == mn::Bottleneck::kCpu ? "CPU" : "line rate");
-    registry.shard(0).gauge("fig2.papercal.cores_" + std::to_string(k) + ".mpps")
-        .set(r.total_pps / 1e6);
+    registry.set_gauge("fig2.papercal.cores_" + std::to_string(k) + ".mpps", r.total_pps / 1e6);
   }
   std::printf("\n(paper: linear to the 29.76 Mpps line-rate limit, ~5 Mpps/core at 1.2 GHz)\n");
 

@@ -54,8 +54,8 @@ CableResult measure_cable(const mn::ChipSpec& chip, const mw::CableSpec& cable,
   // the same oscillator, so align the clock phases and sync once.
   b.ptp_clock() = a.ptp_clock();
   mw::Link link(a, b, cable, 44);
-  a.bind_telemetry(registry.shard(0), prefix + ".tx_port");
-  b.bind_telemetry(registry.shard(0), prefix + ".rx_port");
+  a.bind_telemetry(registry, prefix + ".tx_port");
+  b.bind_telemetry(registry, prefix + ".rx_port");
 
   mc::TimestamperConfig cfg;
   cfg.sample_interval_ps = 3'300;  // tight loop; prime-ish to vary MAC phase
@@ -63,7 +63,7 @@ CableResult measure_cable(const mn::ChipSpec& chip, const mw::CableSpec& cable,
   cfg.hist_bin_ps = 100;  // sub-quantization bins: report raw values
   cfg.hist_max_ps = 10'000'000;
   mc::Timestamper ts(events, a, 0, b, mc::make_ptp_ethernet_frame(80), cfg);
-  ts.bind_telemetry(registry.shard(0), prefix);
+  ts.bind_telemetry(registry, prefix);
   ts.start();
   // Each sample takes ~probe wire time + latency + interval.
   events.run_until(static_cast<ms::SimTime>(samples) * 250'000);
@@ -112,8 +112,8 @@ void run_chip(const char* name, const char* key, const mn::ChipSpec& chip,
     std::snprintf(prefix, sizeof(prefix), "table3.%s.cable_%gm", key, cable.length_m);
     auto r = measure_cable(chip, cable, samples, registry, prefix);
     rows.push_back(r);
-    registry.shard(0).gauge(std::string(prefix) + ".mean_ns").set(r.mean_ns);
-    registry.shard(0).gauge(std::string(prefix) + ".median_ns").set(r.median_ns);
+    registry.set_gauge(std::string(prefix) + ".mean_ns", r.mean_ns);
+    registry.set_gauge(std::string(prefix) + ".median_ns", r.median_ns);
     std::printf("  %5.1f m: mean %7.1f ns, median %7.1f ns", r.length_m, r.mean_ns,
                 r.median_ns);
     if (r.value_fractions.size() > 1 && chip.ptp_increment_ps > 6'400) {
@@ -131,8 +131,8 @@ void run_chip(const char* name, const char* key, const mn::ChipSpec& chip,
   double k_ns = 0, vp_c = 0;
   fit_k_vp(rows, &k_ns, &vp_c);
   std::printf("  fit t = k + l/vp:  k = %.1f ns, vp = %.2f c\n", k_ns, vp_c);
-  registry.shard(0).gauge(std::string("table3.") + key + ".fit.k_ns").set(k_ns);
-  registry.shard(0).gauge(std::string("table3.") + key + ".fit.vp_c").set(vp_c);
+  registry.set_gauge(std::string("table3.") + key + ".fit.k_ns", k_ns);
+  registry.set_gauge(std::string("table3.") + key + ".fit.vp_c", vp_c);
 }
 
 }  // namespace

@@ -161,7 +161,7 @@ int main(int argc, char** argv) {
   victim_q.set_rate_wire_mbit(victim_mbit);
   auto victim_gen =
       mc::SimLoadGen::hardware_paced(victim_q, tenant_frame(10, 128, kVictimFlow));
-  victim_gen->bind_telemetry(registry.shard(0), "loadgen.victim");
+  victim_gen->bind_telemetry(registry, "loadgen.victim");
 
   // Attacker: periodic burst trains of an amplification pattern — a small
   // trigger frame alternating with the large amplified answer. CRC-gap rate
@@ -176,7 +176,7 @@ int main(int argc, char** argv) {
       10'000);
   attack_gen->set_templates(
       {tenant_frame(20, 64, kAttackFlow), tenant_frame(20, 1'024, kAttackFlow)});
-  attack_gen->bind_telemetry(registry.shard(0), "loadgen.attacker");
+  attack_gen->bind_telemetry(registry, "loadgen.attacker");
 
   // Background: Poisson aggregate cycling through every tenant VID.
   const double bg_mpps = background_mbit / ((128.0 + 20.0) * 8.0);
@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
       gen.tx_queue(2), bg_templates.front(),
       std::make_unique<mc::PoissonPattern>(bg_mpps, 77), 10'000);
   bg_gen->set_templates(std::move(bg_templates));
-  bg_gen->bind_telemetry(registry.shard(0), "loadgen.background");
+  bg_gen->bind_telemetry(registry, "loadgen.background");
 
   // --- health plane ---------------------------------------------------------
   // Default checkers include vswitch frame conservation; a violation at any
@@ -246,7 +246,7 @@ int main(int argc, char** argv) {
     std::printf("  %s: %s\n", v.checker.c_str(), v.detail.c_str());
 
   if (cli->has_json()) {
-    registry.shard(0).gauge("attacker.emitted_mbit").set(attacker_emitted_mbit);
+    registry.set_gauge("attacker.emitted_mbit", attacker_emitted_mbit);
     auto series = tb->series();
     series.push_back(tb->snapshot());
     if (mt::dump_json_series_to_file(cli->json_path, series))

@@ -100,12 +100,12 @@ int main(int argc, char** argv) {
 
   if (cli->has_json()) {
     mt::MetricRegistry registry;
-    registry.shard(0).gauge("interarrival.target_gap_ps").set(static_cast<double>(target));
-    registry.shard(0).gauge("interarrival.samples").set(static_cast<double>(recorder.samples() + 1));
-    registry.shard(0).gauge("interarrival.micro_burst_fraction").set(recorder.micro_burst_fraction());
+    registry.set_gauge("interarrival.target_gap_ps", static_cast<double>(target));
+    registry.set_gauge("interarrival.samples", static_cast<double>(recorder.samples() + 1));
+    registry.set_gauge("interarrival.micro_burst_fraction", recorder.micro_burst_fraction());
     for (ms::SimTime w : {64'000u, 128'000u, 256'000u, 512'000u}) {
-      registry.shard(0).gauge("interarrival.within_" + std::to_string(w / 1000) + "ns")
-          .set(recorder.fraction_within(target, w));
+      registry.set_gauge("interarrival.within_" + std::to_string(w / 1000) + "ns",
+                         recorder.fraction_within(target, w));
     }
     const std::vector<mt::Snapshot> series{registry.snapshot(ms::kPsPerSec / 1'000)};
     if (mt::dump_json_series_to_file(cli->json_path, series))

@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   if (cli->has_stream()) scenario.stream_telemetry(cli->stream_path, 100'000'000);
   auto tb = scenario.build();
   mt::MetricRegistry& registry = tb->registry();
-  registry.shard(0).gauge("load.offered_mpps").set(rate_mpps);
+  registry.set_gauge("load.offered_mpps", rate_mpps);
 
   // Background load: UDP packets carrying a PTP payload with a type the
   // timestamp units ignore.
@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
     queue.set_rate_mpps(rate_mpps, 100);
     gen = mc::SimLoadGen::hardware_paced(queue, mc::make_udp_frame(bg));
   }
-  gen->bind_telemetry(registry.shard(0), "loadgen");
+  gen->bind_telemetry(registry, "loadgen");
 
   // Timestamping task: flip every sampled packet's PTP type into the
   // stampable range. It touches gen_tx and sink directly, so it lives on
@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
   cfg.hist_bin_ps = 50'000;
   mc::Timestamper ts(tb->engine(0), gen_tx, *gen, mc::make_udp_frame(stamped),
                      tb->port("sink"), cfg);
-  ts.bind_telemetry(registry.shard(0), "timestamper");
+  ts.bind_telemetry(registry, "timestamper");
   ts.start();
 
   tb->run_until(static_cast<ms::SimTime>(seconds * 1e12));
@@ -161,10 +161,10 @@ int main(int argc, char** argv) {
   }
 
   if (cli->has_json()) {
-    registry.shard(0).gauge("load.forwarded_mpps")
-        .set(static_cast<double>(forwarder.forwarded()) / seconds / 1e6);
-    registry.shard(0).gauge("dut.interrupts").set(static_cast<double>(forwarder.interrupts()));
-    registry.shard(0).gauge("dut.polls").set(static_cast<double>(forwarder.polls()));
+    registry.set_gauge("load.forwarded_mpps",
+                       static_cast<double>(forwarder.forwarded()) / seconds / 1e6);
+    registry.set_gauge("dut.interrupts", static_cast<double>(forwarder.interrupts()));
+    registry.set_gauge("dut.polls", static_cast<double>(forwarder.polls()));
     auto series = tb->series();
     series.push_back(tb->snapshot());  // final snapshot incl. the end-of-run gauges
     if (mt::dump_json_series_to_file(cli->json_path, series))

@@ -248,14 +248,14 @@ int main(int argc, char** argv) {
 
   if (cli->has_json()) {
     mt::MetricRegistry registry;
-    registry.shard(0).gauge("qos.bg.offered_mbit").set(bg_rate);
-    registry.shard(0).gauge("qos.fg.offered_mbit").set(fg_rate);
-    registry.shard(0).gauge("qos.tx.port42").set(static_cast<double>(bg_sent));
-    registry.shard(0).gauge("qos.tx.port43").set(static_cast<double>(fg_sent));
+    registry.set_gauge("qos.bg.offered_mbit", bg_rate);
+    registry.set_gauge("qos.fg.offered_mbit", fg_rate);
+    registry.set_gauge("qos.tx.port42", static_cast<double>(bg_sent));
+    registry.set_gauge("qos.tx.port43", static_cast<double>(fg_sent));
     for (const auto& [port, pkts] : rx_totals)
-      registry.shard(0).gauge("qos.rx.port" + std::to_string(port)).set(static_cast<double>(pkts));
-    registry.shard(0).gauge("qos.rx.ring_drops")
-        .set(static_cast<double>(r_dev.get_rx_queue(0).ring_drops()));
+      registry.set_gauge("qos.rx.port" + std::to_string(port), static_cast<double>(pkts));
+    registry.set_gauge("qos.rx.ring_drops",
+                       static_cast<double>(r_dev.get_rx_queue(0).ring_drops()));
     const std::vector<mt::Snapshot> series{registry.snapshot()};
     if (mt::dump_json_series_to_file(cli->json_path, series))
       std::fprintf(stderr, "telemetry written to %s\n", cli->json_path.c_str());

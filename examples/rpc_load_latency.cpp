@@ -126,7 +126,7 @@ RunResult run_mode(const me::Cli& cli, const RunParams& p) {
       if (auto* plane = tb->fault_plane(tb->shard_of(2 * i + 1)); plane != nullptr)
         servers.back()->install_faults(*plane, "rpc.s" + std::to_string(i));
     }
-    servers.back()->bind_telemetry(registry.shard(0), "rpc.server" + std::to_string(i));
+    servers.back()->bind_telemetry(registry, "rpc.server" + std::to_string(i));
 
     recorders.push_back(std::make_unique<mr::LatencyRecorder>());
     mr::WorkloadConfig wc;
@@ -145,12 +145,12 @@ RunResult run_mode(const me::Cli& cli, const RunParams& p) {
       closed_gens.push_back(std::make_unique<mr::ClosedLoopGenerator>(
           client_port, *recorders.back(), wc, cc));
       closed_gens.back()->start(0, end_ps);
-      closed_gens.back()->bind_telemetry(registry.shard(0), "rpc.client" + std::to_string(i));
+      closed_gens.back()->bind_telemetry(registry, "rpc.client" + std::to_string(i));
     } else {
       open_gens.push_back(
           std::make_unique<mr::OpenLoopGenerator>(client_port, *recorders.back(), wc));
       open_gens.back()->start(0, end_ps);
-      open_gens.back()->bind_telemetry(registry.shard(0), "rpc.client" + std::to_string(i));
+      open_gens.back()->bind_telemetry(registry, "rpc.client" + std::to_string(i));
     }
   }
 

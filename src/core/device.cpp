@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "proto/headers.hpp"
-#include "telemetry/registry.hpp"
 
 namespace moongen::core {
 
@@ -106,20 +105,11 @@ void TxQueue::pace(std::size_t wire_bytes) {
                                               rate_mbit_);
 }
 
-void TxQueue::bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix) {
-  if (tm_sent_.valid()) return;  // already bound
-  tm_sent_ = tree.counter(prefix + ".sent_packets");
-  tm_short_ = tree.counter(prefix + ".short_batches");
-  tm_sent_.add(sent_packets_);
-  tm_short_.add(short_batches_);
-}
-
 std::uint16_t TxQueue::send(membuf::BufArray& bufs) {
   if (bufs.last_shortfall() > 0) {
     // The mempool came back short: the burst on the wire is smaller than
     // the script asked for. Surface it — silent shrinkage skews CBR spacing.
     ++short_batches_;
-    tm_short_.add(1);
   }
   const auto packets = bufs.packets();
   if (rate_mbit_ > 0.0) {
@@ -185,7 +175,6 @@ std::uint16_t TxQueue::send(membuf::BufArray& bufs) {
   const auto n = static_cast<std::uint16_t>(packets.size());
   sent_packets_ += n;
   sent_bytes_ += batch_bytes;
-  tm_sent_.add(n);
   bufs.set_size(0);  // buffers now belong to the queue until recycled
   return n;
 }

@@ -24,7 +24,6 @@
 #include "membuf/mempool.hpp"
 #include "membuf/ring.hpp"
 #include "proto/mac_address.hpp"
-#include "telemetry/handles.hpp"
 
 namespace moongen::core {
 
@@ -53,9 +52,6 @@ class TxQueue {
   [[nodiscard]] std::uint64_t sent_bytes() const { return sent_bytes_; }
   /// Batches sent with fewer buffers than requested from the mempool.
   [[nodiscard]] std::uint64_t short_batches() const { return short_batches_; }
-
-  /// Mirrors `<prefix>.sent_packets/.short_batches` into `tree`.
-  void bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix);
 
   ~TxQueue();
 
@@ -100,9 +96,6 @@ class TxQueue {
   std::uint64_t sent_packets_ = 0;
   std::uint64_t sent_bytes_ = 0;
   std::uint64_t short_batches_ = 0;
-
-  telemetry::CounterHandle tm_sent_;
-  telemetry::CounterHandle tm_short_;
 };
 
 /// Fast-path receive queue fed by a loopback wire from a peer device.

@@ -99,20 +99,19 @@ void SimLoadGen::set_templates(std::vector<nic::Frame> templates) {
   template_index_ = 0;
 }
 
-void SimLoadGen::bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix) {
-  if (tm_valid_.valid()) return;  // already bound; re-seeding would double-count
-  tm_valid_ = tree.counter(prefix + ".valid_frames");
-  tm_gap_ = tree.counter(prefix + ".gap_frames");
-  tm_carry_ = tree.gauge(prefix + ".carry_bytes");
-  tm_valid_.add(valid_frames_);
-  tm_gap_.add(gap_frames_);
+void SimLoadGen::bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix) {
+  telemetry_.open(registry);
+  telemetry_.counter(prefix + ".valid_frames", [this] { return valid_frames_; });
+  telemetry_.counter(prefix + ".gap_frames", [this] { return gap_frames_; });
+  telemetry_.gauge(prefix + ".carry_bytes", [this] {
+    return filler_ ? static_cast<double>(filler_->carry_bytes()) : 0.0;
+  });
 }
 
 nic::Frame SimLoadGen::next_frame() {
   // CRC mode: emit pending gap frames between valid packets.
   if (filler_ && pending_index_ < pending_gaps_.size()) {
     ++gap_frames_;
-    tm_gap_.add(1);
     return nic::make_gap_frame(pending_gaps_[pending_index_++], ++frame_seq_);
   }
 
@@ -125,7 +124,6 @@ nic::Frame SimLoadGen::next_frame() {
   }
   out.seq = ++frame_seq_;
   ++valid_frames_;
-  tm_valid_.add(1);
 
   if (filler_) {
     // Compute the wire gap until the next valid packet and pre-plan the
@@ -142,7 +140,6 @@ nic::Frame SimLoadGen::next_frame() {
     const std::size_t filler_bytes = gap_total > valid_wire ? gap_total - valid_wire : 0;
     filler_->fill(filler_bytes, pending_gaps_);
     pending_index_ = 0;
-    tm_carry_.set(static_cast<double>(filler_->carry_bytes()));
   }
   return out;
 }

@@ -19,7 +19,7 @@
 #include "nic/port.hpp"
 #include "sim/time.hpp"
 #include "stats/mt19937_64.hpp"
-#include "telemetry/handles.hpp"
+#include "telemetry/registry.hpp"
 
 namespace moongen::core {
 
@@ -175,9 +175,9 @@ class alignas(64) SimLoadGen {
   [[nodiscard]] std::uint64_t valid_frames() const { return valid_frames_; }
   [[nodiscard]] std::uint64_t gap_frames() const { return gap_frames_; }
 
-  /// Mirrors the real-packet vs. filler-packet split (Section 8.1) into
+  /// Exports the real-packet vs. filler-packet split (Section 8.1) as
   /// `<prefix>.valid_frames` / `<prefix>.gap_frames` / `<prefix>.carry_bytes`.
-  void bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix);
+  void bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix);
 
   ~SimLoadGen() = default;
 
@@ -199,9 +199,7 @@ class alignas(64) SimLoadGen {
   std::uint64_t valid_frames_ = 0;
   std::uint64_t gap_frames_ = 0;
   std::uint64_t frame_seq_ = 0;
-  telemetry::CounterHandle tm_valid_;
-  telemetry::CounterHandle tm_gap_;
-  telemetry::GaugeHandle tm_carry_;
+  telemetry::Binding telemetry_;
 };
 
 // ---------------------------------------------------------------------------

@@ -70,26 +70,11 @@ std::uint64_t run_generation() { return RunState::global().generation(); }
 
 void stop_after(double seconds) { RunState::global().stop_after(seconds); }
 
-void TaskSet::bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix) {
-  if (tm_launched_.valid()) return;  // already bound
-  tm_launched_ = tree.counter(prefix + ".tasks_launched");
-  tm_finished_ = tree.counter(prefix + ".tasks_finished");
-  tm_active_ = tree.gauge(prefix + ".tasks_active");
-}
-
 void TaskSet::launch_impl(std::string name, std::function<void()> body) {
   const int core = next_core_++;
-  if (tm_launched_.valid()) {
-    tm_launched_.add(1);
-    tm_active_.set(static_cast<double>(tm_launched_.value() - tm_finished_.value()));
-  }
-  threads_.emplace_back([this, core, name = std::move(name), body = std::move(body)] {
+  threads_.emplace_back([core, name = std::move(name), body = std::move(body)] {
     pin_to_core(core);
     body();
-    if (tm_finished_.valid()) {
-      tm_finished_.add(1);
-      tm_active_.set(static_cast<double>(tm_launched_.value() - tm_finished_.value()));
-    }
   });
 }
 

@@ -16,8 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "telemetry/handles.hpp"
-
 namespace moongen::core {
 
 /// Run/stop state of one experiment: the flag behind `dpdk.running()`.
@@ -108,22 +106,11 @@ class TaskSet {
 
   [[nodiscard]] std::size_t task_count() const { return threads_.size(); }
 
-  /// Counts task lifecycle events in `registry`: `<prefix>.tasks_launched`
-  /// and `<prefix>.tasks_finished` plus a `<prefix>.tasks_active` gauge.
-  /// Bind before launching; the registry must outlive the task set.
-  void bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix);
-
  private:
   void launch_impl(std::string name, std::function<void()> body);
 
   std::vector<std::thread> threads_;
   int next_core_ = 0;
-  // Handles are bumped from both the launching thread and the worker
-  // threads' epilogues; the counter slots are relaxed atomics, so the sums
-  // are exact once wait() has joined everyone.
-  telemetry::CounterHandle tm_launched_;
-  telemetry::CounterHandle tm_finished_;
-  telemetry::GaugeHandle tm_active_;
 };
 
 }  // namespace moongen::core

@@ -32,19 +32,14 @@ void Timestamper::init(nic::Port& rx_port) {
   rx_port.set_rx_stamp_callback([this](std::uint64_t) { on_rx_stamp(); });
 }
 
-void Timestamper::bind_telemetry(telemetry::MetricTree& tree,
+void Timestamper::bind_telemetry(telemetry::MetricRegistry& registry,
                                  const std::string& prefix) {
-  if (tm_latency_ns_.valid()) return;  // already bound; re-seeding would double-count
-  // 100 ms in ns: covers buffer-bloated DuTs.
-  tm_latency_ns_ = tree.histogram(prefix + ".latency_ns", {.max_value = 100'000'000});
-  tm_samples_ = tree.counter(prefix + ".samples");
-  tm_lost_ = tree.counter(prefix + ".lost");
-  tm_discarded_ = tree.counter(prefix + ".discarded");
-  tm_resync_ = tree.counter("recover." + prefix + ".resync");
-  tm_samples_.add(samples_);
-  tm_lost_.add(lost_);
-  tm_discarded_.add(discarded_);
-  tm_resync_.add(resyncs_);
+  telemetry_.open(registry);
+  telemetry_.histogram(prefix + ".latency_ns", [this] { return latency_ns_hist_; });
+  telemetry_.counter(prefix + ".samples", [this] { return samples_; });
+  telemetry_.counter(prefix + ".lost", [this] { return lost_; });
+  telemetry_.counter(prefix + ".discarded", [this] { return discarded_; });
+  telemetry_.counter("recover." + prefix + ".resync", [this] { return resyncs_; });
 }
 
 void Timestamper::start() {
@@ -67,10 +62,7 @@ void Timestamper::take_sample() {
   resync_pending_ = false;
   if (cfg_.sync_clocks_each_sample || forced) {
     sim::synchronize_clocks(tx_port_.ptp_clock(), rx_port_.ptp_clock(), events_.now(), rng_);
-    if (forced && !cfg_.sync_clocks_each_sample) {
-      ++resyncs_;
-      tm_resync_.add(1);
-    }
+    if (forced && !cfg_.sync_clocks_each_sample) ++resyncs_;
   }
 
   armed_ = true;
@@ -105,11 +97,8 @@ void Timestamper::on_rx_stamp() {
   if (delta >= 0) {
     hist_.record(static_cast<std::uint64_t>(delta));
     latency_ns_.add(static_cast<double>(delta) / 1e3);
+    latency_ns_hist_.record(static_cast<std::uint64_t>(delta) / 1'000);  // ps -> ns
     ++samples_;
-    if (tm_latency_ns_.valid()) {
-      tm_latency_ns_.record(static_cast<std::uint64_t>(delta) / 1'000);  // ps -> ns
-      tm_samples_.add(1);
-    }
     finish_sample(Outcome::kSample);
   } else {
     // Negative delta: clock-sync estimation error exceeded the true
@@ -130,12 +119,10 @@ void Timestamper::finish_sample(Outcome outcome) {
       break;
     case Outcome::kLost:
       ++lost_;
-      tm_lost_.add(1);
       resync_pending_ = true;
       break;
     case Outcome::kDiscarded:
       ++discarded_;
-      tm_discarded_.add(1);
       resync_pending_ = true;
       break;
   }

@@ -21,8 +21,8 @@
 #include "sim/event_queue.hpp"
 #include "stats/mt19937_64.hpp"
 #include "stats/running_stats.hpp"
-#include "telemetry/handles.hpp"
 #include "telemetry/log_linear_histogram.hpp"
+#include "telemetry/registry.hpp"
 
 namespace moongen::core {
 
@@ -54,6 +54,8 @@ class Timestamper {
   /// so the measured packets are part of the load (Sections 8.2, 8.3).
   Timestamper(sim::EventQueue& events, nic::Port& tx_port, SimLoadGen& gen, nic::Frame stamped,
               nic::Port& rx_port, TimestamperConfig config = {});
+  Timestamper(const Timestamper&) = delete;
+  Timestamper& operator=(const Timestamper&) = delete;
 
   /// Begins sampling at the current simulation time.
   void start();
@@ -85,11 +87,12 @@ class Timestamper {
   /// would otherwise poison every later sample).
   [[nodiscard]] std::uint64_t resyncs() const { return resyncs_; }
 
-  /// Feeds every latency sample (in ns) into `<prefix>.latency_ns` of
-  /// `registry` and counts samples/lost packets in `<prefix>.samples` /
-  /// `<prefix>.lost`. The log-linear registry histogram spans ns..ms, so
-  /// one geometry fits both loopback cables and overloaded-DuT latencies.
-  void bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix);
+  /// Exports every latency sample in ns as `<prefix>.latency_ns` (log-
+  /// linear up to 100 ms: one geometry fits both loopback cables and
+  /// buffer-bloated DuTs), samples(), lost() and discarded() as
+  /// `<prefix>.samples` / `.lost` / `.discarded`, and resyncs() as
+  /// `recover.<prefix>.resync`.
+  void bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix);
 
  private:
   /// How one attempt resolved (see attempts() for the identity).
@@ -117,18 +120,15 @@ class Timestamper {
   /// next sample so one clock fault cannot poison the rest of the run.
   bool resync_pending_ = false;
   std::uint64_t resyncs_ = 0;
-  telemetry::CounterHandle tm_resync_;
 
   telemetry::LogLinearHistogram hist_;
+  telemetry::LogLinearHistogram latency_ns_hist_{{.max_value = 100'000'000}};  // ns; exported
   stats::RunningStats latency_ns_;
   std::uint64_t samples_ = 0;
   std::uint64_t lost_ = 0;
   std::uint64_t discarded_ = 0;
   std::uint64_t attempts_ = 0;
-  telemetry::HistogramHandle tm_latency_ns_;
-  telemetry::CounterHandle tm_samples_;
-  telemetry::CounterHandle tm_lost_;
-  telemetry::CounterHandle tm_discarded_;
+  telemetry::Binding telemetry_;
 };
 
 }  // namespace moongen::core

@@ -151,38 +151,25 @@ void VSwitch::install_faults(fault::FaultPlane& plane, const std::string& site) 
   fp_stall_ = plane.point(fault::FaultKind::kStall, site + ".stall");
 }
 
-void VSwitch::bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix) {
-  if (tm_received_.valid()) return;  // already bound; re-seeding would double-count
-  tm_received_ = tree.counter(prefix + ".received");
-  tm_matched_ = tree.counter(prefix + ".matched");
-  tm_flooded_ = tree.counter(prefix + ".flooded");
-  tm_shaped_drops_ = tree.counter(prefix + ".shaped_drops");
-  tm_queue_drops_ = tree.counter(prefix + ".queue_drops");
-  tm_fault_drops_ = tree.counter(prefix + ".fault_drops");
-  tm_emitted_ = tree.counter(prefix + ".emitted");
-  tm_egress_ring_drops_ = tree.counter(prefix + ".egress_ring_drops");
-  tm_received_.add(received_);
-  tm_matched_.add(matched_);
-  tm_flooded_.add(flooded_);
-  tm_shaped_drops_.add(shaped_drops_);
-  tm_queue_drops_.add(queue_drops_);
-  tm_fault_drops_.add(fault_drops_);
-  tm_emitted_.add(emitted_);
-  tm_egress_ring_drops_.add(egress_ring_drops_);
+void VSwitch::bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix) {
+  telemetry_.open(registry);
+  telemetry_.counter(prefix + ".received", [this] { return received_; });
+  telemetry_.counter(prefix + ".matched", [this] { return matched_; });
+  telemetry_.counter(prefix + ".flooded", [this] { return flooded_; });
+  telemetry_.counter(prefix + ".shaped_drops", [this] { return shaped_drops_; });
+  telemetry_.counter(prefix + ".queue_drops", [this] { return queue_drops_; });
+  telemetry_.counter(prefix + ".fault_drops", [this] { return fault_drops_; });
+  telemetry_.counter(prefix + ".emitted", [this] { return emitted_; });
+  telemetry_.counter(prefix + ".egress_ring_drops", [this] { return egress_ring_drops_; });
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    QueueState& q = tenants_[i];
     const std::string tp =
         i == flood_queue_ ? prefix + ".flood" : prefix + ".t" + std::to_string(i);
-    q.tm_matched = tree.counter(tp + ".matched");
-    q.tm_emitted = tree.counter(tp + ".emitted");
-    q.tm_shaped_drops = tree.counter(tp + ".shaped_drops");
-    q.tm_queue_drops = tree.counter(tp + ".queue_drops");
-    q.tm_egress_ring_drops = tree.counter(tp + ".egress_ring_drops");
-    q.tm_matched.add(q.matched);
-    q.tm_emitted.add(q.emitted);
-    q.tm_shaped_drops.add(q.shaped_drops);
-    q.tm_queue_drops.add(q.queue_drops);
-    q.tm_egress_ring_drops.add(q.egress_ring_drops);
+    telemetry_.counter(tp + ".matched", [this, i] { return tenants_[i].matched; });
+    telemetry_.counter(tp + ".emitted", [this, i] { return tenants_[i].emitted; });
+    telemetry_.counter(tp + ".shaped_drops", [this, i] { return tenants_[i].shaped_drops; });
+    telemetry_.counter(tp + ".queue_drops", [this, i] { return tenants_[i].queue_drops; });
+    telemetry_.counter(tp + ".egress_ring_drops",
+                       [this, i] { return tenants_[i].egress_ring_drops; });
   }
 }
 
@@ -235,10 +222,8 @@ void VSwitch::poll() {
 
 void VSwitch::ingest(nic::Frame frame) {
   ++received_;
-  tm_received_.add(1);
   if (fp_drop_.installed() && fp_drop_.fire(events_.now()) != nullptr) {
     ++fault_drops_;
-    tm_fault_drops_.add(1);
     return;
   }
   const std::int32_t qi = match(frame);
@@ -290,28 +275,21 @@ void VSwitch::enqueue(std::size_t queue_idx, nic::Frame&& frame, bool is_flood) 
   QueueState& q = tenants_[queue_idx];
   if (!is_flood && !q.bucket.admit(events_.now(), frame.wire_bytes())) {
     ++shaped_drops_;
-    tm_shaped_drops_.add(1);
     ++q.shaped_drops;
-    q.tm_shaped_drops.add(1);
     return;
   }
   if (q.ring.full()) {
     ++queue_drops_;
-    tm_queue_drops_.add(1);
     ++q.queue_drops;
-    q.tm_queue_drops.add(1);
     return;
   }
   if (q.cfg.flow != 0) frame.flow = q.cfg.flow;
   if (is_flood) {
     ++flooded_;
-    tm_flooded_.add(1);
   } else {
     ++matched_;
-    tm_matched_.add(1);
   }
   ++q.matched;
-  q.tm_matched.add(1);
   q.ring.push(std::move(frame));
   VportState& vp = vports_[static_cast<std::size_t>(q.cfg.vport)];
   vp.backlogged[q.cfg.priority].assign(q.slot, true);
@@ -375,17 +353,13 @@ void VSwitch::drain_vport(std::size_t vp_idx) {
   const std::size_t wire = frame.wire_bytes();
   if (vp.tx->post(std::move(frame))) {
     ++emitted_;
-    tm_emitted_.add(1);
     ++q.emitted;
     q.emitted_wire_bytes += wire;
-    q.tm_emitted.add(1);
   } else {
     // TX ring full despite pacing (e.g. the link is flapped down): the
     // frame is gone; the conservation identity accounts it here.
     ++egress_ring_drops_;
-    tm_egress_ring_drops_.add(1);
     ++q.egress_ring_drops;
-    q.tm_egress_ring_drops.add(1);
   }
   // Self-pace at the vport's wire rate: the TX ring stays shallow, so the
   // *next* priority decision is made when this frame has serialized

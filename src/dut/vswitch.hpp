@@ -32,7 +32,7 @@
 #include "nic/port.hpp"
 #include "sim/bitmap.hpp"
 #include "sim/event_queue.hpp"
-#include "telemetry/handles.hpp"
+#include "telemetry/registry.hpp"
 
 namespace moongen::dut {
 
@@ -145,6 +145,8 @@ class VSwitch {
   /// on `events` (Scenario couples them).
   VSwitch(sim::EventQueue& events, nic::Port& in_port, int in_queue,
           std::vector<nic::Port*> out_ports, VSwitchConfig config);
+  VSwitch(const VSwitch&) = delete;
+  VSwitch& operator=(const VSwitch&) = delete;
 
   /// Installs a five-tuple exact-match rule owned by `tenant` (index into
   /// config.tenants). Five-tuple rules win over the VID table. Throws
@@ -184,10 +186,10 @@ class VSwitch {
   /// `<site>.stall` (service-loop freeze, like the forwarder's).
   void install_faults(fault::FaultPlane& plane, const std::string& site);
 
-  /// Resolve-once handles: global books under `<prefix>.*`, per-tenant
-  /// books under `<prefix>.t<k>.*` (the flood queue's under
+  /// Registers readers of the global books under `<prefix>.*` and of the
+  /// per-tenant books under `<prefix>.t<k>.*` (the flood queue's under
   /// `<prefix>.flood.*`).
-  void bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix);
+  void bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix);
 
  private:
   struct FlowSlot {
@@ -238,11 +240,6 @@ class VSwitch {
     std::uint64_t shaped_drops = 0;
     std::uint64_t queue_drops = 0;
     std::uint64_t egress_ring_drops = 0;
-    telemetry::CounterHandle tm_matched;
-    telemetry::CounterHandle tm_emitted;
-    telemetry::CounterHandle tm_shaped_drops;
-    telemetry::CounterHandle tm_queue_drops;
-    telemetry::CounterHandle tm_egress_ring_drops;
   };
 
   /// One egress port: strict-priority classes, each a DRR rotation over
@@ -309,14 +306,7 @@ class VSwitch {
   std::uint64_t stalls_ = 0;
   std::uint64_t drr_visits_ = 0;
 
-  telemetry::CounterHandle tm_received_;
-  telemetry::CounterHandle tm_matched_;
-  telemetry::CounterHandle tm_flooded_;
-  telemetry::CounterHandle tm_shaped_drops_;
-  telemetry::CounterHandle tm_queue_drops_;
-  telemetry::CounterHandle tm_fault_drops_;
-  telemetry::CounterHandle tm_emitted_;
-  telemetry::CounterHandle tm_egress_ring_drops_;
+  telemetry::Binding telemetry_;
 };
 
 }  // namespace moongen::dut

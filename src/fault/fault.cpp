@@ -145,8 +145,6 @@ namespace detail {
 
 void FaultSite::record_fire() {
   ++fires;
-  tm_fires.add(1);
-  if (plane != nullptr) plane->tm_total_.add(1);
   if (plane != nullptr && plane->fire_hook_) plane->fire_hook_(name, kind, plane->now_ps());
 }
 
@@ -196,7 +194,7 @@ detail::FaultSite* FaultPlane::make_site(FaultKind kind, const std::string& site
   s.kind = kind;
   s.rng.seed(splitmix64(spec_.seed ^ fnv1a(site) ^
                         (static_cast<std::uint64_t>(kind) + 1) * 0x9e3779b97f4a7c15ull));
-  if (tree_ != nullptr) bind_site(s);
+  if (telemetry_.bound()) bind_site(s);
   return &s;
 }
 
@@ -243,16 +241,14 @@ void FaultPlane::arm_clock_faults(sim::PtpClock& clock, const std::string& site)
 }
 
 void FaultPlane::bind_site(detail::FaultSite& site) {
-  site.tm_fires = tree_->counter(prefix_ + "." + to_string(site.kind) + "." + site.name);
-  site.tm_fires.add(site.fires);  // late binding: seed with history
+  telemetry_.counter(prefix_ + "." + to_string(site.kind) + "." + site.name,
+                     [&site] { return site.fires; });
 }
 
-void FaultPlane::bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix) {
-  if (tree_ != nullptr) return;  // already bound
-  tree_ = &tree;
+void FaultPlane::bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix) {
+  telemetry_.open(registry);
   prefix_ = prefix;
-  tm_total_ = tree.counter(prefix + ".total");
-  tm_total_.add(total_fires());
+  telemetry_.counter(prefix + ".total", [this] { return total_fires(); });
   for (auto& s : sites_) bind_site(s);
 }
 

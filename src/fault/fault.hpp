@@ -34,7 +34,7 @@
 
 #include "sim/time.hpp"
 #include "stats/mt19937_64.hpp"
-#include "telemetry/handles.hpp"
+#include "telemetry/registry.hpp"
 
 namespace moongen::sim {
 class EventQueue;
@@ -129,7 +129,6 @@ struct FaultSite {
   std::vector<ArmedRule> armed;
   std::uint64_t probes = 0;
   std::uint64_t fires = 0;
-  telemetry::CounterHandle tm_fires;
 };
 
 }  // namespace detail
@@ -178,10 +177,9 @@ class FaultPlane {
   /// at the window end if one is set). Requires an event queue.
   void arm_clock_faults(sim::PtpClock& clock, const std::string& site);
 
-  /// Mirrors per-site fire counts into `<prefix>.<kind>.<site>` counters
-  /// plus `<prefix>.total` of `tree`. Sites created later are bound on
-  /// creation.
-  void bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix = "fault");
+  /// Exports per-site fire counts as `<prefix>.<kind>.<site>` counters plus
+  /// `<prefix>.total`. Sites created later are exported on creation.
+  void bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix = "fault");
 
   [[nodiscard]] const FaultSpec& spec() const { return spec_; }
   [[nodiscard]] sim::EventQueue* events() const { return events_; }
@@ -229,9 +227,8 @@ class FaultPlane {
   std::deque<detail::FaultSite> sites_;  // deque: stable addresses for points
   std::vector<RequestedSite> requested_;
   FireHook fire_hook_;
-  telemetry::MetricTree* tree_ = nullptr;
   std::string prefix_;
-  telemetry::CounterHandle tm_total_;
+  telemetry::Binding telemetry_;
 };
 
 }  // namespace moongen::fault

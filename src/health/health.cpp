@@ -27,20 +27,17 @@ std::vector<Violation> CheckerRegistry::run_all(sim::SimTime now_ps) {
     fresh.push_back(Violation{names_[i], std::move(r.detail), now_ps});
   }
   for (const auto& v : fresh) violations_.push_back(v);
-  if (tm_checks_.valid()) {
-    tm_checks_.add(checks_run_ - tm_checks_published_);
-    tm_checks_published_ = checks_run_;
-    tm_violations_.add(violations_.size() - tm_violations_published_);
-    tm_violations_published_ = violations_.size();
-  }
   return fresh;
 }
 
-void CheckerRegistry::bind_telemetry(telemetry::MetricTree& tree,
+void CheckerRegistry::bind_telemetry(telemetry::MetricRegistry& registry,
                                      const std::string& prefix) {
-  tm_checks_ = tree.counter(prefix + ".checks_run");
-  tm_violations_ = tree.counter(prefix + ".violations");
-  tree.gauge(prefix + ".checkers").set(static_cast<double>(checkers_.size()));
+  telemetry_.open(registry);
+  telemetry_.counter(prefix + ".checks_run", [this] { return checks_run_; });
+  telemetry_.counter(prefix + ".violations",
+                     [this] { return static_cast<std::uint64_t>(violations_.size()); });
+  telemetry_.gauge(prefix + ".checkers",
+                   [this] { return static_cast<double>(checkers_.size()); });
 }
 
 // --- factories --------------------------------------------------------------

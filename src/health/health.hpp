@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "sim/time.hpp"
-#include "telemetry/handles.hpp"
+#include "telemetry/registry.hpp"
 
 namespace moongen::telemetry {
 class RttPlane;
@@ -81,6 +81,10 @@ struct Violation {
 /// reports them all at exit; the flight recorder embeds them in its dump).
 class CheckerRegistry {
  public:
+  CheckerRegistry() = default;
+  CheckerRegistry(const CheckerRegistry&) = delete;
+  CheckerRegistry& operator=(const CheckerRegistry&) = delete;
+
   void add(std::string name, CheckFn fn);
 
   /// Evaluates every checker at `now_ps`. Returns the violations from this
@@ -93,19 +97,17 @@ class CheckerRegistry {
   [[nodiscard]] std::uint64_t checks_run() const { return checks_run_; }
   [[nodiscard]] const std::vector<std::string>& names() const { return names_; }
 
-  /// Mirrors `<prefix>.checks_run` / `<prefix>.violations` counters and the
-  /// `<prefix>.checkers` gauge into `registry`.
-  void bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix = "health");
+  /// Exports checks_run() and the violation count as `<prefix>.checks_run`
+  /// / `<prefix>.violations` counters and checker_count() as the
+  /// `<prefix>.checkers` gauge.
+  void bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix = "health");
 
  private:
   std::vector<std::string> names_;
   std::vector<CheckFn> checkers_;
   std::vector<Violation> violations_;
   std::uint64_t checks_run_ = 0;
-  telemetry::CounterHandle tm_checks_;
-  telemetry::CounterHandle tm_violations_;
-  std::uint64_t tm_checks_published_ = 0;
-  std::uint64_t tm_violations_published_ = 0;
+  telemetry::Binding telemetry_;
 };
 
 // --- checker factories ------------------------------------------------------

@@ -40,23 +40,20 @@ void DegradationGovernor::tick() {
   if (!active_ && hot_streak_ >= cfg_.enter_windows) {
     active_ = true;
     ++enters_;
-    tm_enter_.add(1);
     if (apply_) apply_(true, cfg_.degraded_keep);
   } else if (active_ && cool_streak_ >= cfg_.exit_windows) {
     active_ = false;
     ++recovers_;
-    tm_recover_.add(1);
     if (apply_) apply_(false, 1.0);
   }
-  tm_active_.set(active_ ? 1.0 : 0.0);
 }
 
-void DegradationGovernor::bind_telemetry(telemetry::MetricTree& tree,
+void DegradationGovernor::bind_telemetry(telemetry::MetricRegistry& registry,
                                          const std::string& prefix) {
-  tm_enter_ = tree.counter(prefix + ".enter");
-  tm_recover_ = tree.counter(prefix + ".recover");
-  tm_active_ = tree.gauge(prefix + ".active");
-  tm_active_.set(0.0);
+  telemetry_.open(registry);
+  telemetry_.counter(prefix + ".enter", [this] { return enters_; });
+  telemetry_.counter(prefix + ".recover", [this] { return recovers_; });
+  telemetry_.gauge(prefix + ".active", [this] { return active_ ? 1.0 : 0.0; });
 }
 
 // --- HealthMonitor ----------------------------------------------------------
@@ -86,7 +83,7 @@ HealthMonitor::HealthMonitor(testbed::Testbed& tb, MonitorConfig cfg) : tb_(tb),
   checkers_.add("link.conservation", make_link_checker(tb_));
   checkers_.add("port.accounting", make_port_checker(tb_));
   if (tb_.vswitch_count() > 0) checkers_.add("vswitch.conservation", make_vswitch_checker(tb_));
-  checkers_.bind_telemetry(tb_.registry().shard(0), "health");
+  checkers_.bind_telemetry(tb_.registry(), "health");
 
   if (cfg_.enable_watchdog) watchdog_ = std::make_unique<Watchdog>(rt, cfg_.watchdog);
 }
@@ -104,7 +101,7 @@ DegradationGovernor& HealthMonitor::add_governor(std::string label, GovernorConf
                                                  DegradationGovernor::ApplyFn apply) {
   auto gov = std::make_unique<DegradationGovernor>(std::move(label), cfg, std::move(pressure),
                                                    std::move(apply));
-  gov->bind_telemetry(tb_.registry().shard(0), "health.degraded." + gov->label());
+  gov->bind_telemetry(tb_.registry(), "health.degraded." + gov->label());
   governors_.push_back(std::move(gov));
   return *governors_.back();
 }
@@ -135,7 +132,7 @@ void HealthMonitor::dump(std::ostream& os, const std::string& reason, bool quies
   if (!quiesced) {
     // Watchdog-trip path: shards may still be running, so only the
     // recorder's lock-free rings and the heartbeat atomics are safe —
-    // no engine-counter flush, no simulated-clock read.
+    // no telemetry reader, no simulated-clock read.
     recorder_->dump_json(os, reason, checkers_.violations(), heartbeats, nullptr);
     return;
   }

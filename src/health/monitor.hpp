@@ -34,10 +34,6 @@ namespace moongen::testbed {
 class Testbed;
 }
 
-namespace moongen::telemetry {
-
-}
-
 namespace moongen::health {
 
 // --- graceful degradation ---------------------------------------------------
@@ -68,6 +64,8 @@ class DegradationGovernor {
   using ApplyFn = std::function<void(bool degraded, double keep)>;
 
   DegradationGovernor(std::string label, GovernorConfig cfg, PressureFn pressure, ApplyFn apply);
+  DegradationGovernor(const DegradationGovernor&) = delete;
+  DegradationGovernor& operator=(const DegradationGovernor&) = delete;
 
   /// Window-boundary evaluation; called by the HealthMonitor's tick.
   void tick();
@@ -79,7 +77,7 @@ class DegradationGovernor {
 
   /// `<prefix>.enter` / `<prefix>.recover` counters + `<prefix>.active`
   /// gauge (prefix is typically "health.degraded.<label>").
-  void bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix);
+  void bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix);
 
  private:
   std::string label_;
@@ -93,9 +91,7 @@ class DegradationGovernor {
   bool active_ = false;
   std::uint64_t enters_ = 0;
   std::uint64_t recovers_ = 0;
-  telemetry::CounterHandle tm_enter_;
-  telemetry::CounterHandle tm_recover_;
-  telemetry::GaugeHandle tm_active_;
+  telemetry::Binding telemetry_;
 };
 
 // --- the monitor ------------------------------------------------------------

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "telemetry/registry.hpp"
-
 namespace moongen::membuf {
 
 Mempool::Mempool(std::size_t capacity, InitFn init) {
@@ -19,17 +17,12 @@ Mempool::Mempool(std::size_t capacity, InitFn init) {
   low_watermark_ = capacity;
 }
 
-void Mempool::note_exhausted() {
-  ++exhausted_events_;
-  tm_exhausted_.add(1);
-}
-
 std::size_t Mempool::alloc_batch(std::span<PktBuf*> out, std::size_t frame_length) {
   lock();
   if (fp_alloc_fail_.installed() && fp_alloc_fail_.fire(fault_plane_->now_ps()) != nullptr) {
     // Injected transient exhaustion: the whole request fails, exactly as if
     // another queue had momentarily drained the pool.
-    note_exhausted();
+    ++exhausted_events_;
     unlock();
     return 0;
   }
@@ -41,19 +34,10 @@ std::size_t Mempool::alloc_batch(std::span<PktBuf*> out, std::size_t frame_lengt
     buf->flags_ = OffloadFlags{};
     out[i] = buf;
   }
-  if (n < out.size()) note_exhausted();
+  if (n < out.size()) ++exhausted_events_;
   low_watermark_ = std::min(low_watermark_, free_list_.size());
   unlock();
   return n;
-}
-
-void Mempool::bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix) {
-  if (tm_exhausted_.valid()) return;  // already bound
-  auto counter = tree.counter(prefix + ".exhausted");
-  lock();
-  counter.add(exhausted_events_);  // seed with history, as elsewhere
-  tm_exhausted_ = counter;
-  unlock();
 }
 
 void Mempool::install_faults(fault::FaultPlane& plane, const std::string& site) {

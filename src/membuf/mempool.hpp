@@ -16,7 +16,6 @@
 
 #include "fault/fault.hpp"
 #include "membuf/pktbuf.hpp"
-#include "telemetry/handles.hpp"
 
 namespace moongen::membuf {
 
@@ -64,12 +63,8 @@ class Mempool {
 
   /// Times an allocation came back short (pool genuinely empty or an
   /// injected transient failure) — the signal the TX path's retry logic and
-  /// the `<prefix>.exhausted` telemetry counter are built on.
+  /// the health plane's degradation governors are built on.
   [[nodiscard]] std::uint64_t exhausted_events() const { return exhausted_events_; }
-
-  /// Mirrors exhaustion events into `<prefix>.exhausted` of `tree`,
-  /// resolving the counter handle once (per-shard metric API).
-  void bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix);
 
   /// Arms the alloc-failure fault site: a fire makes the next alloc_batch
   /// return 0, as if the pool were momentarily drained. Probes run under
@@ -97,14 +92,11 @@ class Mempool {
   }
   void unlock() const { lock_.clear(std::memory_order_release); }
 
-  void note_exhausted();
-
   std::vector<std::unique_ptr<PktBuf>> storage_;
   std::vector<PktBuf*> free_list_;
   std::size_t low_watermark_;
   mutable std::atomic_flag lock_ = ATOMIC_FLAG_INIT;
   std::uint64_t exhausted_events_ = 0;  // guarded by lock_
-  telemetry::CounterHandle tm_exhausted_;
   fault::FaultPoint fp_alloc_fail_;
   fault::FaultPlane* fault_plane_ = nullptr;  // set with fp_alloc_fail_
 };

@@ -298,8 +298,6 @@ void Port::start_transmission(TxQueueModel& q, std::size_t max_frames) {
   events_.schedule_at_inline(last_busy_end_, [this, frames, bytes] {
     stats_.tx_packets += frames;
     stats_.tx_bytes += bytes;
-    tm_.tx_packets.add(frames);
-    tm_.tx_bytes.add(bytes);
     serializer_busy_ = false;
     try_transmit();
   });
@@ -369,7 +367,6 @@ void Port::deliver_frame(Frame frame, sim::SimTime first_bit_ps) {
     // queue, only the error counter moves (Section 8.1).
     if (!frame.fcs_valid || frame.frame_size() < proto::kMinFrameSize) {
       stats_.crc_errors += 1;
-      tm_.crc_errors.add(1);
       // A stamped frame corrupted on the wire dies here: account the stamp
       // as dropped, never silently shrink the RTT population.
       if (rtt_ != nullptr && frame.tx_stamp_ps != 0) rtt_->note_dropped();
@@ -377,8 +374,6 @@ void Port::deliver_frame(Frame frame, sim::SimTime first_bit_ps) {
     }
     stats_.rx_packets += 1;
     stats_.rx_bytes += frame.frame_size();
-    tm_.rx_packets.add(1);
-    tm_.rx_bytes.add(frame.frame_size());
 
     std::uint64_t hw_ts = 0;
     if (spec_.rx_timestamp_all) {
@@ -404,7 +399,6 @@ void Port::deliver_frame(Frame frame, sim::SimTime first_bit_ps) {
     if (ring_full ||
         (fp_rx_overflow_.installed() && fp_rx_overflow_.fire(events_.now()) != nullptr)) {
       stats_.rx_ring_drops += 1;
-      tm_.rx_ring_drops.add(1);
       if (rtt_ != nullptr && frame.tx_stamp_ps != 0) rtt_->note_dropped();
       return;
     }
@@ -436,24 +430,16 @@ void Port::deliver_frame(Frame frame, sim::SimTime first_bit_ps) {
   });
 }
 
-void Port::bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix) {
-  if (tm_.tx_packets.valid()) return;  // already bound; re-seeding would double-count
-  tm_.tx_packets = tree.counter(prefix + ".tx_packets");
-  tm_.tx_bytes = tree.counter(prefix + ".tx_bytes");
-  tm_.rx_packets = tree.counter(prefix + ".rx_packets");
-  tm_.rx_bytes = tree.counter(prefix + ".rx_bytes");
-  tm_.crc_errors = tree.counter(prefix + ".crc_errors");
-  tm_.rx_ring_drops = tree.counter(prefix + ".rx_ring_drops");
-  tm_.link_resume = tree.counter("recover." + prefix + ".link_resume");
-  // Re-binding mid-run would double-count history; seed the counters with
-  // the current totals so registry and PortStats agree from this point on.
-  tm_.tx_packets.add(stats_.tx_packets);
-  tm_.tx_bytes.add(stats_.tx_bytes);
-  tm_.rx_packets.add(stats_.rx_packets);
-  tm_.rx_bytes.add(stats_.rx_bytes);
-  tm_.crc_errors.add(stats_.crc_errors);
-  tm_.rx_ring_drops.add(stats_.rx_ring_drops);
-  tm_.link_resume.add(stats_.link_up_events);
+void Port::bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix) {
+  telemetry_.open(registry);
+  telemetry_.counter(prefix + ".tx_packets", [this] { return stats_.tx_packets; });
+  telemetry_.counter(prefix + ".tx_bytes", [this] { return stats_.tx_bytes; });
+  telemetry_.counter(prefix + ".rx_packets", [this] { return stats_.rx_packets; });
+  telemetry_.counter(prefix + ".rx_bytes", [this] { return stats_.rx_bytes; });
+  telemetry_.counter(prefix + ".crc_errors", [this] { return stats_.crc_errors; });
+  telemetry_.counter(prefix + ".rx_ring_drops", [this] { return stats_.rx_ring_drops; });
+  telemetry_.counter("recover." + prefix + ".link_resume",
+                     [this] { return stats_.link_up_events; });
 }
 
 void Port::set_link_state(bool up) {
@@ -461,7 +447,6 @@ void Port::set_link_state(bool up) {
   link_up_ = up;
   if (up) {
     stats_.link_up_events += 1;
-    tm_.link_resume.add(1);
     // Resume: drain everything that queued up during the outage.
     try_transmit();
   } else {

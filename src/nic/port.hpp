@@ -35,7 +35,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/ptp_clock.hpp"
 #include "stats/mt19937_64.hpp"
-#include "telemetry/handles.hpp"
+#include "telemetry/registry.hpp"
 #include "telemetry/rtt_plane.hpp"
 
 namespace moongen::nic {
@@ -72,19 +72,6 @@ struct PortStats {
   /// Carrier transitions (injected link flaps).
   std::uint64_t link_down_events = 0;
   std::uint64_t link_up_events = 0;
-};
-
-/// Metric handles mirroring PortStats, resolved once by bind_telemetry
-/// (per-shard tree handles; default-constructed handles are no-op sinks).
-struct PortTelemetry {
-  telemetry::CounterHandle tx_packets;
-  telemetry::CounterHandle tx_bytes;
-  telemetry::CounterHandle rx_packets;
-  telemetry::CounterHandle rx_bytes;
-  telemetry::CounterHandle crc_errors;
-  telemetry::CounterHandle rx_ring_drops;
-  /// `recover.<prefix>.link_resume`: carrier-up transitions after an outage.
-  telemetry::CounterHandle link_resume;
 };
 
 /// One hardware transmit queue.
@@ -225,9 +212,11 @@ class Port {
 
   [[nodiscard]] const PortStats& stats() const { return stats_; }
 
-  /// Resolves `<prefix>.tx_packets` etc. handles from `tree` (the metric
-  /// tree of this port's simulation shard). The tree must outlive the port.
-  void bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix);
+  /// Registers readers of PortStats as `<prefix>.tx_packets`, `.tx_bytes`,
+  /// `.rx_packets`, `.rx_bytes`, `.crc_errors`, `.rx_ring_drops` and
+  /// `recover.<prefix>.link_resume` (carrier-up transitions after an
+  /// outage). The registry must outlive the port.
+  void bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix);
 
   /// Attaches this port to the always-on RTT plane: `rtt` is the RttShard
   /// of this port's simulation shard. The TX path stamps departures on
@@ -372,7 +361,6 @@ class Port {
   fault::FaultPoint fp_rx_overflow_;
 
   PortStats stats_;
-  PortTelemetry tm_;
   telemetry::RttShard* rtt_ = nullptr;
   bool rtt_record_ = false;
   sim::PtpClock ptp_clock_;
@@ -380,6 +368,7 @@ class Port {
   std::optional<std::uint64_t> rx_stamp_register_;
   std::function<void(std::uint64_t)> rx_stamp_callback_;
   DmaTiming dma_;
+  telemetry::Binding telemetry_;
 };
 
 }  // namespace moongen::nic

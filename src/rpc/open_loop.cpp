@@ -58,10 +58,7 @@ bool ClientBase::issue(std::uint64_t aux) {
     return false;
   }
   ++issued_;
-  tm_.issued.set(static_cast<double>(issued_));
-  tm_.peak_inflight.set(static_cast<double>(table_.peak()));
   send_or_park(req);
-  tm_.inflight.set(static_cast<double>(table_.size()));
   return true;
 }
 
@@ -80,7 +77,6 @@ void ClientBase::send_or_park(const Request& req) {
   if (pending_.empty() && post_request(req)) return;
   if (pending_.full()) {
     ++send_drops_;
-    tm_.send_drops.set(static_cast<double>(send_drops_));
     if (const auto rec = table_.take(req.seq); rec.has_value()) on_send_dropped(*rec);
     return;
   }
@@ -119,8 +115,6 @@ void ClientBase::on_rx(const nic::RxQueueModel::Entry& entry) {
     return;
   }
   ++matched_;
-  tm_.matched.set(static_cast<double>(matched_));
-  tm_.inflight.set(static_cast<double>(table_.size()));
   const sim::SimTime now = events_.now();
   if (rec->tx_time_ps >= measure_start_ps_ && rec->tx_time_ps < measure_end_ps_)
     recorder_.record_ps(now - rec->tx_time_ps);
@@ -141,28 +135,20 @@ void ClientBase::timeout_sweep() {
     ++timed_out_;
     on_timed_out(rec);
   });
-  tm_.timed_out.set(static_cast<double>(timed_out_));
-  tm_.inflight.set(static_cast<double>(table_.size()));
   // Keep sweeping one timeout past the stop so entries leaked by loss near
   // the end of the run are still reclaimed.
   if (now < stop_ps_ + cfg_.timeout_ps) arm_timeout_sweep();
 }
 
-void ClientBase::bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix) {
-  if (tm_.issued.valid()) return;
-  tm_.issued = tree.gauge(prefix + ".issued");
-  tm_.matched = tree.gauge(prefix + ".matched");
-  tm_.inflight = tree.gauge(prefix + ".inflight");
-  tm_.peak_inflight = tree.gauge(prefix + ".peak_inflight");
-  tm_.timed_out = tree.gauge(prefix + ".timed_out");
-  tm_.send_drops = tree.gauge(prefix + ".send_drops");
-  // Seed from the books; every mutation sets its gauge from here on.
-  tm_.issued.set(static_cast<double>(issued_));
-  tm_.matched.set(static_cast<double>(matched_));
-  tm_.inflight.set(static_cast<double>(table_.size()));
-  tm_.peak_inflight.set(static_cast<double>(table_.peak()));
-  tm_.timed_out.set(static_cast<double>(timed_out_));
-  tm_.send_drops.set(static_cast<double>(send_drops_));
+void ClientBase::bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix) {
+  telemetry_.open(registry);
+  telemetry_.gauge(prefix + ".issued", [this] { return static_cast<double>(issued_); });
+  telemetry_.gauge(prefix + ".matched", [this] { return static_cast<double>(matched_); });
+  telemetry_.gauge(prefix + ".inflight", [this] { return static_cast<double>(table_.size()); });
+  telemetry_.gauge(prefix + ".peak_inflight",
+                   [this] { return static_cast<double>(table_.peak()); });
+  telemetry_.gauge(prefix + ".timed_out", [this] { return static_cast<double>(timed_out_); });
+  telemetry_.gauge(prefix + ".send_drops", [this] { return static_cast<double>(send_drops_); });
 }
 
 }  // namespace detail

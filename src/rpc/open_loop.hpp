@@ -32,7 +32,7 @@
 #include "rpc/latency_recorder.hpp"
 #include "sim/event_queue.hpp"
 #include "stats/samplers.hpp"
-#include "telemetry/handles.hpp"
+#include "telemetry/registry.hpp"
 
 namespace moongen::rpc {
 
@@ -87,10 +87,9 @@ class ClientBase {
   [[nodiscard]] std::size_t peak_inflight() const { return table_.peak(); }
   [[nodiscard]] LatencyRecorder& recorder() { return recorder_; }
 
-  /// Gauges under `<prefix>.*` (issued, matched, inflight, peak_inflight,
-  /// timed_out, send_drops), set wherever the counts above change, so any
-  /// quiesced snapshot reads them exact.
-  void bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix);
+  /// Gauges under `<prefix>.*` reading issued, matched, inflight,
+  /// peak_inflight, timed_out and send_drops above.
+  void bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix);
 
  protected:
   struct Request {
@@ -147,15 +146,7 @@ class ClientBase {
   std::uint64_t table_rejects_ = 0;
   std::uint64_t garbage_ = 0;
   std::uint64_t tx_deferrals_ = 0;
-
-  struct Gauges {
-    telemetry::GaugeHandle issued;
-    telemetry::GaugeHandle matched;
-    telemetry::GaugeHandle inflight;
-    telemetry::GaugeHandle peak_inflight;
-    telemetry::GaugeHandle timed_out;
-    telemetry::GaugeHandle send_drops;
-  } tm_;
+  telemetry::Binding telemetry_;
 };
 
 }  // namespace detail

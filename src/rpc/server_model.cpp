@@ -52,16 +52,13 @@ void ServerModel::on_rx(const nic::RxQueueModel::Entry& entry) {
     return;
   }
   ++received_;
-  tm_.received.set(static_cast<double>(received_));
   if (queue_.full()) {
     // Overload shedding: the request vanishes; the client sees a timeout.
     ++queue_drops_;
-    tm_.queue_drops.set(static_cast<double>(queue_drops_));
     return;
   }
   queue_.push_back(PendingRequest{decoded->op, decoded->seq, decoded->key, decoded->tx_time_ps,
                                   entry.frame.flow});
-  tm_.queue_depth.set(static_cast<double>(queue_.size()));
   if (queue_.size() > peak_queue_) peak_queue_ = queue_.size();
   try_dispatch();
 }
@@ -80,7 +77,6 @@ void ServerModel::try_dispatch() {
     if (fp_stall_.installed()) {
       if (const auto* rule = fp_stall_.fire(now); rule != nullptr) {
         ++stalls_;
-        tm_.stalls.set(static_cast<double>(stalls_));
         const auto stall_ps = static_cast<sim::SimTime>(std::max(rule->param, 1.0));
         stall_until_ps_ = now + stall_ps;
         events_.schedule_in_inline(stall_ps, [this] { try_dispatch(); });
@@ -88,7 +84,6 @@ void ServerModel::try_dispatch() {
       }
     }
     const PendingRequest req = queue_.pop_front();
-    tm_.queue_depth.set(static_cast<double>(queue_.size()));
     ++busy_;
     events_.schedule_in_inline(sample_service_ps(), [this, req] { complete(req); });
   }
@@ -97,7 +92,6 @@ void ServerModel::try_dispatch() {
 void ServerModel::complete(const PendingRequest& req) {
   --busy_;
   ++completed_;
-  tm_.completed.set(static_cast<double>(completed_));
   send_response(req);
   try_dispatch();
 }
@@ -148,19 +142,14 @@ void ServerModel::drain_tx_retry() {
   }
 }
 
-void ServerModel::bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix) {
-  if (tm_.received.valid()) return;
-  tm_.received = tree.gauge(prefix + ".received");
-  tm_.completed = tree.gauge(prefix + ".completed");
-  tm_.queue_depth = tree.gauge(prefix + ".queue_depth");
-  tm_.queue_drops = tree.gauge(prefix + ".queue_drops");
-  tm_.stalls = tree.gauge(prefix + ".stalls");
-  // Seed from the books; every mutation sets its gauge from here on.
-  tm_.received.set(static_cast<double>(received_));
-  tm_.completed.set(static_cast<double>(completed_));
-  tm_.queue_depth.set(static_cast<double>(queue_.size()));
-  tm_.queue_drops.set(static_cast<double>(queue_drops_));
-  tm_.stalls.set(static_cast<double>(stalls_));
+void ServerModel::bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix) {
+  telemetry_.open(registry);
+  telemetry_.gauge(prefix + ".received", [this] { return static_cast<double>(received_); });
+  telemetry_.gauge(prefix + ".completed", [this] { return static_cast<double>(completed_); });
+  telemetry_.gauge(prefix + ".queue_depth",
+                   [this] { return static_cast<double>(queue_.size()); });
+  telemetry_.gauge(prefix + ".queue_drops", [this] { return static_cast<double>(queue_drops_); });
+  telemetry_.gauge(prefix + ".stalls", [this] { return static_cast<double>(stalls_); });
 }
 
 }  // namespace moongen::rpc

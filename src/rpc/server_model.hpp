@@ -25,7 +25,7 @@
 #include "rpc/codec.hpp"
 #include "sim/time.hpp"
 #include "stats/samplers.hpp"
-#include "telemetry/handles.hpp"
+#include "telemetry/registry.hpp"
 
 namespace moongen::rpc {
 
@@ -74,10 +74,9 @@ class ServerModel {
   [[nodiscard]] std::size_t peak_queue_depth() const { return peak_queue_; }
   [[nodiscard]] int busy_workers() const { return busy_; }
 
-  /// Gauges under `<prefix>.*` (received, completed, queue_depth,
-  /// queue_drops, stalls), set wherever those counts change, so any
-  /// quiesced snapshot reads them exact.
-  void bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix);
+  /// Gauges under `<prefix>.*` reading received, completed, queue_depth,
+  /// queue_drops and stalls above.
+  void bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix);
 
  private:
   struct PendingRequest {
@@ -118,14 +117,7 @@ class ServerModel {
   std::uint64_t garbage_ = 0;
   std::uint64_t stalls_ = 0;
   std::size_t peak_queue_ = 0;
-
-  struct Gauges {
-    telemetry::GaugeHandle received;
-    telemetry::GaugeHandle completed;
-    telemetry::GaugeHandle queue_depth;
-    telemetry::GaugeHandle queue_drops;
-    telemetry::GaugeHandle stalls;
-  } tm_;
+  telemetry::Binding telemetry_;
 };
 
 }  // namespace moongen::rpc

@@ -5,8 +5,6 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "telemetry/registry.hpp"
-
 namespace moongen::sim {
 
 namespace {
@@ -290,27 +288,16 @@ std::string EventQueue::audit() const {
   return {};
 }
 
-void EventQueue::bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix) {
-  if (tm_executed_.valid()) return;  // already bound
-  tm_executed_ = tree.counter(prefix + ".events_executed");
-  tm_wheel_ = tree.counter(prefix + ".wheel_scheduled");
-  tm_heap_ = tree.counter(prefix + ".heap_scheduled");
-  tm_rate_ = tree.gauge(prefix + ".events_per_wall_second");
-  publish_telemetry();
-}
-
-void EventQueue::publish_telemetry() {
-  if (!tm_executed_.valid()) return;
-  tm_executed_.add(executed_ - tm_executed_published_);
-  tm_wheel_.add(wheel_scheduled_ - tm_wheel_published_);
-  tm_heap_.add(heap_scheduled_ - tm_heap_published_);
-  tm_executed_published_ = executed_;
-  tm_wheel_published_ = wheel_scheduled_;
-  tm_heap_published_ = heap_scheduled_;
-  if (run_wall_ns_ > 0) {
-    tm_rate_.set(static_cast<double>(executed_) /
-                 (static_cast<double>(run_wall_ns_) / 1e9));
-  }
+void EventQueue::bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix) {
+  telemetry_.open(registry);
+  telemetry_.counter(prefix + ".events_executed", [this] { return executed_; });
+  telemetry_.counter(prefix + ".wheel_scheduled", [this] { return wheel_scheduled_; });
+  telemetry_.counter(prefix + ".heap_scheduled", [this] { return heap_scheduled_; });
+  telemetry_.gauge(prefix + ".events_per_wall_second", [this] {
+    return run_wall_ns_ > 0
+               ? static_cast<double>(executed_) / (static_cast<double>(run_wall_ns_) / 1e9)
+               : 0.0;
+  });
 }
 
 }  // namespace moongen::sim

@@ -26,7 +26,7 @@
 
 #include "sim/inline_function.hpp"
 #include "sim/time.hpp"
-#include "telemetry/handles.hpp"
+#include "telemetry/registry.hpp"
 
 namespace moongen::sim {
 
@@ -66,6 +66,8 @@ class EventQueue {
     // pages are committed on first touch, so small sims stay small.
     pool_.reserve(32768);
   }
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
 
   /// Current virtual time.
   [[nodiscard]] SimTime now() const { return now_; }
@@ -148,15 +150,10 @@ class EventQueue {
   /// not per event.
   [[nodiscard]] std::string audit() const;
 
-  /// Registers `<prefix>.events_executed`, `<prefix>.wheel_scheduled`,
-  /// `<prefix>.heap_scheduled` (counters) and
-  /// `<prefix>.events_per_wall_second` (gauge) in `registry`. Metrics are
-  /// NOT updated per event — publish_telemetry() flushes the deltas
-  /// (testbed::Testbed::snapshot does so for every shard engine).
-  void bind_telemetry(telemetry::MetricTree& tree, const std::string& prefix);
-  /// Flushes executed/scheduled deltas into the bound registry counters and
-  /// refreshes the events-per-wall-second gauge.
-  void publish_telemetry();
+  /// Registers readers of `<prefix>.events_executed`,
+  /// `<prefix>.wheel_scheduled`, `<prefix>.heap_scheduled` (counters) and
+  /// `<prefix>.events_per_wall_second` (gauge) in `registry`.
+  void bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix);
 
  private:
   struct Event {
@@ -251,15 +248,7 @@ class EventQueue {
   std::uint64_t run_wall_ns_ = 0;
 
   EventTraceSink* trace_sink_ = nullptr;
-
-  // Telemetry bindings (invalid/no-op until bind_telemetry).
-  telemetry::CounterHandle tm_executed_;
-  telemetry::CounterHandle tm_wheel_;
-  telemetry::CounterHandle tm_heap_;
-  telemetry::GaugeHandle tm_rate_;
-  std::uint64_t tm_executed_published_ = 0;
-  std::uint64_t tm_wheel_published_ = 0;
-  std::uint64_t tm_heap_published_ = 0;
+  telemetry::Binding telemetry_;
 };
 
 }  // namespace moongen::sim

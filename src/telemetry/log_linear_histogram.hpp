@@ -13,8 +13,9 @@
 // granularity (64 ns on the 82580 behind Figure 8, 6.4 ns on the 10 GbE
 // NICs of the latency plots).
 //
-// Histograms with identical geometry merge losslessly, which is what makes
-// per-shard metric trees and cross-run aggregation work.
+// Histograms with identical geometry merge losslessly, which is what lets
+// the RTT plane merge its shards and the metric registry merge several
+// readers of one name.
 #pragma once
 
 #include <algorithm>

@@ -68,24 +68,6 @@ void RttPlane::close_window(std::uint64_t end_ps) {
     windows_.pop_front();
     ++windows_evicted_;
   }
-
-  // Publish cumulative totals into the bound metric tree (delta adds keep
-  // the counters monotonic; we run quiesced, so sums are exact).
-  const RttWindow& closed = windows_.back();
-  tm_hist_.merge(overall);
-  tm_recorded_.add(recorded() - tm_recorded_published_);
-  tm_recorded_published_ = recorded();
-  tm_tx_stamped_.add(tx_stamped() - tm_tx_stamped_published_);
-  tm_tx_stamped_published_ = tx_stamped();
-  tm_rx_seen_.add(rx_seen() - tm_rx_seen_published_);
-  tm_rx_seen_published_ = rx_seen();
-  tm_dropped_.add(dropped_now - tm_dropped_published_);
-  tm_dropped_published_ = dropped_now;
-  tm_windows_.add(1);
-  tm_p50_.set(static_cast<double>(closed.p50));
-  tm_p99_.set(static_cast<double>(closed.p99));
-  tm_p999_.set(static_cast<double>(closed.p999));
-  tm_in_flight_.set(static_cast<double>(in_flight()));
 }
 
 LogLinearHistogram RttPlane::cumulative() const {
@@ -143,30 +125,24 @@ std::int64_t RttPlane::in_flight() const {
   return static_cast<std::int64_t>(births) - static_cast<std::int64_t>(deaths);
 }
 
-void RttPlane::bind_telemetry(MetricTree& tree, const std::string& prefix) {
-  if (tm_recorded_.valid()) return;  // already bound
-  tm_recorded_ = tree.counter(prefix + ".recorded");
-  tm_tx_stamped_ = tree.counter(prefix + ".tx_stamped");
-  tm_rx_seen_ = tree.counter(prefix + ".rx_seen");
-  tm_dropped_ = tree.counter(prefix + ".dropped");
-  tm_windows_ = tree.counter(prefix + ".windows");
-  tm_p50_ = tree.gauge(prefix + ".p50_ns");
-  tm_p99_ = tree.gauge(prefix + ".p99_ns");
-  tm_p999_ = tree.gauge(prefix + ".p999_ns");
-  tm_in_flight_ = tree.gauge(prefix + ".in_flight");
-  tm_hist_ = tree.histogram(prefix + ".rtt_ns", kHistogram);
-  // Seed with any history recorded before binding (mirrors the component
-  // bind_telemetry convention), so books stay exact.
-  tm_hist_.merge(cumulative());
-  tm_recorded_published_ = recorded();
-  tm_recorded_.add(tm_recorded_published_);
-  tm_tx_stamped_published_ = tx_stamped();
-  tm_tx_stamped_.add(tm_tx_stamped_published_);
-  tm_rx_seen_published_ = rx_seen();
-  tm_rx_seen_.add(tm_rx_seen_published_);
-  tm_dropped_published_ = dropped();
-  tm_dropped_.add(tm_dropped_published_);
-  tm_windows_.add(windows_closed_);
+void RttPlane::bind_telemetry(MetricRegistry& registry, const std::string& prefix) {
+  telemetry_.open(registry);
+  telemetry_.counter(prefix + ".recorded", [this] { return recorded(); });
+  telemetry_.counter(prefix + ".tx_stamped", [this] { return tx_stamped(); });
+  telemetry_.counter(prefix + ".rx_seen", [this] { return rx_seen(); });
+  telemetry_.counter(prefix + ".dropped", [this] { return dropped(); });
+  telemetry_.counter(prefix + ".windows", [this] { return windows_closed_; });
+  telemetry_.gauge(prefix + ".p50_ns", [this] {
+    return windows_.empty() ? 0.0 : static_cast<double>(windows_.back().p50);
+  });
+  telemetry_.gauge(prefix + ".p99_ns", [this] {
+    return windows_.empty() ? 0.0 : static_cast<double>(windows_.back().p99);
+  });
+  telemetry_.gauge(prefix + ".p999_ns", [this] {
+    return windows_.empty() ? 0.0 : static_cast<double>(windows_.back().p999);
+  });
+  telemetry_.gauge(prefix + ".in_flight", [this] { return static_cast<double>(in_flight()); });
+  telemetry_.histogram(prefix + ".rtt_ns", [this] { return cumulative(); });
 }
 
 void RttPlane::write_window_json(std::ostream& os, const RttWindow& w) {

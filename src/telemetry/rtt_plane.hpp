@@ -38,8 +38,8 @@
 #include <string>
 #include <vector>
 
-#include "telemetry/handles.hpp"
 #include "telemetry/log_linear_histogram.hpp"
+#include "telemetry/registry.hpp"
 
 namespace moongen::telemetry {
 
@@ -154,10 +154,9 @@ class RttPlane {
 
   /// Closes the window ending at `end_ps`: merges every shard's window
   /// histograms (shard-index order — commutative, so shard-count
-  /// invariant), computes per-group and overall p50/p99/p999, resets the
-  /// window histograms in place, and publishes cumulative totals to the
-  /// bound metric tree. Must run at a quiesced instant (it is wired as a
-  /// ParallelRuntime window hook).
+  /// invariant), computes per-group and overall p50/p99/p999 and resets
+  /// the window histograms in place. Must run at a quiesced instant (it is
+  /// wired as a ParallelRuntime window hook).
   void close_window(std::uint64_t end_ps);
 
   [[nodiscard]] const std::deque<RttWindow>& windows() const { return windows_; }
@@ -183,12 +182,12 @@ class RttPlane {
   /// health::make_rtt_checker asserts.
   [[nodiscard]] std::int64_t in_flight() const;
 
-  /// Mirrors cumulative plane totals into `tree` as `<prefix>.recorded`,
-  /// `.tx_stamped`, `.rx_seen`, `.dropped`, `.windows` counters, latest-
-  /// window `.p50/.p99/.p999` gauges and the cumulative `<prefix>.rtt_ns`
-  /// histogram. Updated at every close_window (quiesced), so ordinary
-  /// snapshots/exporters see the plane without any extra wiring.
-  void bind_telemetry(MetricTree& tree, const std::string& prefix = "rtt");
+  /// Exports the plane's totals as they stand at each snapshot:
+  /// `<prefix>.recorded`, `.tx_stamped`, `.rx_seen`, `.dropped` and
+  /// `.windows` counters, the `.in_flight` gauge and the cumulative
+  /// `<prefix>.rtt_ns` histogram; the `.p50_ns/.p99_ns/.p999_ns` gauges
+  /// read the latest closed window (0 before the first close).
+  void bind_telemetry(MetricRegistry& registry, const std::string& prefix = "rtt");
 
   /// One window as a deterministic single-line JSON object (schema
   /// "moongen-rtt-window-v1") — the streaming exporter and the window-merge
@@ -204,21 +203,7 @@ class RttPlane {
   std::uint64_t windows_closed_ = 0;
   std::uint64_t windows_evicted_ = 0;
   std::uint64_t last_dropped_ = 0;
-
-  CounterHandle tm_recorded_;
-  CounterHandle tm_tx_stamped_;
-  CounterHandle tm_rx_seen_;
-  CounterHandle tm_dropped_;
-  CounterHandle tm_windows_;
-  GaugeHandle tm_p50_;
-  GaugeHandle tm_p99_;
-  GaugeHandle tm_p999_;
-  GaugeHandle tm_in_flight_;
-  HistogramHandle tm_hist_;
-  std::uint64_t tm_recorded_published_ = 0;
-  std::uint64_t tm_tx_stamped_published_ = 0;
-  std::uint64_t tm_rx_seen_published_ = 0;
-  std::uint64_t tm_dropped_published_ = 0;
+  Binding telemetry_;
 };
 
 }  // namespace moongen::telemetry

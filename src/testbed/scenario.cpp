@@ -68,12 +68,6 @@ Scenario& Scenario::telemetry(bool enabled) {
   return *this;
 }
 
-Scenario& Scenario::telemetry(telemetry::MetricRegistry& external) {
-  telemetry_enabled_ = true;
-  external_registry_ = &external;
-  return *this;
-}
-
 Scenario& Scenario::rtt_groups(std::uint32_t n) {
   if (n == 0) throw std::invalid_argument("Scenario::rtt_groups: need at least one group");
   rtt_groups_ = n;
@@ -329,14 +323,8 @@ std::unique_ptr<Testbed> Scenario::build() {
     });
   }
 
-  // 5. Registry and fault planes. One plane per shard: a site's fault
-  // events must run on the engine of the shard that owns the component.
-  if (external_registry_ != nullptr) {
-    tb->registry_ = external_registry_;
-  } else {
-    tb->owned_registry_ = std::make_unique<telemetry::MetricRegistry>();
-    tb->registry_ = tb->owned_registry_.get();
-  }
+  // 5. Fault planes. One plane per shard: a site's fault events must run
+  // on the engine of the shard that owns the component.
   if (!fault_spec_.empty()) {
     for (std::size_t k = 0; k < effective; ++k)
       tb->planes_.push_back(
@@ -431,23 +419,20 @@ std::unique_ptr<Testbed> Scenario::build() {
 
   // 10. Telemetry: same metric names as the hand-wired examples on one
   // shard; engines gain a .shard<k> suffix when there are several. Every
-  // component resolves its handles from the tree of the shard that owns it
-  // (the per-shard metric API), so hot-path bumps never cross shards;
-  // MetricRegistry::snapshot merges the trees at quiesced instants.
+  // component registers readers of its own counters; snapshots read them
+  // at quiesced instants, and the shards' fault planes sum per name.
   if (telemetry_enabled_) {
-    for (std::size_t k = 0; k < tb->planes_.size(); ++k)
-      tb->planes_[k]->bind_telemetry(tb->registry_->shard(k));
+    for (auto& plane : tb->planes_) plane->bind_telemetry(tb->registry_);
     for (std::size_t k = 0; k < effective; ++k) {
       const std::string prefix =
           effective == 1 ? "engine" : "engine.shard" + std::to_string(k);
-      tb->runtime_->shard(k).bind_telemetry(tb->registry_->shard(k), prefix);
+      tb->runtime_->shard(k).bind_telemetry(tb->registry_, prefix);
     }
     for (auto& [id, entry] : tb->devices_)
-      entry.port->bind_telemetry(tb->registry_->shard(entry.shard), "port." + entry.name);
+      entry.port->bind_telemetry(tb->registry_, "port." + entry.name);
     for (std::size_t vi = 0; vi < vswitches_.size(); ++vi) {
-      const std::size_t shard = shard_of[device_index(vswitches_[vi].in, "vswitch")];
       const std::string stem = vi == 0 ? "vswitch" : "vswitch" + std::to_string(vi + 1);
-      tb->vswitches_[vi]->bind_telemetry(tb->registry_->shard(shard), stem);
+      tb->vswitches_[vi]->bind_telemetry(tb->registry_, stem);
     }
 
     // 10b. The always-on RTT plane: one single-writer shard slice per
@@ -471,7 +456,7 @@ std::unique_ptr<Testbed> Scenario::build() {
       const std::size_t from_shard = shard_of[device_index(expanded[li].from, "link")];
       tb->links_[li].link->attach_rtt(&plane->shard(from_shard));
     }
-    plane->bind_telemetry(tb->registry_->shard(0));
+    plane->bind_telemetry(tb->registry_);
     tb->runtime_->add_window_hook(rtt_window_ps_,
                                   [plane](sim::SimTime t) { plane->close_window(t); });
 

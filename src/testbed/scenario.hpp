@@ -72,9 +72,6 @@ class Scenario {
   /// Disables (or re-enables) telemetry binding; default on. Also gates the
   /// always-on RTT plane.
   Scenario& telemetry(bool enabled);
-  /// Binds all components into a caller-owned registry instead of the
-  /// testbed-owned one (it must outlive the testbed).
-  Scenario& telemetry(telemetry::MetricRegistry& external);
   /// Flow groups of the always-on RTT plane (rounded up to a power of two;
   /// default 1). A frame's `flow` label selects its group modulo this.
   Scenario& rtt_groups(std::uint32_t n);
@@ -220,7 +217,6 @@ class Scenario {
   int shards_ = 1;
   fault::FaultSpec fault_spec_;
   bool telemetry_enabled_ = true;
-  telemetry::MetricRegistry* external_registry_ = nullptr;
   std::uint32_t rtt_groups_ = 1;
   std::uint64_t rtt_window_ps_ = 100'000'000'000ull;  // 100 ms
   std::uint64_t sample_period_ns_ = 0;  // 0: not sampled

@@ -80,13 +80,7 @@ void Testbed::run_for(double seconds) {
   runtime_->run_until(now() + static_cast<sim::SimTime>(seconds * 1e12));
 }
 
-telemetry::Snapshot Testbed::snapshot() {
-  // Engines batch their counters (a per-event registry bump would tax the
-  // hot path); flush so the snapshot is exact at this quiesced instant.
-  for (std::size_t i = 0; i < runtime_->shard_count(); ++i)
-    runtime_->shard(i).publish_telemetry();
-  return registry_->snapshot(now() / 1000);
-}
+telemetry::Snapshot Testbed::snapshot() { return registry_.snapshot(now() / 1000); }
 
 void Testbed::record(telemetry::Snapshot snap) {
   series_.push_back(std::move(snap));

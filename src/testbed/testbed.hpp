@@ -116,9 +116,10 @@ class Testbed {
   /// beyond this many.
   static constexpr std::size_t kSeriesCapacity = 512;
 
-  [[nodiscard]] telemetry::MetricRegistry& registry() { return *registry_; }
-  /// The registry's merged view at now(), exact for every component: the
-  /// engines' batched counters are flushed first. Call at a quiesced
+  /// The registry every component of this testbed registers its readers
+  /// in; components bound by the caller must not outlive the testbed.
+  [[nodiscard]] telemetry::MetricRegistry& registry() { return registry_; }
+  /// Every metric, read from its component at now(). Call at a quiesced
   /// instant (outside run_until, or from a global/window-hook callback).
   /// The periodic telemetry tick, HealthMonitor::dump and the examples'
   /// final `--json` snapshot all go through here.
@@ -194,10 +195,10 @@ class Testbed {
 
   // Declaration order is destruction-order-sensitive: links reference
   // ports, ports reference shard engines and fault planes, so the members
-  // they point into must be declared first (destroyed last).
+  // they point into must be declared first (destroyed last). The registry
+  // outlives every component that registered a reader in it.
   core::RunState run_state_;
-  std::unique_ptr<telemetry::MetricRegistry> owned_registry_;
-  telemetry::MetricRegistry* registry_ = nullptr;
+  telemetry::MetricRegistry registry_;
   // Ports and links hold RttShard pointers into the plane, and the stream
   // reads the plane: both must outlive devices_/links_ below.
   std::unique_ptr<telemetry::RttPlane> rtt_plane_;

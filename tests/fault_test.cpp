@@ -174,19 +174,19 @@ TEST(FaultPoint, BurstContinuesAcrossWindowEdge) {
 }
 
 TEST(FaultPlane, TelemetryCountsFiresPerSiteAndTotal) {
+  mt::MetricRegistry registry;  // outlives the plane bound to it
   const auto spec = mf::FaultSpec::parse("loss:p=1");
   mf::FaultPlane plane(spec);
   auto early = plane.point(mf::FaultKind::kFrameLoss, "pre.bind");
   (void)early.fire(0);
   (void)early.fire(0);
 
-  mt::MetricRegistry registry;
-  plane.bind_telemetry(registry.shard(0));
-  // History is seeded at bind time, not lost.
+  plane.bind_telemetry(registry);
+  // History before the bind is read, not lost.
   EXPECT_EQ(registry.counter_value("fault.loss.pre.bind"), 2u);
   EXPECT_EQ(registry.counter_value("fault.total"), 2u);
 
-  // Sites created after binding are wired up on creation.
+  // Sites created after binding are exported on creation.
   auto late = plane.point(mf::FaultKind::kFrameLoss, "post.bind");
   (void)late.fire(0);
   EXPECT_EQ(registry.counter_value("fault.loss.post.bind"), 1u);
@@ -290,14 +290,14 @@ TEST(WireFaults, DuplicationAndReorderingDeliverEveryFrame) {
 }
 
 TEST(WireFaults, LinkFlapBackpressuresAndRecovers) {
+  mt::MetricRegistry registry;  // outlives the port bound to it
   TenGbeFiberBed bed;
   const auto spec = mf::FaultSpec::parse("seed=9;flap@wire.ab:p=0.002,param=2e8");
   mf::FaultPlane plane(spec, &bed.events);
   bed.link.install_faults(plane, "wire.ab");
   bed.b.rx_queue(0).set_store(false);
 
-  mt::MetricRegistry registry;
-  bed.a.bind_telemetry(registry.shard(0), "port.a");
+  bed.a.bind_telemetry(registry, "port.a");
 
   mc::UdpTemplateOptions opts;
   opts.frame_size = 60;
@@ -341,12 +341,12 @@ TEST(NicFaults, RxOverflowDropsLookLikeAFullRing) {
 // ---------------------------------------------------------------------------
 
 TEST(MempoolFaults, InjectedExhaustionIsCountedAndExported) {
+  mt::MetricRegistry registry;  // outlives the plane bound to it
   const auto spec = mf::FaultSpec::parse("seed=11;alloc_fail@pool.tx:p=0.3");
   mf::FaultPlane plane(spec);  // no event queue: pools live on the fast path
   mb::Mempool pool(64);
   pool.install_faults(plane, "pool.tx");
-  mt::MetricRegistry registry;
-  pool.bind_telemetry(registry.shard(0), "mempool");
+  plane.bind_telemetry(registry);
 
   std::size_t failures = 0;
   std::vector<mb::PktBuf*> bufs(8);
@@ -360,7 +360,7 @@ TEST(MempoolFaults, InjectedExhaustionIsCountedAndExported) {
   // genuinely empties), so all three counts agree exactly.
   EXPECT_EQ(failures, plane.fires_at("pool.tx"));
   EXPECT_EQ(failures, pool.exhausted_events());
-  EXPECT_EQ(registry.counter_value("mempool.exhausted"), failures);
+  EXPECT_EQ(registry.counter_value("fault.alloc_fail.pool.tx"), failures);
 }
 
 // ---------------------------------------------------------------------------
@@ -459,21 +459,20 @@ TEST(ClockFaults, StepForcesTimestamperResync) {
 }
 
 TEST(TimestamperFaults, LostSamplesEqualInjectedDropsExactly) {
+  mt::MetricRegistry registry;  // outlives the plane and timestamper bound to it
   TenGbeFiberBed bed;
   // The timestamper's probes are the only traffic, so every wire drop is a
   // lost sample and vice versa — satellite check for ISSUE.md.
   const auto spec = mf::FaultSpec::parse("seed=31;loss@wire.ab:p=0.1");
   mf::FaultPlane plane(spec, &bed.events);
   bed.link.install_faults(plane, "wire.ab");
-
-  mt::MetricRegistry registry;
-  plane.bind_telemetry(registry.shard(0));
+  plane.bind_telemetry(registry);
 
   mc::TimestamperConfig cfg;
   cfg.sample_interval_ps = 100 * ms::kPsPerUs;
   cfg.timeout_ps = 1 * ms::kPsPerMs;
   mc::Timestamper ts(bed.events, bed.a, 0, bed.b, mc::make_ptp_ethernet_frame(96), cfg);
-  ts.bind_telemetry(registry.shard(0), "timestamper");
+  ts.bind_telemetry(registry, "timestamper");
   ts.start();
   bed.events.run_until(200 * ms::kPsPerMs);
   ts.stop();
@@ -484,7 +483,7 @@ TEST(TimestamperFaults, LostSamplesEqualInjectedDropsExactly) {
   EXPECT_EQ(drops, plane.fires_at("wire.ab"));
   EXPECT_EQ(ts.lost(), drops);
   EXPECT_GT(ts.samples(), 0u);
-  // Telemetry mirrors agree with the injected counts exactly.
+  // Exported counts agree with the injected counts exactly.
   EXPECT_EQ(registry.counter_value("timestamper.lost"), drops);
   EXPECT_EQ(registry.counter_value("fault.loss.wire.ab"), drops);
   // Lost samples forced resyncs on the following samples.

@@ -325,6 +325,19 @@ TEST(HealthMonitor, DumpNamesTheFailingCheckerInJson) {
   EXPECT_NE(json.find("\"telemetry\""), std::string::npos);
 }
 
+TEST(HealthMonitor, CheckerGaugeCountsCheckersAddedAfterConstruction) {
+  auto tb = l2_bed(1);
+  mh::HealthMonitor mon(*tb, {});
+  const std::size_t built_in = mon.checkers().checker_count();
+  mon.checkers().add("late.one", [](ms::SimTime) { return mh::CheckResult::pass(); });
+  mon.checkers().add("late.two", [](ms::SimTime) { return mh::CheckResult::pass(); });
+  ASSERT_EQ(mon.checkers().checker_count(), built_in + 2);
+  double checkers = -1.0;
+  for (const auto& g : tb->snapshot().gauges)
+    if (g.name == "health.checkers") checkers = g.value;
+  EXPECT_EQ(checkers, static_cast<double>(mon.checkers().checker_count()));
+}
+
 TEST(HealthMonitor, CatchesASeededLeakWithinOneWindow) {
   auto tb = l2_bed(1);
   mm::Mempool pool(64);

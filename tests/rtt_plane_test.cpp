@@ -1,5 +1,5 @@
 // Tests for the always-on in-path RTT plane (src/telemetry/rtt_plane.*),
-// the per-shard metric handle API it rides on, the Timestamper-vs-plane
+// the metric registry readers it exports through, the Timestamper-vs-plane
 // reconciliation under fault loss, and the streaming telemetry exporter:
 //  * window quantiles, reset and flow-group selection at the unit level;
 //  * window-merge determinism — the serialized window stream is
@@ -8,8 +8,9 @@
 //    drops; in-flight never negative) via health::make_rtt_checker;
 //  * Timestamper sampled-path reconciliation: attempts == samples + lost
 //    + discarded (+ in-flight) exactly, even when faults eat the probes;
-//  * handle-API parity: the legacy name-keyed shim and the per-shard tree
-//    handles feed the same shard-agnostic read APIs;
+//  * registry reads: readers registered by every shard's components feed
+//    the same shard-agnostic read APIs, and a snapshot between two window
+//    closes reads the plane's books as they stand;
 //  * TelemetryStream writes snapshots + windows to its file, leaves the
 //    simulated run untouched, and writes exactly the snapshots the sampled
 //    series records.
@@ -20,6 +21,7 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -262,41 +264,81 @@ TEST(TimestamperReconciliation, AttemptsEqualSamplesPlusLostUnderLoss) {
 }
 
 // ---------------------------------------------------------------------------
-// Handle-API reads across per-shard trees
+// Registry reads across shards
 // ---------------------------------------------------------------------------
 
 TEST(HandleParity, ReadApisMergeAcrossShardTrees) {
-  mt::MetricRegistry registry;
-  registry.shard(0).counter("x.count").add(2);
-  registry.shard(0).gauge("x.level").set(1.0);
-  registry.shard(0).histogram("x.hist").record(100);
-  registry.shard(0).counter("x.count").add(3);
-  registry.shard(1).counter("x.count").add(5);
-  registry.shard(1).gauge("x.level").set(4.0);
-  registry.shard(0).histogram("x.hist").record(200);
-
-  EXPECT_EQ(registry.counter_value("x.count"), 10u);
-  // Last-writer-wins in (tree 0, tree 1, ...) order.
-  EXPECT_EQ(registry.gauge_value("x.level"), 4.0);
-  EXPECT_EQ(registry.histogram_merged("x.hist").total(), 2u);
-  // Every tree's population shows up in one snapshot under the same names.
-  const auto snap = registry.snapshot(0);
-  std::uint64_t counted = 0;
-  for (const auto& c : snap.counters)
-    if (c.name == "x.count") counted += c.value;
-  EXPECT_EQ(counted, 10u);
+  // Two copies on two shards: each shard's fault plane and engine register
+  // their own readers, and the read APIs sum or merge them by name.
+  auto tb = l2_scenario(2, "seed=5;loss:p=0.01", 2).build();
+  ASSERT_EQ(tb->shard_count(), 2u);
+  auto gens = start_load(*tb, 1.0);
+  tb->run_until(150 * ms::kPsPerMs);
+  const auto& reg = tb->registry();
+  auto& plane = tb->rtt_plane();
+  ASSERT_NE(tb->fault_plane(1), nullptr);
+  EXPECT_GT(tb->fault_plane(0)->total_fires(), 0u);
+  EXPECT_GT(tb->fault_plane(1)->total_fires(), 0u);
+  EXPECT_EQ(reg.counter_value("fault.total"), tb->fault_fires());
+  EXPECT_EQ(reg.counter_value("engine.shard1.events_executed"),
+            tb->runtime().shard(1).executed());
+  EXPECT_EQ(reg.gauge_value("rtt.in_flight"), static_cast<double>(plane.in_flight()));
+  EXPECT_EQ(reg.histogram_merged("rtt.rtt_ns").total(), plane.recorded());
+  // One snapshot entry per name, holding the same sum.
+  const auto snap = tb->snapshot();
+  std::size_t entries = 0;
+  for (const auto& c : snap.counters) {
+    if (c.name != "fault.total") continue;
+    ++entries;
+    EXPECT_EQ(c.value, tb->fault_fires());
+  }
+  EXPECT_EQ(entries, 1u);
 }
 
 TEST(HandleParity, DefaultConstructedHandlesAreInertNoOps) {
-  mt::CounterHandle c;
-  mt::GaugeHandle g;
-  mt::HistogramHandle h;
-  EXPECT_FALSE(c.valid());
-  EXPECT_FALSE(g.valid());
-  EXPECT_FALSE(h.valid());
-  c.add(1);  // must not crash
-  g.set(2.0);
-  h.record(3);
+  // A default-constructed Binding holds no registry: moving and destroying
+  // it touch nothing, and registering through it fails loudly.
+  mt::Binding b;
+  EXPECT_FALSE(b.bound());
+  mt::Binding moved(std::move(b));
+  EXPECT_FALSE(moved.bound());
+  EXPECT_THROW(moved.gauge("g", [] { return 1.0; }), std::logic_error);
+}
+
+TEST(RttPlaneScenario, SnapshotBetweenWindowClosesReadsThePlaneAsItStands) {
+  auto tb = l2_scenario(1).build();
+  auto gens = start_load(*tb, 1.0);
+  tb->run_until(150 * ms::kPsPerMs);  // one close at 100 ms, half a window since
+  auto& plane = tb->rtt_plane();
+  ASSERT_EQ(plane.windows_closed(), 1u);
+  const auto snap = tb->snapshot();
+  const auto counter = [&snap](const std::string& name) {
+    for (const auto& c : snap.counters)
+      if (c.name == name) return c.value;
+    ADD_FAILURE() << "no counter " << name;
+    return std::uint64_t{0};
+  };
+  const auto gauge = [&snap](const std::string& name) {
+    for (const auto& g : snap.gauges)
+      if (g.name == name) return g.value;
+    ADD_FAILURE() << "no gauge " << name;
+    return 0.0;
+  };
+  // Half a window of frames arrived after the close; the books include them.
+  EXPECT_GT(plane.recorded(), plane.windows().front().count);
+  EXPECT_EQ(counter("rtt.recorded"), plane.recorded());
+  EXPECT_EQ(counter("rtt.tx_stamped"), plane.tx_stamped());
+  EXPECT_EQ(counter("rtt.rx_seen"), plane.rx_seen());
+  EXPECT_EQ(counter("rtt.dropped"), plane.dropped());
+  EXPECT_EQ(counter("rtt.windows"), 1u);
+  EXPECT_EQ(gauge("rtt.in_flight"), static_cast<double>(plane.in_flight()));
+  std::uint64_t hist_count = 0;
+  for (const auto& h : snap.histograms)
+    if (h.name == "rtt.rtt_ns") hist_count = h.hist.total();
+  EXPECT_EQ(hist_count, plane.recorded());
+  // The quantile gauges stay those of the last closed window.
+  ASSERT_NE(plane.latest_window(), nullptr);
+  EXPECT_EQ(gauge("rtt.p50_ns"), static_cast<double>(plane.latest_window()->p50));
 }
 
 // ---------------------------------------------------------------------------

@@ -231,10 +231,9 @@ TEST(EventQueue, InlineSchedulingRejectsNothingThatFits) {
 TEST(EventQueue, PublishesEngineTelemetry) {
   moongen::telemetry::MetricRegistry registry;
   ms::EventQueue q;
-  q.bind_telemetry(registry.shard(0), "engine");
+  q.bind_telemetry(registry, "engine");
   q.schedule_in(100, [&] { q.schedule_in(ms::EventQueue::kHorizonPs * 2, [] {}); });
   q.run();
-  q.publish_telemetry();
   const auto snap = registry.snapshot();
   std::uint64_t executed = 0, wheel = 0, heap = 0;
   for (const auto& c : snap.counters) {

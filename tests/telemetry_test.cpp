@@ -1,11 +1,12 @@
 // Tests for the telemetry subsystem: log-linear histograms, the metric
-// registry and its per-shard handles, and the JSON writers.
+// registry and the component readers it holds, and the JSON writers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -173,47 +174,64 @@ TEST(LogLinearHistogram, PrintMatchesStatsHistogramContract) {
 }
 
 // ---------------------------------------------------------------------------
-// MetricRegistry
+// MetricRegistry: a table of readers
 // ---------------------------------------------------------------------------
 
 TEST(MetricRegistry, ResolvingSameNameYieldsSameSlot) {
+  // Readers registered under one name form one metric: counters sum,
+  // histograms merge.
   mt::MetricRegistry reg;
-  auto c1 = reg.shard(0).counter("a.packets");
-  auto c2 = reg.shard(0).counter("a.packets");
-  c1.add(5);
-  EXPECT_EQ(c2.value(), 5u);
-  auto g1 = reg.shard(0).gauge("a.rate");
-  auto g2 = reg.shard(0).gauge("a.rate");
-  g1.set(2.5);
-  EXPECT_EQ(g2.value(), 2.5);
-  auto h1 = reg.shard(0).histogram("a.latency");
-  auto h2 = reg.shard(0).histogram("a.latency");
-  h1.record(100);
-  ASSERT_NE(h2.get(), nullptr);
-  EXPECT_EQ(h2.get()->total(), 1u);
+  std::uint64_t a = 5;
+  std::uint64_t b = 2;
+  mt::LogLinearHistogram ha{mt::HistogramConfig{}};
+  mt::LogLinearHistogram hb{mt::HistogramConfig{}};
+  ha.record(100);
+  hb.record(200);
+  mt::Binding one;
+  mt::Binding two;
+  one.open(reg);
+  two.open(reg);
+  one.counter("a.packets", [&a] { return a; });
+  two.counter("a.packets", [&b] { return b; });
+  one.gauge("a.rate", [] { return 2.5; });
+  one.histogram("a.latency", [&ha] { return ha; });
+  two.histogram("a.latency", [&hb] { return hb; });
+  EXPECT_EQ(reg.counter_value("a.packets"), 7u);
+  a = 10;  // a reader reads its field as it stands
+  EXPECT_EQ(reg.counter_value("a.packets"), 12u);
+  EXPECT_EQ(reg.gauge_value("a.rate"), 2.5);
+  EXPECT_EQ(reg.histogram_merged("a.latency").total(), 2u);
   EXPECT_EQ(reg.metric_count(), 3u);
 }
 
 TEST(MetricRegistry, HistogramGeometryConflictThrows) {
   mt::MetricRegistry reg;
-  (void)reg.shard(0).histogram("lat", {.sub_bucket_bits = 5, .max_value = 1000});
-  // Same geometry: fine. Different geometry: the shards could never merge.
-  EXPECT_NO_THROW((void)reg.shard(0).histogram("lat", {.sub_bucket_bits = 5, .max_value = 1000}));
-  EXPECT_THROW((void)reg.shard(0).histogram("lat", {.sub_bucket_bits = 4, .max_value = 1000}),
-               std::invalid_argument);
-  EXPECT_THROW((void)reg.shard(0).histogram("lat", {.sub_bucket_bits = 5, .max_value = 9999}),
-               std::invalid_argument);
-  EXPECT_THROW(
-      (void)reg.shard(0).histogram("lat", {.sub_bucket_bits = 5, .max_value = 1000, .unit = 10}),
-      std::invalid_argument);
+  const mt::LogLinearHistogram base({.sub_bucket_bits = 5, .max_value = 1000});
+  const mt::LogLinearHistogram bits({.sub_bucket_bits = 4, .max_value = 1000});
+  const mt::LogLinearHistogram max({.sub_bucket_bits = 5, .max_value = 9999});
+  const mt::LogLinearHistogram unit({.sub_bucket_bits = 5, .max_value = 1000, .unit = 10});
+  mt::Binding b;
+  b.open(reg);
+  b.histogram("lat", [&base] { return base; });
+  // Same geometry: fine. Different geometry: the readers could never merge.
+  EXPECT_NO_THROW(b.histogram("lat", [&base] { return base; }));
+  EXPECT_THROW(b.histogram("lat", [&bits] { return bits; }), std::invalid_argument);
+  EXPECT_THROW(b.histogram("lat", [&max] { return max; }), std::invalid_argument);
+  EXPECT_THROW(b.histogram("lat", [&unit] { return unit; }), std::invalid_argument);
 }
 
 TEST(MetricRegistry, SnapshotIsNameSortedAndConsistent) {
   mt::MetricRegistry reg;
-  reg.shard(0).counter("z.count").add(7);
-  reg.shard(0).counter("a.count").add(3);
-  reg.shard(0).gauge("m.rate").set(1.5);
-  reg.shard(0).histogram("lat").record(42);
+  std::uint64_t z = 7;
+  std::uint64_t a = 3;
+  mt::LogLinearHistogram lat{mt::HistogramConfig{}};
+  lat.record(42);
+  mt::Binding b;
+  b.open(reg);
+  b.counter("z.count", [&z] { return z; });
+  b.counter("a.count", [&a] { return a; });
+  b.gauge("m.rate", [] { return 1.5; });
+  b.histogram("lat", [&lat] { return lat; });
   const auto snap = reg.snapshot(1234);
   EXPECT_EQ(snap.timestamp_ns, 1234u);
   ASSERT_EQ(snap.counters.size(), 2u);
@@ -226,41 +244,123 @@ TEST(MetricRegistry, SnapshotIsNameSortedAndConsistent) {
   ASSERT_EQ(snap.histograms.size(), 1u);
   EXPECT_EQ(snap.histograms[0].hist.total(), 1u);
   // The snapshot is a copy: later updates don't retro-change it.
-  reg.shard(0).counter("a.count").add(100);
+  a += 100;
   EXPECT_EQ(snap.counters[0].value, 3u);
+  EXPECT_EQ(reg.counter_value("a.count"), 103u);
+}
+
+TEST(MetricRegistry, ADestroyedComponentLeavesItsFinalValues) {
+  // A component's Binding dies with it; a later snapshot still reports the
+  // totals its readers returned last, and a live reader of the same
+  // counter name adds to them.
+  struct Component {
+    std::uint64_t frames = 0;
+    double level = 0.0;
+    mt::LogLinearHistogram lat{mt::HistogramConfig{}};
+    mt::Binding telemetry;
+    void bind(mt::MetricRegistry& reg) {
+      telemetry.open(reg);
+      telemetry.counter("c.frames", [this] { return frames; });
+      telemetry.gauge("c.level", [this] { return level; });
+      telemetry.histogram("c.lat", [this] { return lat; });
+    }
+  };
+  mt::MetricRegistry reg;
+  auto gone = std::make_unique<Component>();
+  gone->bind(reg);
+  gone->frames = 40;
+  gone->level = 2.5;
+  gone->lat.record(7);
+  gone.reset();
+  EXPECT_EQ(reg.counter_value("c.frames"), 40u);
+  EXPECT_EQ(reg.gauge_value("c.level"), 2.5);
+  EXPECT_EQ(reg.histogram_merged("c.lat").total(), 1u);
+
+  Component live;
+  live.bind(reg);  // the gauge's only live reader again
+  live.frames = 2;
+  live.level = -1.0;
+  live.lat.record(9);
+  EXPECT_EQ(reg.counter_value("c.frames"), 42u);
+  EXPECT_EQ(reg.gauge_value("c.level"), -1.0);
+  EXPECT_EQ(reg.histogram_merged("c.lat").total(), 2u);
+  EXPECT_EQ(reg.metric_count(), 3u);
+}
+
+TEST(MetricRegistry, AGaugeHasOneLiveReader) {
+  mt::MetricRegistry reg;
+  mt::Binding first;
+  mt::Binding second;
+  first.open(reg);
+  second.open(reg);
+  first.gauge("g", [] { return 1.0; });
+  EXPECT_THROW(second.gauge("g", [] { return 2.0; }), std::invalid_argument);
+  EXPECT_THROW(reg.set_gauge("g", 3.0), std::invalid_argument);
+  EXPECT_EQ(reg.gauge_value("g"), 1.0);
+}
+
+TEST(MetricRegistry, BindingTwiceThrows) {
+  mt::MetricRegistry reg;
+  mt::MetricRegistry other;
+  mt::Binding b;
+  b.open(reg);
+  EXPECT_THROW(b.open(reg), std::logic_error);
+  EXPECT_THROW(b.open(other), std::logic_error);
+}
+
+TEST(MetricRegistry, AMovedBindingKeepsItsReaders) {
+  mt::MetricRegistry reg;
+  std::uint64_t n = 3;
+  mt::Binding from;
+  from.open(reg);
+  from.counter("n", [&n] { return n; });
+  mt::Binding to(std::move(from));
+  EXPECT_FALSE(from.bound());
+  EXPECT_TRUE(to.bound());
+  n = 4;
+  EXPECT_EQ(reg.counter_value("n"), 4u);
+  { mt::Binding drop(std::move(to)); }  // retires the reader at n = 4
+  n = 9;
+  EXPECT_EQ(reg.counter_value("n"), 4u);
+}
+
+TEST(MetricRegistry, PublishedCountersAddUp) {
+  mt::MetricRegistry reg;
+  EXPECT_EQ(reg.counter_value("runs"), 0u);
+  reg.add_counter("runs", 2);
+  reg.add_counter("runs", 3);
+  EXPECT_EQ(reg.counter_value("runs"), 5u);
 }
 
 TEST(Gauge, LastWriterWins) {
   mt::MetricRegistry reg;
-  auto g = reg.shard(0).gauge("g");
-  EXPECT_EQ(g.value(), 0.0);
-  g.set(3.5);
-  g.set(-7.25);
-  EXPECT_EQ(g.value(), -7.25);
+  EXPECT_EQ(reg.gauge_value("g"), 0.0);
+  reg.set_gauge("g", 3.5);
+  reg.set_gauge("g", -7.25);
   EXPECT_EQ(reg.gauge_value("g"), -7.25);
-  // A default-constructed handle is a no-op sink.
-  mt::GaugeHandle sink;
-  sink.set(1.0);
-  EXPECT_EQ(sink.value(), 0.0);
 }
 
 // ---------------------------------------------------------------------------
-// One instrument sharded across per-shard trees
+// One instrument with a reader per task
 // ---------------------------------------------------------------------------
 
 TEST(ShardedCounter, TaskSetHammerSumsExactly) {
-  // N TaskSet tasks each hammer the counter of their own shard tree; after
-  // wait() the registry's sum over trees is exact.
+  // N TaskSet tasks each hammer a plain counter of their own, read by one
+  // reader per task under one name; after wait() the sum is exact.
   mc::reset_run_state();
   constexpr int kTasks = 8;
   constexpr std::uint64_t kAddsPerTask = 200'000;
   mt::MetricRegistry reg;
-  std::vector<mt::CounterHandle> handles;
-  for (int i = 0; i < kTasks; ++i) handles.push_back(reg.shard(i).counter("hammer"));
+  std::vector<std::uint64_t> counts(kTasks);
+  std::vector<mt::Binding> readers(kTasks);
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    readers[i].open(reg);
+    readers[i].counter("hammer", [&counts, i] { return counts[i]; });
+  }
   mc::TaskSet tasks;
-  for (auto& c : handles) {
+  for (auto& c : counts) {
     tasks.launch("hammer", [&c] {
-      for (std::uint64_t n = 0; n < kAddsPerTask; ++n) c.add();
+      for (std::uint64_t n = 0; n < kAddsPerTask; ++n) ++c;
     });
   }
   tasks.wait();
@@ -273,12 +373,16 @@ TEST(ShardedHistogram, ConcurrentRecordsMergeExactly) {
   constexpr int kTasks = 6;
   constexpr std::uint64_t kPerTask = 50'000;
   mt::MetricRegistry reg;
-  std::vector<mt::HistogramHandle> handles;
-  for (int t = 0; t < kTasks; ++t)
-    handles.push_back(reg.shard(t).histogram("lat", {.sub_bucket_bits = 5, .max_value = 1 << 20}));
+  std::vector<mt::LogLinearHistogram> hists(
+      kTasks, mt::LogLinearHistogram({.sub_bucket_bits = 5, .max_value = 1 << 20}));
+  std::vector<mt::Binding> readers(kTasks);
+  for (std::size_t t = 0; t < hists.size(); ++t) {
+    readers[t].open(reg);
+    readers[t].histogram("lat", [&hists, t] { return hists[t]; });
+  }
   mc::TaskSet tasks;
   for (int t = 0; t < kTasks; ++t) {
-    tasks.launch("hist", [&h = handles[t], t] {
+    tasks.launch("hist", [&h = hists[static_cast<std::size_t>(t)], t] {
       for (std::uint64_t i = 0; i < kPerTask; ++i) h.record(100 + (t * kPerTask + i) % 1000);
     });
   }
@@ -291,24 +395,6 @@ TEST(ShardedHistogram, ConcurrentRecordsMergeExactly) {
 }
 
 // ---------------------------------------------------------------------------
-// TaskSet lifecycle telemetry
-// ---------------------------------------------------------------------------
-
-TEST(TaskSetTelemetry, CountsLaunchesAndFinishes) {
-  mc::reset_run_state();
-  mt::MetricRegistry reg;
-  mc::TaskSet tasks;
-  tasks.bind_telemetry(reg.shard(0), "tasks");
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 5; ++i) tasks.launch("worker", [&ran] { ran.fetch_add(1); });
-  tasks.wait();
-  EXPECT_EQ(ran.load(), 5);
-  EXPECT_EQ(reg.counter_value("tasks.tasks_launched"), 5u);
-  EXPECT_EQ(reg.counter_value("tasks.tasks_finished"), 5u);
-  EXPECT_EQ(reg.gauge_value("tasks.tasks_active"), 0.0);
-}
-
-// ---------------------------------------------------------------------------
 // Exporters
 // ---------------------------------------------------------------------------
 
@@ -316,10 +402,13 @@ namespace {
 
 mt::Snapshot example_snapshot() {
   mt::MetricRegistry reg;
-  reg.shard(0).counter("port.tx_packets").add(1000);
-  reg.shard(0).gauge("load.offered_mpps").set(14.88);
-  auto h = reg.shard(0).histogram("lat.ns", {.sub_bucket_bits = 5, .max_value = 1 << 20});
+  reg.add_counter("port.tx_packets", 1000);
+  reg.set_gauge("load.offered_mpps", 14.88);
+  mt::LogLinearHistogram h({.sub_bucket_bits = 5, .max_value = 1 << 20});
   for (std::uint64_t v = 1; v <= 100; ++v) h.record(v * 10);
+  mt::Binding reader;
+  reader.open(reg);
+  reader.histogram("lat.ns", [&h] { return h; });
   return reg.snapshot(42);
 }
 
@@ -356,7 +445,7 @@ TEST(Exporters, JsonSeriesWrapsSnapshots) {
 
 TEST(Exporters, JsonEscapesStrings) {
   mt::MetricRegistry reg;
-  reg.shard(0).counter("weird\"name\\with\ncontrol").add(1);
+  reg.add_counter("weird\"name\\with\ncontrol", 1);
   std::ostringstream os;
   mt::write_json(os, reg.snapshot());
   const auto s = os.str();

@@ -7,7 +7,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -16,6 +19,9 @@
 #include "core/device.hpp"
 #include "core/rate_control.hpp"
 #include "core/task.hpp"
+#include "core/timestamper.hpp"
+#include "health/health.hpp"
+#include "health/monitor.hpp"
 #include "membuf/buf_array.hpp"
 #include "membuf/mempool.hpp"
 #include "nic/chip.hpp"
@@ -23,11 +29,14 @@
 #include "rpc/open_loop.hpp"
 #include "rpc/server_model.hpp"
 #include "telemetry/registry.hpp"
+#include "telemetry/rtt_plane.hpp"
 #include "testbed/scenario.hpp"
 #include "topologies.hpp"
 
 namespace mb = moongen::membuf;
 namespace mc = moongen::core;
+namespace md = moongen::dut;
+namespace mh = moongen::health;
 namespace mn = moongen::nic;
 namespace mr = moongen::rpc;
 namespace ms = moongen::sim;
@@ -312,16 +321,6 @@ TEST(Testbed, ShardedTelemetryUsesPerShardPrefixes) {
   EXPECT_FALSE(has_counter(snap, "engine.events_executed"));
 }
 
-TEST(Testbed, ExternalRegistryIsUsedWhenProvided) {
-  mt::MetricRegistry external;
-  mtb::Scenario s = forwarder_paths(1);
-  s.telemetry(external);
-  auto tb = s.build();
-  EXPECT_EQ(&tb->registry(), &external);
-  (void)tb->snapshot();
-  EXPECT_GT(external.metric_count(), 0u);
-}
-
 // ---------------------------------------------------------------------------
 // Periodic snapshots (Scenario::sample_telemetry, Testbed::snapshot)
 // ---------------------------------------------------------------------------
@@ -412,9 +411,8 @@ TEST(Scenario, RejectsDifferentSampleAndStreamPeriods) {
   EXPECT_THROW((void)s.build(), std::invalid_argument);
 }
 
-// The RPC plane sets its gauges where the counts change, so the registry
-// agrees with the components' own books at every quiesced instant — no
-// publish step, at any shard count.
+// The RPC plane's gauges read the components' own books, so the registry
+// agrees with them at every quiesced instant, at any shard count.
 TEST(Telemetry, RpcGaugesMatchTheirAccessorsAtEveryTick) {
   for (const int shards : {1, 4}) {
     mtb::Scenario s = rpc_pairs(shards, 2);
@@ -433,7 +431,7 @@ TEST(Telemetry, RpcGaugesMatchTheirAccessorsAtEveryTick) {
           std::make_unique<mr::ServerModel>(tb->port("server" + std::to_string(i)), sc));
       servers.back()->install_faults(*tb->fault_plane(tb->shard_of(2 * i + 1)),
                                      "rpc.s" + std::to_string(i));
-      servers.back()->bind_telemetry(tb->registry().shard(0), "rpc.server" + std::to_string(i));
+      servers.back()->bind_telemetry(tb->registry(), "rpc.server" + std::to_string(i));
       recorders.push_back(std::make_unique<mr::LatencyRecorder>());
       mr::WorkloadConfig wc;
       wc.offered_rps = 100'000;
@@ -443,7 +441,7 @@ TEST(Telemetry, RpcGaugesMatchTheirAccessorsAtEveryTick) {
       clients.push_back(std::make_unique<mr::OpenLoopGenerator>(
           tb->port("client" + std::to_string(i)), *recorders.back(), wc));
       clients.back()->start(0, end_ps);
-      clients.back()->bind_telemetry(tb->registry().shard(0), "rpc.client" + std::to_string(i));
+      clients.back()->bind_telemetry(tb->registry(), "rpc.client" + std::to_string(i));
     }
     int ticks = 0;
     std::uint64_t timed_out = 0, stalls = 0, queue_drops = 0;
@@ -481,6 +479,248 @@ TEST(Telemetry, RpcGaugesMatchTheirAccessorsAtEveryTick) {
     EXPECT_GT(timed_out, 0u);
     EXPECT_GT(stalls, 0u);
     EXPECT_GT(queue_drops, 0u);
+  }
+}
+
+// A reader reads its component's field as it stands, so binding after
+// traffic has run exports exactly what the component's getters say — for
+// every component that can be bound. Each row names the prefixes its
+// component exports under and the value every exported name must hold
+// (nullopt: exported, but the component has no getter for it).
+TEST(Telemetry, LateBindingIsExactForEveryComponent) {
+  mt::MetricRegistry registry;  // outlives every component bound to it
+  mtb::Scenario s;
+  s.seed(1).telemetry(false);
+  s.faults("seed=3;loss@wire.l1:p=0.002;stall@rpc.s0:p=0.01,param=2e8");
+  topo::forwarder_path(s);  // devices 0-3, links wire.l1 and wire.l2
+  md::VSwitchConfig vcfg;
+  vcfg.tenants.push_back({.vid = 10, .vport = 0, .rate_mbit = 300.0});
+  topo::vswitch_fanout(s, {.first_id = 4}, {{}}, vcfg);  // devices 4-7
+  topo::rpc_pair(s, {.first_id = 8, .suffix = "0"});     // devices 8-9
+  auto tb = s.build();
+  const ms::SimTime end_ps = 20 * ms::kPsPerMs;
+
+  // L2 path: CRC-paced Poisson load and a stream-mode timestamper.
+  mc::UdpTemplateOptions bg;
+  bg.frame_size = 96;
+  bg.ptp_payload = true;
+  bg.ptp_message_type = 5;
+  auto gen = mc::SimLoadGen::crc_paced(tb->port("gen_tx").tx_queue(0), mc::make_udp_frame(bg),
+                                       std::make_unique<mc::PoissonPattern>(1.0, 77), 10'000);
+  mc::UdpTemplateOptions stamped = bg;
+  stamped.ptp_message_type = 0;
+  mc::TimestamperConfig tcfg;
+  tcfg.sample_interval_ps = 100 * ms::kPsPerUs;
+  mc::Timestamper ts(tb->engine(), tb->port("gen_tx"), *gen, mc::make_udp_frame(stamped),
+                     tb->port("sink"), tcfg);
+  ts.start();
+  // Tenant 0 above its policer's rate, so shaping drops move too.
+  mc::UdpTemplateOptions tenant;
+  tenant.frame_size = 128;
+  tenant.vlan = true;
+  tenant.vlan_vid = 10;
+  auto& vs_queue = tb->port("gen").tx_queue(0);
+  vs_queue.set_rate_mpps(0.5, tenant.frame_size + 4);
+  auto vs_gen = mc::SimLoadGen::hardware_paced(vs_queue, mc::make_udp_frame(tenant));
+  // RPC pair, the server stalling now and then.
+  mr::ServerConfig sc;
+  sc.service_mean_ps = 4.0 * 1e6;
+  mr::ServerModel server(tb->port("server0"), sc);
+  server.install_faults(*tb->fault_plane(), "rpc.s0");
+  mr::LatencyRecorder recorder;
+  mr::WorkloadConfig wc;
+  wc.offered_rps = 200'000;
+  wc.timeout_ps = 2 * ms::kPsPerMs;
+  mr::OpenLoopGenerator client(tb->port("client0"), recorder, wc);
+  client.start(0, end_ps);
+  tb->run_until(end_ps);
+
+  // Components outside the testbed, driven by hand.
+  mt::RttPlane plane({}, 1);
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    plane.shard(0).note_tx_stamped();
+    plane.shard(0).note_rx_seen();
+    plane.shard(0).record(0, 1'000 + i);
+  }
+  plane.shard(0).note_tx_stamped();
+  plane.shard(0).note_dropped();
+  plane.close_window(100'000);
+  plane.shard(0).note_tx_stamped();  // one more stamp in flight after the close
+  mh::CheckerRegistry checkers;
+  checkers.add("port.accounting", mh::make_port_checker(*tb));
+  checkers.add("always.fails", [](ms::SimTime) { return mh::CheckResult::fail("by design"); });
+  checkers.run_all(tb->now());
+  checkers.run_all(tb->now());
+  std::uint64_t pressure = 0;
+  mh::DegradationGovernor gov("late",
+                              {.pressure_threshold = 5, .enter_windows = 1, .exit_windows = 2},
+                              [&pressure] { return pressure; }, {});
+  for (const std::uint64_t step : {0, 10, 10, 0, 0, 10}) {
+    pressure += step;
+    gov.tick();
+  }
+
+  ASSERT_GT(ts.samples(), 0u);
+  ASSERT_GT(gen->gap_frames(), 0u);
+  ASSERT_GT(tb->fault_plane()->total_fires(), 0u);
+  ASSERT_GT(tb->vswitch().shaped_drops(), 0u);
+  ASSERT_GT(gov.enters(), 0u);
+
+  using Expected = std::vector<std::pair<std::string, std::optional<double>>>;
+  const auto d = [](auto v) { return std::optional<double>(static_cast<double>(v)); };
+  struct Row {
+    std::string component;
+    std::vector<std::string> prefixes;
+    std::function<void()> bind;
+    std::function<Expected()> expected;
+  };
+  auto& port = tb->port("dut_in");
+  auto& vsw = tb->vswitch();
+  auto& engine = tb->engine();
+  auto& faults = *tb->fault_plane();
+  const std::vector<Row> rows = {
+      {"Port", {"late.port.", "recover.late.port."},
+       [&] { port.bind_telemetry(registry, "late.port"); },
+       [&] {
+         const auto& st = port.stats();
+         return Expected{{"late.port.tx_packets", d(st.tx_packets)},
+                         {"late.port.tx_bytes", d(st.tx_bytes)},
+                         {"late.port.rx_packets", d(st.rx_packets)},
+                         {"late.port.rx_bytes", d(st.rx_bytes)},
+                         {"late.port.crc_errors", d(st.crc_errors)},
+                         {"late.port.rx_ring_drops", d(st.rx_ring_drops)},
+                         {"recover.late.port.link_resume", d(st.link_up_events)}};
+       }},
+      {"VSwitch", {"late.vswitch."},
+       [&] { vsw.bind_telemetry(registry, "late.vswitch"); },
+       [&] {
+         Expected e{{"late.vswitch.received", d(vsw.received())},
+                    {"late.vswitch.matched", d(vsw.matched())},
+                    {"late.vswitch.flooded", d(vsw.flooded())},
+                    {"late.vswitch.shaped_drops", d(vsw.shaped_drops())},
+                    {"late.vswitch.queue_drops", d(vsw.queue_drops())},
+                    {"late.vswitch.fault_drops", d(vsw.fault_drops())},
+                    {"late.vswitch.emitted", d(vsw.emitted())},
+                    {"late.vswitch.egress_ring_drops", d(vsw.egress_ring_drops())}};
+         for (const auto& [idx, stem] : {std::pair<std::size_t, std::string>{0, "t0"},
+                                         {vsw.tenant_count(), "flood"}}) {
+           const auto books = vsw.tenant_counters(idx);
+           const std::string p = "late.vswitch." + stem;
+           e.push_back({p + ".matched", d(books.matched)});
+           e.push_back({p + ".emitted", d(books.emitted)});
+           e.push_back({p + ".shaped_drops", d(books.shaped_drops)});
+           e.push_back({p + ".queue_drops", d(books.queue_drops)});
+           e.push_back({p + ".egress_ring_drops", d(books.egress_ring_drops)});
+         }
+         return e;
+       }},
+      {"SimLoadGen", {"late.gen."},
+       [&] { gen->bind_telemetry(registry, "late.gen"); },
+       [&] {
+         return Expected{{"late.gen.valid_frames", d(gen->valid_frames())},
+                         {"late.gen.gap_frames", d(gen->gap_frames())},
+                         {"late.gen.carry_bytes", std::nullopt}};
+       }},
+      {"Timestamper", {"late.ts.", "recover.late.ts."},
+       [&] { ts.bind_telemetry(registry, "late.ts"); },
+       [&] {
+         return Expected{{"late.ts.samples", d(ts.samples())},
+                         {"late.ts.lost", d(ts.lost())},
+                         {"late.ts.discarded", d(ts.discarded())},
+                         {"recover.late.ts.resync", d(ts.resyncs())},
+                         {"late.ts.latency_ns{count}", d(ts.samples())}};
+       }},
+      {"EventQueue", {"late.engine."},
+       [&] { engine.bind_telemetry(registry, "late.engine"); },
+       [&] {
+         const double wall_s = static_cast<double>(engine.run_wall_ns()) / 1e9;
+         return Expected{{"late.engine.events_executed", d(engine.executed())},
+                         {"late.engine.wheel_scheduled", d(engine.wheel_scheduled())},
+                         {"late.engine.heap_scheduled", d(engine.heap_scheduled())},
+                         {"late.engine.events_per_wall_second",
+                          static_cast<double>(engine.executed()) / wall_s}};
+       }},
+      {"FaultPlane", {"late.fault."},
+       [&] { faults.bind_telemetry(registry, "late.fault"); },
+       [&] {
+         return Expected{{"late.fault.total", d(faults.total_fires())},
+                         {"late.fault.loss.wire.l1", d(faults.fires_at("wire.l1"))},
+                         {"late.fault.stall.rpc.s0", d(faults.fires_at("rpc.s0"))}};
+       }},
+      {"RttPlane", {"late.rtt."},
+       [&] { plane.bind_telemetry(registry, "late.rtt"); },
+       [&] {
+         const auto* w = plane.latest_window();
+         return Expected{{"late.rtt.recorded", d(plane.recorded())},
+                         {"late.rtt.tx_stamped", d(plane.tx_stamped())},
+                         {"late.rtt.rx_seen", d(plane.rx_seen())},
+                         {"late.rtt.dropped", d(plane.dropped())},
+                         {"late.rtt.windows", d(plane.windows_closed())},
+                         {"late.rtt.in_flight", d(plane.in_flight())},
+                         {"late.rtt.p50_ns", d(w->p50)},
+                         {"late.rtt.p99_ns", d(w->p99)},
+                         {"late.rtt.p999_ns", d(w->p999)},
+                         {"late.rtt.rtt_ns{count}", d(plane.recorded())}};
+       }},
+      {"CheckerRegistry", {"late.health."},
+       [&] { checkers.bind_telemetry(registry, "late.health"); },
+       [&] {
+         return Expected{{"late.health.checks_run", d(checkers.checks_run())},
+                         {"late.health.violations", d(checkers.violations().size())},
+                         {"late.health.checkers", d(checkers.checker_count())}};
+       }},
+      {"DegradationGovernor", {"late.gov."},
+       [&] { gov.bind_telemetry(registry, "late.gov"); },
+       [&] {
+         return Expected{{"late.gov.enter", d(gov.enters())},
+                         {"late.gov.recover", d(gov.recovers())},
+                         {"late.gov.active", d(gov.active() ? 1 : 0)}};
+       }},
+      {"rpc client", {"late.client."},
+       [&] { client.bind_telemetry(registry, "late.client"); },
+       [&] {
+         return Expected{{"late.client.issued", d(client.issued())},
+                         {"late.client.matched", d(client.matched())},
+                         {"late.client.inflight", d(client.inflight())},
+                         {"late.client.peak_inflight", d(client.peak_inflight())},
+                         {"late.client.timed_out", d(client.timed_out())},
+                         {"late.client.send_drops", d(client.send_drops())}};
+       }},
+      {"rpc server", {"late.server."},
+       [&] { server.bind_telemetry(registry, "late.server"); },
+       [&] {
+         return Expected{{"late.server.received", d(server.received())},
+                         {"late.server.completed", d(server.completed())},
+                         {"late.server.queue_depth", d(server.queue_depth())},
+                         {"late.server.queue_drops", d(server.queue_drops())},
+                         {"late.server.stalls", d(server.stalls())}};
+       }},
+  };
+  for (const auto& row : rows) row.bind();
+
+  // Every exported value by name; a histogram by its count.
+  std::map<std::string, double> exported;
+  const auto snap = registry.snapshot();
+  for (const auto& c : snap.counters) exported[c.name] = static_cast<double>(c.value);
+  for (const auto& g : snap.gauges) exported[g.name] = g.value;
+  for (const auto& h : snap.histograms)
+    exported[h.name + "{count}"] = static_cast<double>(h.hist.total());
+  for (const auto& row : rows) {
+    const Expected expected = row.expected();
+    for (const auto& [name, value] : expected) {
+      const auto it = exported.find(name);
+      ASSERT_NE(it, exported.end()) << row.component << ": " << name << " not exported";
+      if (value.has_value()) {
+        EXPECT_EQ(it->second, *value) << row.component << ": " << name;
+      }
+    }
+    for (const auto& [name, value] : exported) {
+      const bool mine = std::any_of(row.prefixes.begin(), row.prefixes.end(),
+                                    [&](const std::string& p) { return name.starts_with(p); });
+      const bool listed = std::any_of(expected.begin(), expected.end(),
+                                      [&](const auto& e) { return e.first == name; });
+      EXPECT_TRUE(!mine || listed) << row.component << " exports unchecked " << name;
+    }
   }
 }
 
