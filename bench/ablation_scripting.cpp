@@ -72,7 +72,7 @@ mb::Mempool::InitFn udp_prefill() {
 
 int main(int argc, char** argv) {
   const std::string json_path = argc > 1 ? argv[1] : "BENCH_ablation_scripting.json";
-  moongen::bench::pin_measurement_thread();
+  moongen::core::pin_to_core(1);  // stable cycle measurements
   std::printf("Ablation: per-packet scripting cost (vary source IP + send)\n");
   std::printf("(paper: LuaJIT-compiled scripts match or beat C, Section 5.2;\n");
   std::printf(" without a JIT the interpretation overhead dominates)\n\n");

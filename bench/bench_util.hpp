@@ -18,10 +18,6 @@
 #if defined(__x86_64__) || defined(__i386__)
 #include <x86intrin.h>
 #endif
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 #include <chrono>
 
@@ -111,18 +107,6 @@ inline stats::RunningStats measure_cycles_delta(const std::function<std::uint64_
     if (r >= warmup) out.add(b - a);
   }
   return out;
-}
-
-/// Pins the calling thread to a core for stable cycle measurements.
-inline void pin_measurement_thread(int core = 1) {
-#ifdef __linux__
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<unsigned>(core), &set);
-  pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)core;
-#endif
 }
 
 inline void print_row(const char* label, const stats::RunningStats& s) {

@@ -21,6 +21,7 @@
 
 #include "bench_util.hpp"
 #include "core/device.hpp"
+#include "core/task.hpp"
 #include "membuf/buf_array.hpp"
 #include "membuf/mempool.hpp"
 #include "proto/packet_view.hpp"
@@ -88,7 +89,7 @@ void print_delta(const char* label, const RunningStats& delta) {
 }  // namespace
 
 int main() {
-  moongen::bench::pin_measurement_thread();
+  moongen::core::pin_to_core(1);  // stable cycle measurements
   std::printf("Table 1: Per-packet costs of basic operations [cycles/pkt]\n");
   std::printf("(paper: TX 76.0, mod 9.1, mod-2-cachelines 15.0, IP 15.2, UDP 33.1, TCP 34.0)\n\n");
 

@@ -214,18 +214,17 @@ int main(int argc, char** argv) {
               " foreground %.0f Mbit/s (port 43), 3 s\n",
               bg_rate, fg_rate);
 
-  auto tb = mtb::Scenario()
-                .fast_device(0, 1, 2)
-                .fast_device(1, 1, 1)
-                .fast_connect(0, 1)
-                .build();
-  auto& t_dev = tb->fast_device(0);
-  auto& r_dev = tb->fast_device(1);
+  // This experiment's own device table and run state (not the
+  // process-global ones the script `device` module and dpdk.running() use).
+  mc::DeviceTable devices;
+  auto& t_dev = devices.config(0, 1, 2);         // line 2
+  auto& r_dev = devices.config(1, 1, 1);         // line 3
+  t_dev.connect_to(r_dev);
   mc::Device::wait_for_links();                  // line 4
   t_dev.get_tx_queue(0).set_rate_mbit(bg_rate);  // line 5
   t_dev.get_tx_queue(1).set_rate_mbit(fg_rate);  // line 6
 
-  mc::RunState& run = tb->run_state();
+  mc::RunState run;
   std::uint64_t bg_sent = 0;
   std::uint64_t fg_sent = 0;
   std::map<std::uint16_t, std::uint64_t> rx_totals;

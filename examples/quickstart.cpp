@@ -17,13 +17,11 @@
 #include "membuf/mempool.hpp"
 #include "proto/packet_view.hpp"
 #include "stats/counters.hpp"
-#include "testbed/scenario.hpp"
 
 namespace mc = moongen::core;
 namespace mb = moongen::membuf;
 namespace mp = moongen::proto;
 namespace st = moongen::stats;
-namespace mtb = moongen::testbed;
 
 namespace {
 
@@ -77,18 +75,16 @@ void counter_slave(mc::RxQueue& queue, const mc::RunState& run) {
 
 int main() {
   std::printf("quickstart: 3 seconds of UDP load over a loopback pair\n");
-  auto tb = mtb::Scenario()
-                .fast_device(0, 1, 1)
-                .fast_device(1, 1, 1)
-                .fast_connect(0, 1)
-                .build();
-  auto& tx_dev = tb->fast_device(0);
-  auto& rx_dev = tb->fast_device(1);
+  // A device table and run state of this experiment's own, in place of the
+  // process-global ones: two experiments in one process can neither share
+  // devices nor stop each other.
+  mc::DeviceTable devices;
+  auto& tx_dev = devices.config(0, 1, 1);
+  auto& rx_dev = devices.config(1, 1, 1);
+  tx_dev.connect_to(rx_dev);
   mc::Device::wait_for_links();
 
-  // The testbed's private run state replaces the process-global flag: two
-  // experiments in one process can no longer stop each other.
-  mc::RunState& run = tb->run_state();
+  mc::RunState run;
   mc::TaskSet tasks;
   tasks.launch("load", load_slave, std::ref(tx_dev.get_tx_queue(0)), std::cref(run));
   tasks.launch("counter", counter_slave, std::ref(rx_dev.get_rx_queue(0)), std::cref(run));

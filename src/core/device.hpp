@@ -165,9 +165,9 @@ class Device {
   friend class DeviceTable;
 };
 
-/// Owns the fast-path devices of one testbed. Each testbed::Testbed holds
-/// a private table, so two testbeds in one process (or one test binary)
-/// share no mutable device state.
+/// Owns the fast-path devices of one experiment. Experiments that each hold
+/// a table of their own share no mutable device state, even in one process
+/// (or one test binary).
 class DeviceTable {
  public:
   DeviceTable() = default;

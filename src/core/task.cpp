@@ -9,8 +9,6 @@
 
 namespace moongen::core {
 
-namespace {
-
 void pin_to_core(int core) {
 #ifdef __linux__
   const unsigned hw = std::thread::hardware_concurrency();
@@ -23,8 +21,6 @@ void pin_to_core(int core) {
   (void)core;
 #endif
 }
-
-}  // namespace
 
 RunState::RunState() : state_(std::make_shared<State>()) {}
 
@@ -49,7 +45,7 @@ void RunState::stop_after(double seconds) {
   std::thread([weak = std::weak_ptr<State>(state_), seconds, armed_gen] {
     std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
     const auto state = weak.lock();
-    if (state == nullptr) return;  // the owning testbed is gone
+    if (state == nullptr) return;  // the owning RunState is gone
     if (state->generation.load(std::memory_order_acquire) == armed_gen)
       state->flag.store(false, std::memory_order_release);
   }).detach();

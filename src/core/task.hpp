@@ -18,12 +18,16 @@
 
 namespace moongen::core {
 
+/// Pins the calling thread to CPU `core` modulo the host's core count (no-op
+/// off Linux). Tasks, script slaves and cycle-measuring benches pin here.
+void pin_to_core(int core);
+
 /// Run/stop state of one experiment: the flag behind `dpdk.running()`.
 ///
-/// Every testbed::Testbed owns a private RunState, so parallel shards and
-/// back-to-back experiments in one process cannot race each other's resets;
-/// the free functions below operate on the process-global instance for
-/// script parity and legacy callers.
+/// An experiment that holds its own RunState cannot race another
+/// experiment's resets in the same process; the free functions below
+/// operate on the process-global instance for script parity and legacy
+/// callers.
 ///
 /// Memory ordering: running() is an acquire load and request_stop() a
 /// release store, so a task that observes the stop also observes everything
@@ -48,7 +52,7 @@ class RunState {
   /// Requests stop after `seconds` of wall-clock time, from a helper
   /// thread. Returns immediately. The timer is generation-counted (a
   /// reset() makes a pending timer a no-op) and holds only a weak
-  /// reference to this state, so it cannot fire into a destroyed testbed.
+  /// reference to this state, so it cannot fire into a destroyed RunState.
   void stop_after(double seconds);
 
   /// Generation of the run state; bumped by reset(). Exposed for tests of

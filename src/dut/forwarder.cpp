@@ -113,7 +113,6 @@ void Forwarder::poll() {
 
     t += service_ps_;  // single core: packets are processed sequentially
     const sim::SimTime out_time = t + kBasePipelinePs;
-    latency_ns_.add(sim::to_ns(out_time - entry.complete_ps));
     events_.schedule_at_inline(out_time, [this, frame = std::move(entry.frame)]() mutable {
       tx_.post(std::move(frame));
     });

@@ -24,7 +24,6 @@
 #include "nic/port.hpp"
 #include "sim/event_queue.hpp"
 #include "stats/mt19937_64.hpp"
-#include "stats/running_stats.hpp"
 
 namespace moongen::dut {
 
@@ -44,11 +43,6 @@ class Forwarder {
   [[nodiscard]] std::uint64_t interrupts() const { return interrupts_; }
   [[nodiscard]] std::uint64_t forwarded() const { return forwarded_; }
   [[nodiscard]] std::uint64_t polls() const { return polls_; }
-  /// Per-packet residence time inside the DuT (ring wait + service +
-  /// pipeline), recorded for diagnostics; end-to-end latency is measured by
-  /// the generator's timestamper as in the paper.
-  [[nodiscard]] const stats::RunningStats& internal_latency_ns() const { return latency_ns_; }
-  [[nodiscard]] int itr_class() const { return itr_class_; }
 
   /// Arms the stall fault site: a fire freezes the poll loop for the
   /// rule's `param` ps (default 50 us) — scheduler preemption, SMI, or cache
@@ -86,7 +80,6 @@ class Forwarder {
   std::uint64_t interrupts_ = 0;
   std::uint64_t forwarded_ = 0;
   std::uint64_t polls_ = 0;
-  stats::RunningStats latency_ns_;
 };
 
 }  // namespace moongen::dut

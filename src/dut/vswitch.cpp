@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "proto/packet_view.hpp"
+#include "stats/samplers.hpp"
 
 namespace moongen::dut {
 
@@ -18,13 +19,10 @@ std::uint64_t hash_key(const FiveTupleKey& k) {
   // splitmix64 over the packed tuple; the table is power-of-two sized so
   // only the low bits are used, and splitmix mixes all input bits into
   // them.
-  std::uint64_t z = (static_cast<std::uint64_t>(k.src_ip) << 32) | k.dst_ip;
-  z ^= (static_cast<std::uint64_t>(k.src_port) << 24) ^
-       (static_cast<std::uint64_t>(k.dst_port) << 8) ^ k.protocol;
-  z += 0x9e3779b97f4a7c15ull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
+  const std::uint64_t packed = ((static_cast<std::uint64_t>(k.src_ip) << 32) | k.dst_ip) ^
+                               (static_cast<std::uint64_t>(k.src_port) << 24) ^
+                               (static_cast<std::uint64_t>(k.dst_port) << 8) ^ k.protocol;
+  return stats::splitmix64(packed);
 }
 
 }  // namespace
@@ -65,7 +63,7 @@ VSwitch::VSwitch(sim::EventQueue& events, nic::Port& in_port, int in_queue,
     QueueState q;
     q.cfg = tc;
     q.bucket = TokenBucket(tc.rate_mbit, tc.burst_bytes);
-    q.ring.capacity = std::max<std::size_t>(1, tc.queue_frames);
+    q.ring.set_capacity(std::max<std::size_t>(1, tc.queue_frames));
     if (tc.vid != 0) {
       auto& slot = vid_table_[tc.vid & 0x0fff];
       if (slot != -1) throw std::invalid_argument("VSwitch: duplicate tenant vid");
@@ -82,7 +80,7 @@ VSwitch::VSwitch(sim::EventQueue& events, nic::Port& in_port, int in_queue,
     q.cfg.vport = cfg_.flood_vport;
     q.cfg.priority = VSwitchConfig::kPriorityClasses - 1;
     q.cfg.quantum_bytes = std::max<std::uint32_t>(1, cfg_.flood_quantum_bytes);
-    q.ring.capacity = std::max<std::size_t>(1, cfg_.flood_queue_frames);
+    q.ring.set_capacity(std::max<std::size_t>(1, cfg_.flood_queue_frames));
     tenants_.push_back(std::move(q));
   }
 
@@ -126,16 +124,9 @@ void VSwitch::add_flow(const FiveTupleKey& key, std::size_t tenant) {
   ++flow_count_;
 }
 
-void VSwitch::FrameRing::grow() {
-  std::vector<nic::Frame> bigger(std::min(capacity, std::max<std::size_t>(1, 2 * slots.size())));
-  for (std::size_t i = 0; i < count; ++i) bigger[i] = std::move(slots[(head + i) % slots.size()]);
-  slots = std::move(bigger);
-  head = 0;
-}
-
 std::size_t VSwitch::queued() const {
   std::size_t n = 0;
-  for (const QueueState& q : tenants_) n += q.ring.count;
+  for (const QueueState& q : tenants_) n += q.ring.size();
   return n;
 }
 
@@ -143,7 +134,7 @@ TenantCounters VSwitch::tenant_counters(std::size_t tenant) const {
   const QueueState& q = tenants_.at(tenant);
   return TenantCounters{q.matched,     q.emitted,     q.emitted_wire_bytes,
                         q.shaped_drops, q.queue_drops, q.egress_ring_drops,
-                        q.ring.count};
+                        q.ring.size()};
 }
 
 void VSwitch::install_faults(fault::FaultPlane& plane, const std::string& site) {
@@ -290,7 +281,7 @@ void VSwitch::enqueue(std::size_t queue_idx, nic::Frame&& frame, bool is_flood) 
     ++matched_;
   }
   ++q.matched;
-  q.ring.push(std::move(frame));
+  q.ring.push_back(std::move(frame));
   VportState& vp = vports_[static_cast<std::size_t>(q.cfg.vport)];
   vp.backlogged[q.cfg.priority].assign(q.slot, true);
   ++vp.backlog[q.cfg.priority];
@@ -339,7 +330,7 @@ void VSwitch::drain_vport(std::size_t vp_idx) {
     if (q.deficit >= bytes) {
       q.deficit -= bytes;
       winner = members[rr];
-      frame = q.ring.pop();
+      frame = q.ring.pop_front();
       break;
     }
     q.deficit += q.cfg.quantum_bytes;

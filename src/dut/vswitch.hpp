@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "fault/fault.hpp"
+#include "membuf/ring.hpp"
 #include "nic/port.hpp"
 #include "sim/bitmap.hpp"
 #include "sim/event_queue.hpp"
@@ -197,38 +198,12 @@ class VSwitch {
     std::int32_t tenant = -1;  // -1 = empty
   };
 
-  /// Frame ring holding at most `capacity` frames. Its slots double, up to
-  /// the capacity, when a push finds them all taken: thousands of tenants
-  /// that never queue deeply do not pay for their capacity up front.
-  struct FrameRing {
-    std::vector<nic::Frame> slots;
-    std::size_t capacity = 1;
-    std::size_t head = 0;
-    std::size_t count = 0;
-
-    [[nodiscard]] bool full() const { return count == capacity; }
-    [[nodiscard]] bool empty() const { return count == 0; }
-    /// Requires !full().
-    void push(nic::Frame&& f) {
-      if (count == slots.size()) grow();
-      slots[(head + count) % slots.size()] = std::move(f);
-      ++count;
-    }
-    [[nodiscard]] const nic::Frame& front() const { return slots[head]; }
-    nic::Frame pop() {
-      nic::Frame f = std::move(slots[head]);
-      head = (head + 1) % slots.size();
-      --count;
-      return f;
-    }
-    /// Doubles the slots (at most to `capacity`) and moves the queued
-    /// frames to the front in FIFO order.
-    void grow();
-  };
-
   /// One egress queue: a tenant's, or the flood queue (tenant index -1).
   struct QueueState {
-    FrameRing ring;
+    /// Holds at most the configured queue_frames; its slots double as it
+    /// fills, so thousands of tenants that never queue deeply do not pay
+    /// for their capacity up front.
+    membuf::BoundedRing<nic::Frame> ring;
     TokenBucket bucket;
     TenantConfig cfg;
     std::uint32_t deficit = 0;
@@ -264,7 +239,6 @@ class VSwitch {
   /// (flood). Sets `*vid_matched` for telemetry.
   [[nodiscard]] std::int32_t match(const nic::Frame& frame) const;
   void enqueue(std::size_t queue_idx, nic::Frame&& frame, bool is_flood);
-  void kick_vport(std::size_t vp_idx);
   void drain_vport(std::size_t vp_idx);
 
   sim::EventQueue& events_;

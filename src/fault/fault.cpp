@@ -5,6 +5,7 @@
 
 #include "sim/event_queue.hpp"
 #include "sim/ptp_clock.hpp"
+#include "stats/samplers.hpp"
 #include "telemetry/registry.hpp"
 
 namespace moongen::fault {
@@ -28,22 +29,6 @@ constexpr KindName kKindNames[] = {
     {FaultKind::kClockStep, "clock_step"},
     {FaultKind::kClockDrift, "clock_drift"},
 };
-
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 double parse_double(std::string_view v, std::string_view what) {
   // std::from_chars<double> is not universally available; strtod needs a
@@ -192,8 +177,8 @@ detail::FaultSite* FaultPlane::make_site(FaultKind kind, const std::string& site
   s.plane = this;
   s.name = site;
   s.kind = kind;
-  s.rng.seed(splitmix64(spec_.seed ^ fnv1a(site) ^
-                        (static_cast<std::uint64_t>(kind) + 1) * 0x9e3779b97f4a7c15ull));
+  s.rng.seed(stats::splitmix64(spec_.seed ^ stats::fnv1a(site) ^
+                               (static_cast<std::uint64_t>(kind) + 1) * stats::kSplitMix64Gamma));
   if (telemetry_.bound()) bind_site(s);
   return &s;
 }
@@ -256,21 +241,6 @@ std::uint64_t FaultPlane::total_fires() const {
   std::uint64_t n = 0;
   for (const auto& s : sites_) n += s.fires;
   return n;
-}
-
-std::vector<const FaultRule*> FaultPlane::unmatched_rules() const {
-  std::vector<const FaultRule*> unmatched;
-  for (const auto& rule : spec_.rules) {
-    bool hit = false;
-    for (const auto& req : requested_) {
-      if (rule.matches(req.kind, req.name)) {
-        hit = true;
-        break;
-      }
-    }
-    if (!hit) unmatched.push_back(&rule);
-  }
-  return unmatched;
 }
 
 std::uint64_t FaultPlane::fires_at(std::string_view site) const {

@@ -201,12 +201,6 @@ class FaultPlane {
   };
   [[nodiscard]] const std::vector<RequestedSite>& requested_sites() const { return requested_; }
 
-  /// Rules of the spec that match no requested probe site. A typo'd site
-  /// ("loss@wire.l9" on a two-link testbed) lands here: the rule can never
-  /// fire, silently. Call after every component has installed its points;
-  /// testbed::Testbed does this on its first run_until.
-  [[nodiscard]] std::vector<const FaultRule*> unmatched_rules() const;
-
   // --- fire observation (flight recorder) -----------------------------------
 
   /// Invoked on every fire with (site name, kind, virtual time). Observation

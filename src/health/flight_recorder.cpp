@@ -7,22 +7,6 @@
 
 namespace moongen::health {
 
-namespace {
-
-void write_escaped(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << c;
-    }
-  }
-}
-
-}  // namespace
-
 void FlightRecorder::Ring::push(sim::SimTime t, std::uint64_t seq, std::uint32_t meta) {
   const std::uint64_t h = head.load(std::memory_order_relaxed);
   Slot& s = slots[h & mask];
@@ -95,16 +79,16 @@ void FlightRecorder::dump_json(std::ostream& os, const std::string& reason,
                                const std::vector<Violation>& violations,
                                const std::vector<std::uint64_t>& heartbeats,
                                const telemetry::Snapshot* snapshot) const {
-  os << "{\n  \"schema\": \"moongen-flight-recorder-v1\",\n  \"reason\": \"";
-  write_escaped(os, reason);
-  os << "\",\n  \"violations\": [";
+  os << "{\n  \"schema\": \"moongen-flight-recorder-v1\",\n  \"reason\": ";
+  telemetry::write_json_string(os, reason);
+  os << ",\n  \"violations\": [";
   for (std::size_t i = 0; i < violations.size(); ++i) {
     const Violation& v = violations[i];
-    os << (i == 0 ? "\n" : ",\n") << "    {\"checker\": \"";
-    write_escaped(os, v.checker);
-    os << "\", \"when_ps\": " << v.when_ps << ", \"detail\": \"";
-    write_escaped(os, v.detail);
-    os << "\"}";
+    os << (i == 0 ? "\n" : ",\n") << "    {\"checker\": ";
+    telemetry::write_json_string(os, v.checker);
+    os << ", \"when_ps\": " << v.when_ps << ", \"detail\": ";
+    telemetry::write_json_string(os, v.detail);
+    os << "}";
   }
   os << (violations.empty() ? "]" : "\n  ]") << ",\n  \"shards\": [";
   for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -117,9 +101,9 @@ void FlightRecorder::dump_json(std::ostream& os, const std::string& reason,
       os << (i == 0 ? "\n" : ",\n") << "      {\"time_ps\": " << e.time_ps;
       if (e.kind == EntryKind::kFaultFire) {
         os << ", \"kind\": \"fault\", \"fault\": \""
-           << fault::to_string(static_cast<fault::FaultKind>(e.seq)) << "\", \"site\": \"";
-        write_escaped(os, site_name(e.site_id));
-        os << "\"}";
+           << fault::to_string(static_cast<fault::FaultKind>(e.seq)) << "\", \"site\": ";
+        telemetry::write_json_string(os, site_name(e.site_id));
+        os << "}";
       } else {
         os << ", \"kind\": \"event\", \"seq\": " << e.seq << "}";
       }

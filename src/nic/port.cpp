@@ -80,12 +80,6 @@ void TxQueueModel::set_fifo_capacity(std::size_t frames) {
 // RxQueueModel
 // ---------------------------------------------------------------------------
 
-std::vector<RxQueueModel::Entry> RxQueueModel::drain(std::size_t max) {
-  std::vector<Entry> out;
-  drain_into(out, max);
-  return out;
-}
-
 std::size_t RxQueueModel::drain_into(std::vector<Entry>& out, std::size_t max) {
   const std::size_t n = std::min(max, ring_.size());
   out.reserve(out.size() + n);

@@ -148,12 +148,9 @@ class RxQueueModel {
   /// recorders and the DuT model).
   void set_callback(Callback cb) { callback_ = std::move(cb); }
 
-  /// Removes and returns up to `max` frames from the ring (app-side recv).
-  std::vector<Entry> drain(std::size_t max = SIZE_MAX);
-
-  /// Allocation-free drain: appends up to `max` entries to `out` (which the
-  /// caller clears and reuses across polls, like a driver's RX burst array).
-  /// Returns the number of entries appended.
+  /// Removes up to `max` frames from the ring (app-side recv) and appends
+  /// them to `out`, which a polling caller clears and reuses, like a
+  /// driver's RX burst array. Returns the number of entries appended.
   std::size_t drain_into(std::vector<Entry>& out, std::size_t max = SIZE_MAX);
 
   [[nodiscard]] std::size_t pending() const { return ring_.size(); }
@@ -215,7 +212,7 @@ class Port {
   /// Registers readers of PortStats as `<prefix>.tx_packets`, `.tx_bytes`,
   /// `.rx_packets`, `.rx_bytes`, `.crc_errors`, `.rx_ring_drops` and
   /// `recover.<prefix>.link_resume` (carrier-up transitions after an
-  /// outage). The registry must outlive the port.
+  /// outage).
   void bind_telemetry(telemetry::MetricRegistry& registry, const std::string& prefix);
 
   /// Attaches this port to the always-on RTT plane: `rtt` is the RttShard

@@ -145,9 +145,6 @@ class EspPacketView : public Ipv4PacketView {
     return *reinterpret_cast<EspHeader*>(frame_.data() + sizeof(EthernetHeader) +
                                          sizeof(Ipv4Header));
   }
-  [[nodiscard]] std::span<std::uint8_t> esp_payload() const {
-    return frame_.subspan(kHeaderStack);
-  }
 
   /// Fills Ethernet/IPv4/ESP headers; `spi` and `sequence` per SA state.
   void fill(std::size_t packet_length, MacAddress eth_src, MacAddress eth_dst,

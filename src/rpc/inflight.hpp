@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "sim/time.hpp"
+#include "stats/samplers.hpp"
 
 namespace moongen::rpc {
 
@@ -108,11 +109,8 @@ class InFlightTable {
 
  private:
   [[nodiscard]] std::size_t hash(std::uint64_t seq) const {
-    // splitmix64 finalizer: sequential ids scatter uniformly.
-    std::uint64_t z = seq + 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return static_cast<std::size_t>((z ^ (z >> 31)) & mask_);
+    // Sequential ids scatter uniformly.
+    return static_cast<std::size_t>(stats::splitmix64(seq) & mask_);
   }
 
   /// Backward-shift deletion: close the gap by moving displaced successors

@@ -9,8 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <ostream>
-#include <string_view>
 
 #include "sim/time.hpp"
 #include "stats/running_stats.hpp"
@@ -46,10 +44,6 @@ class LatencyRecorder {
     hist_.merge(other.hist_);
     running_.merge(other.running_);
   }
-
-  /// One machine-readable JSON object (no trailing newline):
-  /// {"label":..,"count":..,"min_ns":..,"p50_ns":..,...}
-  void write_json(std::ostream& os, std::string_view label) const;
 
  private:
   telemetry::LogLinearHistogram hist_;

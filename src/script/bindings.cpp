@@ -8,11 +8,6 @@
 #include <thread>
 #include <unordered_map>
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "core/device.hpp"
 #include "core/task.hpp"
 #include "membuf/buf_array.hpp"
@@ -523,17 +518,16 @@ struct ScriptRuntime::Shared {
 
 namespace {
 
-void pin_thread(int core) {
-#ifdef __linux__
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<unsigned>(core) % hw, &set);
-  pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)core;
-#endif
+/// Joins every slave launched so far (mg.waitForSlaves, ScriptRuntime::wait).
+void join_slaves(ScriptRuntime::Shared& shared) {
+  std::vector<std::thread> taken;
+  {
+    std::scoped_lock lock(shared.mutex);
+    taken.swap(shared.slaves);
+  }
+  for (auto& t : taken) {
+    if (t.joinable()) t.join();
+  }
 }
 
 void install_modules(Interpreter& interp, const std::shared_ptr<ScriptRuntime::Shared>& shared) {
@@ -639,7 +633,7 @@ void install_modules(Interpreter& interp, const std::shared_ptr<ScriptRuntime::S
         shared->launched.fetch_add(1);
         shared->slaves.emplace_back([shared, fn_name, slave_args = std::move(slave_args),
                                      core]() mutable {
-          pin_thread(core);
+          core::pin_to_core(core);
           // An exception must not leave the thread (std::terminate): any
           // failure, script-level or C++, is reported and ends this slave.
           try {
@@ -657,14 +651,7 @@ void install_modules(Interpreter& interp, const std::shared_ptr<ScriptRuntime::S
       }));
   mg_module->set(Table::Key{"waitForSlaves"},
                  make_native("mg.waitForSlaves", [shared](Interpreter&, std::vector<Value>&) {
-                   std::vector<std::thread> taken;
-                   {
-                     std::scoped_lock lock(shared->mutex);
-                     taken.swap(shared->slaves);
-                   }
-                   for (auto& t : taken) {
-                     if (t.joinable()) t.join();
-                   }
+                   join_slaves(*shared);
                    return no_values();
                  }));
   mg_module->set(Table::Key{"sleepMillis"},
@@ -718,16 +705,7 @@ void ScriptRuntime::run_master(std::vector<Value> args) {
   master_->call(master_fn, std::move(args));
 }
 
-void ScriptRuntime::wait() {
-  std::vector<std::thread> taken;
-  {
-    std::scoped_lock lock(shared_->mutex);
-    taken.swap(shared_->slaves);
-  }
-  for (auto& t : taken) {
-    if (t.joinable()) t.join();
-  }
-}
+void ScriptRuntime::wait() { join_slaves(*shared_); }
 
 std::size_t ScriptRuntime::slaves_launched() const { return shared_->launched.load(); }
 

@@ -75,8 +75,6 @@ class ParallelRuntime {
   /// streaming-export ticks ride on it.
   void add_window_hook(SimTime period_ps, std::function<void(SimTime)> fn);
 
-  [[nodiscard]] std::size_t window_hook_count() const { return hooks_.size(); }
-
   void set_executor(Executor executor) { executor_ = std::move(executor); }
 
   /// Advances every shard to `t`: all events with time <= t run, clocks end

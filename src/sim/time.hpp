@@ -18,9 +18,6 @@ inline constexpr SimTime kPsPerUs = 1'000'000;
 inline constexpr SimTime kPsPerMs = 1'000'000'000;
 inline constexpr SimTime kPsPerSec = 1'000'000'000'000ull;
 
-constexpr SimTime from_ns(double ns) { return static_cast<SimTime>(ns * 1e3); }
-constexpr double to_ns(SimTime t) { return static_cast<double>(t) / 1e3; }
-constexpr double to_us(SimTime t) { return static_cast<double>(t) / 1e6; }
 constexpr double to_seconds(SimTime t) { return static_cast<double>(t) / 1e12; }
 
 /// Picoseconds to serialize one byte at `mbit_per_s` megabit/s.

@@ -15,9 +15,33 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 namespace moongen::stats {
+
+/// The splitmix64 step as a hash: adds the golden-ratio increment to `x`
+/// and finalizes (2 multiplies, 3 xor-shifts). Sequential inputs scatter
+/// uniformly over all 64 bits, so hash tables may use the low bits alone;
+/// seeds derived as splitmix64(base + kSplitMix64Gamma * id) never share a
+/// stream.
+inline constexpr std::uint64_t kSplitMix64Gamma = 0x9e3779b97f4a7c15ull;
+inline std::uint64_t splitmix64(std::uint64_t x) {
+  x += kSplitMix64Gamma;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+/// 64-bit FNV-1a over the bytes of `s`: a stable hash of site names.
+inline std::uint64_t fnv1a(std::string_view s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : s) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
 
 /// SplitMix64 (Steele et al.): full-period 64-bit generator, 2 multiplies
 /// and 3 xor-shifts per draw. Also usable as a seed mixer: construct from a
@@ -27,10 +51,9 @@ class SplitMix64 {
   explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
 
   std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
+    const std::uint64_t z = splitmix64(state_);
+    state_ += kSplitMix64Gamma;
+    return z;
   }
 
   /// Uniform double in [0, 1) with the full 53 bits of mantissa.

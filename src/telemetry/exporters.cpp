@@ -11,28 +11,6 @@ namespace {
 constexpr double kQuantiles[] = {25.0, 50.0, 75.0, 90.0, 99.0, 99.9};
 constexpr const char* kQuantileKeys[] = {"p25", "p50", "p75", "p90", "p99", "p999"};
 
-void json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
 void json_number(std::ostream& os, double v) {
   if (!std::isfinite(v)) {
     os << "null";
@@ -63,25 +41,47 @@ void json_histogram(std::ostream& os, const LogLinearHistogram& h) {
 
 }  // namespace
 
+void write_json_string(std::ostream& os, const std::string& s) {
+  os << '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"': os << "\\\""; break;
+      case '\\': os << "\\\\"; break;
+      case '\n': os << "\\n"; break;
+      case '\t': os << "\\t"; break;
+      case '\r': os << "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          os << buf;
+        } else {
+          os << c;
+        }
+    }
+  }
+  os << '"';
+}
+
 void write_json(std::ostream& os, const Snapshot& snap) {
   os << "{\"schema\":\"moongen-telemetry-v1\",\"timestamp_ns\":" << snap.timestamp_ns;
   os << ",\"counters\":{";
   for (std::size_t i = 0; i < snap.counters.size(); ++i) {
     if (i > 0) os << ',';
-    json_string(os, snap.counters[i].name);
+    write_json_string(os, snap.counters[i].name);
     os << ':' << snap.counters[i].value;
   }
   os << "},\"gauges\":{";
   for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
     if (i > 0) os << ',';
-    json_string(os, snap.gauges[i].name);
+    write_json_string(os, snap.gauges[i].name);
     os << ':';
     json_number(os, snap.gauges[i].value);
   }
   os << "},\"histograms\":{";
   for (std::size_t i = 0; i < snap.histograms.size(); ++i) {
     if (i > 0) os << ',';
-    json_string(os, snap.histograms[i].name);
+    write_json_string(os, snap.histograms[i].name);
     os << ':';
     json_histogram(os, snap.histograms[i].hist);
   }

@@ -13,6 +13,11 @@
 
 namespace moongen::telemetry {
 
+/// `s` as a quoted JSON string: quote, backslash and every control
+/// character escaped (\n, \t, \r, else \u00XX). The snapshot and
+/// flight-recorder writers quote their strings through here.
+void write_json_string(std::ostream& os, const std::string& s);
+
 /// One snapshot as a JSON object (schema "moongen-telemetry-v1").
 void write_json(std::ostream& os, const Snapshot& snapshot);
 

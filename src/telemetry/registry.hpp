@@ -17,12 +17,14 @@
 // bench's fitted constants, an example's end-of-run rates) are published
 // with add_counter / set_gauge.
 //
-// Lifetime: the registry must outlive every Binding opened on it.
+// A registry and the components bound to it may die in either order: a
+// Binding whose registry is gone releases nothing.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -56,41 +58,7 @@ struct Snapshot {
   std::vector<HistogramSample> histograms;
 };
 
-class MetricRegistry;
-
-/// One component's readers in one registry. Move-only. Destroying it (with
-/// its component — declare it as the component's last member, so it goes
-/// first) replaces each reader with the value it returns then.
-class Binding {
- public:
-  Binding() = default;
-  Binding(Binding&& other) noexcept
-      : registry_(std::exchange(other.registry_, nullptr)), id_(other.id_) {}
-  Binding& operator=(Binding&& other) noexcept;
-  Binding(const Binding&) = delete;
-  Binding& operator=(const Binding&) = delete;
-  ~Binding() { release(); }
-
-  /// Starts registering readers in `registry`. Throws std::logic_error if
-  /// this binding is already open: a component is bound once.
-  void open(MetricRegistry& registry);
-  [[nodiscard]] bool bound() const { return registry_ != nullptr; }
-
-  /// Registers a reader under `name`. Throws std::logic_error before
-  /// open(); std::invalid_argument when a gauge name already has a live
-  /// reader or a histogram name another geometry.
-  void counter(const std::string& name, std::function<std::uint64_t()> read);
-  void gauge(const std::string& name, std::function<double()> read);
-  void histogram(const std::string& name, std::function<LogLinearHistogram()> read);
-
- private:
-  /// The open registry; throws std::logic_error naming `name` before open().
-  MetricRegistry& registry(const std::string& name) const;
-  void release();
-
-  MetricRegistry* registry_ = nullptr;
-  std::uint64_t id_ = 0;
-};
+class Binding;
 
 class MetricRegistry {
  public:
@@ -127,6 +95,20 @@ class MetricRegistry {
   template <typename T>
   using Book = std::map<std::string, Metric<T>>;
 
+  /// Every metric of the registry. The registry owns it; each Binding
+  /// holds it weakly, so a Binding that outlives its registry finds it gone
+  /// and releases nothing.
+  struct Books {
+    mutable std::mutex mutex;
+    std::uint64_t next_id = 1;
+    Book<std::uint64_t> counters;
+    Book<double> gauges;
+    Book<LogLinearHistogram> histograms;
+
+    /// Replaces binding `id`'s readers with the values they read now.
+    void release(std::uint64_t id);
+  };
+
   /// Folds one reader's value into `acc`: counters add, gauges replace,
   /// histograms merge.
   static void fold(std::optional<std::uint64_t>& acc, std::uint64_t v) {
@@ -140,14 +122,44 @@ class MetricRegistry {
   template <typename T>
   static void retire(Book<T>& book, std::uint64_t id);
 
-  std::uint64_t open_binding();
-  void release(std::uint64_t id);
+  std::shared_ptr<Books> books_ = std::make_shared<Books>();
+};
 
-  mutable std::mutex mutex_;
-  std::uint64_t next_id_ = 1;
-  Book<std::uint64_t> counters_;
-  Book<double> gauges_;
-  Book<LogLinearHistogram> histograms_;
+/// One component's readers in one registry. Move-only. Destroying it (with
+/// its component — declare it as the component's last member, so it goes
+/// first) replaces each reader with the value it returns then; if the
+/// registry is already gone, there is nothing to release.
+class Binding {
+ public:
+  Binding() = default;
+  Binding(Binding&& other) noexcept
+      : books_(std::exchange(other.books_, {})), id_(other.id_) {}
+  Binding& operator=(Binding&& other) noexcept;
+  Binding(const Binding&) = delete;
+  Binding& operator=(const Binding&) = delete;
+  ~Binding() { release(); }
+
+  /// Starts registering readers in `registry`. Throws std::logic_error if
+  /// this binding is already open: a component is bound once.
+  void open(MetricRegistry& registry);
+  /// Open, and its registry still exists.
+  [[nodiscard]] bool bound() const { return !books_.expired(); }
+
+  /// Registers a reader under `name`. Throws std::logic_error unless
+  /// bound(); std::invalid_argument when a gauge name already has a live
+  /// reader or a histogram name another geometry.
+  void counter(const std::string& name, std::function<std::uint64_t()> read);
+  void gauge(const std::string& name, std::function<double()> read);
+  void histogram(const std::string& name, std::function<LogLinearHistogram()> read);
+
+ private:
+  /// The open registry's books; throws std::logic_error naming `name`
+  /// unless bound().
+  [[nodiscard]] std::shared_ptr<MetricRegistry::Books> books(const std::string& name) const;
+  void release();
+
+  std::weak_ptr<MetricRegistry::Books> books_;
+  std::uint64_t id_ = 0;
 };
 
 }  // namespace moongen::telemetry

@@ -115,12 +115,6 @@ class RttShard {
   [[nodiscard]] std::uint64_t rx_seen() const { return rx_seen_; }
 
   [[nodiscard]] std::uint32_t group_count() const { return mask_ + 1; }
-  [[nodiscard]] const LogLinearHistogram& window_hist(std::uint32_t group) const {
-    return groups_[group].window;
-  }
-  [[nodiscard]] const LogLinearHistogram& cumulative_hist(std::uint32_t group) const {
-    return groups_[group].cumulative;
-  }
 
  private:
   friend class RttPlane;

@@ -6,19 +6,11 @@
 #include <utility>
 
 #include "core/task.hpp"
+#include "stats/samplers.hpp"
 
 namespace moongen::testbed {
 
 namespace {
-
-// splitmix64 finalizer: derives per-entity seeds from (base seed, entity
-// id) so unrelated entities never share an RNG stream by accident.
-std::uint64_t mix_seed(std::uint64_t base, std::uint64_t salt) {
-  std::uint64_t z = base + 0x9e3779b97f4a7c15ull * (salt + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
 
 // Minimal union-find over device indices (a scenario has a handful of
 // devices; path compression alone is plenty).
@@ -134,12 +126,6 @@ Scenario& Scenario::link_mbit(std::uint64_t mbit) {
   return *this;
 }
 
-Scenario& Scenario::queues(int n) {
-  if (n <= 0) throw std::invalid_argument("Scenario::queues: need at least one queue");
-  cur_device().queues = n;
-  return *this;
-}
-
 Scenario& Scenario::rx_store(bool store) {
   cur_device().rx_store = store;
   return *this;
@@ -218,18 +204,6 @@ Scenario& Scenario::vswitch(int in_device, std::vector<int> out_devices,
   return *this;
 }
 
-Scenario& Scenario::fast_device(int id, int rx_queues, int tx_queues) {
-  fast_devices_.push_back(FastDecl{id, rx_queues, tx_queues});
-  cursor_ = Cursor::kNone;
-  return *this;
-}
-
-Scenario& Scenario::fast_connect(int from, int to) {
-  fast_connects_.push_back(FastConnectDecl{from, to});
-  cursor_ = Cursor::kNone;
-  return *this;
-}
-
 std::size_t Scenario::device_index(int id, const char* what) const {
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     if (devices_[i].id == id) return i;
@@ -299,7 +273,7 @@ std::unique_ptr<Testbed> Scenario::build() {
   });
 
   // 2. Effective shard count: never more shards than components (and at
-  // least one engine even for a pure fast-path testbed).
+  // least one engine even for a testbed without devices).
   const std::size_t effective =
       std::max<std::size_t>(1, std::min<std::size_t>(static_cast<std::size_t>(shards_),
                                                      std::max<std::size_t>(1, ordered.size())));
@@ -339,14 +313,15 @@ std::unique_ptr<Testbed> Scenario::build() {
             [this](std::size_t a, std::size_t b) { return devices_[a].id < devices_[b].id; });
   for (const std::size_t i : by_id) {
     const DeviceDecl& d = devices_[i];
-    nic::ChipSpec spec = d.chip;
-    if (d.queues > 0) spec.num_queues = d.queues;
+    // Undeclared seeds derive from (base seed, device id), so unrelated
+    // entities never share an RNG stream by accident; links likewise.
+    const auto id = static_cast<std::uint64_t>(d.id);
     const std::uint64_t port_seed =
-        d.seed ? *d.seed : mix_seed(seed_, static_cast<std::uint64_t>(d.id));
+        d.seed ? *d.seed : stats::splitmix64(seed_ + stats::kSplitMix64Gamma * id);
     Testbed::DeviceEntry entry;
     entry.name = d.name;
     entry.shard = shard_of[i];
-    entry.port = std::make_unique<nic::Port>(tb->runtime_->shard(shard_of[i]), std::move(spec),
+    entry.port = std::make_unique<nic::Port>(tb->runtime_->shard(shard_of[i]), d.chip,
                                              d.link_mbit, port_seed);
     if (!d.rx_store) entry.port->rx_queue(0).set_store(false);
     tb->devices_.emplace(d.id, std::move(entry));
@@ -367,7 +342,9 @@ std::unique_ptr<Testbed> Scenario::build() {
   }
   for (std::size_t li = 0; li < expanded.size(); ++li) {
     const LinkDecl& l = expanded[li];
-    const std::uint64_t link_seed = l.seed ? *l.seed : mix_seed(seed_ ^ 0x77697265ull, li);
+    const std::uint64_t wire_base = seed_ ^ 0x77697265ull;
+    const std::uint64_t link_seed =
+        l.seed ? *l.seed : stats::splitmix64(wire_base + stats::kSplitMix64Gamma * li);
     Testbed::LinkEntry entry;
     entry.from = l.from;
     entry.to = l.to;
@@ -479,16 +456,6 @@ std::unique_ptr<Testbed> Scenario::build() {
       tb->runtime_->add_window_hook(snapshot_period_ps,
                                     [raw](sim::SimTime) { raw->telemetry_tick(); });
     }
-  }
-
-  // 11. Fast-path devices.
-  for (const FastDecl& f : fast_devices_) tb->fast_devices_.config(f.id, f.rx, f.tx);
-  for (const FastConnectDecl& c : fast_connects_) {
-    core::Device* from = tb->fast_devices_.find(c.from);
-    core::Device* to = tb->fast_devices_.find(c.to);
-    if (from == nullptr || to == nullptr)
-      throw std::invalid_argument("Scenario::fast_connect references undeclared fast device");
-    from->connect_to(*to);
   }
 
   return tb;

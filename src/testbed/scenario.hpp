@@ -103,8 +103,6 @@ class Scenario {
   /// Link speed in Mbit/s (default 10'000). build() throws
   /// std::invalid_argument on 0 or a speed above the chip's max_link_mbit.
   Scenario& link_mbit(std::uint64_t mbit);
-  /// Overrides the chip's TX/RX queue count.
-  Scenario& queues(int n);
   /// Disables payload storage on RX queue 0 (pure counting sinks).
   Scenario& rx_store(bool store);
   /// Whether this device's RX path folds stamped frames into the RTT
@@ -147,14 +145,6 @@ class Scenario {
   /// `vswitch.*` with per-tenant `vswitch.t<k>.*`.
   Scenario& vswitch(int in_device, std::vector<int> out_devices, dut::VSwitchConfig cfg);
 
-  // --- fast-path devices ---------------------------------------------------
-
-  /// Declares a fast-path (wall-clock) core::Device in the testbed's
-  /// private DeviceTable.
-  Scenario& fast_device(int id, int rx_queues = 1, int tx_queues = 1);
-  /// Connects fast-path device `from`'s TX to `to`'s RX queue 0.
-  Scenario& fast_connect(int from, int to);
-
   /// Validates the declaration, partitions devices into shards and
   /// constructs the testbed. Throws std::invalid_argument on undeclared
   /// ids, or a telemetry period that overflows picoseconds, differs between
@@ -170,7 +160,6 @@ class Scenario {
     nic::ChipSpec chip;
     std::string name;
     std::uint64_t link_mbit = 10'000;
-    int queues = -1;  // -1: chip default
     bool rx_store = true;
     bool rtt_record = true;
     std::optional<std::uint64_t> seed;
@@ -196,15 +185,6 @@ class Scenario {
     int a = -1;
     int b = -1;
   };
-  struct FastDecl {
-    int id = -1;
-    int rx = 1;
-    int tx = 1;
-  };
-  struct FastConnectDecl {
-    int from = -1;
-    int to = -1;
-  };
 
   DeviceDecl& cur_device();
   LinkDecl& cur_link();
@@ -228,8 +208,6 @@ class Scenario {
   std::vector<ForwarderDecl> forwarders_;
   std::vector<VSwitchDecl> vswitches_;
   std::vector<CoupleDecl> couples_;
-  std::vector<FastDecl> fast_devices_;
-  std::vector<FastConnectDecl> fast_connects_;
   Cursor cursor_ = Cursor::kNone;
 };
 

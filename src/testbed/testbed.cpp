@@ -154,11 +154,4 @@ void Testbed::validate_fault_rules() {
   }
 }
 
-core::Device& Testbed::fast_device(int id) {
-  core::Device* dev = fast_devices_.find(id);
-  if (dev == nullptr)
-    throw std::out_of_range("Testbed::fast_device: no fast device " + std::to_string(id));
-  return *dev;
-}
-
 }  // namespace moongen::testbed

@@ -25,8 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/device.hpp"
-#include "core/task.hpp"
 #include "dut/forwarder.hpp"
 #include "dut/vswitch.hpp"
 #include "fault/fault.hpp"
@@ -117,7 +115,8 @@ class Testbed {
   static constexpr std::size_t kSeriesCapacity = 512;
 
   /// The registry every component of this testbed registers its readers
-  /// in; components bound by the caller must not outlive the testbed.
+  /// in. A component the caller binds to it may outlive the testbed; its
+  /// metrics go with the registry.
   [[nodiscard]] telemetry::MetricRegistry& registry() { return registry_; }
   /// Every metric, read from its component at now(). Call at a quiesced
   /// instant (outside run_until, or from a global/window-hook callback).
@@ -162,16 +161,6 @@ class Testbed {
   /// re-check.
   void validate_fault_rules();
 
-  // --- run state & fast path ----------------------------------------------
-
-  /// The private run/stop flag of this testbed (the per-experiment
-  /// equivalent of core::running()).
-  [[nodiscard]] core::RunState& run_state() { return run_state_; }
-  /// This testbed's private fast-path device table.
-  [[nodiscard]] core::DeviceTable& fast_devices() { return fast_devices_; }
-  /// A fast-path device declared with `fast_device(id, ...)`.
-  [[nodiscard]] core::Device& fast_device(int id);
-
  private:
   friend class Scenario;
   Testbed() = default;
@@ -195,9 +184,7 @@ class Testbed {
 
   // Declaration order is destruction-order-sensitive: links reference
   // ports, ports reference shard engines and fault planes, so the members
-  // they point into must be declared first (destroyed last). The registry
-  // outlives every component that registered a reader in it.
-  core::RunState run_state_;
+  // they point into must be declared first (destroyed last).
   telemetry::MetricRegistry registry_;
   // Ports and links hold RttShard pointers into the plane, and the stream
   // reads the plane: both must outlive devices_/links_ below.
@@ -211,7 +198,6 @@ class Testbed {
   std::vector<LinkEntry> links_;
   std::vector<std::unique_ptr<dut::Forwarder>> forwarders_;
   std::vector<std::unique_ptr<dut::VSwitch>> vswitches_;
-  core::DeviceTable fast_devices_;
   bool fault_rules_validated_ = false;
 };
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "sim/event_queue.hpp"
+#include "stats/samplers.hpp"
 
 namespace moongen::wire {
 
@@ -13,15 +14,6 @@ namespace {
 // Default fault magnitudes (used when a rule's `param` is unset).
 constexpr sim::SimTime kDefaultFlapDownPs = 100'000'000;  // 100 us carrier loss
 constexpr sim::SimTime kDefaultReorderHoldPs = 1'000'000; // 1 us hold-back
-
-std::uint64_t hash_site(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 }  // namespace
 
@@ -46,7 +38,7 @@ void Link::install_faults(fault::FaultPlane& plane, const std::string& site) {
   if (plane.events() != nullptr) {
     fp_flap_ = plane.point(fault::FaultKind::kLinkFlap, site);
   }
-  corrupt_rng_.seed(plane.spec().seed ^ hash_site(site) ^ 0x5deece66dull);
+  corrupt_rng_.seed(plane.spec().seed ^ stats::fnv1a(site) ^ 0x5deece66dull);
 }
 
 std::int64_t Link::phy_jitter_ps() {

@@ -214,7 +214,8 @@ TEST(SimLoadGen, CrcPacedCbrProducesExactSpacingOnWire) {
 
   // Invalid frames never reach the receive queue; valid packets arrive
   // 2 us apart with byte granularity (0.8 ns at 10 GbE).
-  const auto entries = bed.b.rx_queue(0).drain();
+  std::vector<mn::RxQueueModel::Entry> entries;
+  bed.b.rx_queue(0).drain_into(entries);
   ASSERT_GT(entries.size(), 5'000u);
   EXPECT_GT(bed.b.stats().crc_errors, 1'000u);
   for (std::size_t i = 1; i < entries.size(); ++i) {

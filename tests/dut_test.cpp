@@ -7,20 +7,24 @@
 #include "core/rate_control.hpp"
 #include "testbed/scenario.hpp"
 #include "topologies.hpp"
+#include "wire/cable.hpp"
 
 namespace mc = moongen::core;
 namespace mn = moongen::nic;
 namespace ms = moongen::sim;
 namespace mtb = moongen::testbed;
+namespace mw = moongen::wire;
 namespace topo = moongen::topologies;
 
 namespace {
 
 /// The generator -> DuT -> sink testbed (the Open vSwitch setup of
-/// Sections 7.4 / 8.2 / 8.3) with seeds of its own.
-std::unique_ptr<mtb::Testbed> dut_bed() {
+/// Sections 7.4 / 8.2 / 8.3) with seeds of its own. `telemetry` also
+/// attaches the RTT plane, which measures gen -> sink latency of every
+/// frame the sink receives without changing the run.
+std::unique_ptr<mtb::Testbed> dut_bed(bool telemetry = false) {
   mtb::Scenario s;
-  s.telemetry(false);
+  s.telemetry(telemetry);
   topo::forwarder_path(s, {.device_seeds = {81, 82, 83, 84}, .link_seeds = {85, 86}});
   return s.build();
 }
@@ -31,6 +35,17 @@ mn::Frame load_frame() {
   opts.ptp_payload = true;
   opts.ptp_message_type = 5;
   return mc::make_udp_frame(opts);
+}
+
+/// What the RTT plane's gen -> sink latency adds to the forwarder's own
+/// residence time (dut_in's reception complete to its post on dut_out),
+/// from the topology: the two 2 m 10GBASE-T cables (PHY time k plus
+/// propagation) and dut_in's reception of the frame (preamble + frame).
+/// dut_out's descriptor fetch, under 1 us, comes on top.
+double fixed_path_ns() {
+  const mw::CableSpec cable = mw::cat5e_10gbaset(2.0);
+  const ms::SimTime rx_ps = (load_frame().frame_size() + 8) * ms::byte_time_ps(10'000);
+  return static_cast<double>(2 * (cable.k_ps + cable.propagation_ps()) + rx_ps) / 1e3;
 }
 
 }  // namespace
@@ -94,25 +109,29 @@ TEST(Forwarder, PollingModeSuppressesInterruptsAtOverload) {
 }
 
 TEST(Forwarder, InternalLatencyBoundedByRingAtOverload) {
-  auto tb = dut_bed();
+  auto tb = dut_bed(true);
   auto& q = tb->port("gen_tx").tx_queue(0);
   q.set_rate_mpps(4.0, 100);
   auto gen = mc::SimLoadGen::hardware_paced(q, load_frame());
   tb->run_until(100 * ms::kPsPerMs);
   // Ring of 4096 packets at ~0.5 us service: worst-case residence ~2 ms.
-  EXPECT_GT(tb->forwarder().internal_latency_ns().max(), 1.5e6);
-  EXPECT_LT(tb->forwarder().internal_latency_ns().max(), 3.0e6);
+  const auto rtt = tb->rtt_plane().cumulative();
+  ASSERT_EQ(rtt.total(), tb->port("sink").stats().rx_packets);
+  EXPECT_GT(static_cast<double>(rtt.max()), 1.5e6 + fixed_path_ns());
+  EXPECT_LT(static_cast<double>(rtt.max()), 3.0e6 + fixed_path_ns());
 }
 
 TEST(Forwarder, LatencyLowUnderLightLoad) {
-  auto tb = dut_bed();
+  auto tb = dut_bed(true);
   auto& q = tb->port("gen_tx").tx_queue(0);
   q.set_rate_mpps(0.2, 100);
   auto gen = mc::SimLoadGen::hardware_paced(q, load_frame());
   tb->run_until(50 * ms::kPsPerMs);
   // Interrupt wait + pipeline: tens of microseconds at most.
-  EXPECT_LT(tb->forwarder().internal_latency_ns().mean(), 40e3);
-  EXPECT_GT(tb->forwarder().internal_latency_ns().mean(), 5e3);
+  const auto rtt = tb->rtt_plane().cumulative();
+  ASSERT_EQ(rtt.total(), tb->port("sink").stats().rx_packets);
+  EXPECT_LT(rtt.mean(), 40e3 + fixed_path_ns());
+  EXPECT_GT(rtt.mean(), 5e3 + fixed_path_ns());
 }
 
 TEST(Forwarder, ThroughputIndependentOfPattern) {

@@ -12,9 +12,11 @@
 #include "membuf/ring.hpp"
 #include "proto/checksum.hpp"
 #include "proto/packet_view.hpp"
+#include "stats/samplers.hpp"
 
 namespace mb = moongen::membuf;
 namespace mp = moongen::proto;
+namespace st = moongen::stats;
 
 TEST(Mempool, AllocAndFreeSingle) {
   mb::Mempool pool(16);
@@ -267,14 +269,8 @@ TEST(BoundedRing, PropertyRandomizedGrowShrinkMatchesDequeModel) {
   mb::BoundedRing<unsigned> ring(1);
   std::deque<unsigned> model;
   std::size_t cap = 1;
-  std::uint64_t state = 0x9e3779b97f4a7c15ull;
-  const auto rnd = [&state] {
-    // splitmix64: deterministic, no <random> heft.
-    std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  };
+  st::SplitMix64 rng(0x9e3779b97f4a7c15ull);  // deterministic, no <random> heft
+  const auto rnd = [&rng] { return rng.next(); };
   unsigned next_value = 0;
   for (int op = 0; op < 30'000; ++op) {
     switch (rnd() % 10) {

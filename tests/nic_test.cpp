@@ -12,6 +12,7 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "capture/pcap.hpp"
 #include "core/rate_control.hpp"
@@ -322,7 +323,8 @@ TEST(NicPtp, RxTimestampAllOn82580) {
   moongen::wire::Link link(tx, rx, moongen::wire::cat5e_gbe(2.0), 20);
   for (int i = 0; i < 5; ++i) tx.tx_queue(0).post(udp_frame());
   events.run();
-  const auto entries = rx.rx_queue(0).drain();
+  std::vector<mn::RxQueueModel::Entry> entries;
+  rx.rx_queue(0).drain_into(entries);
   ASSERT_EQ(entries.size(), 5u);
   std::uint64_t prev = 0;
   for (const auto& e : entries) {

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <iterator>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -267,19 +266,6 @@ TEST(LatencyRecorder, MergeEqualsCombinedStream) {
   EXPECT_EQ(a.max_ns(), all.max_ns());
   EXPECT_NEAR(a.mean_ns(), all.mean_ns(), 1e-6);
   EXPECT_NEAR(a.stddev_ns(), all.stddev_ns(), 1e-6);
-}
-
-TEST(LatencyRecorder, WritesMachineReadableJson) {
-  mr::LatencyRecorder r;
-  r.record_ps(1'000'000);
-  r.record_ps(2'000'000);
-  std::ostringstream os;
-  r.write_json(os, "open");
-  const std::string json = os.str();
-  EXPECT_NE(json.find("\"label\": \"open\""), std::string::npos);
-  EXPECT_NE(json.find("\"count\": 2"), std::string::npos);
-  EXPECT_NE(json.find("\"p99_ns\""), std::string::npos);
-  EXPECT_NE(json.find("\"p999_ns\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 // Tests for the deterministic workload samplers (stats/samplers.hpp):
-// SplitMix64, exponential inter-arrivals and the alias-table
-// Zipf key-popularity sampler. Distributional checks use chi-square
+// SplitMix64 and the seed hashes, exponential inter-arrivals and the
+// alias-table Zipf key-popularity sampler. Distributional checks use chi-square
 // goodness-of-fit at fixed seeds — the streams are fully deterministic,
 // so the thresholds are exact regression pins, not flaky statistics.
 #include <gtest/gtest.h>
@@ -63,6 +63,20 @@ TEST(SplitMix64, DoublesAreInUnitInterval) {
   // The stream actually covers the interval.
   EXPECT_LT(lo, 0.01);
   EXPECT_GT(hi, 0.99);
+}
+
+TEST(SplitMix64, HashPinsTheReferenceValue) {
+  // The reference generator's first output from state 0.
+  EXPECT_EQ(st::splitmix64(0), 0xe220a8397b1dcdafull);
+  // The generator hashes its running state, which steps by the gamma.
+  st::SplitMix64 rng(5);
+  EXPECT_EQ(rng.next(), st::splitmix64(5));
+  EXPECT_EQ(rng.next(), st::splitmix64(5 + st::kSplitMix64Gamma));
+}
+
+TEST(Fnv1a, PinsTheReferenceValues) {
+  EXPECT_EQ(st::fnv1a(""), 0xcbf29ce484222325ull);  // the offset basis
+  EXPECT_EQ(st::fnv1a("a"), 0xaf63dc4c8601ec8cull);
 }
 
 // ---------------------------------------------------------------------------

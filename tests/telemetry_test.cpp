@@ -287,6 +287,30 @@ TEST(MetricRegistry, ADestroyedComponentLeavesItsFinalValues) {
   EXPECT_EQ(reg.metric_count(), 3u);
 }
 
+TEST(MetricRegistry, AComponentMayOutliveItsRegistry) {
+  // The registry goes first: the component's Binding finds it gone and
+  // releases nothing (under ASan, a Binding that still wrote to the
+  // registry here would be a heap use-after-free).
+  struct Component {
+    std::uint64_t frames = 0;
+    mt::Binding telemetry;
+  };
+  Component component;
+  auto reg = std::make_unique<mt::MetricRegistry>();
+  component.telemetry.open(*reg);
+  component.telemetry.counter("c.frames", [&component] { return component.frames; });
+  component.frames = 3;
+  EXPECT_EQ(reg->counter_value("c.frames"), 3u);
+  reg.reset();
+  EXPECT_FALSE(component.telemetry.bound());
+  EXPECT_THROW(component.telemetry.counter("c.more", [] { return 0u; }), std::logic_error);
+  // A fresh registry takes the component's readers again.
+  mt::MetricRegistry next;
+  component.telemetry.open(next);
+  component.telemetry.counter("c.frames", [&component] { return component.frames; });
+  EXPECT_EQ(next.counter_value("c.frames"), 3u);
+}
+
 TEST(MetricRegistry, AGaugeHasOneLiveReader) {
   mt::MetricRegistry reg;
   mt::Binding first;

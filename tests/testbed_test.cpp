@@ -1,7 +1,7 @@
 // Tests of the Testbed/Scenario API: declaration validation, shard
-// partitioning, component lookup, telemetry naming, the per-testbed
-// DeviceTable and the per-testbed RunState (replacing the process-global
-// run flag).
+// partitioning, component lookup, telemetry naming, and the private
+// DeviceTable and RunState an experiment holds in place of the
+// process-global ones.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -819,7 +819,7 @@ TEST(Testbed, NoFaultsMeansNoPlanes) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-testbed DeviceTable
+// Private DeviceTable
 // ---------------------------------------------------------------------------
 
 TEST(DeviceTable, TablesAreIsolated) {
@@ -832,6 +832,8 @@ TEST(DeviceTable, TablesAreIsolated) {
   EXPECT_EQ(da.num_rx_queues(), 3);
   EXPECT_EQ(db.num_rx_queues(), 1);  // state does not leak across tables
   EXPECT_EQ(db.num_tx_queues(), 1);
+  // A private table's device 0 is not the process-wide table's.
+  EXPECT_NE(&a.config(0, 1, 1), &mc::DeviceTable::process_default().config(0, 1, 1));
 }
 
 TEST(DeviceTable, FindDoesNotCreate) {
@@ -872,17 +874,8 @@ TEST(DeviceTable, ReconfiguringAddsQueuesToTheSameDevice) {
   tx0.reset();
 }
 
-TEST(DeviceTable, ScenarioFastDevicesLiveInThePrivateTable) {
-  auto tb = mtb::Scenario().fast_device(0, 1, 1).fast_device(1, 1, 1).fast_connect(0, 1).build();
-  // The testbed's device 0 is NOT the process-global device 0.
-  mc::Device& global0 = mc::DeviceTable::process_default().config(0, 1, 1);
-  EXPECT_NE(&tb->fast_device(0), &global0);
-  EXPECT_EQ(tb->fast_devices().find(0), &tb->fast_device(0));
-  EXPECT_THROW((void)tb->fast_device(9), std::out_of_range);
-}
-
 // ---------------------------------------------------------------------------
-// Satellite: per-testbed RunState
+// Private RunState
 // ---------------------------------------------------------------------------
 
 TEST(RunState, InstancesAreIsolated) {
@@ -914,13 +907,4 @@ TEST(RunState, ResetInvalidatesPendingStopAfter) {
   EXPECT_GT(run.generation(), gen);
   std::this_thread::sleep_for(std::chrono::milliseconds(250));
   EXPECT_TRUE(run.running());  // the stale timer was a no-op
-}
-
-TEST(RunState, TestbedOwnsItsRunState) {
-  auto tb1 = mtb::Scenario().fast_device(0, 1, 1).build();
-  auto tb2 = mtb::Scenario().fast_device(0, 1, 1).build();
-  tb1->run_state().request_stop();
-  EXPECT_FALSE(tb1->run_state().running());
-  EXPECT_TRUE(tb2->run_state().running());
-  EXPECT_TRUE(mc::running());  // the process-global flag is untouched too
 }

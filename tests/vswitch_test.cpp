@@ -336,7 +336,8 @@ TEST(VSwitch, EgressRingGrowsToQueueFramesInFifoOrder) {
   EXPECT_EQ(full.matched, 11u);
   EXPECT_EQ(full.queue_drops, 9u);
   bed.events.run();
-  const auto rx = bed.sink0.rx_queue(0).drain();
+  std::vector<mn::RxQueueModel::Entry> rx;
+  bed.sink0.rx_queue(0).drain_into(rx);
   ASSERT_EQ(rx.size(), 11u);
   for (std::size_t i = 0; i < rx.size(); ++i) EXPECT_EQ(udp_dst_of(rx[i].frame), i + 1);
   bed.check_conservation();
@@ -351,7 +352,8 @@ TEST(VSwitch, FlowLabelStampedOnForwardedFrames) {
   auto& q = bed.gen_tx.tx_queue(0);
   for (int i = 0; i < 5; ++i) q.post(tagged_frame(10));
   bed.events.run();
-  const auto rx = bed.sink0.rx_queue(0).drain();
+  std::vector<mn::RxQueueModel::Entry> rx;
+  bed.sink0.rx_queue(0).drain_into(rx);
   ASSERT_EQ(rx.size(), 5u);
   for (const auto& e : rx) EXPECT_EQ(e.frame.flow, 42u);
 }

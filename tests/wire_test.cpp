@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "core/rate_control.hpp"
 #include "sim_testbed.hpp"
@@ -61,7 +62,8 @@ TEST(Link, TenGBaseTJitterBoundedAndMostlyTight) {
     return mc::make_udp_frame(opts);
   });
   events.run_until(5 * ms::kPsPerMs);
-  const auto entries = b.rx_queue(0).drain();
+  std::vector<mn::RxQueueModel::Entry> entries;
+  b.rx_queue(0).drain_into(entries);
   ASSERT_GT(entries.size(), 20'000u);
   std::uint64_t tight = 0, total = 0;
   long long worst = 0;
