@@ -832,8 +832,30 @@ TEST(DeviceTable, TablesAreIsolated) {
   EXPECT_EQ(da.num_rx_queues(), 3);
   EXPECT_EQ(db.num_rx_queues(), 1);  // state does not leak across tables
   EXPECT_EQ(db.num_tx_queues(), 1);
-  // A private table's device 0 is not the process-wide table's.
-  EXPECT_NE(&a.config(0, 1, 1), &mc::DeviceTable::process_default().config(0, 1, 1));
+}
+
+TEST(DeviceTable, ScenarioFastDevicesLiveInThePrivateTable) {
+  // A fast-path experiment (quickstart, quality_of_service_test) holds its
+  // connected devices in a table of its own.
+  mc::DeviceTable devices;
+  mc::Device& tx_dev = devices.config(0, 1, 1);
+  mc::Device& rx_dev = devices.config(1, 1, 1);
+  tx_dev.connect_to(rx_dev);
+  // The experiment's device 0 is NOT the process-global device 0.
+  mc::Device& global0 = mc::DeviceTable::process_default().config(0, 1, 1);
+  EXPECT_NE(&tx_dev, &global0);
+  EXPECT_EQ(devices.find(0), &tx_dev);
+  EXPECT_EQ(devices.find(1), &rx_dev);
+  EXPECT_EQ(devices.find(9), nullptr);
+
+  // The cable ends at the private table's device 1.
+  mb::Mempool pool(64);
+  mb::BufArray txb(pool, 8);
+  txb.alloc(60);
+  tx_dev.get_tx_queue(0).send(txb);
+  mb::BufArray rxb(16);
+  EXPECT_EQ(rx_dev.get_rx_queue(0).recv(rxb), 8u);
+  rxb.free_all();
 }
 
 TEST(DeviceTable, FindDoesNotCreate) {
